@@ -19,7 +19,7 @@ import numpy as np
 
 from ._rng import block_generator, derive_seed
 from .kernel import CanonicalKernel, build_canonical_kernel, centering_matrix
-from .model import NoiseProfile, PayoffFamily, StateGrid
+from .model import NoiseProfile, PayoffFamily, StateGrid, trapezoid
 from .orderflow import PATH_BLOCK_SIZE, iter_shock_blocks, log_likelihoods, posterior_weights
 from .posterior import DEFAULT_MOMENT_SAMPLES, posterior_moments
 from .equilibrium import solve_alpha_star
@@ -30,8 +30,6 @@ DEFAULT_IMPACT_PATHS = 20_000
 SUBGRID_DEFAULT = 21
 SUBGRID_MIN = 9
 SWEEP_SIZES = (2, 4, 6, 8)
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 @dataclass(frozen=True)
@@ -73,8 +71,8 @@ class InvarianceReport:
 
 def node_index(grid: StateGrid, x: float) -> int:
     """Index of the grid node equal to x (within round-off); error otherwise."""
-    idx = int(round((x - grid.x_min) / grid.h))
-    if not 0 <= idx < grid.n or abs(grid.nodes[idx] - x) > 1e-9 * (grid.x_max - grid.x_min):
+    idx = grid.nearest(x)
+    if abs(grid.nodes[idx] - x) > 1e-9 * (grid.x_max - grid.x_min):
         raise ValueError(f"{_ERR}: {x} is not a grid node")
     return idx
 
@@ -244,7 +242,7 @@ def derivative_cross_impact(
     if lam.shape != (len(xs), len(ys)):
         raise ValueError(f"{_ERR}: impact_fn returned shape {lam.shape}, expected {(len(xs), len(ys))}")
     integrand = phi1[ix][:, None] * lam * phi2[iy][None, :]
-    return float(_trapz(_trapz(integrand, ys, axis=1), xs))
+    return float(trapezoid(trapezoid(integrand, ys, axis=1), xs))
 
 
 def information_efficiency(

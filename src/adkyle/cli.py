@@ -32,7 +32,7 @@ from .config import (
 )
 from .equilibrium import equilibrium_demand, solve_alpha_star
 from .kernel import build_canonical_kernel
-from .model import prior_mixture
+from .model import prior_moments
 from .objective import foc_terms, zero_impact_basis
 from .options import bl_decompose, bl_reconstruct, demand_signature
 from .orderflow import pathwise_posterior, price_schedule, simulate_order_flow
@@ -41,27 +41,19 @@ from .posterior import binary_moments_quadrature, posterior_moments
 OUTPUT_DIR_ENV = "ADKYLE_OUTPUT_DIR"
 
 
-def _fmt(v) -> str:
-    return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+def _cells(column) -> list[str]:
+    """Text of one column: repr for floats (round-trips exactly), str otherwise."""
+    if isinstance(column, np.ndarray):
+        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
+    return [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in column]
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """Write equal-length columns (arrays or sequences) under a header row."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _resolve_outdir(args, cfg: RunConfig) -> Path:
-    out = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _load(args) -> RunConfig:
-    return with_seed(load_config(args.config), args.seed)
+        writer.writerows(zip(*map(_cells, columns), strict=True))
 
 
 def _manifest(outdir: Path, cfg: RunConfig, command: str, t0: float) -> None:
@@ -75,7 +67,7 @@ def _manifest(outdir: Path, cfg: RunConfig, command: str, t0: float) -> None:
         ("wall_time_s", f"{time.perf_counter() - t0:.3f}"),
         ("created_utc", datetime.now(timezone.utc).isoformat()),
     ]
-    _write_csv(outdir / "manifest.csv", ["key", "value"], rows)
+    write_csv(outdir / "manifest.csv", ["key", "value"], zip(*rows))
 
 
 def _pipeline(cfg: RunConfig):
@@ -92,16 +84,18 @@ def _solved(cfg: RunConfig):
         kern, n_samples=cfg.n_samples, seed=cfg.seed,
         phi_tol=cfg.phi_tol, width_tol=cfg.width_tol,
     )
-    beta, w_star = equilibrium_demand(eq, kern, family)
-    return grid, noise, family, kern, eq, beta, w_star
+    _, w_star = equilibrium_demand(eq, kern, family)
+    return grid, noise, family, eq, w_star
 
 
-def cmd_solve(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _load(args)
-    outdir = _resolve_outdir(args, cfg)
-    grid, noise, family, kern, eq, beta, w_star = _solved(cfg)
+def _signal(args, family) -> int:
+    if not 0 <= args.signal < family.I:
+        raise ValueError(f"adkyle.cli: --signal {args.signal} out of range for I={family.I}")
+    return args.signal
 
+
+def cmd_solve(args, cfg: RunConfig, outdir: Path) -> int:
+    grid, noise, family, eq, w_star = _solved(cfg)
     rows = [
         ("alpha_star", eq.alpha_star),
         ("alpha_raw", eq.alpha_raw),
@@ -114,131 +108,105 @@ def cmd_solve(args) -> int:
         ("n_samples", cfg.n_samples),
         ("seed", cfg.seed),
     ]
-    _write_csv(outdir / "equilibrium.csv", ["key", "value"], rows)
-    header = ["x"] + [f"w_{lab}" for lab in family.labels]
-    _write_csv(
+    write_csv(outdir / "equilibrium.csv", ["key", "value"], zip(*rows))
+    write_csv(
         outdir / "demand_surface.csv",
-        header,
-        ((grid.nodes[j], *w_star[:, j]) for j in range(grid.n)),
+        ["x"] + [f"w_{lab}" for lab in family.labels],
+        [grid.nodes, *w_star],
     )
-    _manifest(outdir, cfg, "solve", t0)
     print(f"solve: alpha_star={eq.alpha_star:.6f} alpha_raw={eq.alpha_raw:.6f} "
           f"c={eq.c:.6f} I={eq.I} -> {outdir}")
     return 0
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _load(args)
-    outdir = _resolve_outdir(args, cfg)
-    grid, noise, family, kern, eq, beta, w_star = _solved(cfg)
-    s = args.signal
-    if not 0 <= s < family.I:
-        raise ValueError(f"adkyle.cli: --signal {s} out of range for I={family.I}")
+def cmd_simulate(args, cfg: RunConfig, outdir: Path) -> int:
+    if args.paths < 1:
+        raise ValueError(f"adkyle.cli: --paths must be >= 1, got {args.paths}")
+    grid, noise, family, eq, w_star = _solved(cfg)
+    s = _signal(args, family)
 
-    path_rows, price_rows, post_rows = [], [], []
-    for pid in range(args.paths):
+    n_paths, n, I = args.paths, grid.n, family.I
+    y, price = np.empty((n_paths, n)), np.empty((n_paths, n))
+    log_lik, pi = np.empty((n_paths, I)), np.empty((n_paths, I))
+    for pid in range(n_paths):
         path = simulate_order_flow(w_star[s], s, noise, grid, seed=cfg.seed + pid)
         post = pathwise_posterior(path, w_star, noise, grid)
-        price = price_schedule(post.pi, family)
-        path_rows.extend((pid, grid.nodes[j], path.y[j]) for j in range(grid.n))
-        price_rows.extend((pid, grid.nodes[j], price[j]) for j in range(grid.n))
-        post_rows.extend(
-            (pid, family.labels[i], post.log_lik[i], post.pi[i]) for i in range(family.I)
-        )
-    _write_csv(outdir / "paths.csv", ["path_id", "x", "y"], path_rows)
-    _write_csv(outdir / "pathwise_prices.csv", ["path_id", "x", "price"], price_rows)
-    _write_csv(outdir / "pathwise_posterior.csv",
-               ["path_id", "signal", "log_lik", "pi"], post_rows)
-    _manifest(outdir, cfg, "simulate", t0)
-    print(f"simulate: {args.paths} path(s) under signal {family.labels[s]} -> {outdir}")
+        y[pid], log_lik[pid], pi[pid] = path.y, post.log_lik, post.pi
+        price[pid] = price_schedule(post.pi, family)
+    path_id, x = np.repeat(np.arange(n_paths), n), np.tile(grid.nodes, n_paths)
+    write_csv(outdir / "paths.csv", ["path_id", "x", "y"], [path_id, x, y.ravel()])
+    write_csv(outdir / "pathwise_prices.csv", ["path_id", "x", "price"],
+              [path_id, x, price.ravel()])
+    write_csv(outdir / "pathwise_posterior.csv", ["path_id", "signal", "log_lik", "pi"],
+              [np.repeat(np.arange(n_paths), I), family.labels * n_paths,
+               log_lik.ravel(), pi.ravel()])
+    print(f"simulate: {n_paths} path(s) under signal {family.labels[s]} -> {outdir}")
     return 0
 
 
-def cmd_impact(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _load(args)
-    outdir = _resolve_outdir(args, cfg)
-    grid, noise, family, kern, eq, beta, w_star = _solved(cfg)
-
-    mbar = prior_mixture(family)
-    gw = grid.quad_weights
-    mu = float(np.dot(gw * grid.nodes, mbar))
-    sbar = float(np.sqrt(np.dot(gw * np.square(grid.nodes - mu), mbar)))
+def cmd_impact(args, cfg: RunConfig, outdir: Path) -> int:
+    grid, noise, family, eq, w_star = _solved(cfg)
+    mu, sbar = prior_moments(family, grid)
     lo = max(mu - 3.0 * sbar, grid.nodes[1])
     hi = min(mu + 3.0 * sbar, grid.nodes[-2])
-    i_lo = min(max(int(round((lo - grid.x_min) / grid.h)), 1), grid.n - 2)
-    i_hi = min(max(int(round((hi - grid.x_min) / grid.h)), 1), grid.n - 2)
+    i_lo, i_hi = grid.nearest(lo, margin=1), grid.nearest(hi, margin=1)
     idx = np.unique(np.round(np.linspace(i_lo, i_hi, cfg.n_sub)).astype(int))
     points = grid.nodes[idx]
     values, errs = impact_surface(
         points, points, w_star, family, noise, grid,
         n_paths=cfg.n_paths, seed=cfg.seed, conditioned_on=cfg.conditioned_on,
     )
-    rows = [
-        (points[a], points[b], values[a, b], errs[a, b])
-        for a in range(len(points))
-        for b in range(len(points))
-    ]
-    _write_csv(outdir / "impact_kernel.csv", ["x", "y", "lambda", "std_err"], rows)
-    _manifest(outdir, cfg, "impact", t0)
+    write_csv(
+        outdir / "impact_kernel.csv",
+        ["x", "y", "lambda", "std_err"],
+        [np.repeat(points, len(points)), np.tile(points, len(points)),
+         values.ravel(), errs.ravel()],
+    )
     print(f"impact: {len(points)}x{len(points)} kernel estimates -> {outdir}")
     return 0
 
 
-def cmd_efficiency(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _load(args)
-    outdir = _resolve_outdir(args, cfg)
+def cmd_efficiency(args, cfg: RunConfig, outdir: Path) -> int:
     rows = efficiency_sweep(n_samples=cfg.n_samples, master_seed=cfg.seed)
-    _write_csv(
+    write_csv(
         outdir / "efficiency.csv",
         ["I", "alpha_star", "ie", "std_err", "n_samples", "seed"],
-        ((r.I, r.alpha_star, r.ie, r.std_err, r.n_samples, r.seed) for r in rows),
+        zip(*((r.I, r.alpha_star, r.ie, r.std_err, r.n_samples, r.seed) for r in rows)),
     )
-    _manifest(outdir, cfg, "efficiency", t0)
     summary = " ".join(f"I={r.I}:{r.ie:.4f}" for r in rows)
     print(f"efficiency: {summary} -> {outdir}")
     return 0
 
 
-def cmd_options(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _load(args)
-    outdir = _resolve_outdir(args, cfg)
-    grid, noise, family, kern, eq, beta, w_star = _solved(cfg)
-    s = args.signal
-    if not 0 <= s < family.I:
-        raise ValueError(f"adkyle.cli: --signal {s} out of range for I={family.I}")
-
-    mbar = prior_mixture(family)
-    mu = float(np.dot(grid.quad_weights * grid.nodes, mbar))
-    k0 = float(grid.nodes[min(max(int(round((mu - grid.x_min) / grid.h)), 1), grid.n - 2)])
-    strip = bl_decompose(w_star[s], grid, k0)
+def cmd_options(args, cfg: RunConfig, outdir: Path) -> int:
+    grid, noise, family, eq, w_star = _solved(cfg)
+    s = _signal(args, family)
+    mu, _ = prior_moments(family, grid)
+    strip = bl_decompose(w_star[s], grid, float(grid.nodes[grid.nearest(mu, margin=1)]))
     recon = bl_reconstruct(strip, grid)
     max_err = float(np.max(np.abs(recon - w_star[s])))
 
-    rows = [("bond", "", strip.bond), ("underlying", "", strip.underlying),
-            ("k0", "", strip.k0), ("max_recon_err", "", max_err)]
-    rows += [("put", k, d) for k, d in zip(strip.put_strikes, strip.put_density)]
-    rows += [("call", k, d) for k, d in zip(strip.call_strikes, strip.call_density)]
-    _write_csv(outdir / "strip.csv", ["component", "strike", "value"], rows)
-    _write_csv(
+    n_put, n_call = len(strip.put_strikes), len(strip.call_strikes)
+    write_csv(
+        outdir / "strip.csv",
+        ["component", "strike", "value"],
+        [["bond", "underlying", "k0", "max_recon_err"] + ["put"] * n_put + ["call"] * n_call,
+         [""] * 4 + strip.put_strikes.tolist() + strip.call_strikes.tolist(),
+         np.concatenate([[strip.bond, strip.underlying, strip.k0, max_err],
+                         strip.put_density, strip.call_density])],
+    )
+    write_csv(
         outdir / "signatures.csv",
         ["signal", "signature"],
-        ((family.labels[i], demand_signature(w_star[i], family, grid)) for i in range(family.I)),
+        [family.labels, [demand_signature(row, family, grid) for row in w_star]],
     )
-    _manifest(outdir, cfg, "options", t0)
     print(f"options: signal {family.labels[s]} k0={strip.k0:.4f} "
           f"max_recon_err={max_err:.2e} -> {outdir}")
     return 0
 
 
-def cmd_verify_foc(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _load(args)
-    outdir = _resolve_outdir(args, cfg)
-    grid, noise, family, kern, eq, beta, w_star = _solved(cfg)
+def cmd_verify_foc(args, cfg: RunConfig, outdir: Path) -> int:
+    grid, noise, family, eq, w_star = _solved(cfg)
     basis = zero_impact_basis(w_star, noise, grid)
     directions = [
         ("own_demand", w_star[0]),
@@ -261,41 +229,36 @@ def cmd_verify_foc(args) -> int:
         print(f"verify-foc[{name}]: analytic={rep.analytic_total:+.6e} "
               f"fd={rep.fd_total:+.6e} diff={rep.diff:+.2e} "
               f"({'pass' if passed else 'FAIL'})")
-    _write_csv(
+    write_csv(
         outdir / "foc_report.csv",
         ["direction", "payoff_term", "adverse_selection_term", "impact_term",
          "analytic_total", "fd_total", "fd_epsilon", "diff", "std_err_diff",
          "std_err_fd", "n_paths", "status"],
-        rows,
+        zip(*rows),
     )
-    _manifest(outdir, cfg, "verify-foc", t0)
     return 0 if ok else 1
 
 
-def cmd_kernel_dump(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _load(args)
-    outdir = _resolve_outdir(args, cfg)
+def cmd_kernel_dump(args, cfg: RunConfig, outdir: Path) -> int:
     grid, noise, family, kern = _pipeline(cfg)
-    rows = []
-    for name, mat in (("K", kern.K), ("Q", kern.Q), ("L", kern.L), ("L_pinv", kern.L_pinv)):
-        rows.extend(
-            (name, i, j, mat[i, j]) for i in range(kern.I) for j in range(kern.I)
-        )
-    rows.append(("c", 0, 0, kern.c))
-    rows.append(("exchangeable", 0, 0, int(kern.exchangeable)))
-    rows.append(("rank_tol", 0, 0, kern.rank_tol))
-    _write_csv(outdir / "kernel.csv", ["matrix", "row", "col", "value"], rows)
-    _manifest(outdir, cfg, "kernel dump", t0)
+    names, I = ("K", "Q", "L", "L_pinv"), kern.I
+    row_idx = np.tile(np.repeat(np.arange(I), I), len(names)).tolist()
+    col_idx = np.tile(np.arange(I), I * len(names)).tolist()
+    values = np.concatenate([getattr(kern, name).ravel() for name in names]).tolist()
+    write_csv(
+        outdir / "kernel.csv",
+        ["matrix", "row", "col", "value"],
+        [[name for name in names for _ in range(I * I)] + ["c", "exchangeable", "rank_tol"],
+         row_idx + [0, 0, 0],
+         col_idx + [0, 0, 0],
+         values + [kern.c, int(kern.exchangeable), kern.rank_tol]],
+    )
     print(f"kernel dump: I={kern.I} c={kern.c:.6f} "
           f"exchangeable={kern.exchangeable} -> {outdir}")
     return 0
 
 
-def cmd_posterior_probe(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _load(args)
-    outdir = _resolve_outdir(args, cfg)
+def cmd_posterior_probe(args, cfg: RunConfig, outdir: Path) -> int:
     grid, noise, family, kern = _pipeline(cfg)
     I = family.I
     alpha_bar = args.alpha_bar
@@ -311,18 +274,10 @@ def cmd_posterior_probe(args) -> int:
     ie, se = information_efficiency(alpha_bar, I, n_samples=cfg.n_samples, seed=cfg.seed)
     rows.append(("information_efficiency", 0, ie))
     rows.append(("ie_std_err", 0, se))
-    _write_csv(outdir / "posterior_probe.csv", ["quantity", "index", "value"], rows)
-    _manifest(outdir, cfg, "posterior probe", t0)
+    write_csv(outdir / "posterior_probe.csv", ["quantity", "index", "value"], zip(*rows))
     print(f"posterior probe: alpha_bar={alpha_bar} I={I} "
           f"m1_true={mom.m1[0]:.6f} -> {outdir}")
     return 0
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-c", "--config", required=True, help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=None, help="override mc.seed")
-    p.add_argument("-o", "--output-dir", default=None,
-                   help=f"override output dir (also {OUTPUT_DIR_ENV})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,56 +289,52 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve the equilibrium and dump the demand surface")
-    _add_common(p)
-    p.set_defaults(func=cmd_solve)
+    def command(subparsers, name: str, summary: str, func, label: str = ""):
+        p = subparsers.add_parser(name, help=summary)
+        p.add_argument("-c", "--config", required=True, help="flat key=value config file")
+        p.add_argument("--seed", type=int, default=None, help="override mc.seed")
+        p.add_argument("-o", "--output-dir", default=None,
+                       help=f"override output dir (also {OUTPUT_DIR_ENV})")
+        p.set_defaults(func=func, label=label or name)
+        return p
 
-    p = sub.add_parser("simulate", help="simulate order-flow paths and pathwise prices")
-    _add_common(p)
+    command(sub, "solve", "solve the equilibrium and dump the demand surface", cmd_solve)
+    p = command(sub, "simulate", "simulate order-flow paths and pathwise prices", cmd_simulate)
     p.add_argument("--signal", type=int, default=0, help="realized signal index")
     p.add_argument("--paths", type=int, default=3, help="number of paths to write")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("impact", help="estimate the cross-asset price-impact kernel")
-    _add_common(p)
-    p.set_defaults(func=cmd_impact)
-
-    p = sub.add_parser("efficiency", help="information-efficiency sweep over signal counts")
-    _add_common(p)
-    p.set_defaults(func=cmd_efficiency)
-
-    p = sub.add_parser("options", help="option-strip decomposition and demand signatures")
-    _add_common(p)
+    command(sub, "impact", "estimate the cross-asset price-impact kernel", cmd_impact)
+    command(sub, "efficiency", "information-efficiency sweep over signal counts", cmd_efficiency)
+    p = command(sub, "options", "option-strip decomposition and demand signatures", cmd_options)
     p.add_argument("--signal", type=int, default=0, help="signal row to decompose")
-    p.set_defaults(func=cmd_options)
+    command(sub, "verify-foc", "check first-order conditions against finite differences",
+            cmd_verify_foc)
 
-    p = sub.add_parser("verify-foc", help="check first-order conditions against finite differences")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_foc)
-
-    p = sub.add_parser("kernel", help="kernel inspection")
-    ksub = p.add_subparsers(dest="kernel_command", required=True)
-    kd = ksub.add_parser("dump", help="dump K, Q, L, L_pinv and scalars to CSV")
-    _add_common(kd)
-    kd.set_defaults(func=cmd_kernel_dump)
-
-    p = sub.add_parser("posterior", help="posterior inspection")
-    psub = p.add_subparsers(dest="posterior_command", required=True)
-    pp = psub.add_parser("probe", help="moments of the canonical posterior at alpha_bar")
-    _add_common(pp)
-    pp.add_argument("--alpha-bar", type=float, required=True)
-    pp.set_defaults(func=cmd_posterior_probe)
-
+    ksub = sub.add_parser("kernel", help="kernel inspection").add_subparsers(
+        dest="kernel_command", required=True)
+    command(ksub, "dump", "dump K, Q, L, L_pinv and scalars to CSV", cmd_kernel_dump,
+            "kernel dump")
+    psub = sub.add_parser("posterior", help="posterior inspection").add_subparsers(
+        dest="posterior_command", required=True)
+    p = command(psub, "probe", "moments of the canonical posterior at alpha_bar",
+                cmd_posterior_probe, "posterior probe")
+    p.add_argument("--alpha-bar", type=float, required=True)
     return parser
 
 
 def main(argv=None) -> int:
+    """Parse, load the config, run one subcommand into its output dir, write the manifest."""
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        cfg = with_seed(load_config(args.config), args.seed)
+        outdir = Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        status = args.func(args, cfg, outdir)
+        _manifest(outdir, cfg, args.label, t0)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return status
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .analytics import SUBGRID_MIN
 from .model import NoiseProfile, PayoffFamily, StateGrid, build_state_grid, make_payoff_family
+from .posterior import MIN_MOMENT_SAMPLES
 
 _ERR = "adkyle.config"
 
@@ -42,7 +44,6 @@ class RunConfig:
     n_sub: int = 21
     conditioned_on: int | None = None
     output_dir: str = "out"
-    workers: int = 1
 
 
 def _floats(text: str) -> tuple:
@@ -74,7 +75,13 @@ KEYS = {
     "impact.n_sub": ("n_sub", int),
     "impact.conditioned_on": ("conditioned_on", _opt_int),
     "output.dir": ("output_dir", str),
-    "run.workers": ("workers", int),
+}
+
+# family.kind -> the RunConfig attribute that lists one parameter per signal
+_SIGNAL_LISTS = {
+    "gaussian_mean_shift": "means",
+    "gaussian_variance": "sds",
+    "skew_normal": "shapes",
 }
 
 
@@ -110,14 +117,22 @@ def load_config(path: str | Path) -> RunConfig:
 def validate_config(cfg: RunConfig) -> None:
     if cfg.n < 3:
         raise ValueError(f"{_ERR}: grid.n must be >= 3")
-    if cfg.n_samples < 1:
-        raise ValueError(f"{_ERR}: mc.n_samples must be positive")
+    if cfg.n_samples < MIN_MOMENT_SAMPLES:
+        raise ValueError(f"{_ERR}: mc.n_samples must be >= {MIN_MOMENT_SAMPLES}")
     if cfg.n_paths < 1:
         raise ValueError(f"{_ERR}: mc.n_paths must be positive")
-    if cfg.workers < 1:
-        raise ValueError(f"{_ERR}: run.workers must be >= 1")
-    if cfg.family_kind not in ("gaussian_mean_shift", "gaussian_variance", "skew_normal"):
+    if not (cfg.phi_tol > 0.0 and cfg.width_tol > 0.0):
+        raise ValueError(f"{_ERR}: solver.phi_tol and solver.width_tol must be > 0")
+    if cfg.n_sub < SUBGRID_MIN:
+        raise ValueError(f"{_ERR}: impact.n_sub must be >= {SUBGRID_MIN}")
+    if cfg.family_kind not in _SIGNAL_LISTS:
         raise ValueError(f"{_ERR}: unsupported family.kind {cfg.family_kind!r}")
+    I = len(getattr(cfg, _SIGNAL_LISTS[cfg.family_kind]))
+    if cfg.conditioned_on is not None and not 0 <= cfg.conditioned_on < I:
+        raise ValueError(
+            f"{_ERR}: impact.conditioned_on must be in [0, {I}) or none, "
+            f"got {cfg.conditioned_on}"
+        )
 
 
 def config_grid(cfg: RunConfig) -> StateGrid:

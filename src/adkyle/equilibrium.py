@@ -43,7 +43,6 @@ class Equilibrium:
         alpha_raw: alpha_star / sqrt(c); the coefficient in original units.
         c: Exchangeability scale of the kernel.
         I: Number of signals.
-        theta_star: I x I matrix whose column i is alpha_star * Q e_i.
         phi_residual: Phi estimate at alpha_star (|.| <= PHI_TOL).
         mc_meta: Solver provenance (n_samples, seed, bracket diagnostics).
     """
@@ -52,7 +51,6 @@ class Equilibrium:
     alpha_raw: float
     c: float
     I: int
-    theta_star: np.ndarray = field(repr=False)
     phi_residual: float = 0.0
     mc_meta: dict = field(repr=False, default_factory=dict)
 
@@ -140,14 +138,11 @@ def solve_alpha_star(
         if n_bisections > 200:
             raise ValueError(f"{_ERR}: bisection failed to meet tolerances")
 
-    Q = np.eye(I) - 1.0 / I
-    theta = mid * Q
     return Equilibrium(
         alpha_star=float(mid),
         alpha_raw=float(mid / math.sqrt(kern.c)),
         c=float(kern.c),
         I=I,
-        theta_star=theta,
         phi_residual=float(f_mid),
         mc_meta={
             "n_samples": int(n_samples),
@@ -179,7 +174,7 @@ def equilibrium_demand(
     """
     if eq.I != kern.I or family.I != kern.I:
         raise ValueError(f"{_ERR}: signal-count mismatch between equilibrium, kernel, family")
-    Q = np.eye(eq.I) - 1.0 / eq.I
+    Q = kern.Q
     resid = kern.L @ (kern.L_pinv @ Q) - Q
     if np.max(np.abs(resid)) > RANGE_TOL:
         raise ValueError(

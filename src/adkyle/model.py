@@ -22,6 +22,9 @@ _ERR = "adkyle.model"
 
 FAMILY_KINDS = ("gaussian_mean_shift", "gaussian_variance", "skew_normal", "tabulated")
 
+# numpy 2 renamed trapz to trapezoid; numpy 1.24 has only trapz.
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.asarray(arr, dtype=float)
@@ -51,6 +54,11 @@ class StateGrid:
     def h(self) -> float:
         """Grid step (x_max - x_min) / (n - 1)."""
         return (self.x_max - self.x_min) / (self.n - 1)
+
+    def nearest(self, x: float, margin: int = 0) -> int:
+        """Index of the node nearest to x, clamped to [margin, n - 1 - margin]."""
+        idx = int(round((x - self.x_min) / self.h))
+        return min(max(idx, margin), self.n - 1 - margin)
 
 
 @dataclass(frozen=True)
@@ -152,6 +160,15 @@ def weighted_inner_product(
 def prior_mixture(family: PayoffFamily) -> np.ndarray:
     """Prior-mean density m(x) = (1/I) sum_i eta(x, s_i) (uniform signal prior)."""
     return family.eta.mean(axis=0)
+
+
+def prior_moments(family: PayoffFamily, grid: StateGrid) -> tuple[float, float]:
+    """Mean and standard deviation of the state under the prior mixture."""
+    mbar = prior_mixture(family)
+    gw = grid.quad_weights
+    mu = float(np.dot(gw * grid.nodes, mbar))
+    var = float(np.dot(gw * np.square(grid.nodes - mu), mbar))
+    return mu, math.sqrt(max(var, 0.0))
 
 
 def _normal_pdf(z: np.ndarray) -> np.ndarray:

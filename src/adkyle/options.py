@@ -13,12 +13,11 @@ nodes, giving an O(h^2) reconstruction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import PayoffFamily, StateGrid, prior_mixture
+from .model import PayoffFamily, StateGrid, prior_moments, trapezoid
 
 _ERR = "adkyle.options"
 
@@ -86,8 +85,8 @@ def bl_decompose(w_row: np.ndarray, grid: StateGrid, k0: float) -> OptionStrip:
     w = np.asarray(w_row, dtype=float)
     if w.shape != (grid.n,):
         raise ValueError(f"{_ERR}: schedule must have length n={grid.n}")
-    i0 = int(round((k0 - grid.x_min) / grid.h))
-    if not 1 <= i0 <= grid.n - 2 or abs(grid.nodes[i0] - k0) > 1e-9 * (grid.x_max - grid.x_min):
+    i0 = grid.nearest(k0, margin=1)
+    if abs(grid.nodes[i0] - k0) > 1e-9 * (grid.x_max - grid.x_min):
         raise ValueError(f"{_ERR}: pivot strike {k0} must be an interior grid node")
     k0 = float(grid.nodes[i0])
     d1, d2 = _derivatives(w, grid.h)
@@ -117,9 +116,8 @@ def bl_reconstruct(strip: OptionStrip, grid: StateGrid) -> np.ndarray:
     x = grid.nodes
     put_pay = np.clip(strip.put_strikes[:, None] - x[None, :], 0.0, None)
     call_pay = np.clip(x[None, :] - strip.call_strikes[:, None], 0.0, None)
-    trapz = getattr(np, "trapezoid", None) or np.trapz
-    puts = trapz(strip.put_density[:, None] * put_pay, strip.put_strikes, axis=0)
-    calls = trapz(strip.call_density[:, None] * call_pay, strip.call_strikes, axis=0)
+    puts = trapezoid(strip.put_density[:, None] * put_pay, strip.put_strikes, axis=0)
+    calls = trapezoid(strip.call_density[:, None] * call_pay, strip.call_strikes, axis=0)
     return strip.bond + strip.underlying * x + puts + calls
 
 
@@ -140,17 +138,12 @@ def demand_signature(w_row: np.ndarray, family: PayoffFamily, grid: StateGrid) -
     w = np.asarray(w_row, dtype=float)
     if w.shape != (grid.n,):
         raise ValueError(f"{_ERR}: schedule must have length n={grid.n}")
-    mbar = prior_mixture(family)
-    gw = grid.quad_weights
-    mu = float(np.dot(gw * grid.nodes, mbar))
-    var = float(np.dot(gw * np.square(grid.nodes - mu), mbar))
-    sbar = math.sqrt(max(var, 0.0))
+    mu, sbar = prior_moments(family, grid)
     if sbar == 0.0:
         raise ValueError(f"{_ERR}: prior mixture has zero dispersion")
 
     def probe(k: float) -> float:
-        x = min(max(mu + k * sbar, grid.x_min), grid.x_max)
-        return float(w[int(round((x - grid.x_min) / grid.h))])
+        return float(w[grid.nearest(mu + k * sbar)])
 
     outer_l, inner_l, center, inner_r, outer_r = (probe(k) for k in (-2, -1, 0, 1, 2))
     thr = FLAT_REL_TOL * max(float(np.max(np.abs(w))), 1e-300)

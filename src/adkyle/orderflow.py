@@ -18,6 +18,7 @@ import numpy as np
 
 from ._rng import block_generator, block_sizes
 from .model import NoiseProfile, PayoffFamily, StateGrid, weighted_inner_product
+from .posterior import softmax
 
 _ERR = "adkyle.orderflow"
 
@@ -177,9 +178,7 @@ def posterior_weights(log_lik: np.ndarray) -> np.ndarray:
             f"{_ERR}: log-likelihood spread {worst:.1f} exceeds "
             f"{LOG_LIK_SPREAD_MAX}; posterior underflow"
         )
-    shifted = log_lik - log_lik.max(axis=1, keepdims=True)
-    w = np.exp(shifted)
-    return w / w.sum(axis=1, keepdims=True)
+    return softmax(log_lik)
 
 
 def pathwise_posterior(

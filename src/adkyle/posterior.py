@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import roots_hermite
 
 from ._rng import standard_normal_matrix
+from .kernel import centering_matrix
 
 _ERR = "adkyle.posterior"
 
@@ -38,14 +39,13 @@ class PosteriorSample:
     Attributes:
         alpha_bar: Effective signal-to-noise number used for the draw.
         true_index: Index of the realized signal.
-        z: Centered Gaussian part alpha_bar * Q xi, shape (I,) or (m, I).
-        logits: z plus the information drift alpha_bar^2 on the true index.
+        logits: Centered Gaussian part alpha_bar * Q xi, shape (I,) or (m, I),
+            plus the information drift alpha_bar^2 on the true index.
         q: Softmax of logits along the last axis; rows sum to 1.
     """
 
     alpha_bar: float
     true_index: int
-    z: np.ndarray = field(repr=False)
     logits: np.ndarray = field(repr=False)
     q: np.ndarray = field(repr=False)
 
@@ -103,10 +103,9 @@ def sample_posterior(
     xi = np.broadcast_to(np.asarray(noise, dtype=float), (I,)) if np.ndim(noise) < 2 else np.asarray(noise, dtype=float)
     if xi.shape[-1] != I:
         raise ValueError(f"{_ERR}: noise last dimension must equal I={I}")
-    z = alpha_bar * (xi - xi.mean(axis=-1, keepdims=True))
-    logits = z.copy()
+    logits = alpha_bar * (xi - xi.mean(axis=-1, keepdims=True))
     logits[..., true_index] += alpha_bar * alpha_bar
-    return PosteriorSample(float(alpha_bar), int(true_index), z, logits, softmax(logits))
+    return PosteriorSample(float(alpha_bar), int(true_index), logits, softmax(logits))
 
 
 def moments_from_noise(
@@ -125,7 +124,7 @@ def moments_from_noise(
     q = sample_posterior(alpha_bar, I, true_index, noise).q
     m1 = q.mean(axis=0)
     cbar = np.diag(m1) - (q.T @ q) / m
-    Q = np.eye(I) - 1.0 / I
+    Q = centering_matrix(I)
     qcq = Q @ cbar @ Q
     std_err = q.std(axis=0, ddof=1) / math.sqrt(m)
     return MomentEstimates(

@@ -63,7 +63,6 @@ def exact_binary_equilibrium(kern):
         alpha_raw=ALPHA_STAR_BINARY / math.sqrt(kern.c),
         c=kern.c,
         I=kern.Q.shape[0],
-        theta_star=ALPHA_STAR_BINARY * kern.Q,
         phi_residual=0.0,
         mc_meta={"n_samples": 0, "seed": -1},
     )

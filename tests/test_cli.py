@@ -2,9 +2,10 @@
 
 import csv
 
+import numpy as np
 import pytest
 
-from adkyle.cli import OUTPUT_DIR_ENV, main
+from adkyle.cli import OUTPUT_DIR_ENV, main, write_csv
 
 FAST_CONFIG = """
 grid.n = 101
@@ -80,6 +81,42 @@ def test_output_dir_environment_variable(cfg_file, tmp_path, monkeypatch):
     flag_dir = tmp_path / "from_flag"
     assert main(["solve", "-c", str(cfg_file), "-o", str(flag_dir)]) == 0
     assert (flag_dir / "equilibrium.csv").exists()
+
+
+def test_csv_writer_matches_per_cell_reference(tmp_path):
+    floats = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1, -2.5])
+    columns = [
+        floats,
+        floats.astype(np.float32),
+        np.array([-3, 0, 1, 2**62, 4, 5, 6, 7], dtype=np.int64),
+        [0, 1, -2, 2**70, 4, 5, 6, 7],
+        ["s1", "a,b", 'q"x', "", " sp", "line\nbreak", "s7", "s8"],
+        [1.5, 2, "lbl", np.float64(0.1), np.float32(0.1), np.int64(3), -0.0, float("nan")],
+    ]
+    header = ["f64", "f32", "i64", "int", "label", "mixed"]
+
+    def cell(v):
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([cell(v) for v in row])
+    out = tmp_path / "out.csv"
+    write_csv(out, header, columns)
+    assert out.read_bytes() == ref.read_bytes()
+    assert b"nan,nan,-3,0,s1,1.5\r\n" in out.read_bytes()
+
+
+def test_simulate_rejects_zero_paths(cfg_file, tmp_path, capsys):
+    code = main(["simulate", "-c", str(cfg_file), "-o", str(tmp_path / "sim"), "--paths", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "--paths" in err
+    assert "Traceback" not in err
 
 
 def test_config_errors_exit_with_code_two(tmp_path, capsys):

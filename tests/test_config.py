@@ -33,8 +33,8 @@ mc.n_paths = 1000
 solver.phi_tol = 2e-4
 solver.width_tol = 1e-7
 impact.n_sub = 11
+impact.conditioned_on = 1
 output.dir = results
-run.workers = 2
 """
 
 
@@ -65,8 +65,8 @@ def test_full_config_round_trip():
     assert cfg.n_samples == 50_000
     assert cfg.phi_tol == 2e-4
     assert cfg.n_sub == 11
+    assert cfg.conditioned_on == 1
     assert cfg.output_dir == "results"
-    assert cfg.workers == 2
 
 
 def test_seed_is_mandatory():
@@ -85,12 +85,32 @@ def test_malformed_lines_report_line_numbers():
 
 
 def test_validation_rejects_bad_values():
-    with pytest.raises(ValueError, match="adkyle.config"):
-        parse_config_text("mc.seed = 1\ngrid.n = 2\n")
-    with pytest.raises(ValueError, match="adkyle.config"):
-        parse_config_text("mc.seed = 1\nmc.n_samples = 0\n")
-    with pytest.raises(ValueError, match="adkyle.config"):
-        parse_config_text("mc.seed = 1\nfamily.kind = lognormal\n")
+    bad = [
+        "grid.n = 2",
+        "mc.n_samples = 0",
+        "mc.n_samples = 5",
+        "mc.n_samples = 9999",
+        "family.kind = lognormal",
+        "impact.n_sub = 0",
+        "impact.n_sub = 8",
+        "impact.conditioned_on = 2",
+        "impact.conditioned_on = 5",
+        "impact.conditioned_on = -1",
+        "family.kind = skew_normal\nfamily.shapes = 1, 2, 3\nimpact.conditioned_on = 3",
+        "solver.phi_tol = 0",
+        "solver.phi_tol = -1e-4",
+        "solver.width_tol = 0",
+        "solver.width_tol = nan",
+    ]
+    for lines in bad:
+        with pytest.raises(ValueError, match="adkyle.config"):
+            parse_config_text(f"mc.seed = 1\n{lines}\n")
+    # the boundary values themselves are accepted
+    cfg = parse_config_text(
+        "mc.seed = 1\nmc.n_samples = 10000\nimpact.n_sub = 9\n"
+        "family.kind = skew_normal\nfamily.shapes = 1, 2, 3\nimpact.conditioned_on = 2\n"
+    )
+    assert (cfg.n_samples, cfg.n_sub, cfg.conditioned_on) == (10_000, 9, 2)
 
 
 def test_config_builds_model_objects():

@@ -75,11 +75,6 @@ def test_alpha_raw_rescales_by_kernel_scale(solved_mean_shift, mean_shift_kernel
     assert eq.c == mean_shift_kernel.c
 
 
-def test_theta_star_is_scaled_centering(solved_mean_shift, mean_shift_kernel):
-    eq = solved_mean_shift
-    assert np.array_equal(eq.theta_star, eq.alpha_star * mean_shift_kernel.Q)
-
-
 def test_root_is_kernel_independent_for_exchangeable_kernels(
     solved_mean_shift, mean_shift_kernel
 ):

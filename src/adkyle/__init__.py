@@ -35,6 +35,7 @@ from .posterior import (
     posterior_moments,
     sample_posterior,
     softmax,
+    true_belief,
 )
 from .equilibrium import (
     Equilibrium,
@@ -95,6 +96,7 @@ __all__ = [
     "posterior_moments",
     "sample_posterior",
     "softmax",
+    "true_belief",
     "Equilibrium",
     "KyleBenchmark",
     "equilibrium_demand",

@@ -21,7 +21,7 @@ from ._rng import block_generator, derive_seed
 from .kernel import CanonicalKernel, build_canonical_kernel, centering_matrix
 from .model import NoiseProfile, PayoffFamily, StateGrid, trapezoid
 from .orderflow import PATH_BLOCK_SIZE, iter_shock_blocks, log_likelihoods, posterior_weights
-from .posterior import DEFAULT_MOMENT_SAMPLES, posterior_moments
+from .posterior import DEFAULT_MOMENT_SAMPLES, mean_and_std_err, moment_noise, true_belief
 from .equilibrium import solve_alpha_star
 
 _ERR = "adkyle.analytics"
@@ -256,9 +256,12 @@ def information_efficiency(
 
     At alpha_bar = 0 prices carry no information and the value is 1/I; it
     increases toward 1 as alpha_bar grows.
+
+    Raises:
+        ValueError: if n_samples < MIN_MOMENT_SAMPLES.
     """
-    mom = posterior_moments(alpha_bar, I, true_index, n_samples=n_samples, seed=seed)
-    return float(mom.m1[true_index]), float(mom.std_err_m1[true_index])
+    noise = moment_noise(I, n_samples, seed)
+    return mean_and_std_err(true_belief(alpha_bar, noise, true_index))
 
 
 def identity_kernel(I: int) -> CanonicalKernel:
@@ -277,19 +280,19 @@ def efficiency_sweep(
     """Equilibrium root and information efficiency across signal counts.
 
     Each I gets its own derived seed, and the reported row is bitwise equal to
-    running the solve and the efficiency estimate standalone with that seed.
+    running the solve and information_efficiency standalone with that seed:
+    the solver reports E[q_true] at its root from the same noise matrix.
     """
     rows = []
     for I in sizes:
         seed = derive_seed(master_seed, I)
         eq = solve_alpha_star(identity_kernel(I), n_samples=n_samples, seed=seed)
-        ie, std_err = information_efficiency(eq.alpha_star, I, n_samples=n_samples, seed=seed)
         rows.append(
             EfficiencyRow(
                 I=I,
                 alpha_star=eq.alpha_star,
-                ie=ie,
-                std_err=std_err,
+                ie=eq.ie,
+                std_err=eq.ie_std_err,
                 n_samples=int(n_samples),
                 seed=seed,
             )

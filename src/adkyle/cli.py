@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytics import efficiency_sweep, impact_surface, information_efficiency
+from .analytics import efficiency_sweep, impact_surface
 from .config import (
     RunConfig,
     config_family,
@@ -36,7 +36,13 @@ from .model import prior_moments
 from .objective import foc_terms, zero_impact_basis
 from .options import bl_decompose, bl_reconstruct, demand_signature
 from .orderflow import pathwise_posterior, price_schedule, simulate_order_flow
-from .posterior import binary_moments_quadrature, posterior_moments
+from .posterior import (
+    binary_moments_quadrature,
+    mean_and_std_err,
+    moment_noise,
+    moments_from_noise,
+    true_belief,
+)
 
 OUTPUT_DIR_ENV = "ADKYLE_OUTPUT_DIR"
 
@@ -102,6 +108,7 @@ def cmd_solve(args, cfg: RunConfig, outdir: Path) -> int:
         ("c", eq.c),
         ("I", eq.I),
         ("phi_residual", eq.phi_residual),
+        ("alpha_std_err", eq.alpha_std_err),
         ("bracket_hi", eq.mc_meta["bracket_hi"]),
         ("n_doublings", eq.mc_meta["n_doublings"]),
         ("n_bisections", eq.mc_meta["n_bisections"]),
@@ -109,12 +116,16 @@ def cmd_solve(args, cfg: RunConfig, outdir: Path) -> int:
         ("seed", cfg.seed),
     ]
     write_csv(outdir / "equilibrium.csv", ["key", "value"], zip(*rows))
+    trace = eq.mc_meta["trace"]
+    write_csv(outdir / "solver_trace.csv", ["eval", "alpha_bar", "phi", "stage"],
+              [range(1, len(trace) + 1), *zip(*trace)])
     write_csv(
         outdir / "demand_surface.csv",
         ["x"] + [f"w_{lab}" for lab in family.labels],
         [grid.nodes, *w_star],
     )
-    print(f"solve: alpha_star={eq.alpha_star:.6f} alpha_raw={eq.alpha_raw:.6f} "
+    print(f"solve: alpha_star={eq.alpha_star:.6f} (se {eq.alpha_std_err:.1e}, "
+          f"{len(trace)} Phi evaluations) alpha_raw={eq.alpha_raw:.6f} "
           f"c={eq.c:.6f} I={eq.I} -> {outdir}")
     return 0
 
@@ -262,7 +273,8 @@ def cmd_posterior_probe(args, cfg: RunConfig, outdir: Path) -> int:
     grid, noise, family, kern = _pipeline(cfg)
     I = family.I
     alpha_bar = args.alpha_bar
-    mom = posterior_moments(alpha_bar, I, 0, n_samples=cfg.n_samples, seed=cfg.seed)
+    xi = moment_noise(I, cfg.n_samples, cfg.seed)  # one draw for the moments and the efficiency
+    mom = moments_from_noise(alpha_bar, 0, xi)
     rows = [("m1", i, mom.m1[i]) for i in range(I)]
     rows += [("std_err_m1", i, mom.std_err_m1[i]) for i in range(I)]
     rows.append(("qcq_diag", 0, mom.qcq_diag))
@@ -271,7 +283,7 @@ def cmd_posterior_probe(args, cfg: RunConfig, outdir: Path) -> int:
         phi1, phi2 = binary_moments_quadrature(alpha_bar)
         rows.append(("phi1_quadrature", 0, phi1))
         rows.append(("phi2_quadrature", 0, phi2))
-    ie, se = information_efficiency(alpha_bar, I, n_samples=cfg.n_samples, seed=cfg.seed)
+    ie, se = mean_and_std_err(true_belief(alpha_bar, xi))
     rows.append(("information_efficiency", 0, ie))
     rows.append(("ie_std_err", 0, se))
     write_csv(outdir / "posterior_probe.csv", ["quantity", "index", "value"], zip(*rows))

@@ -3,12 +3,13 @@
 For an exchangeable kernel the equilibrium reduces to a scalar root problem:
 find alpha_bar >= 0 with
 
-    Phi(alpha_bar) = 1 - E[q_true] - alpha_bar^2 * (Q cbar Q)_tt = 0,
+    Phi(alpha_bar) = 1 - E[q_t] - alpha_bar^2 * (Q cbar Q)_tt = 0,
 
-where the expectation is over the canonical posterior at alpha_bar.  Phi(0) =
-1 - 1/I > 0 and Phi -> negative for large alpha_bar, so a doubling bracket
-plus bisection under common random numbers pins the root.  The demand map is
-then assembled from the kernel square root:
+where q_t is the belief on the true signal.  Rows of q sum to one, so
+Phi = E[(1 - q_t)(1 - alpha_bar^2 q_t)]: 1 - 1/I > 0 at zero and negative for
+large alpha_bar.  A doubling bracket plus ITP steps (Oliveira & Takahashi 2020)
+under common random numbers pin the root.  The demand map is then assembled
+from the kernel square root:
 
     beta(s_i) = alpha_bar_star * L_pinv Q e_i,
     W(x, s_i) = sum_u beta(s_i)[u] * eta(x, s_u).
@@ -21,10 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import standard_normal_matrix
 from .kernel import CanonicalKernel
 from .model import PayoffFamily
-from .posterior import DEFAULT_MOMENT_SAMPLES, moments_from_noise
+from .posterior import DEFAULT_MOMENT_SAMPLES, mean_and_std_err, moment_noise, rival_odds
 
 _ERR = "adkyle.equilibrium"
 
@@ -43,8 +43,10 @@ class Equilibrium:
         alpha_raw: alpha_star / sqrt(c); the coefficient in original units.
         c: Exchangeability scale of the kernel.
         I: Number of signals.
-        phi_residual: Phi estimate at alpha_star (|.| <= PHI_TOL).
-        mc_meta: Solver provenance (n_samples, seed, bracket diagnostics).
+        phi_residual: Phi estimate at alpha_star (|.| < phi_tol).
+        alpha_std_err: SE(Phi(alpha_star)) / |Phi'|, Phi' the final bracket secant.
+        ie, ie_std_err: E[q_true] at alpha_star and its standard error.
+        mc_meta: Solver provenance (n_samples, seed, bracket, (alpha_bar, phi, stage) trace).
     """
 
     alpha_star: float
@@ -52,6 +54,9 @@ class Equilibrium:
     c: float
     I: int
     phi_residual: float = 0.0
+    alpha_std_err: float = math.nan
+    ie: float = math.nan
+    ie_std_err: float = math.nan
     mc_meta: dict = field(repr=False, default_factory=dict)
 
 
@@ -62,98 +67,91 @@ class KyleBenchmark:
     beta: float
     lam: float
 
-    @property
-    def product(self) -> float:
-        return self.beta * self.lam
+
+def _residual_draws(alpha_bar: float, noise: np.ndarray, true_index: int = 0):
+    """Per-draw (1 - q_t)(1 - alpha_bar^2 q_t), whose mean is Phi, and q_t itself."""
+    odds = rival_odds(alpha_bar, noise, true_index)
+    q = 1.0 / (1.0 + odds)  # true_belief, bit for bit
+    # 1 - q_t as odds * q_t keeps Phi's sign where q_t rounds to 1 (large alpha_bar)
+    return (odds * q) * (1.0 - alpha_bar * alpha_bar * q), q
 
 
 def phi_from_noise(alpha_bar: float, noise: np.ndarray, true_index: int = 0) -> float:
     """Fixed-point residual Phi on a frozen noise matrix (common random numbers)."""
-    mom = moments_from_noise(alpha_bar, true_index, noise)
-    return 1.0 - float(mom.m1[true_index]) - alpha_bar * alpha_bar * mom.qcq_diag
+    return float(np.mean(_residual_draws(alpha_bar, noise, true_index)[0]))
 
 
-def phi(
-    alpha_bar: float,
-    I: int,
-    n_samples: int = DEFAULT_MOMENT_SAMPLES,
-    seed: int = 0,
-) -> float:
+def phi(alpha_bar: float, I: int, n_samples: int = DEFAULT_MOMENT_SAMPLES, seed: int = 0) -> float:
     """Monte Carlo estimate of the residual; Phi(0) = 1 - 1/I by construction."""
-    noise = standard_normal_matrix(seed, int(n_samples), I)
-    return phi_from_noise(alpha_bar, noise)
+    return phi_from_noise(alpha_bar, moment_noise(I, n_samples, seed))
 
 
-def solve_alpha_star(
-    kern: CanonicalKernel,
-    n_samples: int = DEFAULT_MOMENT_SAMPLES,
-    seed: int = 0,
-    phi_tol: float = PHI_TOL,
-    width_tol: float = WIDTH_TOL,
-) -> Equilibrium:
-    """Bracket and bisect the residual to the equilibrium signal-to-noise root.
+def solve_alpha_star(kern: CanonicalKernel, n_samples: int = DEFAULT_MOMENT_SAMPLES, seed: int = 0,
+                     phi_tol: float = PHI_TOL, width_tol: float = WIDTH_TOL) -> Equilibrium:
+    """Bracket the residual by doubling, then shrink the bracket with ITP steps.
 
-    A single noise matrix is drawn once and reused for every residual
-    evaluation, so the estimated Phi is a deterministic continuous function of
-    alpha_bar and bisection is well posed despite the Monte Carlo error.
+    One noise matrix is reused for every residual evaluation, so the estimated
+    Phi is a deterministic continuous function of alpha_bar and a bracketed
+    superlinear method is well posed despite the Monte Carlo error.  The root
+    is the evaluated end of the final bracket (narrower than width_tol) with
+    the smaller |Phi|, which is below phi_tol.
 
     Raises:
-        ValueError: non-exchangeable kernel, degenerate kernel (c ~ 0), or
-            bracket cap exceeded.
+        ValueError: non-exchangeable or degenerate kernel (c ~ 0), n_samples
+            below MIN_MOMENT_SAMPLES, bracket cap exceeded, or no convergence.
     """
     if not kern.exchangeable:
-        raise ValueError(
-            f"{_ERR}: kernel is not exchangeable (QKQ deviates from cQ); "
-            "the scalar reduction does not apply"
-        )
+        raise ValueError(f"{_ERR}: kernel is not exchangeable (QKQ deviates from cQ); "
+                         "the scalar reduction does not apply")
     if kern.c <= kern.rank_tol:
         raise ValueError(f"{_ERR}: degenerate kernel, c={kern.c:.3e} has no signal content")
-    I = kern.I
-    noise = standard_normal_matrix(seed, int(n_samples), I)
+    noise = moment_noise(kern.I, n_samples, seed)
+    trace = []
 
-    hi = 1.0
-    bracket_values = [(0.0, 1.0 - 1.0 / I)]
-    n_doublings = 0
-    f_hi = phi_from_noise(hi, noise)
-    bracket_values.append((hi, f_hi))
+    def evaluate(alpha_bar: float, stage: str) -> float:
+        trace.append((alpha_bar, phi_from_noise(alpha_bar, noise), stage))
+        return trace[-1][1]
+
+    lo, f_lo = 0.0, 1.0 - 1.0 / kern.I
+    hi, f_hi = 1.0, evaluate(1.0, "bracket")
     while f_hi >= 0.0:
-        hi *= 2.0
-        n_doublings += 1
-        if hi > BRACKET_CAP:
+        if 2.0 * hi > BRACKET_CAP:
             raise ValueError(f"{_ERR}: failed to bracket a root below {BRACKET_CAP}")
-        f_hi = phi_from_noise(hi, noise)
-        bracket_values.append((hi, f_hi))
+        lo, f_lo, hi, f_hi = hi, f_hi, 2.0 * hi, evaluate(2.0 * hi, "bracket")
+    n_doublings = len(trace) - 1
 
-    lo, f_lo = 0.0, 1.0 - 1.0 / I
-    mid, f_mid = hi, f_hi
-    n_bisections = 0
-    while (hi - lo) >= width_tol or abs(f_mid) >= phi_tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = phi_from_noise(mid, noise)
-        if f_mid >= 0.0:
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-        n_bisections += 1
-        if n_bisections > 200:
-            raise ValueError(f"{_ERR}: bisection failed to meet tolerances")
+    # ITP: the regula-falsi point, pushed 0.2 width^2 toward the midpoint and
+    # held to bisection's worst case plus one step.
+    n_max = math.ceil(math.log2((hi - lo) / width_tol)) + 1
+    while hi - lo >= width_tol or min(abs(f_lo), abs(f_hi)) >= phi_tol:
+        n_refine = len(trace) - 1 - n_doublings
+        if n_refine == 200:
+            raise ValueError(f"{_ERR}: root refinement failed to meet tolerances")
+        mid, width = 0.5 * (lo + hi), hi - lo
+        x_f = (f_lo * hi - f_hi * lo) / (f_lo - f_hi)
+        sigma, delta = math.copysign(1.0, mid - x_f), 0.2 * width * width
+        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        r = max(0.5 * width_tol * 2.0 ** (n_max - n_refine) - 0.5 * width, 0.0)
+        x = x_t if abs(x_t - mid) <= r else mid - sigma * r
+        f_x = evaluate(x, "refine")
+        lo, f_lo, hi, f_hi = (x, f_x, hi, f_hi) if f_x >= 0.0 else (lo, f_lo, x, f_x)
 
+    alpha, f_alpha = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
+    draws, q = _residual_draws(alpha, noise)
+    ie, ie_std_err = mean_and_std_err(q)
+    _, phi_std_err = mean_and_std_err(draws)
     return Equilibrium(
-        alpha_star=float(mid),
-        alpha_raw=float(mid / math.sqrt(kern.c)),
+        alpha_star=float(alpha),
+        alpha_raw=float(alpha / math.sqrt(kern.c)),
         c=float(kern.c),
-        I=I,
-        phi_residual=float(f_mid),
-        mc_meta={
-            "n_samples": int(n_samples),
-            "seed": int(seed),
-            "phi_tol": phi_tol,
-            "width_tol": width_tol,
-            "bracket_hi": hi,
-            "n_doublings": n_doublings,
-            "n_bisections": n_bisections,
-            "bracket_values": bracket_values,
-        },
+        I=kern.I,
+        phi_residual=float(f_alpha),
+        alpha_std_err=phi_std_err * (hi - lo) / (f_lo - f_hi),
+        ie=ie,
+        ie_std_err=ie_std_err,
+        mc_meta={"n_samples": int(n_samples), "seed": int(seed), "bracket_hi": hi,
+                 "n_doublings": n_doublings, "n_bisections": len(trace) - 1 - n_doublings,
+                 "trace": trace},
     )
 
 

@@ -10,7 +10,9 @@ effective signal-to-noise number alpha_bar:
 where Q is the centering projector.  All equilibrium objects (the fixed-point
 residual, information efficiency, price impact) are expectations of smooth
 functionals of q, estimated here with counter-based streams so every number is
-bitwise reproducible from a seed.
+bitwise reproducible from a seed.  The residual and the efficiency need only
+the true-signal entry q_t (true_belief); the full softmax and its moments
+(moments_from_noise) remain the general path and the independent check.
 """
 
 from __future__ import annotations
@@ -108,6 +110,52 @@ def sample_posterior(
     return PosteriorSample(float(alpha_bar), int(true_index), logits, softmax(logits))
 
 
+def rival_odds(alpha_bar: float, noise: np.ndarray, true_index: int = 0) -> np.ndarray:
+    """Posterior odds against the true signal, (1 - q_t) / q_t, per noise row.
+
+    With sample_posterior's logits these are
+
+        sum_{j != t} exp(alpha_bar (xi_j - xi_t) - alpha_bar^2),
+
+    whose exponent is at most (xi_j - xi_t)^2 / 4 for every alpha_bar: finite
+    draws cannot overflow, so no max shift is needed, and only m x (I-1)
+    temporaries are allocated.
+    """
+    noise = np.asarray(noise, dtype=float)
+    if noise.ndim != 2 or not 0 <= true_index < noise.shape[1]:
+        raise ValueError(f"{_ERR}: need an (n_samples, I) noise matrix and 0 <= true_index < I")
+    z = noise[:, np.arange(noise.shape[1]) != true_index]
+    z -= noise[:, true_index, None]
+    z *= alpha_bar
+    z -= alpha_bar * alpha_bar
+    np.exp(z, out=z)
+    return z.sum(axis=1)
+
+
+def true_belief(alpha_bar: float, noise: np.ndarray, true_index: int = 0) -> np.ndarray:
+    """Posterior mass q_t on the true signal per noise row, without the full softmax."""
+    return 1.0 / (1.0 + rival_odds(alpha_bar, noise, true_index))
+
+
+def mean_and_std_err(draws: np.ndarray) -> tuple[float, float]:
+    """Sample mean of per-draw values and its standard error std / sqrt(m)."""
+    return float(draws.mean()), float(draws.std(ddof=1) / math.sqrt(draws.size))
+
+
+def moment_noise(I: int, n_samples: int, seed: int) -> np.ndarray:
+    """The seed's (n_samples, I) standard-normal matrix behind every moment estimate.
+
+    Raises:
+        ValueError: if n_samples < MIN_MOMENT_SAMPLES (estimates below that
+            size are too noisy for the fixed-point solve to bracket reliably).
+    """
+    if n_samples < MIN_MOMENT_SAMPLES:
+        raise ValueError(
+            f"{_ERR}: n_samples={n_samples} below minimum {MIN_MOMENT_SAMPLES}"
+        )
+    return standard_normal_matrix(seed, int(n_samples), I)
+
+
 def moments_from_noise(
     alpha_bar: float, true_index: int, noise: np.ndarray
 ) -> MomentEstimates:
@@ -146,15 +194,9 @@ def posterior_moments(
     """Seed-deterministic Monte Carlo moments of the canonical posterior.
 
     Raises:
-        ValueError: if n_samples < MIN_MOMENT_SAMPLES (estimates below that
-            size are too noisy for the fixed-point solve to bracket reliably).
+        ValueError: if n_samples < MIN_MOMENT_SAMPLES (see moment_noise).
     """
-    if n_samples < MIN_MOMENT_SAMPLES:
-        raise ValueError(
-            f"{_ERR}: n_samples={n_samples} below minimum {MIN_MOMENT_SAMPLES}"
-        )
-    noise = standard_normal_matrix(seed, int(n_samples), I)
-    return moments_from_noise(alpha_bar, true_index, noise)
+    return moments_from_noise(alpha_bar, true_index, moment_noise(I, n_samples, seed))
 
 
 def binary_moments_quadrature(

@@ -14,6 +14,7 @@ from adkyle import (
     invariance_experiment,
 )
 from adkyle.analytics import node_index
+from adkyle.posterior import MIN_MOMENT_SAMPLES
 from conftest import exact_binary_equilibrium
 
 from adkyle import build_canonical_kernel, equilibrium_demand
@@ -166,6 +167,26 @@ def test_efficiency_sweep_declines_with_crowd_size():
         assert b.alpha_star > a.alpha_star
         assert b.ie < a.ie
         assert a.ie - b.ie > SIGN_SIGMAS * math.hypot(a.std_err, b.std_err)
+
+
+def test_efficiency_sweep_rows_equal_standalone_estimates(monkeypatch):
+    import adkyle.posterior
+
+    draws = []
+    real = adkyle.posterior.standard_normal_matrix
+    monkeypatch.setattr(
+        adkyle.posterior, "standard_normal_matrix", lambda *a, **k: draws.append(a) or real(*a, **k)
+    )
+    rows = efficiency_sweep(n_samples=20_000, master_seed=0)
+    assert len(draws) == len(rows)  # one noise matrix per signal count
+    for r in rows:
+        standalone = information_efficiency(r.alpha_star, r.I, n_samples=20_000, seed=r.seed)
+        assert (r.ie, r.std_err) == standalone
+
+
+def test_information_efficiency_rejects_too_few_samples():
+    with pytest.raises(ValueError, match="adkyle.posterior: n_samples"):
+        information_efficiency(1.0, 2, n_samples=MIN_MOMENT_SAMPLES - 1, seed=0)
 
 
 def test_invariance_under_noise_doubling(mean_shift_family, unit_noise, grid):

@@ -43,6 +43,35 @@ def test_solve_writes_equilibrium_and_demand(cfg_file, tmp_path, capsys):
     assert len(header) == 3  # two signal columns
 
 
+def test_solve_writes_solver_trace(cfg_file, tmp_path, capsys):
+    out = tmp_path / "solve_out"
+    assert main(["solve", "-c", str(cfg_file), "-o", str(out)]) == 0
+    eq = dict((r[0], r[1]) for r in read_rows(out / "equilibrium.csv")[1:])
+    assert 0.0 < float(eq["alpha_std_err"]) < 0.05
+    trace = read_rows(out / "solver_trace.csv")
+    assert trace[0] == ["eval", "alpha_bar", "phi", "stage"]
+    n_evals = 1 + int(eq["n_doublings"]) + int(eq["n_bisections"])
+    assert [int(r[0]) for r in trace[1:]] == list(range(1, n_evals + 1))
+    assert {r[3] for r in trace[1:]} == {"bracket", "refine"}
+    assert [eq["alpha_star"], eq["phi_residual"]] in [r[1:3] for r in trace[1:]]
+    assert f"{n_evals} Phi evaluations" in capsys.readouterr().out
+
+
+def test_posterior_probe_draws_its_noise_once(cfg_file, tmp_path, monkeypatch):
+    import adkyle.posterior
+
+    draws = []
+    real = adkyle.posterior.standard_normal_matrix
+    monkeypatch.setattr(
+        adkyle.posterior, "standard_normal_matrix", lambda *a, **k: draws.append(a) or real(*a, **k)
+    )
+    out = tmp_path / "probe"
+    assert main(["posterior", "probe", "--alpha-bar", "1.0", "-c", str(cfg_file), "-o", str(out)]) == 0
+    assert len(draws) == 1
+    rows = {r[0]: float(r[2]) for r in read_rows(out / "posterior_probe.csv")[1:] if r[1] == "0"}
+    assert abs(rows["information_efficiency"] - rows["m1"]) <= 1e-12
+
+
 def test_simulate_writes_path_outputs(cfg_file, tmp_path):
     out = tmp_path / "sim_out"
     code = main(

@@ -1,6 +1,7 @@
 """Fixed point solve, demand assembly, and the single-asset benchmark."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from adkyle import (
     solve_alpha_star,
     weighted_inner_product,
 )
-from adkyle.equilibrium import phi, phi_from_noise
+import adkyle.equilibrium
+from adkyle.equilibrium import BRACKET_CAP, phi, phi_from_noise
+from adkyle.posterior import MIN_MOMENT_SAMPLES, moments_from_noise
 from adkyle._rng import standard_normal_matrix
 from conftest import ALPHA_STAR_BINARY
 
@@ -122,3 +125,58 @@ def test_solver_rejects_non_exchangeable_kernels(grid, unit_noise):
     kern = build_canonical_kernel(fam, unit_noise, grid)
     with pytest.raises(ValueError, match="adkyle.equilibrium"):
         solve_alpha_star(kern, n_samples=20_000, seed=0)
+
+
+@pytest.mark.parametrize("I,true_index", [(2, 0), (2, 1), (8, 0), (8, 7)])
+def test_scalar_residual_matches_the_full_softmax_moments(I, true_index):
+    # rows of q sum to one, so (Q cbar Q)_tt = E[q_t (1 - q_t)]
+    xi = standard_normal_matrix(5, 200_000, I)
+    for alpha_bar in (0.0, 0.5, 1.4, 3.0):
+        mom = moments_from_noise(alpha_bar, true_index, xi)
+        full = 1.0 - float(mom.m1[true_index]) - alpha_bar**2 * mom.qcq_diag
+        assert abs(phi_from_noise(alpha_bar, xi, true_index) - full) <= 1e-12
+
+
+@pytest.mark.parametrize("I", [2, 8])
+def test_phi_is_finite_without_warnings_at_the_bracket_cap(I):
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        assert math.isfinite(phi(BRACKET_CAP, I, n_samples=200_000, seed=0))
+
+
+@pytest.mark.parametrize("I", [2, 4, 6, 8])
+def test_solver_evaluation_budget_and_trace(I, monkeypatch):
+    calls = []
+    real = adkyle.equilibrium.phi_from_noise
+    monkeypatch.setattr(
+        adkyle.equilibrium, "phi_from_noise", lambda *a, **k: calls.append(a[0]) or real(*a, **k)
+    )
+    eq = solve_alpha_star(identity_kernel(I), n_samples=200_000, seed=0)
+    meta = eq.mc_meta
+    n_evals = 1 + meta["n_doublings"] + meta["n_bisections"]
+    assert n_evals == len(calls) <= 12
+    trace = meta["trace"]
+    assert [a for a, _, _ in trace] == calls
+    assert [stage for _, _, stage in trace] == (
+        ["bracket"] * (1 + meta["n_doublings"]) + ["refine"] * meta["n_bisections"]
+    )
+    # the root is an evaluated point, so its residual is exact
+    assert (eq.alpha_star, eq.phi_residual) in [(a, f) for a, f, _ in trace]
+
+
+def test_alpha_std_err_is_calibrated_and_shrinks_with_samples():
+    kern = identity_kernel(2)
+    small = [solve_alpha_star(kern, n_samples=20_000, seed=seed) for seed in range(16)]
+    large = solve_alpha_star(kern, n_samples=200_000, seed=0)
+    for eq in (*small, large):
+        assert math.isfinite(eq.alpha_std_err) and eq.alpha_std_err > 0.0
+    # ten times the samples: sqrt(10) ~ 3.16 times smaller
+    assert 2.5 < small[0].alpha_std_err / large.alpha_std_err < 4.0
+    # the reported error matches the seed-to-seed spread of the root
+    spread = np.std([eq.alpha_star for eq in small], ddof=1)
+    assert 0.5 < spread / np.mean([eq.alpha_std_err for eq in small]) < 2.0
+
+
+def test_solver_rejects_too_few_samples():
+    with pytest.raises(ValueError, match="adkyle.posterior: n_samples"):
+        solve_alpha_star(identity_kernel(2), n_samples=MIN_MOMENT_SAMPLES - 1, seed=0)

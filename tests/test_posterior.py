@@ -9,6 +9,7 @@ from adkyle import (
     posterior_moments,
     sample_posterior,
     softmax,
+    true_belief,
 )
 from adkyle._rng import standard_normal_matrix
 from adkyle.posterior import MIN_MOMENT_SAMPLES, MIN_QUAD_NODES
@@ -127,3 +128,19 @@ def test_moments_from_noise_matches_direct_computation():
 def test_moment_sample_floor_is_enforced():
     with pytest.raises(ValueError, match="adkyle.posterior"):
         posterior_moments(1.0, 2, 0, n_samples=MIN_MOMENT_SAMPLES - 1, seed=0)
+
+
+@pytest.mark.parametrize("I,true_index", [(2, 0), (3, 2), (8, 5)])
+def test_true_belief_is_the_softmax_entry_of_the_truth(I, true_index):
+    xi = standard_normal_matrix(6, 10_000, I)
+    for alpha_bar in (0.0, 0.7, 2.5):
+        q = sample_posterior(alpha_bar, I, true_index, xi).q[:, true_index]
+        assert np.abs(true_belief(alpha_bar, xi, true_index) - q).max() <= 1e-15
+
+
+def test_true_belief_argument_validation():
+    xi = standard_normal_matrix(6, 100, 3)
+    with pytest.raises(ValueError, match="adkyle.posterior"):
+        true_belief(1.0, xi, 3)
+    with pytest.raises(ValueError, match="adkyle.posterior"):
+        true_belief(1.0, xi[0], 0)

@@ -12,15 +12,14 @@ drawn uniformly unless conditioned.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import block_generator, derive_seed
+from ._rng import block_generator, block_sizes, derive_seed
 from .kernel import CanonicalKernel, build_canonical_kernel, centering_matrix
 from .model import NoiseProfile, PayoffFamily, StateGrid, trapezoid
-from .orderflow import PATH_BLOCK_SIZE, iter_shock_blocks, log_likelihoods, posterior_weights
+from .orderflow import PATH_BLOCK_SIZE, posterior_blocks
 from .posterior import DEFAULT_MOMENT_SAMPLES, mean_and_std_err, moment_noise, true_belief
 from .equilibrium import solve_alpha_star
 
@@ -77,44 +76,15 @@ def node_index(grid: StateGrid, x: float) -> int:
     return idx
 
 
-def _signal_stream(seed: int, I: int, n_paths: int):
-    """Per-path uniform signal draws, blocked identically to the shock stream."""
+def _path_signals(seed: int, I: int, n_paths: int, conditioned_on: int | None) -> np.ndarray:
+    """Per-path true signals: pinned, or uniform draws blocked like the shock stream."""
+    if conditioned_on is not None:
+        return np.full(n_paths, int(conditioned_on), dtype=np.int64)
     sig_seed = derive_seed(seed, 1)
-    out = np.empty(n_paths, dtype=np.int64)
-    offset = 0
-    block_id = 0
-    while offset < n_paths:
-        m = min(PATH_BLOCK_SIZE, n_paths - offset)
-        out[offset : offset + m] = block_generator(sig_seed, block_id).integers(0, I, size=m)
-        offset += m
-        block_id += 1
-    return out
-
-
-def _posterior_blocks(
-    w_star: np.ndarray,
-    family: PayoffFamily,
-    noise: NoiseProfile,
-    grid: StateGrid,
-    n_paths: int,
-    seed: int,
-    conditioned_on: int | None,
-):
-    """Yield (slice, pi) posterior blocks for paths with mixed true signals."""
-    I = family.I
-    signals = (
-        np.full(n_paths, int(conditioned_on), dtype=np.int64)
-        if conditioned_on is not None
-        else _signal_stream(seed, I, n_paths)
-    )
-    h = grid.h
-    drift_all = w_star[:, :-1] * h
-    scale = noise.sigma[:-1] * math.sqrt(h)
-    for offset, shocks in iter_shock_blocks(grid, seed, n_paths):
-        m = shocks.shape[0]
-        sl = slice(offset, offset + m)
-        inc = drift_all[signals[sl]] + scale * shocks
-        yield sl, posterior_weights(log_likelihoods(w_star, inc, noise, grid))
+    return np.concatenate([
+        block_generator(sig_seed, block_id).integers(0, I, size=m)
+        for block_id, m in enumerate(block_sizes(n_paths, PATH_BLOCK_SIZE))
+    ])
 
 
 def cross_price_impact(
@@ -143,14 +113,15 @@ def cross_price_impact(
 
     n_paths = int(n_paths)
     vals = np.empty(n_paths)
-    for sl, pi in _posterior_blocks(w_star, family, noise, grid, n_paths, seed, conditioned_on):
+    signals = _path_signals(seed, family.I, n_paths, conditioned_on)
+    for sl, _, pi in posterior_blocks(w_star, noise, grid, seed, n_paths, signals=signals):
         cov = pi @ (eta_x * w_y) - (pi @ eta_x) * (pi @ w_y)
         vals[sl] = inv_var_y * cov
-    std_err = float(vals.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+    value, std_err = mean_and_std_err(vals)
     return ImpactEstimate(
         x=float(grid.nodes[ix]),
         y=float(grid.nodes[iy]),
-        value=float(vals.mean()),
+        value=value,
         std_err=std_err,
         n_paths=n_paths,
         conditioned_on=conditioned_on,
@@ -184,7 +155,8 @@ def impact_surface(
     n_paths = int(n_paths)
     s1 = np.zeros((len(ix), len(iy)))
     s2 = np.zeros((len(ix), len(iy)))
-    for sl, pi in _posterior_blocks(w_star, family, noise, grid, n_paths, seed, conditioned_on):
+    signals = _path_signals(seed, family.I, n_paths, conditioned_on)
+    for sl, _, pi in posterior_blocks(w_star, noise, grid, seed, n_paths, signals=signals):
         cross = np.einsum("mi,ik,il->mkl", pi, eta_x, w_y)
         cov = cross - (pi @ eta_x)[:, :, None] * (pi @ w_y)[:, None, :]
         cov *= inv_var_y[None, None, :]

@@ -219,17 +219,13 @@ def cmd_options(args, cfg: RunConfig, outdir: Path) -> int:
 def cmd_verify_foc(args, cfg: RunConfig, outdir: Path) -> int:
     grid, noise, family, eq, w_star = _solved(cfg)
     basis = zero_impact_basis(w_star, noise, grid)
-    directions = [
-        ("own_demand", w_star[0]),
-        ("payoff_row", family.eta[0]),
-        ("zero_impact", basis[0]),
-    ]
+    names = ("own_demand", "payoff_row", "zero_impact")
+    reports = foc_terms(
+        w_star[0], np.stack([w_star[0], family.eta[0], basis[0]]), w_star, family, 0,
+        noise, grid, n_paths=cfg.n_paths, seed=cfg.seed,
+    )
     rows, ok = [], True
-    for name, v in directions:
-        rep = foc_terms(
-            w_star[0], v, w_star, family, 0, noise, grid,
-            n_paths=cfg.n_paths, seed=cfg.seed,
-        )
+    for name, rep in zip(names, reports):
         tol = 4.0 * rep.std_err_fd + 1e-6
         passed = abs(rep.diff) <= tol
         ok &= passed
@@ -345,6 +341,10 @@ def main(argv=None) -> int:
         _manifest(outdir, cfg, args.label, t0)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: adkyle.cli: out of memory; lower grid.n, mc.n_samples, mc.n_paths "
+              "or --paths", file=sys.stderr)
         return 2
     return status
 

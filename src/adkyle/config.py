@@ -7,6 +7,7 @@ hard errors so a typo cannot silently fall back to a default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -19,6 +20,8 @@ _ERR = "adkyle.config"
 DEFAULT_GRID_N = 401
 DEFAULT_N_SAMPLES = 200_000
 DEFAULT_N_PATHS = 20_000
+SEED_LIMIT = 2**64  # Philox keys take the seed as one 64-bit word
+COUNT_LIMIT = 2**40  # a float64 array this long is 8 TiB; no larger count can run
 
 
 @dataclass(frozen=True)
@@ -105,26 +108,27 @@ def parse_config_text(text: str) -> RunConfig:
             raise ValueError(f"{_ERR}: bad value for {key!r} (line {lineno}): {exc}") from None
     if "seed" not in values:
         raise ValueError(f"{_ERR}: mc.seed is required (reproducibility is not optional)")
-    cfg = RunConfig(**values)
-    validate_config(cfg)
-    return cfg
+    return validate_config(RunConfig(**values))
 
 
 def load_config(path: str | Path) -> RunConfig:
     return parse_config_text(Path(path).read_text())
 
 
-def validate_config(cfg: RunConfig) -> None:
-    if cfg.n < 3:
-        raise ValueError(f"{_ERR}: grid.n must be >= 3")
-    if cfg.n_samples < MIN_MOMENT_SAMPLES:
-        raise ValueError(f"{_ERR}: mc.n_samples must be >= {MIN_MOMENT_SAMPLES}")
-    if cfg.n_paths < 1:
-        raise ValueError(f"{_ERR}: mc.n_paths must be positive")
-    if not (cfg.phi_tol > 0.0 and cfg.width_tol > 0.0):
-        raise ValueError(f"{_ERR}: solver.phi_tol and solver.width_tol must be > 0")
-    if cfg.n_sub < SUBGRID_MIN:
-        raise ValueError(f"{_ERR}: impact.n_sub must be >= {SUBGRID_MIN}")
+def validate_config(cfg: RunConfig) -> RunConfig:
+    """Range-check every field; returns cfg unchanged or raises ValueError."""
+    if not 0 <= cfg.seed < SEED_LIMIT:
+        raise ValueError(f"{_ERR}: mc.seed must be in [0, 2**64), got {cfg.seed}")
+    if not 3 <= cfg.n <= COUNT_LIMIT:
+        raise ValueError(f"{_ERR}: grid.n must be in [3, 2**40]")
+    if not MIN_MOMENT_SAMPLES <= cfg.n_samples <= COUNT_LIMIT:
+        raise ValueError(f"{_ERR}: mc.n_samples must be in [{MIN_MOMENT_SAMPLES}, 2**40]")
+    if not 1 <= cfg.n_paths <= COUNT_LIMIT:
+        raise ValueError(f"{_ERR}: mc.n_paths must be in [1, 2**40]")
+    if not (0.0 < cfg.phi_tol < math.inf and 0.0 < cfg.width_tol < math.inf):
+        raise ValueError(f"{_ERR}: solver.phi_tol and solver.width_tol must be finite and > 0")
+    if not SUBGRID_MIN <= cfg.n_sub <= COUNT_LIMIT:
+        raise ValueError(f"{_ERR}: impact.n_sub must be in [{SUBGRID_MIN}, 2**40]")
     if cfg.family_kind not in _SIGNAL_LISTS:
         raise ValueError(f"{_ERR}: unsupported family.kind {cfg.family_kind!r}")
     I = len(getattr(cfg, _SIGNAL_LISTS[cfg.family_kind]))
@@ -133,6 +137,7 @@ def validate_config(cfg: RunConfig) -> None:
             f"{_ERR}: impact.conditioned_on must be in [0, {I}) or none, "
             f"got {cfg.conditioned_on}"
         )
+    return cfg
 
 
 def config_grid(cfg: RunConfig) -> StateGrid:
@@ -162,5 +167,5 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def with_seed(cfg: RunConfig, seed: int | None) -> RunConfig:
-    """Copy of the config with the seed overridden (CLI --seed flag)."""
-    return cfg if seed is None else replace(cfg, seed=int(seed))
+    """Copy of the config with the seed overridden (CLI --seed flag), validated."""
+    return cfg if seed is None else validate_config(replace(cfg, seed=int(seed)))

@@ -121,8 +121,9 @@ def solve_alpha_star(kern: CanonicalKernel, n_samples: int = DEFAULT_MOMENT_SAMP
     n_doublings = len(trace) - 1
 
     # ITP: the regula-falsi point, pushed 0.2 width^2 toward the midpoint and
-    # held to bisection's worst case plus one step.
-    n_max = math.ceil(math.log2((hi - lo) / width_tol)) + 1
+    # held to bisection's worst case plus one step.  Logs and ldexp keep the
+    # step bound finite for every positive width_tol, however small.
+    n_max = math.ceil(math.log2(hi - lo) - math.log2(width_tol)) + 1
     while hi - lo >= width_tol or min(abs(f_lo), abs(f_hi)) >= phi_tol:
         n_refine = len(trace) - 1 - n_doublings
         if n_refine == 200:
@@ -131,7 +132,7 @@ def solve_alpha_star(kern: CanonicalKernel, n_samples: int = DEFAULT_MOMENT_SAMP
         x_f = (f_lo * hi - f_hi * lo) / (f_lo - f_hi)
         sigma, delta = math.copysign(1.0, mid - x_f), 0.2 * width * width
         x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-        r = max(0.5 * width_tol * 2.0 ** (n_max - n_refine) - 0.5 * width, 0.0)
+        r = max(math.ldexp(0.5 * width_tol, n_max - n_refine) - 0.5 * width, 0.0)
         x = x_t if abs(x_t - mid) <= r else mid - sigma * r
         f_x = evaluate(x, "refine")
         lo, f_lo, hi, f_hi = (x, f_x, hi, f_hi) if f_x >= 0.0 else (lo, f_lo, x, f_x)

@@ -75,8 +75,11 @@ class NoiseProfile:
         sigma = _frozen(self.sigma)
         if sigma.ndim != 1:
             raise ValueError(f"{_ERR}: sigma must be a 1-d array")
-        if not np.all(np.isfinite(sigma)) or np.any(sigma <= 0.0):
-            raise ValueError(f"{_ERR}: noise intensity must be finite and > 0 everywhere")
+        with np.errstate(over="ignore", divide="ignore"):
+            inv_var = 1.0 / np.square(sigma)  # the weight every inner product uses
+        if not (np.all(sigma > 0.0) and np.all(np.isfinite(inv_var)) and np.all(inv_var > 0.0)):
+            raise ValueError(
+                f"{_ERR}: noise intensity must be > 0 everywhere with a finite 1/sigma^2")
         object.__setattr__(self, "sigma", sigma)
 
 

@@ -9,7 +9,9 @@ eps * v moves J through three channels: the direct payoff int v eta dx, the
 price paid int v P dx, and the price pressure of v on P via the likelihoods.
 foc_terms reports all three next to a central finite difference computed on
 the same shocks, so the comparison is exact up to discretization and O(eps^2)
-curvature rather than Monte Carlo noise.
+curvature rather than Monte Carlo noise.  Given a stack of directions it
+draws one shock stream for all of them (common random numbers across
+directions as well as across the two sides of the difference).
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NoiseProfile, PayoffFamily, StateGrid, weighted_inner_product
-from .orderflow import iter_shock_blocks, log_likelihoods, posterior_weights
+from .orderflow import log_likelihoods, posterior_blocks, posterior_weights
+from .posterior import mean_and_std_err
 
 _ERR = "adkyle.objective"
 
@@ -64,14 +67,11 @@ class FocReport:
     seed: int
 
 
-def _check_rows(grid: StateGrid, **rows: np.ndarray) -> dict[str, np.ndarray]:
-    out = {}
-    for name, row in rows.items():
-        arr = np.asarray(row, dtype=float)
-        if arr.shape != (grid.n,):
-            raise ValueError(f"{_ERR}: {name} must have length n={grid.n}")
-        out[name] = arr
-    return out
+def _demand_row(grid: StateGrid, w_row: np.ndarray) -> np.ndarray:
+    w_row = np.asarray(w_row, dtype=float)
+    if w_row.shape != (grid.n,):
+        raise ValueError(f"{_ERR}: w_row must have length n={grid.n}")
+    return w_row
 
 
 def expected_utility(
@@ -89,23 +89,14 @@ def expected_utility(
     The market maker prices with the candidate schedules w_tilde (I x n); the
     insider actually trades w_row while the realized signal is true_index.
     """
-    w_row = _check_rows(grid, w_row=w_row)["w_row"]
+    w_row = _demand_row(grid, w_row)
     eta_t = family.eta[true_index]
-    gw = grid.quad_weights
-    trade_w = gw * w_row  # quadrature-weighted trade sizes
-    h = grid.h
-    drift = w_row[:-1] * h
-    scale = noise.sigma[:-1] * math.sqrt(h)
+    trade_w = grid.quad_weights * w_row  # quadrature-weighted trade sizes
 
     profits = np.empty(int(n_paths))
-    for offset, shocks in iter_shock_blocks(grid, seed, int(n_paths)):
-        inc = drift + scale * shocks
-        pi = posterior_weights(log_likelihoods(w_tilde, inc, noise, grid))
-        price = pi @ family.eta
-        profits[offset : offset + inc.shape[0]] = (eta_t[None, :] - price) @ trade_w
-    mean = float(profits.mean())
-    std_err = float(profits.std(ddof=1) / math.sqrt(len(profits))) if len(profits) > 1 else 0.0
-    return mean, std_err
+    for sl, _, pi in posterior_blocks(w_tilde, noise, grid, seed, int(n_paths), w_row=w_row):
+        profits[sl] = (eta_t[None, :] - pi @ family.eta) @ trade_w
+    return mean_and_std_err(profits)
 
 
 def foc_terms(
@@ -118,8 +109,13 @@ def foc_terms(
     grid: StateGrid,
     n_paths: int = DEFAULT_FOC_PATHS,
     seed: int = 0,
-) -> FocReport:
+) -> FocReport | list[FocReport]:
     """Directional derivative of the insider objective, three ways decomposed.
+
+    v_row is one direction (n,), giving one FocReport, or a stack (k, n),
+    giving k reports, each equal to the single-direction call.  The shocks,
+    the base posterior and the price are computed once per block for all
+    directions.
 
     The impact channel uses the per-path posterior exactly (covariance over
     the I signal atoms), so no nested simulation is required.  The finite
@@ -127,75 +123,56 @@ def foc_terms(
     re-simulation.
 
     Raises:
-        ValueError: if the direction v is identically zero.
+        ValueError: if a direction v is identically zero.
     """
-    rows = _check_rows(grid, w_row=w_row, v_row=v_row)
-    w_row, v_row = rows["w_row"], rows["v_row"]
+    w_row = _demand_row(grid, w_row)
+    v = np.asarray(v_row, dtype=float)
+    stacked = v.ndim == 2
+    v = np.atleast_2d(v)
+    if v.ndim != 2 or v.shape[1] != grid.n:
+        raise ValueError(f"{_ERR}: v_row must have length n={grid.n}")
     w_tilde = np.asarray(w_tilde, dtype=float)
-    v_max = float(np.max(np.abs(v_row)))
-    if v_max == 0.0:
+    v_max = np.max(np.abs(v), axis=1)
+    if np.any(v_max == 0.0):
         raise ValueError(f"{_ERR}: direction v is identically zero")
-    w_max = float(np.max(np.abs(w_row)))
-    eps = max(FD_REL_EPS * w_max / v_max, FD_EPS_FLOOR)
+    eps = np.maximum(FD_REL_EPS * float(np.max(np.abs(w_row))) / v_max, FD_EPS_FLOOR)
 
-    eta = family.eta
+    eta, gw = family.eta, grid.quad_weights
     eta_t = eta[true_index]
-    gw = grid.quad_weights
-    h = grid.h
-
-    payoff_term = float(np.dot(gw * v_row, eta_t))
-    # Likelihood sensitivities to the direction, one per candidate signal.
-    d_vec = np.array([weighted_inner_product(v_row, row, noise, grid) for row in w_tilde])
-
-    drift = w_row[:-1] * h
-    shift = v_row[:-1] * h  # drift change per unit eps (left endpoint)
-    scale = noise.sigma[:-1] * math.sqrt(h)
-    trade_w = gw * w_row
-    trade_v = gw * v_row
-    trade_plus = gw * (w_row + eps * v_row)
-    trade_minus = gw * (w_row - eps * v_row)
-    eta_d = d_vec[:, None] * eta  # I x n, rows scaled by sensitivity
+    # Likelihood sensitivities d[k, i] = <v_k, W_tilde_i>_sigma.
+    d = np.array([[weighted_inner_product(v_k, row, noise, grid) for row in w_tilde] for v_k in v])
+    eta_d = d[:, :, None] * eta  # per direction, I x n rows scaled by sensitivity
+    shift = v[:, :-1] * grid.h  # drift change per unit eps (left endpoint)
+    trade_w, trade_v = gw * w_row, gw * v
+    trade_plus, trade_minus = gw * (w_row + eps[:, None] * v), gw * (w_row - eps[:, None] * v)
 
     n_paths = int(n_paths)
-    ad = np.empty(n_paths)
-    impact = np.empty(n_paths)
-    fd = np.empty(n_paths)
-    for offset, shocks in iter_shock_blocks(grid, seed, n_paths):
-        m = shocks.shape[0]
-        sl = slice(offset, offset + m)
-        noise_part = scale * shocks
-        inc = drift + noise_part
-
-        pi = posterior_weights(log_likelihoods(w_tilde, inc, noise, grid))
+    ad, impact, fd = np.empty((3, len(v), n_paths))
+    for sl, inc, pi in posterior_blocks(w_tilde, noise, grid, seed, n_paths, w_row=w_row):
         price = pi @ eta
-        ad[sl] = price @ trade_v
-        # Cov_pi(eta(x, .), d) = sum_i pi_i d_i eta_i(x) - P(x) * (pi . d)
-        cov = pi @ eta_d - price * (pi @ d_vec)[:, None]
-        impact[sl] = cov @ trade_w
+        for k, e in enumerate(eps):
+            ad[k, sl] = price @ trade_v[k]
+            # Cov_pi(eta(x, .), d) = sum_i pi_i d_i eta_i(x) - P(x) * (pi . d)
+            impact[k, sl] = (pi @ eta_d[k] - price * (pi @ d[k])[:, None]) @ trade_w
+            pi_p = posterior_weights(log_likelihoods(w_tilde, inc + e * shift[k], noise, grid))
+            pi_m = posterior_weights(log_likelihoods(w_tilde, inc - e * shift[k], noise, grid))
+            profit_p = (eta_t[None, :] - pi_p @ eta) @ trade_plus[k]
+            profit_m = (eta_t[None, :] - pi_m @ eta) @ trade_minus[k]
+            fd[k, sl] = (profit_p - profit_m) / (2.0 * e)
 
-        pi_p = posterior_weights(log_likelihoods(w_tilde, inc + eps * shift, noise, grid))
-        pi_m = posterior_weights(log_likelihoods(w_tilde, inc - eps * shift, noise, grid))
-        profit_p = (eta_t[None, :] - pi_p @ eta) @ trade_plus
-        profit_m = (eta_t[None, :] - pi_m @ eta) @ trade_minus
-        fd[sl] = (profit_p - profit_m) / (2.0 * eps)
-
-    analytic_per_path = payoff_term - ad - impact
-    residual = analytic_per_path - fd
-    std_err = float(residual.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    std_err_fd = float(fd.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return FocReport(
-        payoff_term=payoff_term,
-        adverse_selection_term=float(ad.mean()),
-        impact_term=float(impact.mean()),
-        analytic_total=float(analytic_per_path.mean()),
-        fd_total=float(fd.mean()),
-        fd_epsilon=eps,
-        diff=float(residual.mean()),
-        std_err_diff=std_err,
-        std_err_fd=std_err_fd,
-        n_paths=n_paths,
-        seed=int(seed),
-    )
+    reports = []
+    for k, e in enumerate(eps):
+        payoff = float(np.dot(trade_v[k], eta_t))
+        analytic_per_path = payoff - ad[k] - impact[k]
+        diff, std_err_diff = mean_and_std_err(analytic_per_path - fd[k])
+        fd_total, std_err_fd = mean_and_std_err(fd[k])
+        reports.append(FocReport(
+            payoff_term=payoff, adverse_selection_term=float(ad[k].mean()),
+            impact_term=float(impact[k].mean()), analytic_total=float(analytic_per_path.mean()),
+            fd_total=fd_total, fd_epsilon=float(e), diff=diff, std_err_diff=std_err_diff,
+            std_err_fd=std_err_fd, n_paths=n_paths, seed=int(seed),
+        ))
+    return reports if stacked else reports[0]
 
 
 def zero_impact_basis(

@@ -156,9 +156,8 @@ def log_likelihoods(
         raise ValueError(f"{_ERR}: increments must have n-1 columns")
     f = w_tilde / np.square(noise.sigma)  # I x n
     drift_part = increments @ f[:, :-1].T
-    gram_diag = np.array(
-        [weighted_inner_product(row, row, noise, grid) for row in w_tilde]
-    )
+    # row-wise weighted_inner_product(row, row): the same products, summed per row
+    gram_diag = np.sum((w_tilde * w_tilde) * (grid.quad_weights / np.square(noise.sigma)), axis=1)
     return drift_part - 0.5 * gram_diag
 
 
@@ -179,6 +178,34 @@ def posterior_weights(log_lik: np.ndarray) -> np.ndarray:
             f"{LOG_LIK_SPREAD_MAX}; posterior underflow"
         )
     return softmax(log_lik)
+
+
+def posterior_blocks(
+    w_tilde: np.ndarray,
+    noise: NoiseProfile,
+    grid: StateGrid,
+    seed: int,
+    n_paths: int,
+    w_row: np.ndarray | None = None,
+    signals: np.ndarray | None = None,
+):
+    """Yield (slice, increments, pi) over the seed's shock blocks.
+
+    The insider trades one demand row w_row on every path, or, given per-path
+    signal indices, row signals[b] of w_tilde on path b.  The market maker
+    prices with the candidate schedules w_tilde (I x n); pi is its posterior,
+    shape (m, I), for the m paths in the block.
+    """
+    if (w_row is None) == (signals is None):
+        raise ValueError(f"{_ERR}: pass exactly one of w_row and signals")
+    w_tilde = np.asarray(w_tilde, dtype=float)
+    h = grid.h
+    scale = noise.sigma[:-1] * math.sqrt(h)
+    drift = (w_tilde if w_row is None else np.asarray(w_row, dtype=float))[..., :-1] * h
+    for offset, shocks in iter_shock_blocks(grid, seed, n_paths):
+        sl = slice(offset, offset + shocks.shape[0])
+        inc = (drift if signals is None else drift[signals[sl]]) + scale * shocks
+        yield sl, inc, posterior_weights(log_likelihoods(w_tilde, inc, noise, grid))
 
 
 def pathwise_posterior(

@@ -80,6 +80,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
+def _check_alpha_bar(alpha_bar: float) -> None:
+    """alpha_bar enters squared: a finite value whose square overflows gives NaN moments."""
+    if alpha_bar < 0.0 or not math.isfinite(alpha_bar * alpha_bar):
+        raise ValueError(f"{_ERR}: alpha_bar must be >= 0 with a finite square")
+
+
 def sample_posterior(
     alpha_bar: float, I: int, true_index: int, noise: np.ndarray
 ) -> PosteriorSample:
@@ -100,8 +106,7 @@ def sample_posterior(
         raise ValueError(f"{_ERR}: need at least two signals")
     if not 0 <= true_index < I:
         raise ValueError(f"{_ERR}: true_index {true_index} out of range for I={I}")
-    if alpha_bar < 0.0 or not math.isfinite(alpha_bar):
-        raise ValueError(f"{_ERR}: alpha_bar must be finite and >= 0")
+    _check_alpha_bar(alpha_bar)
     xi = np.broadcast_to(np.asarray(noise, dtype=float), (I,)) if np.ndim(noise) < 2 else np.asarray(noise, dtype=float)
     if xi.shape[-1] != I:
         raise ValueError(f"{_ERR}: noise last dimension must equal I={I}")
@@ -138,8 +143,9 @@ def true_belief(alpha_bar: float, noise: np.ndarray, true_index: int = 0) -> np.
 
 
 def mean_and_std_err(draws: np.ndarray) -> tuple[float, float]:
-    """Sample mean of per-draw values and its standard error std / sqrt(m)."""
-    return float(draws.mean()), float(draws.std(ddof=1) / math.sqrt(draws.size))
+    """Sample mean of per-draw values and its standard error std / sqrt(m) (0 for m = 1)."""
+    std_err = float(draws.std(ddof=1) / math.sqrt(draws.size)) if draws.size > 1 else 0.0
+    return float(draws.mean()), std_err
 
 
 def moment_noise(I: int, n_samples: int, seed: int) -> np.ndarray:
@@ -216,8 +222,7 @@ def binary_moments_quadrature(
     """
     if n_nodes < MIN_QUAD_NODES:
         raise ValueError(f"{_ERR}: n_nodes={n_nodes} below minimum {MIN_QUAD_NODES}")
-    if alpha_bar < 0.0 or not math.isfinite(alpha_bar):
-        raise ValueError(f"{_ERR}: alpha_bar must be finite and >= 0")
+    _check_alpha_bar(alpha_bar)
     # scipy's Hermite nodes stay finite for large n_nodes where the numpy
     # polynomial version overflows.
     x, w = roots_hermite(int(n_nodes))

@@ -1,6 +1,7 @@
 """Command-line pipeline: outputs, overrides, and failure modes."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -70,6 +71,24 @@ def test_posterior_probe_draws_its_noise_once(cfg_file, tmp_path, monkeypatch):
     assert len(draws) == 1
     rows = {r[0]: float(r[2]) for r in read_rows(out / "posterior_probe.csv")[1:] if r[1] == "0"}
     assert abs(rows["information_efficiency"] - rows["m1"]) <= 1e-12
+
+
+def test_verify_foc_draws_each_shock_block_once(cfg_file, tmp_path, monkeypatch):
+    import adkyle.orderflow
+
+    blocks = []
+    real = adkyle.orderflow.iter_shock_blocks
+
+    def counting(*a, **k):
+        for item in real(*a, **k):
+            blocks.append(item[0])
+            yield item
+
+    monkeypatch.setattr(adkyle.orderflow, "iter_shock_blocks", counting)
+    n_paths = 2 * adkyle.orderflow.PATH_BLOCK_SIZE + 1
+    cfg_file.write_text(FAST_CONFIG + f"mc.n_paths = {n_paths}\n")
+    assert main(["verify-foc", "-c", str(cfg_file), "-o", str(tmp_path / "foc")]) == 0
+    assert len(blocks) == math.ceil(n_paths / adkyle.orderflow.PATH_BLOCK_SIZE)
 
 
 def test_simulate_writes_path_outputs(cfg_file, tmp_path):
@@ -155,6 +174,32 @@ def test_config_errors_exit_with_code_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "mc.seed" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--seed", "-1"],
+    ["impact", "--seed", "-1"],
+    ["solve", "--seed", str(2**64 + 1)],
+    ["posterior", "probe", "--alpha-bar", "1e200"],
+])
+def test_bad_flag_values_exit_with_code_two(cfg_file, tmp_path, capsys, argv):
+    assert main(argv + ["-c", str(cfg_file), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: adkyle.")
+    assert "Traceback" not in err
+
+
+def test_out_of_memory_exits_with_code_two(cfg_file, tmp_path, capsys, monkeypatch):
+    import adkyle.cli
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(adkyle.cli, "build_canonical_kernel", exhausted)
+    assert main(["kernel", "dump", "-c", str(cfg_file), "-o", str(tmp_path / "k")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: adkyle.cli: out of memory") and len(err.splitlines()) == 1
 
 
 def test_missing_config_file_exits_with_code_two(tmp_path, capsys):

@@ -101,6 +101,12 @@ def test_validation_rejects_bad_values():
         "solver.phi_tol = -1e-4",
         "solver.width_tol = 0",
         "solver.width_tol = nan",
+        "solver.width_tol = inf",
+        "solver.phi_tol = inf",
+        "mc.seed = -1",
+        "mc.seed = 18446744073709551617",
+        "grid.n = 1099511627777",
+        "mc.n_paths = 1099511627777",
     ]
     for lines in bad:
         with pytest.raises(ValueError, match="adkyle.config"):
@@ -140,3 +146,7 @@ def test_with_seed_override():
     bumped = with_seed(cfg, 99)
     assert bumped.seed == 99
     assert dataclasses.replace(bumped, seed=7) == cfg
+    assert with_seed(cfg, 2**64 - 1).seed == 2**64 - 1
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="adkyle.config"):
+            with_seed(cfg, seed)

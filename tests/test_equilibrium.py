@@ -180,3 +180,11 @@ def test_alpha_std_err_is_calibrated_and_shrinks_with_samples():
 def test_solver_rejects_too_few_samples():
     with pytest.raises(ValueError, match="adkyle.posterior: n_samples"):
         solve_alpha_star(identity_kernel(2), n_samples=MIN_MOMENT_SAMPLES - 1, seed=0)
+
+
+@pytest.mark.parametrize("width_tol", [1e-308, 5e-324])
+def test_unreachable_width_tol_ends_in_a_value_error(width_tol):
+    # no bracket is that narrow; the step bound must not overflow on the way
+    with pytest.raises(ValueError, match="adkyle.equilibrium: root refinement"):
+        solve_alpha_star(identity_kernel(2), n_samples=MIN_MOMENT_SAMPLES, seed=0,
+                         width_tol=width_tol)

@@ -67,6 +67,10 @@ def test_noise_profile_validation():
         NoiseProfile(sigma=np.zeros(g.n))
     with pytest.raises(ValueError, match="adkyle.model"):
         NoiseProfile(sigma=-np.ones(g.n))
+    # positive and finite, but 1/sigma^2 overflows (1e-200) or vanishes (1e200)
+    for value in (1e-200, 1e200, math.nan):
+        with pytest.raises(ValueError, match="adkyle.model"):
+            NoiseProfile(sigma=np.full(g.n, value))
 
 
 def test_inner_product_matches_gaussian_integrals():

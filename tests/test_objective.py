@@ -9,6 +9,7 @@ from adkyle import (
     weighted_inner_product,
     zero_impact_basis,
 )
+from adkyle.orderflow import PATH_BLOCK_SIZE
 
 CLOSURE_SIGMAS = 3.0
 ORTHOGONALITY_TOLERANCE = 1e-10
@@ -100,6 +101,20 @@ def test_impact_term_vanishes_along_zero_impact_directions(
     assert abs(rep.impact_term) < IMPACT_NULL_TOLERANCE
 
 
+def test_direction_stack_equals_single_direction_calls(
+    mean_shift_demand, mean_shift_family, unit_noise, grid
+):
+    # one pass over the shocks for all directions, bitwise the separate calls
+    _, _, w_star = mean_shift_demand
+    basis = zero_impact_basis(w_star, unit_noise, grid)
+    stack = np.stack([w_star[0], mean_shift_family.eta[0], basis[0]])
+    args = (w_star, mean_shift_family, 0, unit_noise, grid)
+    reports = foc_terms(w_star[0], stack, *args, n_paths=2 * PATH_BLOCK_SIZE + 100, seed=23)
+    assert isinstance(reports, list) and len(reports) == 3
+    for v, rep in zip(stack, reports):
+        assert rep == foc_terms(w_star[0], v, *args, n_paths=2 * PATH_BLOCK_SIZE + 100, seed=23)
+
+
 def test_zero_demand_earns_zero(mean_shift_demand, mean_shift_family, unit_noise, grid):
     _, _, w_star = mean_shift_demand
     mean, std_err = expected_utility(
@@ -133,5 +148,11 @@ def test_direction_must_be_nonzero(mean_shift_demand, mean_shift_family, unit_no
     with pytest.raises(ValueError, match="adkyle.objective"):
         foc_terms(
             w_star[0], np.zeros(grid.n), w_star, mean_shift_family, 0,
+            unit_noise, grid, n_paths=2000, seed=0,
+        )
+    # one zero row in a stack is rejected too
+    with pytest.raises(ValueError, match="adkyle.objective"):
+        foc_terms(
+            w_star[0], np.stack([w_star[0], np.zeros(grid.n)]), w_star, mean_shift_family, 0,
             unit_noise, grid, n_paths=2000, seed=0,
         )

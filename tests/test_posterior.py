@@ -99,8 +99,17 @@ def test_quadrature_node_count_is_converged(alpha_bar, budget):
 def test_quadrature_argument_validation():
     with pytest.raises(ValueError, match="adkyle.posterior"):
         binary_moments_quadrature(1.0, n_nodes=MIN_QUAD_NODES - 1)
-    with pytest.raises(ValueError, match="adkyle.posterior"):
-        binary_moments_quadrature(-0.5)
+    for alpha_bar in (-0.5, 1e200):
+        with pytest.raises(ValueError, match="adkyle.posterior"):
+            binary_moments_quadrature(alpha_bar)
+
+
+def test_sample_posterior_argument_validation():
+    # 1e200 is finite but its square is not: the moments would be NaN
+    xi = standard_normal_matrix(0, 16, 2)
+    for alpha_bar in (-0.5, float("nan"), float("inf"), 1e200):
+        with pytest.raises(ValueError, match="adkyle.posterior"):
+            sample_posterior(alpha_bar, 2, 0, xi)
 
 
 def test_monte_carlo_moments_agree_with_quadrature():

@@ -47,14 +47,12 @@ from .equilibrium import (
     solve_alpha_star,
 )
 from .orderflow import (
-    Path,
-    PathPosterior,
-    pathwise_posterior,
+    log_likelihoods,
     pi_insider,
     pi_mm,
+    posterior_weights,
     price_schedule,
-    simulate_order_flow,
-    young_integral,
+    simulate_increments,
 )
 from .objective import FocReport, expected_utility, foc_terms, zero_impact_basis
 from .analytics import (
@@ -104,14 +102,12 @@ __all__ = [
     "phi",
     "phi_from_noise",
     "solve_alpha_star",
-    "Path",
-    "PathPosterior",
-    "pathwise_posterior",
+    "log_likelihoods",
     "pi_insider",
     "pi_mm",
+    "posterior_weights",
     "price_schedule",
-    "simulate_order_flow",
-    "young_integral",
+    "simulate_increments",
     "FocReport",
     "expected_utility",
     "foc_terms",

@@ -32,10 +32,12 @@ def standard_normal_matrix(seed: int, n: int, dim: int) -> np.ndarray:
     contract: the same (seed, n, dim) always yields the same matrix, and
     any prefix of blocks is unaffected by how many blocks follow.
     """
-    parts = []
+    out = np.empty((n, dim))  # one allocation: a size that cannot fit fails here, up front
+    offset = 0
     for block_id, m in enumerate(block_sizes(n)):
-        parts.append(block_generator(seed, block_id).standard_normal((m, dim)))
-    return np.concatenate(parts, axis=0) if len(parts) > 1 else parts[0]
+        block_generator(seed, block_id).standard_normal(out=out[offset:offset + m])
+        offset += m
+    return out
 
 
 def derive_seed(master: int, *tags: int) -> int:

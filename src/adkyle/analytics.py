@@ -103,27 +103,17 @@ def cross_price_impact(
     Per path the posterior covariance between the payoff coordinate eta(x, .)
     and the demand coordinate W(y, .) is computed exactly over the I atoms;
     the only Monte Carlo averaging is over order-flow paths (and the uniform
-    signal draw unless conditioned_on pins it).
+    signal draw unless conditioned_on pins it).  This is the one-pair
+    impact_surface.
     """
-    ix, iy = node_index(grid, x), node_index(grid, y)
-    w_star = np.asarray(w_star, dtype=float)
-    eta_x = family.eta[:, ix]
-    w_y = w_star[:, iy]
-    inv_var_y = 1.0 / float(noise.sigma[iy]) ** 2
-
-    n_paths = int(n_paths)
-    vals = np.empty(n_paths)
-    signals = _path_signals(seed, family.I, n_paths, conditioned_on)
-    for sl, _, pi in posterior_blocks(w_star, noise, grid, seed, n_paths, signals=signals):
-        cov = pi @ (eta_x * w_y) - (pi @ eta_x) * (pi @ w_y)
-        vals[sl] = inv_var_y * cov
-    value, std_err = mean_and_std_err(vals)
+    values, errs = impact_surface([x], [y], w_star, family, noise, grid,
+                                  n_paths=n_paths, seed=seed, conditioned_on=conditioned_on)
     return ImpactEstimate(
-        x=float(grid.nodes[ix]),
-        y=float(grid.nodes[iy]),
-        value=value,
-        std_err=std_err,
-        n_paths=n_paths,
+        x=float(grid.nodes[node_index(grid, x)]),
+        y=float(grid.nodes[node_index(grid, y)]),
+        value=float(values[0, 0]),
+        std_err=float(errs[0, 0]),
+        n_paths=int(n_paths),
         conditioned_on=conditioned_on,
     )
 

@@ -35,7 +35,7 @@ from .kernel import build_canonical_kernel
 from .model import prior_moments
 from .objective import foc_terms, zero_impact_basis
 from .options import bl_decompose, bl_reconstruct, demand_signature
-from .orderflow import pathwise_posterior, price_schedule, simulate_order_flow
+from .orderflow import log_likelihoods, posterior_weights, price_schedule, simulate_increments
 from .posterior import (
     binary_moments_quadrature,
     mean_and_std_err,
@@ -136,14 +136,14 @@ def cmd_simulate(args, cfg: RunConfig, outdir: Path) -> int:
     grid, noise, family, eq, w_star = _solved(cfg)
     s = _signal(args, family)
 
+    # path p is row p of the seed's shock stream, so a path's rows do not depend on --paths
     n_paths, n, I = args.paths, grid.n, family.I
-    y, price = np.empty((n_paths, n)), np.empty((n_paths, n))
-    log_lik, pi = np.empty((n_paths, I)), np.empty((n_paths, I))
-    for pid in range(n_paths):
-        path = simulate_order_flow(w_star[s], s, noise, grid, seed=cfg.seed + pid)
-        post = pathwise_posterior(path, w_star, noise, grid)
-        y[pid], log_lik[pid], pi[pid] = path.y, post.log_lik, post.pi
-        price[pid] = price_schedule(post.pi, family)
+    increments, _ = simulate_increments(w_star[s], noise, grid, cfg.seed, n_paths)
+    y = np.zeros((n_paths, n))
+    np.cumsum(increments, axis=1, out=y[:, 1:])
+    log_lik = log_likelihoods(w_star, increments, noise, grid)
+    pi = posterior_weights(log_lik)
+    price = price_schedule(pi, family)
     path_id, x = np.repeat(np.arange(n_paths), n), np.tile(grid.nodes, n_paths)
     write_csv(outdir / "paths.csv", ["path_id", "x", "y"], [path_id, x, y.ravel()])
     write_csv(outdir / "pathwise_prices.csv", ["path_id", "x", "price"],

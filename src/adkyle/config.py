@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .analytics import SUBGRID_MIN
 from .model import NoiseProfile, PayoffFamily, StateGrid, build_state_grid, make_payoff_family
 from .posterior import MIN_MOMENT_SAMPLES
@@ -125,6 +127,9 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ValueError(f"{_ERR}: mc.n_samples must be in [{MIN_MOMENT_SAMPLES}, 2**40]")
     if not 1 <= cfg.n_paths <= COUNT_LIMIT:
         raise ValueError(f"{_ERR}: mc.n_paths must be in [1, 2**40]")
+    if not all(map(math.isfinite, (cfg.noise_level, cfg.noise_slope, cfg.sd, cfg.mu,
+                                   *cfg.means, *cfg.sds, *cfg.shapes))):
+        raise ValueError(f"{_ERR}: noise.* and family.* values must be finite")
     if not (0.0 < cfg.phi_tol < math.inf and 0.0 < cfg.width_tol < math.inf):
         raise ValueError(f"{_ERR}: solver.phi_tol and solver.width_tol must be finite and > 0")
     if not SUBGRID_MIN <= cfg.n_sub <= COUNT_LIMIT:
@@ -145,7 +150,8 @@ def config_grid(cfg: RunConfig) -> StateGrid:
 
 
 def config_noise(cfg: RunConfig, grid: StateGrid) -> NoiseProfile:
-    sigma = cfg.noise_level + cfg.noise_slope * (grid.nodes - grid.x_min)
+    with np.errstate(over="ignore"):  # an overflowing sigma is infinite: NoiseProfile rejects it
+        sigma = cfg.noise_level + cfg.noise_slope * (grid.nodes - grid.x_min)
     return NoiseProfile(sigma=sigma)
 
 
@@ -155,7 +161,10 @@ def config_family(cfg: RunConfig, grid: StateGrid) -> PayoffFamily:
         "gaussian_variance": {"mu": cfg.mu, "sds": cfg.sds},
         "skew_normal": {"shapes": cfg.shapes},
     }[cfg.family_kind]
-    return make_payoff_family(cfg.family_kind, params, grid)
+    # a tiny sd overflows (x - m) / sd (density 0 there) or the density itself (the
+    # row's mass is then infinite, which make_payoff_family rejects)
+    with np.errstate(over="ignore"):
+        return make_payoff_family(cfg.family_kind, params, grid)
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -119,6 +119,9 @@ def solve_alpha_star(kern: CanonicalKernel, n_samples: int = DEFAULT_MOMENT_SAMP
             raise ValueError(f"{_ERR}: failed to bracket a root below {BRACKET_CAP}")
         lo, f_lo, hi, f_hi = hi, f_hi, 2.0 * hi, evaluate(2.0 * hi, "bracket")
     n_doublings = len(trace) - 1
+    if width_tol <= math.ulp(lo):  # lo never falls, so no later bracket is narrower
+        raise ValueError(f"{_ERR}: root refinement failed to meet tolerances "
+                         f"(width_tol {width_tol:.1e} is below the float spacing at {lo})")
 
     # ITP: the regula-falsi point, pushed 0.2 width^2 toward the midpoint and
     # held to bisection's worst case plus one step.  Logs and ldexp keep the

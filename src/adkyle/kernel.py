@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import NoiseProfile, PayoffFamily, StateGrid, weighted_inner_product
+from .model import NoiseProfile, PayoffFamily, StateGrid
 
 _ERR = "adkyle.kernel"
 
@@ -51,16 +51,15 @@ class CanonicalKernel:
 def gram_matrix(family: PayoffFamily, noise: NoiseProfile, grid: StateGrid) -> np.ndarray:
     """Pairwise sigma-weighted inner products of the payoff rows.
 
-    Each entry is computed by weighted_inner_product, and the strict lower
-    triangle is copied from the upper one, so the result is bitwise symmetric.
+    Entry (i, j) is weighted_inner_product(eta_i, eta_j) bit for bit: the same
+    products, each summed along its own row.  eta_i * eta_j == eta_j * eta_i
+    exactly, so the result is bitwise symmetric.
     """
-    I = family.I
-    K = np.empty((I, I))
-    for i in range(I):
-        for j in range(i, I):
-            K[i, j] = weighted_inner_product(family.eta[i], family.eta[j], noise, grid)
-            K[j, i] = K[i, j]
-    return K
+    eta = family.eta
+    if eta.shape[1] != grid.n or noise.sigma.shape != (grid.n,):
+        raise ValueError(f"{_ERR}: length mismatch against grid with n={grid.n}")
+    return np.sum((eta[:, None] * eta[None]) * (grid.quad_weights / np.square(noise.sigma)),
+                  axis=-1)
 
 
 def centering_matrix(I: int) -> np.ndarray:

@@ -128,10 +128,10 @@ def build_state_grid(x_min: float, x_max: float, n: int) -> StateGrid:
         (h/2, h, ..., h, h/2).
 
     Raises:
-        ValueError: for non-finite bounds, x_min >= x_max, or n < 3.
+        ValueError: for non-finite bounds or span, x_min >= x_max, or n < 3.
     """
-    if not (math.isfinite(x_min) and math.isfinite(x_max)):
-        raise ValueError(f"{_ERR}: grid bounds must be finite")
+    if not math.isfinite(x_max - x_min):  # also false for an infinite or NaN bound
+        raise ValueError(f"{_ERR}: grid bounds and their span must be finite")
     if not x_min < x_max:
         raise ValueError(f"{_ERR}: need x_min < x_max, got [{x_min}, {x_max}]")
     n = int(n)
@@ -175,13 +175,15 @@ def prior_moments(family: PayoffFamily, grid: StateGrid) -> tuple[float, float]:
 
 
 def _normal_pdf(z: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * np.square(z)) / math.sqrt(2.0 * math.pi)
+    # a |z| whose square overflows lies so far out that its density is 0: exp(-inf)
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * np.square(z)) / math.sqrt(2.0 * math.pi)
 
 
 def _renormalized_rows(rows: np.ndarray, grid: StateGrid, kind: str) -> PayoffFamily:
     masses = rows @ grid.quad_weights
-    if np.any(masses <= 0.0):
-        raise ValueError(f"{_ERR}: a payoff row has no mass on the grid interval")
+    if not np.all((masses > 0.0) & (masses < math.inf)):
+        raise ValueError(f"{_ERR}: a payoff row has no finite, positive mass on the grid interval")
     eta = rows / masses[:, None]
     labels = tuple(f"s{i + 1}" for i in range(rows.shape[0]))
     return PayoffFamily(labels, eta, kind)

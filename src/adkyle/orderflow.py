@@ -12,7 +12,6 @@ market maker's posterior is proportional to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,46 +23,6 @@ _ERR = "adkyle.orderflow"
 
 LOG_LIK_SPREAD_MAX = 700.0  # beyond this, exp underflow erases posterior mass
 PATH_BLOCK_SIZE = 4096      # paths per counter block; keeps block matrices small
-
-
-@dataclass(frozen=True)
-class Path:
-    """One simulated order-flow path.
-
-    Attributes:
-        true_index: Signal realized for this path.
-        increments: Length n-1 array of dY over each grid cell.
-        y: Cumulative order flow at the nodes, y[0] = 0.
-        shocks: Standard normals that drove the noise part (length n-1).
-        seed: Seed used for the draw.
-    """
-
-    true_index: int
-    increments: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)
-    shocks: np.ndarray = field(repr=False)
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class PathPosterior:
-    """Market maker's pathwise inference: log-likelihoods and posterior weights."""
-
-    log_lik: np.ndarray = field(repr=False)
-    pi: np.ndarray = field(repr=False)
-
-
-def young_integral(f: np.ndarray, omega: np.ndarray) -> float:
-    """Left-point integral sum_j f(x_j) (omega(x_{j+1}) - omega(x_j)).
-
-    First-order accurate for smooth integrands against smooth integrators;
-    exact adaptedness is what matters for stochastic integrands.
-    """
-    f = np.asarray(f, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    if f.shape != omega.shape or f.ndim != 1 or f.size < 2:
-        raise ValueError(f"{_ERR}: f and omega must be equal-length 1-d arrays (>= 2)")
-    return float(np.dot(f[:-1], np.diff(omega)))
 
 
 def iter_shock_blocks(grid: StateGrid, seed: int, n_paths: int):
@@ -105,29 +64,18 @@ def simulate_increments(
     return increments, shocks
 
 
-def simulate_order_flow(
-    w_row: np.ndarray,
-    true_index: int,
-    noise: NoiseProfile,
-    grid: StateGrid,
-    seed: int,
-) -> Path:
-    """Single order-flow path under the demand schedule of the realized signal."""
-    increments, shocks = simulate_increments(w_row, noise, grid, seed, 1)
-    y = np.concatenate([[0.0], np.cumsum(increments[0])])
-    return Path(
-        true_index=int(true_index),
-        increments=increments[0],
-        y=y,
-        shocks=shocks[0],
-        seed=int(seed),
-    )
+def pi_mm(
+    w_tilde_row: np.ndarray, increments: np.ndarray, noise: NoiseProfile, grid: StateGrid
+) -> float | np.ndarray:
+    """Market maker's integral int W_tilde / sigma^2 dY per path (left-point, adapted).
 
-
-def pi_mm(w_tilde_row: np.ndarray, path: Path, noise: NoiseProfile, grid: StateGrid) -> float:
-    """Market maker's integral int W_tilde / sigma^2 dY (left-point, adapted)."""
-    f = np.asarray(w_tilde_row, dtype=float) / np.square(noise.sigma)
-    return young_integral(f, path.y)
+    increments is one path's dY, shape (n-1,), or a batch (m, n-1); the result
+    is a float or an (m,) array.
+    """
+    increments = np.asarray(increments, dtype=float)
+    if increments.ndim not in (1, 2) or increments.shape[-1] != grid.n - 1:
+        raise ValueError(f"{_ERR}: increments must be (n-1,) or (m, n-1)")
+    return increments @ (np.asarray(w_tilde_row, dtype=float) / np.square(noise.sigma))[:-1]
 
 
 def pi_insider(
@@ -206,15 +154,6 @@ def posterior_blocks(
         sl = slice(offset, offset + shocks.shape[0])
         inc = (drift if signals is None else drift[signals[sl]]) + scale * shocks
         yield sl, inc, posterior_weights(log_likelihoods(w_tilde, inc, noise, grid))
-
-
-def pathwise_posterior(
-    path: Path, w_tilde: np.ndarray, noise: NoiseProfile, grid: StateGrid
-) -> PathPosterior:
-    """Posterior over signals from one simulated path and candidate demands."""
-    ll = log_likelihoods(w_tilde, path.increments[None, :], noise, grid)[0]
-    pi = posterior_weights(ll[None, :])[0]
-    return PathPosterior(log_lik=ll, pi=pi)
 
 
 def price_schedule(pi: np.ndarray, family: PayoffFamily) -> np.ndarray:

@@ -27,16 +27,16 @@ from adkyle import (
     information_efficiency,
     invariance_experiment,
     kyle_single_asset,
+    log_likelihoods,
     make_payoff_family,
-    pathwise_posterior,
     pi_insider,
+    posterior_weights,
     sample_posterior,
-    simulate_order_flow,
+    simulate_increments,
     solve_alpha_star,
 )
 from adkyle._rng import standard_normal_matrix
 from adkyle.cli import main as cli_main
-from adkyle.orderflow import simulate_increments
 from conftest import ALPHA_STAR_BINARY, exact_binary_equilibrium
 
 SIGMAS = 3.0
@@ -182,13 +182,11 @@ def test_a06_canonical_pathwise_equivalence():
     w_star = _exact_demand()
     g = w_star / noise.sigma
     sqh = math.sqrt(grid.h)
-    worst = 0.0
-    for k in range(100):
-        path = simulate_order_flow(w_star[0], 0, noise, grid, seed=9000 + k)
-        filt = pathwise_posterior(path, w_star, noise, grid)
-        nu = g[:, :-1] @ path.shocks * sqh / ALPHA_STAR_BINARY
-        canonical = sample_posterior(ALPHA_STAR_BINARY, 2, 0, nu[None, :]).q[0]
-        worst = max(worst, float(np.max(np.abs(canonical - filt.pi))))
+    inc, shocks = simulate_increments(w_star[0], noise, grid, seed=9000, n_paths=100)
+    pi = posterior_weights(log_likelihoods(w_star, inc, noise, grid))
+    nu = shocks @ g[:, :-1].T * sqh / ALPHA_STAR_BINARY
+    canonical = sample_posterior(ALPHA_STAR_BINARY, 2, 0, nu).q
+    worst = float(np.max(np.abs(canonical - pi)))
     assert worst < POSTERIOR_AGREEMENT
     _report("A6 posterior equivalence", f"100 paths, max gap={worst:.1e}", t0, 10.0)
 

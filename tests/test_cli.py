@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from adkyle.cli import OUTPUT_DIR_ENV, main, write_csv
+from adkyle.cli import OUTPUT_DIR_ENV, _solved, main, write_csv
+from adkyle.config import load_config, with_seed
+from adkyle.orderflow import iter_shock_blocks
 
 FAST_CONFIG = """
 grid.n = 101
@@ -101,6 +103,35 @@ def test_simulate_writes_path_outputs(cfg_file, tmp_path):
         assert (out / name).exists()
     posterior = read_rows(out / "pathwise_posterior.csv")
     assert posterior[0][:2] == ["path_id", "signal"]
+
+
+def _simulate(cfg_file, tmp_path, seed, n_paths):
+    """Run simulate; return its paths.csv lines, y per path, and the solved grid, noise, demand."""
+    out = tmp_path / f"sim_{seed}_{n_paths}"
+    assert main(["simulate", "-c", str(cfg_file), "-o", str(out),
+                 "--paths", str(n_paths), "--seed", str(seed)]) == 0
+    lines = (out / "paths.csv").read_text().splitlines()[1:]
+    y = np.array([float(line.split(",")[2]) for line in lines]).reshape(n_paths, -1)
+    grid, noise, _, _, w_star = _solved(with_seed(load_config(cfg_file), seed))
+    return lines, y, grid, noise, w_star
+
+
+def test_simulate_draws_every_path_from_one_shock_stream(cfg_file, tmp_path):
+    lines7, y7, grid, noise, w7 = _simulate(cfg_file, tmp_path, 7, 3)
+    drift, scale = w7[0][:-1] * grid.h, noise.sigma[:-1] * math.sqrt(grid.h)
+    # path p is row p of the seed's shock stream
+    stream = np.concatenate([blk for _, blk in iter_shock_blocks(grid, 7, 3)])
+    assert np.all(y7[:, 0] == 0.0)
+    assert np.array_equal(y7[:, 1:], np.cumsum(drift + scale * stream, axis=1))
+    # so a path's rows do not depend on --paths
+    lines5, *_ = _simulate(cfg_file, tmp_path, 7, 5)
+    assert lines5[:len(lines7)] == lines7
+    # and seeds do not share paths: path 1 of seed 7 is not path 0 of seed 8
+    _, y8, _, _, w8 = _simulate(cfg_file, tmp_path, 8, 1)
+    shocks7 = (np.diff(y7[1]) - drift) / scale
+    shocks8 = (np.diff(y8[0]) - w8[0][:-1] * grid.h) / scale
+    assert np.allclose(shocks7, stream[1], rtol=0.0, atol=1e-9)
+    assert not np.allclose(shocks7, shocks8, rtol=0.0, atol=1e-3)
 
 
 def test_outputs_are_deterministic_on_rerun(cfg_file, tmp_path):

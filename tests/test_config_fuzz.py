@@ -10,6 +10,7 @@ import contextlib
 import io
 import os
 import tempfile
+import warnings
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -88,6 +89,16 @@ COMMANDS = st.sampled_from((
 @example(config={"mc.seed": "0", "noise.level": "1e-200", "family.means": "0, 0, 0"},
          command=["solve"])
 @example(config={"mc.seed": "0", "grid.n": "18446744073709551616"}, command=["kernel", "dump"])
+# configs that printed a numpy RuntimeWarning before their error line
+@example(config={"mc.seed": "0", "grid.x_max": "1e300"}, command=["solve"])
+@example(config={"mc.seed": "0", "family.sd": "1e-300"}, command=["solve"])
+@example(config={"mc.seed": "0", "noise.slope": "inf"}, command=["solve"])
+@example(config={"mc.seed": "0", "grid.x_max": "1e300", "noise.slope": "1e300"}, command=["solve"])
+@example(config={"mc.seed": "0", "grid.x_min": "-1e308", "grid.x_max": "1e308"}, command=["solve"])
+@example(config={"mc.seed": "0", "family.kind": "gaussian_variance", "family.mu": "nan"},
+         command=["solve"])
+@example(config={"mc.seed": "0", "family.sd": "1e-308"}, command=["solve"])
+@example(config={"mc.seed": "0", "family.sd": "1e-310"}, command=["solve"])
 def test_random_configs_end_in_an_exit_status_not_a_traceback(config, command):
     config = {**SMALL, **config}
     text = "".join(f"{key} = {value}\n" for key, value in config.items())
@@ -96,10 +107,13 @@ def test_random_configs_end_in_an_exit_status_not_a_traceback(config, command):
         cfg = os.path.join(tmp, "run.cfg")
         with open(cfg, "w") as fh:
             fh.write(text)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # a warning is a stderr line in a real run
             code = main(command + ["-c", cfg, "-o", os.path.join(tmp, "out")])
     assert code in (0, 1, 2), text
     assert "Traceback" not in err.getvalue(), text
     if code == 2:
-        # numpy RuntimeWarnings may precede it, but the run ends on one error line
-        assert err.getvalue().splitlines()[-1].startswith("error: adkyle."), text
+        # the whole of stderr is one error line, with no warning before it
+        stderr = [str(w.message) for w in caught] + err.getvalue().splitlines()
+        assert len(stderr) == 1 and stderr[0].startswith("error: adkyle."), (text, stderr)

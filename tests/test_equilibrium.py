@@ -183,8 +183,15 @@ def test_solver_rejects_too_few_samples():
 
 
 @pytest.mark.parametrize("width_tol", [1e-308, 5e-324])
-def test_unreachable_width_tol_ends_in_a_value_error(width_tol):
-    # no bracket is that narrow; the step bound must not overflow on the way
+def test_unreachable_width_tol_ends_in_a_value_error(width_tol, monkeypatch):
+    # no bracket is that narrow; the solve fails once bracketed, before any refinement
+    import adkyle.equilibrium
+
+    evaluated = []
+    real = adkyle.equilibrium.phi_from_noise
+    monkeypatch.setattr(adkyle.equilibrium, "phi_from_noise",
+                        lambda a, *rest: evaluated.append(a) or real(a, *rest))
     with pytest.raises(ValueError, match="adkyle.equilibrium: root refinement"):
         solve_alpha_star(identity_kernel(2), n_samples=MIN_MOMENT_SAMPLES, seed=0,
                          width_tol=width_tol)
+    assert evaluated == [1.0, 2.0]  # the doubling bracket around sqrt(2) only

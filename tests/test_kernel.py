@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from adkyle import (
+    NoiseProfile,
     build_canonical_kernel,
+    build_state_grid,
     centering_matrix,
     exchangeability_scale,
     gram_matrix,
@@ -52,6 +54,22 @@ def test_gram_entries_are_inner_products(mean_shift_family, unit_noise, grid):
             assert K[i, j] == weighted_inner_product(
                 mean_shift_family.eta[i], mean_shift_family.eta[j], unit_noise, grid
             )
+
+
+@pytest.mark.parametrize("kind, params, n", [
+    ("gaussian_mean_shift", {"means": list(np.linspace(-3.0, 3.0, 8)), "sd": 1.0}, 401),
+    ("skew_normal", {"shapes": [4.0, -4.0, 1.0]}, 101),
+    ("gaussian_variance", {"mu": 0.0, "sds": [1.0, 1.5, 2.0]}, 1001),
+])
+@pytest.mark.parametrize("slope", [0.0, 0.05])
+def test_gram_matrix_is_bitwise_the_pairwise_inner_products(kind, params, n, slope):
+    grid = build_state_grid(-8.0, 8.0, n)
+    family = make_payoff_family(kind, params, grid)
+    noise = NoiseProfile(1.0 + slope * (grid.nodes - grid.x_min))
+    K = gram_matrix(family, noise, grid)
+    for i in range(family.I):
+        for j in range(family.I):
+            assert K[i, j] == weighted_inner_product(family.eta[i], family.eta[j], noise, grid)
 
 
 def test_centering_matrix_is_projector():

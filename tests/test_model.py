@@ -59,6 +59,8 @@ def test_grid_rejects_bad_arguments():
         build_state_grid(1.0, -1.0, 11)
     with pytest.raises(ValueError, match="adkyle.model"):
         build_state_grid(0.0, math.inf, 11)
+    with pytest.raises(ValueError, match="adkyle.model: grid bounds and their span"):
+        build_state_grid(-1e308, 1e308, 11)  # finite bounds, overflowing span
 
 
 def test_noise_profile_validation():

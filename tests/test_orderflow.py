@@ -1,4 +1,4 @@
-"""Path simulation, pathwise filtering, and the two profit functionals."""
+"""Batched path simulation, pathwise filtering, and the two profit functionals."""
 
 import math
 
@@ -6,66 +6,32 @@ import numpy as np
 import pytest
 
 from adkyle import (
-    pathwise_posterior,
+    log_likelihoods,
     pi_insider,
     pi_mm,
+    posterior_weights,
     price_schedule,
     sample_posterior,
-    simulate_order_flow,
-    weighted_inner_product,
-    young_integral,
-)
-from adkyle.orderflow import (
-    LOG_LIK_SPREAD_MAX,
-    log_likelihoods,
-    posterior_weights,
     simulate_increments,
+    weighted_inner_product,
 )
+from adkyle.orderflow import LOG_LIK_SPREAD_MAX, iter_shock_blocks
 from conftest import ALPHA_STAR_BINARY
 
 POSTERIOR_MATCH_TOLERANCE = 1e-12
 MEAN_CHECK_SIGMAS = 4.0
 
-# left-point Riemann values of int_0^b cos d(sin) frozen at two resolutions;
-# the exact integral is b/2 + sin(2b)/4
-YOUNG_PI_101 = 1.5705379539064144
-YOUNG_HALF_PI_101 = 0.7892929371555254
-YOUNG_HALF_PI_201 = 0.7873535943728783
-
-
-def test_young_integral_frozen_values():
-    t = np.linspace(0.0, math.pi, 101)
-    assert young_integral(np.cos(t), np.sin(t)) == YOUNG_PI_101
-    t = np.linspace(0.0, math.pi / 2.0, 101)
-    assert young_integral(np.cos(t), np.sin(t)) == YOUNG_HALF_PI_101
-    t = np.linspace(0.0, math.pi / 2.0, 201)
-    assert young_integral(np.cos(t), np.sin(t)) == YOUNG_HALF_PI_201
-
-
-def test_young_integral_first_order_convergence():
-    # halving the step roughly halves the left-point error away from
-    # stationary endpoints
-    exact = math.pi / 4.0 + math.sin(math.pi) / 4.0
-    err_coarse = YOUNG_HALF_PI_101 - (math.pi / 4.0 + math.sin(math.pi) / 4.0)
-    err_fine = YOUNG_HALF_PI_201 - (math.pi / 4.0 + math.sin(math.pi) / 4.0)
-    del exact
-    assert 1.8 < err_coarse / err_fine < 2.2
-
-
-def test_young_integral_length_mismatch():
-    with pytest.raises(ValueError, match="adkyle.orderflow"):
-        young_integral(np.zeros(5), np.zeros(6))
-
 
 def test_simulation_is_deterministic(mean_shift_demand, unit_noise, grid):
     _, _, w_star = mean_shift_demand
-    p1 = simulate_order_flow(w_star[0], 0, unit_noise, grid, seed=13)
-    p2 = simulate_order_flow(w_star[0], 0, unit_noise, grid, seed=13)
-    assert np.array_equal(p1.increments, p2.increments)
-    assert np.array_equal(p1.y, p2.y)
-    assert p1.y[0] == 0.0
-    assert p1.y.shape == (grid.n,)
-    assert p1.increments.shape == (grid.n - 1,)
+    inc1, shocks1 = simulate_increments(w_star[0], unit_noise, grid, seed=13, n_paths=3)
+    inc2, shocks2 = simulate_increments(w_star[0], unit_noise, grid, seed=13, n_paths=3)
+    assert np.array_equal(inc1, inc2)
+    assert np.array_equal(shocks1, shocks2)
+    assert inc1.shape == shocks1.shape == (3, grid.n - 1)
+    # path p is row p of the seed's shock stream
+    stream = np.concatenate([blk for _, blk in iter_shock_blocks(grid, 13, 3)])
+    assert np.array_equal(shocks1, stream)
 
 
 def test_simulated_batches_have_prefix_property(mean_shift_demand, unit_noise, grid):
@@ -78,10 +44,10 @@ def test_simulated_batches_have_prefix_property(mean_shift_demand, unit_noise, g
 
 def test_increments_decompose_into_drift_and_shock(mean_shift_demand, unit_noise, grid):
     _, _, w_star = mean_shift_demand
-    path = simulate_order_flow(w_star[1], 1, unit_noise, grid, seed=3)
+    inc, shocks = simulate_increments(w_star[1], unit_noise, grid, seed=3, n_paths=4)
     drift = w_star[1][:-1] * grid.h
-    diffusion = unit_noise.sigma[:-1] * math.sqrt(grid.h) * path.shocks
-    assert np.allclose(path.increments, drift + diffusion, atol=1e-15)
+    diffusion = unit_noise.sigma[:-1] * math.sqrt(grid.h) * shocks
+    assert np.allclose(inc, drift + diffusion, atol=1e-15)
 
 
 def test_pathwise_posterior_matches_canonical_construction(
@@ -91,12 +57,11 @@ def test_pathwise_posterior_matches_canonical_construction(
     _, _, w_star = mean_shift_demand
     g = w_star / unit_noise.sigma
     sqh = math.sqrt(grid.h)
-    for k in range(10):
-        path = simulate_order_flow(w_star[0], 0, unit_noise, grid, seed=500 + k)
-        filt = pathwise_posterior(path, w_star, unit_noise, grid)
-        nu = g[:, :-1] @ path.shocks * sqh / ALPHA_STAR_BINARY
-        canonical = sample_posterior(ALPHA_STAR_BINARY, 2, 0, nu[None, :]).q[0]
-        assert np.abs(canonical - filt.pi).max() < POSTERIOR_MATCH_TOLERANCE
+    inc, shocks = simulate_increments(w_star[0], unit_noise, grid, seed=500, n_paths=10)
+    pi = posterior_weights(log_likelihoods(w_star, inc, unit_noise, grid))
+    nu = shocks @ g[:, :-1].T * sqh / ALPHA_STAR_BINARY
+    canonical = sample_posterior(ALPHA_STAR_BINARY, 2, 0, nu).q
+    assert np.abs(canonical - pi).max() < POSTERIOR_MATCH_TOLERANCE
 
 
 def test_posterior_weights_normalize():
@@ -114,11 +79,11 @@ def test_posterior_weights_reject_degenerate_spread():
 
 def test_log_likelihoods_match_manual_formula(mean_shift_demand, unit_noise, grid):
     _, _, w_star = mean_shift_demand
-    path = simulate_order_flow(w_star[0], 0, unit_noise, grid, seed=8)
-    ll = log_likelihoods(w_star, path.increments[None, :], unit_noise, grid)
+    inc, _ = simulate_increments(w_star[0], unit_noise, grid, seed=8, n_paths=1)
+    ll = log_likelihoods(w_star, inc, unit_noise, grid)
     for i in range(2):
         f = w_star[i] / np.square(unit_noise.sigma)
-        manual = float(path.increments @ f[:-1]) - 0.5 * weighted_inner_product(
+        manual = float(inc[0] @ f[:-1]) - 0.5 * weighted_inner_product(
             w_star[i], w_star[i], unit_noise, grid
         )
         assert ll[0, i] == pytest.approx(manual, rel=1e-12)
@@ -136,13 +101,23 @@ def test_market_profit_is_unbiased_for_insider_profit(
     # E[market-maker profit functional] equals the insider cross profit
     _, _, w_star = mean_shift_demand
     target = pi_insider(w_star[0], w_star[0], unit_noise, grid)
-    vals = []
-    for k in range(2000):
-        path = simulate_order_flow(w_star[0], 0, unit_noise, grid, seed=40_000 + k)
-        vals.append(pi_mm(w_star[0], path, unit_noise, grid))
-    vals = np.asarray(vals)
+    inc, _ = simulate_increments(w_star[0], unit_noise, grid, seed=40_000, n_paths=2000)
+    vals = pi_mm(w_star[0], inc, unit_noise, grid)
+    assert vals.shape == (2000,)
     std_err = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - target) <= MEAN_CHECK_SIGMAS * std_err
+
+
+def test_market_profit_of_one_path_is_its_batch_row(mean_shift_demand, unit_noise, grid):
+    _, _, w_star = mean_shift_demand
+    inc, _ = simulate_increments(w_star[0], unit_noise, grid, seed=2, n_paths=3)
+    batch = pi_mm(w_star[1], inc, unit_noise, grid)
+    f = w_star[1] / np.square(unit_noise.sigma)
+    for p in range(3):
+        assert pi_mm(w_star[1], inc[p], unit_noise, grid) == pytest.approx(batch[p], rel=1e-12)
+        assert batch[p] == pytest.approx(float(np.dot(f[:-1], inc[p])), rel=1e-12)
+    with pytest.raises(ValueError, match="adkyle.orderflow"):
+        pi_mm(w_star[1], inc[:, :-1], unit_noise, grid)
 
 
 def test_price_schedule_is_convex_combination(mean_shift_family):

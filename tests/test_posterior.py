@@ -11,7 +11,7 @@ from adkyle import (
     softmax,
     true_belief,
 )
-from adkyle._rng import standard_normal_matrix
+from adkyle._rng import BLOCK_SIZE, block_generator, block_sizes, standard_normal_matrix
 from adkyle.posterior import MIN_MOMENT_SAMPLES, MIN_QUAD_NODES
 
 SOFTMAX_TOLERANCE = 1e-15
@@ -153,3 +153,15 @@ def test_true_belief_argument_validation():
         true_belief(1.0, xi, 3)
     with pytest.raises(ValueError, match="adkyle.posterior"):
         true_belief(1.0, xi[0], 0)
+
+
+def test_normal_matrix_fills_its_blocks_in_place():
+    # one preallocated matrix, bit for bit the concatenation of the counter blocks
+    n, dim, seed = 2 * BLOCK_SIZE + 3, 3, 11
+    reference = np.concatenate([
+        block_generator(seed, block_id).standard_normal((m, dim))
+        for block_id, m in enumerate(block_sizes(n))
+    ])
+    xi = standard_normal_matrix(seed, n, dim)
+    assert xi.shape == (n, dim)
+    assert np.array_equal(xi.view(np.uint64), reference.view(np.uint64))

@@ -48,8 +48,6 @@ from .equilibrium import (
 )
 from .orderflow import (
     log_likelihoods,
-    pi_insider,
-    pi_mm,
     posterior_weights,
     price_schedule,
     simulate_increments,
@@ -103,8 +101,6 @@ __all__ = [
     "phi_from_noise",
     "solve_alpha_star",
     "log_likelihoods",
-    "pi_insider",
-    "pi_mm",
     "posterior_weights",
     "price_schedule",
     "simulate_increments",

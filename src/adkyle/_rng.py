@@ -19,22 +19,22 @@ def block_generator(seed: int, block_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def block_sizes(n: int, block_size: int = BLOCK_SIZE) -> list[int]:
-    """Split n draws into fixed-order block lengths."""
-    full, rest = divmod(n, block_size)
-    return [block_size] * full + ([rest] if rest else [])
+def block_sizes(n: int, block_size: int = BLOCK_SIZE):
+    """Yield the fixed-order block lengths of n draws, one at a time (no list for a huge n)."""
+    for start in range(0, n, block_size):
+        yield min(block_size, n - start)
 
 
-def standard_normal_matrix(seed: int, n: int, dim: int) -> np.ndarray:
-    """(n, dim) standard normals assembled from counter-based blocks.
+def standard_normal_matrix(seed: int, n: int, dim: int, block_size: int = BLOCK_SIZE) -> np.ndarray:
+    """(n, dim) standard normals assembled from counter-based blocks of block_size rows.
 
     The block structure (not just the seed) is part of the reproducibility
-    contract: the same (seed, n, dim) always yields the same matrix, and
-    any prefix of blocks is unaffected by how many blocks follow.
+    contract: the same (seed, n, dim, block_size) always yields the same
+    matrix, and any prefix of blocks is unaffected by how many blocks follow.
     """
     out = np.empty((n, dim))  # one allocation: a size that cannot fit fails here, up front
     offset = 0
-    for block_id, m in enumerate(block_sizes(n)):
+    for block_id, m in enumerate(block_sizes(n, block_size)):
         block_generator(seed, block_id).standard_normal(out=out[offset:offset + m])
         offset += m
     return out

@@ -80,11 +80,12 @@ def _path_signals(seed: int, I: int, n_paths: int, conditioned_on: int | None) -
     """Per-path true signals: pinned, or uniform draws blocked like the shock stream."""
     if conditioned_on is not None:
         return np.full(n_paths, int(conditioned_on), dtype=np.int64)
-    sig_seed = derive_seed(seed, 1)
-    return np.concatenate([
-        block_generator(sig_seed, block_id).integers(0, I, size=m)
-        for block_id, m in enumerate(block_sizes(n_paths, PATH_BLOCK_SIZE))
-    ])
+    out = np.empty(n_paths, dtype=np.int64)  # one allocation: a size that cannot fit fails here
+    sig_seed, offset = derive_seed(seed, 1), 0
+    for block_id, m in enumerate(block_sizes(n_paths, PATH_BLOCK_SIZE)):
+        out[offset:offset + m] = block_generator(sig_seed, block_id).integers(0, I, size=m)
+        offset += m
+    return out
 
 
 def cross_price_impact(
@@ -138,21 +139,22 @@ def impact_surface(
     ix = np.array([node_index(grid, float(x)) for x in np.asarray(x_values)])
     iy = np.array([node_index(grid, float(y)) for y in np.asarray(y_values)])
     w_star = np.asarray(w_star, dtype=float)
-    eta_x = family.eta[:, ix]          # I x K
-    w_y = w_star[:, iy]                # I x L
-    inv_var_y = 1.0 / np.square(noise.sigma[iy])  # L
-
+    # cov_m[k, l] = vec(C_m) . M[:, (k, l)] with C_m = diag(pi_m) - pi_m pi_m^T and
+    # M[(i, j), (k, l)] = a_ik b_jl, so the path sums need only sum vec(C_m) and
+    # S = sum vec(C_m) vec(C_m)^T (I^2 x I^2).  C_m annihilates constants, so a
+    # and b are centred over the atoms: a flat column then adds no cancellation.
+    I, a, b = family.I, family.eta[:, ix], w_star[:, iy] / np.square(noise.sigma[iy])
+    a, b = a - a.mean(axis=0), b - b.mean(axis=0)
+    m = (a[:, None, :, None] * b[None, :, None, :]).reshape(I * I, len(ix) * len(iy))
     n_paths = int(n_paths)
-    s1 = np.zeros((len(ix), len(iy)))
-    s2 = np.zeros((len(ix), len(iy)))
-    signals = _path_signals(seed, family.I, n_paths, conditioned_on)
-    for sl, _, pi in posterior_blocks(w_star, noise, grid, seed, n_paths, signals=signals):
-        cross = np.einsum("mi,ik,il->mkl", pi, eta_x, w_y)
-        cov = cross - (pi @ eta_x)[:, :, None] * (pi @ w_y)[:, None, :]
-        cov *= inv_var_y[None, None, :]
-        s1 += cov.sum(axis=0)
-        s2 += np.square(cov).sum(axis=0)
-    mean = s1 / n_paths
+    c_sum, c_outer = np.zeros(I * I), np.zeros((I * I, I * I))
+    signals = _path_signals(seed, I, n_paths, conditioned_on)
+    for _, _, pi in posterior_blocks(w_star, noise, grid, seed, n_paths, signals=signals):
+        c = (pi[:, :, None] * (np.eye(I) - pi[:, None, :])).reshape(len(pi), I * I)
+        c_sum += c.sum(axis=0)
+        c_outer += c.T @ c
+    mean = (c_sum @ m).reshape(len(ix), len(iy)) / n_paths
+    s2 = np.sum(m * (c_outer @ m), axis=0).reshape(mean.shape)
     var = np.maximum(s2 - n_paths * np.square(mean), 0.0) / max(n_paths - 1, 1)
     return mean, np.sqrt(var / n_paths)
 

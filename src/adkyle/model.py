@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 _ERR = "adkyle.model"
 
@@ -236,6 +235,7 @@ def make_payoff_family(kind: str, params: dict, grid: StateGrid) -> PayoffFamily
         _check_mean(mu)
         rows = np.stack([_normal_pdf((x - mu) / s) / s for s in sds])
     elif kind == "skew_normal":
+        from scipy.special import ndtr  # only this family needs scipy; start-up skips it
         shapes = [float(a) for a in params["shapes"]]
         if len(shapes) < 2:
             raise ValueError(f"{_ERR}: need at least two signals")

@@ -12,6 +12,9 @@ the same shocks, so the comparison is exact up to discretization and O(eps^2)
 curvature rather than Monte Carlo noise.  Given a stack of directions it
 draws one shock stream for all of them (common random numbers across
 directions as well as across the two sides of the difference).
+
+Every term works on I numbers per path: a trade's price is pi @ (eta @ trade),
+and the drift shift eps * v moves the log-likelihoods by eps * F @ (v h).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NoiseProfile, PayoffFamily, StateGrid, weighted_inner_product
-from .orderflow import log_likelihoods, posterior_blocks, posterior_weights
+from .orderflow import likelihood_weights, posterior_blocks, posterior_weights
 from .posterior import mean_and_std_err
 
 _ERR = "adkyle.objective"
@@ -90,12 +93,12 @@ def expected_utility(
     insider actually trades w_row while the realized signal is true_index.
     """
     w_row = _demand_row(grid, w_row)
-    eta_t = family.eta[true_index]
     trade_w = grid.quad_weights * w_row  # quadrature-weighted trade sizes
+    payoff, eta_w = family.eta[true_index] @ trade_w, family.eta @ trade_w
 
     profits = np.empty(int(n_paths))
     for sl, _, pi in posterior_blocks(w_tilde, noise, grid, seed, int(n_paths), w_row=w_row):
-        profits[sl] = (eta_t[None, :] - pi @ family.eta) @ trade_w
+        profits[sl] = payoff - pi @ eta_w
     return mean_and_std_err(profits)
 
 
@@ -119,8 +122,8 @@ def foc_terms(
 
     The impact channel uses the per-path posterior exactly (covariance over
     the I signal atoms), so no nested simulation is required.  The finite
-    difference reuses the same shocks with drift shifted by +- eps * v; no
-    re-simulation.
+    difference reuses the same log-likelihoods shifted by +- eps * F @ (v h),
+    the effect of the drift shift +- eps * v; no re-simulation.
 
     Raises:
         ValueError: if a direction v is identically zero.
@@ -131,33 +134,36 @@ def foc_terms(
     v = np.atleast_2d(v)
     if v.ndim != 2 or v.shape[1] != grid.n:
         raise ValueError(f"{_ERR}: v_row must have length n={grid.n}")
-    w_tilde = np.asarray(w_tilde, dtype=float)
     v_max = np.max(np.abs(v), axis=1)
     if np.any(v_max == 0.0):
         raise ValueError(f"{_ERR}: direction v is identically zero")
     eps = np.maximum(FD_REL_EPS * float(np.max(np.abs(w_row))) / v_max, FD_EPS_FLOOR)
 
-    eta, gw = family.eta, grid.quad_weights
-    eta_t = eta[true_index]
-    # Likelihood sensitivities d[k, i] = <v_k, W_tilde_i>_sigma.
+    eta, gw, eta_t = family.eta, grid.quad_weights, family.eta[true_index]
+    f, _ = likelihood_weights(w_tilde, noise, grid)
+    # Likelihood sensitivities d[k, i] = <v_k, W_tilde_i>_sigma, and the
+    # log-likelihood shift per unit eps of the left-point drift v_k h.
     d = np.array([[weighted_inner_product(v_k, row, noise, grid) for row in w_tilde] for v_k in v])
-    eta_d = d[:, :, None] * eta  # per direction, I x n rows scaled by sensitivity
-    shift = v[:, :-1] * grid.h  # drift change per unit eps (left endpoint)
+    dshift = np.array([f @ (v_k[:-1] * grid.h) for v_k in v])
     trade_w, trade_v = gw * w_row, gw * v
     trade_plus, trade_minus = gw * (w_row + eps[:, None] * v), gw * (w_row - eps[:, None] * v)
+    # eta @ trade as one matrix-vector product per direction: a stack is bitwise the single calls
+    eta_w = eta @ trade_w
+    eta_v, eta_plus, eta_minus = (np.array([eta @ t for t in trades])
+                                  for trades in (trade_v, trade_plus, trade_minus))
 
     n_paths = int(n_paths)
     ad, impact, fd = np.empty((3, len(v), n_paths))
-    for sl, inc, pi in posterior_blocks(w_tilde, noise, grid, seed, n_paths, w_row=w_row):
-        price = pi @ eta
+    for sl, log_lik, pi in posterior_blocks(w_tilde, noise, grid, seed, n_paths, w_row=w_row):
+        price_w = pi @ eta_w
         for k, e in enumerate(eps):
-            ad[k, sl] = price @ trade_v[k]
-            # Cov_pi(eta(x, .), d) = sum_i pi_i d_i eta_i(x) - P(x) * (pi . d)
-            impact[k, sl] = (pi @ eta_d[k] - price * (pi @ d[k])[:, None]) @ trade_w
-            pi_p = posterior_weights(log_likelihoods(w_tilde, inc + e * shift[k], noise, grid))
-            pi_m = posterior_weights(log_likelihoods(w_tilde, inc - e * shift[k], noise, grid))
-            profit_p = (eta_t[None, :] - pi_p @ eta) @ trade_plus[k]
-            profit_m = (eta_t[None, :] - pi_m @ eta) @ trade_minus[k]
+            ad[k, sl] = pi @ eta_v[k]
+            # int W Cov_pi(eta(x, .), d) dx = pi . (d eta_w) - (pi . eta_w)(pi . d)
+            impact[k, sl] = pi @ (d[k] * eta_w) - price_w * (pi @ d[k])
+            pi_p = posterior_weights(log_lik + e * dshift[k])
+            pi_m = posterior_weights(log_lik - e * dshift[k])
+            profit_p = trade_plus[k] @ eta_t - pi_p @ eta_plus[k]
+            profit_m = trade_minus[k] @ eta_t - pi_m @ eta_minus[k]
             fd[k, sl] = (profit_p - profit_m) / (2.0 * e)
 
     reports = []

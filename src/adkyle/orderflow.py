@@ -7,6 +7,10 @@ multiplies).  Given candidate demand schedules W_tilde_i for each signal, the
 market maker's posterior is proportional to
 
     exp( int W_tilde_i / sigma^2 dY - (1/2) <W_tilde_i, W_tilde_i>_sigma ).
+
+A path enters the posterior only through its I projections int W_tilde_i /
+sigma^2 dY, so the block loop behind impact and the first-order checks forms
+them from the shocks and never builds increments; only simulate does.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ import math
 
 import numpy as np
 
-from ._rng import block_generator, block_sizes
-from .model import NoiseProfile, PayoffFamily, StateGrid, weighted_inner_product
+from ._rng import block_generator, block_sizes, standard_normal_matrix
+from .model import NoiseProfile, PayoffFamily, StateGrid
 from .posterior import softmax
 
 _ERR = "adkyle.orderflow"
@@ -49,40 +53,32 @@ def simulate_increments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized Euler increments for n_paths independent paths.
 
-    Returns (increments, shocks), both (n_paths, n-1).
+    Returns (increments, shocks), both (n_paths, n-1); shocks are iter_shock_blocks' rows.
     """
     w_row = np.asarray(w_row, dtype=float)
     if w_row.shape != (grid.n,):
         raise ValueError(f"{_ERR}: demand row must have length n={grid.n}")
-    h = grid.h
-    drift = w_row[:-1] * h
-    scale = noise.sigma[:-1] * math.sqrt(h)
-    shocks = np.concatenate(
-        [blk for _, blk in iter_shock_blocks(grid, seed, n_paths)], axis=0
-    )
-    increments = drift + scale * shocks
+    if n_paths < 1:
+        raise ValueError(f"{_ERR}: n_paths must be positive")
+    shocks = standard_normal_matrix(seed, int(n_paths), grid.n - 1, PATH_BLOCK_SIZE)
+    increments = w_row[:-1] * grid.h + noise.sigma[:-1] * math.sqrt(grid.h) * shocks
     return increments, shocks
 
 
-def pi_mm(
-    w_tilde_row: np.ndarray, increments: np.ndarray, noise: NoiseProfile, grid: StateGrid
-) -> float | np.ndarray:
-    """Market maker's integral int W_tilde / sigma^2 dY per path (left-point, adapted).
+def likelihood_weights(
+    w_tilde: np.ndarray, noise: NoiseProfile, grid: StateGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """F = (W_tilde / sigma^2)[:, :-1] and gram_diag[i] = <W_tilde_i, W_tilde_i>_sigma.
 
-    increments is one path's dY, shape (n-1,), or a batch (m, n-1); the result
-    is a float or an (m,) array.
+    increments @ F.T are a path's I projections int W_tilde_i / sigma^2 dY (left point).
     """
-    increments = np.asarray(increments, dtype=float)
-    if increments.ndim not in (1, 2) or increments.shape[-1] != grid.n - 1:
-        raise ValueError(f"{_ERR}: increments must be (n-1,) or (m, n-1)")
-    return increments @ (np.asarray(w_tilde_row, dtype=float) / np.square(noise.sigma))[:-1]
-
-
-def pi_insider(
-    w_row: np.ndarray, w_tilde_row: np.ndarray, noise: NoiseProfile, grid: StateGrid
-) -> float:
-    """Expected insider contribution <W, W_tilde>_sigma (trapezoid weights)."""
-    return weighted_inner_product(w_row, w_tilde_row, noise, grid)
+    w_tilde = np.asarray(w_tilde, dtype=float)
+    if w_tilde.ndim != 2 or w_tilde.shape[1] != grid.n:
+        raise ValueError(f"{_ERR}: w_tilde must be an I x n matrix")
+    var = np.square(noise.sigma)
+    # row-wise weighted_inner_product(row, row): the same products, summed per row
+    gram_diag = np.sum((w_tilde * w_tilde) * (grid.quad_weights / var), axis=1)
+    return (w_tilde / var)[:, :-1], gram_diag
 
 
 def log_likelihoods(
@@ -96,17 +92,11 @@ def log_likelihoods(
     log_lik[b, i] = sum_j (W_tilde_i/sigma^2)(x_j) dY_j
                     - (1/2) <W_tilde_i, W_tilde_i>_sigma.
     """
-    w_tilde = np.asarray(w_tilde, dtype=float)
+    f, gram_diag = likelihood_weights(w_tilde, noise, grid)
     increments = np.atleast_2d(np.asarray(increments, dtype=float))
-    if w_tilde.ndim != 2 or w_tilde.shape[1] != grid.n:
-        raise ValueError(f"{_ERR}: w_tilde must be an I x n matrix")
     if increments.shape[1] != grid.n - 1:
         raise ValueError(f"{_ERR}: increments must have n-1 columns")
-    f = w_tilde / np.square(noise.sigma)  # I x n
-    drift_part = increments @ f[:, :-1].T
-    # row-wise weighted_inner_product(row, row): the same products, summed per row
-    gram_diag = np.sum((w_tilde * w_tilde) * (grid.quad_weights / np.square(noise.sigma)), axis=1)
-    return drift_part - 0.5 * gram_diag
+    return increments @ f.T - 0.5 * gram_diag
 
 
 def posterior_weights(log_lik: np.ndarray) -> np.ndarray:
@@ -137,23 +127,26 @@ def posterior_blocks(
     w_row: np.ndarray | None = None,
     signals: np.ndarray | None = None,
 ):
-    """Yield (slice, increments, pi) over the seed's shock blocks.
+    """Yield (slice, log_lik, pi) over the seed's shock blocks.
 
     The insider trades one demand row w_row on every path, or, given per-path
     signal indices, row signals[b] of w_tilde on path b.  The market maker
-    prices with the candidate schedules w_tilde (I x n); pi is its posterior,
-    shape (m, I), for the m paths in the block.
+    prices with the candidate schedules w_tilde (I x n); log_lik and its
+    posterior pi are shape (m, I) for the m paths in the block.
+
+    log_lik equals log_likelihoods of the block's increments, formed as the
+    drift's projections plus shocks @ (scale * F).T, with no (m, n-1) increments.
     """
     if (w_row is None) == (signals is None):
         raise ValueError(f"{_ERR}: pass exactly one of w_row and signals")
-    w_tilde = np.asarray(w_tilde, dtype=float)
-    h = grid.h
-    scale = noise.sigma[:-1] * math.sqrt(h)
-    drift = (w_tilde if w_row is None else np.asarray(w_row, dtype=float))[..., :-1] * h
+    f, gram_diag = likelihood_weights(w_tilde, noise, grid)
+    drift = np.asarray(w_tilde if w_row is None else w_row, dtype=float)[..., :-1] * grid.h
+    mean = drift @ f.T - 0.5 * gram_diag  # (I,) for one row, (I, I) per true signal
+    scaled_f = noise.sigma[:-1] * math.sqrt(grid.h) * f
     for offset, shocks in iter_shock_blocks(grid, seed, n_paths):
         sl = slice(offset, offset + shocks.shape[0])
-        inc = (drift if signals is None else drift[signals[sl]]) + scale * shocks
-        yield sl, inc, posterior_weights(log_likelihoods(w_tilde, inc, noise, grid))
+        log_lik = (mean if signals is None else mean[signals[sl]]) + shocks @ scaled_f.T
+        yield sl, log_lik, posterior_weights(log_lik)
 
 
 def price_schedule(pi: np.ndarray, family: PayoffFamily) -> np.ndarray:

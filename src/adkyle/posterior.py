@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from ._rng import standard_normal_matrix
 from .kernel import centering_matrix
@@ -123,18 +122,20 @@ def rival_odds(alpha_bar: float, noise: np.ndarray, true_index: int = 0) -> np.n
         sum_{j != t} exp(alpha_bar (xi_j - xi_t) - alpha_bar^2),
 
     whose exponent is at most (xi_j - xi_t)^2 / 4 for every alpha_bar: finite
-    draws cannot overflow, so no max shift is needed, and only m x (I-1)
-    temporaries are allocated.
+    draws cannot overflow, so no max shift is needed.  The rivals are summed
+    one column at a time, so only two m-vectors are allocated.
     """
     noise = np.asarray(noise, dtype=float)
     if noise.ndim != 2 or not 0 <= true_index < noise.shape[1]:
         raise ValueError(f"{_ERR}: need an (n_samples, I) noise matrix and 0 <= true_index < I")
-    z = noise[:, np.arange(noise.shape[1]) != true_index]
-    z -= noise[:, true_index, None]
-    z *= alpha_bar
-    z -= alpha_bar * alpha_bar
-    np.exp(z, out=z)
-    return z.sum(axis=1)
+    odds, z = np.zeros(noise.shape[0]), np.empty(noise.shape[0])
+    for j in range(noise.shape[1]):
+        if j != true_index:
+            np.subtract(noise[:, j], noise[:, true_index], out=z)
+            z *= alpha_bar
+            z -= alpha_bar * alpha_bar
+            odds += np.exp(z, out=z)
+    return odds
 
 
 def true_belief(alpha_bar: float, noise: np.ndarray, true_index: int = 0) -> np.ndarray:
@@ -224,7 +225,8 @@ def binary_moments_quadrature(
         raise ValueError(f"{_ERR}: n_nodes={n_nodes} below minimum {MIN_QUAD_NODES}")
     _check_alpha_bar(alpha_bar)
     # scipy's Hermite nodes stay finite for large n_nodes where the numpy
-    # polynomial version overflows.
+    # polynomial version overflows; imported here, as nothing else needs scipy.
+    from scipy.special import roots_hermite
     x, w = roots_hermite(int(n_nodes))
     z = alpha_bar * alpha_bar + 2.0 * alpha_bar * x  # mu + sigma*sqrt(2)*x
     p = _sigmoid(z)

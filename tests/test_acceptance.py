@@ -29,11 +29,11 @@ from adkyle import (
     kyle_single_asset,
     log_likelihoods,
     make_payoff_family,
-    pi_insider,
     posterior_weights,
     sample_posterior,
     simulate_increments,
     solve_alpha_star,
+    weighted_inner_product,
 )
 from adkyle._rng import standard_normal_matrix
 from adkyle.cli import main as cli_main
@@ -168,7 +168,7 @@ def test_a05_market_profit_sufficient_statistic():
         inc, _ = simulate_increments(w_row, noise, grid, seed=555, n_paths=10_000)
         for i in range(2):
             vals = inc @ f[i, :-1]
-            target = pi_insider(w_row, w_star[i], noise, grid)
+            target = weighted_inner_product(w_row, w_star[i], noise, grid)
             se = float(vals.std(ddof=1)) / math.sqrt(len(vals))
             z = abs(float(vals.mean()) - target) / se
             worst_z = max(worst_z, z)

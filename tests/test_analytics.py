@@ -6,14 +6,21 @@ import numpy as np
 import pytest
 
 from adkyle import (
+    NoiseProfile,
     cross_price_impact,
     derivative_cross_impact,
     efficiency_sweep,
     impact_surface,
     information_efficiency,
     invariance_experiment,
+    log_likelihoods,
+    make_payoff_family,
+    posterior_weights,
+    simulate_increments,
 )
-from adkyle.analytics import node_index
+from adkyle._rng import block_generator, derive_seed
+from adkyle.analytics import _path_signals, node_index
+from adkyle.orderflow import PATH_BLOCK_SIZE
 from adkyle.posterior import MIN_MOMENT_SAMPLES
 from conftest import exact_binary_equilibrium
 
@@ -126,6 +133,55 @@ def test_surface_agrees_with_pointwise_estimates(
             # one estimator: only the rounding of a one-column matmul differs
             assert est.value == pytest.approx(values[a, b], rel=1e-12, abs=1e-15)
             assert est.std_err == pytest.approx(errs[a, b], rel=1e-12)
+
+
+def _impact_from_full_paths(points, w_star, family, noise, grid, n_paths, seed, conditioned_on):
+    """Brute-force impact_surface: per-path covariances from the full increments."""
+    idx = np.array([grid.nearest(p) for p in points])
+    signals = _path_signals(seed, family.I, n_paths, conditioned_on)
+    _, shocks = simulate_increments(w_star[0], noise, grid, seed, n_paths)
+    inc = w_star[signals, :-1] * grid.h + noise.sigma[:-1] * math.sqrt(grid.h) * shocks
+    pi = posterior_weights(log_likelihoods(w_star, inc, noise, grid))
+    eta_x, w_y = family.eta[:, idx], w_star[:, idx]
+    cov = np.einsum("mi,ik,il->mkl", pi, eta_x, w_y)
+    cov -= (pi @ eta_x)[:, :, None] * (pi @ w_y)[:, None, :]
+    cov /= np.square(noise.sigma[idx])[None, None, :]
+    return cov.mean(axis=0), cov.std(axis=0, ddof=1) / math.sqrt(n_paths)
+
+
+@pytest.mark.parametrize("means,conditioned_on", [
+    ([-1.0, 1.0], None), ([-1.5, -0.5, 0.5, 1.5], None), ([-1.5, -0.5, 0.5, 1.5], 2),
+])
+def test_surface_matches_full_path_reference(means, conditioned_on, grid):
+    # impact_surface sums C_m and C_m (x) C_m over I-dimensional posteriors; the
+    # per-path einsum over full increments must agree to rounding, including
+    # at the signal-invariant source x = 0, where Lambda vanishes
+    family = make_payoff_family("gaussian_mean_shift", {"means": means, "sd": 1.0}, grid)
+    noise = NoiseProfile(sigma=1.0 + 0.05 * (grid.nodes - grid.x_min))
+    kern = build_canonical_kernel(family, noise, grid)
+    _, w_star = equilibrium_demand(exact_binary_equilibrium(kern), kern, family)
+    w_star *= np.linspace(0.8, 1.2, family.I)[:, None]  # unequal norms: the Gram diagonal counts
+    points = np.array([-2.0, -1.0, 0.0, 0.52, 2.0])
+    n_paths, seed = 3 * PATH_BLOCK_SIZE + 100, 13
+    values, errs = impact_surface(points, points, w_star, family, noise, grid,
+                                  n_paths=n_paths, seed=seed, conditioned_on=conditioned_on)
+    ref_values, ref_errs = _impact_from_full_paths(
+        points, w_star, family, noise, grid, n_paths, seed, conditioned_on)
+    for got, ref in ((values, ref_values), (errs, ref_errs)):
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+
+
+def test_path_signals_fill_their_blocks_in_place():
+    # one preallocated vector, the concatenation of the counter blocks
+    n, seed = 2 * PATH_BLOCK_SIZE + 7, 19
+    sig_seed = derive_seed(seed, 1)
+    reference = np.concatenate([
+        block_generator(sig_seed, 0).integers(0, 4, size=PATH_BLOCK_SIZE),
+        block_generator(sig_seed, 1).integers(0, 4, size=PATH_BLOCK_SIZE),
+        block_generator(sig_seed, 2).integers(0, 4, size=7),
+    ])
+    assert np.array_equal(_path_signals(seed, 4, n, None), reference)
+    assert np.array_equal(_path_signals(seed, 4, n, 3), np.full(n, 3))
 
 
 def test_derivative_cross_impact_is_grid_converged(grid):

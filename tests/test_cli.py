@@ -2,10 +2,17 @@
 
 import csv
 import math
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adkyle
 from adkyle.cli import OUTPUT_DIR_ENV, _solved, main, write_csv
 from adkyle.config import load_config, with_seed
 from adkyle.orderflow import iter_shock_blocks
@@ -231,6 +238,39 @@ def test_out_of_memory_exits_with_code_two(cfg_file, tmp_path, capsys, monkeypat
     assert main(["kernel", "dump", "-c", str(cfg_file), "-o", str(tmp_path / "k")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: adkyle.cli: out of memory") and len(err.splitlines()) == 1
+
+
+def _run_python(argv, **kwargs):
+    """A fresh interpreter with this checkout's adkyle on the path and one BLAS thread."""
+    env = dict(os.environ, PYTHONPATH=str(Path(adkyle.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          **kwargs)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only the skew-normal family and the binary quadrature
+    proc = _run_python(["-c", "import sys, adkyle.cli; sys.exit('scipy' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_unaffordable_path_count_fails_up_front(tmp_path):
+    # 2**40 paths need terabytes: the first allocation fails, before any block
+    # is drawn, under a process-local address-space cap
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(FAST_CONFIG.replace("mc.n_paths = 400", f"mc.n_paths = {2**40}"))
+    cap = 1 << 30
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    t0 = time.perf_counter()
+    proc = _run_python(["-m", "adkyle.cli", "impact", "-c", str(cfg), "-o", str(tmp_path / "out")],
+                       preexec_fn=limit_address_space, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: adkyle.cli: out of memory")
+    assert len(proc.stderr.splitlines()) == 1
+    assert time.perf_counter() - t0 < 30.0
 
 
 def test_missing_config_file_exits_with_code_two(tmp_path, capsys):

@@ -1,15 +1,26 @@
 """Expected-utility decomposition, first-order checks, and impact-free directions."""
 
+import math
+
 import numpy as np
 import pytest
 
 from adkyle import (
+    NoiseProfile,
+    build_canonical_kernel,
+    equilibrium_demand,
     expected_utility,
     foc_terms,
+    log_likelihoods,
+    make_payoff_family,
+    posterior_weights,
+    simulate_increments,
     weighted_inner_product,
     zero_impact_basis,
 )
+from adkyle.objective import FD_EPS_FLOOR, FD_REL_EPS
 from adkyle.orderflow import PATH_BLOCK_SIZE
+from conftest import exact_binary_equilibrium
 
 CLOSURE_SIGMAS = 3.0
 ORTHOGONALITY_TOLERANCE = 1e-10
@@ -156,3 +167,55 @@ def test_direction_must_be_nonzero(mean_shift_demand, mean_shift_family, unit_no
             w_star[0], np.stack([w_star[0], np.zeros(grid.n)]), w_star, mean_shift_family, 0,
             unit_noise, grid, n_paths=2000, seed=0,
         )
+
+
+def _foc_from_full_paths(w_row, v, w_tilde, family, true_index, noise, grid, n_paths, seed):
+    """Brute-force foc_terms: every term from the full increments of every path.
+
+    The finite difference re-filters each path with its drift shifted by
+    +- eps * v, through log_likelihoods over all n-1 increments.
+    """
+    eps = max(FD_REL_EPS * np.max(np.abs(w_row)) / np.max(np.abs(v)), FD_EPS_FLOOR)
+    gw, eta, eta_t = grid.quad_weights, family.eta, family.eta[true_index]
+    inc, _ = simulate_increments(w_row, noise, grid, seed, n_paths)
+    d = np.array([weighted_inner_product(v, row, noise, grid) for row in w_tilde])
+    pi = posterior_weights(log_likelihoods(w_tilde, inc, noise, grid))
+    price = pi @ eta
+    ad = price @ (gw * v)
+    impact = (pi @ (d[:, None] * eta) - price * (pi @ d)[:, None]) @ (gw * w_row)
+
+    def profit(step):
+        shifted = inc + step * v[:-1] * grid.h
+        pi_s = posterior_weights(log_likelihoods(w_tilde, shifted, noise, grid))
+        return (eta_t - pi_s @ eta) @ (gw * (w_row + step * v))
+
+    fd = (profit(eps) - profit(-eps)) / (2.0 * eps)
+    payoff = float((gw * v) @ eta_t)
+    return {
+        "payoff_term": payoff, "adverse_selection_term": ad.mean(),
+        "impact_term": impact.mean(), "analytic_total": (payoff - ad - impact).mean(),
+        "fd_total": fd.mean(), "std_err_fd": fd.std(ddof=1) / math.sqrt(n_paths),
+    }
+
+
+@pytest.mark.parametrize("means", [[-1.0, 1.0], [-1.5, -0.5, 0.5, 1.5]])
+def test_projection_estimator_matches_full_path_reference(means, grid):
+    # the block loop works on I projections per path; the full-increment
+    # reference must agree to rounding, across three blocks and a partial one
+    family = make_payoff_family("gaussian_mean_shift", {"means": means, "sd": 1.0}, grid)
+    noise = NoiseProfile(sigma=1.0 + 0.05 * (grid.nodes - grid.x_min))
+    kern = build_canonical_kernel(family, noise, grid)
+    _, w_star = equilibrium_demand(exact_binary_equilibrium(kern), kern, family)
+    w_star *= np.linspace(0.8, 1.2, family.I)[:, None]  # unequal norms: the Gram diagonal counts
+    bump = 0.4 * np.exp(-0.5 * np.square(grid.nodes - 0.7))
+    directions = np.stack([w_star[0], family.eta[0], bump])
+    n_paths, seed = 3 * PATH_BLOCK_SIZE + 100, 31
+    reports = foc_terms(w_star[0], directions, w_star, family, 0, noise, grid,
+                        n_paths=n_paths, seed=seed)
+    for v, rep in zip(directions, reports):
+        ref = _foc_from_full_paths(w_star[0], v, w_star, family, 0, noise, grid, n_paths, seed)
+        # the totals are differences of the three terms, so their rounding
+        # scales with the largest term, not with the (small) total itself
+        scale = max(abs(ref[k]) for k in ("payoff_term", "adverse_selection_term", "impact_term"))
+        for name, value in ref.items():
+            assert getattr(rep, name) == pytest.approx(value, rel=1e-10, abs=1e-10 * scale), name

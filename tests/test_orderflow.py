@@ -7,8 +7,6 @@ import pytest
 
 from adkyle import (
     log_likelihoods,
-    pi_insider,
-    pi_mm,
     posterior_weights,
     price_schedule,
     sample_posterior,
@@ -89,35 +87,17 @@ def test_log_likelihoods_match_manual_formula(mean_shift_demand, unit_noise, gri
         assert ll[0, i] == pytest.approx(manual, rel=1e-12)
 
 
-def test_insider_profit_is_weighted_inner_product(mean_shift_demand, unit_noise, grid):
-    _, _, w_star = mean_shift_demand
-    value = pi_insider(w_star[0], w_star[1], unit_noise, grid)
-    assert value == weighted_inner_product(w_star[0], w_star[1], unit_noise, grid)
-
-
 def test_market_profit_is_unbiased_for_insider_profit(
     mean_shift_demand, unit_noise, grid
 ):
     # E[market-maker profit functional] equals the insider cross profit
     _, _, w_star = mean_shift_demand
-    target = pi_insider(w_star[0], w_star[0], unit_noise, grid)
+    target = weighted_inner_product(w_star[0], w_star[0], unit_noise, grid)
     inc, _ = simulate_increments(w_star[0], unit_noise, grid, seed=40_000, n_paths=2000)
-    vals = pi_mm(w_star[0], inc, unit_noise, grid)
+    vals = inc @ (w_star[0] / np.square(unit_noise.sigma))[:-1]
     assert vals.shape == (2000,)
     std_err = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - target) <= MEAN_CHECK_SIGMAS * std_err
-
-
-def test_market_profit_of_one_path_is_its_batch_row(mean_shift_demand, unit_noise, grid):
-    _, _, w_star = mean_shift_demand
-    inc, _ = simulate_increments(w_star[0], unit_noise, grid, seed=2, n_paths=3)
-    batch = pi_mm(w_star[1], inc, unit_noise, grid)
-    f = w_star[1] / np.square(unit_noise.sigma)
-    for p in range(3):
-        assert pi_mm(w_star[1], inc[p], unit_noise, grid) == pytest.approx(batch[p], rel=1e-12)
-        assert batch[p] == pytest.approx(float(np.dot(f[:-1], inc[p])), rel=1e-12)
-    with pytest.raises(ValueError, match="adkyle.orderflow"):
-        pi_mm(w_star[1], inc[:, :-1], unit_noise, grid)
 
 
 def test_price_schedule_is_convex_combination(mean_shift_family):

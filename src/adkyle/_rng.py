@@ -4,6 +4,10 @@ Every stochastic routine in the package draws from Philox streams keyed by
 (seed, block_id).  Blocks are generated in a fixed order and merged with
 pairwise summation, so results are bitwise reproducible and independent of
 any worker scheduling.
+
+Each stage draws its own stream (Random123, Salmon et al., SC'11): the solver
+on the raw seed, efficiency_sweep's entry I on derive_seed(master, I), and the
+rest on derive_seed(seed, *tag) below; a two-word tag can equal neither.
 """
 
 from __future__ import annotations
@@ -12,6 +16,11 @@ import numpy as np
 
 BLOCK_SIZE = 65536
 
+SIGNALS = (1,)            # impact's uniform draw of each path's true signal
+PATH_SHOCKS = (0, 1)      # simulate's (n_paths, n-1) Brownian shocks
+FLOW_STATISTIC = (0, 2)   # the (n_paths, I) normals behind the market maker's statistic
+INVARIANCE_IE = (0, 3)    # invariance_experiment's efficiency noise
+
 
 def block_generator(seed: int, block_id: int) -> np.random.Generator:
     """Independent generator for one sample block of a master stream."""
@@ -19,10 +28,10 @@ def block_generator(seed: int, block_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def block_sizes(n: int, block_size: int = BLOCK_SIZE):
-    """Yield the fixed-order block lengths of n draws, one at a time (no list for a huge n)."""
-    for start in range(0, n, block_size):
-        yield min(block_size, n - start)
+def blocks(n: int, block_size: int = BLOCK_SIZE):
+    """Yield (block_id, slice) over n draws in fixed-order blocks, one at a time (no list for a huge n)."""
+    for block_id, start in enumerate(range(0, n, block_size)):
+        yield block_id, slice(start, min(start + block_size, n))
 
 
 def standard_normal_matrix(seed: int, n: int, dim: int, block_size: int = BLOCK_SIZE) -> np.ndarray:
@@ -33,10 +42,8 @@ def standard_normal_matrix(seed: int, n: int, dim: int, block_size: int = BLOCK_
     matrix, and any prefix of blocks is unaffected by how many blocks follow.
     """
     out = np.empty((n, dim))  # one allocation: a size that cannot fit fails here, up front
-    offset = 0
-    for block_id, m in enumerate(block_sizes(n, block_size)):
-        block_generator(seed, block_id).standard_normal(out=out[offset:offset + m])
-        offset += m
+    for block_id, sl in blocks(n, block_size):
+        block_generator(seed, block_id).standard_normal(out=out[sl])
     return out
 
 

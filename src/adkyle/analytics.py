@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import block_generator, block_sizes, derive_seed
+from ._rng import INVARIANCE_IE, SIGNALS, block_generator, blocks, derive_seed
 from .kernel import CanonicalKernel, build_canonical_kernel, centering_matrix
 from .model import NoiseProfile, PayoffFamily, StateGrid, trapezoid
 from .orderflow import PATH_BLOCK_SIZE, posterior_blocks
@@ -77,14 +77,15 @@ def node_index(grid: StateGrid, x: float) -> int:
 
 
 def _path_signals(seed: int, I: int, n_paths: int, conditioned_on: int | None) -> np.ndarray:
-    """Per-path true signals: pinned, or uniform draws blocked like the shock stream."""
+    """Per-path true signals: pinned, or uniform draws in path blocks from the SIGNALS stream."""
     if conditioned_on is not None:
+        if not 0 <= conditioned_on < I:
+            raise ValueError(f"{_ERR}: conditioned_on {conditioned_on} out of range for I={I}")
         return np.full(n_paths, int(conditioned_on), dtype=np.int64)
     out = np.empty(n_paths, dtype=np.int64)  # one allocation: a size that cannot fit fails here
-    sig_seed, offset = derive_seed(seed, 1), 0
-    for block_id, m in enumerate(block_sizes(n_paths, PATH_BLOCK_SIZE)):
-        out[offset:offset + m] = block_generator(sig_seed, block_id).integers(0, I, size=m)
-        offset += m
+    sig_seed = derive_seed(seed, *SIGNALS)
+    for block_id, sl in blocks(n_paths, PATH_BLOCK_SIZE):
+        out[sl] = block_generator(sig_seed, block_id).integers(0, I, size=sl.stop - sl.start)
     return out
 
 
@@ -285,7 +286,7 @@ def invariance_experiment(
     kern_scaled = build_canonical_kernel(family, NoiseProfile(scale * noise.sigma), grid)
     eq_base = solve_alpha_star(kern_base, n_samples=n_samples, seed=seed)
     eq_scaled = solve_alpha_star(kern_scaled, n_samples=n_samples, seed=seed)
-    ie_seed = derive_seed(seed, 2)
+    ie_seed = derive_seed(seed, *INVARIANCE_IE)
     ie_base, _ = information_efficiency(eq_base.alpha_star, family.I, n_samples=n_samples, seed=ie_seed)
     ie_scaled, _ = information_efficiency(eq_scaled.alpha_star, family.I, n_samples=n_samples, seed=ie_seed)
     return InvarianceReport(

@@ -136,7 +136,7 @@ def cmd_simulate(args, cfg: RunConfig, outdir: Path) -> int:
     grid, noise, family, eq, w_star = _solved(cfg)
     s = _signal(args, family)
 
-    # path p is row p of the seed's shock stream, so a path's rows do not depend on --paths
+    # path p is row p of the seed's path-shock stream, so a path's rows do not depend on --paths
     n_paths, n, I = args.paths, grid.n, family.I
     increments, _ = simulate_increments(w_star[s], noise, grid, cfg.seed, n_paths)
     y = np.zeros((n_paths, n))

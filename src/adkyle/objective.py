@@ -10,8 +10,8 @@ price paid int v P dx, and the price pressure of v on P via the likelihoods.
 foc_terms reports all three next to a central finite difference computed on
 the same shocks, so the comparison is exact up to discretization and O(eps^2)
 curvature rather than Monte Carlo noise.  Given a stack of directions it
-draws one shock stream for all of them (common random numbers across
-directions as well as across the two sides of the difference).
+draws the order-flow statistic once for all of them (common random numbers
+across directions as well as across the two sides of the difference).
 
 Every term works on I numbers per path: a trade's price is pi @ (eta @ trade),
 and the drift shift eps * v moves the log-likelihoods by eps * F @ (v h).
@@ -77,6 +77,12 @@ def _demand_row(grid: StateGrid, w_row: np.ndarray) -> np.ndarray:
     return w_row
 
 
+def _true_payoff(family: PayoffFamily, true_index: int) -> np.ndarray:
+    if not 0 <= true_index < family.I:
+        raise ValueError(f"{_ERR}: true_index {true_index} out of range for I={family.I}")
+    return family.eta[true_index]
+
+
 def expected_utility(
     w_row: np.ndarray,
     w_tilde: np.ndarray,
@@ -94,7 +100,7 @@ def expected_utility(
     """
     w_row = _demand_row(grid, w_row)
     trade_w = grid.quad_weights * w_row  # quadrature-weighted trade sizes
-    payoff, eta_w = family.eta[true_index] @ trade_w, family.eta @ trade_w
+    payoff, eta_w = _true_payoff(family, true_index) @ trade_w, family.eta @ trade_w
 
     profits = np.empty(int(n_paths))
     for sl, _, pi in posterior_blocks(w_tilde, noise, grid, seed, int(n_paths), w_row=w_row):
@@ -116,7 +122,7 @@ def foc_terms(
     """Directional derivative of the insider objective, three ways decomposed.
 
     v_row is one direction (n,), giving one FocReport, or a stack (k, n),
-    giving k reports, each equal to the single-direction call.  The shocks,
+    giving k reports, each equal to the single-direction call.  The draws,
     the base posterior and the price are computed once per block for all
     directions.
 
@@ -139,7 +145,7 @@ def foc_terms(
         raise ValueError(f"{_ERR}: direction v is identically zero")
     eps = np.maximum(FD_REL_EPS * float(np.max(np.abs(w_row))) / v_max, FD_EPS_FLOOR)
 
-    eta, gw, eta_t = family.eta, grid.quad_weights, family.eta[true_index]
+    eta, gw, eta_t = family.eta, grid.quad_weights, _true_payoff(family, true_index)
     f, _ = likelihood_weights(w_tilde, noise, grid)
     # Likelihood sensitivities d[k, i] = <v_k, W_tilde_i>_sigma, and the
     # log-likelihood shift per unit eps of the left-point drift v_k h.
@@ -207,33 +213,24 @@ def zero_impact_basis(
     def norm(f):
         return math.sqrt(max(weighted_inner_product(f, f, noise, grid), 0.0))
 
+    def orthonormalize(rows, scales, kept):
+        """Append each row's two-pass residual off kept, normalized, unless below drop_tol of its scale."""
+        for u, scale in zip(rows, scales):
+            for _ in range(2):
+                for b in kept:
+                    u = u - weighted_inner_product(u, b, noise, grid) * b
+            nu = norm(u)
+            if nu > drop_tol * scale:
+                kept.append(u / nu)
+        return kept
+
     # Orthonormalize the span to project against (rank-tolerant).
-    span: list[np.ndarray] = []
     max_norm = max((norm(r) for r in w_tilde), default=0.0)
-    for row in w_tilde:
-        u = row.copy()
-        for _ in range(2):
-            for b in span:
-                u = u - weighted_inner_product(u, b, noise, grid) * b
-        nu = norm(u)
-        if max_norm > 0.0 and nu > drop_tol * max_norm:
-            span.append(u / nu)
+    span = orthonormalize(w_tilde, [max_norm] * I, [])
 
     t = (2.0 * grid.nodes - (grid.x_min + grid.x_max)) / (grid.x_max - grid.x_min)
     dictionary = np.polynomial.legendre.legvander(t, 2 * I - 1).T  # 2I rows
-
-    basis: list[np.ndarray] = []
-    for cand in dictionary:
-        n0 = norm(cand)
-        if n0 == 0.0:
-            continue
-        u = cand.copy()
-        for _ in range(2):
-            for b in span + basis:
-                u = u - weighted_inner_product(u, b, noise, grid) * b
-        nu = norm(u)
-        if nu > drop_tol * n0:
-            basis.append(u / nu)
+    basis = orthonormalize(dictionary, [norm(c) for c in dictionary], list(span))[len(span):]
     if not basis:
         raise ValueError(f"{_ERR}: no zero-impact direction survived; enlarge the dictionary")
     return np.stack(basis)

@@ -9,8 +9,9 @@ market maker's posterior is proportional to
     exp( int W_tilde_i / sigma^2 dY - (1/2) <W_tilde_i, W_tilde_i>_sigma ).
 
 A path enters the posterior only through its I projections int W_tilde_i /
-sigma^2 dY, so the block loop behind impact and the first-order checks forms
-them from the shocks and never builds increments; only simulate does.
+sigma^2 dY, so impact and the first-order checks draw those I numbers per path
+directly, from their own stream; only simulate draws (n_paths, n-1) shocks and
+builds increments.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 
 import numpy as np
 
-from ._rng import block_generator, block_sizes, standard_normal_matrix
+from ._rng import FLOW_STATISTIC, PATH_SHOCKS, blocks, derive_seed, standard_normal_matrix
 from .model import NoiseProfile, PayoffFamily, StateGrid
 from .posterior import softmax
 
@@ -27,21 +28,6 @@ _ERR = "adkyle.orderflow"
 
 LOG_LIK_SPREAD_MAX = 700.0  # beyond this, exp underflow erases posterior mass
 PATH_BLOCK_SIZE = 4096      # paths per counter block; keeps block matrices small
-
-
-def iter_shock_blocks(grid: StateGrid, seed: int, n_paths: int):
-    """Yield (offset, shocks) blocks of standard normals, shape (m, n-1).
-
-    Blocks are generated with counter keys (seed, block_id) at a fixed block
-    size, so the concatenated stream depends only on the seed -- never on how
-    a consumer chunks its work.
-    """
-    if n_paths < 1:
-        raise ValueError(f"{_ERR}: n_paths must be positive")
-    offset = 0
-    for block_id, m in enumerate(block_sizes(int(n_paths), PATH_BLOCK_SIZE)):
-        yield offset, block_generator(seed, block_id).standard_normal((m, grid.n - 1))
-        offset += m
 
 
 def simulate_increments(
@@ -53,14 +39,16 @@ def simulate_increments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized Euler increments for n_paths independent paths.
 
-    Returns (increments, shocks), both (n_paths, n-1); shocks are iter_shock_blocks' rows.
+    Returns (increments, shocks), both (n_paths, n-1); path p is row p of the
+    seed's PATH_SHOCKS stream, whatever n_paths.
     """
     w_row = np.asarray(w_row, dtype=float)
     if w_row.shape != (grid.n,):
         raise ValueError(f"{_ERR}: demand row must have length n={grid.n}")
     if n_paths < 1:
         raise ValueError(f"{_ERR}: n_paths must be positive")
-    shocks = standard_normal_matrix(seed, int(n_paths), grid.n - 1, PATH_BLOCK_SIZE)
+    shocks = standard_normal_matrix(derive_seed(seed, *PATH_SHOCKS), int(n_paths), grid.n - 1,
+                                    PATH_BLOCK_SIZE)
     increments = w_row[:-1] * grid.h + noise.sigma[:-1] * math.sqrt(grid.h) * shocks
     return increments, shocks
 
@@ -127,25 +115,30 @@ def posterior_blocks(
     w_row: np.ndarray | None = None,
     signals: np.ndarray | None = None,
 ):
-    """Yield (slice, log_lik, pi) over the seed's shock blocks.
+    """Yield (slice, log_lik, pi) over the seed's FLOW_STATISTIC stream in path blocks.
 
     The insider trades one demand row w_row on every path, or, given per-path
     signal indices, row signals[b] of w_tilde on path b.  The market maker
     prices with the candidate schedules w_tilde (I x n); log_lik and its
     posterior pi are shape (m, I) for the m paths in the block.
 
-    log_lik equals log_likelihoods of the block's increments, formed as the
-    drift's projections plus shocks @ (scale * F).T, with no (m, n-1) increments.
+    log_lik is the drift's projections plus the noise's, nu = shocks @ A.T ~
+    N(0, A A^T) with A = (sigma sqrt(h)) * F, drawn as z @ R from I normals z per
+    path and the QR factor R of A^T (A A^T is singular when the rows of W_tilde
+    sum to zero, so it has no Cholesky factor).
     """
     if (w_row is None) == (signals is None):
         raise ValueError(f"{_ERR}: pass exactly one of w_row and signals")
+    if n_paths < 1:
+        raise ValueError(f"{_ERR}: n_paths must be positive")
     f, gram_diag = likelihood_weights(w_tilde, noise, grid)
     drift = np.asarray(w_tilde if w_row is None else w_row, dtype=float)[..., :-1] * grid.h
     mean = drift @ f.T - 0.5 * gram_diag  # (I,) for one row, (I, I) per true signal
-    scaled_f = noise.sigma[:-1] * math.sqrt(grid.h) * f
-    for offset, shocks in iter_shock_blocks(grid, seed, n_paths):
-        sl = slice(offset, offset + shocks.shape[0])
-        log_lik = (mean if signals is None else mean[signals[sl]]) + shocks @ scaled_f.T
+    r = np.linalg.qr((noise.sigma[:-1] * math.sqrt(grid.h) * f).T, mode="r")
+    z = standard_normal_matrix(derive_seed(seed, *FLOW_STATISTIC), int(n_paths), len(f),
+                               PATH_BLOCK_SIZE)
+    for _, sl in blocks(len(z), PATH_BLOCK_SIZE):
+        log_lik = (mean if signals is None else mean[signals[sl]]) + z[sl] @ r
         yield sl, log_lik, posterior_weights(log_lik)
 
 

@@ -18,6 +18,8 @@ from adkyle import (
     make_payoff_family,
     solve_alpha_star,
 )
+from adkyle._rng import FLOW_STATISTIC, derive_seed, standard_normal_matrix
+from adkyle.orderflow import PATH_BLOCK_SIZE
 
 # Exact fixed point of the binary moment equation: the scaled-posterior map
 # for two signals is stationary at sqrt(2).
@@ -66,6 +68,21 @@ def exact_binary_equilibrium(kern):
         phi_residual=0.0,
         mc_meta={"n_samples": 0, "seed": -1},
     )
+
+
+def statistic_shocks(w_tilde, noise, grid, seed, n_paths):
+    """(n_paths, n-1) shocks whose projections are the order-flow statistic's draws.
+
+    With A = sigma sqrt(h) (W_tilde / sigma^2)[:, :-1] and A^T = Q R, the shocks
+    z @ Q^T project to z @ Q^T @ A^T = z @ R, the noise that the block loop adds
+    to each path's log-likelihoods.  A reference that filters full increments
+    built on these shocks must match the block loop to rounding.
+    """
+    f = (w_tilde / np.square(noise.sigma))[:, :-1]
+    q, _ = np.linalg.qr((noise.sigma[:-1] * math.sqrt(grid.h) * f).T)
+    z = standard_normal_matrix(derive_seed(seed, *FLOW_STATISTIC), n_paths, len(w_tilde),
+                               PATH_BLOCK_SIZE)
+    return z @ q.T
 
 
 @pytest.fixture(scope="session")

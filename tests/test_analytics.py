@@ -16,13 +16,12 @@ from adkyle import (
     log_likelihoods,
     make_payoff_family,
     posterior_weights,
-    simulate_increments,
 )
 from adkyle._rng import block_generator, derive_seed
 from adkyle.analytics import _path_signals, node_index
 from adkyle.orderflow import PATH_BLOCK_SIZE
 from adkyle.posterior import MIN_MOMENT_SAMPLES
-from conftest import exact_binary_equilibrium
+from conftest import exact_binary_equilibrium, statistic_shocks
 
 from adkyle import build_canonical_kernel, equilibrium_demand
 
@@ -136,10 +135,10 @@ def test_surface_agrees_with_pointwise_estimates(
 
 
 def _impact_from_full_paths(points, w_star, family, noise, grid, n_paths, seed, conditioned_on):
-    """Brute-force impact_surface: per-path covariances from the full increments."""
+    """Brute-force impact_surface: per-path covariances from full increments on the statistic's shocks."""
     idx = np.array([grid.nearest(p) for p in points])
     signals = _path_signals(seed, family.I, n_paths, conditioned_on)
-    _, shocks = simulate_increments(w_star[0], noise, grid, seed, n_paths)
+    shocks = statistic_shocks(w_star, noise, grid, seed, n_paths)
     inc = w_star[signals, :-1] * grid.h + noise.sigma[:-1] * math.sqrt(grid.h) * shocks
     pi = posterior_weights(log_likelihoods(w_star, inc, noise, grid))
     eta_x, w_y = family.eta[:, idx], w_star[:, idx]
@@ -169,6 +168,18 @@ def test_surface_matches_full_path_reference(means, conditioned_on, grid):
         points, w_star, family, noise, grid, n_paths, seed, conditioned_on)
     for got, ref in ((values, ref_values), (errs, ref_errs)):
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("conditioned_on", [-1, 2])
+def test_conditioning_out_of_range_is_rejected(conditioned_on, mean_shift_demand,
+                                               mean_shift_family, unit_noise, grid):
+    # a negative index must not wrap to signal I - 1, nor a large one end in IndexError
+    _, _, w_star = mean_shift_demand
+    args = (w_star, mean_shift_family, unit_noise, grid)
+    with pytest.raises(ValueError, match="adkyle.analytics: conditioned_on"):
+        impact_surface([1.0], [1.0], *args, n_paths=100, seed=0, conditioned_on=conditioned_on)
+    with pytest.raises(ValueError, match="adkyle.analytics: conditioned_on"):
+        cross_price_impact(1.0, 1.0, *args, n_paths=100, seed=0, conditioned_on=conditioned_on)
 
 
 def test_path_signals_fill_their_blocks_in_place():

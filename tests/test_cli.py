@@ -15,7 +15,8 @@ import pytest
 import adkyle
 from adkyle.cli import OUTPUT_DIR_ENV, _solved, main, write_csv
 from adkyle.config import load_config, with_seed
-from adkyle.orderflow import iter_shock_blocks
+from adkyle._rng import FLOW_STATISTIC, PATH_SHOCKS, derive_seed, standard_normal_matrix
+from adkyle.orderflow import PATH_BLOCK_SIZE
 
 FAST_CONFIG = """
 grid.n = 101
@@ -83,21 +84,18 @@ def test_posterior_probe_draws_its_noise_once(cfg_file, tmp_path, monkeypatch):
 
 
 def test_verify_foc_draws_each_shock_block_once(cfg_file, tmp_path, monkeypatch):
+    # every direction reads one (n_paths, I) draw of the order-flow statistic
     import adkyle.orderflow
 
-    blocks = []
-    real = adkyle.orderflow.iter_shock_blocks
-
-    def counting(*a, **k):
-        for item in real(*a, **k):
-            blocks.append(item[0])
-            yield item
-
-    monkeypatch.setattr(adkyle.orderflow, "iter_shock_blocks", counting)
-    n_paths = 2 * adkyle.orderflow.PATH_BLOCK_SIZE + 1
+    draws = []
+    real = adkyle.orderflow.standard_normal_matrix
+    monkeypatch.setattr(
+        adkyle.orderflow, "standard_normal_matrix", lambda *a, **k: draws.append(a) or real(*a, **k)
+    )
+    n_paths = 2 * PATH_BLOCK_SIZE + 1
     cfg_file.write_text(FAST_CONFIG + f"mc.n_paths = {n_paths}\n")
     assert main(["verify-foc", "-c", str(cfg_file), "-o", str(tmp_path / "foc")]) == 0
-    assert len(blocks) == math.ceil(n_paths / adkyle.orderflow.PATH_BLOCK_SIZE)
+    assert draws == [(derive_seed(3, *FLOW_STATISTIC), n_paths, 2, PATH_BLOCK_SIZE)]
 
 
 def test_simulate_writes_path_outputs(cfg_file, tmp_path):
@@ -126,8 +124,8 @@ def _simulate(cfg_file, tmp_path, seed, n_paths):
 def test_simulate_draws_every_path_from_one_shock_stream(cfg_file, tmp_path):
     lines7, y7, grid, noise, w7 = _simulate(cfg_file, tmp_path, 7, 3)
     drift, scale = w7[0][:-1] * grid.h, noise.sigma[:-1] * math.sqrt(grid.h)
-    # path p is row p of the seed's shock stream
-    stream = np.concatenate([blk for _, blk in iter_shock_blocks(grid, 7, 3)])
+    # path p is row p of the seed's path-shock stream
+    stream = standard_normal_matrix(derive_seed(7, *PATH_SHOCKS), 3, grid.n - 1, PATH_BLOCK_SIZE)
     assert np.all(y7[:, 0] == 0.0)
     assert np.array_equal(y7[:, 1:], np.cumsum(drift + scale * stream, axis=1))
     # so a path's rows do not depend on --paths

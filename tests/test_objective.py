@@ -14,13 +14,12 @@ from adkyle import (
     log_likelihoods,
     make_payoff_family,
     posterior_weights,
-    simulate_increments,
     weighted_inner_product,
     zero_impact_basis,
 )
 from adkyle.objective import FD_EPS_FLOOR, FD_REL_EPS
 from adkyle.orderflow import PATH_BLOCK_SIZE
-from conftest import exact_binary_equilibrium
+from conftest import exact_binary_equilibrium, statistic_shocks
 
 CLOSURE_SIGMAS = 3.0
 ORTHOGONALITY_TOLERANCE = 1e-10
@@ -169,15 +168,28 @@ def test_direction_must_be_nonzero(mean_shift_demand, mean_shift_family, unit_no
         )
 
 
+@pytest.mark.parametrize("true_index", [-1, 2])
+def test_signal_index_out_of_range_is_rejected(true_index, mean_shift_demand, mean_shift_family,
+                                               unit_noise, grid):
+    # a negative index must not wrap to signal I - 1, nor a large one end in IndexError
+    _, _, w_star = mean_shift_demand
+    args = (w_star, mean_shift_family, true_index, unit_noise, grid)
+    with pytest.raises(ValueError, match="adkyle.objective: true_index"):
+        foc_terms(w_star[0], w_star[1], *args, n_paths=100, seed=0)
+    with pytest.raises(ValueError, match="adkyle.objective: true_index"):
+        expected_utility(w_star[0], *args, n_paths=100, seed=0)
+
+
 def _foc_from_full_paths(w_row, v, w_tilde, family, true_index, noise, grid, n_paths, seed):
-    """Brute-force foc_terms: every term from the full increments of every path.
+    """Brute-force foc_terms: every term from full increments on the statistic's shocks.
 
     The finite difference re-filters each path with its drift shifted by
     +- eps * v, through log_likelihoods over all n-1 increments.
     """
     eps = max(FD_REL_EPS * np.max(np.abs(w_row)) / np.max(np.abs(v)), FD_EPS_FLOOR)
     gw, eta, eta_t = grid.quad_weights, family.eta, family.eta[true_index]
-    inc, _ = simulate_increments(w_row, noise, grid, seed, n_paths)
+    shocks = statistic_shocks(w_tilde, noise, grid, seed, n_paths)
+    inc = w_row[:-1] * grid.h + noise.sigma[:-1] * math.sqrt(grid.h) * shocks
     d = np.array([weighted_inner_product(v, row, noise, grid) for row in w_tilde])
     pi = posterior_weights(log_likelihoods(w_tilde, inc, noise, grid))
     price = pi @ eta

@@ -13,7 +13,8 @@ from adkyle import (
     simulate_increments,
     weighted_inner_product,
 )
-from adkyle.orderflow import LOG_LIK_SPREAD_MAX, iter_shock_blocks
+from adkyle._rng import PATH_SHOCKS, derive_seed, standard_normal_matrix
+from adkyle.orderflow import LOG_LIK_SPREAD_MAX, PATH_BLOCK_SIZE
 from conftest import ALPHA_STAR_BINARY
 
 POSTERIOR_MATCH_TOLERANCE = 1e-12
@@ -27,8 +28,8 @@ def test_simulation_is_deterministic(mean_shift_demand, unit_noise, grid):
     assert np.array_equal(inc1, inc2)
     assert np.array_equal(shocks1, shocks2)
     assert inc1.shape == shocks1.shape == (3, grid.n - 1)
-    # path p is row p of the seed's shock stream
-    stream = np.concatenate([blk for _, blk in iter_shock_blocks(grid, 13, 3)])
+    # path p is row p of the seed's path-shock stream
+    stream = standard_normal_matrix(derive_seed(13, *PATH_SHOCKS), 3, grid.n - 1, PATH_BLOCK_SIZE)
     assert np.array_equal(shocks1, stream)
 
 

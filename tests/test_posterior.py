@@ -11,7 +11,17 @@ from adkyle import (
     softmax,
     true_belief,
 )
-from adkyle._rng import BLOCK_SIZE, block_generator, block_sizes, standard_normal_matrix
+from adkyle._rng import (
+    BLOCK_SIZE,
+    FLOW_STATISTIC,
+    INVARIANCE_IE,
+    PATH_SHOCKS,
+    SIGNALS,
+    block_generator,
+    derive_seed,
+    standard_normal_matrix,
+)
+from adkyle.analytics import SWEEP_SIZES
 from adkyle.posterior import MIN_MOMENT_SAMPLES, MIN_QUAD_NODES
 
 SOFTMAX_TOLERANCE = 1e-15
@@ -160,8 +170,25 @@ def test_normal_matrix_fills_its_blocks_in_place():
     n, dim, seed = 2 * BLOCK_SIZE + 3, 3, 11
     reference = np.concatenate([
         block_generator(seed, block_id).standard_normal((m, dim))
-        for block_id, m in enumerate(block_sizes(n))
+        for block_id, m in enumerate((BLOCK_SIZE, BLOCK_SIZE, 3))
     ])
     xi = standard_normal_matrix(seed, n, dim)
     assert xi.shape == (n, dim)
     assert np.array_equal(xi.view(np.uint64), reference.view(np.uint64))
+
+
+def test_stage_streams_never_share_draws():
+    # solver noise (raw seed), signals, path shocks, the order-flow statistic,
+    # the invariance ie noise and every sweep entry each key their own stream,
+    # within a seed and across neighbouring seeds
+    keys = {}
+    for seed in range(4):
+        keys[f"solver/{seed}"] = seed
+        for name, tag in (("signals", SIGNALS), ("path_shocks", PATH_SHOCKS),
+                          ("flow_statistic", FLOW_STATISTIC), ("invariance_ie", INVARIANCE_IE)):
+            keys[f"{name}/{seed}"] = derive_seed(seed, *tag)
+        for I in SWEEP_SIZES:
+            keys[f"sweep_I{I}/{seed}"] = derive_seed(seed, I)
+    first = {name: tuple(block_generator(key, 0).bit_generator.random_raw(4))
+             for name, key in keys.items()}
+    assert len(set(first.values())) == len(first)

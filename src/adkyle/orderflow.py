@@ -22,7 +22,7 @@ import numpy as np
 
 from ._rng import FLOW_STATISTIC, PATH_SHOCKS, blocks, derive_seed, standard_normal_matrix
 from .model import NoiseProfile, PayoffFamily, StateGrid
-from .posterior import softmax
+from .posterior import signal_sweep, softmax
 
 _ERR = "adkyle.orderflow"
 
@@ -93,12 +93,17 @@ def posterior_weights(log_lik: np.ndarray) -> np.ndarray:
     Raises:
         ValueError: when the spread of log-likelihoods exceeds
             LOG_LIK_SPREAD_MAX; the posterior would silently lose all mass on
-            the trailing signals to floating-point underflow.
+            the trailing signals to floating-point underflow; or when a row's
+            spread is NaN (a NaN entry, an all -inf row), which would give NaN
+            beliefs.
     """
     log_lik = np.atleast_2d(np.asarray(log_lik, dtype=float))
-    spread = log_lik.max(axis=1) - log_lik.min(axis=1)
+    with np.errstate(invalid="ignore"):  # an all -inf row: -inf - -inf is NaN, rejected below
+        spread = signal_sweep(np.maximum, log_lik) - signal_sweep(np.minimum, log_lik)
     worst = float(spread.max())
-    if worst > LOG_LIK_SPREAD_MAX:
+    if not worst <= LOG_LIK_SPREAD_MAX:  # NaN compares False
+        if not math.isfinite(worst):
+            raise ValueError(f"{_ERR}: log-likelihood is non-finite (row spread {worst})")
         raise ValueError(
             f"{_ERR}: log-likelihood spread {worst:.1f} exceeds "
             f"{LOG_LIK_SPREAD_MAX}; posterior underflow"

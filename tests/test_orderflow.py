@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from adkyle import (
     log_likelihoods,
@@ -11,10 +13,12 @@ from adkyle import (
     price_schedule,
     sample_posterior,
     simulate_increments,
+    softmax,
     weighted_inner_product,
 )
 from adkyle._rng import PATH_SHOCKS, derive_seed, standard_normal_matrix
 from adkyle.orderflow import LOG_LIK_SPREAD_MAX, PATH_BLOCK_SIZE
+from adkyle.posterior import signal_sweep
 from conftest import ALPHA_STAR_BINARY
 
 POSTERIOR_MATCH_TOLERANCE = 1e-12
@@ -74,6 +78,69 @@ def test_posterior_weights_reject_degenerate_spread():
     wide = np.array([[0.0, LOG_LIK_SPREAD_MAX + 10.0]])
     with pytest.raises(ValueError, match="adkyle.orderflow"):
         posterior_weights(wide)
+
+
+def reference_softmax(log_lik):
+    """numpy's own reductions over the signal axis, as softmax computed them before the sweep."""
+    w = np.exp(log_lik - log_lik.max(-1, keepdims=True))
+    return w / w.sum(-1, keepdims=True)
+
+
+@st.composite
+def signal_batches(draw):
+    """(m, I) log-likelihoods, or one 1-D row, with row spreads up to LOG_LIK_SPREAD_MAX.
+
+    Entries are spread * (u - c) with u uniform or on {0, 1/2, 1} (ties), so 0
+    lies in every row's range; a share of them is replaced by +0.0 or -0.0.
+    """
+    I, m = draw(st.integers(2, 40)), draw(st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([0.0, 1.0, LOG_LIK_SPREAD_MAX]) | st.floats(0.0, LOG_LIK_SPREAD_MAX))
+    u = rng.integers(0, 3, (m, I)) / 2.0 if draw(st.booleans()) else rng.random((m, I))
+    log_lik = spread * (u - draw(st.floats(0.0, 1.0)))
+    zeros = rng.random((m, I)) < draw(st.floats(0.0, 1.0))
+    log_lik[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    return log_lik[0] if draw(st.booleans()) else log_lik
+
+
+@seed(1)
+@given(log_lik=signal_batches())
+@settings(deadline=None, max_examples=60)
+def test_signal_sweep_is_bitwise_numpy(log_lik):
+    assert np.array_equal(signal_sweep(np.maximum, log_lik), log_lik.max(axis=-1))
+    assert np.array_equal(signal_sweep(np.minimum, log_lik), log_lik.min(axis=-1))
+    expected = reference_softmax(log_lik)
+    assert np.array_equal(softmax(log_lik), expected)
+    rows = np.atleast_2d(log_lik)
+    if (rows.max(-1) - rows.min(-1)).max() <= LOG_LIK_SPREAD_MAX:
+        assert np.array_equal(posterior_weights(log_lik), np.atleast_2d(expected))
+    else:  # u - c rounded past the bound
+        with pytest.raises(ValueError, match="adkyle.orderflow"):
+            posterior_weights(log_lik)
+
+
+@pytest.mark.parametrize("I", [2, 3, 8])
+@pytest.mark.parametrize("row, col", [(PATH_BLOCK_SIZE - 1, 0), (0, -1)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_posterior_weights_guard_boundary(I, row, col, sign):
+    # a spread of exactly LOG_LIK_SPREAD_MAX passes; one row past it fails the whole
+    # block, also when it is the block's last row or exceeds only in the last column
+    log_lik = np.zeros((PATH_BLOCK_SIZE, I))
+    log_lik[:, col] = sign * LOG_LIK_SPREAD_MAX
+    assert np.array_equal(posterior_weights(log_lik), reference_softmax(log_lik))
+    log_lik[row, col] = sign * np.nextafter(LOG_LIK_SPREAD_MAX, np.inf)
+    with pytest.raises(ValueError, match="exceeds"):
+        posterior_weights(log_lik)
+
+
+@pytest.mark.parametrize("bad_row", [[0.0, np.nan], [np.nan, 0.0], [-np.inf, -np.inf]])
+@pytest.mark.parametrize("where", [0, PATH_BLOCK_SIZE // 2, PATH_BLOCK_SIZE - 1])
+def test_posterior_weights_reject_non_finite_rows(bad_row, where):
+    # a NaN spread compares False with the bound and used to pass as NaN beliefs
+    log_lik = np.tile([0.0, 1.0], (PATH_BLOCK_SIZE, 1))
+    log_lik[where] = bad_row
+    with pytest.raises(ValueError, match="non-finite"):
+        posterior_weights(log_lik)
 
 
 def test_log_likelihoods_match_manual_formula(mean_shift_demand, unit_noise, grid):

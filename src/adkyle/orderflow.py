@@ -22,7 +22,7 @@ import numpy as np
 
 from ._rng import FLOW_STATISTIC, PATH_SHOCKS, blocks, derive_seed, standard_normal_matrix
 from .model import NoiseProfile, PayoffFamily, StateGrid
-from .posterior import signal_sweep, softmax
+from .posterior import signal_sweep
 
 _ERR = "adkyle.orderflow"
 
@@ -98,8 +98,9 @@ def posterior_weights(log_lik: np.ndarray) -> np.ndarray:
             beliefs.
     """
     log_lik = np.atleast_2d(np.asarray(log_lik, dtype=float))
+    top = signal_sweep(np.maximum, log_lik)
     with np.errstate(invalid="ignore"):  # an all -inf row: -inf - -inf is NaN, rejected below
-        spread = signal_sweep(np.maximum, log_lik) - signal_sweep(np.minimum, log_lik)
+        spread = top - signal_sweep(np.minimum, log_lik)
     worst = float(spread.max())
     if not worst <= LOG_LIK_SPREAD_MAX:  # NaN compares False
         if not math.isfinite(worst):
@@ -108,7 +109,9 @@ def posterior_weights(log_lik: np.ndarray) -> np.ndarray:
             f"{_ERR}: log-likelihood spread {worst:.1f} exceeds "
             f"{LOG_LIK_SPREAD_MAX}; posterior underflow"
         )
-    return softmax(log_lik)
+    # softmax shifted by the guard's max; a zero shift's sign does not change exp
+    w = np.exp(log_lik - top[:, None])
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def posterior_blocks(

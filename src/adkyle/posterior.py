@@ -14,11 +14,14 @@ bitwise reproducible from a seed.  The residual and the efficiency need only
 the true-signal entry q_t (true_belief); the full softmax and its moments
 (moments_from_noise) remain the general path and the independent check.
 
-Extremes over the signal axis are column sweeps (signal_sweep): numpy reduces a
-short last axis with a separate inner loop per row, which costs about 30 times
-the sweep at I = 2.  The softmax normaliser keeps numpy's sum over that axis,
-whose eight-lane pairwise order a column sum would not reproduce at I >= 8, so
-the CSVs stay byte-identical.
+Order-flow blocks take their extremes over the signal axis as column sweeps
+(signal_sweep): numpy reduces a short last axis with a separate inner loop per
+row, which costs about 30 times the sweep on a 4096 x 2 block.  softmax keeps
+numpy's max, because on one (n_samples, I) array each strided column pass
+streams the whole array again: the sweep breaks even near I = 16 and takes four
+times as long at I = 64.  Both keep numpy's sum as the normaliser, whose
+eight-lane pairwise order a column sum would not reproduce at I >= 8, so the
+CSVs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -80,8 +83,10 @@ class MomentEstimates:
 def signal_sweep(extreme: np.ufunc, a: np.ndarray) -> np.ndarray:
     """extreme.reduce(a, axis=-1) for np.maximum or np.minimum, one column at a time.
 
-    Each of the I - 1 steps is one ufunc call over every row at once; max and
-    min do not depend on the order, so the result is bitwise numpy's.
+    Each of the I - 1 steps is one ufunc call over every row at once.  The
+    value is numpy's; only the sign of a zero extreme can differ, where a row
+    ties +0.0 with -0.0 and numpy (eight lanes from I = 9) meets them in
+    another order.
     """
     out = a[..., 0].copy()
     for j in range(1, a.shape[-1]):
@@ -92,7 +97,7 @@ def signal_sweep(extreme: np.ufunc, a: np.ndarray) -> np.ndarray:
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction; never overflows."""
     logits = np.asarray(logits, dtype=float)
-    shifted = logits - signal_sweep(np.maximum, logits)[..., None]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     w = np.exp(shifted)
     return w / w.sum(axis=-1, keepdims=True)
 

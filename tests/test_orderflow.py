@@ -81,7 +81,7 @@ def test_posterior_weights_reject_degenerate_spread():
 
 
 def reference_softmax(log_lik):
-    """numpy's own reductions over the signal axis, as softmax computed them before the sweep."""
+    """softmax with numpy's own max, which posterior_weights must reproduce byte for byte."""
     w = np.exp(log_lik - log_lik.max(-1, keepdims=True))
     return w / w.sum(-1, keepdims=True)
 
@@ -103,20 +103,34 @@ def signal_batches(draw):
     return log_lik[0] if draw(st.booleans()) else log_lik
 
 
+def same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @seed(1)
 @given(log_lik=signal_batches())
 @settings(deadline=None, max_examples=60)
-def test_signal_sweep_is_bitwise_numpy(log_lik):
+def test_signal_sweep_matches_numpy(log_lik):
+    # the extremes equal numpy's up to the sign of a zero (array_equal counts -0.0 == 0.0);
+    # the beliefs built on them are numpy's byte for byte
     assert np.array_equal(signal_sweep(np.maximum, log_lik), log_lik.max(axis=-1))
     assert np.array_equal(signal_sweep(np.minimum, log_lik), log_lik.min(axis=-1))
     expected = reference_softmax(log_lik)
-    assert np.array_equal(softmax(log_lik), expected)
+    assert same_bytes(softmax(log_lik), expected)
     rows = np.atleast_2d(log_lik)
     if (rows.max(-1) - rows.min(-1)).max() <= LOG_LIK_SPREAD_MAX:
-        assert np.array_equal(posterior_weights(log_lik), np.atleast_2d(expected))
+        assert same_bytes(posterior_weights(log_lik), np.atleast_2d(expected))
     else:  # u - c rounded past the bound
         with pytest.raises(ValueError, match="adkyle.orderflow"):
             posterior_weights(log_lik)
+
+
+@pytest.mark.parametrize("I", [9, 40])
+def test_posterior_weights_ignore_the_sign_of_a_zero_max(I):
+    # rows of +-0.0 ties under a -1.0: from I = 9 numpy's eight-lane max and the sweep can
+    # return zeros of opposite sign, and exp(x - 0.0) == exp(x + 0.0) keeps the beliefs equal
+    log_lik = np.random.default_rng(I).choice([0.0, -0.0, -1.0], (PATH_BLOCK_SIZE, I))
+    assert same_bytes(posterior_weights(log_lik), reference_softmax(log_lik))
 
 
 @pytest.mark.parametrize("I", [2, 3, 8])
@@ -127,7 +141,7 @@ def test_posterior_weights_guard_boundary(I, row, col, sign):
     # block, also when it is the block's last row or exceeds only in the last column
     log_lik = np.zeros((PATH_BLOCK_SIZE, I))
     log_lik[:, col] = sign * LOG_LIK_SPREAD_MAX
-    assert np.array_equal(posterior_weights(log_lik), reference_softmax(log_lik))
+    assert same_bytes(posterior_weights(log_lik), reference_softmax(log_lik))
     log_lik[row, col] = sign * np.nextafter(LOG_LIK_SPREAD_MAX, np.inf)
     with pytest.raises(ValueError, match="exceeds"):
         posterior_weights(log_lik)

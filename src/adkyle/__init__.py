@@ -32,7 +32,6 @@ from .posterior import (
     PosteriorSample,
     binary_moments_quadrature,
     moments_from_noise,
-    posterior_moments,
     sample_posterior,
     softmax,
     true_belief,
@@ -42,7 +41,6 @@ from .equilibrium import (
     KyleBenchmark,
     equilibrium_demand,
     kyle_single_asset,
-    phi,
     phi_from_noise,
     solve_alpha_star,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "PosteriorSample",
     "binary_moments_quadrature",
     "moments_from_noise",
-    "posterior_moments",
     "sample_posterior",
     "softmax",
     "true_belief",
@@ -97,7 +94,6 @@ __all__ = [
     "KyleBenchmark",
     "equilibrium_demand",
     "kyle_single_asset",
-    "phi",
     "phi_from_noise",
     "solve_alpha_star",
     "log_likelihoods",

@@ -31,7 +31,7 @@ from .config import (
     with_seed,
 )
 from .equilibrium import equilibrium_demand, solve_alpha_star
-from .kernel import build_canonical_kernel
+from .kernel import RANK_TOL, build_canonical_kernel
 from .model import prior_moments
 from .objective import foc_terms, zero_impact_basis
 from .options import bl_decompose, bl_reconstruct, demand_signature
@@ -258,7 +258,7 @@ def cmd_kernel_dump(args, cfg: RunConfig, outdir: Path) -> int:
         [[name for name in names for _ in range(I * I)] + ["c", "exchangeable", "rank_tol"],
          row_idx + [0, 0, 0],
          col_idx + [0, 0, 0],
-         values + [kern.c, int(kern.exchangeable), kern.rank_tol]],
+         values + [kern.c, int(kern.exchangeable), RANK_TOL]],
     )
     print(f"kernel dump: I={kern.I} c={kern.c:.6f} "
           f"exchangeable={kern.exchangeable} -> {outdir}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import CanonicalKernel
+from .kernel import RANK_TOL, CanonicalKernel
 from .model import PayoffFamily
 from .posterior import DEFAULT_MOMENT_SAMPLES, mean_and_std_err, moment_noise, rival_odds
 
@@ -68,22 +68,20 @@ class KyleBenchmark:
     lam: float
 
 
-def _residual_draws(alpha_bar: float, noise: np.ndarray, true_index: int = 0):
+def _residual_draws(alpha_bar: float, noise: np.ndarray):
     """Per-draw (1 - q_t)(1 - alpha_bar^2 q_t), whose mean is Phi, and q_t itself."""
-    odds = rival_odds(alpha_bar, noise, true_index)
+    odds = rival_odds(alpha_bar, noise)
     q = 1.0 / (1.0 + odds)  # true_belief, bit for bit
     # 1 - q_t as odds * q_t keeps Phi's sign where q_t rounds to 1 (large alpha_bar)
     return (odds * q) * (1.0 - alpha_bar * alpha_bar * q), q
 
 
-def phi_from_noise(alpha_bar: float, noise: np.ndarray, true_index: int = 0) -> float:
-    """Fixed-point residual Phi on a frozen noise matrix (common random numbers)."""
-    return float(np.mean(_residual_draws(alpha_bar, noise, true_index)[0]))
+def phi_from_noise(alpha_bar: float, noise: np.ndarray) -> float:
+    """Fixed-point residual Phi on a frozen noise matrix (common random numbers).
 
-
-def phi(alpha_bar: float, I: int, n_samples: int = DEFAULT_MOMENT_SAMPLES, seed: int = 0) -> float:
-    """Monte Carlo estimate of the residual; Phi(0) = 1 - 1/I by construction."""
-    return phi_from_noise(alpha_bar, moment_noise(I, n_samples, seed))
+    Phi(0) = 1 - 1/I by construction.
+    """
+    return float(np.mean(_residual_draws(alpha_bar, noise)[0]))
 
 
 def solve_alpha_star(kern: CanonicalKernel, n_samples: int = DEFAULT_MOMENT_SAMPLES, seed: int = 0,
@@ -103,7 +101,7 @@ def solve_alpha_star(kern: CanonicalKernel, n_samples: int = DEFAULT_MOMENT_SAMP
     if not kern.exchangeable:
         raise ValueError(f"{_ERR}: kernel is not exchangeable (QKQ deviates from cQ); "
                          "the scalar reduction does not apply")
-    if kern.c <= kern.rank_tol:
+    if kern.c <= RANK_TOL:
         raise ValueError(f"{_ERR}: degenerate kernel, c={kern.c:.3e} has no signal content")
     noise = moment_noise(kern.I, n_samples, seed)
     trace = []

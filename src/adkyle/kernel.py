@@ -32,7 +32,6 @@ class CanonicalKernel:
         L: Symmetric PSD square root of K.
         L_pinv: Moore-Penrose pseudoinverse of L with spectral cutoff.
         exchangeable: True when max|QKQ - cQ| <= EXCHANGEABILITY_TOL.
-        rank_tol: Relative eigenvalue cutoff used for L_pinv.
     """
 
     K: np.ndarray = field(repr=False)
@@ -41,7 +40,6 @@ class CanonicalKernel:
     L: np.ndarray = field(repr=False, default=None)
     L_pinv: np.ndarray = field(repr=False, default=None)
     exchangeable: bool = False
-    rank_tol: float = RANK_TOL
 
     @property
     def I(self) -> int:
@@ -69,8 +67,8 @@ def centering_matrix(I: int) -> np.ndarray:
     return np.eye(I) - 1.0 / I
 
 
-def exchangeability_scale(K: np.ndarray, tol: float = EXCHANGEABILITY_TOL) -> tuple[float, bool]:
-    """Best scalar c with QKQ ~ cQ, and whether the fit is exact within tol.
+def exchangeability_scale(K: np.ndarray) -> tuple[float, bool]:
+    """Best scalar c with QKQ ~ cQ, and whether the fit is exact within EXCHANGEABILITY_TOL.
 
     c = trace(QKQ) / trace(Q); for I = 2 this is (K11 - 2 K12 + K22) / 2 and
     the fit is always exact (the centered space is one-dimensional).
@@ -80,14 +78,14 @@ def exchangeability_scale(K: np.ndarray, tol: float = EXCHANGEABILITY_TOL) -> tu
     Q = centering_matrix(I)
     M = Q @ K @ Q
     c = float(np.trace(M) / (I - 1))
-    exchangeable = bool(np.max(np.abs(M - c * Q)) <= tol)
+    exchangeable = bool(np.max(np.abs(M - c * Q)) <= EXCHANGEABILITY_TOL)
     return c, exchangeable
 
 
-def sqrt_and_pinv(M: np.ndarray, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+def sqrt_and_pinv(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric PSD square root L of M and the pseudoinverse of L.
 
-    Eigenvalues below rank_tol * lambda_max are treated as numerically zero in
+    Eigenvalues below RANK_TOL * lambda_max are treated as numerically zero in
     the pseudoinverse.  Raises for a kernel with no positive spectrum.
     """
     M = np.asarray(M, dtype=float)
@@ -96,7 +94,7 @@ def sqrt_and_pinv(M: np.ndarray, rank_tol: float = RANK_TOL) -> tuple[np.ndarray
     lam_max = float(lam[-1])
     if lam_max <= 0.0:
         raise ValueError(f"{_ERR}: degenerate kernel, no positive eigenvalue")
-    cutoff = rank_tol * lam_max
+    cutoff = RANK_TOL * lam_max
     root = np.sqrt(lam)
     inv_root = np.where(lam > cutoff, 1.0 / np.where(lam > cutoff, root, 1.0), 0.0)
     L = (U * root) @ U.T
@@ -105,17 +103,11 @@ def sqrt_and_pinv(M: np.ndarray, rank_tol: float = RANK_TOL) -> tuple[np.ndarray
 
 
 def build_canonical_kernel(
-    family: PayoffFamily,
-    noise: NoiseProfile,
-    grid: StateGrid,
-    rank_tol: float = RANK_TOL,
-    exch_tol: float = EXCHANGEABILITY_TOL,
+    family: PayoffFamily, noise: NoiseProfile, grid: StateGrid
 ) -> CanonicalKernel:
     """Assemble the canonical kernel (Gram, centering, scale, square root)."""
     K = gram_matrix(family, noise, grid)
     Q = centering_matrix(family.I)
-    c, exchangeable = exchangeability_scale(K, tol=exch_tol)
-    L, L_pinv = sqrt_and_pinv(K, rank_tol=rank_tol)
-    return CanonicalKernel(
-        K=K, Q=Q, c=c, L=L, L_pinv=L_pinv, exchangeable=exchangeable, rank_tol=rank_tol
-    )
+    c, exchangeable = exchangeability_scale(K)
+    L, L_pinv = sqrt_and_pinv(K)
+    return CanonicalKernel(K=K, Q=Q, c=c, L=L, L_pinv=L_pinv, exchangeable=exchangeable)

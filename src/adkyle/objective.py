@@ -54,7 +54,6 @@ class FocReport:
         std_err_fd: standard error of fd_total as a plain Monte Carlo mean;
             the yardstick for |fd_total| itself (e.g. stationarity checks).
         n_paths: Monte Carlo paths.
-        seed: seed for the shock stream.
     """
 
     payoff_term: float
@@ -67,7 +66,6 @@ class FocReport:
     std_err_diff: float
     std_err_fd: float
     n_paths: int
-    seed: int
 
 
 def _demand_row(grid: StateGrid, w_row: np.ndarray) -> np.ndarray:
@@ -182,23 +180,18 @@ def foc_terms(
             payoff_term=payoff, adverse_selection_term=float(ad[k].mean()),
             impact_term=float(impact[k].mean()), analytic_total=float(analytic_per_path.mean()),
             fd_total=fd_total, fd_epsilon=float(e), diff=diff, std_err_diff=std_err_diff,
-            std_err_fd=std_err_fd, n_paths=n_paths, seed=int(seed),
+            std_err_fd=std_err_fd, n_paths=n_paths,
         ))
     return reports if stacked else reports[0]
 
 
-def zero_impact_basis(
-    w_tilde: np.ndarray,
-    noise: NoiseProfile,
-    grid: StateGrid,
-    drop_tol: float = GS_DROP_TOL,
-) -> np.ndarray:
+def zero_impact_basis(w_tilde: np.ndarray, noise: NoiseProfile, grid: StateGrid) -> np.ndarray:
     """Smooth directions that move no posterior: <v, W_tilde_i>_sigma = 0 for all i.
 
     Candidates are the first 2I Legendre polynomials mapped to the grid; each
     is projected off the span of the candidate schedules (and previously kept
     directions) by two-pass Gram-Schmidt in the sigma-weighted inner product.
-    Directions whose residual norm falls below drop_tol of their original norm
+    Directions whose residual norm falls below GS_DROP_TOL of their original norm
     are discarded as numerically dependent.
 
     Returns:
@@ -214,13 +207,13 @@ def zero_impact_basis(
         return math.sqrt(max(weighted_inner_product(f, f, noise, grid), 0.0))
 
     def orthonormalize(rows, scales, kept):
-        """Append each row's two-pass residual off kept, normalized, unless below drop_tol of its scale."""
+        """Append each row's normalized two-pass residual off kept, if above GS_DROP_TOL * scale."""
         for u, scale in zip(rows, scales):
             for _ in range(2):
                 for b in kept:
                     u = u - weighted_inner_product(u, b, noise, grid) * b
             nu = norm(u)
-            if nu > drop_tol * scale:
+            if nu > GS_DROP_TOL * scale:
                 kept.append(u / nu)
         return kept
 

@@ -21,16 +21,6 @@ from .model import PayoffFamily, StateGrid, prior_moments, trapezoid
 
 _ERR = "adkyle.options"
 
-SIGNATURES = (
-    "flat",
-    "bullish",
-    "bearish",
-    "long_vol",
-    "short_vol",
-    "right_skew",
-    "left_skew",
-    "mixed",
-)
 FLAT_REL_TOL = 1e-8
 
 

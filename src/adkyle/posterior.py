@@ -14,6 +14,12 @@ bitwise reproducible from a seed.  The residual and the efficiency need only
 the true-signal entry q_t (true_belief); the full softmax and its moments
 (moments_from_noise) remain the general path and the independent check.
 
+rival_odds and true_belief take the truth to be column 0 of the noise.  The xi
+are i.i.d., so the law of the posterior given s_t is exchangeable across the
+signals: choosing another true index only relabels the noise columns and
+leaves every expectation of q_t unchanged.  sample_posterior and
+moments_from_noise keep an explicit true index, as the softmax oracle.
+
 Order-flow blocks take their extremes over the signal axis as column sweeps
 (signal_sweep): numpy reduces a short last axis with a separate inner loop per
 row, which costs about 30 times the sweep on a 4096 x 2 block.  softmax keeps
@@ -47,15 +53,11 @@ class PosteriorSample:
     """One draw (or a batch of draws) of the canonical posterior.
 
     Attributes:
-        alpha_bar: Effective signal-to-noise number used for the draw.
-        true_index: Index of the realized signal.
         logits: Centered Gaussian part alpha_bar * Q xi, shape (I,) or (m, I),
             plus the information drift alpha_bar^2 on the true index.
         q: Softmax of logits along the last axis; rows sum to 1.
     """
 
-    alpha_bar: float
-    true_index: int
     logits: np.ndarray = field(repr=False)
     q: np.ndarray = field(repr=False)
 
@@ -66,15 +68,14 @@ class MomentEstimates:
 
     Attributes:
         m1: E[q], length I.
-        cbar: Expected posterior covariance diag(m1) - E[q q^T].
-        qcq_diag: (Q cbar Q)[t, t] at the true index t; the centered
+        qcq_diag: (Q cbar Q)[t, t] at the true index t, with cbar the
+            expected posterior covariance diag(m1) - E[q q^T]; the centered
             self-covariance that enters the equilibrium residual.
         std_err_m1: Per-component standard error of m1.
         n_samples: Number of Monte Carlo draws used.
     """
 
     m1: np.ndarray = field(repr=False)
-    cbar: np.ndarray = field(repr=False)
     qcq_diag: float = 0.0
     std_err_m1: np.ndarray = field(repr=False, default=None)
     n_samples: int = 0
@@ -134,36 +135,35 @@ def sample_posterior(
         raise ValueError(f"{_ERR}: noise last dimension must equal I={I}")
     logits = alpha_bar * (xi - xi.mean(axis=-1, keepdims=True))
     logits[..., true_index] += alpha_bar * alpha_bar
-    return PosteriorSample(float(alpha_bar), int(true_index), logits, softmax(logits))
+    return PosteriorSample(logits, softmax(logits))
 
 
-def rival_odds(alpha_bar: float, noise: np.ndarray, true_index: int = 0) -> np.ndarray:
-    """Posterior odds against the true signal, (1 - q_t) / q_t, per noise row.
+def rival_odds(alpha_bar: float, noise: np.ndarray) -> np.ndarray:
+    """Posterior odds against the true signal (column 0), (1 - q_0) / q_0, per noise row.
 
     With sample_posterior's logits these are
 
-        sum_{j != t} exp(alpha_bar (xi_j - xi_t) - alpha_bar^2),
+        sum_{j > 0} exp(alpha_bar (xi_j - xi_0) - alpha_bar^2),
 
-    whose exponent is at most (xi_j - xi_t)^2 / 4 for every alpha_bar: finite
+    whose exponent is at most (xi_j - xi_0)^2 / 4 for every alpha_bar: finite
     draws cannot overflow, so no max shift is needed.  The rivals are summed
     one column at a time, so only two m-vectors are allocated.
     """
     noise = np.asarray(noise, dtype=float)
-    if noise.ndim != 2 or not 0 <= true_index < noise.shape[1]:
-        raise ValueError(f"{_ERR}: need an (n_samples, I) noise matrix and 0 <= true_index < I")
+    if noise.ndim != 2 or noise.shape[1] == 0:
+        raise ValueError(f"{_ERR}: need an (n_samples, I) noise matrix")
     odds, z = np.zeros(noise.shape[0]), np.empty(noise.shape[0])
-    for j in range(noise.shape[1]):
-        if j != true_index:
-            np.subtract(noise[:, j], noise[:, true_index], out=z)
-            z *= alpha_bar
-            z -= alpha_bar * alpha_bar
-            odds += np.exp(z, out=z)
+    for j in range(1, noise.shape[1]):
+        np.subtract(noise[:, j], noise[:, 0], out=z)
+        z *= alpha_bar
+        z -= alpha_bar * alpha_bar
+        odds += np.exp(z, out=z)
     return odds
 
 
-def true_belief(alpha_bar: float, noise: np.ndarray, true_index: int = 0) -> np.ndarray:
-    """Posterior mass q_t on the true signal per noise row, without the full softmax."""
-    return 1.0 / (1.0 + rival_odds(alpha_bar, noise, true_index))
+def true_belief(alpha_bar: float, noise: np.ndarray) -> np.ndarray:
+    """Posterior mass q_0 on the true signal (column 0) per noise row, without a softmax."""
+    return 1.0 / (1.0 + rival_odds(alpha_bar, noise))
 
 
 def mean_and_std_err(draws: np.ndarray) -> tuple[float, float]:
@@ -207,26 +207,10 @@ def moments_from_noise(
     std_err = q.std(axis=0, ddof=1) / math.sqrt(m)
     return MomentEstimates(
         m1=m1,
-        cbar=cbar,
         qcq_diag=float(qcq[true_index, true_index]),
         std_err_m1=std_err,
         n_samples=m,
     )
-
-
-def posterior_moments(
-    alpha_bar: float,
-    I: int,
-    true_index: int,
-    n_samples: int = DEFAULT_MOMENT_SAMPLES,
-    seed: int = 0,
-) -> MomentEstimates:
-    """Seed-deterministic Monte Carlo moments of the canonical posterior.
-
-    Raises:
-        ValueError: if n_samples < MIN_MOMENT_SAMPLES (see moment_noise).
-    """
-    return moments_from_noise(alpha_bar, true_index, moment_noise(I, n_samples, seed))
 
 
 def binary_moments_quadrature(

@@ -112,6 +112,19 @@ def test_conditioning_changes_the_estimate(
     assert given_low.value != mixed.value
 
 
+def test_one_path_has_zero_standard_errors(mean_shift_demand, mean_shift_family, unit_noise,
+                                           grid):
+    # one path has no spread, as in mean_and_std_err; the one-pass variance
+    # s2 - n mean^2 would leave rounding residue (up to about 1e-12 here)
+    _, _, w_star = mean_shift_demand
+    points = grid.nodes[::40]
+    for seed in range(5):
+        values, errs = impact_surface(points, points, w_star, mean_shift_family, unit_noise,
+                                      grid, n_paths=1, seed=seed)
+        assert np.all(np.isfinite(values)) and np.any(values != 0.0)
+        assert np.all(errs == 0.0)
+
+
 def test_surface_agrees_with_pointwise_estimates(
     mean_shift_demand, mean_shift_family, unit_noise, grid
 ):

@@ -252,6 +252,10 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_every_exported_name_resolves():
+    assert [name for name in adkyle.__all__ if not hasattr(adkyle, name)] == []
+
+
 def test_unaffordable_path_count_fails_up_front(tmp_path):
     # 2**40 paths need terabytes: the first allocation fails, before any block
     # is drawn, under a process-local address-space cap
@@ -283,6 +287,7 @@ def test_kernel_dump_and_posterior_probe(cfg_file, tmp_path):
     assert kern_rows[0] == ["matrix", "row", "col", "value"]
     names = {r[0] for r in kern_rows[1:]}
     assert {"K", "Q", "L", "c"} <= names
+    assert kern_rows[-1] == ["rank_tol", "0", "0", "1e-10"]
 
     out2 = tmp_path / "p"
     assert (

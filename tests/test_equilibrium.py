@@ -1,5 +1,6 @@
 """Fixed point solve, demand assembly, and the single-asset benchmark."""
 
+import dataclasses
 import math
 import warnings
 
@@ -15,8 +16,9 @@ from adkyle import (
     weighted_inner_product,
 )
 import adkyle.equilibrium
-from adkyle.equilibrium import BRACKET_CAP, phi, phi_from_noise
-from adkyle.posterior import MIN_MOMENT_SAMPLES, moments_from_noise
+from adkyle.equilibrium import BRACKET_CAP, phi_from_noise
+from adkyle.kernel import RANK_TOL
+from adkyle.posterior import MIN_MOMENT_SAMPLES, moment_noise, moments_from_noise
 from adkyle._rng import standard_normal_matrix
 from conftest import ALPHA_STAR_BINARY
 
@@ -55,7 +57,7 @@ def test_phi_at_zero_is_one_minus_uniform_mass():
 
 
 def test_phi_is_negative_past_the_root():
-    assert phi(10.0, 2, n_samples=200_000, seed=0) < 0.0
+    assert phi_from_noise(10.0, moment_noise(2, 200_000, 0)) < 0.0
 
 
 def test_solver_convergence_metadata(solved_mean_shift):
@@ -134,14 +136,14 @@ def test_scalar_residual_matches_the_full_softmax_moments(I, true_index):
     for alpha_bar in (0.0, 0.5, 1.4, 3.0):
         mom = moments_from_noise(alpha_bar, true_index, xi)
         full = 1.0 - float(mom.m1[true_index]) - alpha_bar**2 * mom.qcq_diag
-        assert abs(phi_from_noise(alpha_bar, xi, true_index) - full) <= 1e-12
+        assert abs(phi_from_noise(alpha_bar, np.roll(xi, -true_index, axis=1)) - full) <= 1e-12
 
 
 @pytest.mark.parametrize("I", [2, 8])
 def test_phi_is_finite_without_warnings_at_the_bracket_cap(I):
     with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
         warnings.simplefilter("error")
-        assert math.isfinite(phi(BRACKET_CAP, I, n_samples=200_000, seed=0))
+        assert math.isfinite(phi_from_noise(BRACKET_CAP, moment_noise(I, 200_000, 0)))
 
 
 @pytest.mark.parametrize("I", [2, 4, 6, 8])
@@ -175,6 +177,15 @@ def test_alpha_std_err_is_calibrated_and_shrinks_with_samples():
     # the reported error matches the seed-to-seed spread of the root
     spread = np.std([eq.alpha_star for eq in small], ddof=1)
     assert 0.5 < spread / np.mean([eq.alpha_std_err for eq in small]) < 2.0
+
+
+@pytest.mark.parametrize("c", [0.0, RANK_TOL])
+def test_solver_rejects_a_degenerate_kernel(c):
+    # exchangeable, but c at or below the rank cutoff carries no signal
+    kern = dataclasses.replace(identity_kernel(2), c=c)
+    assert kern.exchangeable
+    with pytest.raises(ValueError, match="adkyle.equilibrium: degenerate kernel"):
+        solve_alpha_star(kern, n_samples=MIN_MOMENT_SAMPLES, seed=0)
 
 
 def test_solver_rejects_too_few_samples():

@@ -110,7 +110,6 @@ def test_build_canonical_kernel_assembles_consistent_pieces(mean_shift_kernel):
     assert np.allclose(kern.L @ kern.L, kern.K, atol=1e-12)
     # the pseudo-inverse must invert L on the range of Q
     assert np.allclose(kern.L @ kern.L_pinv @ kern.Q, kern.Q, atol=1e-10)
-    assert kern.rank_tol == 1e-10
 
 
 def test_identity_kernel_is_trivially_exchangeable():

@@ -6,7 +6,6 @@ import pytest
 from adkyle import (
     binary_moments_quadrature,
     moments_from_noise,
-    posterior_moments,
     sample_posterior,
     softmax,
     true_belief,
@@ -22,7 +21,7 @@ from adkyle._rng import (
     standard_normal_matrix,
 )
 from adkyle.analytics import SWEEP_SIZES
-from adkyle.posterior import MIN_MOMENT_SAMPLES, MIN_QUAD_NODES
+from adkyle.posterior import MIN_MOMENT_SAMPLES, MIN_QUAD_NODES, moment_noise
 
 SOFTMAX_TOLERANCE = 1e-15
 QUAD_TOLERANCE = 1e-12
@@ -123,7 +122,7 @@ def test_sample_posterior_argument_validation():
 
 
 def test_monte_carlo_moments_agree_with_quadrature():
-    mom = posterior_moments(1.0, 2, 0, n_samples=MOMENT_SAMPLES, seed=3)
+    mom = moments_from_noise(1.0, 0, moment_noise(2, MOMENT_SAMPLES, 3))
     ref1, ref2 = QUAD_ORACLE[1.0]
     assert abs(mom.m1[0] - ref1) <= 3.0 * mom.std_err_m1[0]
     # the centered quadratic diagnostic estimates phi2 at I = 2
@@ -131,7 +130,7 @@ def test_monte_carlo_moments_agree_with_quadrature():
 
 
 def test_moments_mass_conservation():
-    mom = posterior_moments(0.8, 5, 2, n_samples=20_000, seed=9)
+    mom = moments_from_noise(0.8, 2, moment_noise(5, 20_000, 9))
     assert mom.m1.sum() == pytest.approx(1.0, abs=1e-12)
     assert mom.n_samples == 20_000
     assert np.all(mom.std_err_m1 > 0.0)
@@ -146,7 +145,7 @@ def test_moments_from_noise_matches_direct_computation():
 
 def test_moment_sample_floor_is_enforced():
     with pytest.raises(ValueError, match="adkyle.posterior"):
-        posterior_moments(1.0, 2, 0, n_samples=MIN_MOMENT_SAMPLES - 1, seed=0)
+        moment_noise(2, MIN_MOMENT_SAMPLES - 1, 0)
 
 
 @pytest.mark.parametrize("I,true_index", [(2, 0), (3, 2), (8, 5)])
@@ -154,15 +153,13 @@ def test_true_belief_is_the_softmax_entry_of_the_truth(I, true_index):
     xi = standard_normal_matrix(6, 10_000, I)
     for alpha_bar in (0.0, 0.7, 2.5):
         q = sample_posterior(alpha_bar, I, true_index, xi).q[:, true_index]
-        assert np.abs(true_belief(alpha_bar, xi, true_index) - q).max() <= 1e-15
+        assert np.abs(true_belief(alpha_bar, np.roll(xi, -true_index, axis=1)) - q).max() <= 1e-15
 
 
 def test_true_belief_argument_validation():
     xi = standard_normal_matrix(6, 100, 3)
     with pytest.raises(ValueError, match="adkyle.posterior"):
-        true_belief(1.0, xi, 3)
-    with pytest.raises(ValueError, match="adkyle.posterior"):
-        true_belief(1.0, xi[0], 0)
+        true_belief(1.0, xi[0])
 
 
 def test_normal_matrix_fills_its_blocks_in_place():

@@ -53,9 +53,7 @@ from .orderflow import (
 from .objective import FocReport, expected_utility, foc_terms, zero_impact_basis
 from .analytics import (
     EfficiencyRow,
-    ImpactEstimate,
     InvarianceReport,
-    cross_price_impact,
     derivative_cross_impact,
     efficiency_sweep,
     identity_kernel,
@@ -105,9 +103,7 @@ __all__ = [
     "foc_terms",
     "zero_impact_basis",
     "EfficiencyRow",
-    "ImpactEstimate",
     "InvarianceReport",
-    "cross_price_impact",
     "derivative_cross_impact",
     "efficiency_sweep",
     "identity_kernel",

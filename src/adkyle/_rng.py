@@ -8,6 +8,8 @@ any worker scheduling.
 Each stage draws its own stream (Random123, Salmon et al., SC'11): the solver
 on the raw seed, efficiency_sweep's entry I on derive_seed(master, I), and the
 rest on derive_seed(seed, *tag) below; a two-word tag can equal neither.
+Information efficiency at a root is the solve's own E[q_true], drawn from the
+solver's noise, so it has no stream of its own.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ BLOCK_SIZE = 65536
 SIGNALS = (1,)            # impact's uniform draw of each path's true signal
 PATH_SHOCKS = (0, 1)      # simulate's (n_paths, n-1) Brownian shocks
 FLOW_STATISTIC = (0, 2)   # the (n_paths, I) normals behind the market maker's statistic
-INVARIANCE_IE = (0, 3)    # invariance_experiment's efficiency noise
 
 
 def block_generator(seed: int, block_id: int) -> np.random.Generator:

@@ -16,31 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import INVARIANCE_IE, SIGNALS, block_generator, blocks, derive_seed
+from ._rng import SIGNALS, block_generator, blocks, derive_seed
 from .kernel import CanonicalKernel, build_canonical_kernel, centering_matrix
 from .model import NoiseProfile, PayoffFamily, StateGrid, trapezoid
-from .orderflow import PATH_BLOCK_SIZE, posterior_blocks
+from .orderflow import DEFAULT_PATHS, PATH_BLOCK_SIZE, posterior_blocks
 from .posterior import DEFAULT_MOMENT_SAMPLES, mean_and_std_err, moment_noise, true_belief
 from .equilibrium import solve_alpha_star
 
 _ERR = "adkyle.analytics"
 
-DEFAULT_IMPACT_PATHS = 20_000
 SUBGRID_DEFAULT = 21
 SUBGRID_MIN = 9
 SWEEP_SIZES = (2, 4, 6, 8)
-
-
-@dataclass(frozen=True)
-class ImpactEstimate:
-    """Monte Carlo estimate of Lambda at one (x, y) pair."""
-
-    x: float
-    y: float
-    value: float
-    std_err: float
-    n_paths: int
-    conditioned_on: int | None = None
 
 
 @dataclass(frozen=True)
@@ -88,37 +75,6 @@ def _path_signals(seed: int, I: int, n_paths: int, conditioned_on: int | None) -
     return out
 
 
-def cross_price_impact(
-    x: float,
-    y: float,
-    w_star: np.ndarray,
-    family: PayoffFamily,
-    noise: NoiseProfile,
-    grid: StateGrid,
-    n_paths: int = DEFAULT_IMPACT_PATHS,
-    seed: int = 0,
-    conditioned_on: int | None = None,
-) -> ImpactEstimate:
-    """Estimate Lambda(x, y) at grid nodes x, y.
-
-    Per path the posterior covariance between the payoff coordinate eta(x, .)
-    and the demand coordinate W(y, .) is computed exactly over the I atoms;
-    the only Monte Carlo averaging is over order-flow paths (and the uniform
-    signal draw unless conditioned_on pins it).  This is the one-pair
-    impact_surface.
-    """
-    values, errs = impact_surface([x], [y], w_star, family, noise, grid,
-                                  n_paths=n_paths, seed=seed, conditioned_on=conditioned_on)
-    return ImpactEstimate(
-        x=float(grid.nodes[node_index(grid, x)]),
-        y=float(grid.nodes[node_index(grid, y)]),
-        value=float(values[0, 0]),
-        std_err=float(errs[0, 0]),
-        n_paths=int(n_paths),
-        conditioned_on=conditioned_on,
-    )
-
-
 def impact_surface(
     x_values: np.ndarray,
     y_values: np.ndarray,
@@ -126,15 +82,17 @@ def impact_surface(
     family: PayoffFamily,
     noise: NoiseProfile,
     grid: StateGrid,
-    n_paths: int = DEFAULT_IMPACT_PATHS,
+    n_paths: int = DEFAULT_PATHS,
     seed: int = 0,
     conditioned_on: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lambda estimates on a rectangle of node pairs.
+    """Lambda estimates on a rectangle of node pairs; one pair is the 1 x 1 rectangle.
 
     Returns (values, std_errs), each shaped (len(x_values), len(y_values)).
     All pairs share the same simulated paths, so rows/columns are directly
-    comparable (common random numbers).
+    comparable (common random numbers).  Per path the posterior covariance is
+    exact over the I atoms; the only Monte Carlo averaging is over order-flow
+    paths (and the uniform signal draw unless conditioned_on pins it).
     """
     ix = np.array([node_index(grid, float(x)) for x in np.asarray(x_values)])
     iy = np.array([node_index(grid, float(y)) for y in np.asarray(y_values)])
@@ -276,7 +234,7 @@ def invariance_experiment(
     The canonical root and information efficiency depend only on (I, seed),
     so they are unchanged -- bitwise, thanks to common random numbers -- while
     the raw demand coefficient rescales by the noise factor (exactly, for
-    power-of-two factors).
+    power-of-two factors).  Each ie is the solve's own E[q_true] at its root.
     """
     if scale <= 0.0:
         raise ValueError(f"{_ERR}: scale must be positive")
@@ -284,14 +242,11 @@ def invariance_experiment(
     kern_scaled = build_canonical_kernel(family, NoiseProfile(scale * noise.sigma), grid)
     eq_base = solve_alpha_star(kern_base, n_samples=n_samples, seed=seed)
     eq_scaled = solve_alpha_star(kern_scaled, n_samples=n_samples, seed=seed)
-    ie_seed = derive_seed(seed, *INVARIANCE_IE)
-    ie_base, _ = information_efficiency(eq_base.alpha_star, family.I, n_samples=n_samples, seed=ie_seed)
-    ie_scaled, _ = information_efficiency(eq_scaled.alpha_star, family.I, n_samples=n_samples, seed=ie_seed)
     return InvarianceReport(
         alpha_star_base=eq_base.alpha_star,
         alpha_star_scaled=eq_scaled.alpha_star,
         alpha_raw_base=eq_base.alpha_raw,
         alpha_raw_scaled=eq_scaled.alpha_raw,
-        ie_base=ie_base,
-        ie_scaled=ie_scaled,
+        ie_base=eq_base.ie,
+        ie_scaled=eq_scaled.ie,
     )

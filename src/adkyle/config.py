@@ -13,15 +13,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import SUBGRID_MIN
+from .analytics import SUBGRID_DEFAULT, SUBGRID_MIN
+from .equilibrium import PHI_TOL, WIDTH_TOL
 from .model import NoiseProfile, PayoffFamily, StateGrid, build_state_grid, make_payoff_family
-from .posterior import MIN_MOMENT_SAMPLES
+from .orderflow import DEFAULT_PATHS
+from .posterior import DEFAULT_MOMENT_SAMPLES, MIN_MOMENT_SAMPLES
 
 _ERR = "adkyle.config"
 
 DEFAULT_GRID_N = 401
-DEFAULT_N_SAMPLES = 200_000
-DEFAULT_N_PATHS = 20_000
 SEED_LIMIT = 2**64  # Philox keys take the seed as one 64-bit word
 COUNT_LIMIT = 2**40  # a float64 array this long is 8 TiB; no larger count can run
 
@@ -42,11 +42,11 @@ class RunConfig:
     mu: float = 0.0
     sds: tuple = (1.0, 1.5)
     shapes: tuple = (4.0, -4.0)
-    n_samples: int = DEFAULT_N_SAMPLES
-    n_paths: int = DEFAULT_N_PATHS
-    phi_tol: float = 1e-4
-    width_tol: float = 1e-6
-    n_sub: int = 21
+    n_samples: int = DEFAULT_MOMENT_SAMPLES
+    n_paths: int = DEFAULT_PATHS
+    phi_tol: float = PHI_TOL
+    width_tol: float = WIDTH_TOL
+    n_sub: int = SUBGRID_DEFAULT
     conditioned_on: int | None = None
     output_dir: str = "out"
 
@@ -91,8 +91,9 @@ _SIGNAL_LISTS = {
 
 
 def parse_config_text(text: str) -> RunConfig:
-    """Parse flat key=value text; unknown keys and a missing seed are errors."""
+    """Parse flat key=value text; unknown or repeated keys and a missing seed are errors."""
     values: dict = {}
+    first_line: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -103,6 +104,9 @@ def parse_config_text(text: str) -> RunConfig:
         key, val = key.strip(), val.strip()
         if key not in KEYS:
             raise ValueError(f"{_ERR}: unknown key {key!r} (line {lineno})")
+        if key in first_line:
+            raise ValueError(f"{_ERR}: key {key!r} repeated (lines {first_line[key]} and {lineno})")
+        first_line[key] = lineno
         attr, conv = KEYS[key]
         try:
             values[attr] = conv(val)

@@ -25,14 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NoiseProfile, PayoffFamily, StateGrid, weighted_inner_product
-from .orderflow import likelihood_weights, posterior_blocks, posterior_weights
+from .orderflow import DEFAULT_PATHS, likelihood_weights, posterior_blocks, posterior_weights
 from .posterior import mean_and_std_err
 
 _ERR = "adkyle.objective"
 
 FD_REL_EPS = 1e-3     # eps = FD_REL_EPS * |W|_inf / |v|_inf, floored below
 FD_EPS_FLOOR = 1e-4
-DEFAULT_FOC_PATHS = 20_000
 GS_DROP_TOL = 1e-8    # relative residual below which a direction is dependent
 
 
@@ -88,7 +87,7 @@ def expected_utility(
     true_index: int,
     noise: NoiseProfile,
     grid: StateGrid,
-    n_paths: int = DEFAULT_FOC_PATHS,
+    n_paths: int = DEFAULT_PATHS,
     seed: int = 0,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of J(W) and its standard error.
@@ -114,7 +113,7 @@ def foc_terms(
     true_index: int,
     noise: NoiseProfile,
     grid: StateGrid,
-    n_paths: int = DEFAULT_FOC_PATHS,
+    n_paths: int = DEFAULT_PATHS,
     seed: int = 0,
 ) -> FocReport | list[FocReport]:
     """Directional derivative of the insider objective, three ways decomposed.

@@ -28,6 +28,7 @@ _ERR = "adkyle.orderflow"
 
 LOG_LIK_SPREAD_MAX = 700.0  # beyond this, exp underflow erases posterior mass
 PATH_BLOCK_SIZE = 4096      # paths per counter block; keeps block matrices small
+DEFAULT_PATHS = 20_000      # order-flow paths behind impact and the first-order checks
 
 
 def simulate_increments(

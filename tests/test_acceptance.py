@@ -18,12 +18,12 @@ from adkyle import (
     binary_moments_quadrature,
     build_canonical_kernel,
     build_state_grid,
-    cross_price_impact,
     demand_signature,
     efficiency_sweep,
     equilibrium_demand,
     foc_terms,
     identity_kernel,
+    impact_surface,
     information_efficiency,
     invariance_experiment,
     kyle_single_asset,
@@ -233,25 +233,25 @@ def test_a08_cross_impact_sign_patterns():
     var_demand = _exact_demand("gaussian_variance")
 
     # signal-invariant source point: impact is exactly zero
-    null = cross_price_impact(
-        1.0, 0.0, ms_demand, ms_fam, noise, grid, n_paths=10_000, seed=5
+    null, null_se = impact_surface(
+        [1.0], [0.0], ms_demand, ms_fam, noise, grid, n_paths=10_000, seed=5
     )
-    assert abs(null.value) <= SIGMAS * null.std_err + NULL_IMPACT_FLOOR
+    assert abs(null.item()) <= SIGMAS * null_se.item() + NULL_IMPACT_FLOOR
 
     # opposed tail demand: strictly negative cross impact
-    neg = cross_price_impact(
-        2.0, -2.0, ms_demand, ms_fam, noise, grid, n_paths=10_000, seed=5
+    neg, neg_se = impact_surface(
+        [2.0], [-2.0], ms_demand, ms_fam, noise, grid, n_paths=10_000, seed=5
     )
-    assert neg.value < -SIGMAS * neg.std_err
+    assert neg.item() < -SIGMAS * neg_se.item()
 
     # aligned (variance-levered) demand: nonnegative cross impact
-    pos = cross_price_impact(
-        2.0, -2.0, var_demand, var_fam, noise, grid, n_paths=10_000, seed=5
+    pos, pos_se = impact_surface(
+        [2.0], [-2.0], var_demand, var_fam, noise, grid, n_paths=10_000, seed=5
     )
-    assert pos.value >= -SIGMAS * pos.std_err
+    assert pos.item() >= -SIGMAS * pos_se.item()
     _report(
         "A8 impact signs",
-        f"null={null.value:.1e}, neg={neg.value:.2e}, pos={pos.value:.2e}", t0, 120.0,
+        f"null={null.item():.1e}, neg={neg.item():.2e}, pos={pos.item():.2e}", t0, 120.0,
     )
 
 

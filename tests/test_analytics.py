@@ -7,7 +7,6 @@ import pytest
 
 from adkyle import (
     NoiseProfile,
-    cross_price_impact,
     derivative_cross_impact,
     efficiency_sweep,
     impact_surface,
@@ -23,7 +22,7 @@ from adkyle.orderflow import PATH_BLOCK_SIZE
 from adkyle.posterior import MIN_MOMENT_SAMPLES
 from conftest import exact_binary_equilibrium, statistic_shocks
 
-from adkyle import build_canonical_kernel, equilibrium_demand
+from adkyle import build_canonical_kernel, equilibrium_demand, solve_alpha_star
 
 SIGN_SIGMAS = 3.0
 NULL_FLOOR = 1e-10
@@ -47,13 +46,11 @@ def test_node_index_round_trip(grid):
 
 def test_own_impact_is_positive(mean_shift_demand, mean_shift_family, unit_noise, grid):
     _, _, w_star = mean_shift_demand
-    est = cross_price_impact(
-        1.0, 1.0, w_star, mean_shift_family, unit_noise, grid,
+    value, std_err = impact_surface(
+        [1.0], [1.0], w_star, mean_shift_family, unit_noise, grid,
         n_paths=IMPACT_PATHS, seed=5,
     )
-    assert est.value > SIGN_SIGMAS * est.std_err
-    assert est.n_paths == IMPACT_PATHS
-    assert est.conditioned_on is None
+    assert value.item() > SIGN_SIGMAS * std_err.item()
 
 
 def test_impact_vanishes_where_demand_is_flat(
@@ -62,54 +59,53 @@ def test_impact_vanishes_where_demand_is_flat(
     # symmetric mean-shift demand crosses zero at the midpoint, so impact
     # sourced there is indistinguishable from zero
     _, _, w_star = mean_shift_demand
-    est = cross_price_impact(
-        1.0, 0.0, w_star, mean_shift_family, unit_noise, grid,
+    value, std_err = impact_surface(
+        [1.0], [0.0], w_star, mean_shift_family, unit_noise, grid,
         n_paths=IMPACT_PATHS, seed=5,
     )
-    assert abs(est.value) <= SIGN_SIGMAS * est.std_err + NULL_FLOOR
+    assert abs(value.item()) <= SIGN_SIGMAS * std_err.item() + NULL_FLOOR
 
 
 def test_opposite_tails_carry_negative_impact(
     mean_shift_demand, mean_shift_family, unit_noise, grid
 ):
     _, _, w_star = mean_shift_demand
-    est = cross_price_impact(
-        2.0, -2.0, w_star, mean_shift_family, unit_noise, grid,
+    value, std_err = impact_surface(
+        [2.0], [-2.0], w_star, mean_shift_family, unit_noise, grid,
         n_paths=IMPACT_PATHS, seed=5,
     )
-    assert est.value < -SIGN_SIGMAS * est.std_err
+    assert value.item() < -SIGN_SIGMAS * std_err.item()
 
 
 def test_variance_family_impact_is_even_in_the_source(
     variance_family, unit_noise, grid
 ):
     w_star = variance_demand(variance_family, unit_noise, grid)
-    left = cross_price_impact(
-        2.0, -2.0, w_star, variance_family, unit_noise, grid,
+    left, _ = impact_surface(
+        [2.0], [-2.0], w_star, variance_family, unit_noise, grid,
         n_paths=IMPACT_PATHS, seed=6,
     )
-    right = cross_price_impact(
-        2.0, 2.0, w_star, variance_family, unit_noise, grid,
+    right, _ = impact_surface(
+        [2.0], [2.0], w_star, variance_family, unit_noise, grid,
         n_paths=IMPACT_PATHS, seed=6,
     )
-    assert left.value == right.value  # even payoff rows, identical shocks
-    assert left.value > 0.0
+    assert left.item() == right.item()  # even payoff rows, identical shocks
+    assert left.item() > 0.0
 
 
 def test_conditioning_changes_the_estimate(
     mean_shift_demand, mean_shift_family, unit_noise, grid
 ):
     _, _, w_star = mean_shift_demand
-    mixed = cross_price_impact(
-        1.0, 1.0, w_star, mean_shift_family, unit_noise, grid,
+    mixed, _ = impact_surface(
+        [1.0], [1.0], w_star, mean_shift_family, unit_noise, grid,
         n_paths=4000, seed=5,
     )
-    given_low = cross_price_impact(
-        1.0, 1.0, w_star, mean_shift_family, unit_noise, grid,
+    given_low, _ = impact_surface(
+        [1.0], [1.0], w_star, mean_shift_family, unit_noise, grid,
         n_paths=4000, seed=5, conditioned_on=0,
     )
-    assert given_low.conditioned_on == 0
-    assert given_low.value != mixed.value
+    assert given_low.item() != mixed.item()
 
 
 def test_one_path_has_zero_standard_errors(mean_shift_demand, mean_shift_family, unit_noise,
@@ -138,13 +134,13 @@ def test_surface_agrees_with_pointwise_estimates(
     assert np.all(errs > 0.0)
     for a, x in enumerate(points):
         for b, y in enumerate(points):
-            est = cross_price_impact(
-                float(x), float(y), w_star, mean_shift_family, unit_noise, grid,
+            value, std_err = impact_surface(
+                [x], [y], w_star, mean_shift_family, unit_noise, grid,
                 n_paths=4000, seed=5,
             )
-            # one estimator: only the rounding of a one-column matmul differs
-            assert est.value == pytest.approx(values[a, b], rel=1e-12, abs=1e-15)
-            assert est.std_err == pytest.approx(errs[a, b], rel=1e-12)
+            # same paths: only the rounding of a one-column matmul differs
+            assert value.item() == pytest.approx(values[a, b], rel=1e-12, abs=1e-15)
+            assert std_err.item() == pytest.approx(errs[a, b], rel=1e-12)
 
 
 def _impact_from_full_paths(points, w_star, family, noise, grid, n_paths, seed, conditioned_on):
@@ -191,8 +187,6 @@ def test_conditioning_out_of_range_is_rejected(conditioned_on, mean_shift_demand
     args = (w_star, mean_shift_family, unit_noise, grid)
     with pytest.raises(ValueError, match="adkyle.analytics: conditioned_on"):
         impact_surface([1.0], [1.0], *args, n_paths=100, seed=0, conditioned_on=conditioned_on)
-    with pytest.raises(ValueError, match="adkyle.analytics: conditioned_on"):
-        cross_price_impact(1.0, 1.0, *args, n_paths=100, seed=0, conditioned_on=conditioned_on)
 
 
 def test_path_signals_fill_their_blocks_in_place():
@@ -277,6 +271,15 @@ def test_invariance_under_noise_doubling(mean_shift_family, unit_noise, grid):
     assert rep.alpha_star_scaled == rep.alpha_star_base
     assert rep.alpha_raw_scaled == 2.0 * rep.alpha_raw_base
     assert rep.ie_scaled == rep.ie_base
+
+
+def test_invariance_reports_the_solves_efficiency(mean_shift_family, unit_noise, grid):
+    # E[q_true] at each root is the solve's own estimate, not a fresh draw
+    rep = invariance_experiment(
+        mean_shift_family, unit_noise, grid, scale=2.0, n_samples=50_000, seed=4
+    )
+    kern = build_canonical_kernel(mean_shift_family, unit_noise, grid)
+    assert rep.ie_base == solve_alpha_star(kern, n_samples=50_000, seed=4).ie
 
 
 def test_invariance_rejects_bad_scale(mean_shift_family, unit_noise, grid):

@@ -93,7 +93,7 @@ def test_verify_foc_draws_each_shock_block_once(cfg_file, tmp_path, monkeypatch)
         adkyle.orderflow, "standard_normal_matrix", lambda *a, **k: draws.append(a) or real(*a, **k)
     )
     n_paths = 2 * PATH_BLOCK_SIZE + 1
-    cfg_file.write_text(FAST_CONFIG + f"mc.n_paths = {n_paths}\n")
+    cfg_file.write_text(FAST_CONFIG.replace("mc.n_paths = 400", f"mc.n_paths = {n_paths}"))
     assert main(["verify-foc", "-c", str(cfg_file), "-o", str(tmp_path / "foc")]) == 0
     assert draws == [(derive_seed(3, *FLOW_STATISTIC), n_paths, 2, PATH_BLOCK_SIZE)]
 
@@ -210,6 +210,17 @@ def test_config_errors_exit_with_code_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "mc.seed" in err
+
+
+def test_repeated_config_key_exits_with_code_two(tmp_path, capsys):
+    # a later line must not silently override an earlier one
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("mc.seed = 1\ngrid.n = 101\nmc.seed = 2\n")
+    assert main(["solve", "-c", str(cfg), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: adkyle.config:") and len(err.splitlines()) == 1
+    assert "'mc.seed' repeated (lines 1 and 3)" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,16 +10,8 @@ from adkyle import (
     softmax,
     true_belief,
 )
-from adkyle._rng import (
-    BLOCK_SIZE,
-    FLOW_STATISTIC,
-    INVARIANCE_IE,
-    PATH_SHOCKS,
-    SIGNALS,
-    block_generator,
-    derive_seed,
-    standard_normal_matrix,
-)
+from adkyle import _rng
+from adkyle._rng import BLOCK_SIZE, block_generator, derive_seed, standard_normal_matrix
 from adkyle.analytics import SWEEP_SIZES
 from adkyle.posterior import MIN_MOMENT_SAMPLES, MIN_QUAD_NODES, moment_noise
 
@@ -175,14 +167,15 @@ def test_normal_matrix_fills_its_blocks_in_place():
 
 
 def test_stage_streams_never_share_draws():
-    # solver noise (raw seed), signals, path shocks, the order-flow statistic,
-    # the invariance ie noise and every sweep entry each key their own stream,
-    # within a seed and across neighbouring seeds
+    # solver noise (raw seed), every stage tag in _rng and every sweep entry
+    # each key their own stream, within a seed and across neighbouring seeds
+    tags = {name: tag for name, tag in vars(_rng).items()
+            if name.isupper() and isinstance(tag, tuple)}
+    assert tags  # the scan found the module's stage tags
     keys = {}
     for seed in range(4):
         keys[f"solver/{seed}"] = seed
-        for name, tag in (("signals", SIGNALS), ("path_shocks", PATH_SHOCKS),
-                          ("flow_statistic", FLOW_STATISTIC), ("invariance_ie", INVARIANCE_IE)):
+        for name, tag in tags.items():
             keys[f"{name}/{seed}"] = derive_seed(seed, *tag)
         for I in SWEEP_SIZES:
             keys[f"sweep_I{I}/{seed}"] = derive_seed(seed, I)

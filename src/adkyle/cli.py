@@ -47,19 +47,42 @@ from .posterior import (
 OUTPUT_DIR_ENV = "ADKYLE_OUTPUT_DIR"
 
 
+def _numeric(column) -> bool:
+    """A bool, integer or float array whose items view as an unsigned integer (no longdouble)."""
+    return isinstance(column, np.ndarray) and column.dtype.kind in "biuf" and column.itemsize <= 8
+
+
 def _cells(column) -> list[str]:
-    """Text of one column: repr for floats (round-trips exactly), str otherwise."""
+    """Text of one column: repr for floats (round-trips exactly), str otherwise.
+
+    A numeric array is formatted once per distinct bit pattern, not per cell
+    (on bits, not values: 0.0 and -0.0 print differently).
+    """
     if isinstance(column, np.ndarray):
-        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
+        text = repr if column.dtype.kind == "f" else str
+        if not _numeric(column):
+            return list(map(text, column.tolist()))
+        bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+        distinct = bits.view(column.dtype).tolist()
+        return np.array(list(map(text, distinct)), dtype=object)[inverse].tolist()
     return [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in column]
 
 
 def write_csv(path: Path, header: list[str], columns) -> None:
-    """Write equal-length columns (arrays or sequences) under a header row."""
+    """Write equal-length columns (arrays or sequences) under a header row.
+
+    Rows of all-numeric arrays need no quoting, so they are joined directly,
+    with csv's default "\\r\\n" line end; any other table goes through csv.
+    """
+    columns = list(columns)
+    rows = zip(*map(_cells, columns), strict=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(zip(*map(_cells, columns), strict=True))
+        if all(map(_numeric, columns)):
+            fh.write("".join([",".join(row) + "\r\n" for row in rows]))
+        else:
+            writer.writerows(rows)
 
 
 def _manifest(outdir: Path, cfg: RunConfig, command: str, t0: float) -> None:

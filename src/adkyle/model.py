@@ -56,8 +56,10 @@ class StateGrid:
 
     def nearest(self, x: float, margin: int = 0) -> int:
         """Index of the node nearest to x, clamped to [margin, n - 1 - margin]."""
-        idx = int(round((x - self.x_min) / self.h))
-        return min(max(idx, margin), self.n - 1 - margin)
+        if not math.isfinite(x):
+            raise ValueError(f"{_ERR}: node query x must be finite, got {x}")
+        # clamp before rounding, so that a huge finite x cannot overflow int()
+        return int(round(min(max((x - self.x_min) / self.h, margin), self.n - 1 - margin)))
 
 
 @dataclass(frozen=True)

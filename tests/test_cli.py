@@ -6,17 +6,26 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import adkyle
 from adkyle.cli import OUTPUT_DIR_ENV, _solved, main, write_csv
 from adkyle.config import load_config, with_seed
 from adkyle._rng import FLOW_STATISTIC, PATH_SHOCKS, derive_seed, standard_normal_matrix
-from adkyle.orderflow import PATH_BLOCK_SIZE
+from adkyle.orderflow import (
+    PATH_BLOCK_SIZE,
+    log_likelihoods,
+    posterior_weights,
+    price_schedule,
+    simulate_increments,
+)
 
 FAST_CONFIG = """
 grid.n = 101
@@ -192,6 +201,111 @@ def test_csv_writer_matches_per_cell_reference(tmp_path):
     write_csv(out, header, columns)
     assert out.read_bytes() == ref.read_bytes()
     assert b"nan,nan,-3,0,s1,1.5\r\n" in out.read_bytes()
+
+
+def _per_cell_csv(path, header, columns):
+    """Reference rendering: csv.writer over each cell's text (repr for floats, str otherwise)."""
+    def cell(v):
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([cell(v) for v in row])
+
+
+def _float_bits(dtype):
+    """Bit patterns of +-0, +-inf, NaNs with different payloads, subnormals and plain values."""
+    width = 8 * np.dtype(dtype).itemsize
+    tiny = np.finfo(dtype).smallest_subnormal
+    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 0.1, -2.5, tiny, -tiny, 3 * tiny],
+                      dtype=dtype)
+    bits = values.view(f"u{width // 8}").tolist()
+    inf, sign = bits[2], 2**(width - 1)
+    nans = [inf | 1, inf | 5, sign | inf | 1, 2**width - 1]
+    return st.one_of(st.sampled_from(bits + nans), st.integers(0, 2**width - 1))
+
+
+# column dtype -> (elements, dtype of the drawn values); floats are drawn as bit patterns
+NUMERIC_KINDS = {
+    "f8": (_float_bits(np.float64), np.uint64),
+    ">f8": (_float_bits(np.float64), np.uint64),
+    "f4": (_float_bits(np.float32), np.uint32),
+    "f2": (_float_bits(np.float16), np.uint16),
+    "b1": (st.booleans(), np.bool_),
+    "i1": (st.integers(-128, 127), np.int8),
+    "u8": (st.one_of(st.just(2**64 - 1), st.integers(0, 2**64 - 1)), np.uint64),
+    "i8": (st.integers(-2**63, 2**63 - 1), np.int64),
+}
+TEXT = st.text(alphabet=',"\n\r a', max_size=4)  # quote-worthy characters and ""
+
+
+@st.composite
+def _column(draw, n):
+    kind = draw(st.sampled_from([*NUMERIC_KINDS, "U", "O", "list"]))
+    if kind in ("U", "O"):
+        return np.array(draw(st.lists(TEXT, min_size=n, max_size=n)),
+                        dtype=str if kind == "U" else object)
+    if kind == "list":
+        return draw(st.lists(st.one_of(st.floats(), st.integers(), TEXT), min_size=n, max_size=n))
+    elements, drawn = NUMERIC_KINDS[kind]
+    shape = draw(st.sampled_from(["plain", "tile", "repeat", "strided"]))
+    size = {"plain": n, "strided": 3 * n}.get(shape) or draw(st.integers(1, 5))
+    values = draw(st.lists(elements, min_size=size, max_size=size))
+    base = np.array(values, dtype=drawn).view(kind.lstrip(">")).astype(kind)
+    if shape == "tile":
+        return np.tile(base, math.ceil(n / size))[:n]
+    if shape == "repeat":
+        return np.repeat(base, math.ceil(n / size))[:n]
+    return base[::3] if shape == "strided" else base
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(0, 30))
+    return [draw(_column(n)) for _ in range(draw(st.integers(1, 4)))]
+
+
+@seed(11)
+@given(columns=_tables())
+@settings(deadline=None, max_examples=300)
+def test_csv_writer_matches_reference_on_generated_tables(columns):
+    # repeated cells, every float class, strided and empty columns, cells csv must quote
+    header = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        ref, out = Path(tmp) / "ref.csv", Path(tmp) / "out.csv"
+        _per_cell_csv(ref, header, columns)
+        write_csv(out, header, columns)
+        assert out.read_bytes() == ref.read_bytes()
+
+
+def test_simulate_csvs_match_per_cell_rendering(cfg_file, tmp_path):
+    # the arrays simulate writes, rebuilt here and rendered cell by cell
+    out = tmp_path / "sim"
+    n_paths, s = 3, 1
+    assert main(["simulate", "-c", str(cfg_file), "-o", str(out),
+                 "--paths", str(n_paths), "--signal", str(s)]) == 0
+    cfg = load_config(cfg_file)
+    grid, noise, family, _, w_star = _solved(cfg)
+    increments, _ = simulate_increments(w_star[s], noise, grid, cfg.seed, n_paths)
+    y = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(increments, axis=1)], axis=1)
+    log_lik = log_likelihoods(w_star, increments, noise, grid)
+    pi = posterior_weights(log_lik)
+    price = price_schedule(pi, family)
+    path_id, x = np.repeat(np.arange(n_paths), grid.n), np.tile(grid.nodes, n_paths)
+    expected = {
+        "paths.csv": (["path_id", "x", "y"], [path_id, x, y.ravel()]),
+        "pathwise_prices.csv": (["path_id", "x", "price"], [path_id, x, price.ravel()]),
+        "pathwise_posterior.csv": (
+            ["path_id", "signal", "log_lik", "pi"],
+            [np.repeat(np.arange(n_paths), family.I), family.labels * n_paths,
+             log_lik.ravel(), pi.ravel()]),
+    }
+    for name, (header, columns) in expected.items():
+        _per_cell_csv(tmp_path / name, header, columns)
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    assert (out / "paths.csv").read_bytes().count(b"\r\n") == 1 + n_paths * grid.n
 
 
 def test_simulate_rejects_zero_paths(cfg_file, tmp_path, capsys):

@@ -10,11 +10,13 @@ from hypothesis.extra.numpy import arrays
 
 from adkyle import (
     NoiseProfile,
+    bl_decompose,
     build_state_grid,
     make_payoff_family,
     prior_mixture,
     weighted_inner_product,
 )
+from adkyle.analytics import node_index
 
 VECTOR_LENGTH = 41
 ABS_TOLERANCE = 1e-12
@@ -61,6 +63,20 @@ def test_grid_rejects_bad_arguments():
         build_state_grid(0.0, math.inf, 11)
     with pytest.raises(ValueError, match="adkyle.model: grid bounds and their span"):
         build_state_grid(-1e308, 1e308, 11)  # finite bounds, overflowing span
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_node_queries_reject_non_finite_points(grid, x):
+    for query in (lambda: grid.nearest(x), lambda: node_index(grid, x),
+                  lambda: bl_decompose(np.zeros(grid.n), grid, x)):
+        with pytest.raises(ValueError, match="adkyle.model: node query x must be finite"):
+            query()
+
+
+def test_node_queries_clamp_huge_finite_points(grid):
+    # (x - x_min) / h overflows to inf here; the clamp must come before int()
+    assert grid.nearest(1e308) == grid.n - 1
+    assert grid.nearest(-1e308, margin=1) == 1
 
 
 def test_noise_profile_validation():

@@ -35,13 +35,13 @@ from .posterior import (
     sample_posterior,
     softmax,
     true_belief,
+    true_belief_moments,
 )
 from .equilibrium import (
     Equilibrium,
     KyleBenchmark,
     equilibrium_demand,
     kyle_single_asset,
-    phi_from_noise,
     solve_alpha_star,
 )
 from .orderflow import (
@@ -58,7 +58,6 @@ from .analytics import (
     efficiency_sweep,
     identity_kernel,
     impact_surface,
-    information_efficiency,
     invariance_experiment,
 )
 from .options import OptionStrip, bl_decompose, bl_reconstruct, demand_signature
@@ -88,11 +87,11 @@ __all__ = [
     "sample_posterior",
     "softmax",
     "true_belief",
+    "true_belief_moments",
     "Equilibrium",
     "KyleBenchmark",
     "equilibrium_demand",
     "kyle_single_asset",
-    "phi_from_noise",
     "solve_alpha_star",
     "log_likelihoods",
     "posterior_weights",
@@ -108,7 +107,6 @@ __all__ = [
     "efficiency_sweep",
     "identity_kernel",
     "impact_surface",
-    "information_efficiency",
     "invariance_experiment",
     "OptionStrip",
     "bl_decompose",

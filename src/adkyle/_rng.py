@@ -5,11 +5,10 @@ Every stochastic routine in the package draws from Philox streams keyed by
 pairwise summation, so results are bitwise reproducible and independent of
 any worker scheduling.
 
-Each stage draws its own stream (Random123, Salmon et al., SC'11): the solver
-on the raw seed, efficiency_sweep's entry I on derive_seed(master, I), and the
-rest on derive_seed(seed, *tag) below; a two-word tag can equal neither.
-Information efficiency at a root is the solve's own E[q_true], drawn from the
-solver's noise, so it has no stream of its own.
+Each stage draws its own stream (Random123, Salmon et al., SC'11): `posterior
+probe`'s moment noise on the raw seed, and the rest on derive_seed(seed, *tag)
+with the tags below.  The equilibrium solve and the efficiency sweep draw
+nothing: their residual is a quadrature.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Cross-asset price impact, information efficiency, and invariance checks.
+"""Cross-asset price impact, the efficiency sweep, and invariance checks.
 
 The price-pressure kernel of the equilibrium is
 
@@ -20,7 +20,6 @@ from ._rng import SIGNALS, block_generator, blocks, derive_seed
 from .kernel import CanonicalKernel, build_canonical_kernel, centering_matrix
 from .model import NoiseProfile, PayoffFamily, StateGrid, trapezoid
 from .orderflow import DEFAULT_PATHS, PATH_BLOCK_SIZE, posterior_blocks
-from .posterior import DEFAULT_MOMENT_SAMPLES, mean_and_std_err, moment_noise, true_belief
 from .equilibrium import solve_alpha_star
 
 _ERR = "adkyle.analytics"
@@ -32,14 +31,12 @@ SWEEP_SIZES = (2, 4, 6, 8)
 
 @dataclass(frozen=True)
 class EfficiencyRow:
-    """One row of the efficiency sweep: equilibrium root and E[q_true] at it."""
+    """One row of the efficiency sweep: equilibrium root, E[q_true] there, its error bound."""
 
     I: int
     alpha_star: float
     ie: float
     std_err: float
-    n_samples: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -169,24 +166,6 @@ def derivative_cross_impact(
     return float(trapezoid(trapezoid(integrand, ys, axis=1), xs))
 
 
-def information_efficiency(
-    alpha_bar: float,
-    I: int,
-    n_samples: int = DEFAULT_MOMENT_SAMPLES,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """E[q_true] at the given signal-to-noise number, with standard error.
-
-    At alpha_bar = 0 prices carry no information and the value is 1/I; it
-    increases toward 1 as alpha_bar grows.
-
-    Raises:
-        ValueError: if n_samples < MIN_MOMENT_SAMPLES.
-    """
-    noise = moment_noise(I, n_samples, seed)
-    return mean_and_std_err(true_belief(alpha_bar, noise))
-
-
 def identity_kernel(I: int) -> CanonicalKernel:
     """Canonical kernel of an orthonormal payoff family (K = identity)."""
     eye = np.eye(I)
@@ -195,29 +174,16 @@ def identity_kernel(I: int) -> CanonicalKernel:
     )
 
 
-def efficiency_sweep(
-    n_samples: int = DEFAULT_MOMENT_SAMPLES, master_seed: int = 0
-) -> list[EfficiencyRow]:
+def efficiency_sweep() -> list[EfficiencyRow]:
     """Equilibrium root and information efficiency for each signal count in SWEEP_SIZES.
 
-    Each I gets its own derived seed, and the reported row is bitwise equal to
-    running the solve and information_efficiency standalone with that seed:
-    the solver reports E[q_true] at its root from the same noise matrix.
+    Each row is the standalone solve of identity_kernel(I): ie is E[q_true]
+    from the solver's evaluation at its root, std_err its error bound.
     """
     rows = []
     for I in SWEEP_SIZES:
-        seed = derive_seed(master_seed, I)
-        eq = solve_alpha_star(identity_kernel(I), n_samples=n_samples, seed=seed)
-        rows.append(
-            EfficiencyRow(
-                I=I,
-                alpha_star=eq.alpha_star,
-                ie=eq.ie,
-                std_err=eq.ie_std_err,
-                n_samples=int(n_samples),
-                seed=seed,
-            )
-        )
+        eq = solve_alpha_star(identity_kernel(I))
+        rows.append(EfficiencyRow(I=I, alpha_star=eq.alpha_star, ie=eq.ie, std_err=eq.ie_std_err))
     return rows
 
 
@@ -226,13 +192,11 @@ def invariance_experiment(
     noise: NoiseProfile,
     grid: StateGrid,
     scale: float = 2.0,
-    n_samples: int = DEFAULT_MOMENT_SAMPLES,
-    seed: int = 0,
 ) -> InvarianceReport:
     """Scale the noise intensity and re-run the pipeline.
 
-    The canonical root and information efficiency depend only on (I, seed),
-    so they are unchanged -- bitwise, thanks to common random numbers -- while
+    The canonical root and information efficiency depend only on I, so they
+    are unchanged -- bitwise, since the residual sees nothing else -- while
     the raw demand coefficient rescales by the noise factor (exactly, for
     power-of-two factors).  Each ie is the solve's own E[q_true] at its root.
     """
@@ -240,8 +204,8 @@ def invariance_experiment(
         raise ValueError(f"{_ERR}: scale must be positive")
     kern_base = build_canonical_kernel(family, noise, grid)
     kern_scaled = build_canonical_kernel(family, NoiseProfile(scale * noise.sigma), grid)
-    eq_base = solve_alpha_star(kern_base, n_samples=n_samples, seed=seed)
-    eq_scaled = solve_alpha_star(kern_scaled, n_samples=n_samples, seed=seed)
+    eq_base = solve_alpha_star(kern_base)
+    eq_scaled = solve_alpha_star(kern_scaled)
     return InvarianceReport(
         alpha_star_base=eq_base.alpha_star,
         alpha_star_scaled=eq_scaled.alpha_star,

@@ -45,6 +45,7 @@ from .posterior import (
 )
 
 OUTPUT_DIR_ENV = "ADKYLE_OUTPUT_DIR"
+CSV_BLOCK_ROWS = 1 << 14  # rows formatted per write: bounds the text in memory
 
 
 def _numeric(column) -> bool:
@@ -71,18 +72,23 @@ def _cells(column) -> list[str]:
 def write_csv(path: Path, header: list[str], columns) -> None:
     """Write equal-length columns (arrays or sequences) under a header row.
 
-    Rows of all-numeric arrays need no quoting, so they are joined directly,
-    with csv's default "\\r\\n" line end; any other table goes through csv.
+    Rows are formatted and written CSV_BLOCK_ROWS at a time, so only one
+    block's text is held in memory.  Rows of all-numeric arrays need no
+    quoting, so they are joined directly, with csv's default "\\r\\n" line
+    end; any other table goes through csv.
     """
     columns = list(columns)
-    rows = zip(*map(_cells, columns), strict=True)
+    joined = all(map(_numeric, columns))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        if all(map(_numeric, columns)):
-            fh.write("".join([",".join(row) + "\r\n" for row in rows]))
-        else:
-            writer.writerows(rows)
+        for start in range(0, max(map(len, columns), default=0), CSV_BLOCK_ROWS):
+            block = [column[start:start + CSV_BLOCK_ROWS] for column in columns]
+            rows = zip(*map(_cells, block), strict=True)
+            if joined:
+                fh.write("".join([",".join(row) + "\r\n" for row in rows]))
+            else:
+                writer.writerows(rows)
 
 
 def _manifest(outdir: Path, cfg: RunConfig, command: str, t0: float) -> None:
@@ -109,10 +115,7 @@ def _pipeline(cfg: RunConfig):
 
 def _solved(cfg: RunConfig):
     grid, noise, family, kern = _pipeline(cfg)
-    eq = solve_alpha_star(
-        kern, n_samples=cfg.n_samples, seed=cfg.seed,
-        phi_tol=cfg.phi_tol, width_tol=cfg.width_tol,
-    )
+    eq = solve_alpha_star(kern, phi_tol=cfg.phi_tol, width_tol=cfg.width_tol)
     _, w_star = equilibrium_demand(eq, kern, family)
     return grid, noise, family, eq, w_star
 
@@ -201,11 +204,11 @@ def cmd_impact(args, cfg: RunConfig, outdir: Path) -> int:
 
 
 def cmd_efficiency(args, cfg: RunConfig, outdir: Path) -> int:
-    rows = efficiency_sweep(n_samples=cfg.n_samples, master_seed=cfg.seed)
+    rows = efficiency_sweep()
     write_csv(
         outdir / "efficiency.csv",
         ["I", "alpha_star", "ie", "std_err", "n_samples", "seed"],
-        zip(*((r.I, r.alpha_star, r.ie, r.std_err, r.n_samples, r.seed) for r in rows)),
+        zip(*((r.I, r.alpha_star, r.ie, r.std_err, cfg.n_samples, cfg.seed) for r in rows)),
     )
     summary = " ".join(f"I={r.I}:{r.ie:.4f}" for r in rows)
     print(f"efficiency: {summary} -> {outdir}")

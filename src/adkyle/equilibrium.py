@@ -7,9 +7,10 @@ find alpha_bar >= 0 with
 
 where q_t is the belief on the true signal.  Rows of q sum to one, so
 Phi = E[(1 - q_t)(1 - alpha_bar^2 q_t)]: 1 - 1/I > 0 at zero and negative for
-large alpha_bar.  A doubling bracket plus ITP steps (Oliveira & Takahashi 2020)
-under common random numbers pin the root.  The demand map is then assembled
-from the kernel square root:
+large alpha_bar.  The law of q_t depends on alpha_bar and I alone, so Phi is a
+deterministic function, integrated by posterior.true_belief_moments; a doubling
+bracket plus ITP steps (Oliveira & Takahashi 2020) pin its root, which depends
+only on I.  The demand map is then assembled from the kernel square root:
 
     beta(s_i) = alpha_bar_star * L_pinv Q e_i,
     W(x, s_i) = sum_u beta(s_i)[u] * eta(x, s_u).
@@ -24,7 +25,7 @@ import numpy as np
 
 from .kernel import RANK_TOL, CanonicalKernel
 from .model import PayoffFamily
-from .posterior import DEFAULT_MOMENT_SAMPLES, mean_and_std_err, moment_noise, rival_odds
+from .posterior import QUAD_TOL, true_belief_moments
 
 _ERR = "adkyle.equilibrium"
 
@@ -43,10 +44,12 @@ class Equilibrium:
         alpha_raw: alpha_star / sqrt(c); the coefficient in original units.
         c: Exchangeability scale of the kernel.
         I: Number of signals.
-        phi_residual: Phi estimate at alpha_star (|.| < phi_tol).
-        alpha_std_err: SE(Phi(alpha_star)) / |Phi'|, Phi' the final bracket secant.
-        ie, ie_std_err: E[q_true] at alpha_star and its standard error.
-        mc_meta: Solver provenance (n_samples, seed, bracket, (alpha_bar, phi, stage) trace).
+        phi_residual: Phi at alpha_star (|.| < phi_tol).
+        alpha_std_err: Error bound on alpha_star: the final bracket width plus
+            QUAD_TOL / |Phi'|, Phi' the final bracket secant.
+        ie, ie_std_err: E[q_true] at alpha_star and its error bound, the
+            bracket's ie secant times alpha_std_err plus QUAD_TOL.
+        mc_meta: Solver provenance (bracket, (alpha_bar, phi, stage) trace).
     """
 
     alpha_star: float
@@ -68,46 +71,29 @@ class KyleBenchmark:
     lam: float
 
 
-def _residual_draws(alpha_bar: float, noise: np.ndarray):
-    """Per-draw (1 - q_t)(1 - alpha_bar^2 q_t), whose mean is Phi, and q_t itself."""
-    odds = rival_odds(alpha_bar, noise)
-    q = 1.0 / (1.0 + odds)  # true_belief, bit for bit
-    # 1 - q_t as odds * q_t keeps Phi's sign where q_t rounds to 1 (large alpha_bar)
-    return (odds * q) * (1.0 - alpha_bar * alpha_bar * q), q
-
-
-def phi_from_noise(alpha_bar: float, noise: np.ndarray) -> float:
-    """Fixed-point residual Phi on a frozen noise matrix (common random numbers).
-
-    Phi(0) = 1 - 1/I by construction.
-    """
-    return float(np.mean(_residual_draws(alpha_bar, noise)[0]))
-
-
-def solve_alpha_star(kern: CanonicalKernel, n_samples: int = DEFAULT_MOMENT_SAMPLES, seed: int = 0,
-                     phi_tol: float = PHI_TOL, width_tol: float = WIDTH_TOL) -> Equilibrium:
+def solve_alpha_star(kern: CanonicalKernel, phi_tol: float = PHI_TOL,
+                     width_tol: float = WIDTH_TOL) -> Equilibrium:
     """Bracket the residual by doubling, then shrink the bracket with ITP steps.
 
-    One noise matrix is reused for every residual evaluation, so the estimated
-    Phi is a deterministic continuous function of alpha_bar and a bracketed
-    superlinear method is well posed despite the Monte Carlo error.  The root
-    is the evaluated end of the final bracket (narrower than width_tol) with
-    the smaller |Phi|, which is below phi_tol.
+    The root is the evaluated end of the final bracket (narrower than
+    width_tol) with the smaller |Phi|, which is below phi_tol.  E[q_true] at
+    the root comes from the same evaluation.
 
     Raises:
-        ValueError: non-exchangeable or degenerate kernel (c ~ 0), n_samples
-            below MIN_MOMENT_SAMPLES, bracket cap exceeded, or no convergence.
+        ValueError: non-exchangeable or degenerate kernel (c ~ 0), bracket cap
+            exceeded, or no convergence.
     """
     if not kern.exchangeable:
         raise ValueError(f"{_ERR}: kernel is not exchangeable (QKQ deviates from cQ); "
                          "the scalar reduction does not apply")
     if kern.c <= RANK_TOL:
         raise ValueError(f"{_ERR}: degenerate kernel, c={kern.c:.3e} has no signal content")
-    noise = moment_noise(kern.I, n_samples, seed)
-    trace = []
+    trace, ie_at = [], {0.0: 1.0 / kern.I}
 
     def evaluate(alpha_bar: float, stage: str) -> float:
-        trace.append((alpha_bar, phi_from_noise(alpha_bar, noise), stage))
+        not_true, spread = true_belief_moments(alpha_bar, kern.I)
+        ie_at[alpha_bar] = 1.0 - not_true
+        trace.append((alpha_bar, not_true - alpha_bar * alpha_bar * spread, stage))
         return trace[-1][1]
 
     lo, f_lo = 0.0, 1.0 - 1.0 / kern.I
@@ -139,21 +125,18 @@ def solve_alpha_star(kern: CanonicalKernel, n_samples: int = DEFAULT_MOMENT_SAMP
         lo, f_lo, hi, f_hi = (x, f_x, hi, f_hi) if f_x >= 0.0 else (lo, f_lo, x, f_x)
 
     alpha, f_alpha = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
-    draws, q = _residual_draws(alpha, noise)
-    ie, ie_std_err = mean_and_std_err(q)
-    _, phi_std_err = mean_and_std_err(draws)
+    alpha_err = (hi - lo) * (1.0 + QUAD_TOL / (f_lo - f_hi))
     return Equilibrium(
         alpha_star=float(alpha),
         alpha_raw=float(alpha / math.sqrt(kern.c)),
         c=float(kern.c),
         I=kern.I,
         phi_residual=float(f_alpha),
-        alpha_std_err=phi_std_err * (hi - lo) / (f_lo - f_hi),
-        ie=ie,
-        ie_std_err=ie_std_err,
-        mc_meta={"n_samples": int(n_samples), "seed": int(seed), "bracket_hi": hi,
-                 "n_doublings": n_doublings, "n_bisections": len(trace) - 1 - n_doublings,
-                 "trace": trace},
+        alpha_std_err=alpha_err,
+        ie=ie_at[alpha],
+        ie_std_err=abs(ie_at[hi] - ie_at[lo]) / (hi - lo) * alpha_err + QUAD_TOL,
+        mc_meta={"bracket_hi": hi, "n_doublings": n_doublings,
+                 "n_bisections": len(trace) - 1 - n_doublings, "trace": trace},
     )
 
 

@@ -1,4 +1,4 @@
-"""Canonical posterior of the market maker and its Monte Carlo moments.
+"""Canonical posterior of the market maker: its law, sampled and integrated.
 
 Conditional on the true signal s_t, the market maker's date-1 posterior over
 the I signals collapses to a finite-dimensional law parametrized by a single
@@ -7,18 +7,17 @@ effective signal-to-noise number alpha_bar:
     logits = alpha_bar * Q xi + alpha_bar^2 * e_t,     xi ~ N(0, I_I),
     q      = softmax(logits),
 
-where Q is the centering projector.  All equilibrium objects (the fixed-point
-residual, information efficiency, price impact) are expectations of smooth
-functionals of q, estimated here with counter-based streams so every number is
-bitwise reproducible from a seed.  The residual and the efficiency need only
-the true-signal entry q_t (true_belief); the full softmax and its moments
-(moments_from_noise) remain the general path and the independent check.
+where Q is the centering projector.  The fixed-point residual and the
+information efficiency depend on the true-signal entry q_t alone, and
+true_belief_moments integrates them (no draw, no seed).  The Monte Carlo
+estimators (true_belief, moments_from_noise) serve `posterior probe` and check
+the quadrature in the tests.
 
-rival_odds and true_belief take the truth to be column 0 of the noise.  The xi
-are i.i.d., so the law of the posterior given s_t is exchangeable across the
-signals: choosing another true index only relabels the noise columns and
-leaves every expectation of q_t unchanged.  sample_posterior and
-moments_from_noise keep an explicit true index, as the softmax oracle.
+true_belief takes the truth to be column 0 of the noise.  The xi are i.i.d.,
+so the law of the posterior given s_t is exchangeable across the signals:
+choosing another true index only relabels the noise columns and leaves every
+expectation of q_t unchanged.  sample_posterior and moments_from_noise keep an
+explicit true index, as the softmax oracle.
 
 Order-flow blocks take their extremes over the signal axis as column sweeps
 (signal_sweep): numpy reduces a short last axis with a separate inner loop per
@@ -46,6 +45,13 @@ MIN_MOMENT_SAMPLES = 10_000
 DEFAULT_MOMENT_SAMPLES = 200_000
 MIN_QUAD_NODES = 64
 DEFAULT_QUAD_NODES = 200
+
+# true_belief_moments: trapezoid rules in r = log(sigma) and in each normal
+LOG_SIGMA_STEP = 0.25     # r step; the r rule's error is about exp(-pi^2 / step)
+MAX_LOG_SIGMA_POINTS = 400  # r nodes, reached from alpha_bar ~ 3.2 on (step then widens)
+NORMAL_STEP = 0.5         # widest step of the rule for E over one N(0, 1) coordinate
+NORMAL_RANGE = 8.5        # that rule covers |x| <= NORMAL_RANGE
+QUAD_TOL = 1e-12          # bound on the rule's error for alpha_bar in [0, 4] and I <= 64
 
 
 @dataclass(frozen=True)
@@ -138,10 +144,10 @@ def sample_posterior(
     return PosteriorSample(logits, softmax(logits))
 
 
-def rival_odds(alpha_bar: float, noise: np.ndarray) -> np.ndarray:
-    """Posterior odds against the true signal (column 0), (1 - q_0) / q_0, per noise row.
+def true_belief(alpha_bar: float, noise: np.ndarray) -> np.ndarray:
+    """Posterior mass q_0 on the true signal (column 0) per noise row, without a softmax.
 
-    With sample_posterior's logits these are
+    q_0 = 1 / (1 + odds), with the odds against the truth
 
         sum_{j > 0} exp(alpha_bar (xi_j - xi_0) - alpha_bar^2),
 
@@ -158,12 +164,58 @@ def rival_odds(alpha_bar: float, noise: np.ndarray) -> np.ndarray:
         z *= alpha_bar
         z -= alpha_bar * alpha_bar
         odds += np.exp(z, out=z)
-    return odds
+    return 1.0 / (1.0 + odds)
 
 
-def true_belief(alpha_bar: float, noise: np.ndarray) -> np.ndarray:
-    """Posterior mass q_0 on the true signal (column 0) per noise row, without a softmax."""
-    return 1.0 / (1.0 + rival_odds(alpha_bar, noise))
+def true_belief_moments(alpha_bar: float, I: int) -> tuple[float, float]:
+    """(E[1 - q_t], E[q_t (1 - q_t)]) of the canonical posterior, by quadrature.
+
+    With u and the I - 1 rival x_j i.i.d. N(0, 1), q_t = e^c / (e^c + S) for
+    c = alpha_bar u + alpha_bar^2 and S = sum_j e^(alpha_bar x_j).  The identity
+    1/D^k = int sigma^(k-1) e^(-sigma D) dsigma / (k-1)! factorizes both
+    expectations over the I normals; with r = log(sigma), g_k(t) = exp(k t - e^t),
+
+        E[1 - q_t]       = (I-1) int M_0(r) K(r) L(r)^(I-2) dr,
+        E[q_t (1 - q_t)] = (I-1) int M_1(r) K(r) L(r)^(I-2) dr,
+
+    M_k(r) = E g_k(r + c), K(r) = E g_1(r + alpha_bar x), L = E g_0(r + alpha_bar x).
+    Each exponent is one argument k t - e^t with t clipped, so nothing overflows, and
+    Phi = E[1 - q_t] - alpha_bar^2 E[q_t (1 - q_t)] keeps its sign at large alpha_bar,
+    where 1 - (1 + alpha_bar^2) E[q_t] + alpha_bar^2 E[q_t^2] cancels to noise.
+
+    Both rules are trapezoids: in r on the window where M_k K is not negligible, and
+    over each normal with alpha_bar * (x step) = (r step), at most NORMAL_STEP, because
+    g_k(r + alpha_bar x) has features of width 1 / alpha_bar in x (60 Gauss-Hermite
+    nodes err by 2e-5 at alpha_bar = 4).  The result is within QUAD_TOL of the exact
+    value for alpha_bar in [0, 4] and I <= 64; the cost does not depend on I.
+    """
+    if I < 2:
+        raise ValueError(f"{_ERR}: need at least two signals")
+    _check_alpha_bar(alpha_bar)
+    a = float(alpha_bar)
+    # below lo every M_k K is under e^-40; above hi every M_k is under exp(-e^5)
+    lo, hi = -a * (NORMAL_RANGE + a) - 40.0, a * (NORMAL_RANGE - a) + 5.0
+    n_r = min(MAX_LOG_SIGMA_POINTS, math.ceil((hi - lo) / LOG_SIGMA_STEP) + 1)
+    r, h = np.linspace(lo, hi, n_r, retstep=True)
+    on_line = a * NORMAL_STEP > h
+    x_step = h / a if on_line else NORMAL_STEP
+    n = int(NORMAL_RANGE / x_step)
+    x = x_step * np.arange(-n, n + 1)
+    # on_line: a x_j = j h puts r_i + a x_j at point i + j of one r line, so the sums
+    # over x are correlations along it (n_r + 2n exps, not n_r (2n + 1)).  Below
+    # a = h / NORMAL_STEP that x step is too coarse for the normal: use a grid.
+    t = lo + h * np.arange(-n, n_r + n) if on_line else r[:, None] + a * x
+    w = np.exp(-0.5 * x * x)
+    w /= w.sum()
+    sums = []
+    for shift in (a * a, 0.0):  # the truth's M_0, M_1, then the rivals' L, K
+        e_t = np.exp(np.minimum(t + shift, 700.0))
+        g0 = np.exp(-e_t)
+        sums += [np.correlate(g, w, "valid") if on_line else g @ w for g in (g0, e_t * g0)]
+    m0, m1, L, K = sums
+    f = (I - 1) * h * K * L ** (I - 2)
+    f[[0, -1]] *= 0.5
+    return float(f @ m0), float(f @ m1)
 
 
 def mean_and_std_err(draws: np.ndarray) -> tuple[float, float]:
@@ -173,11 +225,10 @@ def mean_and_std_err(draws: np.ndarray) -> tuple[float, float]:
 
 
 def moment_noise(I: int, n_samples: int, seed: int) -> np.ndarray:
-    """The seed's (n_samples, I) standard-normal matrix behind every moment estimate.
+    """The seed's (n_samples, I) standard-normal matrix behind the posterior probe.
 
     Raises:
-        ValueError: if n_samples < MIN_MOMENT_SAMPLES (estimates below that
-            size are too noisy for the fixed-point solve to bracket reliably).
+        ValueError: if n_samples < MIN_MOMENT_SAMPLES.
     """
     if n_samples < MIN_MOMENT_SAMPLES:
         raise ValueError(

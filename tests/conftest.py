@@ -1,7 +1,7 @@
 """Shared fixtures: a default grid, unit noise, and the two-signal families.
 
-The heavy pieces (Monte Carlo solve, demand assembly) are session-scoped so
-the suite pays for them once.
+The shared pieces (the solve, demand assembly) are session-scoped so the
+suite pays for them once.
 """
 
 import math
@@ -59,14 +59,13 @@ def mean_shift_kernel(mean_shift_family, unit_noise, grid):
 
 
 def exact_binary_equilibrium(kern):
-    """Equilibrium object at the exact binary root, bypassing the MC solve."""
+    """Equilibrium object at the exact binary root, bypassing the solve."""
     return Equilibrium(
         alpha_star=ALPHA_STAR_BINARY,
         alpha_raw=ALPHA_STAR_BINARY / math.sqrt(kern.c),
         c=kern.c,
         I=kern.Q.shape[0],
         phi_residual=0.0,
-        mc_meta={"n_samples": 0, "seed": -1},
     )
 
 
@@ -94,4 +93,4 @@ def mean_shift_demand(mean_shift_kernel, mean_shift_family):
 
 @pytest.fixture(scope="session")
 def solved_mean_shift(mean_shift_kernel):
-    return solve_alpha_star(mean_shift_kernel, n_samples=200_000, seed=0)
+    return solve_alpha_star(mean_shift_kernel)

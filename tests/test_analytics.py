@@ -1,4 +1,4 @@
-"""Cross-impact estimation, information efficiency, and scaling invariance."""
+"""Cross-impact estimation, the efficiency sweep, and scaling invariance."""
 
 import math
 
@@ -9,17 +9,17 @@ from adkyle import (
     NoiseProfile,
     derivative_cross_impact,
     efficiency_sweep,
+    identity_kernel,
     impact_surface,
-    information_efficiency,
     invariance_experiment,
     log_likelihoods,
     make_payoff_family,
     posterior_weights,
+    true_belief_moments,
 )
 from adkyle._rng import block_generator, derive_seed
 from adkyle.analytics import _path_signals, node_index
 from adkyle.orderflow import PATH_BLOCK_SIZE
-from adkyle.posterior import MIN_MOMENT_SAMPLES
 from conftest import exact_binary_equilibrium, statistic_shocks
 
 from adkyle import build_canonical_kernel, equilibrium_demand, solve_alpha_star
@@ -230,13 +230,14 @@ def test_derivative_cross_impact_argument_validation(grid):
 
 @pytest.mark.parametrize("I", [2, 4, 6, 8])
 def test_uninformed_baseline_efficiency(I):
-    ie, std_err = information_efficiency(0.0, I, n_samples=20_000, seed=0)
-    assert abs(ie - 1.0 / I) < BASELINE_TOLERANCE
-    assert std_err < BASELINE_TOLERANCE
+    # at alpha_bar = 0 the posterior is uniform: q_t = 1/I on every draw
+    not_true, spread = true_belief_moments(0.0, I)
+    assert abs((1.0 - not_true) - 1.0 / I) < BASELINE_TOLERANCE
+    assert abs(spread - (1.0 / I) * (1.0 - 1.0 / I)) < BASELINE_TOLERANCE
 
 
 def test_efficiency_sweep_declines_with_crowd_size():
-    rows = efficiency_sweep(n_samples=20_000, master_seed=0)
+    rows = efficiency_sweep()
     assert [r.I for r in rows] == [2, 4, 6, 8]
     for a, b in zip(rows, rows[1:]):
         assert b.alpha_star > a.alpha_star
@@ -252,38 +253,27 @@ def test_efficiency_sweep_rows_equal_standalone_estimates(monkeypatch):
     monkeypatch.setattr(
         adkyle.posterior, "standard_normal_matrix", lambda *a, **k: draws.append(a) or real(*a, **k)
     )
-    rows = efficiency_sweep(n_samples=20_000, master_seed=0)
-    assert len(draws) == len(rows)  # one noise matrix per signal count
+    rows = efficiency_sweep()
+    assert draws == []  # the solve integrates its residual; it draws nothing
     for r in rows:
-        standalone = information_efficiency(r.alpha_star, r.I, n_samples=20_000, seed=r.seed)
-        assert (r.ie, r.std_err) == standalone
-
-
-def test_information_efficiency_rejects_too_few_samples():
-    with pytest.raises(ValueError, match="adkyle.posterior: n_samples"):
-        information_efficiency(1.0, 2, n_samples=MIN_MOMENT_SAMPLES - 1, seed=0)
+        eq = solve_alpha_star(identity_kernel(r.I))
+        assert (r.alpha_star, r.ie, r.std_err) == (eq.alpha_star, eq.ie, eq.ie_std_err)
 
 
 def test_invariance_under_noise_doubling(mean_shift_family, unit_noise, grid):
-    rep = invariance_experiment(
-        mean_shift_family, unit_noise, grid, scale=2.0, n_samples=50_000, seed=4
-    )
+    rep = invariance_experiment(mean_shift_family, unit_noise, grid, scale=2.0)
     assert rep.alpha_star_scaled == rep.alpha_star_base
     assert rep.alpha_raw_scaled == 2.0 * rep.alpha_raw_base
     assert rep.ie_scaled == rep.ie_base
 
 
 def test_invariance_reports_the_solves_efficiency(mean_shift_family, unit_noise, grid):
-    # E[q_true] at each root is the solve's own estimate, not a fresh draw
-    rep = invariance_experiment(
-        mean_shift_family, unit_noise, grid, scale=2.0, n_samples=50_000, seed=4
-    )
+    # E[q_true] at each root is the solve's own value, not a fresh estimate
+    rep = invariance_experiment(mean_shift_family, unit_noise, grid, scale=2.0)
     kern = build_canonical_kernel(mean_shift_family, unit_noise, grid)
-    assert rep.ie_base == solve_alpha_star(kern, n_samples=50_000, seed=4).ie
+    assert rep.ie_base == solve_alpha_star(kern).ie
 
 
 def test_invariance_rejects_bad_scale(mean_shift_family, unit_noise, grid):
     with pytest.raises(ValueError, match="adkyle.analytics"):
-        invariance_experiment(
-            mean_shift_family, unit_noise, grid, scale=0.0, n_samples=50_000, seed=4
-        )
+        invariance_experiment(mean_shift_family, unit_noise, grid, scale=0.0)

@@ -16,6 +16,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import adkyle
+import adkyle.cli
 from adkyle.cli import OUTPUT_DIR_ENV, _solved, main, write_csv
 from adkyle.config import load_config, with_seed
 from adkyle._rng import FLOW_STATISTIC, PATH_SHOCKS, derive_seed, standard_normal_matrix
@@ -156,6 +157,36 @@ def test_outputs_are_deterministic_on_rerun(cfg_file, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+EQUILIBRIUM_KEYS = ["key", "alpha_star", "alpha_raw", "c", "I", "phi_residual", "alpha_std_err",
+                    "bracket_hi", "n_doublings", "n_bisections", "n_samples", "seed"]
+EFFICIENCY_HEADER = ["I", "alpha_star", "ie", "std_err", "n_samples", "seed"]
+
+
+def test_solve_and_efficiency_schema_is_fixed_and_the_root_ignores_the_mc_keys(
+    cfg_file, tmp_path
+):
+    # the benchmark reads these columns; the root and ie depend on I alone, so
+    # neither mc.seed nor mc.n_samples moves them (both are only recorded)
+    roots, ies = set(), set()
+    for seed in (0, 7, 2**63):
+        for n_samples in (10_000, 200_000):
+            cfg_file.write_text(FAST_CONFIG.replace("mc.seed = 3", f"mc.seed = {seed}")
+                                .replace("mc.n_samples = 20000", f"mc.n_samples = {n_samples}"))
+            out = tmp_path / f"run_{seed}_{n_samples}"
+            assert main(["solve", "-c", str(cfg_file), "-o", str(out)]) == 0
+            assert main(["efficiency", "-c", str(cfg_file), "-o", str(out)]) == 0
+            eq = read_rows(out / "equilibrium.csv")
+            assert [r[0] for r in eq] == EQUILIBRIUM_KEYS
+            eq = dict(eq[1:])
+            assert (eq["n_samples"], eq["seed"]) == (str(n_samples), str(seed))
+            eff = read_rows(out / "efficiency.csv")
+            assert eff[0] == EFFICIENCY_HEADER
+            assert {(r[4], r[5]) for r in eff[1:]} == {(str(n_samples), str(seed))}
+            roots.add((eq["alpha_star"], tuple(r[1] for r in eff[1:])))
+            ies.add(tuple(r[2] for r in eff[1:]))
+    assert len(roots) == 1 and len(ies) == 1
+
+
 def test_seed_flag_changes_outputs(cfg_file, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["solve", "-c", str(cfg_file), "-o", str(out1)]) == 0
@@ -201,6 +232,23 @@ def test_csv_writer_matches_per_cell_reference(tmp_path):
     write_csv(out, header, columns)
     assert out.read_bytes() == ref.read_bytes()
     assert b"nan,nan,-3,0,s1,1.5\r\n" in out.read_bytes()
+
+
+def test_csv_writer_writes_block_by_block(tmp_path, monkeypatch):
+    # three-row blocks: ten rows make three full blocks and a partial one
+    monkeypatch.setattr(adkyle.cli, "CSV_BLOCK_ROWS", 3)
+    x = np.tile(np.array([0.0, -0.0, 0.1]), 4)[:10]
+    tables = {
+        "numeric": (["i", "x", "y"], [np.arange(10), x, np.linspace(-1.0, 1.0, 10)]),
+        "mixed": (["label", "x", "n"], [[f"s,{i}" for i in range(10)], x, list(range(10))]),
+    }
+    for name, (header, columns) in tables.items():
+        ref, out = tmp_path / f"{name}_ref.csv", tmp_path / f"{name}.csv"
+        _per_cell_csv(ref, header, columns)
+        write_csv(out, header, columns)
+        assert out.read_bytes() == ref.read_bytes()
+    with pytest.raises(ValueError):  # unequal columns still fail, in whichever block
+        write_csv(tmp_path / "bad.csv", ["a", "b"], [np.arange(10), np.arange(7)])
 
 
 def _per_cell_csv(path, header, columns):
@@ -251,7 +299,9 @@ def _column(draw, n):
         return draw(st.lists(st.one_of(st.floats(), st.integers(), TEXT), min_size=n, max_size=n))
     elements, drawn = NUMERIC_KINDS[kind]
     shape = draw(st.sampled_from(["plain", "tile", "repeat", "strided"]))
-    size = {"plain": n, "strided": 3 * n}.get(shape) or draw(st.integers(1, 5))
+    size = {"plain": n, "strided": 3 * n}.get(shape)
+    if size is None:  # tile and repeat expand a short base; a plain empty column stays empty
+        size = draw(st.integers(1, 5))
     values = draw(st.lists(elements, min_size=size, max_size=size))
     base = np.array(values, dtype=drawn).view(kind.lstrip(">")).astype(kind)
     if shape == "tile":
@@ -372,8 +422,10 @@ def _run_python(argv, **kwargs):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy serves only the skew-normal family and the binary quadrature
-    proc = _run_python(["-c", "import sys, adkyle.cli; sys.exit('scipy' in sys.modules)"])
+    # scipy serves only the skew-normal family and the binary quadrature, and
+    # no start-up path needs numpy.polynomial
+    proc = _run_python(["-c", "import sys, adkyle.cli; sys.exit(' '.join(m for m in "
+                        "('scipy', 'numpy.polynomial') if m in sys.modules) or None)"])
     assert proc.returncode == 0, proc.stderr
 
 

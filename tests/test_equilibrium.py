@@ -1,4 +1,4 @@
-"""Fixed point solve, demand assembly, and the single-asset benchmark."""
+"""Fixed point solve, the quadrature residual, demand assembly, and the single-asset benchmark."""
 
 import dataclasses
 import math
@@ -8,24 +8,50 @@ import numpy as np
 import pytest
 
 from adkyle import (
+    binary_moments_quadrature,
     build_canonical_kernel,
     identity_kernel,
     kyle_single_asset,
     make_payoff_family,
+    moments_from_noise,
+    sample_posterior,
     solve_alpha_star,
+    true_belief,
+    true_belief_moments,
     weighted_inner_product,
 )
 import adkyle.equilibrium
-from adkyle.equilibrium import BRACKET_CAP, phi_from_noise
+import adkyle.posterior
+from adkyle.equilibrium import BRACKET_CAP, WIDTH_TOL
 from adkyle.kernel import RANK_TOL
-from adkyle.posterior import MIN_MOMENT_SAMPLES, moment_noise, moments_from_noise
+from adkyle.posterior import QUAD_TOL, moment_noise
 from adkyle._rng import standard_normal_matrix
 from conftest import ALPHA_STAR_BINARY
 
 # two quotients each round once, so the product can sit one ulp off 1/2
 PRODUCT_ULPS = 2.0 * np.spacing(0.5)
-ROOT_WINDOW = 4e-3  # ~5 sigma of the Monte Carlo root at 2e5 samples
 GRAM_TOLERANCE = 1e-12
+SIGMAS = 3.0
+# a finer and wider rule than the library's: the reference for its quadrature error
+REFERENCE_RULE = {"LOG_SIGMA_STEP": 0.1, "MAX_LOG_SIGMA_POINTS": 4000,
+                  "NORMAL_STEP": 0.2, "NORMAL_RANGE": 9.5}
+
+
+def quadrature_phi(alpha_bar, I):
+    not_true, spread = true_belief_moments(alpha_bar, I)
+    return not_true - alpha_bar * alpha_bar * spread
+
+
+def mc_phi(alpha_bar, noise):
+    """Monte Carlo Phi and its standard error on a frozen noise matrix, truth in column 0."""
+    q = true_belief(alpha_bar, noise)
+    draws = (1.0 - q) * (1.0 - alpha_bar * alpha_bar * q)
+    return float(draws.mean()), float(draws.std(ddof=1) / math.sqrt(draws.size))
+
+
+def use_reference_rule(monkeypatch):
+    for name, value in REFERENCE_RULE.items():
+        monkeypatch.setattr(adkyle.posterior, name, value)
 
 
 def test_kyle_benchmark_unit_inputs_are_exact():
@@ -50,28 +76,109 @@ def test_kyle_benchmark_rejects_nonpositive_inputs():
 
 
 def test_phi_at_zero_is_one_minus_uniform_mass():
-    # with no information the posterior is uniform, so phi(0) = 1 - 1/I exactly
-    for I in (2, 4, 8):
-        xi = standard_normal_matrix(0, 10_000, I)
-        assert phi_from_noise(0.0, xi) == 1.0 - 1.0 / I
+    # with no information the posterior is uniform, so phi(0) = 1 - 1/I
+    for I in (2, 3, 4, 8, 64):
+        assert abs(quadrature_phi(0.0, I) - (1.0 - 1.0 / I)) <= 1e-14
 
 
 def test_phi_is_negative_past_the_root():
-    assert phi_from_noise(10.0, moment_noise(2, 200_000, 0)) < 0.0
+    assert quadrature_phi(10.0, 2) < 0.0
+
+
+@pytest.mark.parametrize("I", [2, 3, 8, 64])
+def test_quadrature_is_within_its_tolerance_of_a_finer_rule(I, monkeypatch):
+    alphas = np.linspace(0.0, 4.0, 41)
+    coarse = np.array([true_belief_moments(a, I) for a in alphas])
+    use_reference_rule(monkeypatch)
+    fine = np.array([true_belief_moments(a, I) for a in alphas])
+    assert np.abs(coarse - fine).max() <= QUAD_TOL
+    phi = coarse[:, 0] - alphas**2 * coarse[:, 1]
+    assert np.abs(phi - (fine[:, 0] - alphas**2 * fine[:, 1])).max() <= QUAD_TOL
+
+
+def test_binary_quadrature_agrees_with_the_sigmoid_closed_form():
+    # at I = 2, E[q_t] and E[q_t (1 - q_t)] are one-dimensional sigmoid integrals
+    for alpha_bar in np.linspace(0.0, 2.0, 21):
+        not_true, spread = true_belief_moments(alpha_bar, 2)
+        phi1, phi2 = binary_moments_quadrature(alpha_bar)
+        assert abs((1.0 - not_true) - phi1) <= 1e-10
+        assert abs(spread - phi2) <= 1e-10
+
+
+@pytest.mark.parametrize("I,true_index", [(2, 0), (2, 1), (4, 2), (8, 0), (8, 7)])
+def test_scalar_residual_matches_the_full_softmax_moments(I, true_index):
+    # rows of q sum to one, so (Q cbar Q)_tt = E[q_t (1 - q_t)]: the full softmax
+    # moments give Phi per draw, and the quadrature lies within 3 SE of their mean
+    xi = standard_normal_matrix(5, 200_000, I)
+    for alpha_bar in (0.5, 1.0, 1.4, 2.0, 3.0):
+        mom = moments_from_noise(alpha_bar, true_index, xi)
+        full = 1.0 - float(mom.m1[true_index]) - alpha_bar**2 * mom.qcq_diag
+        q = sample_posterior(alpha_bar, I, true_index, xi).q[:, true_index]
+        draws = (1.0 - q) * (1.0 - alpha_bar**2 * q)
+        assert abs(draws.mean() - full) <= 1e-12
+        se = draws.std(ddof=1) / math.sqrt(draws.size)
+        assert abs(quadrature_phi(alpha_bar, I) - full) <= SIGMAS * se
+        not_true, _ = true_belief_moments(alpha_bar, I)
+        ie_gap = abs((1.0 - not_true) - mom.m1[true_index])
+        assert ie_gap <= SIGMAS * mom.std_err_m1[true_index]
+
+
+@pytest.mark.parametrize("I", [4, 6, 8])
+def test_monte_carlo_root_agrees_with_the_quadrature_root(I):
+    # bisect the Monte Carlo Phi on one frozen noise matrix (common random numbers)
+    noise = moment_noise(I, 200_000, I)
+    lo, hi = 1.0, 2.5
+    assert mc_phi(lo, noise)[0] > 0.0 > mc_phi(hi, noise)[0]
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mc_phi(mid, noise)[0] > 0.0 else (lo, mid)
+    root = 0.5 * (lo + hi)
+    eq = solve_alpha_star(identity_kernel(I))
+    slope = (quadrature_phi(root + 1e-4, I) - quadrature_phi(root - 1e-4, I)) / 2e-4
+    root_se = mc_phi(root, noise)[1] / abs(slope)
+    assert abs(root - eq.alpha_star) <= SIGMAS * root_se
+
+
+@pytest.mark.parametrize("I", [2, 8, 64])
+def test_phi_is_finite_without_warnings_at_the_bracket_cap(I):
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        for alpha_bar in (8.0, 16.0, 64.0, 1024.0, BRACKET_CAP):
+            phi = quadrature_phi(alpha_bar, I)
+            assert math.isfinite(phi) and phi <= 0.0
+
+
+def test_moments_reject_bad_arguments():
+    with pytest.raises(ValueError, match="adkyle.posterior: need at least two"):
+        true_belief_moments(1.0, 1)
+    for alpha_bar in (-0.5, 1e200, math.inf, math.nan):
+        with pytest.raises(ValueError, match="adkyle.posterior: alpha_bar"):
+            true_belief_moments(alpha_bar, 2)
 
 
 def test_solver_convergence_metadata(solved_mean_shift):
     eq = solved_mean_shift
     assert abs(eq.phi_residual) < 1e-4
     meta = eq.mc_meta
-    assert meta["n_samples"] == 200_000
-    assert meta["seed"] == 0
+    assert set(meta) == {"bracket_hi", "n_doublings", "n_bisections", "trace"}
     assert meta["n_bisections"] <= 200
     assert meta["bracket_hi"] >= eq.alpha_star
 
 
 def test_solver_finds_the_binary_root(solved_mean_shift):
-    assert abs(solved_mean_shift.alpha_star - ALPHA_STAR_BINARY) < ROOT_WINDOW
+    gap = abs(solved_mean_shift.alpha_star - ALPHA_STAR_BINARY)
+    assert gap <= WIDTH_TOL
+    assert solved_mean_shift.alpha_std_err >= gap
+
+
+@pytest.mark.parametrize("I", [2, 4, 6, 8])
+def test_error_bounds_cover_a_tighter_reference_solve(I, monkeypatch):
+    eq = solve_alpha_star(identity_kernel(I))
+    assert 0.0 < eq.alpha_std_err <= 2.0 * WIDTH_TOL
+    use_reference_rule(monkeypatch)
+    ref = solve_alpha_star(identity_kernel(I), width_tol=1e-12)
+    assert abs(eq.alpha_star - ref.alpha_star) <= eq.alpha_std_err
+    assert abs(eq.ie - ref.ie) <= eq.ie_std_err
 
 
 def test_alpha_raw_rescales_by_kernel_scale(solved_mean_shift, mean_shift_kernel):
@@ -83,8 +190,8 @@ def test_alpha_raw_rescales_by_kernel_scale(solved_mean_shift, mean_shift_kernel
 def test_root_is_kernel_independent_for_exchangeable_kernels(
     solved_mean_shift, mean_shift_kernel
 ):
-    # the canonical fixed point depends only on (I, seed, n_samples)
-    eq_id = solve_alpha_star(identity_kernel(2), n_samples=200_000, seed=0)
+    # the canonical fixed point depends only on I
+    eq_id = solve_alpha_star(identity_kernel(2))
     assert eq_id.alpha_star == solved_mean_shift.alpha_star
     assert eq_id.alpha_raw == eq_id.alpha_star  # c = 1
 
@@ -126,34 +233,18 @@ def test_solver_rejects_non_exchangeable_kernels(grid, unit_noise):
     fam = make_payoff_family("tabulated", {"x": grid.nodes, "eta": rows}, grid)
     kern = build_canonical_kernel(fam, unit_noise, grid)
     with pytest.raises(ValueError, match="adkyle.equilibrium"):
-        solve_alpha_star(kern, n_samples=20_000, seed=0)
+        solve_alpha_star(kern)
 
 
-@pytest.mark.parametrize("I,true_index", [(2, 0), (2, 1), (8, 0), (8, 7)])
-def test_scalar_residual_matches_the_full_softmax_moments(I, true_index):
-    # rows of q sum to one, so (Q cbar Q)_tt = E[q_t (1 - q_t)]
-    xi = standard_normal_matrix(5, 200_000, I)
-    for alpha_bar in (0.0, 0.5, 1.4, 3.0):
-        mom = moments_from_noise(alpha_bar, true_index, xi)
-        full = 1.0 - float(mom.m1[true_index]) - alpha_bar**2 * mom.qcq_diag
-        assert abs(phi_from_noise(alpha_bar, np.roll(xi, -true_index, axis=1)) - full) <= 1e-12
-
-
-@pytest.mark.parametrize("I", [2, 8])
-def test_phi_is_finite_without_warnings_at_the_bracket_cap(I):
-    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
-        warnings.simplefilter("error")
-        assert math.isfinite(phi_from_noise(BRACKET_CAP, moment_noise(I, 200_000, 0)))
-
-
-@pytest.mark.parametrize("I", [2, 4, 6, 8])
+@pytest.mark.parametrize("I", [2, 4, 6, 8, 64])
 def test_solver_evaluation_budget_and_trace(I, monkeypatch):
     calls = []
-    real = adkyle.equilibrium.phi_from_noise
+    real = adkyle.equilibrium.true_belief_moments
     monkeypatch.setattr(
-        adkyle.equilibrium, "phi_from_noise", lambda *a, **k: calls.append(a[0]) or real(*a, **k)
+        adkyle.equilibrium, "true_belief_moments",
+        lambda *a, **k: calls.append(a[0]) or real(*a, **k),
     )
-    eq = solve_alpha_star(identity_kernel(I), n_samples=200_000, seed=0)
+    eq = solve_alpha_star(identity_kernel(I))
     meta = eq.mc_meta
     n_evals = 1 + meta["n_doublings"] + meta["n_bisections"]
     assert n_evals == len(calls) <= 12
@@ -162,21 +253,9 @@ def test_solver_evaluation_budget_and_trace(I, monkeypatch):
     assert [stage for _, _, stage in trace] == (
         ["bracket"] * (1 + meta["n_doublings"]) + ["refine"] * meta["n_bisections"]
     )
-    # the root is an evaluated point, so its residual is exact
+    # the root is an evaluated point, so its residual and ie are that evaluation's
     assert (eq.alpha_star, eq.phi_residual) in [(a, f) for a, f, _ in trace]
-
-
-def test_alpha_std_err_is_calibrated_and_shrinks_with_samples():
-    kern = identity_kernel(2)
-    small = [solve_alpha_star(kern, n_samples=20_000, seed=seed) for seed in range(16)]
-    large = solve_alpha_star(kern, n_samples=200_000, seed=0)
-    for eq in (*small, large):
-        assert math.isfinite(eq.alpha_std_err) and eq.alpha_std_err > 0.0
-    # ten times the samples: sqrt(10) ~ 3.16 times smaller
-    assert 2.5 < small[0].alpha_std_err / large.alpha_std_err < 4.0
-    # the reported error matches the seed-to-seed spread of the root
-    spread = np.std([eq.alpha_star for eq in small], ddof=1)
-    assert 0.5 < spread / np.mean([eq.alpha_std_err for eq in small]) < 2.0
+    assert eq.ie == 1.0 - real(eq.alpha_star, I)[0]
 
 
 @pytest.mark.parametrize("c", [0.0, RANK_TOL])
@@ -185,24 +264,16 @@ def test_solver_rejects_a_degenerate_kernel(c):
     kern = dataclasses.replace(identity_kernel(2), c=c)
     assert kern.exchangeable
     with pytest.raises(ValueError, match="adkyle.equilibrium: degenerate kernel"):
-        solve_alpha_star(kern, n_samples=MIN_MOMENT_SAMPLES, seed=0)
-
-
-def test_solver_rejects_too_few_samples():
-    with pytest.raises(ValueError, match="adkyle.posterior: n_samples"):
-        solve_alpha_star(identity_kernel(2), n_samples=MIN_MOMENT_SAMPLES - 1, seed=0)
+        solve_alpha_star(kern)
 
 
 @pytest.mark.parametrize("width_tol", [1e-308, 5e-324])
 def test_unreachable_width_tol_ends_in_a_value_error(width_tol, monkeypatch):
     # no bracket is that narrow; the solve fails once bracketed, before any refinement
-    import adkyle.equilibrium
-
     evaluated = []
-    real = adkyle.equilibrium.phi_from_noise
-    monkeypatch.setattr(adkyle.equilibrium, "phi_from_noise",
+    real = adkyle.equilibrium.true_belief_moments
+    monkeypatch.setattr(adkyle.equilibrium, "true_belief_moments",
                         lambda a, *rest: evaluated.append(a) or real(a, *rest))
     with pytest.raises(ValueError, match="adkyle.equilibrium: root refinement"):
-        solve_alpha_star(identity_kernel(2), n_samples=MIN_MOMENT_SAMPLES, seed=0,
-                         width_tol=width_tol)
+        solve_alpha_star(identity_kernel(2), width_tol=width_tol)
     assert evaluated == [1.0, 2.0]  # the doubling bracket around sqrt(2) only

@@ -12,7 +12,6 @@ from adkyle import (
 )
 from adkyle import _rng
 from adkyle._rng import BLOCK_SIZE, block_generator, derive_seed, standard_normal_matrix
-from adkyle.analytics import SWEEP_SIZES
 from adkyle.posterior import MIN_MOMENT_SAMPLES, MIN_QUAD_NODES, moment_noise
 
 SOFTMAX_TOLERANCE = 1e-15
@@ -167,18 +166,16 @@ def test_normal_matrix_fills_its_blocks_in_place():
 
 
 def test_stage_streams_never_share_draws():
-    # solver noise (raw seed), every stage tag in _rng and every sweep entry
-    # each key their own stream, within a seed and across neighbouring seeds
+    # the probe's noise (raw seed) and every stage tag in _rng each key their
+    # own stream, within a seed and across neighbouring seeds
     tags = {name: tag for name, tag in vars(_rng).items()
             if name.isupper() and isinstance(tag, tuple)}
     assert tags  # the scan found the module's stage tags
     keys = {}
     for seed in range(4):
-        keys[f"solver/{seed}"] = seed
+        keys[f"probe/{seed}"] = seed
         for name, tag in tags.items():
             keys[f"{name}/{seed}"] = derive_seed(seed, *tag)
-        for I in SWEEP_SIZES:
-            keys[f"sweep_I{I}/{seed}"] = derive_seed(seed, I)
     first = {name: tuple(block_generator(key, 0).bit_generator.random_raw(4))
              for name, key in keys.items()}
     assert len(set(first.values())) == len(first)

@@ -30,7 +30,6 @@ from .kernel import (
 from .posterior import (
     MomentEstimates,
     PosteriorSample,
-    binary_moments_quadrature,
     moments_from_noise,
     sample_posterior,
     softmax,
@@ -82,7 +81,6 @@ __all__ = [
     "sqrt_and_pinv",
     "MomentEstimates",
     "PosteriorSample",
-    "binary_moments_quadrature",
     "moments_from_noise",
     "sample_posterior",
     "softmax",

@@ -5,10 +5,10 @@ Every stochastic routine in the package draws from Philox streams keyed by
 pairwise summation, so results are bitwise reproducible and independent of
 any worker scheduling.
 
-Each stage draws its own stream (Random123, Salmon et al., SC'11): `posterior
-probe`'s moment noise on the raw seed, and the rest on derive_seed(seed, *tag)
-with the tags below.  The equilibrium solve and the efficiency sweep draw
-nothing: their residual is a quadrature.
+Each stage draws its own stream (Random123, Salmon et al., SC'11), keyed on
+derive_seed(seed, *tag) with the tags below; no stage draws on the raw seed.
+The equilibrium solve, the efficiency sweep and `posterior probe` draw
+nothing: they read one quadrature.
 """
 
 from __future__ import annotations

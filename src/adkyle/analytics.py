@@ -51,14 +51,6 @@ class InvarianceReport:
     ie_scaled: float
 
 
-def node_index(grid: StateGrid, x: float) -> int:
-    """Index of the grid node equal to x (within round-off); error otherwise."""
-    idx = grid.nearest(x)
-    if abs(grid.nodes[idx] - x) > 1e-9 * (grid.x_max - grid.x_min):
-        raise ValueError(f"{_ERR}: {x} is not a grid node")
-    return idx
-
-
 def _path_signals(seed: int, I: int, n_paths: int, conditioned_on: int | None) -> np.ndarray:
     """Per-path true signals: pinned, or uniform draws in path blocks from the SIGNALS stream."""
     if conditioned_on is not None:
@@ -91,8 +83,8 @@ def impact_surface(
     exact over the I atoms; the only Monte Carlo averaging is over order-flow
     paths (and the uniform signal draw unless conditioned_on pins it).
     """
-    ix = np.array([node_index(grid, float(x)) for x in np.asarray(x_values)])
-    iy = np.array([node_index(grid, float(y)) for y in np.asarray(y_values)])
+    ix = np.array([grid.node(float(x)) for x in np.asarray(x_values)])
+    iy = np.array([grid.node(float(y)) for y in np.asarray(y_values)])
     w_star = np.asarray(w_star, dtype=float)
     # cov_m[k, l] = vec(C_m) . M[:, (k, l)] with C_m = diag(pi_m) - pi_m pi_m^T and
     # M[(i, j), (k, l)] = a_ik b_jl, so the path sums need only sum vec(C_m) and

@@ -36,13 +36,7 @@ from .model import prior_moments
 from .objective import foc_terms, zero_impact_basis
 from .options import bl_decompose, bl_reconstruct, demand_signature
 from .orderflow import log_likelihoods, posterior_weights, price_schedule, simulate_increments
-from .posterior import (
-    binary_moments_quadrature,
-    mean_and_std_err,
-    moment_noise,
-    moments_from_noise,
-    true_belief,
-)
+from .posterior import QUAD_TOL, true_belief_moments
 
 OUTPUT_DIR_ENV = "ADKYLE_OUTPUT_DIR"
 CSV_BLOCK_ROWS = 1 << 14  # rows formatted per write: bounds the text in memory
@@ -295,22 +289,15 @@ def cmd_posterior_probe(args, cfg: RunConfig, outdir: Path) -> int:
     grid, noise, family, kern = _pipeline(cfg)
     I = family.I
     alpha_bar = args.alpha_bar
-    xi = moment_noise(I, cfg.n_samples, cfg.seed)  # one draw for the moments and the efficiency
-    mom = moments_from_noise(alpha_bar, 0, xi)
-    rows = [("m1", i, mom.m1[i]) for i in range(I)]
-    rows += [("std_err_m1", i, mom.std_err_m1[i]) for i in range(I)]
-    rows.append(("qcq_diag", 0, mom.qcq_diag))
-    rows.append(("n_samples", 0, mom.n_samples))
-    if I == 2:
-        phi1, phi2 = binary_moments_quadrature(alpha_bar)
-        rows.append(("phi1_quadrature", 0, phi1))
-        rows.append(("phi2_quadrature", 0, phi2))
-    ie, se = mean_and_std_err(true_belief(alpha_bar, xi))
-    rows.append(("information_efficiency", 0, ie))
-    rows.append(("ie_std_err", 0, se))
+    # the truth (index 0) holds 1 - E[1 - q_t] and the I - 1 exchangeable rivals
+    # share the rest; C 1 = 0 makes (Q C Q)_tt = q_t (1 - q_t)
+    not_true, spread = true_belief_moments(alpha_bar, I)
+    m1 = [1.0 - not_true] + [not_true / (I - 1)] * (I - 1)
+    rows = [("m1", i, v) for i, v in enumerate(m1)]
+    rows += [("qcq_diag", 0, spread), ("quad_tol", 0, QUAD_TOL)]
     write_csv(outdir / "posterior_probe.csv", ["quantity", "index", "value"], zip(*rows))
     print(f"posterior probe: alpha_bar={alpha_bar} I={I} "
-          f"m1_true={mom.m1[0]:.6f} -> {outdir}")
+          f"m1_true={m1[0]:.6f} -> {outdir}")
     return 0
 
 
@@ -369,8 +356,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print("error: adkyle.cli: out of memory; lower grid.n, mc.n_samples, mc.n_paths "
-              "or --paths", file=sys.stderr)
+        print("error: adkyle.cli: out of memory; lower grid.n, mc.n_paths or --paths",
+              file=sys.stderr)
         return 2
     return status
 

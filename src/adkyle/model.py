@@ -61,6 +61,15 @@ class StateGrid:
         # clamp before rounding, so that a huge finite x cannot overflow int()
         return int(round(min(max((x - self.x_min) / self.h, margin), self.n - 1 - margin)))
 
+    def node(self, x: float, margin: int = 0) -> int:
+        """Index of the node equal to x (to round-off) in [margin, n - 1 - margin], else error."""
+        idx = self.nearest(x, margin)
+        if abs(self.nodes[idx] - x) > 1e-9 * (self.x_max - self.x_min):
+            raise ValueError(
+                f"{_ERR}: {x} is not a grid node with index in [{margin}, {self.n - 1 - margin}]"
+            )
+        return idx
+
 
 @dataclass(frozen=True)
 class NoiseProfile:

@@ -75,9 +75,7 @@ def bl_decompose(w_row: np.ndarray, grid: StateGrid, k0: float) -> OptionStrip:
     w = np.asarray(w_row, dtype=float)
     if w.shape != (grid.n,):
         raise ValueError(f"{_ERR}: schedule must have length n={grid.n}")
-    i0 = grid.nearest(k0, margin=1)
-    if abs(grid.nodes[i0] - k0) > 1e-9 * (grid.x_max - grid.x_min):
-        raise ValueError(f"{_ERR}: pivot strike {k0} must be an interior grid node")
+    i0 = grid.node(k0, margin=1)
     k0 = float(grid.nodes[i0])
     d1, d2 = _derivatives(w, grid.h)
     underlying = float(d1[i0])

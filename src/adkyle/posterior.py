@@ -9,9 +9,9 @@ effective signal-to-noise number alpha_bar:
 
 where Q is the centering projector.  The fixed-point residual and the
 information efficiency depend on the true-signal entry q_t alone, and
-true_belief_moments integrates them (no draw, no seed).  The Monte Carlo
-estimators (true_belief, moments_from_noise) serve `posterior probe` and check
-the quadrature in the tests.
+true_belief_moments integrates them (no draw, no seed); the solver roots them
+and `posterior probe` reports them.  The Monte Carlo estimators (true_belief,
+moments_from_noise) are the oracles the tests check the quadrature against.
 
 true_belief takes the truth to be column 0 of the noise.  The xi are i.i.d.,
 so the law of the posterior given s_t is exchangeable across the signals:
@@ -36,15 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import standard_normal_matrix
 from .kernel import centering_matrix
 
 _ERR = "adkyle.posterior"
-
-MIN_MOMENT_SAMPLES = 10_000
-DEFAULT_MOMENT_SAMPLES = 200_000
-MIN_QUAD_NODES = 64
-DEFAULT_QUAD_NODES = 200
 
 # true_belief_moments: trapezoid rules in r = log(sigma) and in each normal
 LOG_SIGMA_STEP = 0.25     # r step; the r rule's error is about exp(-pi^2 / step)
@@ -224,19 +218,6 @@ def mean_and_std_err(draws: np.ndarray) -> tuple[float, float]:
     return float(draws.mean()), std_err
 
 
-def moment_noise(I: int, n_samples: int, seed: int) -> np.ndarray:
-    """The seed's (n_samples, I) standard-normal matrix behind the posterior probe.
-
-    Raises:
-        ValueError: if n_samples < MIN_MOMENT_SAMPLES.
-    """
-    if n_samples < MIN_MOMENT_SAMPLES:
-        raise ValueError(
-            f"{_ERR}: n_samples={n_samples} below minimum {MIN_MOMENT_SAMPLES}"
-        )
-    return standard_normal_matrix(seed, int(n_samples), I)
-
-
 def moments_from_noise(
     alpha_bar: float, true_index: int, noise: np.ndarray
 ) -> MomentEstimates:
@@ -262,42 +243,3 @@ def moments_from_noise(
         std_err_m1=std_err,
         n_samples=m,
     )
-
-
-def binary_moments_quadrature(
-    alpha_bar: float, n_nodes: int = DEFAULT_QUAD_NODES
-) -> tuple[float, float]:
-    """Gauss-Hermite values of the two binary posterior moments.
-
-    For I = 2 the true-signal belief is sigmoid(Z) with
-    Z ~ N(alpha_bar^2, 2 alpha_bar^2), so
-
-        phi1 = E[sigmoid(Z)]                (posterior mass on the truth)
-        phi2 = E[sigmoid(Z) sigmoid(-Z)]    (posterior variance term)
-
-    are one-dimensional integrals; n_nodes Gauss-Hermite points resolve them
-    to near machine precision for moderate alpha_bar.  At alpha_bar = 0 the
-    result is exactly (1/2, 1/4).
-    """
-    if n_nodes < MIN_QUAD_NODES:
-        raise ValueError(f"{_ERR}: n_nodes={n_nodes} below minimum {MIN_QUAD_NODES}")
-    _check_alpha_bar(alpha_bar)
-    # scipy's Hermite nodes stay finite for large n_nodes where the numpy
-    # polynomial version overflows; imported here, as nothing else needs scipy.
-    from scipy.special import roots_hermite
-    x, w = roots_hermite(int(n_nodes))
-    z = alpha_bar * alpha_bar + 2.0 * alpha_bar * x  # mu + sigma*sqrt(2)*x
-    p = _sigmoid(z)
-    s = w.sum()
-    phi1 = float(np.dot(w, p) / s)
-    phi2 = float(np.dot(w, p * _sigmoid(-z)) / s)
-    return phi1, phi2
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out

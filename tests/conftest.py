@@ -1,10 +1,12 @@
 """Shared fixtures: a default grid, unit noise, and the two-signal families.
 
 The shared pieces (the solve, demand assembly) are session-scoped so the
-suite pays for them once.
+suite pays for them once.  Also the test-only oracles: the binary Gauss-Hermite
+moments and a counter of random-block generators.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,12 +20,17 @@ from adkyle import (
     make_payoff_family,
     solve_alpha_star,
 )
+import adkyle._rng
 from adkyle._rng import FLOW_STATISTIC, derive_seed, standard_normal_matrix
 from adkyle.orderflow import PATH_BLOCK_SIZE
+from adkyle.posterior import _check_alpha_bar
 
 # Exact fixed point of the binary moment equation: the scaled-posterior map
 # for two signals is stationary at sqrt(2).
 ALPHA_STAR_BINARY = math.sqrt(2.0)
+
+MIN_QUAD_NODES = 64
+DEFAULT_QUAD_NODES = 200
 
 
 @pytest.fixture(scope="session")
@@ -94,3 +101,61 @@ def mean_shift_demand(mean_shift_kernel, mean_shift_family):
 @pytest.fixture(scope="session")
 def solved_mean_shift(mean_shift_kernel):
     return solve_alpha_star(mean_shift_kernel)
+
+
+def binary_moments_quadrature(
+    alpha_bar: float, n_nodes: int = DEFAULT_QUAD_NODES
+) -> tuple[float, float]:
+    """Gauss-Hermite values of the two binary posterior moments.
+
+    For I = 2 the true-signal belief is sigmoid(Z) with
+    Z ~ N(alpha_bar^2, 2 alpha_bar^2), so
+
+        phi1 = E[sigmoid(Z)]                (posterior mass on the truth)
+        phi2 = E[sigmoid(Z) sigmoid(-Z)]    (posterior variance term)
+
+    are one-dimensional integrals; n_nodes Gauss-Hermite points resolve them
+    to near machine precision for moderate alpha_bar.  At alpha_bar = 0 the
+    result is exactly (1/2, 1/4).  An oracle independent of the library's
+    true_belief_moments.
+    """
+    if n_nodes < MIN_QUAD_NODES:
+        raise ValueError(f"n_nodes={n_nodes} below minimum {MIN_QUAD_NODES}")
+    _check_alpha_bar(alpha_bar)
+    # scipy's Hermite nodes stay finite for large n_nodes where the numpy
+    # polynomial version overflows
+    from scipy.special import roots_hermite
+    x, w = roots_hermite(int(n_nodes))
+    z = alpha_bar * alpha_bar + 2.0 * alpha_bar * x  # mu + sigma*sqrt(2)*x
+    p = _sigmoid(z)
+    s = w.sum()
+    phi1 = float(np.dot(w, p) / s)
+    phi2 = float(np.dot(w, p * _sigmoid(-z)) / s)
+    return phi1, phi2
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def count_block_generators(monkeypatch) -> list:
+    """Record the arguments of every random-block generator the package makes from now on.
+
+    block_generator is patched in _rng and in every adkyle module that imported
+    it by name, so each counter-based draw of the package lands in the list.
+    """
+    calls, real = [], adkyle._rng.block_generator
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("adkyle") and getattr(module, "block_generator", None) is real:
+            monkeypatch.setattr(module, "block_generator", counted)
+    return calls

@@ -15,7 +15,6 @@ from adkyle import (
     NoiseProfile,
     bl_decompose,
     bl_reconstruct,
-    binary_moments_quadrature,
     build_canonical_kernel,
     build_state_grid,
     demand_signature,
@@ -37,7 +36,7 @@ from adkyle import (
 )
 from adkyle._rng import standard_normal_matrix
 from adkyle.cli import main as cli_main
-from conftest import ALPHA_STAR_BINARY, exact_binary_equilibrium
+from conftest import ALPHA_STAR_BINARY, binary_moments_quadrature, exact_binary_equilibrium
 
 SIGMAS = 3.0
 ROOT_AGREEMENT = 2e-3

@@ -18,9 +18,9 @@ from adkyle import (
     true_belief_moments,
 )
 from adkyle._rng import block_generator, derive_seed
-from adkyle.analytics import _path_signals, node_index
+from adkyle.analytics import _path_signals
 from adkyle.orderflow import PATH_BLOCK_SIZE
-from conftest import exact_binary_equilibrium, statistic_shocks
+from conftest import count_block_generators, exact_binary_equilibrium, statistic_shocks
 
 from adkyle import build_canonical_kernel, equilibrium_demand, solve_alpha_star
 
@@ -38,10 +38,10 @@ def variance_demand(variance_family, unit_noise, grid):
 
 
 def test_node_index_round_trip(grid):
-    assert grid.nodes[node_index(grid, 1.0)] == 1.0
-    assert grid.nodes[node_index(grid, -8.0)] == -8.0
+    assert grid.nodes[grid.node(1.0)] == 1.0
+    assert grid.nodes[grid.node(-8.0)] == -8.0
     with pytest.raises(ValueError, match="not a grid node"):
-        node_index(grid, 1.5 + grid.h / 3.0)
+        grid.node(1.5 + grid.h / 3.0)
 
 
 def test_own_impact_is_positive(mean_shift_demand, mean_shift_family, unit_noise, grid):
@@ -246,13 +246,7 @@ def test_efficiency_sweep_declines_with_crowd_size():
 
 
 def test_efficiency_sweep_rows_equal_standalone_estimates(monkeypatch):
-    import adkyle.posterior
-
-    draws = []
-    real = adkyle.posterior.standard_normal_matrix
-    monkeypatch.setattr(
-        adkyle.posterior, "standard_normal_matrix", lambda *a, **k: draws.append(a) or real(*a, **k)
-    )
+    draws = count_block_generators(monkeypatch)
     rows = efficiency_sweep()
     assert draws == []  # the solve integrates its residual; it draws nothing
     for r in rows:

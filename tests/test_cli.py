@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import adkyle
 import adkyle.cli
+from adkyle import true_belief_moments
 from adkyle.cli import OUTPUT_DIR_ENV, _solved, main, write_csv
 from adkyle.config import load_config, with_seed
 from adkyle._rng import FLOW_STATISTIC, PATH_SHOCKS, derive_seed, standard_normal_matrix
@@ -27,6 +28,8 @@ from adkyle.orderflow import (
     price_schedule,
     simulate_increments,
 )
+from adkyle.posterior import QUAD_TOL
+from conftest import count_block_generators
 
 FAST_CONFIG = """
 grid.n = 101
@@ -78,19 +81,20 @@ def test_solve_writes_solver_trace(cfg_file, tmp_path, capsys):
     assert f"{n_evals} Phi evaluations" in capsys.readouterr().out
 
 
-def test_posterior_probe_draws_its_noise_once(cfg_file, tmp_path, monkeypatch):
-    import adkyle.posterior
-
-    draws = []
-    real = adkyle.posterior.standard_normal_matrix
-    monkeypatch.setattr(
-        adkyle.posterior, "standard_normal_matrix", lambda *a, **k: draws.append(a) or real(*a, **k)
-    )
+def test_posterior_probe_draws_no_noise(cfg_file, tmp_path, monkeypatch):
+    # the probe reads the solver's quadrature: its rows are true_belief_moments, bit for bit
+    draws = count_block_generators(monkeypatch)
     out = tmp_path / "probe"
     assert main(["posterior", "probe", "--alpha-bar", "1.0", "-c", str(cfg_file), "-o", str(out)]) == 0
-    assert len(draws) == 1
-    rows = {r[0]: float(r[2]) for r in read_rows(out / "posterior_probe.csv")[1:] if r[1] == "0"}
-    assert abs(rows["information_efficiency"] - rows["m1"]) <= 1e-12
+    assert draws == []
+    not_true, spread = true_belief_moments(1.0, 2)
+    assert read_rows(out / "posterior_probe.csv") == [
+        ["quantity", "index", "value"],
+        ["m1", "0", repr(1.0 - not_true)],
+        ["m1", "1", repr(not_true)],
+        ["qcq_diag", "0", repr(spread)],
+        ["quad_tol", "0", repr(QUAD_TOL)],
+    ]
 
 
 def test_verify_foc_draws_each_shock_block_once(cfg_file, tmp_path, monkeypatch):
@@ -160,14 +164,16 @@ def test_outputs_are_deterministic_on_rerun(cfg_file, tmp_path):
 EQUILIBRIUM_KEYS = ["key", "alpha_star", "alpha_raw", "c", "I", "phi_residual", "alpha_std_err",
                     "bracket_hi", "n_doublings", "n_bisections", "n_samples", "seed"]
 EFFICIENCY_HEADER = ["I", "alpha_star", "ie", "std_err", "n_samples", "seed"]
+PROBE_KEYS = [("quantity", "index"), ("m1", "0"), ("m1", "1"), ("qcq_diag", "0"), ("quad_tol", "0")]
 
 
 def test_solve_and_efficiency_schema_is_fixed_and_the_root_ignores_the_mc_keys(
     cfg_file, tmp_path
 ):
-    # the benchmark reads these columns; the root and ie depend on I alone, so
-    # neither mc.seed nor mc.n_samples moves them (both are only recorded)
-    roots, ies = set(), set()
+    # the benchmark reads these columns; the root, ie and the probe's moments
+    # depend on alpha_bar and I alone, so neither mc.seed nor mc.n_samples
+    # moves them (both are only recorded)
+    roots, ies, probes = set(), set(), set()
     for seed in (0, 7, 2**63):
         for n_samples in (10_000, 200_000):
             cfg_file.write_text(FAST_CONFIG.replace("mc.seed = 3", f"mc.seed = {seed}")
@@ -175,6 +181,10 @@ def test_solve_and_efficiency_schema_is_fixed_and_the_root_ignores_the_mc_keys(
             out = tmp_path / f"run_{seed}_{n_samples}"
             assert main(["solve", "-c", str(cfg_file), "-o", str(out)]) == 0
             assert main(["efficiency", "-c", str(cfg_file), "-o", str(out)]) == 0
+            assert main(["posterior", "probe", "--alpha-bar", "1.0", "-c", str(cfg_file),
+                         "-o", str(out)]) == 0
+            assert [tuple(r[:2]) for r in read_rows(out / "posterior_probe.csv")] == PROBE_KEYS
+            probes.add((out / "posterior_probe.csv").read_bytes())
             eq = read_rows(out / "equilibrium.csv")
             assert [r[0] for r in eq] == EQUILIBRIUM_KEYS
             eq = dict(eq[1:])
@@ -184,7 +194,7 @@ def test_solve_and_efficiency_schema_is_fixed_and_the_root_ignores_the_mc_keys(
             assert {(r[4], r[5]) for r in eff[1:]} == {(str(n_samples), str(seed))}
             roots.add((eq["alpha_star"], tuple(r[1] for r in eff[1:])))
             ies.add(tuple(r[2] for r in eff[1:]))
-    assert len(roots) == 1 and len(ies) == 1
+    assert len(roots) == 1 and len(ies) == 1 and len(probes) == 1
 
 
 def test_seed_flag_changes_outputs(cfg_file, tmp_path):
@@ -411,6 +421,7 @@ def test_out_of_memory_exits_with_code_two(cfg_file, tmp_path, capsys, monkeypat
     assert main(["kernel", "dump", "-c", str(cfg_file), "-o", str(tmp_path / "k")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: adkyle.cli: out of memory") and len(err.splitlines()) == 1
+    assert "n_samples" not in err  # the key sizes no allocation
 
 
 def _run_python(argv, **kwargs):
@@ -421,11 +432,19 @@ def _run_python(argv, **kwargs):
                           **kwargs)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy serves only the skew-normal family and the binary quadrature, and
-    # no start-up path needs numpy.polynomial
-    proc = _run_python(["-c", "import sys, adkyle.cli; sys.exit(' '.join(m for m in "
-                        "('scipy', 'numpy.polynomial') if m in sys.modules) or None)"])
+def test_cli_import_leaves_scipy_unloaded(cfg_file, tmp_path):
+    # scipy serves only the skew-normal family, and no start-up path needs
+    # numpy.polynomial; neither the solve nor the probe of a mean-shift run loads scipy
+    runs = [["solve"], ["posterior", "probe", "--alpha-bar", "1.0"]]
+    script = "\n".join([
+        "import sys, adkyle.cli",
+        "loaded = [m for m in ('scipy', 'numpy.polynomial') if m in sys.modules]",
+        *(f"assert adkyle.cli.main({argv + ['-c', str(cfg_file), '-o', str(tmp_path)]!r}) == 0"
+          for argv in runs),
+        "loaded += ['scipy'] * ('scipy' in sys.modules)",
+        "sys.exit(' '.join(loaded) or None)",
+    ])
+    proc = _run_python(["-c", script])
     assert proc.returncode == 0, proc.stderr
 
 

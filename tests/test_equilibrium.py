@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from adkyle import (
-    binary_moments_quadrature,
     build_canonical_kernel,
     identity_kernel,
     kyle_single_asset,
@@ -24,9 +23,9 @@ import adkyle.equilibrium
 import adkyle.posterior
 from adkyle.equilibrium import BRACKET_CAP, WIDTH_TOL
 from adkyle.kernel import RANK_TOL
-from adkyle.posterior import QUAD_TOL, moment_noise
+from adkyle.posterior import QUAD_TOL
 from adkyle._rng import standard_normal_matrix
-from conftest import ALPHA_STAR_BINARY
+from conftest import ALPHA_STAR_BINARY, binary_moments_quadrature
 
 # two quotients each round once, so the product can sit one ulp off 1/2
 PRODUCT_ULPS = 2.0 * np.spacing(0.5)
@@ -108,7 +107,8 @@ def test_binary_quadrature_agrees_with_the_sigmoid_closed_form():
 @pytest.mark.parametrize("I,true_index", [(2, 0), (2, 1), (4, 2), (8, 0), (8, 7)])
 def test_scalar_residual_matches_the_full_softmax_moments(I, true_index):
     # rows of q sum to one, so (Q cbar Q)_tt = E[q_t (1 - q_t)]: the full softmax
-    # moments give Phi per draw, and the quadrature lies within 3 SE of their mean
+    # moments give Phi per draw, and the quadrature lies within 3 SE of their mean;
+    # the rivals are exchangeable, so each holds E[1 - q_t] / (I - 1) of the mass
     xi = standard_normal_matrix(5, 200_000, I)
     for alpha_bar in (0.5, 1.0, 1.4, 2.0, 3.0):
         mom = moments_from_noise(alpha_bar, true_index, xi)
@@ -121,12 +121,14 @@ def test_scalar_residual_matches_the_full_softmax_moments(I, true_index):
         not_true, _ = true_belief_moments(alpha_bar, I)
         ie_gap = abs((1.0 - not_true) - mom.m1[true_index])
         assert ie_gap <= SIGMAS * mom.std_err_m1[true_index]
+        rival_gap = np.abs(np.delete(mom.m1 - not_true / (I - 1), true_index))
+        assert np.all(rival_gap <= SIGMAS * np.delete(mom.std_err_m1, true_index))
 
 
 @pytest.mark.parametrize("I", [4, 6, 8])
 def test_monte_carlo_root_agrees_with_the_quadrature_root(I):
     # bisect the Monte Carlo Phi on one frozen noise matrix (common random numbers)
-    noise = moment_noise(I, 200_000, I)
+    noise = standard_normal_matrix(I, 200_000, I)
     lo, hi = 1.0, 2.5
     assert mc_phi(lo, noise)[0] > 0.0 > mc_phi(hi, noise)[0]
     for _ in range(40):

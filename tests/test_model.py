@@ -16,7 +16,6 @@ from adkyle import (
     prior_mixture,
     weighted_inner_product,
 )
-from adkyle.analytics import node_index
 
 VECTOR_LENGTH = 41
 ABS_TOLERANCE = 1e-12
@@ -67,7 +66,7 @@ def test_grid_rejects_bad_arguments():
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
 def test_node_queries_reject_non_finite_points(grid, x):
-    for query in (lambda: grid.nearest(x), lambda: node_index(grid, x),
+    for query in (lambda: grid.nearest(x), lambda: grid.node(x),
                   lambda: bl_decompose(np.zeros(grid.n), grid, x)):
         with pytest.raises(ValueError, match="adkyle.model: node query x must be finite"):
             query()

@@ -66,10 +66,10 @@ def test_equilibrium_demand_round_trip(mean_shift_demand, grid):
 
 def test_pivot_must_be_an_interior_node(mean_shift_demand, grid):
     _, _, w_star = mean_shift_demand
-    with pytest.raises(ValueError, match="adkyle.options"):
-        bl_decompose(w_star[0], grid, k0=grid.x_min)
-    with pytest.raises(ValueError, match="adkyle.options"):
-        bl_decompose(w_star[0], grid, k0=0.017)
+    interior = rf"adkyle.model: .* is not a grid node with index in \[1, {grid.n - 2}\]"
+    for k0 in (grid.x_min, 0.017):
+        with pytest.raises(ValueError, match=interior):
+            bl_decompose(w_star[0], grid, k0=k0)
 
 
 def test_signatures_of_the_three_families(

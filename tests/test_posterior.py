@@ -1,10 +1,9 @@
-"""Canonical posterior sampling, moment estimators, and the binary quadrature."""
+"""Canonical posterior sampling, moment estimators, and the binary quadrature oracle."""
 
 import numpy as np
 import pytest
 
 from adkyle import (
-    binary_moments_quadrature,
     moments_from_noise,
     sample_posterior,
     softmax,
@@ -12,7 +11,8 @@ from adkyle import (
 )
 from adkyle import _rng
 from adkyle._rng import BLOCK_SIZE, block_generator, derive_seed, standard_normal_matrix
-from adkyle.posterior import MIN_MOMENT_SAMPLES, MIN_QUAD_NODES, moment_noise
+from adkyle.config import MIN_MOMENT_SAMPLES, parse_config_text
+from conftest import MIN_QUAD_NODES, binary_moments_quadrature
 
 SOFTMAX_TOLERANCE = 1e-15
 QUAD_TOLERANCE = 1e-12
@@ -97,7 +97,7 @@ def test_quadrature_node_count_is_converged(alpha_bar, budget):
 
 
 def test_quadrature_argument_validation():
-    with pytest.raises(ValueError, match="adkyle.posterior"):
+    with pytest.raises(ValueError, match="below minimum"):
         binary_moments_quadrature(1.0, n_nodes=MIN_QUAD_NODES - 1)
     for alpha_bar in (-0.5, 1e200):
         with pytest.raises(ValueError, match="adkyle.posterior"):
@@ -113,7 +113,7 @@ def test_sample_posterior_argument_validation():
 
 
 def test_monte_carlo_moments_agree_with_quadrature():
-    mom = moments_from_noise(1.0, 0, moment_noise(2, MOMENT_SAMPLES, 3))
+    mom = moments_from_noise(1.0, 0, standard_normal_matrix(3, MOMENT_SAMPLES, 2))
     ref1, ref2 = QUAD_ORACLE[1.0]
     assert abs(mom.m1[0] - ref1) <= 3.0 * mom.std_err_m1[0]
     # the centered quadratic diagnostic estimates phi2 at I = 2
@@ -121,7 +121,7 @@ def test_monte_carlo_moments_agree_with_quadrature():
 
 
 def test_moments_mass_conservation():
-    mom = moments_from_noise(0.8, 2, moment_noise(5, 20_000, 9))
+    mom = moments_from_noise(0.8, 2, standard_normal_matrix(9, 20_000, 5))
     assert mom.m1.sum() == pytest.approx(1.0, abs=1e-12)
     assert mom.n_samples == 20_000
     assert np.all(mom.std_err_m1 > 0.0)
@@ -135,8 +135,9 @@ def test_moments_from_noise_matches_direct_computation():
 
 
 def test_moment_sample_floor_is_enforced():
-    with pytest.raises(ValueError, match="adkyle.posterior"):
-        moment_noise(2, MIN_MOMENT_SAMPLES - 1, 0)
+    parse_config_text(f"mc.seed = 0\nmc.n_samples = {MIN_MOMENT_SAMPLES}")
+    with pytest.raises(ValueError, match="adkyle.config: mc.n_samples"):
+        parse_config_text(f"mc.seed = 0\nmc.n_samples = {MIN_MOMENT_SAMPLES - 1}")
 
 
 @pytest.mark.parametrize("I,true_index", [(2, 0), (3, 2), (8, 5)])
@@ -166,14 +167,14 @@ def test_normal_matrix_fills_its_blocks_in_place():
 
 
 def test_stage_streams_never_share_draws():
-    # the probe's noise (raw seed) and every stage tag in _rng each key their
-    # own stream, within a seed and across neighbouring seeds
+    # every stage tag in _rng keys its own stream, within a seed and across
+    # neighbouring seeds, and none of them is a raw seed's stream
     tags = {name: tag for name, tag in vars(_rng).items()
             if name.isupper() and isinstance(tag, tuple)}
     assert tags  # the scan found the module's stage tags
     keys = {}
     for seed in range(4):
-        keys[f"probe/{seed}"] = seed
+        keys[f"raw/{seed}"] = seed
         for name, tag in tags.items():
             keys[f"{name}/{seed}"] = derive_seed(seed, *tag)
     first = {name: tuple(block_generator(key, 0).bit_generator.random_raw(4))

@@ -99,12 +99,14 @@ def _manifest(outdir: Path, cfg: RunConfig, command: str, t0: float) -> None:
     write_csv(outdir / "manifest.csv", ["key", "value"], zip(*rows))
 
 
-def _pipeline(cfg: RunConfig):
+def _model(cfg: RunConfig):
     grid = config_grid(cfg)
-    noise = config_noise(cfg, grid)
-    family = config_family(cfg, grid)
-    kern = build_canonical_kernel(family, noise, grid)
-    return grid, noise, family, kern
+    return grid, config_noise(cfg, grid), config_family(cfg, grid)
+
+
+def _pipeline(cfg: RunConfig):
+    grid, noise, family = _model(cfg)
+    return grid, noise, family, build_canonical_kernel(family, noise, grid)
 
 
 def _solved(cfg: RunConfig):
@@ -286,8 +288,8 @@ def cmd_kernel_dump(args, cfg: RunConfig, outdir: Path) -> int:
 
 
 def cmd_posterior_probe(args, cfg: RunConfig, outdir: Path) -> int:
-    grid, noise, family, kern = _pipeline(cfg)
-    I = family.I
+    # only I is read; grid and noise are built so that a bad config fails as elsewhere
+    I = _model(cfg)[2].I
     alpha_bar = args.alpha_bar
     # the truth (index 0) holds 1 - E[1 - q_t] and the I - 1 exchangeable rivals
     # share the rest; C 1 = 0 makes (Q C Q)_tt = q_t (1 - q_t)

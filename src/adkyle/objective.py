@@ -119,9 +119,9 @@ def foc_terms(
     """Directional derivative of the insider objective, three ways decomposed.
 
     v_row is one direction (n,), giving one FocReport, or a stack (k, n),
-    giving k reports, each equal to the single-direction call.  The draws,
-    the base posterior and the price are computed once per block for all
-    directions.
+    giving k reports, each equal to the single-direction call.  Each block
+    draws once and takes the base posterior, the price and, in one stacked
+    softmax, the 2k shifted posteriors for all directions.
 
     The impact channel uses the per-path posterior exactly (covariance over
     the I signal atoms), so no nested simulation is required.  The finite
@@ -155,18 +155,19 @@ def foc_terms(
     eta_v, eta_plus, eta_minus = (np.array([eta @ t for t in trades])
                                   for trades in (trade_v, trade_plus, trade_minus))
 
+    # the +eps shifts, then the -eps ones, as one (2k, 1, I) stack: one softmax per block
+    shifts = np.concatenate([eps[:, None] * dshift, -eps[:, None] * dshift])[:, None, :]
     n_paths = int(n_paths)
     ad, impact, fd = np.empty((3, len(v), n_paths))
     for sl, log_lik, pi in posterior_blocks(w_tilde, noise, grid, seed, n_paths, w_row=w_row):
         price_w = pi @ eta_w
+        pi_p, pi_m = np.split(posterior_weights(log_lik + shifts), 2)
         for k, e in enumerate(eps):
             ad[k, sl] = pi @ eta_v[k]
             # int W Cov_pi(eta(x, .), d) dx = pi . (d eta_w) - (pi . eta_w)(pi . d)
             impact[k, sl] = pi @ (d[k] * eta_w) - price_w * (pi @ d[k])
-            pi_p = posterior_weights(log_lik + e * dshift[k])
-            pi_m = posterior_weights(log_lik - e * dshift[k])
-            profit_p = trade_plus[k] @ eta_t - pi_p @ eta_plus[k]
-            profit_m = trade_minus[k] @ eta_t - pi_m @ eta_minus[k]
+            profit_p = trade_plus[k] @ eta_t - pi_p[k] @ eta_plus[k]
+            profit_m = trade_minus[k] @ eta_t - pi_m[k] @ eta_minus[k]
             fd[k, sl] = (profit_p - profit_m) / (2.0 * e)
 
     reports = []

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._rng import FLOW_STATISTIC, PATH_SHOCKS, blocks, derive_seed, standard_normal_matrix
 from .model import NoiseProfile, PayoffFamily, StateGrid
-from .posterior import signal_sweep
+from .posterior import signal_sum, signal_sweep
 
 _ERR = "adkyle.orderflow"
 
@@ -110,9 +110,12 @@ def posterior_weights(log_lik: np.ndarray) -> np.ndarray:
             f"{_ERR}: log-likelihood spread {worst:.1f} exceeds "
             f"{LOG_LIK_SPREAD_MAX}; posterior underflow"
         )
-    # softmax shifted by the guard's max; a zero shift's sign does not change exp
-    w = np.exp(log_lik - top[:, None])
-    return w / w.sum(axis=1, keepdims=True)
+    # softmax shifted by the guard's max (a zero shift's sign does not change exp),
+    # in place, so a (2k, m, I) stack allocates one array of its size
+    w = log_lik - top[..., None]
+    np.exp(w, out=w)
+    w /= signal_sum(w)[..., None]
+    return w
 
 
 def posterior_blocks(

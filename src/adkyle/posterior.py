@@ -19,14 +19,15 @@ choosing another true index only relabels the noise columns and leaves every
 expectation of q_t unchanged.  sample_posterior and moments_from_noise keep an
 explicit true index, as the softmax oracle.
 
-Order-flow blocks take their extremes over the signal axis as column sweeps
-(signal_sweep): numpy reduces a short last axis with a separate inner loop per
-row, which costs about 30 times the sweep on a 4096 x 2 block.  softmax keeps
-numpy's max, because on one (n_samples, I) array each strided column pass
-streams the whole array again: the sweep breaks even near I = 16 and takes four
-times as long at I = 64.  Both keep numpy's sum as the normaliser, whose
-eight-lane pairwise order a column sum would not reproduce at I >= 8, so the
-CSVs stay byte-identical.
+Order-flow blocks take their extremes and their normaliser over the signal
+axis as column sweeps (signal_sweep, signal_sum): numpy reduces a short last
+axis with a separate inner loop per row, which costs about 30 times the sweep
+on a 4096 x 2 block.  signal_sum adds the columns in the order of numpy's
+pairwise sum (eight lanes from I = 8, halves above 128 columns), so its value
+is numpy's for every I and the CSVs stay byte-identical.  softmax keeps
+numpy's max and sum, because on one (n_samples, I) array each strided column
+pass streams the whole array again: the sweeps break even near I = 16 and take
+three to five times as long at I = 64.
 """
 
 from __future__ import annotations
@@ -92,6 +93,33 @@ def signal_sweep(extreme: np.ufunc, a: np.ndarray) -> np.ndarray:
     out = a[..., 0].copy()
     for j in range(1, a.shape[-1]):
         extreme(out, a[..., j], out=out)
+    return out
+
+
+def signal_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1) by whole columns, in the order of numpy's pairwise sum.
+
+    Below 8 columns left to right; up to 128 in eight lanes (lane r: columns r,
+    r + 8, ...) joined as ((0+1)+(2+3))+((4+5)+(6+7)), then the leftover columns;
+    above 128 as two halves split at a multiple of 8.  The value is numpy's; only
+    an all-zero row can differ, in the sign of its zero.  On a 4096-row block it
+    takes a tenth of numpy's time at I = 2, breaks even near I = 16 and takes
+    3-5 times as long at I = 64 (timeit, 2-core Xeon).
+    """
+    n = a.shape[-1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return signal_sum(a[..., :half]) + signal_sum(a[..., half:])
+    width = 8 if n >= 8 else 1
+    end = n - n % width
+    r = a[..., :width].copy()
+    for j in range(width, end, width):
+        r += a[..., j:j + width]
+    while r.shape[-1] > 1:
+        r = r[..., 0::2] + r[..., 1::2]
+    out = r[..., 0]
+    for j in range(end, n):
+        out += a[..., j]
     return out
 
 

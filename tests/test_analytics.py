@@ -15,6 +15,7 @@ from adkyle import (
     log_likelihoods,
     make_payoff_family,
     posterior_weights,
+    sample_posterior,
     true_belief_moments,
 )
 from adkyle._rng import block_generator, derive_seed
@@ -28,6 +29,8 @@ SIGN_SIGMAS = 3.0
 NULL_FLOOR = 1e-10
 IMPACT_PATHS = 10_000
 BASELINE_TOLERANCE = 1e-12
+ORACLE_PATHS = 20_000
+ORACLE_DRAWS = 100_000
 
 
 def variance_demand(variance_family, unit_noise, grid):
@@ -177,6 +180,37 @@ def test_surface_matches_full_path_reference(means, conditioned_on, grid):
         points, w_star, family, noise, grid, n_paths, seed, conditioned_on)
     for got, ref in ((values, ref_values), (errs, ref_errs)):
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("means,sd", [([-1.0, 1.0], 1.0), ([-4.2, -1.4, 1.4, 4.2], 0.35)])
+@pytest.mark.parametrize("conditioned_on", [None, 1])
+def test_surface_mean_equals_the_canonical_posterior_covariance(means, sd, conditioned_on,
+                                                                unit_noise, grid):
+    # an oracle that sees no order flow: at the equilibrium the Gram matrix of the demand
+    # rows is alpha*^2 Q, so each path's posterior has the canonical law of sample_posterior
+    # and E[Lambda] = a~^T E[C] b~, with C = diag(q) - q q^T and the atom-centred columns
+    family = make_payoff_family("gaussian_mean_shift", {"means": means, "sd": sd}, grid)
+    kern = build_canonical_kernel(family, unit_noise, grid)
+    eq = solve_alpha_star(kern)
+    _, w_star = equilibrium_demand(eq, kern, family)
+    points = np.array([-1.4, 0.52, 1.4, 4.2])
+    values, errs = impact_surface(points, points, w_star, family, unit_noise, grid,
+                                  n_paths=ORACLE_PATHS, seed=31, conditioned_on=conditioned_on)
+    idx = [grid.node(p) for p in points]
+    a, b = family.eta[:, idx], w_star[:, idx] / np.square(unit_noise.sigma[idx])
+    a, b = a - a.mean(axis=0), b - b.mean(axis=0)
+    noise = np.random.default_rng(32).standard_normal((ORACLE_DRAWS, family.I))
+    truths = range(family.I) if conditioned_on is None else [conditioned_on]
+    per_draw = 0.0  # a~^T C b~ per draw, averaged over the uniform true signal
+    for t in truths:
+        q = sample_posterior(eq.alpha_star, family.I, t, noise).q
+        per_draw = per_draw + (np.einsum("mi,ik,il->mkl", q, a, b)
+                               - (q @ a)[:, :, None] * (q @ b)[:, None, :]) / len(truths)
+    oracle = per_draw.mean(axis=0)
+    oracle_se = per_draw.std(axis=0, ddof=1) / math.sqrt(ORACLE_DRAWS)
+    combined = np.sqrt(np.square(errs) + np.square(oracle_se))
+    assert np.abs(oracle).max() > 10.0 * combined.max()  # the check can tell Lambda from 0
+    assert np.all(np.abs(values - oracle) <= SIGN_SIGMAS * combined)
 
 
 @pytest.mark.parametrize("conditioned_on", [-1, 2])

@@ -97,6 +97,23 @@ def test_posterior_probe_draws_no_noise(cfg_file, tmp_path, monkeypatch):
     ]
 
 
+def test_posterior_probe_builds_no_kernel_but_checks_the_model(cfg_file, tmp_path, capsys,
+                                                               monkeypatch):
+    # the probe reads only I; a bad grid, noise or family still ends in one error line
+    def no_kernel(*args):
+        raise AssertionError("posterior probe built the canonical kernel")
+
+    monkeypatch.setattr(adkyle.cli, "build_canonical_kernel", no_kernel)
+    argv = ["posterior", "probe", "--alpha-bar", "1.0", "-o", str(tmp_path / "out"), "-c"]
+    assert main(argv + [str(cfg_file)]) == 0
+    for line in ("grid.n = 2", "noise.level = -1", "family.means = 200 300"):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"mc.seed = 1\n{line}\n")
+        assert main(argv + [str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: adkyle.") and len(err.splitlines()) == 1
+
+
 def test_verify_foc_draws_each_shock_block_once(cfg_file, tmp_path, monkeypatch):
     # every direction reads one (n_paths, I) draw of the order-flow statistic
     import adkyle.orderflow

@@ -18,7 +18,7 @@ from adkyle import (
 )
 from adkyle._rng import PATH_SHOCKS, derive_seed, standard_normal_matrix
 from adkyle.orderflow import LOG_LIK_SPREAD_MAX, PATH_BLOCK_SIZE
-from adkyle.posterior import signal_sweep
+from adkyle.posterior import signal_sum, signal_sweep
 from conftest import ALPHA_STAR_BINARY
 
 POSTERIOR_MATCH_TOLERANCE = 1e-12
@@ -155,6 +155,52 @@ def test_posterior_weights_reject_non_finite_rows(bad_row, where):
     log_lik[where] = bad_row
     with pytest.raises(ValueError, match="non-finite"):
         posterior_weights(log_lik)
+
+
+# every lane boundary of numpy's pairwise sum: sequential below 8, eight lanes up to 128, halves above
+LANE_BOUNDARY_SIZES = [*range(1, 10), 15, 16, 17, 127, 128, 129, 130, 255, 256, 257]
+
+
+@st.composite
+def weight_stacks(draw, I):
+    """Non-negative (m, I) or (s, m, I) arrays: exp of log-likelihoods, a share set to +0.0."""
+    lead = (draw(st.integers(1, 4)),) if draw(st.booleans()) else ()
+    shape = (*lead, draw(st.integers(1, 300)), I)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = np.exp(draw(st.floats(0.0, LOG_LIK_SPREAD_MAX)) * -rng.random(shape))
+    w[rng.random(shape) < draw(st.floats(0.0, 1.0))] = 0.0
+    return w
+
+
+@pytest.mark.parametrize("I", LANE_BOUNDARY_SIZES)
+@seed(2)
+@given(data=st.data())
+@settings(deadline=None, max_examples=10)
+def test_signal_sum_matches_numpy(I, data):
+    # numpy's value byte for byte on non-negative input; only a zero row holding a -0.0
+    # could differ, in the sign of its sum, and exp never yields -0.0
+    w = data.draw(weight_stacks(I))
+    assert same_bytes(signal_sum(w), w.sum(axis=-1))
+
+
+@pytest.mark.parametrize("I", [2, 3, 9, 17])
+def test_posterior_weights_of_a_stack_equal_its_slices(I):
+    # one call over (s, m, I) is the s separate calls, byte for byte
+    rng = np.random.default_rng(I)
+    stack = 40.0 * rng.standard_normal((5, PATH_BLOCK_SIZE + 3, I))
+    pi = posterior_weights(stack)
+    for s in range(len(stack)):
+        assert same_bytes(pi[s], posterior_weights(stack[s]))
+
+
+def test_posterior_weights_guard_reaches_the_last_row_of_the_last_slice():
+    # the guard reads the spread of every row of every slice, as foc_terms' +-eps stack needs
+    stack = np.zeros((6, PATH_BLOCK_SIZE, 3))
+    stack[..., 0] = LOG_LIK_SPREAD_MAX
+    posterior_weights(stack)
+    stack[-1, -1, 0] = np.nextafter(LOG_LIK_SPREAD_MAX, np.inf)
+    with pytest.raises(ValueError, match=r"adkyle\.orderflow.*exceeds"):
+        posterior_weights(stack)
 
 
 def test_log_likelihoods_match_manual_formula(mean_shift_demand, unit_noise, grid):

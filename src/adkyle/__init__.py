@@ -51,8 +51,6 @@ from .orderflow import (
 )
 from .objective import FocReport, expected_utility, foc_terms, zero_impact_basis
 from .analytics import (
-    EfficiencyRow,
-    InvarianceReport,
     derivative_cross_impact,
     efficiency_sweep,
     identity_kernel,
@@ -99,8 +97,6 @@ __all__ = [
     "expected_utility",
     "foc_terms",
     "zero_impact_basis",
-    "EfficiencyRow",
-    "InvarianceReport",
     "derivative_cross_impact",
     "efficiency_sweep",
     "identity_kernel",

@@ -12,43 +12,19 @@ drawn uniformly unless conditioned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._rng import SIGNALS, block_generator, blocks, derive_seed
 from .kernel import CanonicalKernel, build_canonical_kernel, centering_matrix
 from .model import NoiseProfile, PayoffFamily, StateGrid, trapezoid
 from .orderflow import DEFAULT_PATHS, PATH_BLOCK_SIZE, posterior_blocks
-from .equilibrium import solve_alpha_star
+from .equilibrium import Equilibrium, solve_alpha_star
 
 _ERR = "adkyle.analytics"
 
 SUBGRID_DEFAULT = 21
 SUBGRID_MIN = 9
 SWEEP_SIZES = (2, 4, 6, 8)
-
-
-@dataclass(frozen=True)
-class EfficiencyRow:
-    """One row of the efficiency sweep: equilibrium root, E[q_true] there, its error bound."""
-
-    I: int
-    alpha_star: float
-    ie: float
-    std_err: float
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    """Base-vs-transformed pipeline outputs for the noise-scaling experiment."""
-
-    alpha_star_base: float
-    alpha_star_scaled: float
-    alpha_raw_base: float
-    alpha_raw_scaled: float
-    ie_base: float
-    ie_scaled: float
 
 
 def _path_signals(seed: int, I: int, n_paths: int, conditioned_on: int | None) -> np.ndarray:
@@ -166,17 +142,13 @@ def identity_kernel(I: int) -> CanonicalKernel:
     )
 
 
-def efficiency_sweep() -> list[EfficiencyRow]:
+def efficiency_sweep() -> list[Equilibrium]:
     """Equilibrium root and information efficiency for each signal count in SWEEP_SIZES.
 
-    Each row is the standalone solve of identity_kernel(I): ie is E[q_true]
-    from the solver's evaluation at its root, std_err its error bound.
+    Each record is the standalone solve of identity_kernel(I): its ie is
+    E[q_true] from the solver's evaluation at its root, ie_std_err its error bound.
     """
-    rows = []
-    for I in SWEEP_SIZES:
-        eq = solve_alpha_star(identity_kernel(I))
-        rows.append(EfficiencyRow(I=I, alpha_star=eq.alpha_star, ie=eq.ie, std_err=eq.ie_std_err))
-    return rows
+    return [solve_alpha_star(identity_kernel(I)) for I in SWEEP_SIZES]
 
 
 def invariance_experiment(
@@ -184,8 +156,8 @@ def invariance_experiment(
     noise: NoiseProfile,
     grid: StateGrid,
     scale: float = 2.0,
-) -> InvarianceReport:
-    """Scale the noise intensity and re-run the pipeline.
+) -> tuple[Equilibrium, Equilibrium]:
+    """Scale the noise intensity and re-run the pipeline: the (base, scaled) solves.
 
     The canonical root and information efficiency depend only on I, so they
     are unchanged -- bitwise, since the residual sees nothing else -- while
@@ -194,15 +166,6 @@ def invariance_experiment(
     """
     if scale <= 0.0:
         raise ValueError(f"{_ERR}: scale must be positive")
-    kern_base = build_canonical_kernel(family, noise, grid)
-    kern_scaled = build_canonical_kernel(family, NoiseProfile(scale * noise.sigma), grid)
-    eq_base = solve_alpha_star(kern_base)
-    eq_scaled = solve_alpha_star(kern_scaled)
-    return InvarianceReport(
-        alpha_star_base=eq_base.alpha_star,
-        alpha_star_scaled=eq_scaled.alpha_star,
-        alpha_raw_base=eq_base.alpha_raw,
-        alpha_raw_scaled=eq_scaled.alpha_raw,
-        ie_base=eq_base.ie,
-        ie_scaled=eq_scaled.ie,
-    )
+    scaled = NoiseProfile(scale * noise.sigma)
+    return (solve_alpha_star(build_canonical_kernel(family, noise, grid)),
+            solve_alpha_star(build_canonical_kernel(family, scaled, grid)))

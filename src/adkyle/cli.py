@@ -1,10 +1,13 @@
 """Command-line front end: solve, simulate, analyze, and dump CSV artifacts.
 
-Every subcommand reads a flat key=value config, runs one stage of the
-pipeline, and writes plain CSV files into the output directory (never plots,
-never binary blobs).  A manifest.csv records tool version, config hash, seed,
-and wall time for provenance; all other files are bitwise reproducible from
-(config, seed).
+Every subcommand reads a flat key=value config and runs one stage of the
+pipeline.  Its handler, cmd_*(args, cfg), returns (tables, summary, status):
+the CSV tables by file name in write order, each as (header, columns); the
+stdout line without its " -> outdir" (None if the handler prints its own);
+and the exit status.  main alone touches the output directory: it writes the
+tables as plain CSV (never plots, never binary blobs), prints the summary,
+and writes a manifest.csv of tool version, config hash, seed, and wall time
+for provenance; all other files are bitwise reproducible from (config, seed).
 """
 
 from __future__ import annotations
@@ -85,8 +88,8 @@ def write_csv(path: Path, header: list[str], columns) -> None:
                 writer.writerows(rows)
 
 
-def _manifest(outdir: Path, cfg: RunConfig, command: str, t0: float) -> None:
-    rows = [
+def _manifest(cfg: RunConfig, command: str, t0: float) -> list[tuple]:
+    return [
         ("tool_version", __version__),
         ("command", command),
         ("config_hash", config_hash(cfg)),
@@ -96,7 +99,6 @@ def _manifest(outdir: Path, cfg: RunConfig, command: str, t0: float) -> None:
         ("wall_time_s", f"{time.perf_counter() - t0:.3f}"),
         ("created_utc", datetime.now(timezone.utc).isoformat()),
     ]
-    write_csv(outdir / "manifest.csv", ["key", "value"], zip(*rows))
 
 
 def _model(cfg: RunConfig):
@@ -122,7 +124,7 @@ def _signal(args, family) -> int:
     return args.signal
 
 
-def cmd_solve(args, cfg: RunConfig, outdir: Path) -> int:
+def cmd_solve(args, cfg: RunConfig):
     grid, noise, family, eq, w_star = _solved(cfg)
     rows = [
         ("alpha_star", eq.alpha_star),
@@ -137,22 +139,20 @@ def cmd_solve(args, cfg: RunConfig, outdir: Path) -> int:
         ("n_samples", cfg.n_samples),
         ("seed", cfg.seed),
     ]
-    write_csv(outdir / "equilibrium.csv", ["key", "value"], zip(*rows))
     trace = eq.mc_meta["trace"]
-    write_csv(outdir / "solver_trace.csv", ["eval", "alpha_bar", "phi", "stage"],
-              [range(1, len(trace) + 1), *zip(*trace)])
-    write_csv(
-        outdir / "demand_surface.csv",
-        ["x"] + [f"w_{lab}" for lab in family.labels],
-        [grid.nodes, *w_star],
-    )
-    print(f"solve: alpha_star={eq.alpha_star:.6f} (se {eq.alpha_std_err:.1e}, "
-          f"{len(trace)} Phi evaluations) alpha_raw={eq.alpha_raw:.6f} "
-          f"c={eq.c:.6f} I={eq.I} -> {outdir}")
-    return 0
+    tables = {
+        "equilibrium.csv": (["key", "value"], zip(*rows)),
+        "solver_trace.csv": (["eval", "alpha_bar", "phi", "stage"],
+                             [range(1, len(trace) + 1), *zip(*trace)]),
+        "demand_surface.csv": (["x"] + [f"w_{lab}" for lab in family.labels],
+                               [grid.nodes, *w_star]),
+    }
+    return tables, (f"solve: alpha_star={eq.alpha_star:.6f} (se {eq.alpha_std_err:.1e}, "
+                    f"{len(trace)} Phi evaluations) alpha_raw={eq.alpha_raw:.6f} "
+                    f"c={eq.c:.6f} I={eq.I}"), 0
 
 
-def cmd_simulate(args, cfg: RunConfig, outdir: Path) -> int:
+def cmd_simulate(args, cfg: RunConfig):
     if args.paths < 1:
         raise ValueError(f"adkyle.cli: --paths must be >= 1, got {args.paths}")
     grid, noise, family, eq, w_star = _solved(cfg)
@@ -167,17 +167,17 @@ def cmd_simulate(args, cfg: RunConfig, outdir: Path) -> int:
     pi = posterior_weights(log_lik)
     price = price_schedule(pi, family)
     path_id, x = np.repeat(np.arange(n_paths), n), np.tile(grid.nodes, n_paths)
-    write_csv(outdir / "paths.csv", ["path_id", "x", "y"], [path_id, x, y.ravel()])
-    write_csv(outdir / "pathwise_prices.csv", ["path_id", "x", "price"],
-              [path_id, x, price.ravel()])
-    write_csv(outdir / "pathwise_posterior.csv", ["path_id", "signal", "log_lik", "pi"],
-              [np.repeat(np.arange(n_paths), I), family.labels * n_paths,
-               log_lik.ravel(), pi.ravel()])
-    print(f"simulate: {n_paths} path(s) under signal {family.labels[s]} -> {outdir}")
-    return 0
+    tables = {
+        "paths.csv": (["path_id", "x", "y"], [path_id, x, y.ravel()]),
+        "pathwise_prices.csv": (["path_id", "x", "price"], [path_id, x, price.ravel()]),
+        "pathwise_posterior.csv": (["path_id", "signal", "log_lik", "pi"],
+                                   [np.repeat(np.arange(n_paths), I), family.labels * n_paths,
+                                    log_lik.ravel(), pi.ravel()]),
+    }
+    return tables, f"simulate: {n_paths} path(s) under signal {family.labels[s]}", 0
 
 
-def cmd_impact(args, cfg: RunConfig, outdir: Path) -> int:
+def cmd_impact(args, cfg: RunConfig):
     grid, noise, family, eq, w_star = _solved(cfg)
     mu, sbar = prior_moments(family, grid)
     lo = max(mu - 3.0 * sbar, grid.nodes[1])
@@ -189,56 +189,45 @@ def cmd_impact(args, cfg: RunConfig, outdir: Path) -> int:
         points, points, w_star, family, noise, grid,
         n_paths=cfg.n_paths, seed=cfg.seed, conditioned_on=cfg.conditioned_on,
     )
-    write_csv(
-        outdir / "impact_kernel.csv",
-        ["x", "y", "lambda", "std_err"],
-        [np.repeat(points, len(points)), np.tile(points, len(points)),
-         values.ravel(), errs.ravel()],
-    )
-    print(f"impact: {len(points)}x{len(points)} kernel estimates -> {outdir}")
-    return 0
+    n = len(points)
+    tables = {"impact_kernel.csv": (["x", "y", "lambda", "std_err"],
+                                    [np.repeat(points, n), np.tile(points, n),
+                                     values.ravel(), errs.ravel()])}
+    return tables, f"impact: {n}x{n} kernel estimates", 0
 
 
-def cmd_efficiency(args, cfg: RunConfig, outdir: Path) -> int:
-    rows = efficiency_sweep()
-    write_csv(
-        outdir / "efficiency.csv",
-        ["I", "alpha_star", "ie", "std_err", "n_samples", "seed"],
-        zip(*((r.I, r.alpha_star, r.ie, r.std_err, cfg.n_samples, cfg.seed) for r in rows)),
-    )
-    summary = " ".join(f"I={r.I}:{r.ie:.4f}" for r in rows)
-    print(f"efficiency: {summary} -> {outdir}")
-    return 0
+def cmd_efficiency(args, cfg: RunConfig):
+    sweep = efficiency_sweep()
+    rows = [(eq.I, eq.alpha_star, eq.ie, eq.ie_std_err, cfg.n_samples, cfg.seed) for eq in sweep]
+    tables = {"efficiency.csv": (["I", "alpha_star", "ie", "std_err", "n_samples", "seed"],
+                                 zip(*rows))}
+    return tables, "efficiency: " + " ".join(f"I={eq.I}:{eq.ie:.4f}" for eq in sweep), 0
 
 
-def cmd_options(args, cfg: RunConfig, outdir: Path) -> int:
+def cmd_options(args, cfg: RunConfig):
     grid, noise, family, eq, w_star = _solved(cfg)
     s = _signal(args, family)
     mu, _ = prior_moments(family, grid)
     strip = bl_decompose(w_star[s], grid, float(grid.nodes[grid.nearest(mu, margin=1)]))
-    recon = bl_reconstruct(strip, grid)
-    max_err = float(np.max(np.abs(recon - w_star[s])))
+    max_err = float(np.max(np.abs(bl_reconstruct(strip, grid) - w_star[s])))
 
     n_put, n_call = len(strip.put_strikes), len(strip.call_strikes)
-    write_csv(
-        outdir / "strip.csv",
-        ["component", "strike", "value"],
-        [["bond", "underlying", "k0", "max_recon_err"] + ["put"] * n_put + ["call"] * n_call,
-         [""] * 4 + strip.put_strikes.tolist() + strip.call_strikes.tolist(),
-         np.concatenate([[strip.bond, strip.underlying, strip.k0, max_err],
-                         strip.put_density, strip.call_density])],
-    )
-    write_csv(
-        outdir / "signatures.csv",
-        ["signal", "signature"],
-        [family.labels, [demand_signature(row, family, grid) for row in w_star]],
-    )
-    print(f"options: signal {family.labels[s]} k0={strip.k0:.4f} "
-          f"max_recon_err={max_err:.2e} -> {outdir}")
-    return 0
+    tables = {
+        "strip.csv": (
+            ["component", "strike", "value"],
+            [["bond", "underlying", "k0", "max_recon_err"] + ["put"] * n_put + ["call"] * n_call,
+             [""] * 4 + strip.put_strikes.tolist() + strip.call_strikes.tolist(),
+             np.concatenate([[strip.bond, strip.underlying, strip.k0, max_err],
+                             strip.put_density, strip.call_density])]),
+        "signatures.csv": (["signal", "signature"],
+                           [family.labels,
+                            [demand_signature(row, family, grid) for row in w_star]]),
+    }
+    return tables, (f"options: signal {family.labels[s]} k0={strip.k0:.4f} "
+                    f"max_recon_err={max_err:.2e}"), 0
 
 
-def cmd_verify_foc(args, cfg: RunConfig, outdir: Path) -> int:
+def cmd_verify_foc(args, cfg: RunConfig):
     grid, noise, family, eq, w_star = _solved(cfg)
     basis = zero_impact_basis(w_star, noise, grid)
     names = ("own_demand", "payoff_row", "zero_impact")
@@ -248,8 +237,7 @@ def cmd_verify_foc(args, cfg: RunConfig, outdir: Path) -> int:
     )
     rows, ok = [], True
     for name, rep in zip(names, reports):
-        tol = 4.0 * rep.std_err_fd + 1e-6
-        passed = abs(rep.diff) <= tol
+        passed = abs(rep.diff) <= 4.0 * rep.std_err_fd + 1e-6
         ok &= passed
         rows.append((name, rep.payoff_term, rep.adverse_selection_term, rep.impact_term,
                      rep.analytic_total, rep.fd_total, rep.fd_epsilon, rep.diff,
@@ -258,49 +246,38 @@ def cmd_verify_foc(args, cfg: RunConfig, outdir: Path) -> int:
         print(f"verify-foc[{name}]: analytic={rep.analytic_total:+.6e} "
               f"fd={rep.fd_total:+.6e} diff={rep.diff:+.2e} "
               f"({'pass' if passed else 'FAIL'})")
-    write_csv(
-        outdir / "foc_report.csv",
-        ["direction", "payoff_term", "adverse_selection_term", "impact_term",
-         "analytic_total", "fd_total", "fd_epsilon", "diff", "std_err_diff",
-         "std_err_fd", "n_paths", "status"],
-        zip(*rows),
-    )
-    return 0 if ok else 1
+    header = ["direction", "payoff_term", "adverse_selection_term", "impact_term",
+              "analytic_total", "fd_total", "fd_epsilon", "diff", "std_err_diff",
+              "std_err_fd", "n_paths", "status"]
+    return {"foc_report.csv": (header, zip(*rows))}, None, 0 if ok else 1
 
 
-def cmd_kernel_dump(args, cfg: RunConfig, outdir: Path) -> int:
+def cmd_kernel_dump(args, cfg: RunConfig):
     grid, noise, family, kern = _pipeline(cfg)
     names, I = ("K", "Q", "L", "L_pinv"), kern.I
     row_idx = np.tile(np.repeat(np.arange(I), I), len(names)).tolist()
     col_idx = np.tile(np.arange(I), I * len(names)).tolist()
     values = np.concatenate([getattr(kern, name).ravel() for name in names]).tolist()
-    write_csv(
-        outdir / "kernel.csv",
+    tables = {"kernel.csv": (
         ["matrix", "row", "col", "value"],
         [[name for name in names for _ in range(I * I)] + ["c", "exchangeable", "rank_tol"],
          row_idx + [0, 0, 0],
          col_idx + [0, 0, 0],
-         values + [kern.c, int(kern.exchangeable), RANK_TOL]],
-    )
-    print(f"kernel dump: I={kern.I} c={kern.c:.6f} "
-          f"exchangeable={kern.exchangeable} -> {outdir}")
-    return 0
+         values + [kern.c, int(kern.exchangeable), RANK_TOL]])}
+    return tables, f"kernel dump: I={kern.I} c={kern.c:.6f} exchangeable={kern.exchangeable}", 0
 
 
-def cmd_posterior_probe(args, cfg: RunConfig, outdir: Path) -> int:
+def cmd_posterior_probe(args, cfg: RunConfig):
     # only I is read; grid and noise are built so that a bad config fails as elsewhere
     I = _model(cfg)[2].I
-    alpha_bar = args.alpha_bar
     # the truth (index 0) holds 1 - E[1 - q_t] and the I - 1 exchangeable rivals
     # share the rest; C 1 = 0 makes (Q C Q)_tt = q_t (1 - q_t)
-    not_true, spread = true_belief_moments(alpha_bar, I)
+    not_true, spread = true_belief_moments(args.alpha_bar, I)
     m1 = [1.0 - not_true] + [not_true / (I - 1)] * (I - 1)
     rows = [("m1", i, v) for i, v in enumerate(m1)]
     rows += [("qcq_diag", 0, spread), ("quad_tol", 0, QUAD_TOL)]
-    write_csv(outdir / "posterior_probe.csv", ["quantity", "index", "value"], zip(*rows))
-    print(f"posterior probe: alpha_bar={alpha_bar} I={I} "
-          f"m1_true={m1[0]:.6f} -> {outdir}")
-    return 0
+    tables = {"posterior_probe.csv": (["quantity", "index", "value"], zip(*rows))}
+    return tables, f"posterior probe: alpha_bar={args.alpha_bar} I={I} m1_true={m1[0]:.6f}", 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,16 +321,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    """Parse, load the config, run one subcommand into its output dir, write the manifest."""
-    args = build_parser().parse_args(argv)
+    """Parse, load the config, run one subcommand, write its tables and the manifest."""
+    args = PARSER.parse_args(argv)
     t0 = time.perf_counter()
     try:
         cfg = with_seed(load_config(args.config), args.seed)
         outdir = Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        status = args.func(args, cfg, outdir)
-        _manifest(outdir, cfg, args.label, t0)
+        tables, summary, status = args.func(args, cfg)
+        for name, (header, columns) in tables.items():
+            write_csv(outdir / name, header, columns)
+        if summary is not None:
+            print(f"{summary} -> {outdir}")
+        write_csv(outdir / "manifest.csv", ["key", "value"], zip(*_manifest(cfg, args.label, t0)))
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

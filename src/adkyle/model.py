@@ -203,20 +203,24 @@ def make_payoff_family(kind: str, params: dict, grid: StateGrid) -> PayoffFamily
     """Construct a payoff-density family on the grid.
 
     Supported kinds and parameters:
-        gaussian_mean_shift: means (list of I floats), sd (common std dev > 0).
-        gaussian_variance:   mu (common mean), sds (list of I std devs > 0).
+        gaussian_mean_shift: means (list of I floats), sd (common std dev >= h).
+        gaussian_variance:   mu (common mean), sds (list of I std devs >= h).
         skew_normal:         shapes (list of I shape parameters a). Location and
             scale are moment-matched per row so each component has zero mean and
-            unit variance before truncation: delta = a/sqrt(1+a^2),
-            omega = 1/sqrt(1 - 2 delta^2/pi), xi = -omega delta sqrt(2/pi).
+            unit variance before truncation (so it needs h <= 1):
+            delta = a/sqrt(1+a^2), omega = 1/sqrt(1 - 2 delta^2/pi),
+            xi = -omega delta sqrt(2/pi).
         tabulated:           x (nodes), eta (I x n nonnegative rows).
 
     Rows are truncated to [x_min, x_max] and renormalized by their grid
-    integral, so every row integrates to 1 under quad_weights.
+    integral, so every row integrates to 1 under quad_weights.  A component
+    narrower than the grid step h is rejected: the kernel would then measure
+    the grid, not the family.
 
     Raises:
-        ValueError: nonpositive variance, mean far outside the grid
-            (|mu - midpoint| > span), negative tabulated entries, I < 2.
+        ValueError: nonpositive variance, a component sd below h, mean far
+            outside the grid (|mu - midpoint| > span), negative tabulated
+            entries, I < 2.
     """
     x = grid.nodes
     midpoint = 0.5 * (grid.x_min + grid.x_max)
@@ -226,6 +230,10 @@ def make_payoff_family(kind: str, params: dict, grid: StateGrid) -> PayoffFamily
         if abs(mu - midpoint) > span:
             raise ValueError(f"{_ERR}: component mean {mu} lies far outside the grid")
 
+    def _check_sd(sd: float):
+        if sd < grid.h:
+            raise ValueError(f"{_ERR}: component sd {sd} is below the grid step {grid.h}")
+
     if kind == "gaussian_mean_shift":
         means = [float(m) for m in params["means"]]
         sd = float(params["sd"])
@@ -233,6 +241,7 @@ def make_payoff_family(kind: str, params: dict, grid: StateGrid) -> PayoffFamily
             raise ValueError(f"{_ERR}: need at least two signals")
         if sd <= 0.0:
             raise ValueError(f"{_ERR}: nonpositive variance")
+        _check_sd(sd)
         for m in means:
             _check_mean(m)
         rows = np.stack([_normal_pdf((x - m) / sd) / sd for m in means])
@@ -243,6 +252,8 @@ def make_payoff_family(kind: str, params: dict, grid: StateGrid) -> PayoffFamily
             raise ValueError(f"{_ERR}: need at least two signals")
         if any(s <= 0.0 for s in sds):
             raise ValueError(f"{_ERR}: nonpositive variance")
+        for s in sds:
+            _check_sd(s)
         _check_mean(mu)
         rows = np.stack([_normal_pdf((x - mu) / s) / s for s in sds])
     elif kind == "skew_normal":
@@ -250,6 +261,7 @@ def make_payoff_family(kind: str, params: dict, grid: StateGrid) -> PayoffFamily
         shapes = [float(a) for a in params["shapes"]]
         if len(shapes) < 2:
             raise ValueError(f"{_ERR}: need at least two signals")
+        _check_sd(1.0)  # each component has unit sd
         rows = []
         for a in shapes:
             delta = a / math.sqrt(1.0 + a * a)

@@ -260,7 +260,7 @@ def test_a09_efficiency_declines_with_crowding():
     rows = efficiency_sweep()
     for a, b in zip(rows, rows[1:]):
         decrement = a.ie - b.ie
-        assert decrement > SIGMAS * math.hypot(a.std_err, b.std_err)
+        assert decrement > SIGMAS * math.hypot(a.ie_std_err, b.ie_std_err)
     for row in rows:
         baseline = 1.0 - true_belief_moments(0.0, row.I)[0]
         assert abs(baseline - 1.0 / row.I) <= 1e-12
@@ -280,10 +280,10 @@ def test_a10_family_and_noise_invariance():
     assert abs(eq_ms.alpha_star - eq_var.alpha_star) < ROOT_AGREEMENT
     assert eq_ms.ie == eq_var.ie  # the canonical problem depends on I alone
 
-    rep = invariance_experiment(ms_fam, noise, grid, scale=2.0)
-    assert rep.alpha_raw_scaled == 2.0 * rep.alpha_raw_base
-    assert rep.alpha_star_scaled == rep.alpha_star_base
-    assert rep.ie_scaled == rep.ie_base
+    base, scaled = invariance_experiment(ms_fam, noise, grid, scale=2.0)
+    assert scaled.alpha_raw == 2.0 * base.alpha_raw
+    assert scaled.alpha_star == base.alpha_star
+    assert scaled.ie == base.ie
     _report(
         "A10 invariance",
         f"|a*_ms - a*_var|={abs(eq_ms.alpha_star - eq_var.alpha_star):.1e}, "

@@ -276,7 +276,7 @@ def test_efficiency_sweep_declines_with_crowd_size():
     for a, b in zip(rows, rows[1:]):
         assert b.alpha_star > a.alpha_star
         assert b.ie < a.ie
-        assert a.ie - b.ie > SIGN_SIGMAS * math.hypot(a.std_err, b.std_err)
+        assert a.ie - b.ie > SIGN_SIGMAS * math.hypot(a.ie_std_err, b.ie_std_err)
 
 
 def test_efficiency_sweep_rows_equal_standalone_estimates(monkeypatch):
@@ -285,21 +285,21 @@ def test_efficiency_sweep_rows_equal_standalone_estimates(monkeypatch):
     assert draws == []  # the solve integrates its residual; it draws nothing
     for r in rows:
         eq = solve_alpha_star(identity_kernel(r.I))
-        assert (r.alpha_star, r.ie, r.std_err) == (eq.alpha_star, eq.ie, eq.ie_std_err)
+        assert (r.alpha_star, r.ie, r.ie_std_err) == (eq.alpha_star, eq.ie, eq.ie_std_err)
 
 
 def test_invariance_under_noise_doubling(mean_shift_family, unit_noise, grid):
-    rep = invariance_experiment(mean_shift_family, unit_noise, grid, scale=2.0)
-    assert rep.alpha_star_scaled == rep.alpha_star_base
-    assert rep.alpha_raw_scaled == 2.0 * rep.alpha_raw_base
-    assert rep.ie_scaled == rep.ie_base
+    base, scaled = invariance_experiment(mean_shift_family, unit_noise, grid, scale=2.0)
+    assert scaled.alpha_star == base.alpha_star
+    assert scaled.alpha_raw == 2.0 * base.alpha_raw
+    assert scaled.ie == base.ie
 
 
 def test_invariance_reports_the_solves_efficiency(mean_shift_family, unit_noise, grid):
     # E[q_true] at each root is the solve's own value, not a fresh estimate
-    rep = invariance_experiment(mean_shift_family, unit_noise, grid, scale=2.0)
+    base, _ = invariance_experiment(mean_shift_family, unit_noise, grid, scale=2.0)
     kern = build_canonical_kernel(mean_shift_family, unit_noise, grid)
-    assert rep.ie_base == solve_alpha_star(kern).ie
+    assert base.ie == solve_alpha_star(kern).ie
 
 
 def test_invariance_rejects_bad_scale(mean_shift_family, unit_noise, grid):

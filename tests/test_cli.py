@@ -1,6 +1,8 @@
 """Command-line pipeline: outputs, overrides, and failure modes."""
 
+import argparse
 import csv
+import dataclasses
 import math
 import os
 import resource
@@ -394,6 +396,38 @@ def test_simulate_rejects_zero_paths(cfg_file, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_family_narrower_than_the_grid_step_exits_with_code_two(cfg_file, tmp_path, capsys):
+    # grid.n = 401 on [-8, 8] is a step of 0.04, and the means +-1 are nodes: a
+    # family at sd = 1e-3 would solve, but its kernel would measure the grid
+    cfg_file.write_text(FAST_CONFIG.replace("grid.n = 101", "grid.n = 401") + "family.sd = 1e-3\n")
+    assert main(["solve", "-c", str(cfg_file), "-o", str(tmp_path / "narrow")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: adkyle.model:") and len(err.splitlines()) == 1
+    # a family exactly one step wide still solves
+    cfg_file.write_text(FAST_CONFIG + f"family.sd = {16.0 / 100!r}\n")
+    assert main(["solve", "-c", str(cfg_file), "-o", str(tmp_path / "step")]) == 0
+    assert (tmp_path / "step" / "equilibrium.csv").exists()
+
+
+def test_main_builds_no_parser(cfg_file, tmp_path, monkeypatch):
+    # the command tree is built once, at import; main only parses
+    def no_parser(*args, **kwargs):
+        raise AssertionError("main built an argument parser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
+    assert main(["solve", "-c", str(cfg_file), "-o", str(tmp_path / "out")]) == 0
+
+
+def test_one_parser_serves_many_calls(cfg_file, tmp_path, capsys):
+    # a parse leaves nothing behind: neither a failed parse nor an earlier --signal
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--signal", "1", "--paths", "2", "-c", str(cfg_file), "-o", out]) == 0
+    with pytest.raises(SystemExit):
+        main(["options", "-o", out])
+    assert main(["options", "-c", str(cfg_file), "-o", out]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("options: signal s1 ")
+
+
 def test_config_errors_exit_with_code_two(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("grid.n = 101\n")  # no seed
@@ -531,6 +565,23 @@ def test_options_subcommand_writes_strip_and_signatures(cfg_file, tmp_path):
     sigs = read_rows(out / "signatures.csv")
     labels = {r[1] for r in sigs[1:]}
     assert labels == {"bearish", "bullish"}
+
+
+def test_failing_verify_foc_still_writes_its_report_and_manifest(cfg_file, tmp_path, capsys,
+                                                                 monkeypatch):
+    real = adkyle.cli.foc_terms
+
+    def payoff_row_off(*args, **kwargs):
+        reports = real(*args, **kwargs)
+        return [dataclasses.replace(r, diff=r.diff + (i == 1)) for i, r in enumerate(reports)]
+
+    monkeypatch.setattr(adkyle.cli, "foc_terms", payoff_row_off)
+    out = tmp_path / "foc"
+    assert main(["verify-foc", "-c", str(cfg_file), "-o", str(out)]) == 1
+    assert [r[-1] for r in read_rows(out / "foc_report.csv")[1:]] == ["pass", "fail", "pass"]
+    assert (out / "manifest.csv").exists()
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.endswith("(FAIL)") for line in lines] == [False, True, False]
 
 
 def test_verify_foc_passes_at_equilibrium(cfg_file, tmp_path):

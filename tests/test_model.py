@@ -203,6 +203,24 @@ def test_prior_mixture_is_row_average(grid, mean_shift_family):
     assert float(grid.quad_weights @ mix) == pytest.approx(1.0, abs=MASS_TOLERANCE)
 
 
+def test_family_narrower_than_the_grid_step_is_rejected(grid):
+    # below h the kernel measures the grid, not the family; the guard comes
+    # before any density, so a tiny sd cannot even overflow first
+    too_narrow = [
+        ("gaussian_mean_shift", {"means": [-1.0, 1.0], "sd": grid.h / 2}, grid),
+        ("gaussian_mean_shift", {"means": [-1.0, 1.0], "sd": 1e-300}, grid),
+        ("gaussian_variance", {"mu": 0.0, "sds": [1.0, grid.h / 2]}, grid),
+        ("skew_normal", {"shapes": [-2.0, 2.0]}, build_state_grid(-8.0, 8.0, 9)),
+    ]
+    for kind, params, g in too_narrow:
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="adkyle.model: .*grid step"):
+            make_payoff_family(kind, params, g)
+    # a component exactly one step wide is kept
+    make_payoff_family("gaussian_mean_shift", {"means": [-1.0, 1.0], "sd": grid.h}, grid)
+    make_payoff_family("gaussian_variance", {"mu": 0.0, "sds": [grid.h, 1.0]}, grid)
+    make_payoff_family("skew_normal", {"shapes": [-2.0, 2.0]}, build_state_grid(-8.0, 8.0, 17))
+
+
 def test_family_argument_errors(grid):
     with pytest.raises(ValueError, match="adkyle.model"):
         make_payoff_family("unknown_kind", {}, grid)

@@ -31,6 +31,7 @@ from .posterior import (
     MomentEstimates,
     PosteriorSample,
     moments_from_noise,
+    posterior_covariance,
     sample_posterior,
     softmax,
     true_belief,
@@ -80,6 +81,7 @@ __all__ = [
     "MomentEstimates",
     "PosteriorSample",
     "moments_from_noise",
+    "posterior_covariance",
     "sample_posterior",
     "softmax",
     "true_belief",

@@ -7,8 +7,8 @@ any worker scheduling.
 
 Each stage draws its own stream (Random123, Salmon et al., SC'11), keyed on
 derive_seed(seed, *tag) with the tags below; no stage draws on the raw seed.
-The equilibrium solve, the efficiency sweep and `posterior probe` draw
-nothing: they read one quadrature.
+The equilibrium solve, the efficiency sweep, `posterior probe` and `impact`
+draw nothing: they read one quadrature.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 BLOCK_SIZE = 65536
 
-SIGNALS = (1,)            # impact's uniform draw of each path's true signal
 PATH_SHOCKS = (0, 1)      # simulate's (n_paths, n-1) Brownian shocks
 FLOW_STATISTIC = (0, 2)   # the (n_paths, I) normals behind the market maker's statistic
 

@@ -6,18 +6,20 @@ The price-pressure kernel of the equilibrium is
 
 the marginal move of the date-1 price of claim x per unit of extra flow into
 claim y.  The covariance is over the market maker's posterior on the I signal
-atoms, evaluated exactly on each simulated path, with the realized signal
-drawn uniformly unless conditioned.
+atoms, whose law at an equilibrium is canonical: Lambda is a closed form in its
+E[C | t], with the realized signal t uniform unless conditioned.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ._rng import SIGNALS, block_generator, blocks, derive_seed
-from .kernel import CanonicalKernel, build_canonical_kernel, centering_matrix
+from .kernel import (EXCHANGEABILITY_TOL, CanonicalKernel, build_canonical_kernel,
+                     centering_matrix)
 from .model import NoiseProfile, PayoffFamily, StateGrid, trapezoid
-from .orderflow import DEFAULT_PATHS, PATH_BLOCK_SIZE, posterior_blocks
+from .posterior import QUAD_TOL, posterior_covariance
 from .equilibrium import Equilibrium, solve_alpha_star
 
 _ERR = "adkyle.analytics"
@@ -27,61 +29,38 @@ SUBGRID_MIN = 9
 SWEEP_SIZES = (2, 4, 6, 8)
 
 
-def _path_signals(seed: int, I: int, n_paths: int, conditioned_on: int | None) -> np.ndarray:
-    """Per-path true signals: pinned, or uniform draws in path blocks from the SIGNALS stream."""
-    if conditioned_on is not None:
-        if not 0 <= conditioned_on < I:
-            raise ValueError(f"{_ERR}: conditioned_on {conditioned_on} out of range for I={I}")
-        return np.full(n_paths, int(conditioned_on), dtype=np.int64)
-    out = np.empty(n_paths, dtype=np.int64)  # one allocation: a size that cannot fit fails here
-    sig_seed = derive_seed(seed, *SIGNALS)
-    for block_id, sl in blocks(n_paths, PATH_BLOCK_SIZE):
-        out[sl] = block_generator(sig_seed, block_id).integers(0, I, size=sl.stop - sl.start)
-    return out
+def impact_surface(x_values: np.ndarray, y_values: np.ndarray, w_star: np.ndarray,
+                   family: PayoffFamily, noise: NoiseProfile, grid: StateGrid,
+                   conditioned_on: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda in closed form on a rectangle of node pairs; one pair is the 1 x 1 rectangle.
 
+    Returns (values, std_errs), each (len(x_values), len(y_values)).  At an equilibrium
+    the sigma-Gram of the demand rows is alpha^2 Q, so given the truth t the posterior
+    q has the canonical law at alpha_bar = alpha and E[Lambda] = a~^T E[C | t] b~, with
+    C = diag(q) - q q^T and the columns a~ = eta(x, .), b~ = W(y, .) / sigma(y)^2
+    centred over the atoms (C annihilates constants: centring only spares cancellation).
+    t is uniform unless conditioned_on pins it.  std_errs is the quadrature bound
+    3 QUAD_TOL |a~|_1 |b~|_1.
 
-def impact_surface(
-    x_values: np.ndarray,
-    y_values: np.ndarray,
-    w_star: np.ndarray,
-    family: PayoffFamily,
-    noise: NoiseProfile,
-    grid: StateGrid,
-    n_paths: int = DEFAULT_PATHS,
-    seed: int = 0,
-    conditioned_on: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lambda estimates on a rectangle of node pairs; one pair is the 1 x 1 rectangle.
-
-    Returns (values, std_errs), each shaped (len(x_values), len(y_values)).
-    All pairs share the same simulated paths, so rows/columns are directly
-    comparable (common random numbers).  Per path the posterior covariance is
-    exact over the I atoms; the only Monte Carlo averaging is over order-flow
-    paths (and the uniform signal draw unless conditioned_on pins it).
+    Raises:
+        ValueError: conditioned_on out of range, or a demand whose Gram is not alpha^2 Q.
     """
+    I = family.I
+    if conditioned_on is not None and not 0 <= conditioned_on < I:
+        raise ValueError(f"{_ERR}: conditioned_on {conditioned_on} out of range for I={I}")
     ix = np.array([grid.node(float(x)) for x in np.asarray(x_values)])
     iy = np.array([grid.node(float(y)) for y in np.asarray(y_values)])
-    w_star = np.asarray(w_star, dtype=float)
-    # cov_m[k, l] = vec(C_m) . M[:, (k, l)] with C_m = diag(pi_m) - pi_m pi_m^T and
-    # M[(i, j), (k, l)] = a_ik b_jl, so the path sums need only sum vec(C_m) and
-    # S = sum vec(C_m) vec(C_m)^T (I^2 x I^2).  C_m annihilates constants, so a
-    # and b are centred over the atoms: a flat column then adds no cancellation.
-    I, a, b = family.I, family.eta[:, ix], w_star[:, iy] / np.square(noise.sigma[iy])
+    w_star, var = np.asarray(w_star, dtype=float), np.square(noise.sigma)
+    gram = (w_star * (grid.quad_weights / var)) @ w_star.T
+    alpha_sq = float(np.trace(gram)) / (I - 1)
+    gap = float(np.abs(gram - alpha_sq * centering_matrix(I)).max())
+    if not gap <= EXCHANGEABILITY_TOL * alpha_sq:  # NaN compares False
+        raise ValueError(f"{_ERR}: demand Gram deviates from alpha^2 Q by {gap:.3e}; "
+                         "only an equilibrium demand has the canonical posterior law")
+    a, b = family.eta[:, ix], w_star[:, iy] / var[iy]
     a, b = a - a.mean(axis=0), b - b.mean(axis=0)
-    m = (a[:, None, :, None] * b[None, :, None, :]).reshape(I * I, len(ix) * len(iy))
-    n_paths = int(n_paths)
-    c_sum, c_outer = np.zeros(I * I), np.zeros((I * I, I * I))
-    signals = _path_signals(seed, I, n_paths, conditioned_on)
-    for _, _, pi in posterior_blocks(w_star, noise, grid, seed, n_paths, signals=signals):
-        c = (pi[:, :, None] * (np.eye(I) - pi[:, None, :])).reshape(len(pi), I * I)
-        c_sum += c.sum(axis=0)
-        c_outer += c.T @ c
-    mean = (c_sum @ m).reshape(len(ix), len(iy)) / n_paths
-    s2 = np.sum(m * (c_outer @ m), axis=0).reshape(mean.shape)
-    if n_paths == 1:  # one path has no spread; s2 - mean^2 would leave rounding residue
-        return mean, np.zeros_like(mean)
-    var = np.maximum(s2 - n_paths * np.square(mean), 0.0) / (n_paths - 1)
-    return mean, np.sqrt(var / n_paths)
+    bound = 3.0 * QUAD_TOL * np.outer(np.abs(a).sum(axis=0), np.abs(b).sum(axis=0))
+    return a.T @ posterior_covariance(math.sqrt(alpha_sq), I, conditioned_on) @ b, bound
 
 
 def derivative_cross_impact(
@@ -97,8 +76,7 @@ def derivative_cross_impact(
     coarse n_sub x n_sub sub-grid spanning the supports of the strike
     densities phi1 (x axis) and phi2 (y axis); the double integral is a
     trapezoid rule on that sub-grid.  Lambda is smooth at the equilibrium, so
-    a coarse rectangle already resolves the integral; the Monte Carlo cost of
-    Lambda dominates, not the quadrature.
+    a coarse rectangle already resolves the integral.
 
     Raises:
         ValueError: if n_sub < SUBGRID_MIN, or a support is too narrow to

@@ -185,10 +185,8 @@ def cmd_impact(args, cfg: RunConfig):
     i_lo, i_hi = grid.nearest(lo, margin=1), grid.nearest(hi, margin=1)
     idx = np.unique(np.round(np.linspace(i_lo, i_hi, cfg.n_sub)).astype(int))
     points = grid.nodes[idx]
-    values, errs = impact_surface(
-        points, points, w_star, family, noise, grid,
-        n_paths=cfg.n_paths, seed=cfg.seed, conditioned_on=cfg.conditioned_on,
-    )
+    values, errs = impact_surface(points, points, w_star, family, noise, grid,
+                                  conditioned_on=cfg.conditioned_on)
     n = len(points)
     tables = {"impact_kernel.csv": (["x", "y", "lambda", "std_err"],
                                     [np.repeat(points, n), np.tile(points, n),
@@ -302,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(sub, "simulate", "simulate order-flow paths and pathwise prices", cmd_simulate)
     p.add_argument("--signal", type=int, default=0, help="realized signal index")
     p.add_argument("--paths", type=int, default=3, help="number of paths to write")
-    command(sub, "impact", "estimate the cross-asset price-impact kernel", cmd_impact)
+    command(sub, "impact", "cross-asset price-impact kernel in closed form", cmd_impact)
     command(sub, "efficiency", "information-efficiency sweep over signal counts", cmd_efficiency)
     p = command(sub, "options", "option-strip decomposition and demand signatures", cmd_options)
     p.add_argument("--signal", type=int, default=0, help="signal row to decompose")

@@ -9,9 +9,9 @@ market maker's posterior is proportional to
     exp( int W_tilde_i / sigma^2 dY - (1/2) <W_tilde_i, W_tilde_i>_sigma ).
 
 A path enters the posterior only through its I projections int W_tilde_i /
-sigma^2 dY, so impact and the first-order checks draw those I numbers per path
-directly, from their own stream; only simulate draws (n_paths, n-1) shocks and
-builds increments.
+sigma^2 dY, so the first-order checks draw those I numbers per path directly,
+from their own stream; only simulate draws (n_paths, n-1) shocks and builds
+increments.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ _ERR = "adkyle.orderflow"
 
 LOG_LIK_SPREAD_MAX = 700.0  # beyond this, exp underflow erases posterior mass
 PATH_BLOCK_SIZE = 4096      # paths per counter block; keeps block matrices small
-DEFAULT_PATHS = 20_000      # order-flow paths behind impact and the first-order checks
+DEFAULT_PATHS = 20_000      # order-flow paths behind the first-order checks
 
 
 def simulate_increments(
@@ -118,19 +118,11 @@ def posterior_weights(log_lik: np.ndarray) -> np.ndarray:
     return w
 
 
-def posterior_blocks(
-    w_tilde: np.ndarray,
-    noise: NoiseProfile,
-    grid: StateGrid,
-    seed: int,
-    n_paths: int,
-    w_row: np.ndarray | None = None,
-    signals: np.ndarray | None = None,
-):
+def posterior_blocks(w_tilde: np.ndarray, noise: NoiseProfile, grid: StateGrid, seed: int,
+                     n_paths: int, w_row: np.ndarray):
     """Yield (slice, log_lik, pi) over the seed's FLOW_STATISTIC stream in path blocks.
 
-    The insider trades one demand row w_row on every path, or, given per-path
-    signal indices, row signals[b] of w_tilde on path b.  The market maker
+    The insider trades the demand row w_row on every path.  The market maker
     prices with the candidate schedules w_tilde (I x n); log_lik and its
     posterior pi are shape (m, I) for the m paths in the block.
 
@@ -139,18 +131,15 @@ def posterior_blocks(
     path and the QR factor R of A^T (A A^T is singular when the rows of W_tilde
     sum to zero, so it has no Cholesky factor).
     """
-    if (w_row is None) == (signals is None):
-        raise ValueError(f"{_ERR}: pass exactly one of w_row and signals")
     if n_paths < 1:
         raise ValueError(f"{_ERR}: n_paths must be positive")
     f, gram_diag = likelihood_weights(w_tilde, noise, grid)
-    drift = np.asarray(w_tilde if w_row is None else w_row, dtype=float)[..., :-1] * grid.h
-    mean = drift @ f.T - 0.5 * gram_diag  # (I,) for one row, (I, I) per true signal
+    mean = np.asarray(w_row, dtype=float)[:-1] * grid.h @ f.T - 0.5 * gram_diag
     r = np.linalg.qr((noise.sigma[:-1] * math.sqrt(grid.h) * f).T, mode="r")
     z = standard_normal_matrix(derive_seed(seed, *FLOW_STATISTIC), int(n_paths), len(f),
                                PATH_BLOCK_SIZE)
     for _, sl in blocks(len(z), PATH_BLOCK_SIZE):
-        log_lik = (mean if signals is None else mean[signals[sl]]) + z[sl] @ r
+        log_lik = mean + z[sl] @ r
         yield sl, log_lik, posterior_weights(log_lik)
 
 

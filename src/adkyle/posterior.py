@@ -10,8 +10,10 @@ effective signal-to-noise number alpha_bar:
 where Q is the centering projector.  The fixed-point residual and the
 information efficiency depend on the true-signal entry q_t alone, and
 true_belief_moments integrates them (no draw, no seed); the solver roots them
-and `posterior probe` reports them.  The Monte Carlo estimators (true_belief,
-moments_from_noise) are the oracles the tests check the quadrature against.
+and `posterior probe` reports them.  posterior_covariance integrates E[C | t]
+on the same rule for the impact kernel.  The Monte Carlo estimators
+(true_belief, moments_from_noise) are the oracles the tests check the
+quadrature against.
 
 true_belief takes the truth to be column 0 of the noise.  The xi are i.i.d.,
 so the law of the posterior given s_t is exchangeable across the signals:
@@ -20,14 +22,10 @@ expectation of q_t unchanged.  sample_posterior and moments_from_noise keep an
 explicit true index, as the softmax oracle.
 
 Order-flow blocks take their extremes and their normaliser over the signal
-axis as column sweeps (signal_sweep, signal_sum): numpy reduces a short last
-axis with a separate inner loop per row, which costs about 30 times the sweep
-on a 4096 x 2 block.  signal_sum adds the columns in the order of numpy's
-pairwise sum (eight lanes from I = 8, halves above 128 columns), so its value
-is numpy's for every I and the CSVs stay byte-identical.  softmax keeps
-numpy's max and sum, because on one (n_samples, I) array each strided column
-pass streams the whole array again: the sweeps break even near I = 16 and take
-three to five times as long at I = 64.
+axis as column sweeps (signal_sweep, signal_sum), which give numpy's values at
+about a thirtieth of its cost per short last axis on a 4096 x 2 block.  softmax
+keeps numpy's max and sum: on one (n_samples, I) array each strided column pass
+streams the whole array again, and the sweeps break even near I = 16.
 """
 
 from __future__ import annotations
@@ -189,6 +187,42 @@ def true_belief(alpha_bar: float, noise: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + odds)
 
 
+def _rule(alpha_bar: float, I: int, rival_square: bool = False):
+    """The truth's M_0, M_1 on the r nodes (see true_belief_moments) and trapezoid weights f.
+
+    f[0] = (I-1) h K L^(I-2); with rival_square, f[1] = h G L^(I-2), G(r) = E g_2(r + alpha_bar x).
+    """
+    if I < 2:
+        raise ValueError(f"{_ERR}: need at least two signals")
+    _check_alpha_bar(alpha_bar)
+    a = float(alpha_bar)
+    # below lo every M_k K is under e^-40; above hi every M_k is under exp(-e^5)
+    lo, hi = -a * (NORMAL_RANGE + a) - 40.0, a * (NORMAL_RANGE - a) + 5.0
+    n_r = min(MAX_LOG_SIGMA_POINTS, math.ceil((hi - lo) / LOG_SIGMA_STEP) + 1)
+    r, h = np.linspace(lo, hi, n_r, retstep=True)
+    on_line = a * NORMAL_STEP > h
+    x_step = h / a if on_line else NORMAL_STEP
+    n = int(NORMAL_RANGE / x_step)
+    x = x_step * np.arange(-n, n + 1)
+    # on_line: a x_j = j h puts r_i + a x_j at point i + j of one r line, so the sums
+    # over x are correlations along it (n_r + 2n exps, not n_r (2n + 1)).  Below
+    # a = h / NORMAL_STEP that x step is too coarse for the normal: use a grid.
+    t = lo + h * np.arange(-n, n_r + n) if on_line else r[:, None] + a * x
+    w = np.exp(-0.5 * x * x)
+    w /= w.sum()
+    sums = []
+    for shift, square in ((a * a, False), (0.0, rival_square)):  # M_0, M_1, then L, K, G
+        e_t = np.exp(np.minimum(t + shift, 700.0))
+        g0 = np.exp(-e_t)
+        g = [g0, e_t * g0, e_t * e_t * g0] if square else [g0, e_t * g0]
+        sums += [np.correlate(gk, w, "valid") if on_line else gk @ w for gk in g]
+    m0, m1, L, K, *G = sums
+    f = [(I - 1) * h * K * L ** (I - 2)] + [h * g * L ** (I - 2) for g in G]
+    for row in f:
+        row[[0, -1]] *= 0.5
+    return m0, m1, f
+
+
 def true_belief_moments(alpha_bar: float, I: int) -> tuple[float, float]:
     """(E[1 - q_t], E[q_t (1 - q_t)]) of the canonical posterior, by quadrature.
 
@@ -211,33 +245,31 @@ def true_belief_moments(alpha_bar: float, I: int) -> tuple[float, float]:
     nodes err by 2e-5 at alpha_bar = 4).  The result is within QUAD_TOL of the exact
     value for alpha_bar in [0, 4] and I <= 64; the cost does not depend on I.
     """
-    if I < 2:
-        raise ValueError(f"{_ERR}: need at least two signals")
-    _check_alpha_bar(alpha_bar)
-    a = float(alpha_bar)
-    # below lo every M_k K is under e^-40; above hi every M_k is under exp(-e^5)
-    lo, hi = -a * (NORMAL_RANGE + a) - 40.0, a * (NORMAL_RANGE - a) + 5.0
-    n_r = min(MAX_LOG_SIGMA_POINTS, math.ceil((hi - lo) / LOG_SIGMA_STEP) + 1)
-    r, h = np.linspace(lo, hi, n_r, retstep=True)
-    on_line = a * NORMAL_STEP > h
-    x_step = h / a if on_line else NORMAL_STEP
-    n = int(NORMAL_RANGE / x_step)
-    x = x_step * np.arange(-n, n + 1)
-    # on_line: a x_j = j h puts r_i + a x_j at point i + j of one r line, so the sums
-    # over x are correlations along it (n_r + 2n exps, not n_r (2n + 1)).  Below
-    # a = h / NORMAL_STEP that x step is too coarse for the normal: use a grid.
-    t = lo + h * np.arange(-n, n_r + n) if on_line else r[:, None] + a * x
-    w = np.exp(-0.5 * x * x)
-    w /= w.sum()
-    sums = []
-    for shift in (a * a, 0.0):  # the truth's M_0, M_1, then the rivals' L, K
-        e_t = np.exp(np.minimum(t + shift, 700.0))
-        g0 = np.exp(-e_t)
-        sums += [np.correlate(g, w, "valid") if on_line else g @ w for g in (g0, e_t * g0)]
-    m0, m1, L, K = sums
-    f = (I - 1) * h * K * L ** (I - 2)
-    f[[0, -1]] *= 0.5
+    m0, m1, (f,) = _rule(alpha_bar, I)
     return float(f @ m0), float(f @ m1)
+
+
+def posterior_covariance(alpha_bar: float, I: int, true_index: int | None = None) -> np.ndarray:
+    """E[C | t], C = diag(q) - q q^T, of the canonical posterior given the truth t.
+
+    Three quadrature numbers fix it: B = E[q_t (1 - q_t)] (true_belief_moments'),
+    E[q_j] = E[1 - q_t] / (I-1) and E[q_j^2] = int M_0 G L^(I-2) dr for a rival j.
+    C_tt = B, C_tj = -B / (I-1), C_jj = E[q_j] - E[q_j^2] and, as rows sum to 0,
+    C_jk = -(C_jj - B / (I-1)) / (I-2).  With true_index None, the mean over a
+    uniform t: kappa Q, kappa = B / (I-1) + C_jj.  Each entry is within 3 QUAD_TOL.
+    """
+    if true_index is not None and not 0 <= true_index < I:
+        raise ValueError(f"{_ERR}: true_index {true_index} out of range for I={I}")
+    m0, m1, (f, f_sq) = _rule(alpha_bar, I, rival_square=True)
+    b, c_tj = float(f @ m1), -float(f @ m1) / (I - 1)
+    c_jj = float(f @ m0) / (I - 1) - float(f_sq @ m0)
+    if true_index is None:
+        return (b / (I - 1) + c_jj) * centering_matrix(I)
+    c = np.full((I, I), -(c_jj + c_tj) / (I - 2) if I > 2 else 0.0)
+    np.fill_diagonal(c, c_jj)
+    c[true_index, :] = c[:, true_index] = c_tj
+    c[true_index, true_index] = b
+    return c
 
 
 def mean_and_std_err(draws: np.ndarray) -> tuple[float, float]:

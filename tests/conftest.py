@@ -2,7 +2,8 @@
 
 The shared pieces (the solve, demand assembly) are session-scoped so the
 suite pays for them once.  Also the test-only oracles: the binary Gauss-Hermite
-moments and a counter of random-block generators.
+moments, the order-flow path estimator of the impact kernel, and a counter of
+random-block generators.
 """
 
 import math
@@ -22,7 +23,7 @@ from adkyle import (
 )
 import adkyle._rng
 from adkyle._rng import FLOW_STATISTIC, derive_seed, standard_normal_matrix
-from adkyle.orderflow import PATH_BLOCK_SIZE
+from adkyle.orderflow import PATH_BLOCK_SIZE, posterior_blocks
 from adkyle.posterior import _check_alpha_bar
 
 # Exact fixed point of the binary moment equation: the scaled-posterior map
@@ -89,6 +90,31 @@ def statistic_shocks(w_tilde, noise, grid, seed, n_paths):
     z = standard_normal_matrix(derive_seed(seed, *FLOW_STATISTIC), n_paths, len(w_tilde),
                                PATH_BLOCK_SIZE)
     return z @ q.T
+
+
+def impact_from_paths(x_values, y_values, w_star, family, noise, grid, n_paths, seed,
+                      conditioned_on=None):
+    """Path estimator of impact_surface: its mean and standard error over order-flow paths.
+
+    Each truth t trades w_star[t] on the same draws of the order-flow statistic
+    (common random numbers), and the market maker's posterior pi on each path
+    gives a~^T C b~ with C = diag(pi) - pi pi^T.  Per path these are averaged
+    over the truths (all of them, or conditioned_on alone).  Any demand works,
+    not only an equilibrium one; one path has a zero standard error.
+    """
+    ix = [grid.node(float(x)) for x in x_values]
+    iy = [grid.node(float(y)) for y in y_values]
+    a, b = family.eta[:, ix], w_star[:, iy] / np.square(noise.sigma[iy])
+    a, b = a - a.mean(axis=0), b - b.mean(axis=0)
+    truths = range(family.I) if conditioned_on is None else [conditioned_on]
+    per_path = np.zeros((n_paths, len(ix), len(iy)))
+    for t in truths:
+        for sl, _, pi in posterior_blocks(w_star, noise, grid, seed, n_paths, w_row=w_star[t]):
+            per_path[sl] += (np.einsum("mi,ik,il->mkl", pi, a, b)
+                             - (pi @ a)[:, :, None] * (pi @ b)[:, None, :]) / len(truths)
+    if n_paths == 1:
+        return per_path[0], np.zeros_like(per_path[0])
+    return per_path.mean(axis=0), per_path.std(axis=0, ddof=1) / math.sqrt(n_paths)
 
 
 @pytest.fixture(scope="session")

@@ -18,10 +18,9 @@ from adkyle import (
     sample_posterior,
     true_belief_moments,
 )
-from adkyle._rng import block_generator, derive_seed
-from adkyle.analytics import _path_signals
 from adkyle.orderflow import PATH_BLOCK_SIZE
-from conftest import count_block_generators, exact_binary_equilibrium, statistic_shocks
+from conftest import (count_block_generators, exact_binary_equilibrium, impact_from_paths,
+                      statistic_shocks)
 
 from adkyle import build_canonical_kernel, equilibrium_demand, solve_alpha_star
 
@@ -47,13 +46,18 @@ def test_node_index_round_trip(grid):
         grid.node(1.5 + grid.h / 3.0)
 
 
+def both_estimates(x_values, y_values, w_star, family, noise, grid, seed):
+    """[closed form, path oracle at IMPACT_PATHS paths], each (values, std_errs)."""
+    return [impact_surface(x_values, y_values, w_star, family, noise, grid),
+            impact_from_paths(x_values, y_values, w_star, family, noise, grid,
+                              IMPACT_PATHS, seed)]
+
+
 def test_own_impact_is_positive(mean_shift_demand, mean_shift_family, unit_noise, grid):
     _, _, w_star = mean_shift_demand
-    value, std_err = impact_surface(
-        [1.0], [1.0], w_star, mean_shift_family, unit_noise, grid,
-        n_paths=IMPACT_PATHS, seed=5,
-    )
-    assert value.item() > SIGN_SIGMAS * std_err.item()
+    for value, std_err in both_estimates([1.0], [1.0], w_star, mean_shift_family, unit_noise,
+                                         grid, seed=5):
+        assert value.item() > SIGN_SIGMAS * std_err.item()
 
 
 def test_impact_vanishes_where_demand_is_flat(
@@ -62,64 +66,57 @@ def test_impact_vanishes_where_demand_is_flat(
     # symmetric mean-shift demand crosses zero at the midpoint, so impact
     # sourced there is indistinguishable from zero
     _, _, w_star = mean_shift_demand
-    value, std_err = impact_surface(
-        [1.0], [0.0], w_star, mean_shift_family, unit_noise, grid,
-        n_paths=IMPACT_PATHS, seed=5,
-    )
-    assert abs(value.item()) <= SIGN_SIGMAS * std_err.item() + NULL_FLOOR
+    for value, std_err in both_estimates([1.0], [0.0], w_star, mean_shift_family, unit_noise,
+                                         grid, seed=5):
+        assert abs(value.item()) <= SIGN_SIGMAS * std_err.item() + NULL_FLOOR
 
 
 def test_opposite_tails_carry_negative_impact(
     mean_shift_demand, mean_shift_family, unit_noise, grid
 ):
     _, _, w_star = mean_shift_demand
-    value, std_err = impact_surface(
-        [2.0], [-2.0], w_star, mean_shift_family, unit_noise, grid,
-        n_paths=IMPACT_PATHS, seed=5,
-    )
-    assert value.item() < -SIGN_SIGMAS * std_err.item()
+    for value, std_err in both_estimates([2.0], [-2.0], w_star, mean_shift_family, unit_noise,
+                                         grid, seed=5):
+        assert value.item() < -SIGN_SIGMAS * std_err.item()
 
 
 def test_variance_family_impact_is_even_in_the_source(
     variance_family, unit_noise, grid
 ):
     w_star = variance_demand(variance_family, unit_noise, grid)
-    left, _ = impact_surface(
-        [2.0], [-2.0], w_star, variance_family, unit_noise, grid,
-        n_paths=IMPACT_PATHS, seed=6,
-    )
-    right, _ = impact_surface(
-        [2.0], [2.0], w_star, variance_family, unit_noise, grid,
-        n_paths=IMPACT_PATHS, seed=6,
-    )
-    assert left.item() == right.item()  # even payoff rows, identical shocks
-    assert left.item() > 0.0
+    lefts = both_estimates([2.0], [-2.0], w_star, variance_family, unit_noise, grid, seed=6)
+    rights = both_estimates([2.0], [2.0], w_star, variance_family, unit_noise, grid, seed=6)
+    for (left, _), (right, _) in zip(lefts, rights):
+        assert left.item() == right.item()  # even payoff rows, identical shocks
+        assert left.item() > 0.0
 
 
-def test_conditioning_changes_the_estimate(
-    mean_shift_demand, mean_shift_family, unit_noise, grid
-):
-    _, _, w_star = mean_shift_demand
-    mixed, _ = impact_surface(
-        [1.0], [1.0], w_star, mean_shift_family, unit_noise, grid,
-        n_paths=4000, seed=5,
-    )
-    given_low, _ = impact_surface(
-        [1.0], [1.0], w_star, mean_shift_family, unit_noise, grid,
-        n_paths=4000, seed=5, conditioned_on=0,
-    )
-    assert given_low.item() != mixed.item()
+def test_conditioning_changes_the_estimate(unit_noise, grid):
+    # at I = 2 both truths see the same E[C | t] (C_jj = E[q_j (1 - q_j)] = B), so
+    # conditioning moves nothing but rounding; at I = 4 the pinned truth's row
+    # and column differ from the rivals'
+    points = np.array([-1.4, 0.52, 1.4])
+    for means, sd in (([-1.0, 1.0], 1.0), ([-4.2, -1.4, 1.4, 4.2], 0.35)):
+        family = make_payoff_family("gaussian_mean_shift", {"means": means, "sd": sd}, grid)
+        kern = build_canonical_kernel(family, unit_noise, grid)
+        _, w_star = equilibrium_demand(exact_binary_equilibrium(kern), kern, family)
+        args = (points, points, w_star, family, unit_noise, grid)
+        mixed, errs = impact_surface(*args)
+        given, _ = impact_surface(*args, conditioned_on=1)
+        if family.I == 2:
+            np.testing.assert_allclose(given, mixed, rtol=1e-12, atol=1e-15)
+        else:
+            assert np.abs(given - mixed).max() > 1e6 * errs.max()
 
 
 def test_one_path_has_zero_standard_errors(mean_shift_demand, mean_shift_family, unit_noise,
                                            grid):
-    # one path has no spread, as in mean_and_std_err; the one-pass variance
-    # s2 - n mean^2 would leave rounding residue (up to about 1e-12 here)
+    # one path has no spread, as in mean_and_std_err: the oracle reports 0, not NaN
     _, _, w_star = mean_shift_demand
     points = grid.nodes[::40]
     for seed in range(5):
-        values, errs = impact_surface(points, points, w_star, mean_shift_family, unit_noise,
-                                      grid, n_paths=1, seed=seed)
+        values, errs = impact_from_paths(points, points, w_star, mean_shift_family, unit_noise,
+                                         grid, n_paths=1, seed=seed)
         assert np.all(np.isfinite(values)) and np.any(values != 0.0)
         assert np.all(errs == 0.0)
 
@@ -129,33 +126,34 @@ def test_surface_agrees_with_pointwise_estimates(
 ):
     _, _, w_star = mean_shift_demand
     points = np.array([-1.0, 1.0])
-    values, errs = impact_surface(
-        points, points, w_star, mean_shift_family, unit_noise, grid,
-        n_paths=4000, seed=5,
-    )
-    assert values.shape == (2, 2)
-    assert np.all(errs > 0.0)
+    args = (w_star, mean_shift_family, unit_noise, grid)
+    values, errs = impact_from_paths(points, points, *args, n_paths=4000, seed=5)
+    closed, bounds = impact_surface(points, points, *args)
+    assert values.shape == closed.shape == (2, 2)
+    assert np.all(errs > 0.0) and np.all(bounds > 0.0)
     for a, x in enumerate(points):
         for b, y in enumerate(points):
-            value, std_err = impact_surface(
-                [x], [y], w_star, mean_shift_family, unit_noise, grid,
-                n_paths=4000, seed=5,
-            )
-            # same paths: only the rounding of a one-column matmul differs
+            value, std_err = impact_from_paths([x], [y], *args, n_paths=4000, seed=5)
+            # same paths: only the rounding of a one-column product differs
             assert value.item() == pytest.approx(values[a, b], rel=1e-12, abs=1e-15)
             assert std_err.item() == pytest.approx(errs[a, b], rel=1e-12)
+            value, bound = impact_surface([x], [y], *args)
+            assert value.item() == pytest.approx(closed[a, b], rel=1e-12, abs=1e-15)
+            assert bound.item() == pytest.approx(bounds[a, b], rel=1e-12)
 
 
 def _impact_from_full_paths(points, w_star, family, noise, grid, n_paths, seed, conditioned_on):
-    """Brute-force impact_surface: per-path covariances from full increments on the statistic's shocks."""
+    """Brute-force impact_from_paths: per-path covariances from full increments on its shocks."""
     idx = np.array([grid.nearest(p) for p in points])
-    signals = _path_signals(seed, family.I, n_paths, conditioned_on)
     shocks = statistic_shocks(w_star, noise, grid, seed, n_paths)
-    inc = w_star[signals, :-1] * grid.h + noise.sigma[:-1] * math.sqrt(grid.h) * shocks
-    pi = posterior_weights(log_likelihoods(w_star, inc, noise, grid))
     eta_x, w_y = family.eta[:, idx], w_star[:, idx]
-    cov = np.einsum("mi,ik,il->mkl", pi, eta_x, w_y)
-    cov -= (pi @ eta_x)[:, :, None] * (pi @ w_y)[:, None, :]
+    truths = range(family.I) if conditioned_on is None else [conditioned_on]
+    cov = 0.0
+    for t in truths:
+        inc = w_star[t, :-1] * grid.h + noise.sigma[:-1] * math.sqrt(grid.h) * shocks
+        pi = posterior_weights(log_likelihoods(w_star, inc, noise, grid))
+        cov = cov + (np.einsum("mi,ik,il->mkl", pi, eta_x, w_y)
+                     - (pi @ eta_x)[:, :, None] * (pi @ w_y)[:, None, :]) / len(truths)
     cov /= np.square(noise.sigma[idx])[None, None, :]
     return cov.mean(axis=0), cov.std(axis=0, ddof=1) / math.sqrt(n_paths)
 
@@ -164,9 +162,9 @@ def _impact_from_full_paths(points, w_star, family, noise, grid, n_paths, seed, 
     ([-1.0, 1.0], None), ([-1.5, -0.5, 0.5, 1.5], None), ([-1.5, -0.5, 0.5, 1.5], 2),
 ])
 def test_surface_matches_full_path_reference(means, conditioned_on, grid):
-    # impact_surface sums C_m and C_m (x) C_m over I-dimensional posteriors; the
-    # per-path einsum over full increments must agree to rounding, including
-    # at the signal-invariant source x = 0, where Lambda vanishes
+    # the oracle's I projections per path and its atom-centred columns; the per-path
+    # einsum over full increments must agree to rounding, including at the
+    # signal-invariant source x = 0, where Lambda vanishes
     family = make_payoff_family("gaussian_mean_shift", {"means": means, "sd": 1.0}, grid)
     noise = NoiseProfile(sigma=1.0 + 0.05 * (grid.nodes - grid.x_min))
     kern = build_canonical_kernel(family, noise, grid)
@@ -174,12 +172,21 @@ def test_surface_matches_full_path_reference(means, conditioned_on, grid):
     w_star *= np.linspace(0.8, 1.2, family.I)[:, None]  # unequal norms: the Gram diagonal counts
     points = np.array([-2.0, -1.0, 0.0, 0.52, 2.0])
     n_paths, seed = 3 * PATH_BLOCK_SIZE + 100, 13
-    values, errs = impact_surface(points, points, w_star, family, noise, grid,
-                                  n_paths=n_paths, seed=seed, conditioned_on=conditioned_on)
+    values, errs = impact_from_paths(points, points, w_star, family, noise, grid,
+                                     n_paths, seed, conditioned_on)
     ref_values, ref_errs = _impact_from_full_paths(
         points, w_star, family, noise, grid, n_paths, seed, conditioned_on)
     for got, ref in ((values, ref_values), (errs, ref_errs)):
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+
+
+def test_non_equilibrium_demand_is_rejected(mean_shift_demand, mean_shift_family, unit_noise,
+                                            grid):
+    # unequal row norms: the order-flow posterior no longer has the canonical law
+    _, _, w_star = mean_shift_demand
+    scaled = w_star * np.linspace(0.8, 1.2, mean_shift_family.I)[:, None]
+    with pytest.raises(ValueError, match="adkyle.analytics: demand Gram deviates"):
+        impact_surface([1.0], [1.0], scaled, mean_shift_family, unit_noise, grid)
 
 
 @pytest.mark.parametrize("means,sd", [([-1.0, 1.0], 1.0), ([-4.2, -1.4, 1.4, 4.2], 0.35)])
@@ -188,14 +195,16 @@ def test_surface_mean_equals_the_canonical_posterior_covariance(means, sd, condi
                                                                 unit_noise, grid):
     # an oracle that sees no order flow: at the equilibrium the Gram matrix of the demand
     # rows is alpha*^2 Q, so each path's posterior has the canonical law of sample_posterior
-    # and E[Lambda] = a~^T E[C] b~, with C = diag(q) - q q^T and the atom-centred columns
+    # and E[Lambda] = a~^T E[C] b~, with C = diag(q) - q q^T and the atom-centred columns;
+    # the closed form, the path oracle and the canonical draws agree within 3 SE
     family = make_payoff_family("gaussian_mean_shift", {"means": means, "sd": sd}, grid)
     kern = build_canonical_kernel(family, unit_noise, grid)
     eq = solve_alpha_star(kern)
     _, w_star = equilibrium_demand(eq, kern, family)
     points = np.array([-1.4, 0.52, 1.4, 4.2])
-    values, errs = impact_surface(points, points, w_star, family, unit_noise, grid,
-                                  n_paths=ORACLE_PATHS, seed=31, conditioned_on=conditioned_on)
+    args = (points, points, w_star, family, unit_noise, grid)
+    closed, bound = impact_surface(*args, conditioned_on=conditioned_on)
+    values, errs = impact_from_paths(*args, ORACLE_PATHS, 31, conditioned_on)
     idx = [grid.node(p) for p in points]
     a, b = family.eta[:, idx], w_star[:, idx] / np.square(unit_noise.sigma[idx])
     a, b = a - a.mean(axis=0), b - b.mean(axis=0)
@@ -208,9 +217,10 @@ def test_surface_mean_equals_the_canonical_posterior_covariance(means, sd, condi
                                - (q @ a)[:, :, None] * (q @ b)[:, None, :]) / len(truths)
     oracle = per_draw.mean(axis=0)
     oracle_se = per_draw.std(axis=0, ddof=1) / math.sqrt(ORACLE_DRAWS)
-    combined = np.sqrt(np.square(errs) + np.square(oracle_se))
-    assert np.abs(oracle).max() > 10.0 * combined.max()  # the check can tell Lambda from 0
-    assert np.all(np.abs(values - oracle) <= SIGN_SIGMAS * combined)
+    assert np.abs(oracle).max() > 10.0 * np.hypot(errs, oracle_se).max()  # Lambda is not 0
+    assert np.all(np.abs(values - oracle) <= SIGN_SIGMAS * np.hypot(errs, oracle_se))
+    assert np.all(np.abs(closed - oracle) <= SIGN_SIGMAS * (oracle_se + bound))
+    assert np.all(np.abs(closed - values) <= SIGN_SIGMAS * (errs + bound))
 
 
 @pytest.mark.parametrize("conditioned_on", [-1, 2])
@@ -220,20 +230,7 @@ def test_conditioning_out_of_range_is_rejected(conditioned_on, mean_shift_demand
     _, _, w_star = mean_shift_demand
     args = (w_star, mean_shift_family, unit_noise, grid)
     with pytest.raises(ValueError, match="adkyle.analytics: conditioned_on"):
-        impact_surface([1.0], [1.0], *args, n_paths=100, seed=0, conditioned_on=conditioned_on)
-
-
-def test_path_signals_fill_their_blocks_in_place():
-    # one preallocated vector, the concatenation of the counter blocks
-    n, seed = 2 * PATH_BLOCK_SIZE + 7, 19
-    sig_seed = derive_seed(seed, 1)
-    reference = np.concatenate([
-        block_generator(sig_seed, 0).integers(0, 4, size=PATH_BLOCK_SIZE),
-        block_generator(sig_seed, 1).integers(0, 4, size=PATH_BLOCK_SIZE),
-        block_generator(sig_seed, 2).integers(0, 4, size=7),
-    ])
-    assert np.array_equal(_path_signals(seed, 4, n, None), reference)
-    assert np.array_equal(_path_signals(seed, 4, n, 3), np.full(n, 3))
+        impact_surface([1.0], [1.0], *args, conditioned_on=conditioned_on)
 
 
 def test_derivative_cross_impact_is_grid_converged(grid):

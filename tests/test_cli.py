@@ -99,6 +99,22 @@ def test_posterior_probe_draws_no_noise(cfg_file, tmp_path, monkeypatch):
     ]
 
 
+def test_impact_draws_nothing_and_ignores_seed_and_path_count(cfg_file, tmp_path,
+                                                               monkeypatch):
+    # the kernel is a closed form in the quadrature: no block draw, and its bytes
+    # are the same for every mc.seed and mc.n_paths
+    draws = count_block_generators(monkeypatch)
+    kernels = []
+    for n_paths, seed_arg in ((400, []), (400, ["--seed", "11"]), (2 * PATH_BLOCK_SIZE + 1, [])):
+        cfg_file.write_text(FAST_CONFIG.replace("mc.n_paths = 400", f"mc.n_paths = {n_paths}"))
+        out = tmp_path / f"impact_{n_paths}_{len(seed_arg)}"
+        assert main(["impact", "-c", str(cfg_file), "-o", str(out)] + seed_arg) == 0
+        kernels.append((out / "impact_kernel.csv").read_bytes())
+    assert draws == []
+    assert kernels[0].startswith(b"x,y,lambda,std_err\r\n")
+    assert kernels[1] == kernels[0] and kernels[2] == kernels[0]
+
+
 def test_posterior_probe_builds_no_kernel_but_checks_the_model(cfg_file, tmp_path, capsys,
                                                                monkeypatch):
     # the probe reads only I; a bad grid, noise or family still ends in one error line
@@ -504,8 +520,8 @@ def test_every_exported_name_resolves():
 
 
 def test_unaffordable_path_count_fails_up_front(tmp_path):
-    # 2**40 paths need terabytes: the first allocation fails, before any block
-    # is drawn, under a process-local address-space cap
+    # 2**40 paths need terabytes: verify-foc's first allocation fails, before any
+    # block is drawn, under a process-local address-space cap
     cfg = tmp_path / "huge.cfg"
     cfg.write_text(FAST_CONFIG.replace("mc.n_paths = 400", f"mc.n_paths = {2**40}"))
     cap = 1 << 30
@@ -514,7 +530,8 @@ def test_unaffordable_path_count_fails_up_front(tmp_path):
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     t0 = time.perf_counter()
-    proc = _run_python(["-m", "adkyle.cli", "impact", "-c", str(cfg), "-o", str(tmp_path / "out")],
+    proc = _run_python(["-m", "adkyle.cli", "verify-foc", "-c", str(cfg),
+                        "-o", str(tmp_path / "out")],
                        preexec_fn=limit_address_space, timeout=120)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: adkyle.cli: out of memory")

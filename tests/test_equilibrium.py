@@ -13,6 +13,7 @@ from adkyle import (
     kyle_single_asset,
     make_payoff_family,
     moments_from_noise,
+    posterior_covariance,
     sample_posterior,
     solve_alpha_star,
     true_belief,
@@ -39,6 +40,12 @@ REFERENCE_RULE = {"LOG_SIGMA_STEP": 0.1, "MAX_LOG_SIGMA_POINTS": 4000,
 def quadrature_phi(alpha_bar, I):
     not_true, spread = true_belief_moments(alpha_bar, I)
     return not_true - alpha_bar * alpha_bar * spread
+
+
+def rival_square(alpha_bar, I):
+    """E[q_j^2] for a rival j, read off E[C | t = 0] by C_jj = E[q_j] - E[q_j^2]."""
+    not_true, _ = true_belief_moments(alpha_bar, I)
+    return not_true / (I - 1) - posterior_covariance(alpha_bar, I, 0)[1, 1]
 
 
 def mc_phi(alpha_bar, noise):
@@ -87,9 +94,9 @@ def test_phi_is_negative_past_the_root():
 @pytest.mark.parametrize("I", [2, 3, 8, 64])
 def test_quadrature_is_within_its_tolerance_of_a_finer_rule(I, monkeypatch):
     alphas = np.linspace(0.0, 4.0, 41)
-    coarse = np.array([true_belief_moments(a, I) for a in alphas])
+    coarse = np.array([(*true_belief_moments(a, I), rival_square(a, I)) for a in alphas])
     use_reference_rule(monkeypatch)
-    fine = np.array([true_belief_moments(a, I) for a in alphas])
+    fine = np.array([(*true_belief_moments(a, I), rival_square(a, I)) for a in alphas])
     assert np.abs(coarse - fine).max() <= QUAD_TOL
     phi = coarse[:, 0] - alphas**2 * coarse[:, 1]
     assert np.abs(phi - (fine[:, 0] - alphas**2 * fine[:, 1])).max() <= QUAD_TOL

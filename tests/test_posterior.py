@@ -5,9 +5,11 @@ import pytest
 
 from adkyle import (
     moments_from_noise,
+    posterior_covariance,
     sample_posterior,
     softmax,
     true_belief,
+    true_belief_moments,
 )
 from adkyle import _rng
 from adkyle._rng import BLOCK_SIZE, block_generator, derive_seed, standard_normal_matrix
@@ -118,6 +120,31 @@ def test_monte_carlo_moments_agree_with_quadrature():
     assert abs(mom.m1[0] - ref1) <= 3.0 * mom.std_err_m1[0]
     # the centered quadratic diagnostic estimates phi2 at I = 2
     assert mom.qcq_diag == pytest.approx(ref2, abs=5e-3)
+
+
+@pytest.mark.parametrize("I,true_index", [(2, 1), (3, 0), (4, 2), (8, 5)])
+def test_posterior_covariance_matches_canonical_draws(I, true_index):
+    # every entry of E[C | t] within 3 SE of the mean of diag(q) - q q^T over draws;
+    # C_tt is true_belief_moments' B bit for bit, and the mean over t is the
+    # unconditioned kappa Q
+    alpha_bar = 1.6
+    cov = posterior_covariance(alpha_bar, I, true_index)
+    q = sample_posterior(alpha_bar, I, true_index, standard_normal_matrix(4, MOMENT_SAMPLES, I)).q
+    per_draw = q[:, :, None] * (np.eye(I) - q[:, None, :])
+    se = per_draw.std(axis=0, ddof=1) / np.sqrt(MOMENT_SAMPLES)
+    assert np.all(np.abs(cov - per_draw.mean(axis=0)) <= 3.0 * se)
+    assert cov[true_index, true_index] == true_belief_moments(alpha_bar, I)[1]
+    assert np.abs(cov.sum(axis=1)).max() <= 1e-15 and np.array_equal(cov, cov.T)
+    mean = np.mean([posterior_covariance(alpha_bar, I, t) for t in range(I)], axis=0)
+    np.testing.assert_allclose(posterior_covariance(alpha_bar, I), mean, rtol=0, atol=1e-15)
+
+
+def test_posterior_covariance_argument_validation():
+    for true_index in (-1, 3):
+        with pytest.raises(ValueError, match="adkyle.posterior: true_index"):
+            posterior_covariance(1.0, 3, true_index)
+    with pytest.raises(ValueError, match="adkyle.posterior"):
+        posterior_covariance(-1.0, 3)
 
 
 def test_moments_mass_conservation():

@@ -6,8 +6,9 @@ the CSV tables by file name in write order, each as (header, columns); the
 stdout line without its " -> outdir" (None if the handler prints its own);
 and the exit status.  main alone touches the output directory: it writes the
 tables as plain CSV (never plots, never binary blobs), prints the summary,
-and writes a manifest.csv of tool version, config hash, seed, and wall time
-for provenance; all other files are bitwise reproducible from (config, seed).
+and writes a manifest.csv of tool, Python, numpy and BLAS versions, config
+hash, seed, and wall time for provenance; all other files are bitwise
+reproducible from (config, seed).
 """
 
 from __future__ import annotations
@@ -89,8 +90,13 @@ def write_csv(path: Path, header: list[str], columns) -> None:
 
 
 def _manifest(cfg: RunConfig, command: str, t0: float) -> list[tuple]:
+    # read off modules already loaded: importlib.metadata would cost milliseconds per run
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return [
         ("tool_version", __version__),
+        ("python_version", ".".join(map(str, sys.version_info[:3]))),
+        ("numpy_version", np.__version__),
+        ("blas", f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"),
         ("command", command),
         ("config_hash", config_hash(cfg)),
         ("seed", cfg.seed),

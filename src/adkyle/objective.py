@@ -14,7 +14,8 @@ draws the order-flow statistic once for all of them (common random numbers
 across directions as well as across the two sides of the difference).
 
 Every term works on I numbers per path: a trade's price is pi @ (eta @ trade),
-and the drift shift eps * v moves the log-likelihoods by eps * F @ (v h).
+and the drift shift eps * v adds the same I-vector s = eps * F @ (v h) to every
+path's log-likelihoods, so its posterior is pi e^s / (pi . e^s), no new softmax.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NoiseProfile, PayoffFamily, StateGrid, weighted_inner_product
-from .orderflow import DEFAULT_PATHS, likelihood_weights, posterior_blocks, posterior_weights
+from .orderflow import DEFAULT_PATHS, LOG_LIK_SPREAD_MAX, likelihood_weights, posterior_blocks
 from .posterior import mean_and_std_err
 
 _ERR = "adkyle.objective"
@@ -100,7 +101,7 @@ def expected_utility(
     payoff, eta_w = _true_payoff(family, true_index) @ trade_w, family.eta @ trade_w
 
     profits = np.empty(int(n_paths))
-    for sl, _, pi in posterior_blocks(w_tilde, noise, grid, seed, int(n_paths), w_row=w_row):
+    for sl, pi in posterior_blocks(w_tilde, noise, grid, seed, int(n_paths), w_row=w_row):
         profits[sl] = payoff - pi @ eta_w
     return mean_and_std_err(profits)
 
@@ -120,16 +121,18 @@ def foc_terms(
 
     v_row is one direction (n,), giving one FocReport, or a stack (k, n),
     giving k reports, each equal to the single-direction call.  Each block
-    draws once and takes the base posterior, the price and, in one stacked
-    softmax, the 2k shifted posteriors for all directions.
+    draws once and takes one softmax, the base posterior pi, for all directions.
 
     The impact channel uses the per-path posterior exactly (covariance over
     the I signal atoms), so no nested simulation is required.  The finite
-    difference reuses the same log-likelihoods shifted by +- eps * F @ (v h),
-    the effect of the drift shift +- eps * v; no re-simulation.
+    difference shifts the same log-likelihoods by s = +- eps * F @ (v h), the
+    drift shift +- eps * v; each side's price is pi . (u eta_side) / (pi . u)
+    with u = e^(s - max s), fixed per direction.  No re-simulation.
 
     Raises:
-        ValueError: if a direction v is identically zero.
+        ValueError: if a direction v is identically zero, or if the spread of
+            some eps * F @ (v h) over the signals exceeds LOG_LIK_SPREAD_MAX
+            (pi . u could underflow).
     """
     w_row = _demand_row(grid, w_row)
     v = np.asarray(v_row, dtype=float)
@@ -155,19 +158,27 @@ def foc_terms(
     eta_v, eta_plus, eta_minus = (np.array([eta @ t for t in trades])
                                   for trades in (trade_v, trade_plus, trade_minus))
 
-    # the +eps shifts, then the -eps ones, as one (2k, 1, I) stack: one softmax per block
-    shifts = np.concatenate([eps[:, None] * dshift, -eps[:, None] * dshift])[:, None, :]
+    # u = e^(s - max s) for s = +-eps_k dshift_k: u <= 1 cannot overflow, and a shift spread
+    # within LOG_LIK_SPREAD_MAX keeps pi . u >= min u >= e^-LOG_LIK_SPREAD_MAX > 0
+    shift = eps[:, None] * dshift
+    worst = float(np.max(np.ptp(shift, axis=1)))
+    if not worst <= LOG_LIK_SPREAD_MAX:  # NaN compares False
+        raise ValueError(f"{_ERR}: finite-difference shift spread {worst:.1f} exceeds "
+                         f"{LOG_LIK_SPREAD_MAX}; posterior underflow")
+    u_plus = np.exp(shift - shift.max(axis=1, keepdims=True))
+    u_minus = np.exp(shift.min(axis=1, keepdims=True) - shift)
+    ue_plus, ue_minus = u_plus * eta_plus, u_minus * eta_minus
+
     n_paths = int(n_paths)
     ad, impact, fd = np.empty((3, len(v), n_paths))
-    for sl, log_lik, pi in posterior_blocks(w_tilde, noise, grid, seed, n_paths, w_row=w_row):
+    for sl, pi in posterior_blocks(w_tilde, noise, grid, seed, n_paths, w_row=w_row):
         price_w = pi @ eta_w
-        pi_p, pi_m = np.split(posterior_weights(log_lik + shifts), 2)
         for k, e in enumerate(eps):
             ad[k, sl] = pi @ eta_v[k]
             # int W Cov_pi(eta(x, .), d) dx = pi . (d eta_w) - (pi . eta_w)(pi . d)
             impact[k, sl] = pi @ (d[k] * eta_w) - price_w * (pi @ d[k])
-            profit_p = trade_plus[k] @ eta_t - pi_p[k] @ eta_plus[k]
-            profit_m = trade_minus[k] @ eta_t - pi_m[k] @ eta_minus[k]
+            profit_p = trade_plus[k] @ eta_t - (pi @ ue_plus[k]) / (pi @ u_plus[k])
+            profit_m = trade_minus[k] @ eta_t - (pi @ ue_minus[k]) / (pi @ u_minus[k])
             fd[k, sl] = (profit_p - profit_m) / (2.0 * e)
 
     reports = []

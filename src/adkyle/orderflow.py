@@ -111,7 +111,7 @@ def posterior_weights(log_lik: np.ndarray) -> np.ndarray:
             f"{LOG_LIK_SPREAD_MAX}; posterior underflow"
         )
     # softmax shifted by the guard's max (a zero shift's sign does not change exp),
-    # in place, so a (2k, m, I) stack allocates one array of its size
+    # in place, so a call allocates one array the size of its input, stacked or not
     w = log_lik - top[..., None]
     np.exp(w, out=w)
     w /= signal_sum(w)[..., None]
@@ -120,16 +120,16 @@ def posterior_weights(log_lik: np.ndarray) -> np.ndarray:
 
 def posterior_blocks(w_tilde: np.ndarray, noise: NoiseProfile, grid: StateGrid, seed: int,
                      n_paths: int, w_row: np.ndarray):
-    """Yield (slice, log_lik, pi) over the seed's FLOW_STATISTIC stream in path blocks.
+    """Yield (slice, pi) over the seed's FLOW_STATISTIC stream in path blocks.
 
     The insider trades the demand row w_row on every path.  The market maker
-    prices with the candidate schedules w_tilde (I x n); log_lik and its
-    posterior pi are shape (m, I) for the m paths in the block.
+    prices with the candidate schedules w_tilde (I x n); the posterior pi is
+    shape (m, I) for the m paths in the block.
 
-    log_lik is the drift's projections plus the noise's, nu = shocks @ A.T ~
-    N(0, A A^T) with A = (sigma sqrt(h)) * F, drawn as z @ R from I normals z per
-    path and the QR factor R of A^T (A A^T is singular when the rows of W_tilde
-    sum to zero, so it has no Cholesky factor).
+    pi is the softmax of the log-likelihoods, the drift's projections plus the
+    noise's, nu = shocks @ A.T ~ N(0, A A^T) with A = (sigma sqrt(h)) * F, drawn
+    as z @ R from I normals z per path and the QR factor R of A^T (A A^T is
+    singular when the rows of W_tilde sum to zero, so it has no Cholesky factor).
     """
     if n_paths < 1:
         raise ValueError(f"{_ERR}: n_paths must be positive")
@@ -139,8 +139,7 @@ def posterior_blocks(w_tilde: np.ndarray, noise: NoiseProfile, grid: StateGrid, 
     z = standard_normal_matrix(derive_seed(seed, *FLOW_STATISTIC), int(n_paths), len(f),
                                PATH_BLOCK_SIZE)
     for _, sl in blocks(len(z), PATH_BLOCK_SIZE):
-        log_lik = mean + z[sl] @ r
-        yield sl, log_lik, posterior_weights(log_lik)
+        yield sl, posterior_weights(mean + z[sl] @ r)
 
 
 def price_schedule(pi: np.ndarray, family: PayoffFamily) -> np.ndarray:

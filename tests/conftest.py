@@ -109,7 +109,7 @@ def impact_from_paths(x_values, y_values, w_star, family, noise, grid, n_paths, 
     truths = range(family.I) if conditioned_on is None else [conditioned_on]
     per_path = np.zeros((n_paths, len(ix), len(iy)))
     for t in truths:
-        for sl, _, pi in posterior_blocks(w_star, noise, grid, seed, n_paths, w_row=w_star[t]):
+        for sl, pi in posterior_blocks(w_star, noise, grid, seed, n_paths, w_row=w_star[t]):
             per_path[sl] += (np.einsum("mi,ik,il->mkl", pi, a, b)
                              - (pi @ a)[:, :, None] * (pi @ b)[:, None, :]) / len(truths)
     if n_paths == 1:

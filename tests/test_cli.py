@@ -59,7 +59,11 @@ def test_solve_writes_equilibrium_and_demand(cfg_file, tmp_path, capsys):
     assert main(["solve", "-c", str(cfg_file), "-o", str(out)]) == 0
     assert (out / "equilibrium.csv").exists()
     assert (out / "demand_surface.csv").exists()
-    assert (out / "manifest.csv").exists()
+    manifest = dict(read_rows(out / "manifest.csv")[1:])
+    assert manifest["python_version"] == ".".join(map(str, sys.version_info[:3]))
+    assert manifest["numpy_version"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["blas"] == f"{blas['name']} {blas['version']}"
     rows = dict(
         (r[0], r[1]) for r in read_rows(out / "equilibrium.csv")[1:]
     )
@@ -145,6 +149,21 @@ def test_verify_foc_draws_each_shock_block_once(cfg_file, tmp_path, monkeypatch)
     cfg_file.write_text(FAST_CONFIG.replace("mc.n_paths = 400", f"mc.n_paths = {n_paths}"))
     assert main(["verify-foc", "-c", str(cfg_file), "-o", str(tmp_path / "foc")]) == 0
     assert draws == [(derive_seed(3, *FLOW_STATISTIC), n_paths, 2, PATH_BLOCK_SIZE)]
+
+
+def test_verify_foc_shift_past_the_spread_bound_exits_with_code_two(cfg_file, tmp_path, capsys):
+    # at noise.level = 1e-8 the payoff-row direction takes eps at its floor, and its
+    # shift eps * F (v h) spreads by ~6e3 over the signals; the base posterior is fine
+    cfg_file.write_text(FAST_CONFIG + "noise.level = 1e-8\n")
+    assert main(["simulate", "-c", str(cfg_file), "-o", str(tmp_path / "sim")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "foc"
+    assert main(["verify-foc", "-c", str(cfg_file), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: adkyle.") and len(captured.err.splitlines()) == 1
+    assert "underflow" in captured.err
+    assert not (out / "foc_report.csv").exists()
 
 
 def test_simulate_writes_path_outputs(cfg_file, tmp_path):

@@ -1,6 +1,7 @@
 """Expected-utility decomposition, first-order checks, and impact-free directions."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -123,6 +124,58 @@ def test_direction_stack_equals_single_direction_calls(
     assert isinstance(reports, list) and len(reports) == 3
     for v, rep in zip(stack, reports):
         assert rep == foc_terms(w_star[0], v, *args, n_paths=2 * PATH_BLOCK_SIZE + 100, seed=23)
+
+
+def test_shift_past_the_spread_bound_is_rejected(
+    mean_shift_demand, mean_shift_family, unit_noise, grid
+):
+    # eps * F (v h) spreads by ~6e4 over the signals: a side's pi . u would underflow,
+    # and its price pi . (u eta) / (pi . u) would be garbage rather than an error
+    _, _, w_star = mean_shift_demand
+    with pytest.raises(ValueError, match="underflow"):
+        foc_terms(
+            w_star[0], 1e9 * mean_shift_family.eta[0], w_star, mean_shift_family, 0,
+            unit_noise, grid, n_paths=2000, seed=0,
+        )
+
+
+def test_a_shift_common_to_every_signal_moves_no_price(
+    mean_shift_demand, mean_shift_family, unit_noise, grid
+):
+    # a common part 1e4 in the candidate schedules shifts every signal's log-likelihood by
+    # ~950 along v = 1, past exp's range, and moves no posterior: each side keeps the base
+    # price, and the unit payoff change less the unit price change leaves 0
+    _, _, w_star = mean_shift_demand
+    rep = foc_terms(
+        10.0 * w_star[0], np.ones(grid.n), w_star + 1e4, mean_shift_family, 0,
+        unit_noise, grid, n_paths=2000, seed=0,
+    )
+    assert abs(rep.fd_total) < 1e-9
+
+
+def test_each_block_takes_one_softmax(
+    mean_shift_demand, mean_shift_family, unit_noise, grid, monkeypatch
+):
+    # the +-eps posteriors reweight the block's base posterior: one (m, I) softmax per
+    # block, whatever the number of directions
+    import adkyle.orderflow
+
+    shapes, real = [], adkyle.orderflow.posterior_weights
+
+    def counted(log_lik):
+        shapes.append(np.shape(log_lik))
+        return real(log_lik)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("adkyle") and getattr(module, "posterior_weights", None) is real:
+            monkeypatch.setattr(module, "posterior_weights", counted)
+    _, _, w_star = mean_shift_demand
+    basis = zero_impact_basis(w_star, unit_noise, grid)
+    stack = np.stack([w_star[0], mean_shift_family.eta[0], basis[0]])
+    n_paths = 2 * PATH_BLOCK_SIZE + 100
+    foc_terms(w_star[0], stack, w_star, mean_shift_family, 0, unit_noise, grid,
+              n_paths=n_paths, seed=23)
+    assert shapes == [(PATH_BLOCK_SIZE, 2), (PATH_BLOCK_SIZE, 2), (100, 2)]
 
 
 def test_zero_demand_earns_zero(mean_shift_demand, mean_shift_family, unit_noise, grid):

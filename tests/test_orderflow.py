@@ -194,13 +194,46 @@ def test_posterior_weights_of_a_stack_equal_its_slices(I):
 
 
 def test_posterior_weights_guard_reaches_the_last_row_of_the_last_slice():
-    # the guard reads the spread of every row of every slice, as foc_terms' +-eps stack needs
+    # the guard reads the spread of every row of every slice, not only the first slice's
     stack = np.zeros((6, PATH_BLOCK_SIZE, 3))
     stack[..., 0] = LOG_LIK_SPREAD_MAX
     posterior_weights(stack)
     stack[-1, -1, 0] = np.nextafter(LOG_LIK_SPREAD_MAX, np.inf)
     with pytest.raises(ValueError, match=r"adkyle\.orderflow.*exceeds"):
         posterior_weights(stack)
+
+
+def on_dyadic_grid(x):
+    """x rounded to a multiple of 2^-20: below 2^11 in size, sums and differences are exact."""
+    return np.round(x * 2.0**20) / 2.0**20
+
+
+@pytest.mark.parametrize("I", [2, 4, 10])
+def test_shifted_posterior_is_the_reweighted_base_posterior(I):
+    # softmax(l + s) = pi e^s / (pi . e^s) with pi = softmax(l), the identity foc_terms
+    # prices its finite difference by, with u = e^(s - max s).  l and s sit on a dyadic
+    # grid, so l + s and every max shift are exact and only the identity's rounding shows.
+    # A product pi_i u_i below the smallest normal loses digits, but the shift guard keeps
+    # pi . u >= e^-LOG_LIK_SPREAD_MAX, which caps that loss at floor per weight.
+    floor = np.finfo(float).smallest_subnormal * math.exp(LOG_LIK_SPREAD_MAX)
+    rng = np.random.default_rng(I)
+    for scale in (0.0, 1e-3, 1.0, 50.0, 350.0, LOG_LIK_SPREAD_MAX):
+        spread = LOG_LIK_SPREAD_MAX * rng.random((PATH_BLOCK_SIZE, 1)) ** 2
+        log_lik = on_dyadic_grid(spread * (rng.random((PATH_BLOCK_SIZE, I))
+                                           - rng.random((PATH_BLOCK_SIZE, 1))))
+        log_lik = log_lik[np.ptp(log_lik, axis=1) <= LOG_LIK_SPREAD_MAX]
+        s = on_dyadic_grid(scale * (rng.random(I) - rng.random()))
+        pi = posterior_weights(log_lik)
+        u = np.exp(s - s.max())
+        reweighted = pi * u / (pi @ u)[:, None]
+        # rows whose shifted spread passes the guard match posterior_weights; the rest
+        # (the reweighting needs no guard on them) match the unguarded softmax
+        shifted = log_lik + s
+        inside = np.ptp(shifted, axis=1) <= LOG_LIK_SPREAD_MAX
+        expected = np.empty_like(shifted)
+        expected[inside] = posterior_weights(shifted[inside])
+        expected[~inside] = reference_softmax(shifted[~inside])
+        assert np.all(np.abs(reweighted - expected) <= 1e-13 * expected + floor), scale
 
 
 def test_log_likelihoods_match_manual_formula(mean_shift_demand, unit_noise, grid):

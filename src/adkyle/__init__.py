@@ -27,16 +27,7 @@ from .kernel import (
     gram_matrix,
     sqrt_and_pinv,
 )
-from .posterior import (
-    MomentEstimates,
-    PosteriorSample,
-    moments_from_noise,
-    posterior_covariance,
-    sample_posterior,
-    softmax,
-    true_belief,
-    true_belief_moments,
-)
+from .posterior import posterior_covariance, true_belief_moments
 from .equilibrium import (
     Equilibrium,
     KyleBenchmark,
@@ -78,13 +69,7 @@ __all__ = [
     "exchangeability_scale",
     "gram_matrix",
     "sqrt_and_pinv",
-    "MomentEstimates",
-    "PosteriorSample",
-    "moments_from_noise",
     "posterior_covariance",
-    "sample_posterior",
-    "softmax",
-    "true_belief",
     "true_belief_moments",
     "Equilibrium",
     "KyleBenchmark",

@@ -21,7 +21,7 @@ _ERR = "adkyle.model"
 
 FAMILY_KINDS = ("gaussian_mean_shift", "gaussian_variance", "skew_normal", "tabulated")
 
-# numpy 2 renamed trapz to trapezoid; numpy 1.24 has only trapz.
+# numpy 2 renamed trapz to trapezoid; numpy < 2 has only trapz.
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 

@@ -27,12 +27,10 @@ import numpy as np
 
 from .model import NoiseProfile, PayoffFamily, StateGrid, weighted_inner_product
 from .orderflow import DEFAULT_PATHS, LOG_LIK_SPREAD_MAX, likelihood_weights, posterior_blocks
-from .posterior import mean_and_std_err
 
 _ERR = "adkyle.objective"
 
-FD_REL_EPS = 1e-3     # eps = FD_REL_EPS * |W|_inf / |v|_inf, floored below
-FD_EPS_FLOOR = 1e-4
+FD_REL_EPS = 1e-3     # eps = FD_REL_EPS * |W|_inf / |v|_inf
 GS_DROP_TOL = 1e-8    # relative residual below which a direction is dependent
 
 
@@ -66,6 +64,12 @@ class FocReport:
     std_err_diff: float
     std_err_fd: float
     n_paths: int
+
+
+def mean_and_std_err(draws: np.ndarray) -> tuple[float, float]:
+    """Sample mean of per-draw values and its standard error std / sqrt(m) (0 for m = 1)."""
+    std_err = float(draws.std(ddof=1) / math.sqrt(draws.size)) if draws.size > 1 else 0.0
+    return float(draws.mean()), std_err
 
 
 def _demand_row(grid: StateGrid, w_row: np.ndarray) -> np.ndarray:
@@ -130,9 +134,9 @@ def foc_terms(
     with u = e^(s - max s), fixed per direction.  No re-simulation.
 
     Raises:
-        ValueError: if a direction v is identically zero, or if the spread of
-            some eps * F @ (v h) over the signals exceeds LOG_LIK_SPREAD_MAX
-            (pi . u could underflow).
+        ValueError: if w_row or a direction v is identically zero, or if the
+            spread of some eps * F @ (v h) over the signals exceeds
+            LOG_LIK_SPREAD_MAX (pi . u could underflow).
     """
     w_row = _demand_row(grid, w_row)
     v = np.asarray(v_row, dtype=float)
@@ -140,10 +144,10 @@ def foc_terms(
     v = np.atleast_2d(v)
     if v.ndim != 2 or v.shape[1] != grid.n:
         raise ValueError(f"{_ERR}: v_row must have length n={grid.n}")
-    v_max = np.max(np.abs(v), axis=1)
-    if np.any(v_max == 0.0):
-        raise ValueError(f"{_ERR}: direction v is identically zero")
-    eps = np.maximum(FD_REL_EPS * float(np.max(np.abs(w_row))) / v_max, FD_EPS_FLOOR)
+    w_max, v_max = float(np.max(np.abs(w_row))), np.max(np.abs(v), axis=1)
+    if w_max == 0.0 or np.any(v_max == 0.0):
+        raise ValueError(f"{_ERR}: demand w_row or direction v is identically zero")
+    eps = FD_REL_EPS * w_max / v_max
 
     eta, gw, eta_t = family.eta, grid.quad_weights, _true_payoff(family, true_index)
     f, _ = likelihood_weights(w_tilde, noise, grid)

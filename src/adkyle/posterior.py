@@ -1,4 +1,4 @@
-"""Canonical posterior of the market maker: its law, sampled and integrated.
+"""Canonical posterior of the market maker: its law, integrated by quadrature.
 
 Conditional on the true signal s_t, the market maker's date-1 posterior over
 the I signals collapses to a finite-dimensional law parametrized by a single
@@ -11,27 +11,12 @@ where Q is the centering projector.  The fixed-point residual and the
 information efficiency depend on the true-signal entry q_t alone, and
 true_belief_moments integrates them (no draw, no seed); the solver roots them
 and `posterior probe` reports them.  posterior_covariance integrates E[C | t]
-on the same rule for the impact kernel.  The Monte Carlo estimators
-(true_belief, moments_from_noise) are the oracles the tests check the
-quadrature against.
-
-true_belief takes the truth to be column 0 of the noise.  The xi are i.i.d.,
-so the law of the posterior given s_t is exchangeable across the signals:
-choosing another true index only relabels the noise columns and leaves every
-expectation of q_t unchanged.  sample_posterior and moments_from_noise keep an
-explicit true index, as the softmax oracle.
-
-Order-flow blocks take their extremes and their normaliser over the signal
-axis as column sweeps (signal_sweep, signal_sum), which give numpy's values at
-about a thirtieth of its cost per short last axis on a 4096 x 2 block.  softmax
-keeps numpy's max and sum: on one (n_samples, I) array each strided column pass
-streams the whole array again, and the sweeps break even near I = 16.
+on the same rule for the impact kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,144 +32,10 @@ NORMAL_RANGE = 8.5        # that rule covers |x| <= NORMAL_RANGE
 QUAD_TOL = 1e-12          # bound on the rule's error for alpha_bar in [0, 4] and I <= 64
 
 
-@dataclass(frozen=True)
-class PosteriorSample:
-    """One draw (or a batch of draws) of the canonical posterior.
-
-    Attributes:
-        logits: Centered Gaussian part alpha_bar * Q xi, shape (I,) or (m, I),
-            plus the information drift alpha_bar^2 on the true index.
-        q: Softmax of logits along the last axis; rows sum to 1.
-    """
-
-    logits: np.ndarray = field(repr=False)
-    q: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class MomentEstimates:
-    """Monte Carlo moments of the canonical posterior given the true signal.
-
-    Attributes:
-        m1: E[q], length I.
-        qcq_diag: (Q cbar Q)[t, t] at the true index t, with cbar the
-            expected posterior covariance diag(m1) - E[q q^T]; the centered
-            self-covariance that enters the equilibrium residual.
-        std_err_m1: Per-component standard error of m1.
-        n_samples: Number of Monte Carlo draws used.
-    """
-
-    m1: np.ndarray = field(repr=False)
-    qcq_diag: float = 0.0
-    std_err_m1: np.ndarray = field(repr=False, default=None)
-    n_samples: int = 0
-
-
-def signal_sweep(extreme: np.ufunc, a: np.ndarray) -> np.ndarray:
-    """extreme.reduce(a, axis=-1) for np.maximum or np.minimum, one column at a time.
-
-    Each of the I - 1 steps is one ufunc call over every row at once.  The
-    value is numpy's; only the sign of a zero extreme can differ, where a row
-    ties +0.0 with -0.0 and numpy (eight lanes from I = 9) meets them in
-    another order.
-    """
-    out = a[..., 0].copy()
-    for j in range(1, a.shape[-1]):
-        extreme(out, a[..., j], out=out)
-    return out
-
-
-def signal_sum(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=-1) by whole columns, in the order of numpy's pairwise sum.
-
-    Below 8 columns left to right; up to 128 in eight lanes (lane r: columns r,
-    r + 8, ...) joined as ((0+1)+(2+3))+((4+5)+(6+7)), then the leftover columns;
-    above 128 as two halves split at a multiple of 8.  The value is numpy's; only
-    an all-zero row can differ, in the sign of its zero.  On a 4096-row block it
-    takes a tenth of numpy's time at I = 2, breaks even near I = 16 and takes
-    3-5 times as long at I = 64 (timeit, 2-core Xeon).
-    """
-    n = a.shape[-1]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return signal_sum(a[..., :half]) + signal_sum(a[..., half:])
-    width = 8 if n >= 8 else 1
-    end = n - n % width
-    r = a[..., :width].copy()
-    for j in range(width, end, width):
-        r += a[..., j:j + width]
-    while r.shape[-1] > 1:
-        r = r[..., 0::2] + r[..., 1::2]
-    out = r[..., 0]
-    for j in range(end, n):
-        out += a[..., j]
-    return out
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction; never overflows."""
-    logits = np.asarray(logits, dtype=float)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    w = np.exp(shifted)
-    return w / w.sum(axis=-1, keepdims=True)
-
-
 def _check_alpha_bar(alpha_bar: float) -> None:
     """alpha_bar enters squared: a finite value whose square overflows gives NaN moments."""
     if alpha_bar < 0.0 or not math.isfinite(alpha_bar * alpha_bar):
         raise ValueError(f"{_ERR}: alpha_bar must be >= 0 with a finite square")
-
-
-def sample_posterior(
-    alpha_bar: float, I: int, true_index: int, noise: np.ndarray
-) -> PosteriorSample:
-    """Map standard-normal noise to a canonical posterior draw.
-
-    Args:
-        alpha_bar: Effective signal-to-noise number, >= 0.
-        I: Number of signals, >= 2.
-        true_index: Realized signal index in [0, I).
-        noise: Standard normals, shape (I,) for one draw or (m, I) for a
-            batch.  A scalar is broadcast (noise=0 gives the mean posterior).
-
-    Returns:
-        PosteriorSample; with alpha_bar=1, noise=0, I=2, true_index=0 the
-        belief on the true signal is e/(1+e) ~ 0.7311.
-    """
-    if I < 2:
-        raise ValueError(f"{_ERR}: need at least two signals")
-    if not 0 <= true_index < I:
-        raise ValueError(f"{_ERR}: true_index {true_index} out of range for I={I}")
-    _check_alpha_bar(alpha_bar)
-    xi = np.broadcast_to(np.asarray(noise, dtype=float), (I,)) if np.ndim(noise) < 2 else np.asarray(noise, dtype=float)
-    if xi.shape[-1] != I:
-        raise ValueError(f"{_ERR}: noise last dimension must equal I={I}")
-    logits = alpha_bar * (xi - xi.mean(axis=-1, keepdims=True))
-    logits[..., true_index] += alpha_bar * alpha_bar
-    return PosteriorSample(logits, softmax(logits))
-
-
-def true_belief(alpha_bar: float, noise: np.ndarray) -> np.ndarray:
-    """Posterior mass q_0 on the true signal (column 0) per noise row, without a softmax.
-
-    q_0 = 1 / (1 + odds), with the odds against the truth
-
-        sum_{j > 0} exp(alpha_bar (xi_j - xi_0) - alpha_bar^2),
-
-    whose exponent is at most (xi_j - xi_0)^2 / 4 for every alpha_bar: finite
-    draws cannot overflow, so no max shift is needed.  The rivals are summed
-    one column at a time, so only two m-vectors are allocated.
-    """
-    noise = np.asarray(noise, dtype=float)
-    if noise.ndim != 2 or noise.shape[1] == 0:
-        raise ValueError(f"{_ERR}: need an (n_samples, I) noise matrix")
-    odds, z = np.zeros(noise.shape[0]), np.empty(noise.shape[0])
-    for j in range(1, noise.shape[1]):
-        np.subtract(noise[:, j], noise[:, 0], out=z)
-        z *= alpha_bar
-        z -= alpha_bar * alpha_bar
-        odds += np.exp(z, out=z)
-    return 1.0 / (1.0 + odds)
 
 
 def _rule(alpha_bar: float, I: int, rival_square: bool = False):
@@ -270,36 +121,3 @@ def posterior_covariance(alpha_bar: float, I: int, true_index: int | None = None
     c[true_index, :] = c[:, true_index] = c_tj
     c[true_index, true_index] = b
     return c
-
-
-def mean_and_std_err(draws: np.ndarray) -> tuple[float, float]:
-    """Sample mean of per-draw values and its standard error std / sqrt(m) (0 for m = 1)."""
-    std_err = float(draws.std(ddof=1) / math.sqrt(draws.size)) if draws.size > 1 else 0.0
-    return float(draws.mean()), std_err
-
-
-def moments_from_noise(
-    alpha_bar: float, true_index: int, noise: np.ndarray
-) -> MomentEstimates:
-    """Posterior moments on a caller-supplied noise matrix.
-
-    The same frozen (m, I) noise matrix can be reused across alpha_bar values,
-    making the moments a deterministic, continuous function of alpha_bar
-    (common random numbers).
-    """
-    noise = np.asarray(noise, dtype=float)
-    if noise.ndim != 2:
-        raise ValueError(f"{_ERR}: noise must be an (n_samples, I) matrix")
-    m, I = noise.shape
-    q = sample_posterior(alpha_bar, I, true_index, noise).q
-    m1 = q.mean(axis=0)
-    cbar = np.diag(m1) - (q.T @ q) / m
-    Q = centering_matrix(I)
-    qcq = Q @ cbar @ Q
-    std_err = q.std(axis=0, ddof=1) / math.sqrt(m)
-    return MomentEstimates(
-        m1=m1,
-        qcq_diag=float(qcq[true_index, true_index]),
-        std_err_m1=std_err,
-        n_samples=m,
-    )

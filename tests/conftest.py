@@ -2,8 +2,9 @@
 
 The shared pieces (the solve, demand assembly) are session-scoped so the
 suite pays for them once.  Also the test-only oracles: the binary Gauss-Hermite
-moments, the order-flow path estimator of the impact kernel, and a counter of
-random-block generators.
+moments, Monte Carlo draws and moments of the canonical posterior, the
+order-flow path estimator of the impact kernel, and a counter of random-block
+generators.
 """
 
 import math
@@ -23,6 +24,7 @@ from adkyle import (
 )
 import adkyle._rng
 from adkyle._rng import FLOW_STATISTIC, derive_seed, standard_normal_matrix
+from adkyle.kernel import centering_matrix
 from adkyle.orderflow import PATH_BLOCK_SIZE, posterior_blocks
 from adkyle.posterior import _check_alpha_bar
 
@@ -167,6 +169,56 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def softmax(logits):
+    """Row-wise softmax shifted by numpy's max: the reference posterior_weights must reproduce."""
+    logits = np.asarray(logits, dtype=float)
+    w = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def sample_posterior(alpha_bar, I, true_index, noise):
+    """(logits, q): canonical posterior draws on standard normals xi, (I,) or (m, I).
+
+    logits = alpha_bar Q xi + alpha_bar^2 e_t and q = softmax(logits); a scalar
+    xi is broadcast, so xi = 0 with alpha_bar = 1, I = 2, t = 0 gives q_t = e / (1 + e).
+    """
+    if I < 2 or not 0 <= true_index < I:
+        raise ValueError(f"sample_posterior: need I >= 2 and true_index in [0, I), "
+                         f"got I={I}, true_index={true_index}")
+    _check_alpha_bar(alpha_bar)
+    xi = np.asarray(noise, dtype=float)
+    xi = np.broadcast_to(xi, (I,)) if xi.ndim < 2 else xi
+    logits = alpha_bar * (xi - xi.mean(axis=-1, keepdims=True))
+    logits[..., true_index] += alpha_bar * alpha_bar
+    return logits, softmax(logits)
+
+
+def true_belief(alpha_bar, noise):
+    """q_0 per row of an (m, I) noise matrix, truth in column 0, without a softmax.
+
+    q_0 = 1 / (1 + odds) with odds = sum_{j > 0} exp(alpha_bar (xi_j - xi_0) -
+    alpha_bar^2), an exponent at most (xi_j - xi_0)^2 / 4: no overflow, no shift.
+    """
+    noise = np.asarray(noise, dtype=float)
+    if noise.ndim != 2:
+        raise ValueError("true_belief: need an (n_samples, I) noise matrix")
+    z = alpha_bar * (noise[:, 1:] - noise[:, :1]) - alpha_bar * alpha_bar
+    return 1.0 / (1.0 + np.exp(z).sum(axis=1))
+
+
+def moments_from_noise(alpha_bar, true_index, noise):
+    """(E[q], (Q cbar Q)_tt, SE of E[q]) over the draws, cbar = diag(E[q]) - E[q q^T].
+
+    (Q cbar Q)_tt is the centered self-covariance in the equilibrium residual.
+    Reusing one noise matrix across alpha_bar gives common random numbers.
+    """
+    _, q = sample_posterior(alpha_bar, np.shape(noise)[-1], true_index, noise)
+    m1 = q.mean(axis=0)
+    Q = centering_matrix(len(m1))
+    qcq = Q @ (np.diag(m1) - q.T @ q / len(q)) @ Q
+    return m1, float(qcq[true_index, true_index]), q.std(axis=0, ddof=1) / math.sqrt(len(q))
 
 
 def count_block_generators(monkeypatch) -> list:

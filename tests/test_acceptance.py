@@ -28,7 +28,6 @@ from adkyle import (
     log_likelihoods,
     make_payoff_family,
     posterior_weights,
-    sample_posterior,
     simulate_increments,
     solve_alpha_star,
     true_belief_moments,
@@ -36,7 +35,8 @@ from adkyle import (
 )
 from adkyle._rng import standard_normal_matrix
 from adkyle.cli import main as cli_main
-from conftest import ALPHA_STAR_BINARY, binary_moments_quadrature, exact_binary_equilibrium
+from conftest import (ALPHA_STAR_BINARY, binary_moments_quadrature, exact_binary_equilibrium,
+                      sample_posterior)
 
 SIGMAS = 3.0
 ROOT_AGREEMENT = 2e-3
@@ -107,8 +107,8 @@ def test_a02_log_ratio_law():
     n = 200_000
     for alpha_bar in (0.5, 1.0, 2.0):
         xi = standard_normal_matrix(42, n, 2)
-        s = sample_posterior(alpha_bar, 2, 0, xi)
-        lr = s.logits[:, 0] - s.logits[:, 1]
+        logits, _ = sample_posterior(alpha_bar, 2, 0, xi)
+        lr = logits[:, 0] - logits[:, 1]
         mean, var = float(lr.mean()), float(lr.var(ddof=1))
         se_mean = float(lr.std(ddof=1)) / math.sqrt(n)
         se_var = var * math.sqrt(2.0 / (n - 1))
@@ -185,7 +185,7 @@ def test_a06_canonical_pathwise_equivalence():
     inc, shocks = simulate_increments(w_star[0], noise, grid, seed=9000, n_paths=100)
     pi = posterior_weights(log_likelihoods(w_star, inc, noise, grid))
     nu = shocks @ g[:, :-1].T * sqh / ALPHA_STAR_BINARY
-    canonical = sample_posterior(ALPHA_STAR_BINARY, 2, 0, nu).q
+    _, canonical = sample_posterior(ALPHA_STAR_BINARY, 2, 0, nu)
     worst = float(np.max(np.abs(canonical - pi)))
     assert worst < POSTERIOR_AGREEMENT
     _report("A6 posterior equivalence", f"100 paths, max gap={worst:.1e}", t0, 10.0)

@@ -15,12 +15,11 @@ from adkyle import (
     log_likelihoods,
     make_payoff_family,
     posterior_weights,
-    sample_posterior,
     true_belief_moments,
 )
 from adkyle.orderflow import PATH_BLOCK_SIZE
 from conftest import (count_block_generators, exact_binary_equilibrium, impact_from_paths,
-                      statistic_shocks)
+                      sample_posterior, statistic_shocks)
 
 from adkyle import build_canonical_kernel, equilibrium_demand, solve_alpha_star
 
@@ -212,7 +211,7 @@ def test_surface_mean_equals_the_canonical_posterior_covariance(means, sd, condi
     truths = range(family.I) if conditioned_on is None else [conditioned_on]
     per_draw = 0.0  # a~^T C b~ per draw, averaged over the uniform true signal
     for t in truths:
-        q = sample_posterior(eq.alpha_star, family.I, t, noise).q
+        _, q = sample_posterior(eq.alpha_star, family.I, t, noise)
         per_draw = per_draw + (np.einsum("mi,ik,il->mkl", q, a, b)
                                - (q @ a)[:, :, None] * (q @ b)[:, None, :]) / len(truths)
     oracle = per_draw.mean(axis=0)

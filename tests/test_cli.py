@@ -151,10 +151,12 @@ def test_verify_foc_draws_each_shock_block_once(cfg_file, tmp_path, monkeypatch)
     assert draws == [(derive_seed(3, *FLOW_STATISTIC), n_paths, 2, PATH_BLOCK_SIZE)]
 
 
-def test_verify_foc_shift_past_the_spread_bound_exits_with_code_two(cfg_file, tmp_path, capsys):
-    # at noise.level = 1e-8 the payoff-row direction takes eps at its floor, and its
-    # shift eps * F (v h) spreads by ~6e3 over the signals; the base posterior is fine
-    cfg_file.write_text(FAST_CONFIG + "noise.level = 1e-8\n")
+def test_verify_foc_shift_past_the_spread_bound_exits_with_code_two(cfg_file, tmp_path, capsys,
+                                                                    monkeypatch):
+    # eps = FD_REL_EPS |W|_inf / |v|_inf makes the shift eps * F (v h) scale-free, so no
+    # config found reaches the guard; a step 1e6 times larger spreads the own-demand
+    # shift by ~2e3 over the signals.  The base posterior is fine.
+    monkeypatch.setattr(adkyle.objective, "FD_REL_EPS", 1e6 * adkyle.objective.FD_REL_EPS)
     assert main(["simulate", "-c", str(cfg_file), "-o", str(tmp_path / "sim")]) == 0
     capsys.readouterr()
     out = tmp_path / "foc"
@@ -164,6 +166,18 @@ def test_verify_foc_shift_past_the_spread_bound_exits_with_code_two(cfg_file, tm
     assert captured.err.startswith("error: adkyle.") and len(captured.err.splitlines()) == 1
     assert "underflow" in captured.err
     assert not (out / "foc_report.csv").exists()
+
+
+def test_verify_foc_passes_at_low_noise(cfg_file, tmp_path, capsys):
+    # eps scales with |W|_inf / |v|_inf, and W with the noise, so the difference stays in its
+    # linear range; an absolute floor on eps failed the payoff-row direction here
+    cfg_file.write_text(FAST_CONFIG + "noise.level = 1e-7\n")
+    out = tmp_path / "foc"
+    assert main(["verify-foc", "-c", str(cfg_file), "-o", str(out)]) == 0
+    rows = read_rows(out / "foc_report.csv")
+    assert [(r[0], r[-1]) for r in rows[1:]] == [
+        ("own_demand", "pass"), ("payoff_row", "pass"), ("zero_impact", "pass")]
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_simulate_writes_path_outputs(cfg_file, tmp_path):

@@ -12,11 +12,8 @@ from adkyle import (
     identity_kernel,
     kyle_single_asset,
     make_payoff_family,
-    moments_from_noise,
     posterior_covariance,
-    sample_posterior,
     solve_alpha_star,
-    true_belief,
     true_belief_moments,
     weighted_inner_product,
 )
@@ -26,7 +23,8 @@ from adkyle.equilibrium import BRACKET_CAP, WIDTH_TOL
 from adkyle.kernel import RANK_TOL
 from adkyle.posterior import QUAD_TOL
 from adkyle._rng import standard_normal_matrix
-from conftest import ALPHA_STAR_BINARY, binary_moments_quadrature
+from conftest import (ALPHA_STAR_BINARY, binary_moments_quadrature, moments_from_noise,
+                      sample_posterior, true_belief)
 
 # two quotients each round once, so the product can sit one ulp off 1/2
 PRODUCT_ULPS = 2.0 * np.spacing(0.5)
@@ -118,18 +116,18 @@ def test_scalar_residual_matches_the_full_softmax_moments(I, true_index):
     # the rivals are exchangeable, so each holds E[1 - q_t] / (I - 1) of the mass
     xi = standard_normal_matrix(5, 200_000, I)
     for alpha_bar in (0.5, 1.0, 1.4, 2.0, 3.0):
-        mom = moments_from_noise(alpha_bar, true_index, xi)
-        full = 1.0 - float(mom.m1[true_index]) - alpha_bar**2 * mom.qcq_diag
-        q = sample_posterior(alpha_bar, I, true_index, xi).q[:, true_index]
+        m1, qcq_diag, std_err_m1 = moments_from_noise(alpha_bar, true_index, xi)
+        full = 1.0 - float(m1[true_index]) - alpha_bar**2 * qcq_diag
+        q = sample_posterior(alpha_bar, I, true_index, xi)[1][:, true_index]
         draws = (1.0 - q) * (1.0 - alpha_bar**2 * q)
         assert abs(draws.mean() - full) <= 1e-12
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(quadrature_phi(alpha_bar, I) - full) <= SIGMAS * se
         not_true, _ = true_belief_moments(alpha_bar, I)
-        ie_gap = abs((1.0 - not_true) - mom.m1[true_index])
-        assert ie_gap <= SIGMAS * mom.std_err_m1[true_index]
-        rival_gap = np.abs(np.delete(mom.m1 - not_true / (I - 1), true_index))
-        assert np.all(rival_gap <= SIGMAS * np.delete(mom.std_err_m1, true_index))
+        ie_gap = abs((1.0 - not_true) - m1[true_index])
+        assert ie_gap <= SIGMAS * std_err_m1[true_index]
+        rival_gap = np.abs(np.delete(m1 - not_true / (I - 1), true_index))
+        assert np.all(rival_gap <= SIGMAS * np.delete(std_err_m1, true_index))
 
 
 @pytest.mark.parametrize("I", [4, 6, 8])

@@ -18,8 +18,8 @@ from adkyle import (
     weighted_inner_product,
     zero_impact_basis,
 )
-from adkyle.objective import FD_EPS_FLOOR, FD_REL_EPS
-from adkyle.orderflow import PATH_BLOCK_SIZE
+from adkyle.objective import FD_REL_EPS
+from adkyle.orderflow import PATH_BLOCK_SIZE, likelihood_weights
 from conftest import exact_binary_equilibrium, statistic_shocks
 
 CLOSURE_SIGMAS = 3.0
@@ -129,12 +129,12 @@ def test_direction_stack_equals_single_direction_calls(
 def test_shift_past_the_spread_bound_is_rejected(
     mean_shift_demand, mean_shift_family, unit_noise, grid
 ):
-    # eps * F (v h) spreads by ~6e4 over the signals: a side's pi . u would underflow,
-    # and its price pi . (u eta) / (pi . u) would be garbage rather than an error
+    # eps scales with |W|_inf: at 1e6 W, eps * F (v h) spreads by ~900 over the signals, so
+    # a side's pi . u could underflow and its price pi . (u eta) / (pi . u) would be garbage
     _, _, w_star = mean_shift_demand
-    with pytest.raises(ValueError, match="underflow"):
+    with pytest.raises(ValueError, match="finite-difference shift spread .* underflow"):
         foc_terms(
-            w_star[0], 1e9 * mean_shift_family.eta[0], w_star, mean_shift_family, 0,
+            1e6 * w_star[0], mean_shift_family.eta[0], w_star, mean_shift_family, 0,
             unit_noise, grid, n_paths=2000, seed=0,
         )
 
@@ -206,6 +206,33 @@ def test_equilibrium_demand_beats_nearby_deviations(
         assert bent < base
 
 
+def test_shift_spread_does_not_move_with_the_noise_level(mean_shift_family, grid):
+    # W scales with the noise and F = W_tilde / sigma^2 against it, so with eps proportional
+    # to |W|_inf the shift eps * F (v h) of each direction is the same at every noise level
+    spreads = []
+    for level in (1.0, 1e-6):
+        noise = NoiseProfile(sigma=np.full(grid.n, level))
+        kern = build_canonical_kernel(mean_shift_family, noise, grid)
+        _, w_star = equilibrium_demand(exact_binary_equilibrium(kern), kern, mean_shift_family)
+        stack = np.stack([w_star[0], mean_shift_family.eta[0],
+                          zero_impact_basis(w_star, noise, grid)[0]])
+        reports = foc_terms(w_star[0], stack, w_star, mean_shift_family, 0, noise, grid,
+                            n_paths=10, seed=0)
+        f, _ = likelihood_weights(w_star, noise, grid)
+        spreads.append([rep.fd_epsilon * np.ptp(f @ (v[:-1] * grid.h))
+                        for rep, v in zip(reports, stack)])
+    np.testing.assert_allclose(spreads[1], spreads[0], rtol=1e-12, atol=1e-14)
+    assert max(spreads[0]) < 1e-2
+
+
+def test_zero_demand_row_is_rejected(mean_shift_demand, mean_shift_family, unit_noise, grid):
+    # eps is relative to |W|_inf: a zero demand row leaves no step to take
+    _, _, w_star = mean_shift_demand
+    with pytest.raises(ValueError, match="adkyle.objective: demand w_row"):
+        foc_terms(np.zeros(grid.n), w_star[0], w_star, mean_shift_family, 0, unit_noise, grid,
+                  n_paths=100, seed=0)
+
+
 def test_direction_must_be_nonzero(mean_shift_demand, mean_shift_family, unit_noise, grid):
     _, _, w_star = mean_shift_demand
     with pytest.raises(ValueError, match="adkyle.objective"):
@@ -239,7 +266,7 @@ def _foc_from_full_paths(w_row, v, w_tilde, family, true_index, noise, grid, n_p
     The finite difference re-filters each path with its drift shifted by
     +- eps * v, through log_likelihoods over all n-1 increments.
     """
-    eps = max(FD_REL_EPS * np.max(np.abs(w_row)) / np.max(np.abs(v)), FD_EPS_FLOOR)
+    eps = FD_REL_EPS * np.max(np.abs(w_row)) / np.max(np.abs(v))
     gw, eta, eta_t = grid.quad_weights, family.eta, family.eta[true_index]
     shocks = statistic_shocks(w_tilde, noise, grid, seed, n_paths)
     inc = w_row[:-1] * grid.h + noise.sigma[:-1] * math.sqrt(grid.h) * shocks

@@ -11,15 +11,12 @@ from adkyle import (
     log_likelihoods,
     posterior_weights,
     price_schedule,
-    sample_posterior,
     simulate_increments,
-    softmax,
     weighted_inner_product,
 )
 from adkyle._rng import PATH_SHOCKS, derive_seed, standard_normal_matrix
-from adkyle.orderflow import LOG_LIK_SPREAD_MAX, PATH_BLOCK_SIZE
-from adkyle.posterior import signal_sum, signal_sweep
-from conftest import ALPHA_STAR_BINARY
+from adkyle.orderflow import LOG_LIK_SPREAD_MAX, PATH_BLOCK_SIZE, signal_sum, signal_sweep
+from conftest import ALPHA_STAR_BINARY, sample_posterior, softmax
 
 POSTERIOR_MATCH_TOLERANCE = 1e-12
 MEAN_CHECK_SIGMAS = 4.0
@@ -63,7 +60,7 @@ def test_pathwise_posterior_matches_canonical_construction(
     inc, shocks = simulate_increments(w_star[0], unit_noise, grid, seed=500, n_paths=10)
     pi = posterior_weights(log_likelihoods(w_star, inc, unit_noise, grid))
     nu = shocks @ g[:, :-1].T * sqh / ALPHA_STAR_BINARY
-    canonical = sample_posterior(ALPHA_STAR_BINARY, 2, 0, nu).q
+    _, canonical = sample_posterior(ALPHA_STAR_BINARY, 2, 0, nu)
     assert np.abs(canonical - pi).max() < POSTERIOR_MATCH_TOLERANCE
 
 
@@ -78,12 +75,6 @@ def test_posterior_weights_reject_degenerate_spread():
     wide = np.array([[0.0, LOG_LIK_SPREAD_MAX + 10.0]])
     with pytest.raises(ValueError, match="adkyle.orderflow"):
         posterior_weights(wide)
-
-
-def reference_softmax(log_lik):
-    """softmax with numpy's own max, which posterior_weights must reproduce byte for byte."""
-    w = np.exp(log_lik - log_lik.max(-1, keepdims=True))
-    return w / w.sum(-1, keepdims=True)
 
 
 @st.composite
@@ -115,8 +106,7 @@ def test_signal_sweep_matches_numpy(log_lik):
     # the beliefs built on them are numpy's byte for byte
     assert np.array_equal(signal_sweep(np.maximum, log_lik), log_lik.max(axis=-1))
     assert np.array_equal(signal_sweep(np.minimum, log_lik), log_lik.min(axis=-1))
-    expected = reference_softmax(log_lik)
-    assert same_bytes(softmax(log_lik), expected)
+    expected = softmax(log_lik)
     rows = np.atleast_2d(log_lik)
     if (rows.max(-1) - rows.min(-1)).max() <= LOG_LIK_SPREAD_MAX:
         assert same_bytes(posterior_weights(log_lik), np.atleast_2d(expected))
@@ -130,7 +120,7 @@ def test_posterior_weights_ignore_the_sign_of_a_zero_max(I):
     # rows of +-0.0 ties under a -1.0: from I = 9 numpy's eight-lane max and the sweep can
     # return zeros of opposite sign, and exp(x - 0.0) == exp(x + 0.0) keeps the beliefs equal
     log_lik = np.random.default_rng(I).choice([0.0, -0.0, -1.0], (PATH_BLOCK_SIZE, I))
-    assert same_bytes(posterior_weights(log_lik), reference_softmax(log_lik))
+    assert same_bytes(posterior_weights(log_lik), softmax(log_lik))
 
 
 @pytest.mark.parametrize("I", [2, 3, 8])
@@ -141,7 +131,7 @@ def test_posterior_weights_guard_boundary(I, row, col, sign):
     # block, also when it is the block's last row or exceeds only in the last column
     log_lik = np.zeros((PATH_BLOCK_SIZE, I))
     log_lik[:, col] = sign * LOG_LIK_SPREAD_MAX
-    assert same_bytes(posterior_weights(log_lik), reference_softmax(log_lik))
+    assert same_bytes(posterior_weights(log_lik), softmax(log_lik))
     log_lik[row, col] = sign * np.nextafter(LOG_LIK_SPREAD_MAX, np.inf)
     with pytest.raises(ValueError, match="exceeds"):
         posterior_weights(log_lik)
@@ -232,7 +222,7 @@ def test_shifted_posterior_is_the_reweighted_base_posterior(I):
         inside = np.ptp(shifted, axis=1) <= LOG_LIK_SPREAD_MAX
         expected = np.empty_like(shifted)
         expected[inside] = posterior_weights(shifted[inside])
-        expected[~inside] = reference_softmax(shifted[~inside])
+        expected[~inside] = softmax(shifted[~inside])
         assert np.all(np.abs(reweighted - expected) <= 1e-13 * expected + floor), scale
 
 

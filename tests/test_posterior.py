@@ -1,20 +1,14 @@
-"""Canonical posterior sampling, moment estimators, and the binary quadrature oracle."""
+"""The posterior quadrature, its Monte Carlo and Gauss-Hermite oracles, and the seed streams."""
 
 import numpy as np
 import pytest
 
-from adkyle import (
-    moments_from_noise,
-    posterior_covariance,
-    sample_posterior,
-    softmax,
-    true_belief,
-    true_belief_moments,
-)
+from adkyle import posterior_covariance, true_belief_moments
 from adkyle import _rng
 from adkyle._rng import BLOCK_SIZE, block_generator, derive_seed, standard_normal_matrix
 from adkyle.config import MIN_MOMENT_SAMPLES, parse_config_text
-from conftest import MIN_QUAD_NODES, binary_moments_quadrature
+from conftest import (MIN_QUAD_NODES, binary_moments_quadrature, moments_from_noise,
+                      sample_posterior, softmax, true_belief)
 
 SOFTMAX_TOLERANCE = 1e-15
 QUAD_TOLERANCE = 1e-12
@@ -51,24 +45,24 @@ def test_softmax_shift_invariance():
 
 def test_sample_posterior_shapes_and_support():
     xi = standard_normal_matrix(0, 16, 3)
-    s = sample_posterior(1.2, 3, 1, xi)
-    assert s.q.shape == (16, 3)
-    assert s.logits.shape == (16, 3)
-    assert np.all(s.q > 0.0)
-    assert np.allclose(s.q.sum(axis=-1), 1.0, atol=SOFTMAX_TOLERANCE)
+    logits, q = sample_posterior(1.2, 3, 1, xi)
+    assert q.shape == (16, 3)
+    assert logits.shape == (16, 3)
+    assert np.all(q > 0.0)
+    assert np.allclose(q.sum(axis=-1), 1.0, atol=SOFTMAX_TOLERANCE)
 
 
 def test_sample_posterior_is_uniform_at_zero_coupling():
     xi = standard_normal_matrix(0, 32, 4)
-    s = sample_posterior(0.0, 4, 2, xi)
-    assert np.all(s.q == 0.25)
+    _, q = sample_posterior(0.0, 4, 2, xi)
+    assert np.all(q == 0.25)
 
 
 def test_sample_posterior_true_signal_gets_the_loading():
     # the true coordinate's logit carries the extra alpha^2 drift term
     xi = np.zeros((1, 2))
-    s = sample_posterior(1.5, 2, 0, xi)
-    assert s.logits[0, 0] - s.logits[0, 1] == pytest.approx(2.25, abs=1e-15)
+    logits, _ = sample_posterior(1.5, 2, 0, xi)
+    assert logits[0, 0] - logits[0, 1] == pytest.approx(2.25, abs=1e-15)
 
 
 def test_quadrature_is_exact_at_zero():
@@ -115,11 +109,12 @@ def test_sample_posterior_argument_validation():
 
 
 def test_monte_carlo_moments_agree_with_quadrature():
-    mom = moments_from_noise(1.0, 0, standard_normal_matrix(3, MOMENT_SAMPLES, 2))
+    xi = standard_normal_matrix(3, MOMENT_SAMPLES, 2)
+    m1, qcq_diag, std_err_m1 = moments_from_noise(1.0, 0, xi)
     ref1, ref2 = QUAD_ORACLE[1.0]
-    assert abs(mom.m1[0] - ref1) <= 3.0 * mom.std_err_m1[0]
+    assert abs(m1[0] - ref1) <= 3.0 * std_err_m1[0]
     # the centered quadratic diagnostic estimates phi2 at I = 2
-    assert mom.qcq_diag == pytest.approx(ref2, abs=5e-3)
+    assert qcq_diag == pytest.approx(ref2, abs=5e-3)
 
 
 @pytest.mark.parametrize("I,true_index", [(2, 1), (3, 0), (4, 2), (8, 5)])
@@ -129,7 +124,8 @@ def test_posterior_covariance_matches_canonical_draws(I, true_index):
     # unconditioned kappa Q
     alpha_bar = 1.6
     cov = posterior_covariance(alpha_bar, I, true_index)
-    q = sample_posterior(alpha_bar, I, true_index, standard_normal_matrix(4, MOMENT_SAMPLES, I)).q
+    xi = standard_normal_matrix(4, MOMENT_SAMPLES, I)
+    _, q = sample_posterior(alpha_bar, I, true_index, xi)
     per_draw = q[:, :, None] * (np.eye(I) - q[:, None, :])
     se = per_draw.std(axis=0, ddof=1) / np.sqrt(MOMENT_SAMPLES)
     assert np.all(np.abs(cov - per_draw.mean(axis=0)) <= 3.0 * se)
@@ -148,17 +144,16 @@ def test_posterior_covariance_argument_validation():
 
 
 def test_moments_mass_conservation():
-    mom = moments_from_noise(0.8, 2, standard_normal_matrix(9, 20_000, 5))
-    assert mom.m1.sum() == pytest.approx(1.0, abs=1e-12)
-    assert mom.n_samples == 20_000
-    assert np.all(mom.std_err_m1 > 0.0)
+    m1, _, std_err_m1 = moments_from_noise(0.8, 2, standard_normal_matrix(9, 20_000, 5))
+    assert m1.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(std_err_m1 > 0.0)
 
 
 def test_moments_from_noise_matches_direct_computation():
     xi = standard_normal_matrix(4, 10_000, 2)
-    mom = moments_from_noise(1.0, 0, xi)
-    q = sample_posterior(1.0, 2, 0, xi).q
-    assert np.array_equal(mom.m1, q.mean(axis=0))
+    m1, _, _ = moments_from_noise(1.0, 0, xi)
+    _, q = sample_posterior(1.0, 2, 0, xi)
+    assert np.array_equal(m1, q.mean(axis=0))
 
 
 def test_moment_sample_floor_is_enforced():
@@ -171,13 +166,13 @@ def test_moment_sample_floor_is_enforced():
 def test_true_belief_is_the_softmax_entry_of_the_truth(I, true_index):
     xi = standard_normal_matrix(6, 10_000, I)
     for alpha_bar in (0.0, 0.7, 2.5):
-        q = sample_posterior(alpha_bar, I, true_index, xi).q[:, true_index]
+        q = sample_posterior(alpha_bar, I, true_index, xi)[1][:, true_index]
         assert np.abs(true_belief(alpha_bar, np.roll(xi, -true_index, axis=1)) - q).max() <= 1e-15
 
 
 def test_true_belief_argument_validation():
     xi = standard_normal_matrix(6, 100, 3)
-    with pytest.raises(ValueError, match="adkyle.posterior"):
+    with pytest.raises(ValueError, match="true_belief: need an"):
         true_belief(1.0, xi[0])
 
 

@@ -45,9 +45,7 @@ from .objective import FocReport, expected_utility, foc_terms, zero_impact_basis
 from .analytics import (
     derivative_cross_impact,
     efficiency_sweep,
-    identity_kernel,
     impact_surface,
-    invariance_experiment,
 )
 from .options import OptionStrip, bl_decompose, bl_reconstruct, demand_signature
 from .config import RunConfig, load_config
@@ -86,9 +84,7 @@ __all__ = [
     "zero_impact_basis",
     "derivative_cross_impact",
     "efficiency_sweep",
-    "identity_kernel",
     "impact_surface",
-    "invariance_experiment",
     "OptionStrip",
     "bl_decompose",
     "bl_reconstruct",

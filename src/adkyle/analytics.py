@@ -1,4 +1,4 @@
-"""Cross-asset price impact, the efficiency sweep, and invariance checks.
+"""Cross-asset price impact and the information-efficiency sweep.
 
 The price-pressure kernel of the equilibrium is
 
@@ -16,8 +16,7 @@ import math
 
 import numpy as np
 
-from .kernel import (EXCHANGEABILITY_TOL, CanonicalKernel, build_canonical_kernel,
-                     centering_matrix)
+from .kernel import EXCHANGEABILITY_TOL, centering_matrix
 from .model import NoiseProfile, PayoffFamily, StateGrid, trapezoid
 from .posterior import QUAD_TOL, posterior_covariance
 from .equilibrium import Equilibrium, solve_alpha_star
@@ -112,38 +111,10 @@ def derivative_cross_impact(
     return float(trapezoid(trapezoid(integrand, ys, axis=1), xs))
 
 
-def identity_kernel(I: int) -> CanonicalKernel:
-    """Canonical kernel of an orthonormal payoff family (K = identity)."""
-    eye = np.eye(I)
-    return CanonicalKernel(
-        K=eye, Q=centering_matrix(I), c=1.0, L=eye, L_pinv=eye, exchangeable=True
-    )
-
-
 def efficiency_sweep() -> list[Equilibrium]:
     """Equilibrium root and information efficiency for each signal count in SWEEP_SIZES.
 
-    Each record is the standalone solve of identity_kernel(I): its ie is
-    E[q_true] from the solver's evaluation at its root, ie_std_err its error bound.
+    Each record is the standalone solve for I signals: its ie is E[q_true]
+    from the solver's evaluation at its root, ie_std_err its error bound.
     """
-    return [solve_alpha_star(identity_kernel(I)) for I in SWEEP_SIZES]
-
-
-def invariance_experiment(
-    family: PayoffFamily,
-    noise: NoiseProfile,
-    grid: StateGrid,
-    scale: float = 2.0,
-) -> tuple[Equilibrium, Equilibrium]:
-    """Scale the noise intensity and re-run the pipeline: the (base, scaled) solves.
-
-    The canonical root and information efficiency depend only on I, so they
-    are unchanged -- bitwise, since the residual sees nothing else -- while
-    the raw demand coefficient rescales by the noise factor (exactly, for
-    power-of-two factors).  Each ie is the solve's own E[q_true] at its root.
-    """
-    if scale <= 0.0:
-        raise ValueError(f"{_ERR}: scale must be positive")
-    scaled = NoiseProfile(scale * noise.sigma)
-    return (solve_alpha_star(build_canonical_kernel(family, noise, grid)),
-            solve_alpha_star(build_canonical_kernel(family, scaled, grid)))
+    return [solve_alpha_star(I) for I in SWEEP_SIZES]

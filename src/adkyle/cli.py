@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import time
+from dataclasses import astuple, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,7 +39,7 @@ from .config import (
 from .equilibrium import equilibrium_demand, solve_alpha_star
 from .kernel import RANK_TOL, build_canonical_kernel
 from .model import prior_moments
-from .objective import foc_terms, zero_impact_basis
+from .objective import FocReport, foc_terms, zero_impact_basis
 from .options import bl_decompose, bl_reconstruct, demand_signature
 from .orderflow import log_likelihoods, posterior_weights, price_schedule, simulate_increments
 from .posterior import QUAD_TOL, true_belief_moments
@@ -119,9 +121,9 @@ def _pipeline(cfg: RunConfig):
 
 def _solved(cfg: RunConfig):
     grid, noise, family, kern = _pipeline(cfg)
-    eq = solve_alpha_star(kern, phi_tol=cfg.phi_tol, width_tol=cfg.width_tol)
+    eq = solve_alpha_star(kern.I, phi_tol=cfg.phi_tol, width_tol=cfg.width_tol)
     _, w_star = equilibrium_demand(eq, kern, family)
-    return grid, noise, family, eq, w_star
+    return grid, noise, family, kern, eq, w_star
 
 
 def _signal(args, family) -> int:
@@ -131,11 +133,12 @@ def _signal(args, family) -> int:
 
 
 def cmd_solve(args, cfg: RunConfig):
-    grid, noise, family, eq, w_star = _solved(cfg)
+    grid, noise, family, kern, eq, w_star = _solved(cfg)
+    alpha_raw = eq.alpha_star / math.sqrt(kern.c)
     rows = [
         ("alpha_star", eq.alpha_star),
-        ("alpha_raw", eq.alpha_raw),
-        ("c", eq.c),
+        ("alpha_raw", alpha_raw),
+        ("c", kern.c),
         ("I", eq.I),
         ("phi_residual", eq.phi_residual),
         ("alpha_std_err", eq.alpha_std_err),
@@ -154,14 +157,14 @@ def cmd_solve(args, cfg: RunConfig):
                                [grid.nodes, *w_star]),
     }
     return tables, (f"solve: alpha_star={eq.alpha_star:.6f} (se {eq.alpha_std_err:.1e}, "
-                    f"{len(trace)} Phi evaluations) alpha_raw={eq.alpha_raw:.6f} "
-                    f"c={eq.c:.6f} I={eq.I}"), 0
+                    f"{len(trace)} Phi evaluations) alpha_raw={alpha_raw:.6f} "
+                    f"c={kern.c:.6f} I={eq.I}"), 0
 
 
 def cmd_simulate(args, cfg: RunConfig):
     if args.paths < 1:
         raise ValueError(f"adkyle.cli: --paths must be >= 1, got {args.paths}")
-    grid, noise, family, eq, w_star = _solved(cfg)
+    grid, noise, family, _, _, w_star = _solved(cfg)
     s = _signal(args, family)
 
     # path p is row p of the seed's path-shock stream, so a path's rows do not depend on --paths
@@ -184,7 +187,7 @@ def cmd_simulate(args, cfg: RunConfig):
 
 
 def cmd_impact(args, cfg: RunConfig):
-    grid, noise, family, eq, w_star = _solved(cfg)
+    grid, noise, family, _, _, w_star = _solved(cfg)
     mu, sbar = prior_moments(family, grid)
     lo = max(mu - 3.0 * sbar, grid.nodes[1])
     hi = min(mu + 3.0 * sbar, grid.nodes[-2])
@@ -209,7 +212,7 @@ def cmd_efficiency(args, cfg: RunConfig):
 
 
 def cmd_options(args, cfg: RunConfig):
-    grid, noise, family, eq, w_star = _solved(cfg)
+    grid, noise, family, _, _, w_star = _solved(cfg)
     s = _signal(args, family)
     mu, _ = prior_moments(family, grid)
     strip = bl_decompose(w_star[s], grid, float(grid.nodes[grid.nearest(mu, margin=1)]))
@@ -232,7 +235,7 @@ def cmd_options(args, cfg: RunConfig):
 
 
 def cmd_verify_foc(args, cfg: RunConfig):
-    grid, noise, family, eq, w_star = _solved(cfg)
+    grid, noise, family, _, _, w_star = _solved(cfg)
     basis = zero_impact_basis(w_star, noise, grid)
     names = ("own_demand", "payoff_row", "zero_impact")
     reports = foc_terms(
@@ -243,16 +246,11 @@ def cmd_verify_foc(args, cfg: RunConfig):
     for name, rep in zip(names, reports):
         passed = abs(rep.diff) <= 4.0 * rep.std_err_fd + 1e-6
         ok &= passed
-        rows.append((name, rep.payoff_term, rep.adverse_selection_term, rep.impact_term,
-                     rep.analytic_total, rep.fd_total, rep.fd_epsilon, rep.diff,
-                     rep.std_err_diff, rep.std_err_fd, rep.n_paths,
-                     "pass" if passed else "fail"))
+        rows.append((name, *astuple(rep), "pass" if passed else "fail"))
         print(f"verify-foc[{name}]: analytic={rep.analytic_total:+.6e} "
               f"fd={rep.fd_total:+.6e} diff={rep.diff:+.2e} "
               f"({'pass' if passed else 'FAIL'})")
-    header = ["direction", "payoff_term", "adverse_selection_term", "impact_term",
-              "analytic_total", "fd_total", "fd_epsilon", "diff", "std_err_diff",
-              "std_err_fd", "n_paths", "status"]
+    header = ["direction", *(f.name for f in fields(FocReport)), "status"]
     return {"foc_report.csv": (header, zip(*rows))}, None, 0 if ok else 1
 
 

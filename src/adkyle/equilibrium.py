@@ -10,7 +10,8 @@ Phi = E[(1 - q_t)(1 - alpha_bar^2 q_t)]: 1 - 1/I > 0 at zero and negative for
 large alpha_bar.  The law of q_t depends on alpha_bar and I alone, so Phi is a
 deterministic function, integrated by posterior.true_belief_moments; a doubling
 bracket plus ITP steps (Oliveira & Takahashi 2020) pin its root, which depends
-only on I.  The demand map is then assembled from the kernel square root:
+only on I.  The demand map is then assembled from the kernel square root, for
+an exchangeable kernel (QKQ = cQ) only:
 
     beta(s_i) = alpha_bar_star * L_pinv Q e_i,
     W(x, s_i) = sum_u beta(s_i)[u] * eta(x, s_u).
@@ -37,12 +38,12 @@ RANGE_TOL = 1e-8    # relative residual allowed in the demand rank check
 
 @dataclass(frozen=True)
 class Equilibrium:
-    """Solved equilibrium for an exchangeable kernel.
+    """Solved canonical fixed point for I signals.
 
     Attributes:
-        alpha_star: Root of Phi in the effective (canonical) coordinate.
-        alpha_raw: alpha_star / sqrt(c); the coefficient in original units.
-        c: Exchangeability scale of the kernel.
+        alpha_star: Root of Phi in the effective (canonical) coordinate; a
+            kernel of scale c has the coefficient alpha_star / sqrt(c) in
+            original units.
         I: Number of signals.
         phi_residual: Phi at alpha_star (|.| < phi_tol).
         alpha_std_err: Error bound on alpha_star: the final bracket width plus
@@ -53,8 +54,6 @@ class Equilibrium:
     """
 
     alpha_star: float
-    alpha_raw: float
-    c: float
     I: int
     phi_residual: float = 0.0
     alpha_std_err: float = math.nan
@@ -71,32 +70,29 @@ class KyleBenchmark:
     lam: float
 
 
-def solve_alpha_star(kern: CanonicalKernel, phi_tol: float = PHI_TOL,
+def solve_alpha_star(I: int, phi_tol: float = PHI_TOL,
                      width_tol: float = WIDTH_TOL) -> Equilibrium:
-    """Bracket the residual by doubling, then shrink the bracket with ITP steps.
+    """Root Phi for I signals: bracket by doubling, then shrink with ITP steps.
 
     The root is the evaluated end of the final bracket (narrower than
     width_tol) with the smaller |Phi|, which is below phi_tol.  E[q_true] at
     the root comes from the same evaluation.
 
     Raises:
-        ValueError: non-exchangeable or degenerate kernel (c ~ 0), bracket cap
-            exceeded, or no convergence.
+        ValueError: fewer than two signals, bracket cap exceeded, or no
+            convergence.
     """
-    if not kern.exchangeable:
-        raise ValueError(f"{_ERR}: kernel is not exchangeable (QKQ deviates from cQ); "
-                         "the scalar reduction does not apply")
-    if kern.c <= RANK_TOL:
-        raise ValueError(f"{_ERR}: degenerate kernel, c={kern.c:.3e} has no signal content")
-    trace, ie_at = [], {0.0: 1.0 / kern.I}
+    if I < 2:
+        raise ValueError(f"{_ERR}: need at least two signals")
+    trace, ie_at = [], {0.0: 1.0 / I}
 
     def evaluate(alpha_bar: float, stage: str) -> float:
-        not_true, spread = true_belief_moments(alpha_bar, kern.I)
+        not_true, spread = true_belief_moments(alpha_bar, I)
         ie_at[alpha_bar] = 1.0 - not_true
         trace.append((alpha_bar, not_true - alpha_bar * alpha_bar * spread, stage))
         return trace[-1][1]
 
-    lo, f_lo = 0.0, 1.0 - 1.0 / kern.I
+    lo, f_lo = 0.0, 1.0 - 1.0 / I
     hi, f_hi = 1.0, evaluate(1.0, "bracket")
     while f_hi >= 0.0:
         if 2.0 * hi > BRACKET_CAP:
@@ -128,9 +124,7 @@ def solve_alpha_star(kern: CanonicalKernel, phi_tol: float = PHI_TOL,
     alpha_err = (hi - lo) * (1.0 + QUAD_TOL / (f_lo - f_hi))
     return Equilibrium(
         alpha_star=float(alpha),
-        alpha_raw=float(alpha / math.sqrt(kern.c)),
-        c=float(kern.c),
-        I=kern.I,
+        I=I,
         phi_residual=float(f_alpha),
         alpha_std_err=alpha_err,
         ie=ie_at[alpha],
@@ -152,9 +146,15 @@ def equilibrium_demand(
         rows is alpha_star^2 Q.
 
     Raises:
-        ValueError: if the kernel cannot represent the centered directions
-            (range deficiency), i.e. L L_pinv Q e_i != Q e_i.
+        ValueError: if the kernel is not exchangeable, so the scalar reduction
+            does not apply; degenerate (c ~ 0); or cannot represent the
+            centered directions (range deficiency), i.e. L L_pinv Q e_i != Q e_i.
     """
+    if not kern.exchangeable:
+        raise ValueError(f"{_ERR}: kernel is not exchangeable (QKQ deviates from cQ); "
+                         "the scalar reduction does not apply")
+    if kern.c <= RANK_TOL:
+        raise ValueError(f"{_ERR}: degenerate kernel, c={kern.c:.3e} has no signal content")
     if eq.I != kern.I or family.I != kern.I:
         raise ValueError(f"{_ERR}: signal-count mismatch between equilibrium, kernel, family")
     Q = kern.Q

@@ -47,20 +47,6 @@ class OptionStrip:
     call_density: np.ndarray = field(repr=False)
 
 
-def _derivatives(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(W', W'') on the nodes: central differences, one-sided W' at the ends.
-
-    W'' is defined on interior nodes only; boundary entries are NaN.
-    """
-    d1 = np.empty_like(w)
-    d1[1:-1] = (w[2:] - w[:-2]) / (2.0 * h)
-    d1[0] = (w[1] - w[0]) / h
-    d1[-1] = (w[-1] - w[-2]) / h
-    d2 = np.full_like(w, np.nan)
-    d2[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / (h * h)
-    return d1, d2
-
-
 def bl_decompose(w_row: np.ndarray, grid: StateGrid, k0: float) -> OptionStrip:
     """Decompose a schedule into bond, underlying, and option densities.
 
@@ -77,20 +63,18 @@ def bl_decompose(w_row: np.ndarray, grid: StateGrid, k0: float) -> OptionStrip:
         raise ValueError(f"{_ERR}: schedule must have length n={grid.n}")
     i0 = grid.node(k0, margin=1)
     k0 = float(grid.nodes[i0])
-    d1, d2 = _derivatives(w, grid.h)
-    underlying = float(d1[i0])
-    bond = float(w[i0] - k0 * underlying)
-    interior = np.arange(1, grid.n - 1)
-    put_idx = interior[interior <= i0]
-    call_idx = interior[interior >= i0]
+    h = grid.h
+    underlying = float((w[i0 + 1] - w[i0 - 1]) / (2.0 * h))
+    d2 = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / (h * h)  # W'' at the interior nodes 1..n-2
+    interior = grid.nodes[1:-1]
     return OptionStrip(
         k0=k0,
-        bond=bond,
+        bond=float(w[i0] - k0 * underlying),
         underlying=underlying,
-        put_strikes=grid.nodes[put_idx].copy(),
-        put_density=d2[put_idx].copy(),
-        call_strikes=grid.nodes[call_idx].copy(),
-        call_density=d2[call_idx].copy(),
+        put_strikes=interior[:i0].copy(),
+        put_density=d2[:i0],
+        call_strikes=interior[i0 - 1:].copy(),
+        call_density=d2[i0 - 1:],
     )
 
 

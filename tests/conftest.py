@@ -70,13 +70,17 @@ def mean_shift_kernel(mean_shift_family, unit_noise, grid):
 
 def exact_binary_equilibrium(kern):
     """Equilibrium object at the exact binary root, bypassing the solve."""
-    return Equilibrium(
-        alpha_star=ALPHA_STAR_BINARY,
-        alpha_raw=ALPHA_STAR_BINARY / math.sqrt(kern.c),
-        c=kern.c,
-        I=kern.Q.shape[0],
-        phi_residual=0.0,
-    )
+    return Equilibrium(alpha_star=ALPHA_STAR_BINARY, I=kern.I, phi_residual=0.0)
+
+
+def candidate_demand(kern, family):
+    """Demand rows at the binary root, built as equilibrium_demand builds them.
+
+    The same operations in the same order, so the rows match equilibrium_demand's
+    bit for bit; but the kernel need not be exchangeable, for tests that only
+    need candidate rows, not an equilibrium.
+    """
+    return (ALPHA_STAR_BINARY * (kern.L_pinv @ kern.Q)).T @ family.eta
 
 
 def statistic_shocks(w_tilde, noise, grid, seed, n_paths):
@@ -128,7 +132,7 @@ def mean_shift_demand(mean_shift_kernel, mean_shift_family):
 
 @pytest.fixture(scope="session")
 def solved_mean_shift(mean_shift_kernel):
-    return solve_alpha_star(mean_shift_kernel)
+    return solve_alpha_star(mean_shift_kernel.I)
 
 
 def binary_moments_quadrature(

@@ -21,9 +21,7 @@ from adkyle import (
     efficiency_sweep,
     equilibrium_demand,
     foc_terms,
-    identity_kernel,
     impact_surface,
-    invariance_experiment,
     kyle_single_asset,
     log_likelihoods,
     make_payoff_family,
@@ -41,6 +39,7 @@ from conftest import (ALPHA_STAR_BINARY, binary_moments_quadrature, exact_binary
 SIGMAS = 3.0
 ROOT_AGREEMENT = 2e-3
 POSTERIOR_AGREEMENT = 1e-8
+GRAM_AGREEMENT = 1e-12
 NULL_IMPACT_FLOOR = 1e-10  # roundoff allowance for an exactly-zero target
 PRODUCT_ULPS = 2.0 * np.spacing(0.5)
 
@@ -77,7 +76,7 @@ def _solved_demand():
     """Equilibrium solve on the default family (shared by A7)."""
     if "solved" not in _cache:
         grid, noise, fam, kern = _setup()
-        eq = solve_alpha_star(kern)
+        eq = solve_alpha_star(kern.I)
         _, w_star = equilibrium_demand(eq, kern, fam)
         _cache["solved"] = (eq, w_star)
     return _cache["solved"]
@@ -119,7 +118,7 @@ def test_a02_log_ratio_law():
 
 def test_a03_root_agreement_with_quadrature_oracle():
     t0 = time.perf_counter()
-    eq = solve_alpha_star(identity_kernel(2))
+    eq = solve_alpha_star(2)
     # dense scan of the deterministic moment equation, then bisection
     alphas = np.linspace(1.0, 2.0, 1001)
     vals = [_phi_quadrature(a) for a in alphas]
@@ -265,24 +264,26 @@ def test_a09_efficiency_declines_with_crowding():
 
 
 def test_a10_family_and_noise_invariance():
+    # one canonical root serves every I = 2 kernel: each family's demand at each noise
+    # level has the sigma-Gram alpha*^2 Q, and doubling the noise doubles it exactly
     t0 = time.perf_counter()
-    grid, noise, ms_fam, ms_kern = _setup()
-    _, _, var_fam, var_kern = _setup("gaussian_variance")
-
-    eq_ms = solve_alpha_star(ms_kern)
-    eq_var = solve_alpha_star(var_kern)
-    assert abs(eq_ms.alpha_star - eq_var.alpha_star) < ROOT_AGREEMENT
-    assert eq_ms.ie == eq_var.ie  # the canonical problem depends on I alone
-
-    base, scaled = invariance_experiment(ms_fam, noise, grid, scale=2.0)
-    assert scaled.alpha_raw == 2.0 * base.alpha_raw
-    assert scaled.alpha_star == base.alpha_star
-    assert scaled.ie == base.ie
-    _report(
-        "A10 invariance",
-        f"|a*_ms - a*_var|={abs(eq_ms.alpha_star - eq_var.alpha_star):.1e}, "
-        "noise doubling exact", t0, 180.0,
-    )
+    grid, noise, ms_fam, _ = _setup()
+    _, _, var_fam, _ = _setup("gaussian_variance")
+    eq = solve_alpha_star(2)
+    gap = 0.0
+    for fam in (ms_fam, var_fam):
+        demands = []
+        for scaled in (noise, NoiseProfile(2.0 * noise.sigma)):
+            kern = build_canonical_kernel(fam, scaled, grid)
+            _, w_star = equilibrium_demand(eq, kern, fam)
+            gram = np.array([[weighted_inner_product(a, b, scaled, grid) for b in w_star]
+                             for a in w_star])
+            gap = max(gap, float(np.abs(gram - eq.alpha_star**2 * kern.Q).max()))
+            demands.append(w_star)
+        assert np.array_equal(demands[1], 2.0 * demands[0])
+    assert gap < GRAM_AGREEMENT
+    _report("A10 invariance", f"Gram gap {gap:.1e} for both families, noise doubling exact",
+            t0, 180.0)
 
 
 def test_a11_replication_round_trip():

@@ -1,4 +1,4 @@
-"""Cross-impact estimation, the efficiency sweep, and scaling invariance."""
+"""Cross-impact estimation and the efficiency sweep."""
 
 import math
 
@@ -9,17 +9,15 @@ from adkyle import (
     NoiseProfile,
     derivative_cross_impact,
     efficiency_sweep,
-    identity_kernel,
     impact_surface,
-    invariance_experiment,
     log_likelihoods,
     make_payoff_family,
     posterior_weights,
     true_belief_moments,
 )
 from adkyle.orderflow import PATH_BLOCK_SIZE
-from conftest import (count_block_generators, exact_binary_equilibrium, impact_from_paths,
-                      sample_posterior, statistic_shocks)
+from conftest import (candidate_demand, count_block_generators, exact_binary_equilibrium,
+                      impact_from_paths, sample_posterior, statistic_shocks)
 
 from adkyle import build_canonical_kernel, equilibrium_demand, solve_alpha_star
 
@@ -166,8 +164,7 @@ def test_surface_matches_full_path_reference(means, conditioned_on, grid):
     # signal-invariant source x = 0, where Lambda vanishes
     family = make_payoff_family("gaussian_mean_shift", {"means": means, "sd": 1.0}, grid)
     noise = NoiseProfile(sigma=1.0 + 0.05 * (grid.nodes - grid.x_min))
-    kern = build_canonical_kernel(family, noise, grid)
-    _, w_star = equilibrium_demand(exact_binary_equilibrium(kern), kern, family)
+    w_star = candidate_demand(build_canonical_kernel(family, noise, grid), family)
     w_star *= np.linspace(0.8, 1.2, family.I)[:, None]  # unequal norms: the Gram diagonal counts
     points = np.array([-2.0, -1.0, 0.0, 0.52, 2.0])
     n_paths, seed = 3 * PATH_BLOCK_SIZE + 100, 13
@@ -198,7 +195,7 @@ def test_surface_mean_equals_the_canonical_posterior_covariance(means, sd, condi
     # the closed form, the path oracle and the canonical draws agree within 3 SE
     family = make_payoff_family("gaussian_mean_shift", {"means": means, "sd": sd}, grid)
     kern = build_canonical_kernel(family, unit_noise, grid)
-    eq = solve_alpha_star(kern)
+    eq = solve_alpha_star(kern.I)
     _, w_star = equilibrium_demand(eq, kern, family)
     points = np.array([-1.4, 0.52, 1.4, 4.2])
     args = (points, points, w_star, family, unit_noise, grid)
@@ -280,24 +277,21 @@ def test_efficiency_sweep_rows_equal_standalone_estimates(monkeypatch):
     rows = efficiency_sweep()
     assert draws == []  # the solve integrates its residual; it draws nothing
     for r in rows:
-        eq = solve_alpha_star(identity_kernel(r.I))
+        eq = solve_alpha_star(r.I)
         assert (r.alpha_star, r.ie, r.ie_std_err) == (eq.alpha_star, eq.ie, eq.ie_std_err)
 
 
 def test_invariance_under_noise_doubling(mean_shift_family, unit_noise, grid):
-    base, scaled = invariance_experiment(mean_shift_family, unit_noise, grid, scale=2.0)
-    assert scaled.alpha_star == base.alpha_star
-    assert scaled.alpha_raw == 2.0 * base.alpha_raw
-    assert scaled.ie == base.ie
-
-
-def test_invariance_reports_the_solves_efficiency(mean_shift_family, unit_noise, grid):
-    # E[q_true] at each root is the solve's own value, not a fresh estimate
-    base, _ = invariance_experiment(mean_shift_family, unit_noise, grid, scale=2.0)
-    kern = build_canonical_kernel(mean_shift_family, unit_noise, grid)
-    assert base.ie == solve_alpha_star(kern).ie
-
-
-def test_invariance_rejects_bad_scale(mean_shift_family, unit_noise, grid):
-    with pytest.raises(ValueError, match="adkyle.analytics"):
-        invariance_experiment(mean_shift_family, unit_noise, grid, scale=0.0)
+    # the root depends on I alone; doubling the noise quarters c, doubles the
+    # raw coefficient alpha_star / sqrt(c) and doubles the demand, all exactly
+    base, scaled = (build_canonical_kernel(mean_shift_family, noise, grid)
+                    for noise in (unit_noise, NoiseProfile(2.0 * unit_noise.sigma)))
+    eq_base, eq_scaled = solve_alpha_star(base.I), solve_alpha_star(scaled.I)
+    assert eq_scaled.alpha_star == eq_base.alpha_star
+    assert eq_scaled.ie == eq_base.ie
+    assert scaled.c == 0.25 * base.c
+    assert (eq_scaled.alpha_star / math.sqrt(scaled.c)
+            == 2.0 * eq_base.alpha_star / math.sqrt(base.c))
+    _, w_base = equilibrium_demand(eq_base, base, mean_shift_family)
+    _, w_scaled = equilibrium_demand(eq_scaled, scaled, mean_shift_family)
+    assert np.array_equal(w_scaled, 2.0 * w_base)

@@ -199,7 +199,7 @@ def _simulate(cfg_file, tmp_path, seed, n_paths):
                  "--paths", str(n_paths), "--seed", str(seed)]) == 0
     lines = (out / "paths.csv").read_text().splitlines()[1:]
     y = np.array([float(line.split(",")[2]) for line in lines]).reshape(n_paths, -1)
-    grid, noise, _, _, w_star = _solved(with_seed(load_config(cfg_file), seed))
+    grid, noise, _, _, _, w_star = _solved(with_seed(load_config(cfg_file), seed))
     return lines, y, grid, noise, w_star
 
 
@@ -415,7 +415,7 @@ def test_simulate_csvs_match_per_cell_rendering(cfg_file, tmp_path):
     assert main(["simulate", "-c", str(cfg_file), "-o", str(out),
                  "--paths", str(n_paths), "--signal", str(s)]) == 0
     cfg = load_config(cfg_file)
-    grid, noise, family, _, w_star = _solved(cfg)
+    grid, noise, family, _, _, w_star = _solved(cfg)
     increments, _ = simulate_increments(w_star[s], noise, grid, cfg.seed, n_paths)
     y = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(increments, axis=1)], axis=1)
     log_lik = log_likelihoods(w_star, increments, noise, grid)
@@ -456,6 +456,53 @@ def test_family_narrower_than_the_grid_step_exits_with_code_two(cfg_file, tmp_pa
     cfg_file.write_text(FAST_CONFIG + f"family.sd = {16.0 / 100!r}\n")
     assert main(["solve", "-c", str(cfg_file), "-o", str(tmp_path / "step")]) == 0
     assert (tmp_path / "step" / "equilibrium.csv").exists()
+
+
+NON_EXCHANGEABLE_CONFIG = """
+grid.n = 201
+mc.seed = 3
+family.kind = gaussian_variance
+family.sds = 0.5, 1.0, 2.0
+"""
+
+
+def test_non_exchangeable_family_exits_with_code_two(tmp_path, capsys):
+    # three variance rows: QKQ is not cQ, so no scalar fixed point gives their
+    # demand; every command that needs one fails before writing, kernel dump does not
+    cfg = tmp_path / "variance.cfg"
+    cfg.write_text(NON_EXCHANGEABLE_CONFIG)
+    for command in ("solve", "simulate", "impact", "options", "verify-foc"):
+        out = tmp_path / command
+        assert main([command, "-c", str(cfg), "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: adkyle.equilibrium: kernel is not exchangeable")
+        assert len(captured.err.splitlines()) == 1
+        assert list(out.glob("*.csv")) == []
+    out = tmp_path / "dump"
+    assert main(["kernel", "dump", "-c", str(cfg), "-o", str(out)]) == 0
+    assert ["exchangeable", "0", "0", "0"] in read_rows(out / "kernel.csv")
+
+
+def test_solve_is_invariant_to_noise_doubling(cfg_file, tmp_path):
+    # the root depends on I alone; doubling the noise quarters c and doubles
+    # alpha_raw = alpha_star / sqrt(c) and the demand, all exactly
+    runs = []
+    for level in (1, 2):
+        cfg_file.write_text(FAST_CONFIG.replace("grid.n = 101", "grid.n = 201")
+                            + f"noise.level = {level}\n")
+        out = tmp_path / f"noise_{level}"
+        assert main(["solve", "-c", str(cfg_file), "-o", str(out)]) == 0
+        runs.append((dict(read_rows(out / "equilibrium.csv")[1:]),
+                     (out / "solver_trace.csv").read_bytes(),
+                     np.loadtxt(out / "demand_surface.csv", delimiter=",", skiprows=1)))
+    (base, base_trace, base_demand), (scaled, scaled_trace, scaled_demand) = runs
+    assert float(scaled.pop("alpha_raw")) == 2.0 * float(base.pop("alpha_raw"))
+    assert float(scaled.pop("c")) == 0.25 * float(base.pop("c"))
+    assert scaled == base  # alpha_star, phi_residual, alpha_std_err, bracket_hi, n_*
+    assert scaled_trace == base_trace
+    assert np.array_equal(scaled_demand[:, 0], base_demand[:, 0])
+    assert np.array_equal(scaled_demand[:, 1:], 2.0 * base_demand[:, 1:])
 
 
 def test_main_builds_no_parser(cfg_file, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Fixed point solve, the quadrature residual, demand assembly, and the single-asset benchmark."""
 
+import csv
 import dataclasses
 import math
 import warnings
@@ -9,7 +10,7 @@ import pytest
 
 from adkyle import (
     build_canonical_kernel,
-    identity_kernel,
+    equilibrium_demand,
     kyle_single_asset,
     make_payoff_family,
     posterior_covariance,
@@ -19,6 +20,8 @@ from adkyle import (
 )
 import adkyle.equilibrium
 import adkyle.posterior
+from adkyle.cli import main
+from adkyle.config import config_family, config_grid, config_noise, parse_config_text
 from adkyle.equilibrium import BRACKET_CAP, WIDTH_TOL
 from adkyle.kernel import RANK_TOL
 from adkyle.posterior import QUAD_TOL
@@ -140,7 +143,7 @@ def test_monte_carlo_root_agrees_with_the_quadrature_root(I):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if mc_phi(mid, noise)[0] > 0.0 else (lo, mid)
     root = 0.5 * (lo + hi)
-    eq = solve_alpha_star(identity_kernel(I))
+    eq = solve_alpha_star(I)
     slope = (quadrature_phi(root + 1e-4, I) - quadrature_phi(root - 1e-4, I)) / 2e-4
     root_se = mc_phi(root, noise)[1] / abs(slope)
     assert abs(root - eq.alpha_star) <= SIGMAS * root_se
@@ -180,27 +183,34 @@ def test_solver_finds_the_binary_root(solved_mean_shift):
 
 @pytest.mark.parametrize("I", [2, 4, 6, 8])
 def test_error_bounds_cover_a_tighter_reference_solve(I, monkeypatch):
-    eq = solve_alpha_star(identity_kernel(I))
+    eq = solve_alpha_star(I)
     assert 0.0 < eq.alpha_std_err <= 2.0 * WIDTH_TOL
     use_reference_rule(monkeypatch)
-    ref = solve_alpha_star(identity_kernel(I), width_tol=1e-12)
+    ref = solve_alpha_star(I, width_tol=1e-12)
     assert abs(eq.alpha_star - ref.alpha_star) <= eq.alpha_std_err
     assert abs(eq.ie - ref.ie) <= eq.ie_std_err
 
 
-def test_alpha_raw_rescales_by_kernel_scale(solved_mean_shift, mean_shift_kernel):
-    eq = solved_mean_shift
-    assert eq.alpha_raw == eq.alpha_star / math.sqrt(mean_shift_kernel.c)
-    assert eq.c == mean_shift_kernel.c
+def test_alpha_raw_rescales_by_kernel_scale(tmp_path):
+    # solve writes the root in original units, alpha_star / sqrt(c), with the
+    # c of the kernel its config builds; noise 3 makes c differ from 1
+    cfg_text = "grid.n = 201\nmc.seed = 3\nnoise.level = 3\n"
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(cfg_text)
+    assert main(["solve", "-c", str(cfg_path), "-o", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "equilibrium.csv", newline="") as fh:
+        rows = dict(list(csv.reader(fh))[1:])
+    cfg = parse_config_text(cfg_text)
+    grid = config_grid(cfg)
+    kern = build_canonical_kernel(config_family(cfg, grid), config_noise(cfg, grid), grid)
+    assert kern.c != 1.0
+    assert float(rows["c"]) == kern.c
+    assert float(rows["alpha_raw"]) == float(rows["alpha_star"]) / math.sqrt(kern.c)
 
 
-def test_root_is_kernel_independent_for_exchangeable_kernels(
-    solved_mean_shift, mean_shift_kernel
-):
-    # the canonical fixed point depends only on I
-    eq_id = solve_alpha_star(identity_kernel(2))
-    assert eq_id.alpha_star == solved_mean_shift.alpha_star
-    assert eq_id.alpha_raw == eq_id.alpha_star  # c = 1
+def test_root_is_kernel_independent_for_exchangeable_kernels(solved_mean_shift):
+    # the canonical fixed point depends only on I, so a fresh solve repeats its bits
+    assert solve_alpha_star(2).alpha_star == solved_mean_shift.alpha_star
 
 
 def test_demand_gram_recovers_scaled_centering(
@@ -239,8 +249,8 @@ def test_solver_rejects_non_exchangeable_kernels(grid, unit_noise):
     )
     fam = make_payoff_family("tabulated", {"x": grid.nodes, "eta": rows}, grid)
     kern = build_canonical_kernel(fam, unit_noise, grid)
-    with pytest.raises(ValueError, match="adkyle.equilibrium"):
-        solve_alpha_star(kern)
+    with pytest.raises(ValueError, match="adkyle.equilibrium: kernel is not exchangeable"):
+        equilibrium_demand(solve_alpha_star(kern.I), kern, fam)
 
 
 @pytest.mark.parametrize("I", [2, 4, 6, 8, 64])
@@ -251,7 +261,7 @@ def test_solver_evaluation_budget_and_trace(I, monkeypatch):
         adkyle.equilibrium, "true_belief_moments",
         lambda *a, **k: calls.append(a[0]) or real(*a, **k),
     )
-    eq = solve_alpha_star(identity_kernel(I))
+    eq = solve_alpha_star(I)
     meta = eq.mc_meta
     n_evals = 1 + meta["n_doublings"] + meta["n_bisections"]
     assert n_evals == len(calls) <= 12
@@ -266,12 +276,22 @@ def test_solver_evaluation_budget_and_trace(I, monkeypatch):
 
 
 @pytest.mark.parametrize("c", [0.0, RANK_TOL])
-def test_solver_rejects_a_degenerate_kernel(c):
+def test_solver_rejects_a_degenerate_kernel(c, mean_shift_kernel, mean_shift_family):
     # exchangeable, but c at or below the rank cutoff carries no signal
-    kern = dataclasses.replace(identity_kernel(2), c=c)
+    kern = dataclasses.replace(mean_shift_kernel, c=c)
     assert kern.exchangeable
     with pytest.raises(ValueError, match="adkyle.equilibrium: degenerate kernel"):
-        solve_alpha_star(kern)
+        equilibrium_demand(solve_alpha_star(kern.I), kern, mean_shift_family)
+
+
+@pytest.mark.parametrize("I", [0, 1])
+def test_solver_needs_two_signals(I, monkeypatch):
+    evaluated = []
+    monkeypatch.setattr(adkyle.equilibrium, "true_belief_moments",
+                        lambda *args: evaluated.append(args))
+    with pytest.raises(ValueError, match="adkyle.equilibrium: need at least two signals"):
+        solve_alpha_star(I)
+    assert evaluated == []
 
 
 @pytest.mark.parametrize("width_tol", [1e-308, 5e-324])
@@ -282,5 +302,5 @@ def test_unreachable_width_tol_ends_in_a_value_error(width_tol, monkeypatch):
     monkeypatch.setattr(adkyle.equilibrium, "true_belief_moments",
                         lambda a, *rest: evaluated.append(a) or real(a, *rest))
     with pytest.raises(ValueError, match="adkyle.equilibrium: root refinement"):
-        solve_alpha_star(identity_kernel(2), width_tol=width_tol)
+        solve_alpha_star(2, width_tol=width_tol)
     assert evaluated == [1.0, 2.0]  # the doubling bracket around sqrt(2) only

@@ -15,7 +15,6 @@ from adkyle import (
     centering_matrix,
     exchangeability_scale,
     gram_matrix,
-    identity_kernel,
     make_payoff_family,
     sqrt_and_pinv,
     weighted_inner_product,
@@ -110,15 +109,6 @@ def test_build_canonical_kernel_assembles_consistent_pieces(mean_shift_kernel):
     assert np.allclose(kern.L @ kern.L, kern.K, atol=1e-12)
     # the pseudo-inverse must invert L on the range of Q
     assert np.allclose(kern.L @ kern.L_pinv @ kern.Q, kern.Q, atol=1e-10)
-
-
-def test_identity_kernel_is_trivially_exchangeable():
-    kern = identity_kernel(3)
-    assert kern.c == 1.0
-    assert np.array_equal(kern.K, np.eye(3))
-    assert np.array_equal(kern.L, np.eye(3))
-    assert np.array_equal(kern.L_pinv, np.eye(3))
-    assert kern.exchangeable
 
 
 def test_sqrt_and_pinv_rejects_degenerate_input():

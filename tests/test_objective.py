@@ -20,7 +20,7 @@ from adkyle import (
 )
 from adkyle.objective import FD_REL_EPS
 from adkyle.orderflow import PATH_BLOCK_SIZE, likelihood_weights
-from conftest import exact_binary_equilibrium, statistic_shocks
+from conftest import candidate_demand, exact_binary_equilibrium, statistic_shocks
 
 CLOSURE_SIGMAS = 3.0
 ORTHOGONALITY_TOLERANCE = 1e-10
@@ -296,8 +296,7 @@ def test_projection_estimator_matches_full_path_reference(means, grid):
     # reference must agree to rounding, across three blocks and a partial one
     family = make_payoff_family("gaussian_mean_shift", {"means": means, "sd": 1.0}, grid)
     noise = NoiseProfile(sigma=1.0 + 0.05 * (grid.nodes - grid.x_min))
-    kern = build_canonical_kernel(family, noise, grid)
-    _, w_star = equilibrium_demand(exact_binary_equilibrium(kern), kern, family)
+    w_star = candidate_demand(build_canonical_kernel(family, noise, grid), family)
     w_star *= np.linspace(0.8, 1.2, family.I)[:, None]  # unequal norms: the Gram diagonal counts
     bump = 0.4 * np.exp(-0.5 * np.square(grid.nodes - 0.7))
     directions = np.stack([w_star[0], family.eta[0], bump])

@@ -1,9 +1,9 @@
 """Counter-based random number plumbing.
 
 Every stochastic routine in the package draws from Philox streams keyed by
-(seed, block_id).  Blocks are generated in a fixed order and merged with
-pairwise summation, so results are bitwise reproducible and independent of
-any worker scheduling.
+(seed, block_id), each block a fixed run of rows of one preallocated matrix,
+so a draw is bitwise reproducible and a path's row does not depend on how
+many paths follow it.
 
 Each stage draws its own stream (Random123, Salmon et al., SC'11), keyed on
 derive_seed(seed, *tag) with the tags below; no stage draws on the raw seed.
@@ -27,12 +27,6 @@ def block_generator(seed: int, block_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def blocks(n: int, block_size: int = BLOCK_SIZE):
-    """Yield (block_id, slice) over n draws in fixed-order blocks, one at a time (no list for a huge n)."""
-    for block_id, start in enumerate(range(0, n, block_size)):
-        yield block_id, slice(start, min(start + block_size, n))
-
-
 def standard_normal_matrix(seed: int, n: int, dim: int, block_size: int = BLOCK_SIZE) -> np.ndarray:
     """(n, dim) standard normals assembled from counter-based blocks of block_size rows.
 
@@ -41,8 +35,8 @@ def standard_normal_matrix(seed: int, n: int, dim: int, block_size: int = BLOCK_
     matrix, and any prefix of blocks is unaffected by how many blocks follow.
     """
     out = np.empty((n, dim))  # one allocation: a size that cannot fit fails here, up front
-    for block_id, sl in blocks(n, block_size):
-        block_generator(seed, block_id).standard_normal(out=out[sl])
+    for block_id, start in enumerate(range(0, n, block_size)):
+        block_generator(seed, block_id).standard_normal(out=out[start:start + block_size])
     return out
 
 

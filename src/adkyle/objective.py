@@ -10,8 +10,9 @@ price paid int v P dx, and the price pressure of v on P via the likelihoods.
 foc_terms reports all three next to a central finite difference computed on
 the same shocks, so the comparison is exact up to discretization and O(eps^2)
 curvature rather than Monte Carlo noise.  Given a stack of directions it
-draws the order-flow statistic once for all of them (common random numbers
-across directions as well as across the two sides of the difference).
+draws the order-flow statistic and takes the posterior pi once for all of them
+(common random numbers across directions as well as across the two sides of
+the difference).
 
 Every term works on I numbers per path: a trade's price is pi @ (eta @ trade),
 and the drift shift eps * v adds the same I-vector s = eps * F @ (v h) to every
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NoiseProfile, PayoffFamily, StateGrid, weighted_inner_product
-from .orderflow import DEFAULT_PATHS, LOG_LIK_SPREAD_MAX, likelihood_weights, posterior_blocks
+from .orderflow import DEFAULT_PATHS, LOG_LIK_SPREAD_MAX, flow_posterior, likelihood_weights
 
 _ERR = "adkyle.objective"
 
@@ -104,10 +105,8 @@ def expected_utility(
     trade_w = grid.quad_weights * w_row  # quadrature-weighted trade sizes
     payoff, eta_w = _true_payoff(family, true_index) @ trade_w, family.eta @ trade_w
 
-    profits = np.empty(int(n_paths))
-    for sl, pi in posterior_blocks(w_tilde, noise, grid, seed, int(n_paths), w_row=w_row):
-        profits[sl] = payoff - pi @ eta_w
-    return mean_and_std_err(profits)
+    pi = flow_posterior(w_tilde, noise, grid, seed, int(n_paths), w_row)
+    return mean_and_std_err(payoff - pi @ eta_w)
 
 
 def foc_terms(
@@ -124,8 +123,9 @@ def foc_terms(
     """Directional derivative of the insider objective, three ways decomposed.
 
     v_row is one direction (n,), giving one FocReport, or a stack (k, n),
-    giving k reports, each equal to the single-direction call.  Each block
-    draws once and takes one softmax, the base posterior pi, for all directions.
+    giving k reports, each equal to the single-direction call.  The call
+    draws once and takes one softmax, the base posterior pi, for all directions;
+    each direction keeps its own matrix-vector products on pi.
 
     The impact channel uses the per-path posterior exactly (covariance over
     the I signal atoms), so no nested simulation is required.  The finite
@@ -174,26 +174,23 @@ def foc_terms(
     ue_plus, ue_minus = u_plus * eta_plus, u_minus * eta_minus
 
     n_paths = int(n_paths)
-    ad, impact, fd = np.empty((3, len(v), n_paths))
-    for sl, pi in posterior_blocks(w_tilde, noise, grid, seed, n_paths, w_row=w_row):
-        price_w = pi @ eta_w
-        for k, e in enumerate(eps):
-            ad[k, sl] = pi @ eta_v[k]
-            # int W Cov_pi(eta(x, .), d) dx = pi . (d eta_w) - (pi . eta_w)(pi . d)
-            impact[k, sl] = pi @ (d[k] * eta_w) - price_w * (pi @ d[k])
-            profit_p = trade_plus[k] @ eta_t - (pi @ ue_plus[k]) / (pi @ u_plus[k])
-            profit_m = trade_minus[k] @ eta_t - (pi @ ue_minus[k]) / (pi @ u_minus[k])
-            fd[k, sl] = (profit_p - profit_m) / (2.0 * e)
-
+    pi = flow_posterior(w_tilde, noise, grid, seed, n_paths, w_row)
+    price_w = pi @ eta_w
     reports = []
     for k, e in enumerate(eps):
+        ad = pi @ eta_v[k]
+        # int W Cov_pi(eta(x, .), d) dx = pi . (d eta_w) - (pi . eta_w)(pi . d)
+        impact = pi @ (d[k] * eta_w) - price_w * (pi @ d[k])
+        profit_p = trade_plus[k] @ eta_t - (pi @ ue_plus[k]) / (pi @ u_plus[k])
+        profit_m = trade_minus[k] @ eta_t - (pi @ ue_minus[k]) / (pi @ u_minus[k])
+        fd = (profit_p - profit_m) / (2.0 * e)
         payoff = float(np.dot(trade_v[k], eta_t))
-        analytic_per_path = payoff - ad[k] - impact[k]
-        diff, std_err_diff = mean_and_std_err(analytic_per_path - fd[k])
-        fd_total, std_err_fd = mean_and_std_err(fd[k])
+        analytic_per_path = payoff - ad - impact
+        diff, std_err_diff = mean_and_std_err(analytic_per_path - fd)
+        fd_total, std_err_fd = mean_and_std_err(fd)
         reports.append(FocReport(
-            payoff_term=payoff, adverse_selection_term=float(ad[k].mean()),
-            impact_term=float(impact[k].mean()), analytic_total=float(analytic_per_path.mean()),
+            payoff_term=payoff, adverse_selection_term=float(ad.mean()),
+            impact_term=float(impact.mean()), analytic_total=float(analytic_per_path.mean()),
             fd_total=fd_total, fd_epsilon=float(e), diff=diff, std_err_diff=std_err_diff,
             std_err_fd=std_err_fd, n_paths=n_paths,
         ))

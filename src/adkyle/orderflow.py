@@ -9,9 +9,9 @@ market maker's posterior is proportional to
     exp( int W_tilde_i / sigma^2 dY - (1/2) <W_tilde_i, W_tilde_i>_sigma ).
 
 A path enters the posterior only through its I projections int W_tilde_i /
-sigma^2 dY, so the first-order checks draw those I numbers per path directly,
-from their own stream; only simulate draws (n_paths, n-1) shocks and builds
-increments.
+sigma^2 dY, so flow_posterior draws those I numbers per path directly, from
+their own stream, and takes one softmax over all paths; only simulate draws
+(n_paths, n-1) shocks and builds increments.
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ import math
 
 import numpy as np
 
-from ._rng import FLOW_STATISTIC, PATH_SHOCKS, blocks, derive_seed, standard_normal_matrix
+from ._rng import FLOW_STATISTIC, PATH_SHOCKS, derive_seed, standard_normal_matrix
 from .model import NoiseProfile, PayoffFamily, StateGrid
 
 _ERR = "adkyle.orderflow"
 
 LOG_LIK_SPREAD_MAX = 700.0  # beyond this, exp underflow erases posterior mass
-PATH_BLOCK_SIZE = 4096      # paths per counter block; keeps block matrices small
+PATH_BLOCK_SIZE = 4096      # Philox block rows of both path streams: part of every path draw
 DEFAULT_PATHS = 20_000      # order-flow paths behind the first-order checks
 
 
@@ -158,13 +158,12 @@ def posterior_weights(log_lik: np.ndarray) -> np.ndarray:
     return w
 
 
-def posterior_blocks(w_tilde: np.ndarray, noise: NoiseProfile, grid: StateGrid, seed: int,
-                     n_paths: int, w_row: np.ndarray):
-    """Yield (slice, pi) over the seed's FLOW_STATISTIC stream in path blocks.
+def flow_posterior(w_tilde: np.ndarray, noise: NoiseProfile, grid: StateGrid, seed: int,
+                   n_paths: int, w_row: np.ndarray) -> np.ndarray:
+    """The market maker's posterior pi, shape (n_paths, I), on the seed's FLOW_STATISTIC stream.
 
     The insider trades the demand row w_row on every path.  The market maker
-    prices with the candidate schedules w_tilde (I x n); the posterior pi is
-    shape (m, I) for the m paths in the block.
+    prices with the candidate schedules w_tilde (I x n).
 
     pi is the softmax of the log-likelihoods, the drift's projections plus the
     noise's, nu = shocks @ A.T ~ N(0, A A^T) with A = (sigma sqrt(h)) * F, drawn
@@ -178,8 +177,7 @@ def posterior_blocks(w_tilde: np.ndarray, noise: NoiseProfile, grid: StateGrid, 
     r = np.linalg.qr((noise.sigma[:-1] * math.sqrt(grid.h) * f).T, mode="r")
     z = standard_normal_matrix(derive_seed(seed, *FLOW_STATISTIC), int(n_paths), len(f),
                                PATH_BLOCK_SIZE)
-    for _, sl in blocks(len(z), PATH_BLOCK_SIZE):
-        yield sl, posterior_weights(mean + z[sl] @ r)
+    return posterior_weights(mean + z @ r)
 
 
 def price_schedule(pi: np.ndarray, family: PayoffFamily) -> np.ndarray:

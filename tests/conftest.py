@@ -25,7 +25,7 @@ from adkyle import (
 import adkyle._rng
 from adkyle._rng import FLOW_STATISTIC, derive_seed, standard_normal_matrix
 from adkyle.kernel import centering_matrix
-from adkyle.orderflow import PATH_BLOCK_SIZE, posterior_blocks
+from adkyle.orderflow import PATH_BLOCK_SIZE, flow_posterior
 from adkyle.posterior import _check_alpha_bar
 
 # Exact fixed point of the binary moment equation: the scaled-posterior map
@@ -87,9 +87,9 @@ def statistic_shocks(w_tilde, noise, grid, seed, n_paths):
     """(n_paths, n-1) shocks whose projections are the order-flow statistic's draws.
 
     With A = sigma sqrt(h) (W_tilde / sigma^2)[:, :-1] and A^T = Q R, the shocks
-    z @ Q^T project to z @ Q^T @ A^T = z @ R, the noise that the block loop adds
+    z @ Q^T project to z @ Q^T @ A^T = z @ R, the noise that flow_posterior adds
     to each path's log-likelihoods.  A reference that filters full increments
-    built on these shocks must match the block loop to rounding.
+    built on these shocks must match flow_posterior to rounding.
     """
     f = (w_tilde / np.square(noise.sigma))[:, :-1]
     q, _ = np.linalg.qr((noise.sigma[:-1] * math.sqrt(grid.h) * f).T)
@@ -115,9 +115,9 @@ def impact_from_paths(x_values, y_values, w_star, family, noise, grid, n_paths, 
     truths = range(family.I) if conditioned_on is None else [conditioned_on]
     per_path = np.zeros((n_paths, len(ix), len(iy)))
     for t in truths:
-        for sl, pi in posterior_blocks(w_star, noise, grid, seed, n_paths, w_row=w_star[t]):
-            per_path[sl] += (np.einsum("mi,ik,il->mkl", pi, a, b)
-                             - (pi @ a)[:, :, None] * (pi @ b)[:, None, :]) / len(truths)
+        pi = flow_posterior(w_star, noise, grid, seed, n_paths, w_row=w_star[t])
+        per_path += (np.einsum("mi,ik,il->mkl", pi, a, b)
+                     - (pi @ a)[:, :, None] * (pi @ b)[:, None, :]) / len(truths)
     if n_paths == 1:
         return per_path[0], np.zeros_like(per_path[0])
     return per_path.mean(axis=0), per_path.std(axis=0, ddof=1) / math.sqrt(n_paths)

@@ -153,11 +153,11 @@ def test_a_shift_common_to_every_signal_moves_no_price(
     assert abs(rep.fd_total) < 1e-9
 
 
-def test_each_block_takes_one_softmax(
+def test_each_call_takes_one_softmax(
     mean_shift_demand, mean_shift_family, unit_noise, grid, monkeypatch
 ):
-    # the +-eps posteriors reweight the block's base posterior: one (m, I) softmax per
-    # block, whatever the number of directions
+    # one (n_paths, I) base posterior per call, across every Philox block of the statistic
+    # and whatever the number of directions: the +-eps posteriors reweight it
     import adkyle.orderflow
 
     shapes, real = [], adkyle.orderflow.posterior_weights
@@ -172,10 +172,13 @@ def test_each_block_takes_one_softmax(
     _, _, w_star = mean_shift_demand
     basis = zero_impact_basis(w_star, unit_noise, grid)
     stack = np.stack([w_star[0], mean_shift_family.eta[0], basis[0]])
+    args = (w_star, mean_shift_family, 0, unit_noise, grid)
     n_paths = 2 * PATH_BLOCK_SIZE + 100
-    foc_terms(w_star[0], stack, w_star, mean_shift_family, 0, unit_noise, grid,
-              n_paths=n_paths, seed=23)
-    assert shapes == [(PATH_BLOCK_SIZE, 2), (PATH_BLOCK_SIZE, 2), (100, 2)]
+    foc_terms(w_star[0], stack, *args, n_paths=n_paths, seed=23)
+    assert shapes == [(n_paths, 2)]
+    shapes.clear()
+    expected_utility(w_star[0], *args, n_paths=n_paths, seed=23)
+    assert shapes == [(n_paths, 2)]
 
 
 def test_zero_demand_earns_zero(mean_shift_demand, mean_shift_family, unit_noise, grid):
@@ -292,8 +295,8 @@ def _foc_from_full_paths(w_row, v, w_tilde, family, true_index, noise, grid, n_p
 
 @pytest.mark.parametrize("means", [[-1.0, 1.0], [-1.5, -0.5, 0.5, 1.5]])
 def test_projection_estimator_matches_full_path_reference(means, grid):
-    # the block loop works on I projections per path; the full-increment
-    # reference must agree to rounding, across three blocks and a partial one
+    # flow_posterior works on I projections per path; the full-increment
+    # reference must agree to rounding, across three stream blocks and a partial one
     family = make_payoff_family("gaussian_mean_shift", {"means": means, "sd": 1.0}, grid)
     noise = NoiseProfile(sigma=1.0 + 0.05 * (grid.nodes - grid.x_min))
     w_star = candidate_demand(build_canonical_kernel(family, noise, grid), family)
@@ -310,3 +313,15 @@ def test_projection_estimator_matches_full_path_reference(means, grid):
         scale = max(abs(ref[k]) for k in ("payoff_term", "adverse_selection_term", "impact_term"))
         for name, value in ref.items():
             assert getattr(rep, name) == pytest.approx(value, rel=1e-10, abs=1e-10 * scale), name
+
+
+@pytest.mark.parametrize("n_paths", [0, -3])
+def test_non_positive_path_count_is_rejected(n_paths, mean_shift_demand, mean_shift_family,
+                                             unit_noise, grid):
+    # the order-flow check comes before any array is sized by n_paths
+    _, _, w_star = mean_shift_demand
+    args = (w_star, mean_shift_family, 0, unit_noise, grid)
+    with pytest.raises(ValueError, match="adkyle.orderflow: n_paths must be positive"):
+        foc_terms(w_star[0], w_star[1], *args, n_paths=n_paths, seed=0)
+    with pytest.raises(ValueError, match="adkyle.orderflow: n_paths must be positive"):
+        expected_utility(w_star[0], *args, n_paths=n_paths, seed=0)

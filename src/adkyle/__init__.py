@@ -25,7 +25,6 @@ from .kernel import (
     centering_matrix,
     exchangeability_scale,
     gram_matrix,
-    sqrt_and_pinv,
 )
 from .posterior import posterior_covariance, true_belief_moments
 from .equilibrium import (
@@ -66,7 +65,6 @@ __all__ = [
     "centering_matrix",
     "exchangeability_scale",
     "gram_matrix",
-    "sqrt_and_pinv",
     "posterior_covariance",
     "true_belief_moments",
     "Equilibrium",

@@ -122,7 +122,7 @@ def _pipeline(cfg: RunConfig):
 def _solved(cfg: RunConfig):
     grid, noise, family, kern = _pipeline(cfg)
     eq = solve_alpha_star(kern.I, phi_tol=cfg.phi_tol, width_tol=cfg.width_tol)
-    _, w_star = equilibrium_demand(eq, kern, family)
+    w_star = equilibrium_demand(eq, kern, family, noise)
     return grid, noise, family, kern, eq, w_star
 
 
@@ -256,7 +256,7 @@ def cmd_verify_foc(args, cfg: RunConfig):
 
 def cmd_kernel_dump(args, cfg: RunConfig):
     grid, noise, family, kern = _pipeline(cfg)
-    names, I = ("K", "Q", "L", "L_pinv"), kern.I
+    names, I = ("K", "Q"), kern.I
     row_idx = np.tile(np.repeat(np.arange(I), I), len(names)).tolist()
     col_idx = np.tile(np.arange(I), I * len(names)).tolist()
     values = np.concatenate([getattr(kern, name).ravel() for name in names]).tolist()
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ksub = sub.add_parser("kernel", help="kernel inspection").add_subparsers(
         dest="kernel_command", required=True)
-    command(ksub, "dump", "dump K, Q, L, L_pinv and scalars to CSV", cmd_kernel_dump,
+    command(ksub, "dump", "dump K, Q and scalars to CSV", cmd_kernel_dump,
             "kernel dump")
     psub = sub.add_parser("posterior", help="posterior inspection").add_subparsers(
         dest="posterior_command", required=True)

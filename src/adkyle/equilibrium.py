@@ -10,11 +10,10 @@ Phi = E[(1 - q_t)(1 - alpha_bar^2 q_t)]: 1 - 1/I > 0 at zero and negative for
 large alpha_bar.  The law of q_t depends on alpha_bar and I alone, so Phi is a
 deterministic function, integrated by posterior.true_belief_moments; a doubling
 bracket plus ITP steps (Oliveira & Takahashi 2020) pin its root, which depends
-only on I.  The demand map is then assembled from the kernel square root, for
-an exchangeable kernel (QKQ = cQ) only:
+only on I.  For an exchangeable kernel (QKQ = cQ) the demand is the multi-asset
+Kyle demand (Caballe & Krishnan 1994), which trades more where noise is larger:
 
-    beta(s_i) = alpha_bar_star * L_pinv Q e_i,
-    W(x, s_i) = sum_u beta(s_i)[u] * eta(x, s_u).
+    W(x, s_i) = sigma(x)^2 * (alpha_bar_star / sqrt(c)) * (eta(x, s_i) - eta_bar(x)).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import RANK_TOL, CanonicalKernel
-from .model import PayoffFamily
+from .model import NoiseProfile, PayoffFamily, prior_mixture
 from .posterior import QUAD_TOL, true_belief_moments
 
 _ERR = "adkyle.equilibrium"
@@ -33,7 +32,6 @@ _ERR = "adkyle.equilibrium"
 PHI_TOL = 1e-4      # |Phi| at the reported root
 WIDTH_TOL = 1e-6    # bracket width at the reported root
 BRACKET_CAP = 2.0 ** 20
-RANGE_TOL = 1e-8    # relative residual allowed in the demand rank check
 
 
 @dataclass(frozen=True)
@@ -135,37 +133,30 @@ def solve_alpha_star(I: int, phi_tol: float = PHI_TOL,
 
 
 def equilibrium_demand(
-    eq: Equilibrium, kern: CanonicalKernel, family: PayoffFamily
-) -> tuple[np.ndarray, np.ndarray]:
-    """Demand coefficients and demand surface implied by a solved equilibrium.
+    eq: Equilibrium, kern: CanonicalKernel, family: PayoffFamily, noise: NoiseProfile
+) -> np.ndarray:
+    """Demand surface of a solved equilibrium, I x n: row i is the schedule x -> W(x, s_i).
 
-    Returns:
-        (beta_star, W_star): beta_star is I x I with column i the coefficients
-        of the demand given s_i over the payoff dictionary; W_star is I x n
-        with row i the demand schedule x -> W(x, s_i).  The Gram matrix of the
-        rows is alpha_star^2 Q.
+    W_i = sigma^2 (alpha_star / sqrt(c)) (eta_i - eta_bar), eta_bar the prior mixture.
+    Its sigma-Gram (alpha_star^2 / c) QKQ = alpha_star^2 Q gives the posterior the
+    canonical law at alpha_star, and W_i / sigma^2 lies in the span of the payoff
+    rows, as the insider's first-order condition asks in every direction.
 
     Raises:
-        ValueError: if the kernel is not exchangeable, so the scalar reduction
-            does not apply; degenerate (c ~ 0); or cannot represent the
-            centered directions (range deficiency), i.e. L L_pinv Q e_i != Q e_i.
+        ValueError: if the kernel is degenerate (c <= RANK_TOL * max diag K);
+            not exchangeable, so the scalar reduction does not apply; or its
+            signal count differs from the equilibrium's or the family's.
     """
+    if not kern.c > RANK_TOL * np.max(np.diag(kern.K)):  # NaN compares False
+        raise ValueError(f"{_ERR}: degenerate kernel, c={kern.c:.3e} has no signal content")
     if not kern.exchangeable:
         raise ValueError(f"{_ERR}: kernel is not exchangeable (QKQ deviates from cQ); "
                          "the scalar reduction does not apply")
-    if kern.c <= RANK_TOL:
-        raise ValueError(f"{_ERR}: degenerate kernel, c={kern.c:.3e} has no signal content")
     if eq.I != kern.I or family.I != kern.I:
         raise ValueError(f"{_ERR}: signal-count mismatch between equilibrium, kernel, family")
-    Q = kern.Q
-    resid = kern.L @ (kern.L_pinv @ Q) - Q
-    if np.max(np.abs(resid)) > RANGE_TOL:
-        raise ValueError(
-            f"{_ERR}: rank deficiency, kernel range does not span the centered directions"
-        )
-    beta_star = eq.alpha_star * (kern.L_pinv @ Q)
-    W_star = beta_star.T @ family.eta
-    return beta_star, W_star
+    # the scalar times sigma^2 first: doubling sigma quadruples c and doubles W exactly
+    return eq.alpha_star / math.sqrt(kern.c) * np.square(noise.sigma) * (
+        family.eta - prior_mixture(family))
 
 
 def kyle_single_asset(sigma_v: float, sigma_eps: float) -> KyleBenchmark:

@@ -20,6 +20,7 @@ from adkyle import (
     build_state_grid,
     equilibrium_demand,
     make_payoff_family,
+    prior_mixture,
     solve_alpha_star,
 )
 import adkyle._rng
@@ -73,14 +74,15 @@ def exact_binary_equilibrium(kern):
     return Equilibrium(alpha_star=ALPHA_STAR_BINARY, I=kern.I, phi_residual=0.0)
 
 
-def candidate_demand(kern, family):
+def candidate_demand(kern, family, noise):
     """Demand rows at the binary root, built as equilibrium_demand builds them.
 
     The same operations in the same order, so the rows match equilibrium_demand's
     bit for bit; but the kernel need not be exchangeable, for tests that only
     need candidate rows, not an equilibrium.
     """
-    return (ALPHA_STAR_BINARY * (kern.L_pinv @ kern.Q)).T @ family.eta
+    scale = ALPHA_STAR_BINARY / math.sqrt(kern.c)
+    return scale * np.square(noise.sigma) * (family.eta - prior_mixture(family))
 
 
 def statistic_shocks(w_tilde, noise, grid, seed, n_paths):
@@ -124,10 +126,9 @@ def impact_from_paths(x_values, y_values, w_star, family, noise, grid, n_paths, 
 
 
 @pytest.fixture(scope="session")
-def mean_shift_demand(mean_shift_kernel, mean_shift_family):
+def mean_shift_demand(mean_shift_kernel, mean_shift_family, unit_noise):
     eq = exact_binary_equilibrium(mean_shift_kernel)
-    beta, w_star = equilibrium_demand(eq, mean_shift_kernel, mean_shift_family)
-    return eq, beta, w_star
+    return eq, equilibrium_demand(eq, mean_shift_kernel, mean_shift_family, unit_noise)
 
 
 @pytest.fixture(scope="session")

@@ -67,7 +67,7 @@ def _exact_demand(kind="gaussian_mean_shift"):
     if key not in _cache:
         grid, noise, fam, kern = _setup(kind)
         eq = exact_binary_equilibrium(kern)
-        _, w_star = equilibrium_demand(eq, kern, fam)
+        w_star = equilibrium_demand(eq, kern, fam, noise)
         _cache[key] = w_star
     return _cache[key]
 
@@ -77,7 +77,7 @@ def _solved_demand():
     if "solved" not in _cache:
         grid, noise, fam, kern = _setup()
         eq = solve_alpha_star(kern.I)
-        _, w_star = equilibrium_demand(eq, kern, fam)
+        w_star = equilibrium_demand(eq, kern, fam, noise)
         _cache["solved"] = (eq, w_star)
     return _cache["solved"]
 
@@ -275,7 +275,7 @@ def test_a10_family_and_noise_invariance():
         demands = []
         for scaled in (noise, NoiseProfile(2.0 * noise.sigma)):
             kern = build_canonical_kernel(fam, scaled, grid)
-            _, w_star = equilibrium_demand(eq, kern, fam)
+            w_star = equilibrium_demand(eq, kern, fam, scaled)
             gram = np.array([[weighted_inner_product(a, b, scaled, grid) for b in w_star]
                              for a in w_star])
             gap = max(gap, float(np.abs(gram - eq.alpha_star**2 * kern.Q).max()))

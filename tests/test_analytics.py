@@ -32,7 +32,7 @@ ORACLE_DRAWS = 100_000
 def variance_demand(variance_family, unit_noise, grid):
     kern = build_canonical_kernel(variance_family, unit_noise, grid)
     eq = exact_binary_equilibrium(kern)
-    _, w_star = equilibrium_demand(eq, kern, variance_family)
+    w_star = equilibrium_demand(eq, kern, variance_family, unit_noise)
     return w_star
 
 
@@ -51,7 +51,7 @@ def both_estimates(x_values, y_values, w_star, family, noise, grid, seed):
 
 
 def test_own_impact_is_positive(mean_shift_demand, mean_shift_family, unit_noise, grid):
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     for value, std_err in both_estimates([1.0], [1.0], w_star, mean_shift_family, unit_noise,
                                          grid, seed=5):
         assert value.item() > SIGN_SIGMAS * std_err.item()
@@ -62,7 +62,7 @@ def test_impact_vanishes_where_demand_is_flat(
 ):
     # symmetric mean-shift demand crosses zero at the midpoint, so impact
     # sourced there is indistinguishable from zero
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     for value, std_err in both_estimates([1.0], [0.0], w_star, mean_shift_family, unit_noise,
                                          grid, seed=5):
         assert abs(value.item()) <= SIGN_SIGMAS * std_err.item() + NULL_FLOOR
@@ -71,7 +71,7 @@ def test_impact_vanishes_where_demand_is_flat(
 def test_opposite_tails_carry_negative_impact(
     mean_shift_demand, mean_shift_family, unit_noise, grid
 ):
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     for value, std_err in both_estimates([2.0], [-2.0], w_star, mean_shift_family, unit_noise,
                                          grid, seed=5):
         assert value.item() < -SIGN_SIGMAS * std_err.item()
@@ -96,7 +96,7 @@ def test_conditioning_changes_the_estimate(unit_noise, grid):
     for means, sd in (([-1.0, 1.0], 1.0), ([-4.2, -1.4, 1.4, 4.2], 0.35)):
         family = make_payoff_family("gaussian_mean_shift", {"means": means, "sd": sd}, grid)
         kern = build_canonical_kernel(family, unit_noise, grid)
-        _, w_star = equilibrium_demand(exact_binary_equilibrium(kern), kern, family)
+        w_star = equilibrium_demand(exact_binary_equilibrium(kern), kern, family, unit_noise)
         args = (points, points, w_star, family, unit_noise, grid)
         mixed, errs = impact_surface(*args)
         given, _ = impact_surface(*args, conditioned_on=1)
@@ -109,7 +109,7 @@ def test_conditioning_changes_the_estimate(unit_noise, grid):
 def test_one_path_has_zero_standard_errors(mean_shift_demand, mean_shift_family, unit_noise,
                                            grid):
     # one path has no spread, as in mean_and_std_err: the oracle reports 0, not NaN
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     points = grid.nodes[::40]
     for seed in range(5):
         values, errs = impact_from_paths(points, points, w_star, mean_shift_family, unit_noise,
@@ -121,7 +121,7 @@ def test_one_path_has_zero_standard_errors(mean_shift_demand, mean_shift_family,
 def test_surface_agrees_with_pointwise_estimates(
     mean_shift_demand, mean_shift_family, unit_noise, grid
 ):
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     points = np.array([-1.0, 1.0])
     args = (w_star, mean_shift_family, unit_noise, grid)
     values, errs = impact_from_paths(points, points, *args, n_paths=4000, seed=5)
@@ -164,7 +164,7 @@ def test_surface_matches_full_path_reference(means, conditioned_on, grid):
     # signal-invariant source x = 0, where Lambda vanishes
     family = make_payoff_family("gaussian_mean_shift", {"means": means, "sd": 1.0}, grid)
     noise = NoiseProfile(sigma=1.0 + 0.05 * (grid.nodes - grid.x_min))
-    w_star = candidate_demand(build_canonical_kernel(family, noise, grid), family)
+    w_star = candidate_demand(build_canonical_kernel(family, noise, grid), family, noise)
     w_star *= np.linspace(0.8, 1.2, family.I)[:, None]  # unequal norms: the Gram diagonal counts
     points = np.array([-2.0, -1.0, 0.0, 0.52, 2.0])
     n_paths, seed = 3 * PATH_BLOCK_SIZE + 100, 13
@@ -179,7 +179,7 @@ def test_surface_matches_full_path_reference(means, conditioned_on, grid):
 def test_non_equilibrium_demand_is_rejected(mean_shift_demand, mean_shift_family, unit_noise,
                                             grid):
     # unequal row norms: the order-flow posterior no longer has the canonical law
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     scaled = w_star * np.linspace(0.8, 1.2, mean_shift_family.I)[:, None]
     with pytest.raises(ValueError, match="adkyle.analytics: demand Gram deviates"):
         impact_surface([1.0], [1.0], scaled, mean_shift_family, unit_noise, grid)
@@ -196,7 +196,7 @@ def test_surface_mean_equals_the_canonical_posterior_covariance(means, sd, condi
     family = make_payoff_family("gaussian_mean_shift", {"means": means, "sd": sd}, grid)
     kern = build_canonical_kernel(family, unit_noise, grid)
     eq = solve_alpha_star(kern.I)
-    _, w_star = equilibrium_demand(eq, kern, family)
+    w_star = equilibrium_demand(eq, kern, family, unit_noise)
     points = np.array([-1.4, 0.52, 1.4, 4.2])
     args = (points, points, w_star, family, unit_noise, grid)
     closed, bound = impact_surface(*args, conditioned_on=conditioned_on)
@@ -223,7 +223,7 @@ def test_surface_mean_equals_the_canonical_posterior_covariance(means, sd, condi
 def test_conditioning_out_of_range_is_rejected(conditioned_on, mean_shift_demand,
                                                mean_shift_family, unit_noise, grid):
     # a negative index must not wrap to signal I - 1, nor a large one end in IndexError
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     args = (w_star, mean_shift_family, unit_noise, grid)
     with pytest.raises(ValueError, match="adkyle.analytics: conditioned_on"):
         impact_surface([1.0], [1.0], *args, conditioned_on=conditioned_on)
@@ -282,16 +282,17 @@ def test_efficiency_sweep_rows_equal_standalone_estimates(monkeypatch):
 
 
 def test_invariance_under_noise_doubling(mean_shift_family, unit_noise, grid):
-    # the root depends on I alone; doubling the noise quarters c, doubles the
+    # the root depends on I alone; doubling the noise quadruples c, halves the
     # raw coefficient alpha_star / sqrt(c) and doubles the demand, all exactly
+    doubled = NoiseProfile(2.0 * unit_noise.sigma)
     base, scaled = (build_canonical_kernel(mean_shift_family, noise, grid)
-                    for noise in (unit_noise, NoiseProfile(2.0 * unit_noise.sigma)))
+                    for noise in (unit_noise, doubled))
     eq_base, eq_scaled = solve_alpha_star(base.I), solve_alpha_star(scaled.I)
     assert eq_scaled.alpha_star == eq_base.alpha_star
     assert eq_scaled.ie == eq_base.ie
-    assert scaled.c == 0.25 * base.c
+    assert scaled.c == 4.0 * base.c
     assert (eq_scaled.alpha_star / math.sqrt(scaled.c)
-            == 2.0 * eq_base.alpha_star / math.sqrt(base.c))
-    _, w_base = equilibrium_demand(eq_base, base, mean_shift_family)
-    _, w_scaled = equilibrium_demand(eq_scaled, scaled, mean_shift_family)
+            == 0.5 * eq_base.alpha_star / math.sqrt(base.c))
+    w_base = equilibrium_demand(eq_base, base, mean_shift_family, unit_noise)
+    w_scaled = equilibrium_demand(eq_scaled, scaled, mean_shift_family, doubled)
     assert np.array_equal(w_scaled, 2.0 * w_base)

@@ -180,6 +180,19 @@ def test_verify_foc_passes_at_low_noise(cfg_file, tmp_path, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("level", ["1e-6", "1e-10", "1e-13"])
+def test_verify_foc_passes_on_sloped_low_noise(level, cfg_file, tmp_path, capsys):
+    # sigma rises from the level to level + 16: the demand scales with sigma^2, so every
+    # direction, the zero-impact one included, stays a best response at each level
+    cfg_file.write_text(FAST_CONFIG + f"noise.level = {level}\nnoise.slope = 1\n")
+    out = tmp_path / "foc"
+    assert main(["verify-foc", "-c", str(cfg_file), "-o", str(out)]) == 0
+    rows = read_rows(out / "foc_report.csv")
+    assert [(r[0], r[-1]) for r in rows[1:]] == [
+        ("own_demand", "pass"), ("payoff_row", "pass"), ("zero_impact", "pass")]
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_simulate_writes_path_outputs(cfg_file, tmp_path):
     out = tmp_path / "sim_out"
     code = main(
@@ -484,9 +497,35 @@ def test_non_exchangeable_family_exits_with_code_two(tmp_path, capsys):
     assert ["exchangeable", "0", "0", "0"] in read_rows(out / "kernel.csv")
 
 
+# (config, exchangeable): relative gaps max|QKQ - cQ| / c of 0.61 and 5.6e-8
+SCALE_FREE_CONFIGS = (
+    ("family.kind = gaussian_variance\nfamily.sds = 1, 1.5, 2\n", False),
+    ("grid.x_min = -10\ngrid.x_max = 10\ngrid.n = 501\n"
+     "family.means = -4.2, -1.4, 1.4, 4.2\nfamily.sd = 0.35\n", True),
+)
+
+
+def test_exchangeability_verdict_does_not_depend_on_the_noise_level(tmp_path, capsys):
+    # c scales with sigma^2, so an absolute tolerance on QKQ - cQ would pass any family
+    # at high noise and fail any at low noise; the test is relative to c
+    cfg = tmp_path / "run.cfg"
+    for text, exchangeable in SCALE_FREE_CONFIGS:
+        for level in ("1e-7", "1", "1e3"):
+            cfg.write_text(f"mc.seed = 3\nnoise.level = {level}\n{text}")
+            out = tmp_path / f"{exchangeable}_{level}"
+            assert main(["kernel", "dump", "-c", str(cfg), "-o", str(out)]) == 0
+            assert ["exchangeable", "0", "0", str(int(exchangeable))] in read_rows(
+                out / "kernel.csv")
+            capsys.readouterr()
+            assert main(["solve", "-c", str(cfg), "-o", str(out)]) == (0 if exchangeable else 2)
+            err = capsys.readouterr().err
+            assert (err == "") if exchangeable else err.startswith(
+                "error: adkyle.equilibrium: kernel is not exchangeable")
+
+
 def test_solve_is_invariant_to_noise_doubling(cfg_file, tmp_path):
-    # the root depends on I alone; doubling the noise quarters c and doubles
-    # alpha_raw = alpha_star / sqrt(c) and the demand, all exactly
+    # the root depends on I alone; doubling the noise quadruples c, halves
+    # alpha_raw = alpha_star / sqrt(c) and doubles the demand, all exactly
     runs = []
     for level in (1, 2):
         cfg_file.write_text(FAST_CONFIG.replace("grid.n = 101", "grid.n = 201")
@@ -497,8 +536,8 @@ def test_solve_is_invariant_to_noise_doubling(cfg_file, tmp_path):
                      (out / "solver_trace.csv").read_bytes(),
                      np.loadtxt(out / "demand_surface.csv", delimiter=",", skiprows=1)))
     (base, base_trace, base_demand), (scaled, scaled_trace, scaled_demand) = runs
-    assert float(scaled.pop("alpha_raw")) == 2.0 * float(base.pop("alpha_raw"))
-    assert float(scaled.pop("c")) == 0.25 * float(base.pop("c"))
+    assert float(scaled.pop("alpha_raw")) == 0.5 * float(base.pop("alpha_raw"))
+    assert float(scaled.pop("c")) == 4.0 * float(base.pop("c"))
     assert scaled == base  # alpha_star, phi_residual, alpha_std_err, bracket_hi, n_*
     assert scaled_trace == base_trace
     assert np.array_equal(scaled_demand[:, 0], base_demand[:, 0])
@@ -630,7 +669,7 @@ def test_kernel_dump_and_posterior_probe(cfg_file, tmp_path):
     kern_rows = read_rows(out / "kernel.csv")
     assert kern_rows[0] == ["matrix", "row", "col", "value"]
     names = {r[0] for r in kern_rows[1:]}
-    assert {"K", "Q", "L", "c"} <= names
+    assert names == {"K", "Q", "c", "exchangeable", "rank_tol"}
     assert kern_rows[-1] == ["rank_tol", "0", "0", "1e-10"]
 
     out2 = tmp_path / "p"

@@ -17,10 +17,11 @@ from adkyle import (
     solve_alpha_star,
     true_belief_moments,
     weighted_inner_product,
+    zero_impact_basis,
 )
 import adkyle.equilibrium
 import adkyle.posterior
-from adkyle.cli import main
+from adkyle.cli import _solved, main
 from adkyle.config import config_family, config_grid, config_noise, parse_config_text
 from adkyle.equilibrium import BRACKET_CAP, WIDTH_TOL
 from adkyle.kernel import RANK_TOL
@@ -216,7 +217,7 @@ def test_root_is_kernel_independent_for_exchangeable_kernels(solved_mean_shift):
 def test_demand_gram_recovers_scaled_centering(
     mean_shift_demand, mean_shift_kernel, unit_noise, grid
 ):
-    eq, beta, w_star = mean_shift_demand
+    eq, w_star = mean_shift_demand
     I = w_star.shape[0]
     gram = np.array(
         [
@@ -229,14 +230,41 @@ def test_demand_gram_recovers_scaled_centering(
 
 
 def test_demand_rows_sum_to_zero(mean_shift_demand):
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     assert np.abs(w_star.sum(axis=0)).max() < 1e-13
 
 
 def test_demand_shapes(mean_shift_demand, grid):
-    _, beta, w_star = mean_shift_demand
-    assert beta.shape == (2, 2)
+    _, w_star = mean_shift_demand
     assert w_star.shape == (2, grid.n)
+
+
+BEST_RESPONSE_TOL = 1e-10
+BEST_RESPONSE_CONFIGS = {
+    "variance": "family.kind = gaussian_variance\nfamily.sds = 1, 1.5\n",
+    "sloped_mean_shift": "noise.slope = 1\n",
+    "sloped_variance": "family.kind = gaussian_variance\nnoise.slope = 0.3\n",
+    "sloped_skew": "family.kind = skew_normal\nfamily.shapes = 4, -4\nnoise.slope = 0.05\n",
+}
+
+
+@pytest.mark.parametrize("name", BEST_RESPONSE_CONFIGS)
+def test_demand_is_the_insiders_best_response(name):
+    # E[payoff - adverse selection - impact | t = 0] in closed form: the canonical law at
+    # alpha_star gives E[q | t] (true_belief_moments) and E[C | t] (posterior_covariance).
+    # The first-order condition must hold in every direction, not only along the demand;
+    # unequal Gram row sums and sloped noise are where W must scale with sigma^2
+    cfg = parse_config_text("mc.seed = 7\ngrid.n = 401\n" + BEST_RESPONSE_CONFIGS[name])
+    grid, noise, family, _, eq, w_star = _solved(cfg)
+    not_true, _ = true_belief_moments(eq.alpha_star, family.I)
+    belief = np.array([1.0 - not_true] + [not_true / (family.I - 1)] * (family.I - 1))
+    cov = posterior_covariance(eq.alpha_star, family.I, 0)
+    eta_w = family.eta @ (grid.quad_weights * w_star[0])
+    for v in (family.eta[0], zero_impact_basis(w_star, noise, grid)[0]):
+        trade_v = grid.quad_weights * v
+        d = np.array([weighted_inner_product(v, row, noise, grid) for row in w_star])
+        residual = trade_v @ family.eta[0] - belief @ (family.eta @ trade_v) - eta_w @ cov @ d
+        assert abs(residual) <= BEST_RESPONSE_TOL
 
 
 def test_solver_rejects_non_exchangeable_kernels(grid, unit_noise):
@@ -250,7 +278,7 @@ def test_solver_rejects_non_exchangeable_kernels(grid, unit_noise):
     fam = make_payoff_family("tabulated", {"x": grid.nodes, "eta": rows}, grid)
     kern = build_canonical_kernel(fam, unit_noise, grid)
     with pytest.raises(ValueError, match="adkyle.equilibrium: kernel is not exchangeable"):
-        equilibrium_demand(solve_alpha_star(kern.I), kern, fam)
+        equilibrium_demand(solve_alpha_star(kern.I), kern, fam, unit_noise)
 
 
 @pytest.mark.parametrize("I", [2, 4, 6, 8, 64])
@@ -275,13 +303,16 @@ def test_solver_evaluation_budget_and_trace(I, monkeypatch):
     assert eq.ie == 1.0 - real(eq.alpha_star, I)[0]
 
 
-@pytest.mark.parametrize("c", [0.0, RANK_TOL])
-def test_solver_rejects_a_degenerate_kernel(c, mean_shift_kernel, mean_shift_family):
-    # exchangeable, but c at or below the rank cutoff carries no signal
-    kern = dataclasses.replace(mean_shift_kernel, c=c)
+@pytest.mark.parametrize("cutoff", [0.0, RANK_TOL])
+def test_solver_rejects_a_degenerate_kernel(cutoff, mean_shift_kernel, mean_shift_family,
+                                            unit_noise):
+    # exchangeable, but c at or below the rank cutoff, relative to the largest
+    # diagonal entry of K, carries no signal
+    kern = dataclasses.replace(mean_shift_kernel,
+                               c=cutoff * float(np.max(np.diag(mean_shift_kernel.K))))
     assert kern.exchangeable
     with pytest.raises(ValueError, match="adkyle.equilibrium: degenerate kernel"):
-        equilibrium_demand(solve_alpha_star(kern.I), kern, mean_shift_family)
+        equilibrium_demand(solve_alpha_star(kern.I), kern, mean_shift_family, unit_noise)
 
 
 @pytest.mark.parametrize("I", [0, 1])

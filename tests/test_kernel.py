@@ -1,12 +1,9 @@
-"""Gram matrix, centering, exchangeability, and the kernel square root."""
+"""Gram matrix, centering, and exchangeability."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from adkyle import (
     NoiseProfile,
@@ -16,13 +13,10 @@ from adkyle import (
     exchangeability_scale,
     gram_matrix,
     make_payoff_family,
-    sqrt_and_pinv,
     weighted_inner_product,
 )
 
-MATRIX_DIMENSION = 5
 ABS_TOLERANCE = 1e-10
-REL_TOLERANCE = 1e-10
 PROJECTOR_TOLERANCE = 1e-12
 
 # closed-form Gram entries for unit-variance Gaussian rows at means -1, +1
@@ -30,12 +24,6 @@ PROJECTOR_TOLERANCE = 1e-12
 K_DIAG = 1.0 / (2.0 * math.sqrt(math.pi))          # 0.2820947917738781
 K_OFF = math.exp(-1.0) / (2.0 * math.sqrt(math.pi))  # 0.10377687435514868
 C_MEAN_SHIFT = 0.1783179174191889
-
-square_matrices = arrays(
-    np.float64,
-    (MATRIX_DIMENSION, MATRIX_DIMENSION),
-    elements=st.floats(min_value=-4.0, max_value=4.0),
-)
 
 
 def test_gram_matches_closed_form(mean_shift_kernel):
@@ -66,9 +54,10 @@ def test_gram_matrix_is_bitwise_the_pairwise_inner_products(kind, params, n, slo
     family = make_payoff_family(kind, params, grid)
     noise = NoiseProfile(1.0 + slope * (grid.nodes - grid.x_min))
     K = gram_matrix(family, noise, grid)
+    weights = grid.quad_weights * np.square(noise.sigma)
     for i in range(family.I):
         for j in range(family.I):
-            assert K[i, j] == weighted_inner_product(family.eta[i], family.eta[j], noise, grid)
+            assert K[i, j] == np.sum((family.eta[i] * family.eta[j]) * weights)
 
 
 def test_centering_matrix_is_projector():
@@ -106,40 +95,5 @@ def test_exchangeability_flags_asymmetric_kernels(grid, unit_noise):
 def test_build_canonical_kernel_assembles_consistent_pieces(mean_shift_kernel):
     kern = mean_shift_kernel
     assert kern.exchangeable
-    assert np.allclose(kern.L @ kern.L, kern.K, atol=1e-12)
-    # the pseudo-inverse must invert L on the range of Q
-    assert np.allclose(kern.L @ kern.L_pinv @ kern.Q, kern.Q, atol=1e-10)
-
-
-def test_sqrt_and_pinv_rejects_degenerate_input():
-    with pytest.raises(ValueError, match="adkyle.kernel"):
-        sqrt_and_pinv(np.zeros((3, 3)))
-
-
-@seed(1)
-@given(a=square_matrices)
-@settings(deadline=None, max_examples=40)
-def test_sqrt_and_pinv_reconstructs_psd_matrices(a):
-    M = a @ a.T + 1e-6 * np.eye(MATRIX_DIMENSION)
-    L, L_pinv = sqrt_and_pinv(M)
-    scale = np.abs(M).max()
-    assert np.allclose(L, L.T, atol=0.0)
-    assert np.allclose(L_pinv, L_pinv.T, atol=0.0)
-    assert np.allclose(L @ L, M, atol=REL_TOLERANCE * max(scale, 1.0))
-    # L_pinv L is the orthogonal projector onto the range of M
-    P = L_pinv @ L
-    assert np.allclose(P @ P, P, atol=1e-8)
-
-
-@seed(1)
-@given(a=square_matrices)
-@settings(deadline=None, max_examples=40)
-def test_sqrt_and_pinv_handles_rank_deficiency(a):
-    # rank-one PSD matrix: outer product of the first row with itself
-    v = a[0]
-    M = np.outer(v, v)
-    if np.abs(M).max() <= 0.0:
-        return
-    L, L_pinv = sqrt_and_pinv(M)
-    assert np.allclose(L @ L, M, atol=1e-8 * max(np.abs(M).max(), 1.0))
-    assert np.allclose(L @ L_pinv @ v, v, atol=1e-6 * max(np.abs(v).max(), 1.0))
+    assert np.array_equal(kern.Q, centering_matrix(kern.I))
+    assert (kern.c, kern.exchangeable) == exchangeability_scale(kern.K)

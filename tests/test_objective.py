@@ -31,7 +31,7 @@ FOC_PATHS = 5000
 def test_report_decomposition_is_internally_consistent(
     mean_shift_demand, mean_shift_family, unit_noise, grid
 ):
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     v = mean_shift_family.eta[0] - mean_shift_family.eta.mean(axis=0)
     rep = foc_terms(
         w_star[0], v, w_star, mean_shift_family, 0, unit_noise, grid,
@@ -48,7 +48,7 @@ def test_report_decomposition_is_internally_consistent(
 def test_decomposition_closes_against_finite_differences(
     mean_shift_demand, mean_shift_family, unit_noise, grid
 ):
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     x = grid.nodes
     rng = np.random.default_rng(5)
     for k in range(3):
@@ -69,7 +69,7 @@ def test_gradient_vanishes_at_the_fixed_point(
 ):
     # at the solved demand schedule, centered payoff perturbations are
     # first-order neutral
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     mbar = mean_shift_family.eta.mean(axis=0)
     for i in range(2):
         v = mean_shift_family.eta[i] - mbar
@@ -83,7 +83,7 @@ def test_gradient_vanishes_at_the_fixed_point(
 def test_zero_impact_basis_is_orthonormal_and_orthogonal(
     mean_shift_demand, unit_noise, grid
 ):
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     basis = zero_impact_basis(w_star, unit_noise, grid)
     assert basis.shape[0] >= 1
     for b in basis:
@@ -103,7 +103,7 @@ def test_zero_impact_basis_is_orthonormal_and_orthogonal(
 def test_impact_term_vanishes_along_zero_impact_directions(
     mean_shift_demand, mean_shift_family, unit_noise, grid
 ):
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     basis = zero_impact_basis(w_star, unit_noise, grid)
     rep = foc_terms(
         w_star[0], basis[0], w_star, mean_shift_family, 0, unit_noise, grid,
@@ -116,7 +116,7 @@ def test_direction_stack_equals_single_direction_calls(
     mean_shift_demand, mean_shift_family, unit_noise, grid
 ):
     # one pass over the shocks for all directions, bitwise the separate calls
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     basis = zero_impact_basis(w_star, unit_noise, grid)
     stack = np.stack([w_star[0], mean_shift_family.eta[0], basis[0]])
     args = (w_star, mean_shift_family, 0, unit_noise, grid)
@@ -131,7 +131,7 @@ def test_shift_past_the_spread_bound_is_rejected(
 ):
     # eps scales with |W|_inf: at 1e6 W, eps * F (v h) spreads by ~900 over the signals, so
     # a side's pi . u could underflow and its price pi . (u eta) / (pi . u) would be garbage
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     with pytest.raises(ValueError, match="finite-difference shift spread .* underflow"):
         foc_terms(
             1e6 * w_star[0], mean_shift_family.eta[0], w_star, mean_shift_family, 0,
@@ -145,7 +145,7 @@ def test_a_shift_common_to_every_signal_moves_no_price(
     # a common part 1e4 in the candidate schedules shifts every signal's log-likelihood by
     # ~950 along v = 1, past exp's range, and moves no posterior: each side keeps the base
     # price, and the unit payoff change less the unit price change leaves 0
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     rep = foc_terms(
         10.0 * w_star[0], np.ones(grid.n), w_star + 1e4, mean_shift_family, 0,
         unit_noise, grid, n_paths=2000, seed=0,
@@ -169,7 +169,7 @@ def test_each_call_takes_one_softmax(
     for name, module in list(sys.modules.items()):
         if name.startswith("adkyle") and getattr(module, "posterior_weights", None) is real:
             monkeypatch.setattr(module, "posterior_weights", counted)
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     basis = zero_impact_basis(w_star, unit_noise, grid)
     stack = np.stack([w_star[0], mean_shift_family.eta[0], basis[0]])
     args = (w_star, mean_shift_family, 0, unit_noise, grid)
@@ -182,7 +182,7 @@ def test_each_call_takes_one_softmax(
 
 
 def test_zero_demand_earns_zero(mean_shift_demand, mean_shift_family, unit_noise, grid):
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     mean, std_err = expected_utility(
         np.zeros(grid.n), w_star, mean_shift_family, 0, unit_noise, grid,
         n_paths=2000, seed=1,
@@ -196,7 +196,7 @@ def test_equilibrium_demand_beats_nearby_deviations(
 ):
     # common-shock comparison: scaling the demand schedule away from the
     # fixed point lowers expected profit
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     base, _ = expected_utility(
         w_star[0], w_star, mean_shift_family, 0, unit_noise, grid,
         n_paths=20_000, seed=29,
@@ -216,7 +216,8 @@ def test_shift_spread_does_not_move_with_the_noise_level(mean_shift_family, grid
     for level in (1.0, 1e-6):
         noise = NoiseProfile(sigma=np.full(grid.n, level))
         kern = build_canonical_kernel(mean_shift_family, noise, grid)
-        _, w_star = equilibrium_demand(exact_binary_equilibrium(kern), kern, mean_shift_family)
+        w_star = equilibrium_demand(exact_binary_equilibrium(kern), kern, mean_shift_family,
+                                    noise)
         stack = np.stack([w_star[0], mean_shift_family.eta[0],
                           zero_impact_basis(w_star, noise, grid)[0]])
         reports = foc_terms(w_star[0], stack, w_star, mean_shift_family, 0, noise, grid,
@@ -230,14 +231,14 @@ def test_shift_spread_does_not_move_with_the_noise_level(mean_shift_family, grid
 
 def test_zero_demand_row_is_rejected(mean_shift_demand, mean_shift_family, unit_noise, grid):
     # eps is relative to |W|_inf: a zero demand row leaves no step to take
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     with pytest.raises(ValueError, match="adkyle.objective: demand w_row"):
         foc_terms(np.zeros(grid.n), w_star[0], w_star, mean_shift_family, 0, unit_noise, grid,
                   n_paths=100, seed=0)
 
 
 def test_direction_must_be_nonzero(mean_shift_demand, mean_shift_family, unit_noise, grid):
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     with pytest.raises(ValueError, match="adkyle.objective"):
         foc_terms(
             w_star[0], np.zeros(grid.n), w_star, mean_shift_family, 0,
@@ -255,7 +256,7 @@ def test_direction_must_be_nonzero(mean_shift_demand, mean_shift_family, unit_no
 def test_signal_index_out_of_range_is_rejected(true_index, mean_shift_demand, mean_shift_family,
                                                unit_noise, grid):
     # a negative index must not wrap to signal I - 1, nor a large one end in IndexError
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     args = (w_star, mean_shift_family, true_index, unit_noise, grid)
     with pytest.raises(ValueError, match="adkyle.objective: true_index"):
         foc_terms(w_star[0], w_star[1], *args, n_paths=100, seed=0)
@@ -299,7 +300,7 @@ def test_projection_estimator_matches_full_path_reference(means, grid):
     # reference must agree to rounding, across three stream blocks and a partial one
     family = make_payoff_family("gaussian_mean_shift", {"means": means, "sd": 1.0}, grid)
     noise = NoiseProfile(sigma=1.0 + 0.05 * (grid.nodes - grid.x_min))
-    w_star = candidate_demand(build_canonical_kernel(family, noise, grid), family)
+    w_star = candidate_demand(build_canonical_kernel(family, noise, grid), family, noise)
     w_star *= np.linspace(0.8, 1.2, family.I)[:, None]  # unequal norms: the Gram diagonal counts
     bump = 0.4 * np.exp(-0.5 * np.square(grid.nodes - 0.7))
     directions = np.stack([w_star[0], family.eta[0], bump])
@@ -319,7 +320,7 @@ def test_projection_estimator_matches_full_path_reference(means, grid):
 def test_non_positive_path_count_is_rejected(n_paths, mean_shift_demand, mean_shift_family,
                                              unit_noise, grid):
     # the order-flow check comes before any array is sized by n_paths
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     args = (w_star, mean_shift_family, 0, unit_noise, grid)
     with pytest.raises(ValueError, match="adkyle.orderflow: n_paths must be positive"):
         foc_terms(w_star[0], w_star[1], *args, n_paths=n_paths, seed=0)

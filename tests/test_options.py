@@ -36,7 +36,7 @@ def test_quadratic_round_trip_error_is_one_step_squared():
 
 
 def test_decomposition_identity_at_the_pivot(mean_shift_demand, grid):
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     strip = bl_decompose(w_star[0], grid, k0=0.0)
     i0 = int(np.where(grid.nodes == strip.k0)[0][0])
     assert strip.bond + strip.k0 * strip.underlying == pytest.approx(
@@ -45,7 +45,7 @@ def test_decomposition_identity_at_the_pivot(mean_shift_demand, grid):
 
 
 def test_strike_ranges_partition_at_the_pivot(mean_shift_demand, grid):
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     strip = bl_decompose(w_star[0], grid, k0=0.0)
     assert strip.put_strikes.max() == strip.k0
     assert strip.call_strikes.min() == strip.k0
@@ -57,7 +57,7 @@ def test_strike_ranges_partition_at_the_pivot(mean_shift_demand, grid):
 
 
 def test_equilibrium_demand_round_trip(mean_shift_demand, grid):
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     for row in w_star:
         strip = bl_decompose(row, grid, k0=0.0)
         rec = bl_reconstruct(strip, grid)
@@ -65,7 +65,7 @@ def test_equilibrium_demand_round_trip(mean_shift_demand, grid):
 
 
 def test_pivot_must_be_an_interior_node(mean_shift_demand, grid):
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     interior = rf"adkyle.model: .* is not a grid node with index in \[1, {grid.n - 2}\]"
     for k0 in (grid.x_min, 0.017):
         with pytest.raises(ValueError, match=interior):
@@ -86,7 +86,7 @@ def test_signatures_of_the_three_families(
     for fam in (mean_shift_family, variance_family, skew_family):
         kern = build_canonical_kernel(fam, unit_noise, grid)
         eq = exact_binary_equilibrium(kern)
-        _, w_star = equilibrium_demand(eq, kern, fam)
+        w_star = equilibrium_demand(eq, kern, fam, unit_noise)
         got = tuple(demand_signature(row, fam, grid) for row in w_star)
         assert got == expected[fam.family_kind]
 
@@ -97,7 +97,7 @@ def test_flat_demand_has_flat_signature(mean_shift_family, grid):
 
 def test_signature_is_scale_invariant(mean_shift_demand, mean_shift_family, grid):
     # the probe threshold is relative, so rescaling cannot change the label
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     for row in w_star:
         label = demand_signature(row, mean_shift_family, grid)
         assert demand_signature(1e-6 * row, mean_shift_family, grid) == label

@@ -23,7 +23,7 @@ MEAN_CHECK_SIGMAS = 4.0
 
 
 def test_simulation_is_deterministic(mean_shift_demand, unit_noise, grid):
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     inc1, shocks1 = simulate_increments(w_star[0], unit_noise, grid, seed=13, n_paths=3)
     inc2, shocks2 = simulate_increments(w_star[0], unit_noise, grid, seed=13, n_paths=3)
     assert np.array_equal(inc1, inc2)
@@ -36,14 +36,14 @@ def test_simulation_is_deterministic(mean_shift_demand, unit_noise, grid):
 
 def test_simulated_batches_have_prefix_property(mean_shift_demand, unit_noise, grid):
     # growing the batch must not disturb earlier paths
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     inc_small, _ = simulate_increments(w_star[0], unit_noise, grid, seed=21, n_paths=5000)
     inc_large, _ = simulate_increments(w_star[0], unit_noise, grid, seed=21, n_paths=6000)
     assert np.array_equal(inc_small, inc_large[:5000])
 
 
 def test_increments_decompose_into_drift_and_shock(mean_shift_demand, unit_noise, grid):
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     inc, shocks = simulate_increments(w_star[1], unit_noise, grid, seed=3, n_paths=4)
     drift = w_star[1][:-1] * grid.h
     diffusion = unit_noise.sigma[:-1] * math.sqrt(grid.h) * shocks
@@ -54,7 +54,7 @@ def test_pathwise_posterior_matches_canonical_construction(
     mean_shift_demand, unit_noise, grid
 ):
     """The path filter is a deterministic function of one Gaussian summary."""
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     g = w_star / unit_noise.sigma
     sqh = math.sqrt(grid.h)
     inc, shocks = simulate_increments(w_star[0], unit_noise, grid, seed=500, n_paths=10)
@@ -227,7 +227,7 @@ def test_shifted_posterior_is_the_reweighted_base_posterior(I):
 
 
 def test_log_likelihoods_match_manual_formula(mean_shift_demand, unit_noise, grid):
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     inc, _ = simulate_increments(w_star[0], unit_noise, grid, seed=8, n_paths=1)
     ll = log_likelihoods(w_star, inc, unit_noise, grid)
     for i in range(2):
@@ -242,7 +242,7 @@ def test_market_profit_is_unbiased_for_insider_profit(
     mean_shift_demand, unit_noise, grid
 ):
     # E[market-maker profit functional] equals the insider cross profit
-    _, _, w_star = mean_shift_demand
+    _, w_star = mean_shift_demand
     target = weighted_inner_product(w_star[0], w_star[0], unit_noise, grid)
     inc, _ = simulate_increments(w_star[0], unit_noise, grid, seed=40_000, n_paths=2000)
     vals = inc @ (w_star[0] / np.square(unit_noise.sigma))[:-1]

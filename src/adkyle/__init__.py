@@ -40,7 +40,7 @@ from .orderflow import (
     price_schedule,
     simulate_increments,
 )
-from .objective import FocReport, expected_utility, foc_terms, zero_impact_basis
+from .objective import FocReport, foc_terms, zero_impact_basis
 from .analytics import (
     derivative_cross_impact,
     efficiency_sweep,
@@ -77,7 +77,6 @@ __all__ = [
     "price_schedule",
     "simulate_increments",
     "FocReport",
-    "expected_utility",
     "foc_terms",
     "zero_impact_basis",
     "derivative_cross_impact",

@@ -7,8 +7,8 @@ many paths follow it.
 
 Each stage draws its own stream (Random123, Salmon et al., SC'11), keyed on
 derive_seed(seed, *tag) with the tags below; no stage draws on the raw seed.
-The equilibrium solve, the efficiency sweep, `posterior probe` and `impact`
-draw nothing: they read one quadrature.
+Only `simulate` draws; the equilibrium solve, the efficiency sweep,
+`posterior probe`, `impact` and `verify-foc` read one quadrature.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 BLOCK_SIZE = 65536
 
 PATH_SHOCKS = (0, 1)      # simulate's (n_paths, n-1) Brownian shocks
-FLOW_STATISTIC = (0, 2)   # the (n_paths, I) normals behind the market maker's statistic
 
 
 def block_generator(seed: int, block_id: int) -> np.random.Generator:

@@ -28,6 +28,26 @@ SUBGRID_MIN = 9
 SWEEP_SIZES = (2, 4, 6, 8)
 
 
+def canonical_gram(w_star: np.ndarray, noise: NoiseProfile,
+                   grid: StateGrid) -> tuple[np.ndarray, float, float]:
+    """The demand's sigma-Gram G, alpha^2 = trace(G) / (I - 1) and gap = max|G - alpha^2 Q|.
+
+    An equilibrium demand has G = alpha^2 Q up to its family's exchangeability, and then
+    the posterior has the canonical law at alpha_bar = alpha.
+
+    Raises:
+        ValueError: gap above EXCHANGEABILITY_TOL alpha^2, not an equilibrium demand.
+    """
+    w_star = np.asarray(w_star, dtype=float)
+    gram = (w_star * (grid.quad_weights / np.square(noise.sigma))) @ w_star.T
+    alpha_sq = float(np.trace(gram)) / (len(gram) - 1)
+    gap = float(np.abs(gram - alpha_sq * centering_matrix(len(gram))).max())
+    if not gap <= EXCHANGEABILITY_TOL * alpha_sq:  # NaN compares False
+        raise ValueError(f"{_ERR}: demand Gram deviates from alpha^2 Q by {gap:.3e}; "
+                         "only an equilibrium demand has the canonical posterior law")
+    return gram, alpha_sq, gap
+
+
 def impact_surface(x_values: np.ndarray, y_values: np.ndarray, w_star: np.ndarray,
                    family: PayoffFamily, noise: NoiseProfile, grid: StateGrid,
                    conditioned_on: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -49,14 +69,8 @@ def impact_surface(x_values: np.ndarray, y_values: np.ndarray, w_star: np.ndarra
         raise ValueError(f"{_ERR}: conditioned_on {conditioned_on} out of range for I={I}")
     ix = np.array([grid.node(float(x)) for x in np.asarray(x_values)])
     iy = np.array([grid.node(float(y)) for y in np.asarray(y_values)])
-    w_star, var = np.asarray(w_star, dtype=float), np.square(noise.sigma)
-    gram = (w_star * (grid.quad_weights / var)) @ w_star.T
-    alpha_sq = float(np.trace(gram)) / (I - 1)
-    gap = float(np.abs(gram - alpha_sq * centering_matrix(I)).max())
-    if not gap <= EXCHANGEABILITY_TOL * alpha_sq:  # NaN compares False
-        raise ValueError(f"{_ERR}: demand Gram deviates from alpha^2 Q by {gap:.3e}; "
-                         "only an equilibrium demand has the canonical posterior law")
-    a, b = family.eta[:, ix], w_star[:, iy] / var[iy]
+    _, alpha_sq, _ = canonical_gram(w_star, noise, grid)
+    a, b = family.eta[:, ix], np.asarray(w_star, dtype=float)[:, iy] / np.square(noise.sigma[iy])
     a, b = a - a.mean(axis=0), b - b.mean(axis=0)
     bound = 3.0 * QUAD_TOL * np.outer(np.abs(a).sum(axis=0), np.abs(b).sum(axis=0))
     return a.T @ posterior_covariance(math.sqrt(alpha_sq), I, conditioned_on) @ b, bound

@@ -235,21 +235,19 @@ def cmd_options(args, cfg: RunConfig):
 
 
 def cmd_verify_foc(args, cfg: RunConfig):
-    grid, noise, family, _, _, w_star = _solved(cfg)
+    grid, noise, family, _, eq, w_star = _solved(cfg)
     basis = zero_impact_basis(w_star, noise, grid)
     names = ("own_demand", "payoff_row", "zero_impact")
-    reports = foc_terms(
-        w_star[0], np.stack([w_star[0], family.eta[0], basis[0]]), w_star, family, 0,
-        noise, grid, n_paths=cfg.n_paths, seed=cfg.seed,
-    )
+    reports = foc_terms(np.stack([w_star[0], family.eta[0], basis[0]]), w_star, family, 0,
+                        noise, grid, phi_residual=eq.phi_residual)
     rows, ok = [], True
     for name, rep in zip(names, reports):
-        passed = abs(rep.diff) <= 4.0 * rep.std_err_fd + 1e-6
+        passed = abs(rep.analytic_total) <= rep.residual_bound and abs(rep.diff) <= rep.fd_bound
         ok &= passed
         rows.append((name, *astuple(rep), "pass" if passed else "fail"))
-        print(f"verify-foc[{name}]: analytic={rep.analytic_total:+.6e} "
-              f"fd={rep.fd_total:+.6e} diff={rep.diff:+.2e} "
-              f"({'pass' if passed else 'FAIL'})")
+        print(f"verify-foc[{name}]: analytic={rep.analytic_total:+.2e} "
+              f"(bound {rep.residual_bound:.1e}) fd={rep.fd_total:+.2e} "
+              f"diff={rep.diff:+.2e} (bound {rep.fd_bound:.1e}) ({'pass' if passed else 'FAIL'})")
     header = ["direction", *(f.name for f in fields(FocReport)), "status"]
     return {"foc_report.csv": (header, zip(*rows))}, None, 0 if ok else 1
 
@@ -308,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     command(sub, "efficiency", "information-efficiency sweep over signal counts", cmd_efficiency)
     p = command(sub, "options", "option-strip decomposition and demand signatures", cmd_options)
     p.add_argument("--signal", type=int, default=0, help="signal row to decompose")
-    command(sub, "verify-foc", "check first-order conditions against finite differences",
-            cmd_verify_foc)
+    command(sub, "verify-foc", "check the first-order conditions in closed form and by "
+            "finite differences", cmd_verify_foc)
 
     ksub = sub.add_parser("kernel", help="kernel inspection").add_subparsers(
         dest="kernel_command", required=True)
@@ -344,8 +342,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print("error: adkyle.cli: out of memory; lower grid.n, mc.n_paths or --paths",
-              file=sys.stderr)
+        print("error: adkyle.cli: out of memory; lower grid.n or --paths", file=sys.stderr)
         return 2
     return status
 

@@ -16,13 +16,13 @@ import numpy as np
 from .analytics import SUBGRID_DEFAULT, SUBGRID_MIN
 from .equilibrium import PHI_TOL, WIDTH_TOL
 from .model import NoiseProfile, PayoffFamily, StateGrid, build_state_grid, make_payoff_family
-from .orderflow import DEFAULT_PATHS
 
 _ERR = "adkyle.config"
 
 DEFAULT_GRID_N = 401
 MIN_MOMENT_SAMPLES = 10_000  # mc.n_samples sizes no draw: it is range-checked and recorded
 DEFAULT_MOMENT_SAMPLES = 200_000
+DEFAULT_PATHS = 20_000  # mc.n_paths sizes no draw either: it is range-checked and recorded
 SEED_LIMIT = 2**64  # Philox keys take the seed as one 64-bit word
 COUNT_LIMIT = 2**40  # a float64 array this long is 8 TiB; no larger count can run
 

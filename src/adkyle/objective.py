@@ -7,16 +7,9 @@ The insider with signal s_t trading schedule W earns
 where P is the market maker's posterior-mean price curve.  Perturbing W by
 eps * v moves J through three channels: the direct payoff int v eta dx, the
 price paid int v P dx, and the price pressure of v on P via the likelihoods.
-foc_terms reports all three next to a central finite difference computed on
-the same shocks, so the comparison is exact up to discretization and O(eps^2)
-curvature rather than Monte Carlo noise.  Given a stack of directions it
-draws the order-flow statistic and takes the posterior pi once for all of them
-(common random numbers across directions as well as across the two sides of
-the difference).
-
-Every term works on I numbers per path: a trade's price is pi @ (eta @ trade),
-and the drift shift eps * v adds the same I-vector s = eps * F @ (v h) to every
-path's log-likelihoods, so its posterior is pi e^s / (pi . e^s), no new softmax.
+At an equilibrium demand the posterior has the canonical law, so foc_terms
+reports all three in closed form, from the solver's quadrature, next to a
+finite difference of J that is a quadrature too: nothing is drawn.
 """
 
 from __future__ import annotations
@@ -26,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytics import canonical_gram
 from .model import NoiseProfile, PayoffFamily, StateGrid, weighted_inner_product
-from .orderflow import DEFAULT_PATHS, LOG_LIK_SPREAD_MAX, flow_posterior, likelihood_weights
+from .posterior import QUAD_TOL, posterior_covariance, softmax_mean, true_belief_moments
 
 _ERR = "adkyle.objective"
 
@@ -37,162 +31,107 @@ GS_DROP_TOL = 1e-8    # relative residual below which a direction is dependent
 
 @dataclass(frozen=True)
 class FocReport:
-    """Directional first-order condition, analytic terms vs finite difference.
+    """Directional first-order condition: closed-form terms and a finite difference.
 
     Attributes:
-        payoff_term: int v eta(., s_t) dx (exact quadrature, no noise).
-        adverse_selection_term: E[int v P dx].
-        impact_term: E[int W Cov_post(eta(x, .), <v, W_tilde_.>_sigma) dx].
-        analytic_total: payoff - adverse_selection - impact.
-        fd_total: central difference (J(W+eps v) - J(W-eps v)) / (2 eps) on
-            common shocks.
-        fd_epsilon: step used for the central difference.
+        payoff_term: int v eta(., s_t) dx.
+        adverse_selection_term: E[int v P dx] = E[q | t] . (eta @ v).
+        impact_term: E[int W Cov_post(eta(x, .), <v, W_.>_sigma) dx] = eta_w^T E[C | t] d.
+        analytic_total: payoff - adverse_selection - impact, the first-order residual.
+        residual_bound: largest |analytic_total| an equilibrium demand can show: the
+            quadrature and exchangeability error of the terms and the solved root's Phi.
+        fd_total: Richardson extrapolation (4 fd(eps/2) - fd(eps)) / 3 of the central
+            differences fd(e) = (J(W + e v) - J(W - e v)) / (2 e).
+        fd_epsilon: the step eps.
         diff: analytic_total - fd_total.
-        std_err_diff: standard error of the per-path coupled residual; the
-            natural yardstick when the two estimators share shocks.
-        std_err_fd: standard error of fd_total as a plain Monte Carlo mean;
-            the yardstick for |fd_total| itself (e.g. stationarity checks).
-        n_paths: Monte Carlo paths.
+        fd_bound: largest |diff| the two quadratures allow, plus |fd(eps) - fd(eps/2)|.
     """
 
     payoff_term: float
     adverse_selection_term: float
     impact_term: float
     analytic_total: float
+    residual_bound: float
     fd_total: float
     fd_epsilon: float
     diff: float
-    std_err_diff: float
-    std_err_fd: float
-    n_paths: int
-
-
-def mean_and_std_err(draws: np.ndarray) -> tuple[float, float]:
-    """Sample mean of per-draw values and its standard error std / sqrt(m) (0 for m = 1)."""
-    std_err = float(draws.std(ddof=1) / math.sqrt(draws.size)) if draws.size > 1 else 0.0
-    return float(draws.mean()), std_err
-
-
-def _demand_row(grid: StateGrid, w_row: np.ndarray) -> np.ndarray:
-    w_row = np.asarray(w_row, dtype=float)
-    if w_row.shape != (grid.n,):
-        raise ValueError(f"{_ERR}: w_row must have length n={grid.n}")
-    return w_row
-
-
-def _true_payoff(family: PayoffFamily, true_index: int) -> np.ndarray:
-    if not 0 <= true_index < family.I:
-        raise ValueError(f"{_ERR}: true_index {true_index} out of range for I={family.I}")
-    return family.eta[true_index]
-
-
-def expected_utility(
-    w_row: np.ndarray,
-    w_tilde: np.ndarray,
-    family: PayoffFamily,
-    true_index: int,
-    noise: NoiseProfile,
-    grid: StateGrid,
-    n_paths: int = DEFAULT_PATHS,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of J(W) and its standard error.
-
-    The market maker prices with the candidate schedules w_tilde (I x n); the
-    insider actually trades w_row while the realized signal is true_index.
-    """
-    w_row = _demand_row(grid, w_row)
-    trade_w = grid.quad_weights * w_row  # quadrature-weighted trade sizes
-    payoff, eta_w = _true_payoff(family, true_index) @ trade_w, family.eta @ trade_w
-
-    pi = flow_posterior(w_tilde, noise, grid, seed, int(n_paths), w_row)
-    return mean_and_std_err(payoff - pi @ eta_w)
+    fd_bound: float
 
 
 def foc_terms(
-    w_row: np.ndarray,
     v_row: np.ndarray,
-    w_tilde: np.ndarray,
+    w_star: np.ndarray,
     family: PayoffFamily,
     true_index: int,
     noise: NoiseProfile,
     grid: StateGrid,
-    n_paths: int = DEFAULT_PATHS,
-    seed: int = 0,
+    phi_residual: float = 0.0,
 ) -> FocReport | list[FocReport]:
-    """Directional derivative of the insider objective, three ways decomposed.
+    """Directional derivative of the insider objective at the equilibrium demand w_star.
 
-    v_row is one direction (n,), giving one FocReport, or a stack (k, n),
-    giving k reports, each equal to the single-direction call.  The call
-    draws once and takes one softmax, the base posterior pi, for all directions;
-    each direction keeps its own matrix-vector products on pi.
+    The insider with signal t trades W = w_star[t], and the market maker prices with
+    w_star (I x n), whose sigma-Gram alpha^2 Q gives the posterior the canonical law at
+    alpha: E[q | t] comes from true_belief_moments and E[C | t] from posterior_covariance.
+    v_row is one direction (n,), giving one FocReport, or a stack (k, n), giving k
+    reports, each equal to the single-direction call.  phi_residual is Phi at the root
+    w_star was built from (0 for an exact root).
 
-    The impact channel uses the per-path posterior exactly (covariance over
-    the I signal atoms), so no nested simulation is required.  The finite
-    difference shifts the same log-likelihoods by s = +- eps * F @ (v h), the
-    drift shift +- eps * v; each side's price is pi . (u eta_side) / (pi . u)
-    with u = e^(s - max s), fixed per direction.  No re-simulation.
+    J(W + e v) is trade . eta_t - E[q] . (eta @ trade), with E[q] = E[softmax(mu + alpha xi)]
+    for mu_i = <W + e v, w_star_i>_sigma - |w_star_i|^2_sigma / 2 (softmax_mean).
 
     Raises:
-        ValueError: if w_row or a direction v is identically zero, or if the
-            spread of some eps * F @ (v h) over the signals exceeds
-            LOG_LIK_SPREAD_MAX (pi . u could underflow).
+        ValueError: a Gram of w_star not alpha^2 Q, a zero demand row or direction, or
+            true_index out of range.
     """
-    w_row = _demand_row(grid, w_row)
+    gram, alpha_sq, gap = canonical_gram(w_star, noise, grid)
+    I = len(gram)
+    if not 0 <= true_index < I:
+        raise ValueError(f"{_ERR}: true_index {true_index} out of range for I={I}")
     v = np.asarray(v_row, dtype=float)
     stacked = v.ndim == 2
     v = np.atleast_2d(v)
     if v.ndim != 2 or v.shape[1] != grid.n:
         raise ValueError(f"{_ERR}: v_row must have length n={grid.n}")
+    w_row = np.asarray(w_star, dtype=float)[true_index]
     w_max, v_max = float(np.max(np.abs(w_row))), np.max(np.abs(v), axis=1)
     if w_max == 0.0 or np.any(v_max == 0.0):
-        raise ValueError(f"{_ERR}: demand w_row or direction v is identically zero")
-    eps = FD_REL_EPS * w_max / v_max
+        raise ValueError(f"{_ERR}: demand row or direction v is identically zero")
 
-    eta, gw, eta_t = family.eta, grid.quad_weights, _true_payoff(family, true_index)
-    f, _ = likelihood_weights(w_tilde, noise, grid)
-    # Likelihood sensitivities d[k, i] = <v_k, W_tilde_i>_sigma, and the
-    # log-likelihood shift per unit eps of the left-point drift v_k h.
-    d = np.array([[weighted_inner_product(v_k, row, noise, grid) for row in w_tilde] for v_k in v])
-    dshift = np.array([f @ (v_k[:-1] * grid.h) for v_k in v])
-    trade_w, trade_v = gw * w_row, gw * v
-    trade_plus, trade_minus = gw * (w_row + eps[:, None] * v), gw * (w_row - eps[:, None] * v)
-    # eta @ trade as one matrix-vector product per direction: a stack is bitwise the single calls
-    eta_w = eta @ trade_w
-    eta_v, eta_plus, eta_minus = (np.array([eta @ t for t in trades])
-                                  for trades in (trade_v, trade_plus, trade_minus))
+    alpha = math.sqrt(alpha_sq)
+    not_true, _ = true_belief_moments(alpha, I)
+    belief = np.full(I, not_true / (I - 1))
+    belief[true_index] = 1.0 - not_true
+    cov = posterior_covariance(alpha, I, true_index)
+    eta, gw, eta_t = family.eta, grid.quad_weights, family.eta[true_index]
+    eta_w = eta @ (gw * w_row)
+    mu = gram[true_index] - 0.5 * np.diag(gram)
 
-    # u = e^(s - max s) for s = +-eps_k dshift_k: u <= 1 cannot overflow, and a shift spread
-    # within LOG_LIK_SPREAD_MAX keeps pi . u >= min u >= e^-LOG_LIK_SPREAD_MAX > 0
-    shift = eps[:, None] * dshift
-    worst = float(np.max(np.ptp(shift, axis=1)))
-    if not worst <= LOG_LIK_SPREAD_MAX:  # NaN compares False
-        raise ValueError(f"{_ERR}: finite-difference shift spread {worst:.1f} exceeds "
-                         f"{LOG_LIK_SPREAD_MAX}; posterior underflow")
-    u_plus = np.exp(shift - shift.max(axis=1, keepdims=True))
-    u_minus = np.exp(shift.min(axis=1, keepdims=True) - shift)
-    ue_plus, ue_minus = u_plus * eta_plus, u_minus * eta_minus
+    def objective(step: float, v_k: np.ndarray, d: np.ndarray) -> float:
+        trade = gw * (w_row + step * v_k)
+        return float(trade @ eta_t - softmax_mean(alpha, mu + step * d) @ (eta @ trade))
 
-    n_paths = int(n_paths)
-    pi = flow_posterior(w_tilde, noise, grid, seed, n_paths, w_row)
-    price_w = pi @ eta_w
+    def central(step: float, v_k: np.ndarray, d: np.ndarray) -> float:
+        return (objective(step, v_k, d) - objective(-step, v_k, d)) / (2.0 * step)
+
     reports = []
-    for k, e in enumerate(eps):
-        ad = pi @ eta_v[k]
-        # int W Cov_pi(eta(x, .), d) dx = pi . (d eta_w) - (pi . eta_w)(pi . d)
-        impact = pi @ (d[k] * eta_w) - price_w * (pi @ d[k])
-        profit_p = trade_plus[k] @ eta_t - (pi @ ue_plus[k]) / (pi @ u_plus[k])
-        profit_m = trade_minus[k] @ eta_t - (pi @ ue_minus[k]) / (pi @ u_minus[k])
-        fd = (profit_p - profit_m) / (2.0 * e)
-        payoff = float(np.dot(trade_v[k], eta_t))
-        analytic_per_path = payoff - ad - impact
-        diff, std_err_diff = mean_and_std_err(analytic_per_path - fd)
-        fd_total, std_err_fd = mean_and_std_err(fd)
+    for v_k, eps in zip(v, FD_REL_EPS * w_max / v_max):
+        d = np.array([weighted_inner_product(v_k, row, noise, grid) for row in w_star])
+        trade_v = gw * v_k
+        eta_v = eta @ trade_v
+        payoff, ad, impact = float(trade_v @ eta_t), float(belief @ eta_v), float(eta_w @ cov @ d)
+        analytic = payoff - ad - impact
+        # each E[q] entry is within QUAD_TOL and each E[C] entry within 3 QUAD_TOL; a Gram
+        # gap moves the mean logits by at most 1.5 gap and their covariance by gap; and the
+        # residual of the demand built from a root with Phi != 0 is I/(I-1) Phi (Q eta_v)_t
+        scale = float(np.abs(eta_v).sum() + np.abs(eta_w).sum() * np.abs(d).sum())
+        tol = 3.0 * (QUAD_TOL + gap) * scale
+        coarse, fine = central(eps, v_k, d), central(0.5 * eps, v_k, d)
+        fd = (4.0 * fine - coarse) / 3.0
         reports.append(FocReport(
-            payoff_term=payoff, adverse_selection_term=float(ad.mean()),
-            impact_term=float(impact.mean()), analytic_total=float(analytic_per_path.mean()),
-            fd_total=fd_total, fd_epsilon=float(e), diff=diff, std_err_diff=std_err_diff,
-            std_err_fd=std_err_fd, n_paths=n_paths,
+            payoff_term=payoff, adverse_selection_term=ad, impact_term=impact,
+            analytic_total=analytic, residual_bound=tol + 2.0 * abs(phi_residual) * scale,
+            fd_total=fd, fd_epsilon=float(eps), diff=analytic - fd,
+            fd_bound=2.0 * tol + abs(coarse - fine),
         ))
     return reports if stacked else reports[0]
 

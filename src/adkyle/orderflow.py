@@ -9,9 +9,8 @@ market maker's posterior is proportional to
     exp( int W_tilde_i / sigma^2 dY - (1/2) <W_tilde_i, W_tilde_i>_sigma ).
 
 A path enters the posterior only through its I projections int W_tilde_i /
-sigma^2 dY, so flow_posterior draws those I numbers per path directly, from
-their own stream, and takes one softmax over all paths; only simulate draws
-(n_paths, n-1) shocks and builds increments.
+sigma^2 dY.  Only simulate draws paths: impact and verify-foc integrate the
+posterior's law by quadrature (posterior.py).
 """
 
 from __future__ import annotations
@@ -20,14 +19,13 @@ import math
 
 import numpy as np
 
-from ._rng import FLOW_STATISTIC, PATH_SHOCKS, derive_seed, standard_normal_matrix
+from ._rng import PATH_SHOCKS, derive_seed, standard_normal_matrix
 from .model import NoiseProfile, PayoffFamily, StateGrid
 
 _ERR = "adkyle.orderflow"
 
 LOG_LIK_SPREAD_MAX = 700.0  # beyond this, exp underflow erases posterior mass
-PATH_BLOCK_SIZE = 4096      # Philox block rows of both path streams: part of every path draw
-DEFAULT_PATHS = 20_000      # order-flow paths behind the first-order checks
+PATH_BLOCK_SIZE = 4096      # Philox block rows of the path stream: part of every path draw
 
 
 def simulate_increments(
@@ -156,28 +154,6 @@ def posterior_weights(log_lik: np.ndarray) -> np.ndarray:
     np.exp(w, out=w)
     w /= signal_sum(w)[..., None]
     return w
-
-
-def flow_posterior(w_tilde: np.ndarray, noise: NoiseProfile, grid: StateGrid, seed: int,
-                   n_paths: int, w_row: np.ndarray) -> np.ndarray:
-    """The market maker's posterior pi, shape (n_paths, I), on the seed's FLOW_STATISTIC stream.
-
-    The insider trades the demand row w_row on every path.  The market maker
-    prices with the candidate schedules w_tilde (I x n).
-
-    pi is the softmax of the log-likelihoods, the drift's projections plus the
-    noise's, nu = shocks @ A.T ~ N(0, A A^T) with A = (sigma sqrt(h)) * F, drawn
-    as z @ R from I normals z per path and the QR factor R of A^T (A A^T is
-    singular when the rows of W_tilde sum to zero, so it has no Cholesky factor).
-    """
-    if n_paths < 1:
-        raise ValueError(f"{_ERR}: n_paths must be positive")
-    f, gram_diag = likelihood_weights(w_tilde, noise, grid)
-    mean = np.asarray(w_row, dtype=float)[:-1] * grid.h @ f.T - 0.5 * gram_diag
-    r = np.linalg.qr((noise.sigma[:-1] * math.sqrt(grid.h) * f).T, mode="r")
-    z = standard_normal_matrix(derive_seed(seed, *FLOW_STATISTIC), int(n_paths), len(f),
-                               PATH_BLOCK_SIZE)
-    return posterior_weights(mean + z @ r)
 
 
 def price_schedule(pi: np.ndarray, family: PayoffFamily) -> np.ndarray:

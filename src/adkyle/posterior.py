@@ -38,13 +38,12 @@ def _check_alpha_bar(alpha_bar: float) -> None:
         raise ValueError(f"{_ERR}: alpha_bar must be >= 0 with a finite square")
 
 
-def _rule(alpha_bar: float, I: int, rival_square: bool = False):
-    """The truth's M_0, M_1 on the r nodes (see true_belief_moments) and trapezoid weights f.
+def _lines(alpha_bar: float):
+    """The r step h and sums(shift, square): E g_k(r + shift + alpha_bar x) on the r nodes.
 
-    f[0] = (I-1) h K L^(I-2); with rival_square, f[1] = h G L^(I-2), G(r) = E g_2(r + alpha_bar x).
+    sums gives k = 0, 1, and 2 with square.  The window fits a truth at shift alpha_bar^2
+    and rivals at 0 (see true_belief_moments); it also fits any shifts at most alpha_bar^2.
     """
-    if I < 2:
-        raise ValueError(f"{_ERR}: need at least two signals")
     _check_alpha_bar(alpha_bar)
     a = float(alpha_bar)
     # below lo every M_k K is under e^-40; above hi every M_k is under exp(-e^5)
@@ -61,13 +60,27 @@ def _rule(alpha_bar: float, I: int, rival_square: bool = False):
     t = lo + h * np.arange(-n, n_r + n) if on_line else r[:, None] + a * x
     w = np.exp(-0.5 * x * x)
     w /= w.sum()
-    sums = []
-    for shift, square in ((a * a, False), (0.0, rival_square)):  # M_0, M_1, then L, K, G
+
+    def sums(shift: float, square: bool = False) -> list[np.ndarray]:
         e_t = np.exp(np.minimum(t + shift, 700.0))
         g0 = np.exp(-e_t)
         g = [g0, e_t * g0, e_t * e_t * g0] if square else [g0, e_t * g0]
-        sums += [np.correlate(gk, w, "valid") if on_line else gk @ w for gk in g]
-    m0, m1, L, K, *G = sums
+        return [np.correlate(gk, w, "valid") if on_line else gk @ w for gk in g]
+
+    return h, sums
+
+
+def _rule(alpha_bar: float, I: int, rival_square: bool = False):
+    """The truth's M_0, M_1 on the r nodes (see true_belief_moments) and trapezoid weights f.
+
+    f[0] = (I-1) h K L^(I-2); with rival_square, f[1] = h G L^(I-2), G(r) = E g_2(r + alpha_bar x).
+    """
+    if I < 2:
+        raise ValueError(f"{_ERR}: need at least two signals")
+    h, sums = _lines(alpha_bar)
+    a = float(alpha_bar)
+    m0, m1 = sums(a * a)
+    L, K, *G = sums(0.0, rival_square)
     f = [(I - 1) * h * K * L ** (I - 2)] + [h * g * L ** (I - 2) for g in G]
     for row in f:
         row[[0, -1]] *= 0.5
@@ -121,3 +134,26 @@ def posterior_covariance(alpha_bar: float, I: int, true_index: int | None = None
     c[true_index, :] = c[:, true_index] = c_tj
     c[true_index, true_index] = b
     return c
+
+
+def softmax_mean(alpha_bar: float, mu: np.ndarray) -> np.ndarray:
+    """E[softmax(mu + alpha_bar xi)], xi ~ N(0, I_I), for any mean logits mu, by quadrature.
+
+    The 1/D identity of true_belief_moments factorizes each entry over the I normals,
+
+        E[q_i] = int E g_1(r + mu_i + alpha_bar x) prod_{j != i} E g_0(r + mu_j + alpha_bar x) dr,
+
+    one r line per signal, shifted by mu_j.  softmax ignores a common shift, so mu is
+    shifted to max mu = alpha_bar^2, where the rule's window puts the canonical truth:
+    at mu = alpha_bar^2 e_t the lines are those of true_belief_moments.
+    """
+    mu = np.asarray(mu, dtype=float)
+    if mu.ndim != 1 or mu.size < 2:
+        raise ValueError(f"{_ERR}: need a vector of at least two mean logits")
+    h, sums = _lines(alpha_bar)
+    a = float(alpha_bar)
+    L, K = np.array([sums(shift) for shift in mu - mu.max() + a * a]).transpose(1, 0, 2)
+    others = np.array([np.prod(np.delete(L, i, axis=0), axis=0) for i in range(mu.size)])
+    f = h * K * others
+    f[:, [0, -1]] *= 0.5
+    return f.sum(axis=1)

@@ -3,12 +3,13 @@
 The shared pieces (the solve, demand assembly) are session-scoped so the
 suite pays for them once.  Also the test-only oracles: the binary Gauss-Hermite
 moments, Monte Carlo draws and moments of the canonical posterior, the
-order-flow path estimator of the impact kernel, and a counter of random-block
-generators.
+order-flow path estimators of the impact kernel, the insider's expected utility
+and its first-order terms, and a counter of random-block generators.
 """
 
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -24,9 +25,11 @@ from adkyle import (
     solve_alpha_star,
 )
 import adkyle._rng
-from adkyle._rng import FLOW_STATISTIC, derive_seed, standard_normal_matrix
+from adkyle._rng import derive_seed, standard_normal_matrix
 from adkyle.kernel import centering_matrix
-from adkyle.orderflow import PATH_BLOCK_SIZE, flow_posterior
+from adkyle.model import weighted_inner_product
+from adkyle.orderflow import (LOG_LIK_SPREAD_MAX, PATH_BLOCK_SIZE, likelihood_weights,
+                              posterior_weights)
 from adkyle.posterior import _check_alpha_bar
 
 # Exact fixed point of the binary moment equation: the scaled-posterior map
@@ -35,6 +38,9 @@ ALPHA_STAR_BINARY = math.sqrt(2.0)
 
 MIN_QUAD_NODES = 64
 DEFAULT_QUAD_NODES = 200
+
+FLOW_STATISTIC = (0, 2)  # stream tag of the (n_paths, I) normals behind the order-flow statistic
+FD_REL_EPS = 1e-3        # foc_from_paths' step: eps = FD_REL_EPS * |W|_inf / |v|_inf
 
 
 @pytest.fixture(scope="session")
@@ -83,6 +89,106 @@ def candidate_demand(kern, family, noise):
     """
     scale = ALPHA_STAR_BINARY / math.sqrt(kern.c)
     return scale * np.square(noise.sigma) * (family.eta - prior_mixture(family))
+
+
+def mean_and_std_err(draws: np.ndarray) -> tuple[float, float]:
+    """Sample mean of per-draw values and its standard error std / sqrt(m) (0 for m = 1)."""
+    std_err = float(draws.std(ddof=1) / math.sqrt(draws.size)) if draws.size > 1 else 0.0
+    return float(draws.mean()), std_err
+
+
+def flow_posterior(w_tilde, noise, grid, seed, n_paths, w_row):
+    """The market maker's posterior pi, shape (n_paths, I), on the seed's FLOW_STATISTIC stream.
+
+    The insider trades the demand row w_row on every path; the market maker prices
+    with the candidate schedules w_tilde (I x n).  pi is the softmax of the
+    log-likelihoods, the drift's projections plus the noise's, nu = shocks @ A.T ~
+    N(0, A A^T) with A = (sigma sqrt(h)) * F, drawn as z @ R from I normals z per path
+    and the QR factor R of A^T (A A^T is singular when the rows of W_tilde sum to zero,
+    so it has no Cholesky factor).
+    """
+    if n_paths < 1:
+        raise ValueError("flow_posterior: n_paths must be positive")
+    f, gram_diag = likelihood_weights(w_tilde, noise, grid)
+    mean = np.asarray(w_row, dtype=float)[:-1] * grid.h @ f.T - 0.5 * gram_diag
+    r = np.linalg.qr((noise.sigma[:-1] * math.sqrt(grid.h) * f).T, mode="r")
+    z = standard_normal_matrix(derive_seed(seed, *FLOW_STATISTIC), int(n_paths), len(f),
+                               PATH_BLOCK_SIZE)
+    return posterior_weights(mean + z @ r)
+
+
+def expected_utility(w_row, w_tilde, family, true_index, noise, grid, n_paths, seed):
+    """Path estimate of J(W) and its standard error, for any trade w_row and pricing w_tilde."""
+    trade_w = grid.quad_weights * np.asarray(w_row, dtype=float)
+    payoff, eta_w = family.eta[true_index] @ trade_w, family.eta @ trade_w
+    pi = flow_posterior(w_tilde, noise, grid, seed, int(n_paths), w_row)
+    return mean_and_std_err(payoff - pi @ eta_w)
+
+
+@dataclass(frozen=True)
+class PathFoc:
+    """foc_from_paths' record: the path means of the terms, and their standard errors."""
+
+    payoff_term: float
+    adverse_selection_term: float
+    impact_term: float
+    analytic_total: float
+    fd_total: float
+    fd_epsilon: float
+    diff: float
+    std_err_diff: float
+    std_err_fd: float
+    std_err_ad: float
+    std_err_impact: float
+
+
+def foc_from_paths(w_row, v_row, w_tilde, family, true_index, noise, grid, n_paths, seed):
+    """Path estimator of the first-order terms, for any trade w_row and pricing w_tilde.
+
+    On each path of flow_posterior's draw: ad = pi . (eta @ v h) and impact =
+    int W Cov_pi(eta(x, .), d) dx with d = <v, W_tilde_.>_sigma; the central difference
+    shifts the same log-likelihoods by s = +- eps * F @ (v h), the left-point drift
+    shift +- eps * v, so each side's price is pi . (u eta_side) / (pi . u) with
+    u = e^(s - max s), no new softmax.  A stack (k, n) of directions gives k records.
+
+    Raises:
+        ValueError: if the spread of some eps * F @ (v h) over the signals exceeds
+            LOG_LIK_SPREAD_MAX (pi . u could underflow).
+    """
+    w_row = np.asarray(w_row, dtype=float)
+    v = np.atleast_2d(np.asarray(v_row, dtype=float))
+    eps = FD_REL_EPS * np.max(np.abs(w_row)) / np.max(np.abs(v), axis=1)
+    eta, gw, eta_t = family.eta, grid.quad_weights, family.eta[true_index]
+    f, _ = likelihood_weights(w_tilde, noise, grid)
+    d = np.array([[weighted_inner_product(v_k, row, noise, grid) for row in w_tilde] for v_k in v])
+    shift = eps[:, None] * np.array([f @ (v_k[:-1] * grid.h) for v_k in v])
+    worst = float(np.max(np.ptp(shift, axis=1)))
+    if not worst <= LOG_LIK_SPREAD_MAX:  # NaN compares False
+        raise ValueError(f"finite-difference shift spread {worst:.1f} exceeds "
+                         f"{LOG_LIK_SPREAD_MAX}; posterior underflow")
+    u_plus = np.exp(shift - shift.max(axis=1, keepdims=True))
+    u_minus = np.exp(shift.min(axis=1, keepdims=True) - shift)
+    pi = flow_posterior(w_tilde, noise, grid, seed, n_paths, w_row)
+    eta_w = eta @ (gw * w_row)
+    price_w = pi @ eta_w
+    records = []
+    for k, e in enumerate(eps):
+        trade_v = gw * v[k]
+        trade_plus, trade_minus = gw * (w_row + e * v[k]), gw * (w_row - e * v[k])
+        ad = pi @ (eta @ trade_v)
+        impact = pi @ (d[k] * eta_w) - price_w * (pi @ d[k])
+        profit_p = trade_plus @ eta_t - (pi @ (u_plus[k] * (eta @ trade_plus))) / (pi @ u_plus[k])
+        profit_m = (trade_minus @ eta_t
+                    - (pi @ (u_minus[k] * (eta @ trade_minus))) / (pi @ u_minus[k]))
+        fd = (profit_p - profit_m) / (2.0 * e)
+        payoff = float(trade_v @ eta_t)
+        analytic = payoff - ad - impact
+        diff, std_err_diff = mean_and_std_err(analytic - fd)
+        fd_total, std_err_fd = mean_and_std_err(fd)
+        (ad, std_err_ad), (impact, std_err_impact) = map(mean_and_std_err, (ad, impact))
+        records.append(PathFoc(payoff, ad, impact, float(analytic.mean()), fd_total, float(e),
+                               diff, std_err_diff, std_err_fd, std_err_ad, std_err_impact))
+    return records if np.ndim(v_row) == 2 else records[0]
 
 
 def statistic_shocks(w_tilde, noise, grid, seed, n_paths):

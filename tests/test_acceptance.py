@@ -20,7 +20,6 @@ from adkyle import (
     demand_signature,
     efficiency_sweep,
     equilibrium_demand,
-    foc_terms,
     impact_surface,
     kyle_single_asset,
     log_likelihoods,
@@ -34,7 +33,7 @@ from adkyle import (
 from adkyle._rng import standard_normal_matrix
 from adkyle.cli import main as cli_main
 from conftest import (ALPHA_STAR_BINARY, binary_moments_quadrature, exact_binary_equilibrium,
-                      sample_posterior)
+                      foc_from_paths, sample_posterior)
 
 SIGMAS = 3.0
 ROOT_AGREEMENT = 2e-3
@@ -204,7 +203,7 @@ def test_a07_foc_closure_and_stationarity():
         s1, s2 = rng.uniform(0.5, 2.0, 2)
         w = a1 * np.exp(-0.5 * np.square((x - c1) / s1))
         v = a2 * np.exp(-0.5 * np.square((x - c2) / s2))
-        rep = foc_terms(w, v, w_star, fam, 0, noise, grid, n_paths=20_000, seed=100 + k)
+        rep = foc_from_paths(w, v, w_star, fam, 0, noise, grid, n_paths=20_000, seed=100 + k)
         assert abs(rep.diff) <= SIGMAS * rep.std_err_fd
 
     # the gradient vanishes along every centered payoff direction
@@ -212,7 +211,7 @@ def test_a07_foc_closure_and_stationarity():
     worst_ratio = 0.0
     for i in range(fam.I):
         v = fam.eta[i] - mbar
-        rep = foc_terms(
+        rep = foc_from_paths(
             w_star[0], v, w_star, fam, 0, noise, grid, n_paths=20_000, seed=7
         )
         ratio = abs(rep.fd_total) / (SIGMAS * rep.std_err_fd)

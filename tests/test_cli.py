@@ -21,8 +21,8 @@ import adkyle
 import adkyle.cli
 from adkyle import true_belief_moments
 from adkyle.cli import OUTPUT_DIR_ENV, _solved, main, write_csv
-from adkyle.config import load_config, with_seed
-from adkyle._rng import FLOW_STATISTIC, PATH_SHOCKS, derive_seed, standard_normal_matrix
+from adkyle.config import config_grid, load_config, parse_config_text, with_seed
+from adkyle._rng import PATH_SHOCKS, derive_seed, standard_normal_matrix
 from adkyle.orderflow import (
     PATH_BLOCK_SIZE,
     log_likelihoods,
@@ -136,36 +136,20 @@ def test_posterior_probe_builds_no_kernel_but_checks_the_model(cfg_file, tmp_pat
         assert err.startswith("error: adkyle.") and len(err.splitlines()) == 1
 
 
-def test_verify_foc_draws_each_shock_block_once(cfg_file, tmp_path, monkeypatch):
-    # every direction reads one (n_paths, I) draw of the order-flow statistic
-    import adkyle.orderflow
-
-    draws = []
-    real = adkyle.orderflow.standard_normal_matrix
-    monkeypatch.setattr(
-        adkyle.orderflow, "standard_normal_matrix", lambda *a, **k: draws.append(a) or real(*a, **k)
-    )
-    n_paths = 2 * PATH_BLOCK_SIZE + 1
-    cfg_file.write_text(FAST_CONFIG.replace("mc.n_paths = 400", f"mc.n_paths = {n_paths}"))
-    assert main(["verify-foc", "-c", str(cfg_file), "-o", str(tmp_path / "foc")]) == 0
-    assert draws == [(derive_seed(3, *FLOW_STATISTIC), n_paths, 2, PATH_BLOCK_SIZE)]
-
-
-def test_verify_foc_shift_past_the_spread_bound_exits_with_code_two(cfg_file, tmp_path, capsys,
-                                                                    monkeypatch):
-    # eps = FD_REL_EPS |W|_inf / |v|_inf makes the shift eps * F (v h) scale-free, so no
-    # config found reaches the guard; a step 1e6 times larger spreads the own-demand
-    # shift by ~2e3 over the signals.  The base posterior is fine.
-    monkeypatch.setattr(adkyle.objective, "FD_REL_EPS", 1e6 * adkyle.objective.FD_REL_EPS)
-    assert main(["simulate", "-c", str(cfg_file), "-o", str(tmp_path / "sim")]) == 0
-    capsys.readouterr()
-    out = tmp_path / "foc"
-    assert main(["verify-foc", "-c", str(cfg_file), "-o", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: adkyle.") and len(captured.err.splitlines()) == 1
-    assert "underflow" in captured.err
-    assert not (out / "foc_report.csv").exists()
+def test_verify_foc_draws_nothing_and_ignores_seed_and_path_count(cfg_file, tmp_path,
+                                                                  monkeypatch):
+    # every term and the finite difference are quadratures: no block draw, and the report's
+    # bytes are the same for every mc.seed and mc.n_paths
+    draws = count_block_generators(monkeypatch)
+    reports = []
+    for n_paths, seed_arg in ((400, []), (400, ["--seed", "11"]), (2 * PATH_BLOCK_SIZE + 1, [])):
+        cfg_file.write_text(FAST_CONFIG.replace("mc.n_paths = 400", f"mc.n_paths = {n_paths}"))
+        out = tmp_path / f"foc_{n_paths}_{len(seed_arg)}"
+        assert main(["verify-foc", "-c", str(cfg_file), "-o", str(out)] + seed_arg) == 0
+        reports.append((out / "foc_report.csv").read_bytes())
+    assert draws == []
+    assert reports[0].startswith(b"direction,payoff_term,")
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 def test_verify_foc_passes_at_low_noise(cfg_file, tmp_path, capsys):
@@ -191,6 +175,56 @@ def test_verify_foc_passes_on_sloped_low_noise(level, cfg_file, tmp_path, capsys
     assert [(r[0], r[-1]) for r in rows[1:]] == [
         ("own_demand", "pass"), ("payoff_row", "pass"), ("zero_impact", "pass")]
     assert "FAIL" not in capsys.readouterr().out
+
+
+def _foc_rows(cfg_file, text, out):
+    """verify-foc's exit status and its report's rows, as {direction: {column: value}}."""
+    cfg_file.write_text(text)
+    status = main(["verify-foc", "-c", str(cfg_file), "-o", str(out)])
+    header, *rows = read_rows(out / "foc_report.csv")
+    return status, {r[0]: dict(zip(header[1:], [*map(float, r[1:-1]), r[-1]])) for r in rows}
+
+
+@pytest.mark.parametrize("level", ["1e-7", "1e9"])
+def test_verify_foc_bounds_scale_with_the_terms(level, cfg_file, tmp_path, capsys):
+    # W scales with sigma, so the terms and both bounds of the own-demand and zero-impact
+    # rows scale with the noise level (the payoff row's v = eta_0 does not): no absolute
+    # allowance passes any 1e-7 row, nor fails a 1e9 row on rounding
+    status, rows = _foc_rows(cfg_file, FAST_CONFIG + f"noise.level = {level}\n", tmp_path / "a")
+    _, unit = _foc_rows(cfg_file, FAST_CONFIG, tmp_path / "unit")
+    assert status == 0
+    for name, row in rows.items():
+        assert row["status"] == "pass"
+        ratio = row["payoff_term"] / unit[name]["payoff_term"]
+        # to rounding: the bounds hold the Gram's gap to alpha^2 Q and |fd(eps) - fd(eps/2)|
+        for bound in ("residual_bound", "fd_bound"):
+            assert row[bound] / unit[name][bound] == pytest.approx(ratio, rel=1e-2), (name, bound)
+    assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("wrong", ["scaled_1.01", "sqrt_kernel_sloped"])
+def test_verify_foc_fails_on_a_wrong_demand(wrong, cfg_file, tmp_path, capsys, monkeypatch):
+    # both demands give the posterior the canonical law (sigma-Gram alpha^2 Q), so only the
+    # first-order condition itself tells them from the equilibrium
+    text = FAST_CONFIG + ("noise.slope = 1\n" if wrong == "sqrt_kernel_sloped" else "")
+    grid = config_grid(parse_config_text(text))
+    real = adkyle.cli.equilibrium_demand
+
+    def demand(eq, kern, family, noise):
+        if wrong == "scaled_1.01":
+            return 1.01 * real(eq, kern, family, noise)
+        # a demand without the sigma^2 factor: alpha* (L^+ Q)^T eta, L the root of
+        # int eta eta^T / sigma^2, so W / sigma^2 leaves the payoff span under sloped noise
+        lam, u = np.linalg.eigh((family.eta * (grid.quad_weights / np.square(noise.sigma)))
+                                @ family.eta.T)
+        inv_root = np.where(lam > 1e-12 * lam.max(), 1.0 / np.sqrt(np.abs(lam)), 0.0)
+        return eq.alpha_star * ((u * inv_root) @ u.T @ kern.Q).T @ family.eta
+
+    monkeypatch.setattr(adkyle.cli, "equilibrium_demand", demand)
+    status, rows = _foc_rows(cfg_file, text, tmp_path / "foc")
+    assert status == 1
+    assert "fail" in [row["status"] for row in rows.values()]
+    assert "(FAIL)" in capsys.readouterr().out
 
 
 def test_simulate_writes_path_outputs(cfg_file, tmp_path):
@@ -607,7 +641,7 @@ def test_out_of_memory_exits_with_code_two(cfg_file, tmp_path, capsys, monkeypat
     assert main(["kernel", "dump", "-c", str(cfg_file), "-o", str(tmp_path / "k")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: adkyle.cli: out of memory") and len(err.splitlines()) == 1
-    assert "n_samples" not in err  # the key sizes no allocation
+    assert "n_samples" not in err and "n_paths" not in err  # the keys size no allocation
 
 
 def _run_python(argv, **kwargs):
@@ -638,19 +672,17 @@ def test_every_exported_name_resolves():
     assert [name for name in adkyle.__all__ if not hasattr(adkyle, name)] == []
 
 
-def test_unaffordable_path_count_fails_up_front(tmp_path):
-    # 2**40 paths need terabytes: verify-foc's first allocation fails, before any
+def test_unaffordable_path_count_fails_up_front(cfg_file, tmp_path):
+    # 2**40 paths need terabytes: simulate's first allocation fails, before any
     # block is drawn, under a process-local address-space cap
-    cfg = tmp_path / "huge.cfg"
-    cfg.write_text(FAST_CONFIG.replace("mc.n_paths = 400", f"mc.n_paths = {2**40}"))
     cap = 1 << 30
 
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     t0 = time.perf_counter()
-    proc = _run_python(["-m", "adkyle.cli", "verify-foc", "-c", str(cfg),
-                        "-o", str(tmp_path / "out")],
+    proc = _run_python(["-m", "adkyle.cli", "simulate", "--paths", str(2**40), "-c",
+                        str(cfg_file), "-o", str(tmp_path / "out")],
                        preexec_fn=limit_address_space, timeout=120)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: adkyle.cli: out of memory")

@@ -11,6 +11,7 @@ import pytest
 from adkyle import (
     build_canonical_kernel,
     equilibrium_demand,
+    foc_terms,
     kyle_single_asset,
     make_payoff_family,
     posterior_covariance,
@@ -265,6 +266,24 @@ def test_demand_is_the_insiders_best_response(name):
         d = np.array([weighted_inner_product(v, row, noise, grid) for row in w_star])
         residual = trade_v @ family.eta[0] - belief @ (family.eta @ trade_v) - eta_w @ cov @ d
         assert abs(residual) <= BEST_RESPONSE_TOL
+
+
+# exchangeable only to ~1e-7 (5.6e-8 of c'), so its residuals read ~1e-8, past BEST_RESPONSE_TOL
+FOC_BOUND_CONFIGS = {**BEST_RESPONSE_CONFIGS,
+                     "I4_mean_shift": "family.means = -4.2, -1.4, 1.4, 4.2\nfamily.sd = 0.35\n"}
+
+
+@pytest.mark.parametrize("name", FOC_BOUND_CONFIGS)
+def test_foc_terms_residual_and_richardson_fd_meet_their_bounds(name):
+    # foc_terms' closed form is the residual above, and its Richardson difference of J,
+    # a quadrature at the shifted mean logits, meets fd_bound; both bounds carry the
+    # I = 4 mean shift's Gram gap
+    cfg = parse_config_text("mc.seed = 7\ngrid.n = 401\n" + FOC_BOUND_CONFIGS[name])
+    grid, noise, family, _, eq, w_star = _solved(cfg)
+    stack = np.stack([w_star[0], family.eta[0], zero_impact_basis(w_star, noise, grid)[0]])
+    for rep in foc_terms(stack, w_star, family, 0, noise, grid, phi_residual=eq.phi_residual):
+        assert abs(rep.analytic_total) <= rep.residual_bound
+        assert abs(rep.diff) <= rep.fd_bound
 
 
 def test_solver_rejects_non_exchangeable_kernels(grid, unit_noise):

@@ -1,7 +1,11 @@
-"""Expected-utility decomposition, first-order checks, and impact-free directions."""
+"""Expected-utility decomposition, first-order checks, and impact-free directions.
+
+foc_terms works in closed form at an equilibrium demand; the path oracles of
+conftest (foc_from_paths, expected_utility) take any trade and are checked here
+too, against full order-flow increments.
+"""
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -10,7 +14,6 @@ from adkyle import (
     NoiseProfile,
     build_canonical_kernel,
     equilibrium_demand,
-    expected_utility,
     foc_terms,
     log_likelihoods,
     make_payoff_family,
@@ -18,9 +21,9 @@ from adkyle import (
     weighted_inner_product,
     zero_impact_basis,
 )
-from adkyle.objective import FD_REL_EPS
-from adkyle.orderflow import PATH_BLOCK_SIZE, likelihood_weights
-from conftest import candidate_demand, exact_binary_equilibrium, statistic_shocks
+from adkyle.orderflow import PATH_BLOCK_SIZE
+from conftest import (FD_REL_EPS, candidate_demand, exact_binary_equilibrium, expected_utility,
+                      foc_from_paths, statistic_shocks)
 
 CLOSURE_SIGMAS = 3.0
 ORTHOGONALITY_TOLERANCE = 1e-10
@@ -33,16 +36,13 @@ def test_report_decomposition_is_internally_consistent(
 ):
     _, w_star = mean_shift_demand
     v = mean_shift_family.eta[0] - mean_shift_family.eta.mean(axis=0)
-    rep = foc_terms(
-        w_star[0], v, w_star, mean_shift_family, 0, unit_noise, grid,
-        n_paths=FOC_PATHS, seed=17,
-    )
+    rep = foc_terms(v, w_star, mean_shift_family, 0, unit_noise, grid)
     assert rep.analytic_total == pytest.approx(
         rep.payoff_term - rep.adverse_selection_term - rep.impact_term, abs=1e-12
     )
     assert rep.diff == pytest.approx(rep.analytic_total - rep.fd_total, abs=1e-12)
-    assert rep.n_paths == FOC_PATHS
     assert rep.fd_epsilon > 0.0
+    assert abs(rep.analytic_total) <= rep.residual_bound and abs(rep.diff) <= rep.fd_bound
 
 
 def test_decomposition_closes_against_finite_differences(
@@ -55,7 +55,7 @@ def test_decomposition_closes_against_finite_differences(
         c1, c2 = rng.uniform(-2.5, 2.5, 2)
         w = rng.uniform(-1, 1) * np.exp(-0.5 * np.square(x - c1))
         v = rng.uniform(-1, 1) * np.exp(-0.5 * np.square(x - c2))
-        rep = foc_terms(
+        rep = foc_from_paths(
             w, v, w_star, mean_shift_family, 0, unit_noise, grid,
             n_paths=FOC_PATHS, seed=60 + k,
         )
@@ -73,7 +73,7 @@ def test_gradient_vanishes_at_the_fixed_point(
     mbar = mean_shift_family.eta.mean(axis=0)
     for i in range(2):
         v = mean_shift_family.eta[i] - mbar
-        rep = foc_terms(
+        rep = foc_from_paths(
             w_star[0], v, w_star, mean_shift_family, 0, unit_noise, grid,
             n_paths=20_000, seed=7,
         )
@@ -105,25 +105,22 @@ def test_impact_term_vanishes_along_zero_impact_directions(
 ):
     _, w_star = mean_shift_demand
     basis = zero_impact_basis(w_star, unit_noise, grid)
-    rep = foc_terms(
-        w_star[0], basis[0], w_star, mean_shift_family, 0, unit_noise, grid,
-        n_paths=2000, seed=11,
-    )
+    rep = foc_terms(basis[0], w_star, mean_shift_family, 0, unit_noise, grid)
     assert abs(rep.impact_term) < IMPACT_NULL_TOLERANCE
 
 
 def test_direction_stack_equals_single_direction_calls(
     mean_shift_demand, mean_shift_family, unit_noise, grid
 ):
-    # one pass over the shocks for all directions, bitwise the separate calls
+    # one call for all directions, bitwise the separate calls
     _, w_star = mean_shift_demand
     basis = zero_impact_basis(w_star, unit_noise, grid)
     stack = np.stack([w_star[0], mean_shift_family.eta[0], basis[0]])
     args = (w_star, mean_shift_family, 0, unit_noise, grid)
-    reports = foc_terms(w_star[0], stack, *args, n_paths=2 * PATH_BLOCK_SIZE + 100, seed=23)
+    reports = foc_terms(stack, *args)
     assert isinstance(reports, list) and len(reports) == 3
     for v, rep in zip(stack, reports):
-        assert rep == foc_terms(w_star[0], v, *args, n_paths=2 * PATH_BLOCK_SIZE + 100, seed=23)
+        assert rep == foc_terms(v, *args)
 
 
 def test_shift_past_the_spread_bound_is_rejected(
@@ -133,7 +130,7 @@ def test_shift_past_the_spread_bound_is_rejected(
     # a side's pi . u could underflow and its price pi . (u eta) / (pi . u) would be garbage
     _, w_star = mean_shift_demand
     with pytest.raises(ValueError, match="finite-difference shift spread .* underflow"):
-        foc_terms(
+        foc_from_paths(
             1e6 * w_star[0], mean_shift_family.eta[0], w_star, mean_shift_family, 0,
             unit_noise, grid, n_paths=2000, seed=0,
         )
@@ -146,39 +143,11 @@ def test_a_shift_common_to_every_signal_moves_no_price(
     # ~950 along v = 1, past exp's range, and moves no posterior: each side keeps the base
     # price, and the unit payoff change less the unit price change leaves 0
     _, w_star = mean_shift_demand
-    rep = foc_terms(
+    rep = foc_from_paths(
         10.0 * w_star[0], np.ones(grid.n), w_star + 1e4, mean_shift_family, 0,
         unit_noise, grid, n_paths=2000, seed=0,
     )
     assert abs(rep.fd_total) < 1e-9
-
-
-def test_each_call_takes_one_softmax(
-    mean_shift_demand, mean_shift_family, unit_noise, grid, monkeypatch
-):
-    # one (n_paths, I) base posterior per call, across every Philox block of the statistic
-    # and whatever the number of directions: the +-eps posteriors reweight it
-    import adkyle.orderflow
-
-    shapes, real = [], adkyle.orderflow.posterior_weights
-
-    def counted(log_lik):
-        shapes.append(np.shape(log_lik))
-        return real(log_lik)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("adkyle") and getattr(module, "posterior_weights", None) is real:
-            monkeypatch.setattr(module, "posterior_weights", counted)
-    _, w_star = mean_shift_demand
-    basis = zero_impact_basis(w_star, unit_noise, grid)
-    stack = np.stack([w_star[0], mean_shift_family.eta[0], basis[0]])
-    args = (w_star, mean_shift_family, 0, unit_noise, grid)
-    n_paths = 2 * PATH_BLOCK_SIZE + 100
-    foc_terms(w_star[0], stack, *args, n_paths=n_paths, seed=23)
-    assert shapes == [(n_paths, 2)]
-    shapes.clear()
-    expected_utility(w_star[0], *args, n_paths=n_paths, seed=23)
-    assert shapes == [(n_paths, 2)]
 
 
 def test_zero_demand_earns_zero(mean_shift_demand, mean_shift_family, unit_noise, grid):
@@ -210,8 +179,8 @@ def test_equilibrium_demand_beats_nearby_deviations(
 
 
 def test_shift_spread_does_not_move_with_the_noise_level(mean_shift_family, grid):
-    # W scales with the noise and F = W_tilde / sigma^2 against it, so with eps proportional
-    # to |W|_inf the shift eps * F (v h) of each direction is the same at every noise level
+    # W scales with the noise and d = <v, W_i>_sigma against it, so with eps proportional
+    # to |W|_inf the mean-logit shift eps * d of each direction is the same at every noise level
     spreads = []
     for level in (1.0, 1e-6):
         noise = NoiseProfile(sigma=np.full(grid.n, level))
@@ -220,10 +189,9 @@ def test_shift_spread_does_not_move_with_the_noise_level(mean_shift_family, grid
                                     noise)
         stack = np.stack([w_star[0], mean_shift_family.eta[0],
                           zero_impact_basis(w_star, noise, grid)[0]])
-        reports = foc_terms(w_star[0], stack, w_star, mean_shift_family, 0, noise, grid,
-                            n_paths=10, seed=0)
-        f, _ = likelihood_weights(w_star, noise, grid)
-        spreads.append([rep.fd_epsilon * np.ptp(f @ (v[:-1] * grid.h))
+        reports = foc_terms(stack, w_star, mean_shift_family, 0, noise, grid)
+        spreads.append([rep.fd_epsilon * np.ptp([weighted_inner_product(v, row, noise, grid)
+                                                 for row in w_star])
                         for rep, v in zip(reports, stack)])
     np.testing.assert_allclose(spreads[1], spreads[0], rtol=1e-12, atol=1e-14)
     assert max(spreads[0]) < 1e-2
@@ -232,24 +200,18 @@ def test_shift_spread_does_not_move_with_the_noise_level(mean_shift_family, grid
 def test_zero_demand_row_is_rejected(mean_shift_demand, mean_shift_family, unit_noise, grid):
     # eps is relative to |W|_inf: a zero demand row leaves no step to take
     _, w_star = mean_shift_demand
-    with pytest.raises(ValueError, match="adkyle.objective: demand w_row"):
-        foc_terms(np.zeros(grid.n), w_star[0], w_star, mean_shift_family, 0, unit_noise, grid,
-                  n_paths=100, seed=0)
+    with pytest.raises(ValueError, match="adkyle.objective: demand row"):
+        foc_terms(w_star[0], np.zeros_like(w_star), mean_shift_family, 0, unit_noise, grid)
 
 
 def test_direction_must_be_nonzero(mean_shift_demand, mean_shift_family, unit_noise, grid):
     _, w_star = mean_shift_demand
     with pytest.raises(ValueError, match="adkyle.objective"):
-        foc_terms(
-            w_star[0], np.zeros(grid.n), w_star, mean_shift_family, 0,
-            unit_noise, grid, n_paths=2000, seed=0,
-        )
+        foc_terms(np.zeros(grid.n), w_star, mean_shift_family, 0, unit_noise, grid)
     # one zero row in a stack is rejected too
     with pytest.raises(ValueError, match="adkyle.objective"):
-        foc_terms(
-            w_star[0], np.stack([w_star[0], np.zeros(grid.n)]), w_star, mean_shift_family, 0,
-            unit_noise, grid, n_paths=2000, seed=0,
-        )
+        foc_terms(np.stack([w_star[0], np.zeros(grid.n)]), w_star, mean_shift_family, 0,
+                  unit_noise, grid)
 
 
 @pytest.mark.parametrize("true_index", [-1, 2])
@@ -259,13 +221,11 @@ def test_signal_index_out_of_range_is_rejected(true_index, mean_shift_demand, me
     _, w_star = mean_shift_demand
     args = (w_star, mean_shift_family, true_index, unit_noise, grid)
     with pytest.raises(ValueError, match="adkyle.objective: true_index"):
-        foc_terms(w_star[0], w_star[1], *args, n_paths=100, seed=0)
-    with pytest.raises(ValueError, match="adkyle.objective: true_index"):
-        expected_utility(w_star[0], *args, n_paths=100, seed=0)
+        foc_terms(w_star[1], *args)
 
 
 def _foc_from_full_paths(w_row, v, w_tilde, family, true_index, noise, grid, n_paths, seed):
-    """Brute-force foc_terms: every term from full increments on the statistic's shocks.
+    """Brute-force foc_from_paths: every term from full increments on the statistic's shocks.
 
     The finite difference re-filters each path with its drift shifted by
     +- eps * v, through log_likelihoods over all n-1 increments.
@@ -305,8 +265,8 @@ def test_projection_estimator_matches_full_path_reference(means, grid):
     bump = 0.4 * np.exp(-0.5 * np.square(grid.nodes - 0.7))
     directions = np.stack([w_star[0], family.eta[0], bump])
     n_paths, seed = 3 * PATH_BLOCK_SIZE + 100, 31
-    reports = foc_terms(w_star[0], directions, w_star, family, 0, noise, grid,
-                        n_paths=n_paths, seed=seed)
+    reports = foc_from_paths(w_star[0], directions, w_star, family, 0, noise, grid,
+                             n_paths=n_paths, seed=seed)
     for v, rep in zip(directions, reports):
         ref = _foc_from_full_paths(w_star[0], v, w_star, family, 0, noise, grid, n_paths, seed)
         # the totals are differences of the three terms, so their rounding
@@ -316,13 +276,25 @@ def test_projection_estimator_matches_full_path_reference(means, grid):
             assert getattr(rep, name) == pytest.approx(value, rel=1e-10, abs=1e-10 * scale), name
 
 
-@pytest.mark.parametrize("n_paths", [0, -3])
-def test_non_positive_path_count_is_rejected(n_paths, mean_shift_demand, mean_shift_family,
-                                             unit_noise, grid):
-    # the order-flow check comes before any array is sized by n_paths
-    _, w_star = mean_shift_demand
-    args = (w_star, mean_shift_family, 0, unit_noise, grid)
-    with pytest.raises(ValueError, match="adkyle.orderflow: n_paths must be positive"):
-        foc_terms(w_star[0], w_star[1], *args, n_paths=n_paths, seed=0)
-    with pytest.raises(ValueError, match="adkyle.orderflow: n_paths must be positive"):
-        expected_utility(w_star[0], *args, n_paths=n_paths, seed=0)
+@pytest.mark.parametrize("sds,slope", [(None, 0.0), ((1.0, 1.5), 0.3)])
+def test_closed_form_terms_match_the_path_oracle(sds, slope, grid):
+    # at an equilibrium demand the posterior has the canonical law, so the closed-form
+    # adverse selection and impact are the means the path oracle estimates
+    family = (make_payoff_family("gaussian_variance", {"mu": 0.0, "sds": list(sds)}, grid)
+              if sds else make_payoff_family("gaussian_mean_shift",
+                                             {"means": [-1.0, 1.0], "sd": 1.0}, grid))
+    noise = NoiseProfile(sigma=1.0 + slope * (grid.nodes - grid.x_min))
+    kern = build_canonical_kernel(family, noise, grid)
+    w_star = equilibrium_demand(exact_binary_equilibrium(kern), kern, family, noise)
+    stack = np.stack([w_star[0], family.eta[0], zero_impact_basis(w_star, noise, grid)[0]])
+    reports = foc_terms(stack, w_star, family, 0, noise, grid)
+    paths = foc_from_paths(w_star[0], stack, w_star, family, 0, noise, grid, n_paths=100_000,
+                           seed=41)
+    for rep, ref in zip(reports, paths):
+        # 3 SE, plus the quadrature's own error (residual_bound); along the zero-impact
+        # direction eta @ v is constant over the signals, so the path SE is 0
+        assert rep.payoff_term == ref.payoff_term
+        assert abs(rep.adverse_selection_term - ref.adverse_selection_term) <= (
+            3.0 * ref.std_err_ad + rep.residual_bound)
+        assert abs(rep.impact_term - ref.impact_term) <= (
+            3.0 * ref.std_err_impact + rep.residual_bound)

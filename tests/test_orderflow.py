@@ -42,6 +42,14 @@ def test_simulated_batches_have_prefix_property(mean_shift_demand, unit_noise, g
     assert np.array_equal(inc_small, inc_large[:5000])
 
 
+@pytest.mark.parametrize("n_paths", [0, -3])
+def test_non_positive_path_count_is_rejected(n_paths, mean_shift_demand, unit_noise, grid):
+    # the order-flow check comes before any array is sized by n_paths
+    _, w_star = mean_shift_demand
+    with pytest.raises(ValueError, match="adkyle.orderflow: n_paths must be positive"):
+        simulate_increments(w_star[0], unit_noise, grid, seed=0, n_paths=n_paths)
+
+
 def test_increments_decompose_into_drift_and_shock(mean_shift_demand, unit_noise, grid):
     _, w_star = mean_shift_demand
     inc, shocks = simulate_increments(w_star[1], unit_noise, grid, seed=3, n_paths=4)
@@ -200,8 +208,8 @@ def on_dyadic_grid(x):
 
 @pytest.mark.parametrize("I", [2, 4, 10])
 def test_shifted_posterior_is_the_reweighted_base_posterior(I):
-    # softmax(l + s) = pi e^s / (pi . e^s) with pi = softmax(l), the identity foc_terms
-    # prices its finite difference by, with u = e^(s - max s).  l and s sit on a dyadic
+    # softmax(l + s) = pi e^s / (pi . e^s) with pi = softmax(l), the identity the path oracle
+    # conftest.foc_from_paths prices its finite difference by, with u = e^(s - max s).  l and s sit on a dyadic
     # grid, so l + s and every max shift are exact and only the identity's rounding shows.
     # A product pi_i u_i below the smallest normal loses digits, but the shift guard keeps
     # pi . u >= e^-LOG_LIK_SPREAD_MAX, which caps that loss at floor per weight.

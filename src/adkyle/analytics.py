@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .kernel import EXCHANGEABILITY_TOL, centering_matrix
+from .kernel import EXCHANGEABILITY_TOL, scale_and_gap
 from .model import NoiseProfile, PayoffFamily, StateGrid, trapezoid
 from .posterior import QUAD_TOL, posterior_covariance
 from .equilibrium import Equilibrium, solve_alpha_star
@@ -40,8 +40,7 @@ def canonical_gram(w_star: np.ndarray, noise: NoiseProfile,
     """
     w_star = np.asarray(w_star, dtype=float)
     gram = (w_star * (grid.quad_weights / np.square(noise.sigma))) @ w_star.T
-    alpha_sq = float(np.trace(gram)) / (len(gram) - 1)
-    gap = float(np.abs(gram - alpha_sq * centering_matrix(len(gram))).max())
+    alpha_sq, gap = scale_and_gap(gram)
     if not gap <= EXCHANGEABILITY_TOL * alpha_sq:  # NaN compares False
         raise ValueError(f"{_ERR}: demand Gram deviates from alpha^2 Q by {gap:.3e}; "
                          "only an equilibrium demand has the canonical posterior law")

@@ -83,11 +83,11 @@ KEYS = {
     "output.dir": ("output_dir", str),
 }
 
-# family.kind -> the RunConfig attribute that lists one parameter per signal
-_SIGNAL_LISTS = {
-    "gaussian_mean_shift": "means",
-    "gaussian_variance": "sds",
-    "skew_normal": "shapes",
+# family.kind -> its RunConfig attributes, the one that lists a parameter per signal first
+_FAMILY_PARAMS = {
+    "gaussian_mean_shift": ("means", "sd"),
+    "gaussian_variance": ("sds", "mu"),
+    "skew_normal": ("shapes",),
 }
 
 
@@ -139,9 +139,9 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ValueError(f"{_ERR}: solver.phi_tol and solver.width_tol must be finite and > 0")
     if not SUBGRID_MIN <= cfg.n_sub <= COUNT_LIMIT:
         raise ValueError(f"{_ERR}: impact.n_sub must be in [{SUBGRID_MIN}, 2**40]")
-    if cfg.family_kind not in _SIGNAL_LISTS:
+    if cfg.family_kind not in _FAMILY_PARAMS:
         raise ValueError(f"{_ERR}: unsupported family.kind {cfg.family_kind!r}")
-    I = len(getattr(cfg, _SIGNAL_LISTS[cfg.family_kind]))
+    I = len(getattr(cfg, _FAMILY_PARAMS[cfg.family_kind][0]))
     if cfg.conditioned_on is not None and not 0 <= cfg.conditioned_on < I:
         raise ValueError(
             f"{_ERR}: impact.conditioned_on must be in [0, {I}) or none, "
@@ -161,11 +161,7 @@ def config_noise(cfg: RunConfig, grid: StateGrid) -> NoiseProfile:
 
 
 def config_family(cfg: RunConfig, grid: StateGrid) -> PayoffFamily:
-    params = {
-        "gaussian_mean_shift": {"means": cfg.means, "sd": cfg.sd},
-        "gaussian_variance": {"mu": cfg.mu, "sds": cfg.sds},
-        "skew_normal": {"shapes": cfg.shapes},
-    }[cfg.family_kind]
+    params = {name: getattr(cfg, name) for name in _FAMILY_PARAMS[cfg.family_kind]}
     # a tiny sd overflows (x - m) / sd (density 0 there) or the density itself (the
     # row's mass is then infinite, which make_payoff_family rejects)
     with np.errstate(over="ignore"):

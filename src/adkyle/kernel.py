@@ -65,6 +65,12 @@ def centering_matrix(I: int) -> np.ndarray:
     return np.eye(I) - 1.0 / I
 
 
+def scale_and_gap(M: np.ndarray) -> tuple[float, float]:
+    """Fit cQ to a centred I x I Gram M: c = trace(M) / (I - 1) and gap = max|M - cQ|."""
+    c = float(np.trace(M)) / (len(M) - 1)
+    return c, float(np.abs(M - c * centering_matrix(len(M))).max())
+
+
 def exchangeability_scale(K: np.ndarray) -> tuple[float, bool]:
     """Best scalar c with QKQ ~ cQ, and whether the fit is within EXCHANGEABILITY_TOL * c.
 
@@ -72,13 +78,9 @@ def exchangeability_scale(K: np.ndarray) -> tuple[float, bool]:
     the fit is always exact (the centered space is one-dimensional).  The test
     is relative, so rescaling the noise does not change the verdict.
     """
-    K = np.asarray(K, dtype=float)
-    I = K.shape[0]
-    Q = centering_matrix(I)
-    M = Q @ K @ Q
-    c = float(np.trace(M) / (I - 1))
-    exchangeable = bool(np.max(np.abs(M - c * Q)) <= EXCHANGEABILITY_TOL * c)
-    return c, exchangeable
+    Q = centering_matrix(len(K))
+    c, gap = scale_and_gap(Q @ np.asarray(K, dtype=float) @ Q)
+    return c, bool(gap <= EXCHANGEABILITY_TOL * c)
 
 
 def build_canonical_kernel(

@@ -85,47 +85,6 @@ def log_likelihoods(
     return increments @ f.T - 0.5 * gram_diag
 
 
-def signal_sweep(extreme: np.ufunc, a: np.ndarray) -> np.ndarray:
-    """extreme.reduce(a, axis=-1) for np.maximum or np.minimum, one column at a time.
-
-    Each of the I - 1 steps is one ufunc call over every row at once, about a
-    thirtieth of numpy's cost on a 4096 x 2 block.  The value is numpy's; only
-    the sign of a zero extreme can differ, where a row ties +0.0 with -0.0 and
-    numpy (eight lanes from I = 9) meets them in another order.
-    """
-    out = a[..., 0].copy()
-    for j in range(1, a.shape[-1]):
-        extreme(out, a[..., j], out=out)
-    return out
-
-
-def signal_sum(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=-1) by whole columns, in the order of numpy's pairwise sum.
-
-    Below 8 columns left to right; up to 128 in eight lanes (lane r: columns r,
-    r + 8, ...) joined as ((0+1)+(2+3))+((4+5)+(6+7)), then the leftover columns;
-    above 128 as two halves split at a multiple of 8.  The value is numpy's; only
-    an all-zero row can differ, in the sign of its zero.  On a 4096-row block it
-    takes a tenth of numpy's time at I = 2, breaks even near I = 16 and takes
-    3-5 times as long at I = 64 (timeit, 2-core Xeon).
-    """
-    n = a.shape[-1]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return signal_sum(a[..., :half]) + signal_sum(a[..., half:])
-    width = 8 if n >= 8 else 1
-    end = n - n % width
-    r = a[..., :width].copy()
-    for j in range(width, end, width):
-        r += a[..., j:j + width]
-    while r.shape[-1] > 1:
-        r = r[..., 0::2] + r[..., 1::2]
-    out = r[..., 0]
-    for j in range(end, n):
-        out += a[..., j]
-    return out
-
-
 def posterior_weights(log_lik: np.ndarray) -> np.ndarray:
     """Softmax over signals with a hard guard against underflow erasure.
 
@@ -137,9 +96,9 @@ def posterior_weights(log_lik: np.ndarray) -> np.ndarray:
             beliefs.
     """
     log_lik = np.atleast_2d(np.asarray(log_lik, dtype=float))
-    top = signal_sweep(np.maximum, log_lik)
+    top = log_lik.max(axis=-1, keepdims=True)
     with np.errstate(invalid="ignore"):  # an all -inf row: -inf - -inf is NaN, rejected below
-        spread = top - signal_sweep(np.minimum, log_lik)
+        spread = top - log_lik.min(axis=-1, keepdims=True)
     worst = float(spread.max())
     if not worst <= LOG_LIK_SPREAD_MAX:  # NaN compares False
         if not math.isfinite(worst):
@@ -148,12 +107,8 @@ def posterior_weights(log_lik: np.ndarray) -> np.ndarray:
             f"{_ERR}: log-likelihood spread {worst:.1f} exceeds "
             f"{LOG_LIK_SPREAD_MAX}; posterior underflow"
         )
-    # softmax shifted by the guard's max (a zero shift's sign does not change exp),
-    # in place, so a call allocates one array the size of its input, stacked or not
-    w = log_lik - top[..., None]
-    np.exp(w, out=w)
-    w /= signal_sum(w)[..., None]
-    return w
+    w = np.exp(log_lik - top)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def price_schedule(pi: np.ndarray, family: PayoffFamily) -> np.ndarray:

@@ -1,0 +1,39 @@
+"""The benchmark's workloads run clean: each command exits 0 and passes its output check.
+
+perfbench/ is imported read only, so a change that would fail the benchmark run (a
+config key its workloads write, a flag its commands pass, a CSV column its checks read)
+fails here first.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from adkyle.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads, checks = load("workloads"), load("checks")
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_workload_commands_exit_zero_and_pass_their_checks(workload, tmp_path):
+    spec = workloads.WORKLOADS[workload]
+    config = tmp_path / "run.cfg"
+    config.write_text(spec.config_text(workloads.DEFAULT_SEED))
+    for words in spec.commands:
+        name = workloads.command_name(words)
+        out = tmp_path / name.replace(" ", "_")
+        assert main([*words, "-c", str(config), "-o", str(out)]) == 0, name
+        paths = int(words[words.index("--paths") + 1]) if "--paths" in words else 0
+        assert checks.check_outputs(name, out, {"grid_n": workloads.GRID_N, "paths": paths}) == []

@@ -59,25 +59,25 @@ class FocReport:
 
 
 def foc_terms(
-    v_row: np.ndarray,
+    directions: np.ndarray,
     w_star: np.ndarray,
     family: PayoffFamily,
     true_index: int,
     noise: NoiseProfile,
     grid: StateGrid,
     phi_residual: float = 0.0,
-) -> FocReport | list[FocReport]:
-    """Directional derivative of the insider objective at the equilibrium demand w_star.
+) -> list[FocReport]:
+    """Directional derivatives of the insider objective at the equilibrium demand w_star.
 
     The insider with signal t trades W = w_star[t], and the market maker prices with
     w_star (I x n), whose sigma-Gram alpha^2 Q gives the posterior the canonical law at
     alpha: E[q | t] comes from true_belief_moments and E[C | t] from posterior_covariance.
-    v_row is one direction (n,), giving one FocReport, or a stack (k, n), giving k
-    reports, each equal to the single-direction call.  phi_residual is Phi at the root
-    w_star was built from (0 for an exact root).
+    directions is a stack (k, n), giving one report per row.  phi_residual is Phi at the
+    root w_star was built from (0 for an exact root).
 
     J(W + e v) is trade . eta_t - E[q] . (eta @ trade), with E[q] = E[softmax(mu + alpha xi)]
-    for mu_i = <W + e v, w_star_i>_sigma - |w_star_i|^2_sigma / 2 (softmax_mean).
+    for mu_i = <W + e v, w_star_i>_sigma - |w_star_i|^2_sigma / 2.  One softmax_mean call
+    integrates the 4k rows e = +-eps, +-eps/2 of every direction on one window.
 
     Raises:
         ValueError: a Gram of w_star not alpha^2 Q, a zero demand row or direction, or
@@ -87,11 +87,9 @@ def foc_terms(
     I = len(gram)
     if not 0 <= true_index < I:
         raise ValueError(f"{_ERR}: true_index {true_index} out of range for I={I}")
-    v = np.asarray(v_row, dtype=float)
-    stacked = v.ndim == 2
-    v = np.atleast_2d(v)
-    if v.ndim != 2 or v.shape[1] != grid.n:
-        raise ValueError(f"{_ERR}: v_row must have length n={grid.n}")
+    v = np.asarray(directions, dtype=float)
+    if v.ndim != 2 or len(v) == 0 or v.shape[1] != grid.n:
+        raise ValueError(f"{_ERR}: directions must be a stack (k >= 1, n={grid.n})")
     w_row = np.asarray(w_star, dtype=float)[true_index]
     w_max, v_max = float(np.max(np.abs(w_row))), np.max(np.abs(v), axis=1)
     if w_max == 0.0 or np.any(v_max == 0.0):
@@ -105,35 +103,35 @@ def foc_terms(
     eta, gw, eta_t = family.eta, grid.quad_weights, family.eta[true_index]
     eta_w = eta @ (gw * w_row)
     mu = gram[true_index] - 0.5 * np.diag(gram)
+    d = np.array([[weighted_inner_product(v_k, row, noise, grid) for row in w_star] for v_k in v])
 
-    def objective(step: float, v_k: np.ndarray, d: np.ndarray) -> float:
-        trade = gw * (w_row + step * v_k)
-        return float(trade @ eta_t - softmax_mean(alpha, mu + step * d) @ (eta @ trade))
-
-    def central(step: float, v_k: np.ndarray, d: np.ndarray) -> float:
-        return (objective(step, v_k, d) - objective(-step, v_k, d)) / (2.0 * step)
+    # J at e = eps, -eps, eps/2, -eps/2 per direction; central differences at eps and eps/2
+    eps = FD_REL_EPS * w_max / v_max
+    steps = eps[:, None] * np.array([1.0, -1.0, 0.5, -0.5])
+    trades = (gw * (w_row + steps[:, :, None] * v[:, None, :])).reshape(-1, grid.n)
+    means = softmax_mean(alpha, (mu + steps[:, :, None] * d[:, None, :]).reshape(-1, I))
+    J = np.reshape([t @ eta_t - q @ (eta @ t) for t, q in zip(trades, means)], steps.shape)
+    coarse, fine = ((J[:, 0::2] - J[:, 1::2]) / (2.0 * steps[:, 0::2])).T
 
     reports = []
-    for v_k, eps in zip(v, FD_REL_EPS * w_max / v_max):
-        d = np.array([weighted_inner_product(v_k, row, noise, grid) for row in w_star])
+    for v_k, d_k, e, c, f in zip(v, d, eps, coarse, fine):
         trade_v = gw * v_k
         eta_v = eta @ trade_v
-        payoff, ad, impact = float(trade_v @ eta_t), float(belief @ eta_v), float(eta_w @ cov @ d)
+        payoff, ad, impact = float(trade_v @ eta_t), float(belief @ eta_v), float(eta_w @ cov @ d_k)
         analytic = payoff - ad - impact
         # each E[q] entry is within QUAD_TOL and each E[C] entry within 3 QUAD_TOL; a Gram
         # gap moves the mean logits by at most 1.5 gap and their covariance by gap; and the
         # residual of the demand built from a root with Phi != 0 is I/(I-1) Phi (Q eta_v)_t
-        scale = float(np.abs(eta_v).sum() + np.abs(eta_w).sum() * np.abs(d).sum())
+        scale = float(np.abs(eta_v).sum() + np.abs(eta_w).sum() * np.abs(d_k).sum())
         tol = 3.0 * (QUAD_TOL + gap) * scale
-        coarse, fine = central(eps, v_k, d), central(0.5 * eps, v_k, d)
-        fd = (4.0 * fine - coarse) / 3.0
+        fd = float((4.0 * f - c) / 3.0)
         reports.append(FocReport(
             payoff_term=payoff, adverse_selection_term=ad, impact_term=impact,
             analytic_total=analytic, residual_bound=tol + 2.0 * abs(phi_residual) * scale,
-            fd_total=fd, fd_epsilon=float(eps), diff=analytic - fd,
-            fd_bound=2.0 * tol + abs(coarse - fine),
+            fd_total=fd, fd_epsilon=float(e), diff=analytic - fd,
+            fd_bound=float(2.0 * tol + abs(c - f)),
         ))
-    return reports if stacked else reports[0]
+    return reports
 
 
 def zero_impact_basis(w_tilde: np.ndarray, noise: NoiseProfile, grid: StateGrid) -> np.ndarray:

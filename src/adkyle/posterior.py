@@ -33,9 +33,10 @@ QUAD_TOL = 1e-12          # bound on the rule's error for alpha_bar in [0, 4] an
 
 
 def _check_alpha_bar(alpha_bar: float) -> None:
-    """alpha_bar enters squared: a finite value whose square overflows gives NaN moments."""
-    if alpha_bar < 0.0 or not math.isfinite(alpha_bar * alpha_bar):
-        raise ValueError(f"{_ERR}: alpha_bar must be >= 0 with a finite square")
+    """_lines' window sits at -alpha_bar^2 and is 2 alpha_bar NORMAL_RANGE + 45 wide; past
+    NORMAL_RANGE / eps (3.8e16) alpha_bar^2 rounds by that much (NaN moments from ~1.44e17)."""
+    if not 0.0 <= alpha_bar <= NORMAL_RANGE / math.ulp(1.0):
+        raise ValueError(f"{_ERR}: alpha_bar must be in [0, {NORMAL_RANGE / math.ulp(1.0):.3g}]")
 
 
 def _lines(alpha_bar: float):
@@ -137,23 +138,24 @@ def posterior_covariance(alpha_bar: float, I: int, true_index: int | None = None
 
 
 def softmax_mean(alpha_bar: float, mu: np.ndarray) -> np.ndarray:
-    """E[softmax(mu + alpha_bar xi)], xi ~ N(0, I_I), for any mean logits mu, by quadrature.
+    """E[softmax(mu_k + alpha_bar xi)], xi ~ N(0, I_I), for each row mu_k of mean logits (k, I).
 
     The 1/D identity of true_belief_moments factorizes each entry over the I normals,
 
         E[q_i] = int E g_1(r + mu_i + alpha_bar x) prod_{j != i} E g_0(r + mu_j + alpha_bar x) dr,
 
-    one r line per signal, shifted by mu_j.  softmax ignores a common shift, so mu is
-    shifted to max mu = alpha_bar^2, where the rule's window puts the canonical truth:
-    at mu = alpha_bar^2 e_t the lines are those of true_belief_moments.
+    one r line per signal, shifted by mu_j.  softmax ignores a common shift, so each row is
+    shifted to max mu_k = alpha_bar^2, where the rule's window puts the canonical truth:
+    at mu = alpha_bar^2 e_t the lines are those of true_belief_moments.  Every row is
+    integrated on one window, and its (I,) result is bitwise that of its one-row call.
     """
     mu = np.asarray(mu, dtype=float)
-    if mu.ndim != 1 or mu.size < 2:
-        raise ValueError(f"{_ERR}: need a vector of at least two mean logits")
+    if mu.ndim != 2 or len(mu) == 0 or mu.shape[1] < 2:
+        raise ValueError(f"{_ERR}: need k >= 1 rows (k, I) of at least two mean logits")
     h, sums = _lines(alpha_bar)
-    a = float(alpha_bar)
-    L, K = np.array([sums(shift) for shift in mu - mu.max() + a * a]).transpose(1, 0, 2)
-    others = np.array([np.prod(np.delete(L, i, axis=0), axis=0) for i in range(mu.size)])
+    shifts = mu - mu.max(axis=1, keepdims=True) + alpha_bar * alpha_bar
+    L, K = np.array([[sums(shift) for shift in row] for row in shifts]).transpose(2, 0, 1, 3)
+    others = np.stack([np.prod(np.delete(L, i, 1), axis=1) for i in range(mu.shape[1])], 1)
     f = h * K * others
-    f[:, [0, -1]] *= 0.5
-    return f.sum(axis=1)
+    f[..., [0, -1]] *= 0.5
+    return f.sum(axis=-1)

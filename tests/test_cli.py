@@ -622,6 +622,8 @@ def test_repeated_config_key_exits_with_code_two(tmp_path, capsys):
     ["impact", "--seed", "-1"],
     ["solve", "--seed", str(2**64 + 1)],
     ["posterior", "probe", "--alpha-bar", "1e200"],
+    # alpha^2 rounds by more than the quadrature window (NaN moments, exit 0, from ~1.44e17)
+    ["posterior", "probe", "--alpha-bar", "1e17"],
 ])
 def test_bad_flag_values_exit_with_code_two(cfg_file, tmp_path, capsys, argv):
     assert main(argv + ["-c", str(cfg_file), "-o", str(tmp_path / "out")]) == 2

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import adkyle.posterior
 from adkyle import (
     NoiseProfile,
     build_canonical_kernel,
@@ -36,7 +37,7 @@ def test_report_decomposition_is_internally_consistent(
 ):
     _, w_star = mean_shift_demand
     v = mean_shift_family.eta[0] - mean_shift_family.eta.mean(axis=0)
-    rep = foc_terms(v, w_star, mean_shift_family, 0, unit_noise, grid)
+    rep = foc_terms(v[None], w_star, mean_shift_family, 0, unit_noise, grid)[0]
     assert rep.analytic_total == pytest.approx(
         rep.payoff_term - rep.adverse_selection_term - rep.impact_term, abs=1e-12
     )
@@ -105,7 +106,7 @@ def test_impact_term_vanishes_along_zero_impact_directions(
 ):
     _, w_star = mean_shift_demand
     basis = zero_impact_basis(w_star, unit_noise, grid)
-    rep = foc_terms(basis[0], w_star, mean_shift_family, 0, unit_noise, grid)
+    rep = foc_terms(basis[0][None], w_star, mean_shift_family, 0, unit_noise, grid)[0]
     assert abs(rep.impact_term) < IMPACT_NULL_TOLERANCE
 
 
@@ -120,7 +121,19 @@ def test_direction_stack_equals_single_direction_calls(
     reports = foc_terms(stack, *args)
     assert isinstance(reports, list) and len(reports) == 3
     for v, rep in zip(stack, reports):
-        assert rep == foc_terms(v, *args)
+        assert rep == foc_terms(v[None], *args)[0]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_each_call_builds_three_windows(k, mean_shift_demand, mean_shift_family, unit_noise,
+                                        grid, monkeypatch):
+    # one r-line window each for E[q | t], E[C | t] and all 4k finite-difference rows
+    _, w_star = mean_shift_demand
+    builds, real = [], adkyle.posterior._lines
+    monkeypatch.setattr(adkyle.posterior, "_lines", lambda a: builds.append(a) or real(a))
+    stack = np.stack([w_star[0], mean_shift_family.eta[0], np.ones(grid.n)])[:k]
+    assert len(foc_terms(stack, w_star, mean_shift_family, 0, unit_noise, grid)) == k
+    assert len(builds) == 3
 
 
 def test_shift_past_the_spread_bound_is_rejected(
@@ -201,17 +214,21 @@ def test_zero_demand_row_is_rejected(mean_shift_demand, mean_shift_family, unit_
     # eps is relative to |W|_inf: a zero demand row leaves no step to take
     _, w_star = mean_shift_demand
     with pytest.raises(ValueError, match="adkyle.objective: demand row"):
-        foc_terms(w_star[0], np.zeros_like(w_star), mean_shift_family, 0, unit_noise, grid)
+        foc_terms(w_star[0][None], np.zeros_like(w_star), mean_shift_family, 0, unit_noise,
+                  grid)
 
 
 def test_direction_must_be_nonzero(mean_shift_demand, mean_shift_family, unit_noise, grid):
     _, w_star = mean_shift_demand
     with pytest.raises(ValueError, match="adkyle.objective"):
-        foc_terms(np.zeros(grid.n), w_star, mean_shift_family, 0, unit_noise, grid)
+        foc_terms(np.zeros(grid.n)[None], w_star, mean_shift_family, 0, unit_noise, grid)
     # one zero row in a stack is rejected too
     with pytest.raises(ValueError, match="adkyle.objective"):
         foc_terms(np.stack([w_star[0], np.zeros(grid.n)]), w_star, mean_shift_family, 0,
                   unit_noise, grid)
+    # and an empty stack holds no direction
+    with pytest.raises(ValueError, match="adkyle.objective: directions"):
+        foc_terms(np.zeros((0, grid.n)), w_star, mean_shift_family, 0, unit_noise, grid)
 
 
 @pytest.mark.parametrize("true_index", [-1, 2])
@@ -221,7 +238,7 @@ def test_signal_index_out_of_range_is_rejected(true_index, mean_shift_demand, me
     _, w_star = mean_shift_demand
     args = (w_star, mean_shift_family, true_index, unit_noise, grid)
     with pytest.raises(ValueError, match="adkyle.objective: true_index"):
-        foc_terms(w_star[1], *args)
+        foc_terms(w_star[1][None], *args)
 
 
 def _foc_from_full_paths(w_row, v, w_tilde, family, true_index, noise, grid, n_paths, seed):

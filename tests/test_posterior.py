@@ -148,7 +148,8 @@ def test_softmax_mean_at_the_canonical_logits_is_the_true_belief(alpha_bar, I, t
     for shift in (0.0, -3.7, 250.0):
         mu = np.full(I, shift)
         mu[true_index] += alpha_bar * alpha_bar
-        np.testing.assert_allclose(softmax_mean(alpha_bar, mu), expected, rtol=0, atol=QUAD_TOL)
+        np.testing.assert_allclose(softmax_mean(alpha_bar, mu[None])[0], expected, rtol=0,
+                                   atol=QUAD_TOL)
 
 
 GENERIC_LOGITS = [(1.6, [0.3, -1.2, 2.5, 0.0]), (0.7, [0.1, -0.4]),
@@ -157,11 +158,11 @@ GENERIC_LOGITS = [(1.6, [0.3, -1.2, 2.5, 0.0]), (0.7, [0.1, -0.4]),
 
 @pytest.mark.parametrize("alpha_bar,mu", GENERIC_LOGITS)
 def test_softmax_mean_is_within_its_tolerance_of_a_finer_rule(alpha_bar, mu, monkeypatch):
-    coarse = softmax_mean(alpha_bar, np.asarray(mu))
+    coarse = softmax_mean(alpha_bar, np.asarray(mu)[None])[0]
     for name, value in {"LOG_SIGMA_STEP": 0.05, "MAX_LOG_SIGMA_POINTS": 8000,
                         "NORMAL_STEP": 0.1, "NORMAL_RANGE": 10.0}.items():
         monkeypatch.setattr(adkyle.posterior, name, value)
-    np.testing.assert_allclose(coarse, softmax_mean(alpha_bar, np.asarray(mu)),
+    np.testing.assert_allclose(coarse, softmax_mean(alpha_bar, np.asarray(mu)[None])[0],
                                rtol=0, atol=QUAD_TOL)
 
 
@@ -174,18 +175,32 @@ def test_softmax_mean_matches_draws_at_any_logits(alpha_bar, mu):
     xi = standard_normal_matrix(6, MOMENT_SAMPLES, len(mu))
     q = softmax(mu + alpha_bar * xi)
     se = q.std(axis=0, ddof=1) / np.sqrt(MOMENT_SAMPLES)
-    mean = softmax_mean(alpha_bar, mu)
+    mean = softmax_mean(alpha_bar, mu[None])[0]
     assert np.all(np.abs(mean - q.mean(axis=0)) <= 3.0 * se)
     assert abs(mean.sum() - 1.0) <= QUAD_TOL
 
 
 def test_softmax_mean_takes_far_apart_logits():
     # a signal 1e3 below the rest holds no mass, with no overflow or NaN on its line
-    mean = softmax_mean(1.2, np.array([0.0, 1.0, -1000.0]))
+    mean = softmax_mean(1.2, np.array([0.0, 1.0, -1000.0])[None])[0]
     assert mean[2] == 0.0 and abs(mean.sum() - 1.0) <= QUAD_TOL
-    np.testing.assert_allclose(mean[:2], softmax_mean(1.2, np.array([0.0, 1.0])), atol=QUAD_TOL)
-    with pytest.raises(ValueError, match="adkyle.posterior"):
-        softmax_mean(1.0, np.zeros(1))
+    np.testing.assert_allclose(mean[:2], softmax_mean(1.2, np.array([0.0, 1.0])[None])[0],
+                               atol=QUAD_TOL)
+    for mu in (np.zeros(1)[None], np.zeros((0, 2))):
+        with pytest.raises(ValueError, match="adkyle.posterior"):
+            softmax_mean(1.0, mu)
+
+
+@pytest.mark.parametrize("alpha_bar,mu", GENERIC_LOGITS)
+def test_each_row_of_a_stack_is_its_own_call(alpha_bar, mu):
+    # one window serves every row: a stack of the canonical rows at I = len(mu), each truth
+    # and common shift, and the generic row gives each row's one-row result bit for bit
+    I = len(mu)
+    rows = [np.full(I, shift) + alpha_bar * alpha_bar * np.eye(I)[t]
+            for t in range(I) for shift in (0.0, -3.7, 250.0)]
+    stack = np.array(rows + [mu])
+    for row, mean in zip(stack, softmax_mean(alpha_bar, stack)):
+        assert np.array_equal(mean, softmax_mean(alpha_bar, row[None])[0])
 
 
 def test_posterior_covariance_argument_validation():

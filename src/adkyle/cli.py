@@ -7,17 +7,19 @@ stdout line without its " -> outdir" (None if the handler prints its own);
 and the exit status.  main alone touches the output directory: it writes the
 tables as plain CSV (never plots, never binary blobs), prints the summary,
 and writes a manifest.csv of tool, Python, numpy and BLAS versions, config
-hash, seed, and wall time for provenance; all other files are bitwise
-reproducible from (config, seed).
+hash, seed, and wall, compute and write times for provenance; all other
+files are bitwise reproducible from (config, seed).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
+import threading
 import time
 from dataclasses import astuple, fields
 from datetime import datetime, timezone
@@ -45,7 +47,8 @@ from .orderflow import log_likelihoods, posterior_weights, price_schedule, simul
 from .posterior import QUAD_TOL, true_belief_moments
 
 OUTPUT_DIR_ENV = "ADKYLE_OUTPUT_DIR"
-CSV_BLOCK_ROWS = 1 << 14  # rows formatted per write: bounds the text in memory
+CSV_BLOCK_ROWS = 1 << 14  # rows formatted per write and per worker task: bounds the text in memory
+PARALLEL_MIN_ROWS = 5 * CSV_BLOCK_ROWS  # rows from which forked workers pay off (README)
 
 
 def _numeric(column) -> bool:
@@ -69,29 +72,61 @@ def _cells(column) -> list[str]:
     return [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in column]
 
 
+def _blocks(columns: list):
+    return ([column[start:start + CSV_BLOCK_ROWS] for column in columns]
+            for start in range(0, max(map(len, columns), default=0), CSV_BLOCK_ROWS))
+
+
+def _block_text(block) -> str:
+    """CSV text of one block of equal-length columns; rows of numeric arrays need no quoting."""
+    cells = [_cells(column) for column in block]
+    if all(map(_numeric, block)):
+        n, k = len(cells[0]), len(cells)
+        text = [","] * (2 * k * n)
+        for j, column in enumerate(cells):
+            text[2 * j::2 * k] = column  # raises ValueError on a column of another length
+        text[2 * k - 1::2 * k] = ["\r\n"] * n
+        return "".join(text)
+    csv.writer(buf := io.StringIO()).writerows(zip(*cells, strict=True))
+    return buf.getvalue()
+
+
+def _write_csvs(tables: dict, map_blocks=map) -> None:
+    """Write {path: (header, columns)} tables, block texts from map_blocks(_block_text, blocks) in
+    order; all tables are queued before the first write, so pool workers never wait between them."""
+    queued = [map_blocks(_block_text, _blocks(columns)) for _, columns in tables.values()]
+    for (path, (header, _)), texts in zip(tables.items(), queued):
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerow(header)
+            fh.writelines(texts)
+
+
 def write_csv(path: Path, header: list[str], columns) -> None:
-    """Write equal-length columns (arrays or sequences) under a header row.
-
-    Rows are formatted and written CSV_BLOCK_ROWS at a time, so only one
-    block's text is held in memory.  Rows of all-numeric arrays need no
-    quoting, so they are joined directly, with csv's default "\\r\\n" line
-    end; any other table goes through csv.
-    """
-    columns = list(columns)
-    joined = all(map(_numeric, columns))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for start in range(0, max(map(len, columns), default=0), CSV_BLOCK_ROWS):
-            block = [column[start:start + CSV_BLOCK_ROWS] for column in columns]
-            rows = zip(*map(_cells, block), strict=True)
-            if joined:
-                fh.write("".join([",".join(row) + "\r\n" for row in rows]))
-            else:
-                writer.writerows(rows)
+    """Write equal-length columns (arrays or sequences) under a header row."""
+    _write_csvs({path: (header, list(columns))})
 
 
-def _manifest(cfg: RunConfig, command: str, t0: float) -> list[tuple]:
+def _write_tables(outdir: Path, tables: dict) -> int:
+    """Write each table to outdir/name; return the number of forked workers (0: serial, README)."""
+    tables = {outdir / name: (header, list(columns)) for name, (header, columns) in tables.items()}
+    rows = [max(map(len, columns), default=0) for _, columns in tables.values()]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, sum(-(-n // CSV_BLOCK_ROWS) for n in rows))
+    # fork, as spawned workers would import numpy again; it is safe with no other Python thread
+    if sum(rows) < PARALLEL_MIN_ROWS or workers < 2 or threading.active_count() > 1:
+        _write_csvs(tables)
+        return 0
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            _write_csvs(tables, pool.map)
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(f"adkyle.cli: a CSV worker process died: {exc}") from None
+    return workers
+
+
+def _manifest(cfg: RunConfig, command: str, t0: float, times: list[tuple]) -> list[tuple]:
     # read off modules already loaded: importlib.metadata would cost milliseconds per run
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return [
@@ -105,6 +140,7 @@ def _manifest(cfg: RunConfig, command: str, t0: float) -> list[tuple]:
         ("n_samples", cfg.n_samples),
         ("n_paths", cfg.n_paths),
         ("wall_time_s", f"{time.perf_counter() - t0:.3f}"),
+        *times,
         ("created_utc", datetime.now(timezone.utc).isoformat()),
     ]
 
@@ -332,12 +368,16 @@ def main(argv=None) -> int:
         cfg = with_seed(load_config(args.config), args.seed)
         outdir = Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
+        t1 = time.perf_counter()
         tables, summary, status = args.func(args, cfg)
-        for name, (header, columns) in tables.items():
-            write_csv(outdir / name, header, columns)
+        t2 = time.perf_counter()
+        workers = _write_tables(outdir, tables)
+        times = [("compute_s", f"{t2 - t1:.3f}"), ("write_s", f"{time.perf_counter() - t2:.3f}"),
+                 ("write_workers", workers)]
         if summary is not None:
             print(f"{summary} -> {outdir}")
-        write_csv(outdir / "manifest.csv", ["key", "value"], zip(*_manifest(cfg, args.label, t0)))
+        write_csv(outdir / "manifest.csv", ["key", "value"],
+                  zip(*_manifest(cfg, args.label, t0, times)))
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,11 @@
 """Command-line pipeline: outputs, overrides, and failure modes."""
 
 import argparse
+import concurrent.futures.process
 import csv
 import dataclasses
 import math
+import multiprocessing
 import os
 import resource
 import subprocess
@@ -64,6 +66,12 @@ def test_solve_writes_equilibrium_and_demand(cfg_file, tmp_path, capsys):
     assert manifest["numpy_version"] == np.__version__
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert manifest["blas"] == f"{blas['name']} {blas['version']}"
+    # the handler's and the writer's times follow the wall time; small tables are written serially
+    keys = [row[0] for row in read_rows(out / "manifest.csv")[1:]]
+    assert keys[keys.index("wall_time_s"):][:4] == ["wall_time_s", "compute_s", "write_s",
+                                                    "write_workers"]
+    assert min(float(manifest["compute_s"]), float(manifest["write_s"])) >= 0.0
+    assert manifest["write_workers"] == "0"
     rows = dict(
         (r[0], r[1]) for r in read_rows(out / "equilibrium.csv")[1:]
     )
@@ -360,7 +368,8 @@ def test_csv_writer_matches_per_cell_reference(tmp_path):
 
 
 def test_csv_writer_writes_block_by_block(tmp_path, monkeypatch):
-    # three-row blocks: ten rows make three full blocks and a partial one
+    # three-row blocks: ten rows make three full blocks and a partial one, formatted
+    # here one at a time and by two forked workers
     monkeypatch.setattr(adkyle.cli, "CSV_BLOCK_ROWS", 3)
     x = np.tile(np.array([0.0, -0.0, 0.1]), 4)[:10]
     tables = {
@@ -368,12 +377,102 @@ def test_csv_writer_writes_block_by_block(tmp_path, monkeypatch):
         "mixed": (["label", "x", "n"], [[f"s,{i}" for i in range(10)], x, list(range(10))]),
     }
     for name, (header, columns) in tables.items():
-        ref, out = tmp_path / f"{name}_ref.csv", tmp_path / f"{name}.csv"
-        _per_cell_csv(ref, header, columns)
-        write_csv(out, header, columns)
-        assert out.read_bytes() == ref.read_bytes()
-    with pytest.raises(ValueError):  # unequal columns still fail, in whichever block
-        write_csv(tmp_path / "bad.csv", ["a", "b"], [np.arange(10), np.arange(7)])
+        _per_cell_csv(tmp_path / f"{name}_ref.csv", header, columns)
+    fork = multiprocessing.get_context("fork")
+    with concurrent.futures.process.ProcessPoolExecutor(2, mp_context=fork) as pool:
+        for i, map_blocks in enumerate((map, pool.map)):
+            out = tmp_path / str(i)
+            out.mkdir()
+            # both tables in one call: a pool has every block queued before the first write
+            adkyle.cli._write_csvs({out / f"{name}.csv": table for name, table in tables.items()},
+                                   map_blocks)
+            for name in tables:
+                assert (out / f"{name}.csv").read_bytes() == (
+                    tmp_path / f"{name}_ref.csv").read_bytes()
+            for bad in ([np.arange(10), np.arange(7)], [np.arange(10), list(range(7))]):
+                with pytest.raises(ValueError):  # unequal columns still fail, in whichever block
+                    adkyle.cli._write_csvs({out / "bad.csv": (["a", "b"], bad)}, map_blocks)
+    assert multiprocessing.active_children() == []
+
+
+def _pool_constructions(monkeypatch) -> list:
+    """Record the arguments of each process pool built."""
+    built = []
+
+    class Counted(concurrent.futures.process.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Counted)
+    return built
+
+
+def _small_pool_threshold(monkeypatch, cpus: int) -> None:
+    """Let `simulate --paths 40` reach the pool on `cpus` CPUs.
+
+    32-row blocks put pathwise_posterior.csv's 80 rows in three blocks, and the
+    8,160 rows of the three tables pass a 1,000-row threshold.
+    """
+    monkeypatch.setattr(adkyle.cli, "CSV_BLOCK_ROWS", 32)
+    monkeypatch.setattr(adkyle.cli, "PARALLEL_MIN_ROWS", 1000)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+SIMULATE_40 = ["simulate", "--paths", "40", "--signal", "1"]
+
+
+def test_forked_csv_workers_write_the_serial_bytes(cfg_file, tmp_path, monkeypatch):
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(serial)]) == 0
+    built = _pool_constructions(monkeypatch)
+    _small_pool_threshold(monkeypatch, cpus=2)
+    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(pooled)]) == 0
+    assert multiprocessing.active_children() == []
+    assert len(built) == 1
+    assert dict(read_rows(pooled / "manifest.csv")[1:])["write_workers"] == "2"
+    names = sorted(path.name for path in serial.glob("*.csv") if path.name != "manifest.csv")
+    assert names == ["paths.csv", "pathwise_posterior.csv", "pathwise_prices.csv"]
+    for name in names:
+        assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
+
+
+def test_small_tables_and_one_cpu_build_no_pool(cfg_file, tmp_path, monkeypatch):
+    commands = [["solve"], ["impact"], ["verify-foc"], ["simulate", "--paths", "3"]]
+    built, outs = _pool_constructions(monkeypatch), tmp_path / "out"
+    for i, argv in enumerate(commands):
+        assert main([*argv, "-c", str(cfg_file), "-o", str(outs / str(i))]) == 0
+    _small_pool_threshold(monkeypatch, cpus=1)
+    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(outs / "one_cpu")]) == 0
+    assert built == []
+    for out in outs.iterdir():
+        assert dict(read_rows(out / "manifest.csv")[1:])["write_workers"] == "0"
+    assert multiprocessing.active_children() == []
+
+
+_BLOCK_TEXT = adkyle.cli._block_text
+
+
+def _unequal_columns(block):
+    return _BLOCK_TEXT([*block[:-1], block[-1][1:]])
+
+
+def _worker_dies(block):
+    os._exit(1)
+
+
+@pytest.mark.parametrize("fault", [_unequal_columns, _worker_dies])
+def test_a_failing_csv_worker_ends_with_one_error_line(fault, cfg_file, tmp_path, monkeypatch,
+                                                       capsys):
+    # fork carries the patched _block_text into the workers
+    built = _pool_constructions(monkeypatch)
+    _small_pool_threshold(monkeypatch, cpus=2)
+    monkeypatch.setattr(adkyle.cli, "_block_text", fault)
+    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(tmp_path / "sim")]) == 2
+    assert len(built) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert multiprocessing.active_children() == []
 
 
 def _per_cell_csv(path, header, columns):
@@ -664,6 +763,19 @@ def test_cli_import_leaves_scipy_unloaded(cfg_file, tmp_path):
         *(f"assert adkyle.cli.main({argv + ['-c', str(cfg_file), '-o', str(tmp_path)]!r}) == 0"
           for argv in runs),
         "loaded += ['scipy'] * ('scipy' in sys.modules)",
+        "sys.exit(' '.join(loaded) or None)",
+    ])
+    proc = _run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_and_config_load_leave_the_pool_modules_unloaded(cfg_file):
+    # every run pays this set-up; the pool's modules (10-14 ms of import) load only with a pool
+    script = "\n".join([
+        "import sys, adkyle.cli",
+        "from adkyle.config import load_config",
+        f"load_config({str(cfg_file)!r})",
+        "loaded = [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]",
         "sys.exit(' '.join(loaded) or None)",
     ])
     proc = _run_python(["-c", script])

@@ -40,7 +40,7 @@ from .orderflow import (
     price_schedule,
     simulate_increments,
 )
-from .objective import FocReport, foc_terms, zero_impact_basis
+from .objective import FocReport, foc_terms, zero_impact_direction
 from .analytics import (
     derivative_cross_impact,
     efficiency_sweep,
@@ -78,7 +78,7 @@ __all__ = [
     "simulate_increments",
     "FocReport",
     "foc_terms",
-    "zero_impact_basis",
+    "zero_impact_direction",
     "derivative_cross_impact",
     "efficiency_sweep",
     "impact_surface",

@@ -41,7 +41,7 @@ from .config import (
 from .equilibrium import equilibrium_demand, solve_alpha_star
 from .kernel import RANK_TOL, build_canonical_kernel
 from .model import prior_moments
-from .objective import FocReport, foc_terms, zero_impact_basis
+from .objective import FocReport, foc_terms, zero_impact_direction
 from .options import bl_decompose, bl_reconstruct, demand_signature
 from .orderflow import log_likelihoods, posterior_weights, price_schedule, simulate_increments
 from .posterior import QUAD_TOL, true_belief_moments
@@ -228,7 +228,8 @@ def cmd_impact(args, cfg: RunConfig):
     lo = max(mu - 3.0 * sbar, grid.nodes[1])
     hi = min(mu + 3.0 * sbar, grid.nodes[-2])
     i_lo, i_hi = grid.nearest(lo, margin=1), grid.nearest(hi, margin=1)
-    idx = np.unique(np.round(np.linspace(i_lo, i_hi, cfg.n_sub)).astype(int))
+    n_sub = min(cfg.n_sub, i_hi - i_lo + 1)  # from the window's node count on, all are taken
+    idx = np.unique(np.round(np.linspace(i_lo, i_hi, n_sub)).astype(int))
     points = grid.nodes[idx]
     values, errs = impact_surface(points, points, w_star, family, noise, grid,
                                   conditioned_on=cfg.conditioned_on)
@@ -272,10 +273,9 @@ def cmd_options(args, cfg: RunConfig):
 
 def cmd_verify_foc(args, cfg: RunConfig):
     grid, noise, family, _, eq, w_star = _solved(cfg)
-    basis = zero_impact_basis(w_star, noise, grid)
     names = ("own_demand", "payoff_row", "zero_impact")
-    reports = foc_terms(np.stack([w_star[0], family.eta[0], basis[0]]), w_star, family, 0,
-                        noise, grid, phi_residual=eq.phi_residual)
+    stack = np.stack([w_star[0], family.eta[0], zero_impact_direction(w_star, noise, grid)])
+    reports = foc_terms(stack, w_star, family, 0, noise, grid, phi_residual=eq.phi_residual)
     rows, ok = [], True
     for name, rep in zip(names, reports):
         passed = abs(rep.analytic_total) <= rep.residual_bound and abs(rep.diff) <= rep.fd_bound

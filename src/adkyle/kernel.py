@@ -49,13 +49,13 @@ def gram_matrix(family: PayoffFamily, noise: NoiseProfile, grid: StateGrid) -> n
 
     Entry (i, j) sums the products (eta_i * eta_j) * (quad_weights * sigma^2)
     along its own row.  eta_i * eta_j == eta_j * eta_i exactly, so the result
-    is bitwise symmetric.
+    is bitwise symmetric.  K is built one row at a time, in O(I n) memory.
     """
     eta = family.eta
     if eta.shape[1] != grid.n or noise.sigma.shape != (grid.n,):
         raise ValueError(f"{_ERR}: length mismatch against grid with n={grid.n}")
-    return np.sum((eta[:, None] * eta[None]) * (grid.quad_weights * np.square(noise.sigma)),
-                  axis=-1)
+    weights = grid.quad_weights * np.square(noise.sigma)
+    return np.array([np.sum((row * eta) * weights, axis=-1) for row in eta])
 
 
 def centering_matrix(I: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Insider objective, first-order conditions, and zero-impact directions.
+"""Insider objective, first-order conditions, and the bond's zero-impact direction.
 
 The insider with signal s_t trading schedule W earns
 
@@ -9,7 +9,9 @@ eps * v moves J through three channels: the direct payoff int v eta dx, the
 price paid int v P dx, and the price pressure of v on P via the likelihoods.
 At an equilibrium demand the posterior has the canonical law, so foc_terms
 reports all three in closed form, from the solver's quadrature, next to a
-finite difference of J that is a quadrature too: nothing is drawn.
+finite difference of J that is a quadrature too: nothing is drawn.  A bond pays
+the same in every state and moves no posterior: its sigma-residual off the
+demand rows is the zero-impact direction.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .posterior import QUAD_TOL, posterior_covariance, softmax_mean, true_belief
 _ERR = "adkyle.objective"
 
 FD_REL_EPS = 1e-3     # eps = FD_REL_EPS * |W|_inf / |v|_inf
-GS_DROP_TOL = 1e-8    # relative residual below which a direction is dependent
+GS_DROP_TOL = 1e-8    # relative residual below which a row is dependent
 
 
 @dataclass(frozen=True)
@@ -134,45 +136,40 @@ def foc_terms(
     return reports
 
 
-def zero_impact_basis(w_tilde: np.ndarray, noise: NoiseProfile, grid: StateGrid) -> np.ndarray:
-    """Smooth directions that move no posterior: <v, W_tilde_i>_sigma = 0 for all i.
+def zero_impact_direction(w_tilde: np.ndarray, noise: NoiseProfile, grid: StateGrid) -> np.ndarray:
+    """The bond's sigma-unit residual off span(W_tilde): <v, W_tilde_i>_sigma = 0 for all i.
 
-    Candidates are the first 2I Legendre polynomials mapped to the grid; each
-    is projected off the span of the candidate schedules (and previously kept
-    directions) by two-pass Gram-Schmidt in the sigma-weighted inner product.
-    Directions whose residual norm falls below GS_DROP_TOL of their original norm
-    are discarded as numerically dependent.
+    Each eta_i integrates to one, so trading the constant payoff moves no posterior.
+    The rows of w_tilde are orthonormalized by two-pass Gram-Schmidt in the
+    sigma-weighted inner product, dropping a row whose residual norm falls below
+    GS_DROP_TOL of the largest row norm (rank-tolerant); the constant is projected
+    off that span twice, in the same order, and normalized.
 
-    Returns:
-        (k, n) matrix of sigma-orthonormal zero-impact directions (k >= 1 for
-        any kernel of rank < 2I).
+    Raises:
+        ValueError: w_tilde without n columns, or a constant whose residual is not
+            above GS_DROP_TOL of its norm (it lies in span(W_tilde)).
     """
     w_tilde = np.atleast_2d(np.asarray(w_tilde, dtype=float))
     if w_tilde.shape[1] != grid.n:
         raise ValueError(f"{_ERR}: candidate schedules must have n={grid.n} columns")
-    I = w_tilde.shape[0]
 
     def norm(f):
         return math.sqrt(max(weighted_inner_product(f, f, noise, grid), 0.0))
 
-    def orthonormalize(rows, scales, kept):
-        """Append each row's normalized two-pass residual off kept, if above GS_DROP_TOL * scale."""
-        for u, scale in zip(rows, scales):
-            for _ in range(2):
-                for b in kept:
-                    u = u - weighted_inner_product(u, b, noise, grid) * b
-            nu = norm(u)
-            if nu > GS_DROP_TOL * scale:
-                kept.append(u / nu)
-        return kept
+    def residual(u, span):
+        for _ in range(2):
+            for b in span:
+                u = u - weighted_inner_product(u, b, noise, grid) * b
+        return u, norm(u)
 
-    # Orthonormalize the span to project against (rank-tolerant).
-    max_norm = max((norm(r) for r in w_tilde), default=0.0)
-    span = orthonormalize(w_tilde, [max_norm] * I, [])
-
-    t = (2.0 * grid.nodes - (grid.x_min + grid.x_max)) / (grid.x_max - grid.x_min)
-    dictionary = np.polynomial.legendre.legvander(t, 2 * I - 1).T  # 2I rows
-    basis = orthonormalize(dictionary, [norm(c) for c in dictionary], list(span))[len(span):]
-    if not basis:
-        raise ValueError(f"{_ERR}: no zero-impact direction survived; enlarge the dictionary")
-    return np.stack(basis)
+    max_norm, span = max((norm(r) for r in w_tilde), default=0.0), []
+    for row in w_tilde:
+        u, nu = residual(row, span)
+        if nu > GS_DROP_TOL * max_norm:
+            span.append(u / nu)
+    bond = np.ones(grid.n)
+    u, nu = residual(bond, span)
+    if not nu > GS_DROP_TOL * norm(bond):
+        raise ValueError(f"{_ERR}: the constant payoff lies in the span of the schedules; "
+                         "no zero-impact direction")
+    return u / nu

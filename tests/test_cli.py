@@ -804,6 +804,34 @@ def test_unaffordable_path_count_fails_up_front(cfg_file, tmp_path):
     assert time.perf_counter() - t0 < 30.0
 
 
+def test_impact_sub_grid_past_the_window_takes_every_node(tmp_path):
+    # from n_sub = the window's node count on, every node is taken, so a larger n_sub asks
+    # np.linspace for no more points: even 2**40 runs under a 1 GiB address-space cap
+    cap = 1 << 30
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    def run(n_sub):
+        cfg = tmp_path / f"sub{n_sub}.cfg"
+        cfg.write_text(FAST_CONFIG.replace("impact.n_sub = 9", f"impact.n_sub = {n_sub}"))
+        out = tmp_path / f"out{n_sub}"
+        proc = _run_python(["-m", "adkyle.cli", "impact", "-c", str(cfg), "-o", str(out)],
+                           preexec_fn=limit_address_space, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return (out / "impact_kernel.csv").read_bytes()
+
+    grid = config_grid(parse_config_text(FAST_CONFIG))
+    reference = run(grid.n)  # the window lies inside the grid, so this takes every node
+    rows = read_rows(tmp_path / f"out{grid.n}" / "impact_kernel.csv")[1:]
+    points = np.unique([float(r[0]) for r in rows])
+    idx = np.searchsorted(grid.nodes, points)
+    assert np.array_equal(grid.nodes[idx], points) and np.all(np.diff(idx) == 1)
+    assert len(points) < grid.n
+    for n_sub in (len(points), len(points) + 1, 2**40):
+        assert run(n_sub) == reference
+
+
 def test_missing_config_file_exits_with_code_two(tmp_path, capsys):
     assert main(["solve", "-c", str(tmp_path / "nope.cfg")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -18,7 +18,7 @@ from adkyle import (
     solve_alpha_star,
     true_belief_moments,
     weighted_inner_product,
-    zero_impact_basis,
+    zero_impact_direction,
 )
 import adkyle.equilibrium
 import adkyle.posterior
@@ -262,7 +262,7 @@ def test_demand_is_the_insiders_best_response(name):
     belief = np.array([1.0 - not_true] + [not_true / (family.I - 1)] * (family.I - 1))
     cov = posterior_covariance(eq.alpha_star, family.I, 0)
     eta_w = family.eta @ (grid.quad_weights * w_star[0])
-    for v in (family.eta[0], zero_impact_basis(w_star, noise, grid)[0]):
+    for v in (family.eta[0], zero_impact_direction(w_star, noise, grid)):
         trade_v = grid.quad_weights * v
         d = np.array([weighted_inner_product(v, row, noise, grid) for row in w_star])
         residual = trade_v @ family.eta[0] - belief @ (family.eta @ trade_v) - eta_w @ cov @ d
@@ -270,18 +270,23 @@ def test_demand_is_the_insiders_best_response(name):
 
 
 # exchangeable only to ~1e-7 (5.6e-8 of c'), so its residuals read ~1e-8, past BEST_RESPONSE_TOL
-FOC_BOUND_CONFIGS = {**BEST_RESPONSE_CONFIGS,
-                     "I4_mean_shift": "family.means = -4.2, -1.4, 1.4, 4.2\nfamily.sd = 0.35\n"}
+FOC_BOUND_CONFIGS = {
+    **{name: "grid.n = 401\n" + text for name, text in BEST_RESPONSE_CONFIGS.items()},
+    "I4_mean_shift": "grid.n = 401\nfamily.means = -4.2, -1.4, 1.4, 4.2\nfamily.sd = 0.35\n",
+    "I16_mean_shift": ("grid.x_min = -25.4\ngrid.x_max = 25.4\ngrid.n = 339\nfamily.means = "
+                       + ", ".join(f"{2.8 * (k - 7.5):.1f}" for k in range(16))
+                       + "\nfamily.sd = 0.35\n"),
+}
 
 
 @pytest.mark.parametrize("name", FOC_BOUND_CONFIGS)
 def test_foc_terms_residual_and_richardson_fd_meet_their_bounds(name):
     # foc_terms' closed form is the residual above, and its Richardson difference of J,
     # a quadrature at the shifted mean logits, meets fd_bound; both bounds carry the
-    # I = 4 mean shift's Gram gap
-    cfg = parse_config_text("mc.seed = 7\ngrid.n = 401\n" + FOC_BOUND_CONFIGS[name])
+    # I = 4 and I = 16 mean shifts' Gram gaps
+    cfg = parse_config_text("mc.seed = 7\n" + FOC_BOUND_CONFIGS[name])
     grid, noise, family, _, eq, w_star = _solved(cfg)
-    stack = np.stack([w_star[0], family.eta[0], zero_impact_basis(w_star, noise, grid)[0]])
+    stack = np.stack([w_star[0], family.eta[0], zero_impact_direction(w_star, noise, grid)])
     for rep in foc_terms(stack, w_star, family, 0, noise, grid, phi_residual=eq.phi_residual):
         assert abs(rep.analytic_total) <= rep.residual_bound
         assert abs(rep.diff) <= rep.fd_bound

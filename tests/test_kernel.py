@@ -1,6 +1,7 @@
 """Gram matrix, centering, and exchangeability."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,22 @@ def test_gram_matrix_is_bitwise_the_pairwise_inner_products(kind, params, n, slo
     for i in range(family.I):
         for j in range(family.I):
             assert K[i, j] == np.sum((family.eta[i] * family.eta[j]) * weights)
+
+
+def test_gram_matrix_memory_grows_as_i_times_n():
+    # one (I, n) product per row, not the (I, I, n) product of all pairs at once
+    I, n = 64, 1267
+    grid = build_state_grid(-92.2, 92.2, n)
+    family = make_payoff_family("gaussian_mean_shift",
+                                {"means": list(2.8 * (np.arange(I) - 31.5)), "sd": 0.35}, grid)
+    noise = NoiseProfile(np.ones(n))
+    tracemalloc.start()
+    try:
+        gram_matrix(family, noise, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * I * n * 8
 
 
 def test_centering_matrix_is_projector():

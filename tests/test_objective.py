@@ -10,17 +10,20 @@ import math
 import numpy as np
 import pytest
 
+import adkyle.objective
 import adkyle.posterior
 from adkyle import (
     NoiseProfile,
     build_canonical_kernel,
+    build_state_grid,
     equilibrium_demand,
     foc_terms,
     log_likelihoods,
     make_payoff_family,
     posterior_weights,
+    solve_alpha_star,
     weighted_inner_product,
-    zero_impact_basis,
+    zero_impact_direction,
 )
 from adkyle.orderflow import PATH_BLOCK_SIZE
 from conftest import (FD_REL_EPS, candidate_demand, exact_binary_equilibrium, expected_utility,
@@ -81,32 +84,21 @@ def test_gradient_vanishes_at_the_fixed_point(
         assert abs(rep.fd_total) <= 4.0 * rep.std_err_fd
 
 
-def test_zero_impact_basis_is_orthonormal_and_orthogonal(
-    mean_shift_demand, unit_noise, grid
-):
+def test_zero_impact_direction_is_unit_and_orthogonal(mean_shift_demand, unit_noise, grid):
     _, w_star = mean_shift_demand
-    basis = zero_impact_basis(w_star, unit_noise, grid)
-    assert basis.shape[0] >= 1
-    for b in basis:
-        for w in w_star:
-            assert abs(weighted_inner_product(b, w, unit_noise, grid)) < (
-                ORTHOGONALITY_TOLERANCE
-            )
-    gram = np.array(
-        [
-            [weighted_inner_product(a, b, unit_noise, grid) for b in basis]
-            for a in basis
-        ]
-    )
-    assert np.abs(gram - np.eye(len(basis))).max() < 1e-12
+    v = zero_impact_direction(w_star, unit_noise, grid)
+    assert v.shape == (grid.n,)
+    for w in w_star:
+        assert abs(weighted_inner_product(v, w, unit_noise, grid)) < ORTHOGONALITY_TOLERANCE
+    assert abs(weighted_inner_product(v, v, unit_noise, grid) - 1.0) < 1e-12
 
 
 def test_impact_term_vanishes_along_zero_impact_directions(
     mean_shift_demand, mean_shift_family, unit_noise, grid
 ):
     _, w_star = mean_shift_demand
-    basis = zero_impact_basis(w_star, unit_noise, grid)
-    rep = foc_terms(basis[0][None], w_star, mean_shift_family, 0, unit_noise, grid)[0]
+    v = zero_impact_direction(w_star, unit_noise, grid)
+    rep = foc_terms(v[None], w_star, mean_shift_family, 0, unit_noise, grid)[0]
     assert abs(rep.impact_term) < IMPACT_NULL_TOLERANCE
 
 
@@ -115,13 +107,53 @@ def test_direction_stack_equals_single_direction_calls(
 ):
     # one call for all directions, bitwise the separate calls
     _, w_star = mean_shift_demand
-    basis = zero_impact_basis(w_star, unit_noise, grid)
-    stack = np.stack([w_star[0], mean_shift_family.eta[0], basis[0]])
+    stack = np.stack([w_star[0], mean_shift_family.eta[0],
+                      zero_impact_direction(w_star, unit_noise, grid)])
     args = (w_star, mean_shift_family, 0, unit_noise, grid)
     reports = foc_terms(stack, *args)
     assert isinstance(reports, list) and len(reports) == 3
     for v, rep in zip(stack, reports):
         assert rep == foc_terms(v[None], *args)[0]
+
+
+def test_rank_deficient_schedules_drop_the_dependent_row(mean_shift_demand, unit_noise, grid):
+    # the sum of two schedules adds nothing to their span: its residual is dropped, so
+    # the direction is bitwise the one off the two alone
+    _, w_star = mean_shift_demand
+    x = grid.nodes
+    rows = np.stack([w_star[0], np.exp(-0.5 * np.square(x - 1.0))])
+    padded = np.vstack([rows, rows.sum(axis=0)])
+    v = zero_impact_direction(padded, unit_noise, grid)
+    np.testing.assert_array_equal(v, zero_impact_direction(rows, unit_noise, grid))
+    for w in padded:
+        assert abs(weighted_inner_product(v, w, unit_noise, grid)) < ORTHOGONALITY_TOLERANCE
+
+
+def test_constant_in_the_span_is_rejected(mean_shift_demand, unit_noise, grid):
+    _, w_star = mean_shift_demand
+    with pytest.raises(ValueError, match="adkyle.objective: the constant payoff lies in the span"):
+        zero_impact_direction(np.vstack([w_star, np.ones(grid.n)]), unit_noise, grid)
+
+
+def test_zero_impact_direction_costs_at_most_i_squared_plus_3i_inner_products(monkeypatch):
+    # I norms, two passes of each row against the kept ones and its norm, then the
+    # constant's norm, two passes and norm: I^2 + 3I calls for the rank I - 1 demand
+    I = 16
+    grid = build_state_grid(-25.4, 25.4, 339)
+    family = make_payoff_family("gaussian_mean_shift",
+                                {"means": list(2.8 * (np.arange(I) - 7.5)), "sd": 0.35}, grid)
+    noise = NoiseProfile(sigma=np.ones(grid.n))
+    kern = build_canonical_kernel(family, noise, grid)
+    w_star = equilibrium_demand(solve_alpha_star(I), kern, family, noise)
+    calls = []
+
+    def counted(f, g, noise, grid):
+        calls.append(1)
+        return weighted_inner_product(f, g, noise, grid)
+
+    monkeypatch.setattr(adkyle.objective, "weighted_inner_product", counted)
+    zero_impact_direction(w_star, noise, grid)
+    assert len(calls) <= I * I + 3 * I
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -201,7 +233,7 @@ def test_shift_spread_does_not_move_with_the_noise_level(mean_shift_family, grid
         w_star = equilibrium_demand(exact_binary_equilibrium(kern), kern, mean_shift_family,
                                     noise)
         stack = np.stack([w_star[0], mean_shift_family.eta[0],
-                          zero_impact_basis(w_star, noise, grid)[0]])
+                          zero_impact_direction(w_star, noise, grid)])
         reports = foc_terms(stack, w_star, mean_shift_family, 0, noise, grid)
         spreads.append([rep.fd_epsilon * np.ptp([weighted_inner_product(v, row, noise, grid)
                                                  for row in w_star])
@@ -303,7 +335,7 @@ def test_closed_form_terms_match_the_path_oracle(sds, slope, grid):
     noise = NoiseProfile(sigma=1.0 + slope * (grid.nodes - grid.x_min))
     kern = build_canonical_kernel(family, noise, grid)
     w_star = equilibrium_demand(exact_binary_equilibrium(kern), kern, family, noise)
-    stack = np.stack([w_star[0], family.eta[0], zero_impact_basis(w_star, noise, grid)[0]])
+    stack = np.stack([w_star[0], family.eta[0], zero_impact_direction(w_star, noise, grid)])
     reports = foc_terms(stack, w_star, family, 0, noise, grid)
     paths = foc_from_paths(w_star[0], stack, w_star, family, 0, noise, grid, n_paths=100_000,
                            seed=41)

@@ -4,7 +4,9 @@ The shared pieces (the solve, demand assembly) are session-scoped so the
 suite pays for them once.  Also the test-only oracles: the binary Gauss-Hermite
 moments, Monte Carlo draws and moments of the canonical posterior, the
 order-flow path estimators of the impact kernel, the insider's expected utility
-and its first-order terms, and a counter of random-block generators.
+and its first-order terms, the option strip's legs from pairwise payoffs, and a
+counter of random-block generators.  SUBCOMMANDS lists the eight CLI
+subcommands, each with the flags it needs.
 """
 
 import math
@@ -41,6 +43,17 @@ DEFAULT_QUAD_NODES = 200
 
 FLOW_STATISTIC = (0, 2)  # stream tag of the (n_paths, I) normals behind the order-flow statistic
 FD_REL_EPS = 1e-3        # foc_from_paths' step: eps = FD_REL_EPS * |W|_inf / |v|_inf
+
+SUBCOMMANDS = [
+    ["solve"],
+    ["simulate", "--paths", "2"],
+    ["impact"],
+    ["efficiency"],
+    ["options"],
+    ["verify-foc"],
+    ["kernel", "dump"],
+    ["posterior", "probe", "--alpha-bar", "1.0"],
+]
 
 
 @pytest.fixture(scope="session")
@@ -330,6 +343,23 @@ def moments_from_noise(alpha_bar, true_index, noise):
     Q = centering_matrix(len(m1))
     qcq = Q @ (np.diag(m1) - q.T @ q / len(q)) @ Q
     return m1, float(qcq[true_index, true_index]), q.std(axis=0, ddof=1) / math.sqrt(len(q))
+
+
+def strip_legs_oracle(strip, grid):
+    """(puts, calls) of an option strip on the grid nodes, in long double.
+
+    Each leg is the trapezoid over its strikes of density * payoff, from the full
+    (strikes, n) payoff matrix: the O(n^2) evaluation bl_reconstruct replaced.
+    """
+    x = grid.nodes.astype(np.longdouble)
+
+    def leg(strikes, density, payoff):
+        k = strikes.astype(np.longdouble)[:, None]
+        f = density.astype(np.longdouble)[:, None] * np.maximum(payoff(k), 0)
+        return np.sum(np.diff(k, axis=0) * (f[1:] + f[:-1]) / 2, axis=0)
+
+    return (leg(strip.put_strikes, strip.put_density, lambda k: k - x),
+            leg(strip.call_strikes, strip.call_density, lambda k: x - k))
 
 
 def count_block_generators(monkeypatch) -> list:

@@ -32,8 +32,8 @@ from adkyle import (
 )
 from adkyle._rng import standard_normal_matrix
 from adkyle.cli import main as cli_main
-from conftest import (ALPHA_STAR_BINARY, binary_moments_quadrature, exact_binary_equilibrium,
-                      foc_from_paths, sample_posterior)
+from conftest import (ALPHA_STAR_BINARY, SUBCOMMANDS, binary_moments_quadrature,
+                      exact_binary_equilibrium, foc_from_paths, sample_posterior)
 
 SIGMAS = 3.0
 ROOT_AGREEMENT = 2e-3
@@ -338,18 +338,6 @@ mc.n_samples = 20000
 mc.n_paths = 400
 impact.n_sub = 9
 """
-
-SUBCOMMANDS = [
-    ["solve"],
-    ["simulate", "--paths", "2"],
-    ["impact"],
-    ["efficiency"],
-    ["options"],
-    ["verify-foc"],
-    ["kernel", "dump"],
-    ["posterior", "probe", "--alpha-bar", "1.0"],
-]
-
 
 def test_a13_subcommands_are_bitwise_deterministic(tmp_path):
     t0 = time.perf_counter()

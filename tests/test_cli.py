@@ -33,7 +33,7 @@ from adkyle.orderflow import (
     simulate_increments,
 )
 from adkyle.posterior import QUAD_TOL
-from conftest import count_block_generators
+from conftest import SUBCOMMANDS, count_block_generators
 
 FAST_CONFIG = """
 grid.n = 101
@@ -753,6 +753,11 @@ def _run_python(argv, **kwargs):
                           **kwargs)
 
 
+def _limit_address_space():
+    """preexec_fn of a subprocess: a 1 GiB address-space cap, local to that process."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 def test_cli_import_leaves_scipy_unloaded(cfg_file, tmp_path):
     # scipy serves only the skew-normal family, and no start-up path needs
     # numpy.polynomial; neither the solve nor the probe of a mean-shift run loads scipy
@@ -789,35 +794,36 @@ def test_every_exported_name_resolves():
 def test_unaffordable_path_count_fails_up_front(cfg_file, tmp_path):
     # 2**40 paths need terabytes: simulate's first allocation fails, before any
     # block is drawn, under a process-local address-space cap
-    cap = 1 << 30
-
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
     t0 = time.perf_counter()
     proc = _run_python(["-m", "adkyle.cli", "simulate", "--paths", str(2**40), "-c",
                         str(cfg_file), "-o", str(tmp_path / "out")],
-                       preexec_fn=limit_address_space, timeout=120)
+                       preexec_fn=_limit_address_space, timeout=120)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: adkyle.cli: out of memory")
     assert len(proc.stderr.splitlines()) == 1
     assert time.perf_counter() - t0 < 30.0
 
 
+@pytest.mark.parametrize("argv", SUBCOMMANDS,
+                         ids=lambda argv: "-".join(w for w in argv[:2] if w[0] != "-"))
+def test_every_subcommand_runs_at_20001_nodes_in_one_gib(argv, tmp_path):
+    # no subcommand may cost grid.n^2: an (n, n) float64 matrix here is 3.2 GB
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(FAST_CONFIG.replace("grid.n = 101", "grid.n = 20001"))
+    proc = _run_python(["-m", "adkyle.cli", *argv, "-c", str(cfg), "-o", str(tmp_path / "out")],
+                       preexec_fn=_limit_address_space, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_impact_sub_grid_past_the_window_takes_every_node(tmp_path):
     # from n_sub = the window's node count on, every node is taken, so a larger n_sub asks
     # np.linspace for no more points: even 2**40 runs under a 1 GiB address-space cap
-    cap = 1 << 30
-
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
     def run(n_sub):
         cfg = tmp_path / f"sub{n_sub}.cfg"
         cfg.write_text(FAST_CONFIG.replace("impact.n_sub = 9", f"impact.n_sub = {n_sub}"))
         out = tmp_path / f"out{n_sub}"
         proc = _run_python(["-m", "adkyle.cli", "impact", "-c", str(cfg), "-o", str(out)],
-                           preexec_fn=limit_address_space, timeout=120)
+                           preexec_fn=_limit_address_space, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, "")
         return (out / "impact_kernel.csv").read_bytes()
 

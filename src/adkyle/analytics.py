@@ -127,7 +127,9 @@ def derivative_cross_impact(
 def efficiency_sweep() -> list[Equilibrium]:
     """Equilibrium root and information efficiency for each signal count in SWEEP_SIZES.
 
-    Each record is the standalone solve for I signals: its ie is E[q_true]
-    from the solver's evaluation at its root, ie_std_err its error bound.
+    Each record is the standalone solve for I signals, field for field: its ie is
+    E[q_true] from the solver's evaluation at its root, ie_std_err its error bound.
+    The solves share this call's windows, so each alpha_bar is integrated once.
     """
-    return [solve_alpha_star(I) for I in SWEEP_SIZES]
+    windows: dict = {}
+    return [solve_alpha_star(I, windows=windows) for I in SWEEP_SIZES]

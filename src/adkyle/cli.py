@@ -139,7 +139,7 @@ def _manifest(cfg: RunConfig, command: str, t0: float, times: list[tuple]) -> li
         ("seed", cfg.seed),
         ("n_samples", cfg.n_samples),
         ("n_paths", cfg.n_paths),
-        ("wall_time_s", f"{time.perf_counter() - t0:.3f}"),
+        ("wall_time_s", f"{time.perf_counter() - t0:.6f}"),
         *times,
         ("created_utc", datetime.now(timezone.utc).isoformat()),
     ]
@@ -372,7 +372,7 @@ def main(argv=None) -> int:
         tables, summary, status = args.func(args, cfg)
         t2 = time.perf_counter()
         workers = _write_tables(outdir, tables)
-        times = [("compute_s", f"{t2 - t1:.3f}"), ("write_s", f"{time.perf_counter() - t2:.3f}"),
+        times = [("compute_s", f"{t2 - t1:.6f}"), ("write_s", f"{time.perf_counter() - t2:.6f}"),
                  ("write_workers", workers)]
         if summary is not None:
             print(f"{summary} -> {outdir}")

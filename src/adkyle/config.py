@@ -8,6 +8,7 @@ hard errors so a typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -169,11 +170,9 @@ def config_family(cfg: RunConfig, grid: StateGrid) -> PayoffFamily:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    """Stable short hash of the config contents, for the run manifest."""
-    import hashlib
-
-    blob = "|".join(f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(cfg))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    """Short hash of the config for the manifest: CRC-32, Adler-32 (hashlib loads OpenSSL)."""
+    blob = "|".join(f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(cfg)).encode()
+    return f"{zlib.crc32(blob):08x}{zlib.adler32(blob):08x}"
 
 
 def with_seed(cfg: RunConfig, seed: int | None) -> RunConfig:

@@ -68,13 +68,14 @@ class KyleBenchmark:
     lam: float
 
 
-def solve_alpha_star(I: int, phi_tol: float = PHI_TOL,
-                     width_tol: float = WIDTH_TOL) -> Equilibrium:
+def solve_alpha_star(I: int, phi_tol: float = PHI_TOL, width_tol: float = WIDTH_TOL,
+                     windows: dict | None = None) -> Equilibrium:
     """Root Phi for I signals: bracket by doubling, then shrink with ITP steps.
 
     The root is the evaluated end of the final bracket (narrower than
     width_tol) with the smaller |Phi|, which is below phi_tol.  E[q_true] at
-    the root comes from the same evaluation.
+    the root comes from the same evaluation.  Solves that share a windows dict
+    integrate each alpha_bar once (see true_belief_moments), with the same result.
 
     Raises:
         ValueError: fewer than two signals, bracket cap exceeded, or no
@@ -85,7 +86,7 @@ def solve_alpha_star(I: int, phi_tol: float = PHI_TOL,
     trace, ie_at = [], {0.0: 1.0 / I}
 
     def evaluate(alpha_bar: float, stage: str) -> float:
-        not_true, spread = true_belief_moments(alpha_bar, I)
+        not_true, spread = true_belief_moments(alpha_bar, I, windows)
         ie_at[alpha_bar] = 1.0 - not_true
         trace.append((alpha_bar, not_true - alpha_bar * alpha_bar * spread, stage))
         return trace[-1][1]

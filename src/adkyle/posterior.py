@@ -9,9 +9,9 @@ effective signal-to-noise number alpha_bar:
 
 where Q is the centering projector.  The fixed-point residual and the
 information efficiency depend on the true-signal entry q_t alone, and
-true_belief_moments integrates them (no draw, no seed); the solver roots them
-and `posterior probe` reports them.  posterior_covariance integrates E[C | t]
-on the same rule for the impact kernel.
+true_belief_moments integrates them (no draw, no seed) on lines that calls at
+several I can share; the solver roots them and `posterior probe` reports them.
+posterior_covariance integrates E[C | t] on the same rule for the impact kernel.
 """
 
 from __future__ import annotations
@@ -42,15 +42,16 @@ def _check_alpha_bar(alpha_bar: float) -> None:
 def _lines(alpha_bar: float):
     """The r step h and sums(shift, square): E g_k(r + shift + alpha_bar x) on the r nodes.
 
-    sums gives k = 0, 1, and 2 with square.  The window fits a truth at shift alpha_bar^2
-    and rivals at 0 (see true_belief_moments); it also fits any shifts at most alpha_bar^2.
+    sums gives k = 0, 1, and 2 with square: (n_r,) for a float shift, (m, n_r) for m shifts.
+    The window fits a truth at shift alpha_bar^2 and rivals at 0 (see true_belief_moments);
+    it also fits any shifts at most alpha_bar^2.
     """
     _check_alpha_bar(alpha_bar)
     a = float(alpha_bar)
     # below lo every M_k K is under e^-40; above hi every M_k is under exp(-e^5)
     lo, hi = -a * (NORMAL_RANGE + a) - 40.0, a * (NORMAL_RANGE - a) + 5.0
     n_r = min(MAX_LOG_SIGMA_POINTS, math.ceil((hi - lo) / LOG_SIGMA_STEP) + 1)
-    r, h = np.linspace(lo, hi, n_r, retstep=True)
+    h = (hi - lo) / (n_r - 1)  # np.linspace's step, bit for bit
     on_line = a * NORMAL_STEP > h
     x_step = h / a if on_line else NORMAL_STEP
     n = int(NORMAL_RANGE / x_step)
@@ -58,37 +59,44 @@ def _lines(alpha_bar: float):
     # on_line: a x_j = j h puts r_i + a x_j at point i + j of one r line, so the sums
     # over x are correlations along it (n_r + 2n exps, not n_r (2n + 1)).  Below
     # a = h / NORMAL_STEP that x step is too coarse for the normal: use a grid.
-    t = lo + h * np.arange(-n, n_r + n) if on_line else r[:, None] + a * x
+    t = lo + h * np.arange(-n, n_r + n) if on_line else np.linspace(lo, hi, n_r)[:, None] + a * x
     w = np.exp(-0.5 * x * x)
     w /= w.sum()
 
-    def sums(shift: float, square: bool = False) -> list[np.ndarray]:
-        e_t = np.exp(np.minimum(t + shift, 700.0))
+    def sums(shift, square: bool = False) -> list[np.ndarray]:
+        rows = isinstance(shift, np.ndarray)  # m shifts: one exp pass, one correlation per line
+        e_t = np.exp(np.minimum(np.add.outer(shift, t) if rows else t + shift, 700.0))
         g0 = np.exp(-e_t)
         g = [g0, e_t * g0, e_t * e_t * g0] if square else [g0, e_t * g0]
-        return [np.correlate(gk, w, "valid") if on_line else gk @ w for gk in g]
+        if not on_line:
+            return [gk @ w for gk in g]
+        return [np.array([np.correlate(row, w, "valid") for row in gk]) if rows
+                else np.correlate(gk, w, "valid") for gk in g]
 
     return h, sums
 
 
-def _rule(alpha_bar: float, I: int, rival_square: bool = False):
-    """The truth's M_0, M_1 on the r nodes (see true_belief_moments) and trapezoid weights f.
-
-    f[0] = (I-1) h K L^(I-2); with rival_square, f[1] = h G L^(I-2), G(r) = E g_2(r + alpha_bar x).
-    """
-    if I < 2:
-        raise ValueError(f"{_ERR}: need at least two signals")
+def _truth_lines(alpha_bar: float, rival_square: bool = False) -> tuple:
+    """(h, M_0, M_1, L, K), then G with rival_square, on the r nodes: none depends on I."""
     h, sums = _lines(alpha_bar)
     a = float(alpha_bar)
-    m0, m1 = sums(a * a)
-    L, K, *G = sums(0.0, rival_square)
+    return h, *sums(a * a), *sums(0.0, rival_square)
+
+
+def _weigh(lines: tuple, I: int):
+    """M_0, M_1 and the weights f[0] = (I-1) h K L^(I-2), then f[1] = h G L^(I-2) with G."""
+    if I < 2:
+        raise ValueError(f"{_ERR}: need at least two signals")
+    h, m0, m1, L, K, *G = lines
     f = [(I - 1) * h * K * L ** (I - 2)] + [h * g * L ** (I - 2) for g in G]
     for row in f:
-        row[[0, -1]] *= 0.5
+        row[0] *= 0.5
+        row[-1] *= 0.5
     return m0, m1, f
 
 
-def true_belief_moments(alpha_bar: float, I: int) -> tuple[float, float]:
+def true_belief_moments(alpha_bar: float, I: int,
+                        windows: dict | None = None) -> tuple[float, float]:
     """(E[1 - q_t], E[q_t (1 - q_t)]) of the canonical posterior, by quadrature.
 
     With u and the I - 1 rival x_j i.i.d. N(0, 1), q_t = e^c / (e^c + S) for
@@ -108,9 +116,13 @@ def true_belief_moments(alpha_bar: float, I: int) -> tuple[float, float]:
     over each normal with alpha_bar * (x step) = (r step), at most NORMAL_STEP, because
     g_k(r + alpha_bar x) has features of width 1 / alpha_bar in x (60 Gauss-Hermite
     nodes err by 2e-5 at alpha_bar = 4).  The result is within QUAD_TOL of the exact
-    value for alpha_bar in [0, 4] and I <= 64; the cost does not depend on I.
+    value for alpha_bar in [0, 4] and I <= 64; the cost does not depend on I, nor do the
+    lines M_0, M_1, K, L: calls that share a windows dict integrate each alpha_bar once.
     """
-    m0, m1, (f,) = _rule(alpha_bar, I)
+    windows = {} if windows is None else windows
+    if alpha_bar not in windows:
+        windows[alpha_bar] = _truth_lines(alpha_bar)
+    m0, m1, (f,) = _weigh(windows[alpha_bar], I)
     return float(f @ m0), float(f @ m1)
 
 
@@ -125,7 +137,7 @@ def posterior_covariance(alpha_bar: float, I: int, true_index: int | None = None
     """
     if true_index is not None and not 0 <= true_index < I:
         raise ValueError(f"{_ERR}: true_index {true_index} out of range for I={I}")
-    m0, m1, (f, f_sq) = _rule(alpha_bar, I, rival_square=True)
+    m0, m1, (f, f_sq) = _weigh(_truth_lines(alpha_bar, rival_square=True), I)
     b, c_tj = float(f @ m1), -float(f @ m1) / (I - 1)
     c_jj = float(f @ m0) / (I - 1) - float(f_sq @ m0)
     if true_index is None:
@@ -154,8 +166,9 @@ def softmax_mean(alpha_bar: float, mu: np.ndarray) -> np.ndarray:
         raise ValueError(f"{_ERR}: need k >= 1 rows (k, I) of at least two mean logits")
     h, sums = _lines(alpha_bar)
     shifts = mu - mu.max(axis=1, keepdims=True) + alpha_bar * alpha_bar
-    L, K = np.array([[sums(shift) for shift in row] for row in shifts]).transpose(2, 0, 1, 3)
+    L, K = (g.reshape(*mu.shape, -1) for g in sums(shifts.ravel()))
     others = np.stack([np.prod(np.delete(L, i, 1), axis=1) for i in range(mu.shape[1])], 1)
     f = h * K * others
-    f[..., [0, -1]] *= 0.5
+    f[..., 0] *= 0.5
+    f[..., -1] *= 0.5
     return f.sum(axis=-1)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import adkyle.posterior
 from adkyle import (
     NoiseProfile,
     derivative_cross_impact,
@@ -274,11 +275,18 @@ def test_efficiency_sweep_declines_with_crowd_size():
 
 def test_efficiency_sweep_rows_equal_standalone_estimates(monkeypatch):
     draws = count_block_generators(monkeypatch)
+    builds, real = [], adkyle.posterior._lines
+    monkeypatch.setattr(adkyle.posterior, "_lines", lambda a: builds.append(a) or real(a))
     rows = efficiency_sweep()
     assert draws == []  # the solve integrates its residual; it draws nothing
+    # the solves share the windows of the alpha_bar they all evaluate: 36 evaluations on
+    # 29 windows, and the windows live for one call only
+    assert sum(len(r.mc_meta["trace"]) for r in rows) == 36
+    assert len(builds) == 29 == len(set(builds))
+    assert efficiency_sweep() == rows and len(builds) == 2 * 29
     for r in rows:
-        eq = solve_alpha_star(r.I)
-        assert (r.alpha_star, r.ie, r.ie_std_err) == (eq.alpha_star, eq.ie, eq.ie_std_err)
+        # dataclass equality: every field, mc_meta's trace, bracket and counts too
+        assert r == solve_alpha_star(r.I)
 
 
 def test_invariance_under_noise_doubling(mean_shift_family, unit_noise, grid):

@@ -760,14 +760,15 @@ def _limit_address_space():
 
 def test_cli_import_leaves_scipy_unloaded(cfg_file, tmp_path):
     # scipy serves only the skew-normal family, and no start-up path needs
-    # numpy.polynomial; neither the solve nor the probe of a mean-shift run loads scipy
+    # numpy.polynomial; neither the solve nor the probe of a mean-shift run loads scipy,
+    # nor OpenSSL's _hashlib (the manifest's config hash is zlib's)
     runs = [["solve"], ["posterior", "probe", "--alpha-bar", "1.0"]]
     script = "\n".join([
         "import sys, adkyle.cli",
         "loaded = [m for m in ('scipy', 'numpy.polynomial') if m in sys.modules]",
         *(f"assert adkyle.cli.main({argv + ['-c', str(cfg_file), '-o', str(tmp_path)]!r}) == 0"
           for argv in runs),
-        "loaded += ['scipy'] * ('scipy' in sys.modules)",
+        "loaded += [m for m in ('scipy', '_hashlib') if m in sys.modules]",
         "sys.exit(' '.join(loaded) or None)",
     ])
     proc = _run_python(["-c", script])

@@ -191,7 +191,8 @@ def test_softmax_mean_takes_far_apart_logits():
             softmax_mean(1.0, mu)
 
 
-@pytest.mark.parametrize("alpha_bar,mu", GENERIC_LOGITS)
+# every GENERIC_LOGITS alpha_bar takes the r-line path; 0.3 is below its threshold (grid path)
+@pytest.mark.parametrize("alpha_bar,mu", GENERIC_LOGITS + [(0.3, [0.2, -0.5, 1.0])])
 def test_each_row_of_a_stack_is_its_own_call(alpha_bar, mu):
     # one window serves every row: a stack of the canonical rows at I = len(mu), each truth
     # and common shift, and the generic row gives each row's one-row result bit for bit

@@ -274,7 +274,7 @@ def cmd_options(args, cfg: RunConfig):
 def cmd_verify_foc(args, cfg: RunConfig):
     grid, noise, family, _, eq, w_star = _solved(cfg)
     names = ("own_demand", "payoff_row", "zero_impact")
-    stack = np.stack([w_star[0], family.eta[0], zero_impact_direction(w_star, noise, grid)])
+    stack = np.stack([w_star[0], family.eta[0], zero_impact_direction(noise, grid)])
     reports = foc_terms(stack, w_star, family, 0, noise, grid, phi_residual=eq.phi_residual)
     rows, ok = [], True
     for name, rep in zip(names, reports):

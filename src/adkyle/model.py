@@ -156,18 +156,22 @@ def build_state_grid(x_min: float, x_max: float, n: int) -> StateGrid:
 
 def weighted_inner_product(
     f: np.ndarray, g: np.ndarray, noise: NoiseProfile, grid: StateGrid
-) -> float:
+) -> float | np.ndarray:
     """Sigma-weighted inner product sum_j w_j f_j g_j / sigma_j^2.
 
     Exact for grid functions whose product f*g/sigma^2 is piecewise linear
     between nodes.  Symmetric in (f, g) exactly (same floating operations).
+    f and g may be stacks (..., n) that broadcast against each other: the
+    last axis is summed over the same products, so each entry is bitwise the
+    call on its two rows.  Two rows give a float.
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
-    if f.shape != (grid.n,) or g.shape != (grid.n,) or noise.sigma.shape != (grid.n,):
+    if f.shape[-1:] != (grid.n,) or g.shape[-1:] != (grid.n,) or noise.sigma.shape != (grid.n,):
         raise ValueError(f"{_ERR}: length mismatch against grid with n={grid.n}")
     # multiply f*g first so the expression is symmetric in (f, g) bitwise
-    return float(np.sum((f * g) * (grid.quad_weights / np.square(noise.sigma))))
+    out = np.sum((f * g) * (grid.quad_weights / np.square(noise.sigma)), axis=-1)
+    return out if out.ndim else float(out)
 
 
 def prior_mixture(family: PayoffFamily) -> np.ndarray:
@@ -264,7 +268,7 @@ def make_payoff_family(kind: str, params: dict, grid: StateGrid) -> PayoffFamily
         _check_sd(1.0)  # each component has unit sd
         rows = []
         for a in shapes:
-            delta = a / math.sqrt(1.0 + a * a)
+            delta = a / math.hypot(1.0, a)  # a * a would overflow past |a| ~ 1.3e154
             omega = 1.0 / math.sqrt(1.0 - 2.0 * delta * delta / math.pi)
             xi = -omega * delta * math.sqrt(2.0 / math.pi)
             _check_mean(xi)

@@ -10,8 +10,8 @@ price paid int v P dx, and the price pressure of v on P via the likelihoods.
 At an equilibrium demand the posterior has the canonical law, so foc_terms
 reports all three in closed form, from the solver's quadrature, next to a
 finite difference of J that is a quadrature too: nothing is drawn.  A bond pays
-the same in every state and moves no posterior: its sigma-residual off the
-demand rows is the zero-impact direction.
+the same in every state and every demand row is sigma-orthogonal to it, so the
+sigma-unit bond moves no posterior: it is the zero-impact direction.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .posterior import QUAD_TOL, posterior_covariance, softmax_mean, true_belief
 _ERR = "adkyle.objective"
 
 FD_REL_EPS = 1e-3     # eps = FD_REL_EPS * |W|_inf / |v|_inf
-GS_DROP_TOL = 1e-8    # relative residual below which a row is dependent
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ def foc_terms(
     eta, gw, eta_t = family.eta, grid.quad_weights, family.eta[true_index]
     eta_w = eta @ (gw * w_row)
     mu = gram[true_index] - 0.5 * np.diag(gram)
-    d = np.array([[weighted_inner_product(v_k, row, noise, grid) for row in w_star] for v_k in v])
+    d = weighted_inner_product(v[:, None], w_star, noise, grid)
 
     # J at e = eps, -eps, eps/2, -eps/2 per direction; central differences at eps and eps/2
     eps = FD_REL_EPS * w_max / v_max
@@ -136,40 +135,12 @@ def foc_terms(
     return reports
 
 
-def zero_impact_direction(w_tilde: np.ndarray, noise: NoiseProfile, grid: StateGrid) -> np.ndarray:
-    """The bond's sigma-unit residual off span(W_tilde): <v, W_tilde_i>_sigma = 0 for all i.
+def zero_impact_direction(noise: NoiseProfile, grid: StateGrid) -> np.ndarray:
+    """The sigma-unit bond 1 / sqrt(<1, 1>_sigma), which moves no posterior.
 
-    Each eta_i integrates to one, so trading the constant payoff moves no posterior.
-    The rows of w_tilde are orthonormalized by two-pass Gram-Schmidt in the
-    sigma-weighted inner product, dropping a row whose residual norm falls below
-    GS_DROP_TOL of the largest row norm (rank-tolerant); the constant is projected
-    off that span twice, in the same order, and normalized.
-
-    Raises:
-        ValueError: w_tilde without n columns, or a constant whose residual is not
-            above GS_DROP_TOL of its norm (it lies in span(W_tilde)).
+    An equilibrium demand row is W_i = sigma^2 a (eta_i - eta_bar) for a scalar a, and
+    make_payoff_family gives every eta_i quadrature mass 1, so <1, W_i>_sigma = a (1 - 1)
+    = 0, up to rounding, for every family and noise profile.
     """
-    w_tilde = np.atleast_2d(np.asarray(w_tilde, dtype=float))
-    if w_tilde.shape[1] != grid.n:
-        raise ValueError(f"{_ERR}: candidate schedules must have n={grid.n} columns")
-
-    def norm(f):
-        return math.sqrt(max(weighted_inner_product(f, f, noise, grid), 0.0))
-
-    def residual(u, span):
-        for _ in range(2):
-            for b in span:
-                u = u - weighted_inner_product(u, b, noise, grid) * b
-        return u, norm(u)
-
-    max_norm, span = max((norm(r) for r in w_tilde), default=0.0), []
-    for row in w_tilde:
-        u, nu = residual(row, span)
-        if nu > GS_DROP_TOL * max_norm:
-            span.append(u / nu)
     bond = np.ones(grid.n)
-    u, nu = residual(bond, span)
-    if not nu > GS_DROP_TOL * norm(bond):
-        raise ValueError(f"{_ERR}: the constant payoff lies in the span of the schedules; "
-                         "no zero-impact direction")
-    return u / nu
+    return bond / math.sqrt(weighted_inner_product(bond, bond, noise, grid))

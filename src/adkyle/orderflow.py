@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from ._rng import PATH_SHOCKS, derive_seed, standard_normal_matrix
-from .model import NoiseProfile, PayoffFamily, StateGrid
+from .model import NoiseProfile, PayoffFamily, StateGrid, weighted_inner_product
 
 _ERR = "adkyle.orderflow"
 
@@ -61,10 +61,8 @@ def likelihood_weights(
     w_tilde = np.asarray(w_tilde, dtype=float)
     if w_tilde.ndim != 2 or w_tilde.shape[1] != grid.n:
         raise ValueError(f"{_ERR}: w_tilde must be an I x n matrix")
-    var = np.square(noise.sigma)
-    # row-wise weighted_inner_product(row, row): the same products, summed per row
-    gram_diag = np.sum((w_tilde * w_tilde) * (grid.quad_weights / var), axis=1)
-    return (w_tilde / var)[:, :-1], gram_diag
+    gram_diag = weighted_inner_product(w_tilde, w_tilde, noise, grid)
+    return (w_tilde / np.square(noise.sigma))[:, :-1], gram_diag
 
 
 def log_likelihoods(

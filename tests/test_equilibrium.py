@@ -262,7 +262,7 @@ def test_demand_is_the_insiders_best_response(name):
     belief = np.array([1.0 - not_true] + [not_true / (family.I - 1)] * (family.I - 1))
     cov = posterior_covariance(eq.alpha_star, family.I, 0)
     eta_w = family.eta @ (grid.quad_weights * w_star[0])
-    for v in (family.eta[0], zero_impact_direction(w_star, noise, grid)):
+    for v in (family.eta[0], zero_impact_direction(noise, grid)):
         trade_v = grid.quad_weights * v
         d = np.array([weighted_inner_product(v, row, noise, grid) for row in w_star])
         residual = trade_v @ family.eta[0] - belief @ (family.eta @ trade_v) - eta_w @ cov @ d
@@ -286,7 +286,7 @@ def test_foc_terms_residual_and_richardson_fd_meet_their_bounds(name):
     # I = 4 and I = 16 mean shifts' Gram gaps
     cfg = parse_config_text("mc.seed = 7\n" + FOC_BOUND_CONFIGS[name])
     grid, noise, family, _, eq, w_star = _solved(cfg)
-    stack = np.stack([w_star[0], family.eta[0], zero_impact_direction(w_star, noise, grid)])
+    stack = np.stack([w_star[0], family.eta[0], zero_impact_direction(noise, grid)])
     for rep in foc_terms(stack, w_star, family, 0, noise, grid, phi_residual=eq.phi_residual):
         assert abs(rep.analytic_total) <= rep.residual_bound
         assert abs(rep.diff) <= rep.fd_bound

@@ -148,6 +148,22 @@ def test_inner_product_nonnegative_on_diagonal(f):
     assert weighted_inner_product(f, f, noise, grid) >= 0.0
 
 
+def test_inner_product_of_stacks_is_bitwise_the_row_calls(grid):
+    # (k, 1, n) against (I, n) broadcasts to (k, I): each entry sums the same products as
+    # the call on its two rows; a 1-D pair still gives a float
+    rng = np.random.default_rng(3)
+    noise = NoiseProfile(sigma=1.0 + 0.05 * (grid.nodes - grid.x_min))
+    f, g = rng.normal(size=(4, 1, grid.n)), rng.normal(size=(3, grid.n))
+    stacked = weighted_inner_product(f, g, noise, grid)
+    assert stacked.shape == (4, 3)
+    rows = [[weighted_inner_product(a, b, noise, grid) for b in g] for a in f[:, 0]]
+    assert all(type(x) is float for row in rows for x in row)
+    np.testing.assert_array_equal(stacked, rows)
+    for bad in (f[..., :-1], np.ones((3, grid.n + 1))):
+        with pytest.raises(ValueError, match="adkyle.model: length mismatch"):
+            weighted_inner_product(bad, g, noise, grid)
+
+
 @pytest.mark.parametrize(
     "kind,params",
     [
@@ -186,6 +202,14 @@ def test_skew_rows_are_moment_matched(grid):
         assert abs(m) < 1e-5
         assert abs(v - 1.0) < 1e-5
     assert np.allclose(fam.eta[0], fam.eta[1][::-1], atol=1e-12)
+
+
+def test_skew_shapes_past_the_square_overflow_keep_the_moment_match(grid):
+    # at |a| > 1.3e154, a * a overflows: delta = a / sqrt(1 + a * a) read 0, not 1, and the
+    # component lost its centring; past |a| ~ 1e150 the rows no longer move with |a|
+    far = make_payoff_family("skew_normal", {"shapes": [1e300, -1e300]}, grid)
+    near = make_payoff_family("skew_normal", {"shapes": [1e150, -1e150]}, grid)
+    np.testing.assert_array_equal(far.eta, near.eta)
 
 
 def test_tabulated_family_round_trip(grid):

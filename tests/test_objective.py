@@ -30,7 +30,7 @@ from conftest import (FD_REL_EPS, candidate_demand, exact_binary_equilibrium, ex
                       foc_from_paths, statistic_shocks)
 
 CLOSURE_SIGMAS = 3.0
-ORTHOGONALITY_TOLERANCE = 1e-10
+ORTHOGONALITY_TOLERANCE = 1e-14  # of |W_i|_sigma; rounding reads up to 5.4e-16
 IMPACT_NULL_TOLERANCE = 1e-12
 FOC_PATHS = 5000
 
@@ -84,20 +84,46 @@ def test_gradient_vanishes_at_the_fixed_point(
         assert abs(rep.fd_total) <= 4.0 * rep.std_err_fd
 
 
-def test_zero_impact_direction_is_unit_and_orthogonal(mean_shift_demand, unit_noise, grid):
-    _, w_star = mean_shift_demand
-    v = zero_impact_direction(w_star, unit_noise, grid)
+MEAN_SHIFT = {"means": [-1.0, 1.0], "sd": 1.0}
+DEFAULT_GRID = (-8.0, 8.0, 401)
+ZERO_IMPACT_CASES = {  # family kind, parameters, noise slope, grid
+    "mean_shift": ("gaussian_mean_shift", MEAN_SHIFT, 0.0, DEFAULT_GRID),
+    "mean_shift_sloped": ("gaussian_mean_shift", MEAN_SHIFT, 0.3, DEFAULT_GRID),
+    "variance_sloped": ("gaussian_variance", {"mu": 0.0, "sds": [1.0, 1.5]}, 0.3, DEFAULT_GRID),
+    "skew_sloped": ("skew_normal", {"shapes": [4.0, -4.0]}, 0.05, DEFAULT_GRID),
+    "tabulated_sloped": ("tabulated", None, 0.3, DEFAULT_GRID),
+    "I16_mean_shift": ("gaussian_mean_shift",
+                       {"means": [2.8 * (k - 7.5) for k in range(16)], "sd": 0.35}, 0.0,
+                       (-25.4, 25.4, 339)),
+}
+
+
+@pytest.mark.parametrize("name", ZERO_IMPACT_CASES)
+def test_zero_impact_direction_is_unit_and_orthogonal(name):
+    # W_i = sigma^2 a (eta_i - eta_bar) and every eta_i has quadrature mass 1, so the
+    # sigma-unit bond is orthogonal to each demand row up to rounding, whatever the noise
+    kind, params, slope, bounds = ZERO_IMPACT_CASES[name]
+    grid = build_state_grid(*bounds)
+    if kind == "tabulated":  # rows of unequal mass: make_payoff_family gives each mass 1
+        x = grid.nodes
+        params = {"x": x, "eta": np.stack([np.exp(-np.abs(x - 1.0)), 1.0 + 0.5 * np.cos(x)])}
+    family = make_payoff_family(kind, params, grid)
+    noise = NoiseProfile(sigma=1.0 + slope * (grid.nodes - grid.x_min))
+    kern = build_canonical_kernel(family, noise, grid)
+    w_star = equilibrium_demand(solve_alpha_star(family.I), kern, family, noise)
+    v = zero_impact_direction(noise, grid)
     assert v.shape == (grid.n,)
-    for w in w_star:
-        assert abs(weighted_inner_product(v, w, unit_noise, grid)) < ORTHOGONALITY_TOLERANCE
-    assert abs(weighted_inner_product(v, v, unit_noise, grid) - 1.0) < 1e-12
+    norms = np.sqrt(weighted_inner_product(w_star, w_star, noise, grid))
+    assert np.all(np.abs(weighted_inner_product(v, w_star, noise, grid))
+                  <= ORTHOGONALITY_TOLERANCE * norms)
+    assert abs(weighted_inner_product(v, v, noise, grid) - 1.0) < 1e-12
 
 
 def test_impact_term_vanishes_along_zero_impact_directions(
     mean_shift_demand, mean_shift_family, unit_noise, grid
 ):
     _, w_star = mean_shift_demand
-    v = zero_impact_direction(w_star, unit_noise, grid)
+    v = zero_impact_direction(unit_noise, grid)
     rep = foc_terms(v[None], w_star, mean_shift_family, 0, unit_noise, grid)[0]
     assert abs(rep.impact_term) < IMPACT_NULL_TOLERANCE
 
@@ -108,7 +134,7 @@ def test_direction_stack_equals_single_direction_calls(
     # one call for all directions, bitwise the separate calls
     _, w_star = mean_shift_demand
     stack = np.stack([w_star[0], mean_shift_family.eta[0],
-                      zero_impact_direction(w_star, unit_noise, grid)])
+                      zero_impact_direction(unit_noise, grid)])
     args = (w_star, mean_shift_family, 0, unit_noise, grid)
     reports = foc_terms(stack, *args)
     assert isinstance(reports, list) and len(reports) == 3
@@ -116,44 +142,21 @@ def test_direction_stack_equals_single_direction_calls(
         assert rep == foc_terms(v[None], *args)[0]
 
 
-def test_rank_deficient_schedules_drop_the_dependent_row(mean_shift_demand, unit_noise, grid):
-    # the sum of two schedules adds nothing to their span: its residual is dropped, so
-    # the direction is bitwise the one off the two alone
+def test_foc_terms_takes_all_direction_inner_products_in_one_call(
+    mean_shift_demand, mean_shift_family, unit_noise, grid, monkeypatch
+):
+    # d = <v_k, w_star_i>_sigma for every direction and row comes from one stacked call
     _, w_star = mean_shift_demand
-    x = grid.nodes
-    rows = np.stack([w_star[0], np.exp(-0.5 * np.square(x - 1.0))])
-    padded = np.vstack([rows, rows.sum(axis=0)])
-    v = zero_impact_direction(padded, unit_noise, grid)
-    np.testing.assert_array_equal(v, zero_impact_direction(rows, unit_noise, grid))
-    for w in padded:
-        assert abs(weighted_inner_product(v, w, unit_noise, grid)) < ORTHOGONALITY_TOLERANCE
-
-
-def test_constant_in_the_span_is_rejected(mean_shift_demand, unit_noise, grid):
-    _, w_star = mean_shift_demand
-    with pytest.raises(ValueError, match="adkyle.objective: the constant payoff lies in the span"):
-        zero_impact_direction(np.vstack([w_star, np.ones(grid.n)]), unit_noise, grid)
-
-
-def test_zero_impact_direction_costs_at_most_i_squared_plus_3i_inner_products(monkeypatch):
-    # I norms, two passes of each row against the kept ones and its norm, then the
-    # constant's norm, two passes and norm: I^2 + 3I calls for the rank I - 1 demand
-    I = 16
-    grid = build_state_grid(-25.4, 25.4, 339)
-    family = make_payoff_family("gaussian_mean_shift",
-                                {"means": list(2.8 * (np.arange(I) - 7.5)), "sd": 0.35}, grid)
-    noise = NoiseProfile(sigma=np.ones(grid.n))
-    kern = build_canonical_kernel(family, noise, grid)
-    w_star = equilibrium_demand(solve_alpha_star(I), kern, family, noise)
+    stack = np.stack([w_star[0], mean_shift_family.eta[0], zero_impact_direction(unit_noise, grid)])
     calls = []
 
     def counted(f, g, noise, grid):
-        calls.append(1)
+        calls.append((np.shape(f), np.shape(g)))
         return weighted_inner_product(f, g, noise, grid)
 
     monkeypatch.setattr(adkyle.objective, "weighted_inner_product", counted)
-    zero_impact_direction(w_star, noise, grid)
-    assert len(calls) <= I * I + 3 * I
+    foc_terms(stack, w_star, mean_shift_family, 0, unit_noise, grid)
+    assert calls == [((3, 1, grid.n), (2, grid.n))]
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -233,7 +236,7 @@ def test_shift_spread_does_not_move_with_the_noise_level(mean_shift_family, grid
         w_star = equilibrium_demand(exact_binary_equilibrium(kern), kern, mean_shift_family,
                                     noise)
         stack = np.stack([w_star[0], mean_shift_family.eta[0],
-                          zero_impact_direction(w_star, noise, grid)])
+                          zero_impact_direction(noise, grid)])
         reports = foc_terms(stack, w_star, mean_shift_family, 0, noise, grid)
         spreads.append([rep.fd_epsilon * np.ptp([weighted_inner_product(v, row, noise, grid)
                                                  for row in w_star])
@@ -335,7 +338,7 @@ def test_closed_form_terms_match_the_path_oracle(sds, slope, grid):
     noise = NoiseProfile(sigma=1.0 + slope * (grid.nodes - grid.x_min))
     kern = build_canonical_kernel(family, noise, grid)
     w_star = equilibrium_demand(exact_binary_equilibrium(kern), kern, family, noise)
-    stack = np.stack([w_star[0], family.eta[0], zero_impact_direction(w_star, noise, grid)])
+    stack = np.stack([w_star[0], family.eta[0], zero_impact_direction(noise, grid)])
     reports = foc_terms(stack, w_star, family, 0, noise, grid)
     paths = foc_from_paths(w_star[0], stack, w_star, family, 0, noise, grid, n_paths=100_000,
                            seed=41)

@@ -47,6 +47,12 @@ def canonical_gram(w_star: np.ndarray, noise: NoiseProfile,
     return gram, alpha_sq, gap
 
 
+def spread_indices(lo: int, hi: int, n_sub: int) -> np.ndarray:
+    """Up to n_sub node indices spread evenly over [lo, hi], ends included, rounded and
+    deduplicated; from the range's node count on, every index in it is taken."""
+    return np.unique(np.round(np.linspace(lo, hi, min(n_sub, hi - lo + 1))).astype(int))
+
+
 def impact_surface(x_values: np.ndarray, y_values: np.ndarray, w_star: np.ndarray,
                    family: PayoffFamily, noise: NoiseProfile, grid: StateGrid,
                    conditioned_on: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +117,7 @@ def derivative_cross_impact(
                 f"{_ERR}: support spans {hi - lo + 1} nodes, fewer than the "
                 f"{n_sub}-point sub-grid"
             )
-        return np.unique(np.round(np.linspace(lo, hi, n_sub)).astype(int))
+        return spread_indices(lo, hi, n_sub)
 
     ix = support_indices(phi1)
     iy = support_indices(phi2)

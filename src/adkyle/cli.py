@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytics import efficiency_sweep, impact_surface
+from .analytics import efficiency_sweep, impact_surface, spread_indices
 from .config import (
     RunConfig,
     config_family,
@@ -157,7 +157,7 @@ def _pipeline(cfg: RunConfig):
 
 def _solved(cfg: RunConfig):
     grid, noise, family, kern = _pipeline(cfg)
-    eq = solve_alpha_star(kern.I, phi_tol=cfg.phi_tol, width_tol=cfg.width_tol)
+    eq = solve_alpha_star(kern.I)
     w_star = equilibrium_demand(eq, kern, family, noise)
     return grid, noise, family, kern, eq, w_star
 
@@ -225,11 +225,8 @@ def cmd_simulate(args, cfg: RunConfig):
 def cmd_impact(args, cfg: RunConfig):
     grid, noise, family, _, _, w_star = _solved(cfg)
     mu, sbar = prior_moments(family, grid)
-    lo = max(mu - 3.0 * sbar, grid.nodes[1])
-    hi = min(mu + 3.0 * sbar, grid.nodes[-2])
-    i_lo, i_hi = grid.nearest(lo, margin=1), grid.nearest(hi, margin=1)
-    n_sub = min(cfg.n_sub, i_hi - i_lo + 1)  # from the window's node count on, all are taken
-    idx = np.unique(np.round(np.linspace(i_lo, i_hi, n_sub)).astype(int))
+    idx = spread_indices(grid.nearest(mu - 3.0 * sbar, margin=1),
+                         grid.nearest(mu + 3.0 * sbar, margin=1), cfg.n_sub)
     points = grid.nodes[idx]
     values, errs = impact_surface(points, points, w_star, family, noise, grid,
                                   conditioned_on=cfg.conditioned_on)

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import SUBGRID_DEFAULT, SUBGRID_MIN
-from .equilibrium import PHI_TOL, WIDTH_TOL
 from .model import NoiseProfile, PayoffFamily, StateGrid, build_state_grid, make_payoff_family
 
 _ERR = "adkyle.config"
@@ -46,8 +45,6 @@ class RunConfig:
     shapes: tuple = (4.0, -4.0)
     n_samples: int = DEFAULT_MOMENT_SAMPLES
     n_paths: int = DEFAULT_PATHS
-    phi_tol: float = PHI_TOL
-    width_tol: float = WIDTH_TOL
     n_sub: int = SUBGRID_DEFAULT
     conditioned_on: int | None = None
     output_dir: str = "out"
@@ -77,8 +74,6 @@ KEYS = {
     "mc.seed": ("seed", int),
     "mc.n_samples": ("n_samples", int),
     "mc.n_paths": ("n_paths", int),
-    "solver.phi_tol": ("phi_tol", float),
-    "solver.width_tol": ("width_tol", float),
     "impact.n_sub": ("n_sub", int),
     "impact.conditioned_on": ("conditioned_on", _opt_int),
     "output.dir": ("output_dir", str),
@@ -136,8 +131,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     if not all(map(math.isfinite, (cfg.noise_level, cfg.noise_slope, cfg.sd, cfg.mu,
                                    *cfg.means, *cfg.sds, *cfg.shapes))):
         raise ValueError(f"{_ERR}: noise.* and family.* values must be finite")
-    if not (0.0 < cfg.phi_tol < math.inf and 0.0 < cfg.width_tol < math.inf):
-        raise ValueError(f"{_ERR}: solver.phi_tol and solver.width_tol must be finite and > 0")
     if not SUBGRID_MIN <= cfg.n_sub <= COUNT_LIMIT:
         raise ValueError(f"{_ERR}: impact.n_sub must be in [{SUBGRID_MIN}, 2**40]")
     if cfg.family_kind not in _FAMILY_PARAMS:

@@ -29,7 +29,6 @@ from .posterior import QUAD_TOL, true_belief_moments
 
 _ERR = "adkyle.equilibrium"
 
-PHI_TOL = 1e-4      # |Phi| at the reported root
 WIDTH_TOL = 1e-6    # bracket width at the reported root
 BRACKET_CAP = 2.0 ** 20
 
@@ -43,7 +42,7 @@ class Equilibrium:
             kernel of scale c has the coefficient alpha_star / sqrt(c) in
             original units.
         I: Number of signals.
-        phi_residual: Phi at alpha_star (|.| < phi_tol).
+        phi_residual: Phi at alpha_star, the smaller |Phi| of the final bracket's ends.
         alpha_std_err: Error bound on alpha_star: the final bracket width plus
             QUAD_TOL / |Phi'|, Phi' the final bracket secant.
         ie, ie_std_err: E[q_true] at alpha_star and its error bound, the
@@ -68,14 +67,13 @@ class KyleBenchmark:
     lam: float
 
 
-def solve_alpha_star(I: int, phi_tol: float = PHI_TOL, width_tol: float = WIDTH_TOL,
-                     windows: dict | None = None) -> Equilibrium:
+def solve_alpha_star(I: int, windows: dict | None = None) -> Equilibrium:
     """Root Phi for I signals: bracket by doubling, then shrink with ITP steps.
 
     The root is the evaluated end of the final bracket (narrower than
-    width_tol) with the smaller |Phi|, which is below phi_tol.  E[q_true] at
-    the root comes from the same evaluation.  Solves that share a windows dict
-    integrate each alpha_bar once (see true_belief_moments), with the same result.
+    WIDTH_TOL) with the smaller |Phi|.  E[q_true] at the root comes from the
+    same evaluation.  Solves that share a windows dict integrate each
+    alpha_bar once (see true_belief_moments), with the same result.
 
     Raises:
         ValueError: fewer than two signals, bracket cap exceeded, or no
@@ -98,15 +96,11 @@ def solve_alpha_star(I: int, phi_tol: float = PHI_TOL, width_tol: float = WIDTH_
             raise ValueError(f"{_ERR}: failed to bracket a root below {BRACKET_CAP}")
         lo, f_lo, hi, f_hi = hi, f_hi, 2.0 * hi, evaluate(2.0 * hi, "bracket")
     n_doublings = len(trace) - 1
-    if width_tol <= math.ulp(lo):  # lo never falls, so no later bracket is narrower
-        raise ValueError(f"{_ERR}: root refinement failed to meet tolerances "
-                         f"(width_tol {width_tol:.1e} is below the float spacing at {lo})")
 
     # ITP: the regula-falsi point, pushed 0.2 width^2 toward the midpoint and
-    # held to bisection's worst case plus one step.  Logs and ldexp keep the
-    # step bound finite for every positive width_tol, however small.
-    n_max = math.ceil(math.log2(hi - lo) - math.log2(width_tol)) + 1
-    while hi - lo >= width_tol or min(abs(f_lo), abs(f_hi)) >= phi_tol:
+    # held to bisection's worst case plus one step.
+    n_max = math.ceil(math.log2(hi - lo) - math.log2(WIDTH_TOL)) + 1
+    while hi - lo >= WIDTH_TOL:
         n_refine = len(trace) - 1 - n_doublings
         if n_refine == 200:
             raise ValueError(f"{_ERR}: root refinement failed to meet tolerances")
@@ -114,7 +108,7 @@ def solve_alpha_star(I: int, phi_tol: float = PHI_TOL, width_tol: float = WIDTH_
         x_f = (f_lo * hi - f_hi * lo) / (f_lo - f_hi)
         sigma, delta = math.copysign(1.0, mid - x_f), 0.2 * width * width
         x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-        r = max(math.ldexp(0.5 * width_tol, n_max - n_refine) - 0.5 * width, 0.0)
+        r = max(math.ldexp(0.5 * WIDTH_TOL, n_max - n_refine) - 0.5 * width, 0.0)
         x = x_t if abs(x_t - mid) <= r else mid - sigma * r
         f_x = evaluate(x, "refine")
         lo, f_lo, hi, f_hi = (x, f_x, hi, f_hi) if f_x >= 0.0 else (lo, f_lo, x, f_x)

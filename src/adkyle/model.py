@@ -238,28 +238,23 @@ def make_payoff_family(kind: str, params: dict, grid: StateGrid) -> PayoffFamily
         if sd < grid.h:
             raise ValueError(f"{_ERR}: component sd {sd} is below the grid step {grid.h}")
 
-    if kind == "gaussian_mean_shift":
-        means = [float(m) for m in params["means"]]
-        sd = float(params["sd"])
-        if len(means) < 2:
+    if kind in ("gaussian_mean_shift", "gaussian_variance"):  # per-row location and scale
+        if kind == "gaussian_mean_shift":
+            locs = [float(m) for m in params["means"]]
+            scales = [float(params["sd"])] * len(locs)
+        else:
+            loc = float(params["mu"])
+            scales = [float(s) for s in params["sds"]]
+            locs = [loc] * len(scales)
+        if len(locs) < 2:
             raise ValueError(f"{_ERR}: need at least two signals")
-        if sd <= 0.0:
+        if any(s <= 0.0 for s in scales):
             raise ValueError(f"{_ERR}: nonpositive variance")
-        _check_sd(sd)
-        for m in means:
-            _check_mean(m)
-        rows = np.stack([_normal_pdf((x - m) / sd) / sd for m in means])
-    elif kind == "gaussian_variance":
-        mu = float(params["mu"])
-        sds = [float(s) for s in params["sds"]]
-        if len(sds) < 2:
-            raise ValueError(f"{_ERR}: need at least two signals")
-        if any(s <= 0.0 for s in sds):
-            raise ValueError(f"{_ERR}: nonpositive variance")
-        for s in sds:
+        for s in scales:
             _check_sd(s)
-        _check_mean(mu)
-        rows = np.stack([_normal_pdf((x - mu) / s) / s for s in sds])
+        for m in locs:
+            _check_mean(m)
+        rows = np.stack([_normal_pdf((x - m) / s) / s for m, s in zip(locs, scales)])
     elif kind == "skew_normal":
         from scipy.special import ndtr  # only this family needs scipy; start-up skips it
         shapes = [float(a) for a in params["shapes"]]

@@ -16,6 +16,7 @@ from adkyle import (
     posterior_weights,
     true_belief_moments,
 )
+from adkyle.analytics import spread_indices
 from adkyle.orderflow import PATH_BLOCK_SIZE
 from conftest import (candidate_demand, count_block_generators, exact_binary_equilibrium,
                       impact_from_paths, sample_posterior, statistic_shocks)
@@ -228,6 +229,13 @@ def test_conditioning_out_of_range_is_rejected(conditioned_on, mean_shift_demand
     args = (w_star, mean_shift_family, unit_noise, grid)
     with pytest.raises(ValueError, match="adkyle.analytics: conditioned_on"):
         impact_surface([1.0], [1.0], *args, conditioned_on=conditioned_on)
+
+
+def test_spread_indices_keep_the_ends_and_stop_at_every_index():
+    assert spread_indices(3, 13, 6).tolist() == [3, 5, 7, 9, 11, 13]
+    assert spread_indices(0, 4, 4).tolist() == [0, 1, 3, 4]  # 1.33 and 2.67 round apart
+    for n_sub in (11, 12, 2**40):  # no more points than the range holds, however many asked
+        assert spread_indices(3, 13, n_sub).tolist() == list(range(3, 14))
 
 
 def test_derivative_cross_impact_is_grid_converged(grid):

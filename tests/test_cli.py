@@ -839,6 +839,17 @@ def test_impact_sub_grid_past_the_window_takes_every_node(tmp_path):
         assert run(n_sub) == reference
 
 
+def test_impact_window_clipped_by_both_edges_stops_one_node_inside(tmp_path):
+    # mu -+ 3 sd lies past both grid ends, so the sub-grid runs from the second node
+    # to the second-to-last, the nodes nearest the ends at which the kernel is defined
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(FAST_CONFIG + "family.means = -7.9, 7.9\nfamily.sd = 0.2\n")
+    assert main(["impact", "-c", str(cfg), "-o", str(tmp_path / "out")]) == 0
+    grid = config_grid(load_config(cfg))
+    xs = np.unique([float(r[0]) for r in read_rows(tmp_path / "out" / "impact_kernel.csv")[1:]])
+    assert (xs[0], xs[-1], len(xs)) == (grid.nodes[1], grid.nodes[-2], 9)
+
+
 def test_missing_config_file_exits_with_code_two(tmp_path, capsys):
     assert main(["solve", "-c", str(tmp_path / "nope.cfg")]) == 2
     assert "error:" in capsys.readouterr().err

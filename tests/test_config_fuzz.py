@@ -50,8 +50,6 @@ VALUES = {
     "mc.seed": _ints(0, 2**64 - 1),
     "mc.n_samples": st.just("10000"),
     "mc.n_paths": _ints(1, 300),
-    "solver.phi_tol": _floats(1e-6, 1e-2),
-    "solver.width_tol": _floats(1e-9, 1e-3),
     "impact.n_sub": _ints(9, 30),
     "impact.conditioned_on": st.sampled_from(("none", "0", "1")),
 }
@@ -84,8 +82,6 @@ COMMANDS = st.sampled_from((
 # defects this property found, kept as fixed examples
 @example(config={"mc.seed": "-1"}, command=["impact"])
 @example(config={"mc.seed": "18446744073709551617"}, command=["solve"])
-@example(config={"mc.seed": "0", "solver.width_tol": "inf"}, command=["solve"])
-@example(config={"mc.seed": "0", "solver.width_tol": "1e-308"}, command=["solve"])
 @example(config={"mc.seed": "0", "noise.level": "1e-200", "family.means": "0, 0, 0"},
          command=["solve"])
 @example(config={"mc.seed": "0", "grid.n": "18446744073709551616"}, command=["kernel", "dump"])

@@ -189,7 +189,8 @@ def test_error_bounds_cover_a_tighter_reference_solve(I, monkeypatch):
     eq = solve_alpha_star(I)
     assert 0.0 < eq.alpha_std_err <= 2.0 * WIDTH_TOL
     use_reference_rule(monkeypatch)
-    ref = solve_alpha_star(I, width_tol=1e-12)
+    monkeypatch.setattr(adkyle.equilibrium, "WIDTH_TOL", 1e-12)
+    ref = solve_alpha_star(I)
     assert abs(eq.alpha_star - ref.alpha_star) <= eq.alpha_std_err
     assert abs(eq.ie - ref.ie) <= eq.ie_std_err
 
@@ -306,6 +307,19 @@ def test_solver_rejects_non_exchangeable_kernels(grid, unit_noise):
         equilibrium_demand(solve_alpha_star(kern.I), kern, fam, unit_noise)
 
 
+@pytest.mark.parametrize("I", [2, 3, 8, 64, 128, 4096, 2**20])
+def test_width_alone_stops_the_solve(I):
+    # the final bracket is the last evaluated point on each side of the root; once it is
+    # narrower than WIDTH_TOL, |Phi| at the root is already far below 1e-4
+    eq = solve_alpha_star(I)
+    trace = eq.mc_meta["trace"]
+    lo = max([0.0] + [a for a, f, _ in trace if f >= 0.0])
+    hi = min(a for a, f, _ in trace if f < 0.0)
+    assert lo <= eq.alpha_star <= hi == eq.mc_meta["bracket_hi"]
+    assert 0.0 < hi - lo < WIDTH_TOL
+    assert abs(eq.phi_residual) < 1e-4
+
+
 @pytest.mark.parametrize("I", [2, 4, 6, 8, 64])
 def test_solver_evaluation_budget_and_trace(I, monkeypatch):
     calls = []
@@ -348,15 +362,3 @@ def test_solver_needs_two_signals(I, monkeypatch):
     with pytest.raises(ValueError, match="adkyle.equilibrium: need at least two signals"):
         solve_alpha_star(I)
     assert evaluated == []
-
-
-@pytest.mark.parametrize("width_tol", [1e-308, 5e-324])
-def test_unreachable_width_tol_ends_in_a_value_error(width_tol, monkeypatch):
-    # no bracket is that narrow; the solve fails once bracketed, before any refinement
-    evaluated = []
-    real = adkyle.equilibrium.true_belief_moments
-    monkeypatch.setattr(adkyle.equilibrium, "true_belief_moments",
-                        lambda a, *rest: evaluated.append(a) or real(a, *rest))
-    with pytest.raises(ValueError, match="adkyle.equilibrium: root refinement"):
-        solve_alpha_star(2, width_tol=width_tol)
-    assert evaluated == [1.0, 2.0]  # the doubling bracket around sqrt(2) only

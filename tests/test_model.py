@@ -245,6 +245,25 @@ def test_family_narrower_than_the_grid_step_is_rejected(grid):
     make_payoff_family("skew_normal", {"shapes": [-2.0, 2.0]}, build_state_grid(-8.0, 8.0, 17))
 
 
+def test_gaussian_family_checks_fire_in_order(grid):
+    # signal count, then positivity, then the grid step, then the mean: the first failing
+    # check names the error, whichever of the two Gaussian kinds is built
+    far, narrow = 10.0 * (grid.x_max - grid.x_min), grid.h / 2
+    cases = [
+        ("gaussian_mean_shift", {"means": [far], "sd": -1.0}, "need at least two signals"),
+        ("gaussian_mean_shift", {"means": [far, 0.0], "sd": -1.0}, "nonpositive variance"),
+        ("gaussian_mean_shift", {"means": [far, 0.0], "sd": narrow}, "below the grid step"),
+        ("gaussian_mean_shift", {"means": [0.0, far], "sd": 1.0}, "far outside the grid"),
+        ("gaussian_variance", {"mu": far, "sds": [narrow]}, "need at least two signals"),
+        ("gaussian_variance", {"mu": far, "sds": [narrow, -1.0]}, "nonpositive variance"),
+        ("gaussian_variance", {"mu": far, "sds": [1.0, narrow]}, "below the grid step"),
+        ("gaussian_variance", {"mu": far, "sds": [1.0, 2.0]}, "far outside the grid"),
+    ]
+    for kind, params, message in cases:
+        with pytest.raises(ValueError, match=f"adkyle.model: .*{message}"):
+            make_payoff_family(kind, params, grid)
+
+
 def test_family_argument_errors(grid):
     with pytest.raises(ValueError, match="adkyle.model"):
         make_payoff_family("unknown_kind", {}, grid)

@@ -10,7 +10,6 @@ equilibrium demand.
 
 from ._rng import derive_seed
 from .model import (
-    FAMILY_KINDS,
     NoiseProfile,
     PayoffFamily,
     StateGrid,
@@ -52,7 +51,6 @@ from .config import RunConfig, load_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "FAMILY_KINDS",
     "NoiseProfile",
     "PayoffFamily",
     "StateGrid",

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-BLOCK_SIZE = 65536
-
 PATH_SHOCKS = (0, 1)      # simulate's (n_paths, n-1) Brownian shocks
 
 
@@ -26,7 +24,7 @@ def block_generator(seed: int, block_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def standard_normal_matrix(seed: int, n: int, dim: int, block_size: int = BLOCK_SIZE) -> np.ndarray:
+def standard_normal_matrix(seed: int, n: int, dim: int, block_size: int) -> np.ndarray:
     """(n, dim) standard normals assembled from counter-based blocks of block_size rows.
 
     The block structure (not just the seed) is part of the reproducibility

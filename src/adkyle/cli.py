@@ -39,7 +39,7 @@ from .config import (
     with_seed,
 )
 from .equilibrium import equilibrium_demand, solve_alpha_star
-from .kernel import RANK_TOL, build_canonical_kernel
+from .kernel import RANK_TOL, build_canonical_kernel, centering_matrix
 from .model import prior_moments
 from .objective import FocReport, foc_terms, zero_impact_direction
 from .options import bl_decompose, bl_reconstruct, demand_signature
@@ -290,7 +290,7 @@ def cmd_kernel_dump(args, cfg: RunConfig):
     names, I = ("K", "Q"), kern.I
     row_idx = np.tile(np.repeat(np.arange(I), I), len(names)).tolist()
     col_idx = np.tile(np.arange(I), I * len(names)).tolist()
-    values = np.concatenate([getattr(kern, name).ravel() for name in names]).tolist()
+    values = np.concatenate([kern.K.ravel(), centering_matrix(I).ravel()]).tolist()
     tables = {"kernel.csv": (
         ["matrix", "row", "col", "value"],
         [[name for name in names for _ in range(I * I)] + ["c", "exchangeable", "rank_tol"],

@@ -1,8 +1,9 @@
 """Run configuration: flat dotted-key text files -> RunConfig.
 
 Format: one `key = value` per line, `#` comments, blank lines ignored.  Keys
-are dotted (grid.n, mc.seed, ...); no sections, no nesting.  Unknown keys are
-hard errors so a typo cannot silently fall back to a default.
+are dotted (grid.n, mc.seed, ...); no sections, no nesting.  Unknown keys, and
+family.* keys that the family.kind does not read, are hard errors so a typo
+cannot silently fall back to a default.
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ _FAMILY_PARAMS = {
 
 
 def parse_config_text(text: str) -> RunConfig:
-    """Parse flat key=value text; unknown or repeated keys and a missing seed are errors."""
+    """Parse flat key=value text; unknown or repeated keys, a family.* key that the
+    family.kind does not read, and a missing seed are errors."""
     values: dict = {}
     first_line: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -111,7 +113,13 @@ def parse_config_text(text: str) -> RunConfig:
             raise ValueError(f"{_ERR}: bad value for {key!r} (line {lineno}): {exc}") from None
     if "seed" not in values:
         raise ValueError(f"{_ERR}: mc.seed is required (reproducibility is not optional)")
-    return validate_config(RunConfig(**values))
+    cfg = validate_config(RunConfig(**values))
+    read = ("family_kind", *_FAMILY_PARAMS[cfg.family_kind])
+    for key, lineno in first_line.items():
+        if key.startswith("family.") and KEYS[key][0] not in read:
+            raise ValueError(f"{_ERR}: family.kind = {cfg.family_kind} does not read {key!r} "
+                             f"(line {lineno})")
+    return cfg
 
 
 def load_config(path: str | Path) -> RunConfig:

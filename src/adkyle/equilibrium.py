@@ -43,8 +43,9 @@ class Equilibrium:
             original units.
         I: Number of signals.
         phi_residual: Phi at alpha_star, the smaller |Phi| of the final bracket's ends.
-        alpha_std_err: Error bound on alpha_star: the final bracket width plus
-            QUAD_TOL / |Phi'|, Phi' the final bracket secant.
+        alpha_std_err: Error bound on alpha_star: the final bracket width (none
+            on an exact zero of Phi) plus QUAD_TOL / |Phi'|, Phi' the final
+            bracket secant.
         ie, ie_std_err: E[q_true] at alpha_star and its error bound, the
             bracket's ie secant times alpha_std_err plus QUAD_TOL.
         mc_meta: Solver provenance (bracket, (alpha_bar, phi, stage) trace).
@@ -70,10 +71,11 @@ class KyleBenchmark:
 def solve_alpha_star(I: int, windows: dict | None = None) -> Equilibrium:
     """Root Phi for I signals: bracket by doubling, then shrink with ITP steps.
 
-    The root is the evaluated end of the final bracket (narrower than
-    WIDTH_TOL) with the smaller |Phi|.  E[q_true] at the root comes from the
-    same evaluation.  Solves that share a windows dict integrate each
-    alpha_bar once (see true_belief_moments), with the same result.
+    The root is the evaluated end of the final bracket (narrower than WIDTH_TOL,
+    unless Phi is exactly 0 at its lower end) with the smaller |Phi|; no alpha_bar
+    is evaluated twice.  E[q_true] at the root comes from the same evaluation.
+    Solves that share a windows dict integrate each alpha_bar once (see
+    true_belief_moments), with the same result.
 
     Raises:
         ValueError: fewer than two signals, bracket cap exceeded, or no
@@ -98,9 +100,10 @@ def solve_alpha_star(I: int, windows: dict | None = None) -> Equilibrium:
     n_doublings = len(trace) - 1
 
     # ITP: the regula-falsi point, pushed 0.2 width^2 toward the midpoint and
-    # held to bisection's worst case plus one step.
+    # held to bisection's worst case plus one step.  An exact zero (it becomes lo)
+    # ends the solve: the next steps would evaluate that point again.
     n_max = math.ceil(math.log2(hi - lo) - math.log2(WIDTH_TOL)) + 1
-    while hi - lo >= WIDTH_TOL:
+    while hi - lo >= WIDTH_TOL and f_lo != 0.0:
         n_refine = len(trace) - 1 - n_doublings
         if n_refine == 200:
             raise ValueError(f"{_ERR}: root refinement failed to meet tolerances")
@@ -110,11 +113,15 @@ def solve_alpha_star(I: int, windows: dict | None = None) -> Equilibrium:
         x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
         r = max(math.ldexp(0.5 * WIDTH_TOL, n_max - n_refine) - 0.5 * width, 0.0)
         x = x_t if abs(x_t - mid) <= r else mid - sigma * r
+        if not lo < x < hi:  # a step rounded onto an end: bisect, not evaluate it again
+            x = mid
         f_x = evaluate(x, "refine")
         lo, f_lo, hi, f_hi = (x, f_x, hi, f_hi) if f_x >= 0.0 else (lo, f_lo, x, f_x)
 
     alpha, f_alpha = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
-    alpha_err = (hi - lo) * (1.0 + QUAD_TOL / (f_lo - f_hi))
+    # the root lies in the final bracket, or at lo on an exact zero; QUAD_TOL / |Phi'|
+    # (the bracket's secant slope) bounds how far the rule's error moves it
+    alpha_err = (hi - lo) * ((1.0 if f_lo != 0.0 else 0.0) + QUAD_TOL / (f_lo - f_hi))
     return Equilibrium(
         alpha_star=float(alpha),
         I=I,

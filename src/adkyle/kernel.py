@@ -24,18 +24,16 @@ RANK_TOL = 1e-10            # c at or below RANK_TOL * max diag K carries no sig
 
 @dataclass(frozen=True)
 class CanonicalKernel:
-    """Gram matrix of a payoff family, its centering and its scale.
+    """Gram matrix of a payoff family and its scale.
 
     Attributes:
         K: I x I noise-variance-weighted Gram matrix int sigma^2 eta eta^T,
             exactly symmetric.
-        Q: Centering projector I - (1/I) 11^T.
         c: Exchangeability scale trace(QKQ) / (I - 1); it scales with sigma^2.
         exchangeable: True when max|QKQ - cQ| <= EXCHANGEABILITY_TOL * c.
     """
 
     K: np.ndarray = field(repr=False)
-    Q: np.ndarray = field(repr=False)
     c: float = 0.0
     exchangeable: bool = False
 
@@ -86,7 +84,7 @@ def exchangeability_scale(K: np.ndarray) -> tuple[float, bool]:
 def build_canonical_kernel(
     family: PayoffFamily, noise: NoiseProfile, grid: StateGrid
 ) -> CanonicalKernel:
-    """Assemble the canonical kernel (Gram, centering, scale)."""
+    """Assemble the canonical kernel (Gram, scale)."""
     K = gram_matrix(family, noise, grid)
     c, exchangeable = exchangeability_scale(K)
-    return CanonicalKernel(K=K, Q=centering_matrix(family.I), c=c, exchangeable=exchangeable)
+    return CanonicalKernel(K=K, c=c, exchangeable=exchangeable)

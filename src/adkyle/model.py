@@ -19,8 +19,6 @@ import numpy as np
 
 _ERR = "adkyle.model"
 
-FAMILY_KINDS = ("gaussian_mean_shift", "gaussian_variance", "skew_normal", "tabulated")
-
 # numpy 2 renamed trapz to trapezoid; numpy < 2 has only trapz.
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -98,31 +96,29 @@ class PayoffFamily:
     """Signal-contingent payoff densities eta(x, s_i) on the grid.
 
     Attributes:
-        labels: One identifier per signal (s1, s2, ...).
         eta: I x n matrix; row i is the density of the terminal state given s_i,
             truncated to the grid interval and renormalized to integrate to 1
             under the grid's quadrature weights.
-        family_kind: One of FAMILY_KINDS.
     """
 
-    labels: tuple[str, ...]
     eta: np.ndarray = field(repr=False)
-    family_kind: str = "tabulated"
 
     def __post_init__(self):
         eta = _frozen(self.eta)
-        if eta.ndim != 2 or eta.shape[0] != len(self.labels):
-            raise ValueError(f"{_ERR}: eta must be an I x n matrix matching labels")
+        if eta.ndim != 2:
+            raise ValueError(f"{_ERR}: eta must be an I x n matrix")
         if np.any(eta < 0.0):
             raise ValueError(f"{_ERR}: payoff densities must be nonnegative")
-        if self.family_kind not in FAMILY_KINDS:
-            raise ValueError(f"{_ERR}: unknown family kind {self.family_kind!r}")
         object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
     def I(self) -> int:
         return self.eta.shape[0]
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """One identifier per signal: s1, s2, ..., sI."""
+        return tuple(f"s{i + 1}" for i in range(self.I))
 
 
 def build_state_grid(x_min: float, x_max: float, n: int) -> StateGrid:
@@ -194,13 +190,11 @@ def _normal_pdf(z: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * np.square(z)) / math.sqrt(2.0 * math.pi)
 
 
-def _renormalized_rows(rows: np.ndarray, grid: StateGrid, kind: str) -> PayoffFamily:
+def _renormalized_rows(rows: np.ndarray, grid: StateGrid) -> PayoffFamily:
     masses = rows @ grid.quad_weights
     if not np.all((masses > 0.0) & (masses < math.inf)):
         raise ValueError(f"{_ERR}: a payoff row has no finite, positive mass on the grid interval")
-    eta = rows / masses[:, None]
-    labels = tuple(f"s{i + 1}" for i in range(rows.shape[0]))
-    return PayoffFamily(labels, eta, kind)
+    return PayoffFamily(rows / masses[:, None])
 
 
 def make_payoff_family(kind: str, params: dict, grid: StateGrid) -> PayoffFamily:
@@ -284,4 +278,4 @@ def make_payoff_family(kind: str, params: dict, grid: StateGrid) -> PayoffFamily
     else:
         raise ValueError(f"{_ERR}: unknown family kind {kind!r}")
 
-    return _renormalized_rows(np.asarray(rows, dtype=float), grid, kind)
+    return _renormalized_rows(np.asarray(rows, dtype=float), grid)

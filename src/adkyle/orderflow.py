@@ -51,20 +51,6 @@ def simulate_increments(
     return increments, shocks
 
 
-def likelihood_weights(
-    w_tilde: np.ndarray, noise: NoiseProfile, grid: StateGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """F = (W_tilde / sigma^2)[:, :-1] and gram_diag[i] = <W_tilde_i, W_tilde_i>_sigma.
-
-    increments @ F.T are a path's I projections int W_tilde_i / sigma^2 dY (left point).
-    """
-    w_tilde = np.asarray(w_tilde, dtype=float)
-    if w_tilde.ndim != 2 or w_tilde.shape[1] != grid.n:
-        raise ValueError(f"{_ERR}: w_tilde must be an I x n matrix")
-    gram_diag = weighted_inner_product(w_tilde, w_tilde, noise, grid)
-    return (w_tilde / np.square(noise.sigma))[:, :-1], gram_diag
-
-
 def log_likelihoods(
     w_tilde: np.ndarray,
     increments: np.ndarray,
@@ -76,7 +62,11 @@ def log_likelihoods(
     log_lik[b, i] = sum_j (W_tilde_i/sigma^2)(x_j) dY_j
                     - (1/2) <W_tilde_i, W_tilde_i>_sigma.
     """
-    f, gram_diag = likelihood_weights(w_tilde, noise, grid)
+    w_tilde = np.asarray(w_tilde, dtype=float)
+    if w_tilde.ndim != 2 or w_tilde.shape[1] != grid.n:
+        raise ValueError(f"{_ERR}: w_tilde must be an I x n matrix")
+    gram_diag = weighted_inner_product(w_tilde, w_tilde, noise, grid)
+    f = (w_tilde / np.square(noise.sigma))[:, :-1]
     increments = np.atleast_2d(np.asarray(increments, dtype=float))
     if increments.shape[1] != grid.n - 1:
         raise ValueError(f"{_ERR}: increments must have n-1 columns")

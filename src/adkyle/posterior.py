@@ -138,7 +138,8 @@ def posterior_covariance(alpha_bar: float, I: int, true_index: int | None = None
     if true_index is not None and not 0 <= true_index < I:
         raise ValueError(f"{_ERR}: true_index {true_index} out of range for I={I}")
     m0, m1, (f, f_sq) = _weigh(_truth_lines(alpha_bar, rival_square=True), I)
-    b, c_tj = float(f @ m1), -float(f @ m1) / (I - 1)
+    b = float(f @ m1)
+    c_tj = -b / (I - 1)
     c_jj = float(f @ m0) / (I - 1) - float(f_sq @ m0)
     if true_index is None:
         return (b / (I - 1) + c_jj) * centering_matrix(I)

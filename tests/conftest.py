@@ -30,8 +30,7 @@ import adkyle._rng
 from adkyle._rng import derive_seed, standard_normal_matrix
 from adkyle.kernel import centering_matrix
 from adkyle.model import weighted_inner_product
-from adkyle.orderflow import (LOG_LIK_SPREAD_MAX, PATH_BLOCK_SIZE, likelihood_weights,
-                              posterior_weights)
+from adkyle.orderflow import LOG_LIK_SPREAD_MAX, PATH_BLOCK_SIZE, posterior_weights
 from adkyle.posterior import _check_alpha_bar
 
 # Exact fixed point of the binary moment equation: the scaled-posterior map
@@ -41,6 +40,7 @@ ALPHA_STAR_BINARY = math.sqrt(2.0)
 MIN_QUAD_NODES = 64
 DEFAULT_QUAD_NODES = 200
 
+MC_BLOCK_ROWS = 65536    # Philox block rows of the Monte Carlo references' normal draws
 FLOW_STATISTIC = (0, 2)  # stream tag of the (n_paths, I) normals behind the order-flow statistic
 FD_REL_EPS = 1e-3        # foc_from_paths' step: eps = FD_REL_EPS * |W|_inf / |v|_inf
 
@@ -122,7 +122,8 @@ def flow_posterior(w_tilde, noise, grid, seed, n_paths, w_row):
     """
     if n_paths < 1:
         raise ValueError("flow_posterior: n_paths must be positive")
-    f, gram_diag = likelihood_weights(w_tilde, noise, grid)
+    f = (w_tilde / np.square(noise.sigma))[:, :-1]
+    gram_diag = weighted_inner_product(w_tilde, w_tilde, noise, grid)
     mean = np.asarray(w_row, dtype=float)[:-1] * grid.h @ f.T - 0.5 * gram_diag
     r = np.linalg.qr((noise.sigma[:-1] * math.sqrt(grid.h) * f).T, mode="r")
     z = standard_normal_matrix(derive_seed(seed, *FLOW_STATISTIC), int(n_paths), len(f),
@@ -172,7 +173,7 @@ def foc_from_paths(w_row, v_row, w_tilde, family, true_index, noise, grid, n_pat
     v = np.atleast_2d(np.asarray(v_row, dtype=float))
     eps = FD_REL_EPS * np.max(np.abs(w_row)) / np.max(np.abs(v), axis=1)
     eta, gw, eta_t = family.eta, grid.quad_weights, family.eta[true_index]
-    f, _ = likelihood_weights(w_tilde, noise, grid)
+    f = (w_tilde / np.square(noise.sigma))[:, :-1]
     d = np.array([[weighted_inner_product(v_k, row, noise, grid) for row in w_tilde] for v_k in v])
     shift = eps[:, None] * np.array([f @ (v_k[:-1] * grid.h) for v_k in v])
     worst = float(np.max(np.ptp(shift, axis=1)))

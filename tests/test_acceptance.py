@@ -17,6 +17,7 @@ from adkyle import (
     bl_reconstruct,
     build_canonical_kernel,
     build_state_grid,
+    centering_matrix,
     demand_signature,
     efficiency_sweep,
     equilibrium_demand,
@@ -32,7 +33,7 @@ from adkyle import (
 )
 from adkyle._rng import standard_normal_matrix
 from adkyle.cli import main as cli_main
-from conftest import (ALPHA_STAR_BINARY, SUBCOMMANDS, binary_moments_quadrature,
+from conftest import (ALPHA_STAR_BINARY, MC_BLOCK_ROWS, SUBCOMMANDS, binary_moments_quadrature,
                       exact_binary_equilibrium, foc_from_paths, sample_posterior)
 
 SIGMAS = 3.0
@@ -104,7 +105,7 @@ def test_a02_log_ratio_law():
     t0 = time.perf_counter()
     n = 200_000
     for alpha_bar in (0.5, 1.0, 2.0):
-        xi = standard_normal_matrix(42, n, 2)
+        xi = standard_normal_matrix(42, n, 2, MC_BLOCK_ROWS)
         logits, _ = sample_posterior(alpha_bar, 2, 0, xi)
         lr = logits[:, 0] - logits[:, 1]
         mean, var = float(lr.mean()), float(lr.var(ddof=1))
@@ -277,7 +278,7 @@ def test_a10_family_and_noise_invariance():
             w_star = equilibrium_demand(eq, kern, fam, scaled)
             gram = np.array([[weighted_inner_product(a, b, scaled, grid) for b in w_star]
                              for a in w_star])
-            gap = max(gap, float(np.abs(gram - eq.alpha_star**2 * kern.Q).max()))
+            gap = max(gap, float(np.abs(gram - eq.alpha_star**2 * centering_matrix(kern.I)).max()))
             demands.append(w_star)
         assert np.array_equal(demands[1], 2.0 * demands[0])
     assert gap < GRAM_AGREEMENT

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import adkyle
 import adkyle.cli
-from adkyle import true_belief_moments
+from adkyle import centering_matrix, true_belief_moments
 from adkyle.cli import OUTPUT_DIR_ENV, _solved, main, write_csv
 from adkyle.config import config_grid, load_config, parse_config_text, with_seed
 from adkyle._rng import PATH_SHOCKS, derive_seed, standard_normal_matrix
@@ -226,7 +226,7 @@ def test_verify_foc_fails_on_a_wrong_demand(wrong, cfg_file, tmp_path, capsys, m
         lam, u = np.linalg.eigh((family.eta * (grid.quad_weights / np.square(noise.sigma)))
                                 @ family.eta.T)
         inv_root = np.where(lam > 1e-12 * lam.max(), 1.0 / np.sqrt(np.abs(lam)), 0.0)
-        return eq.alpha_star * ((u * inv_root) @ u.T @ kern.Q).T @ family.eta
+        return eq.alpha_star * ((u * inv_root) @ u.T @ centering_matrix(kern.I)).T @ family.eta
 
     monkeypatch.setattr(adkyle.cli, "equilibrium_demand", demand)
     status, rows = _foc_rows(cfg_file, text, tmp_path / "foc")

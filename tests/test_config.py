@@ -2,8 +2,11 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from adkyle import make_payoff_family
+from adkyle.cli import main
 from adkyle.config import (
     config_family,
     config_grid,
@@ -78,6 +81,29 @@ def test_unknown_keys_are_hard_errors():
             parse_config_text(f"mc.seed = 1\n{key} = 1e-6\n")
 
 
+@pytest.mark.parametrize("kind, line", [
+    ("gaussian_variance", "family.sd = 0.5"),
+    ("gaussian_variance", "family.means = -3, 3"),
+    ("gaussian_mean_shift", "family.sds = 1, 2"),
+    ("gaussian_mean_shift", "family.mu = 0"),
+    ("skew_normal", "family.sd = 1"),
+])
+def test_family_keys_the_kind_does_not_read_are_hard_errors(kind, line, tmp_path, capsys):
+    # another kind's parameter would be ignored, and the run would go on without it
+    key = line.split(" =")[0]
+    with pytest.raises(ValueError, match=f"family.kind = {kind} does not read '{key}' .line 3."):
+        parse_config_text(f"mc.seed = 1\nfamily.kind = {kind}\n{line}\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mc.seed = 1\nfamily.kind = {kind}\n{line}\n")
+    assert main(["solve", "-c", str(cfg), "-o", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: adkyle.config: ")
+    assert len(captured.err.splitlines()) == 1
+    # the default kind, gaussian_mean_shift, reads no family.sds either
+    with pytest.raises(ValueError, match="does not read 'family.sds' .line 2."):
+        parse_config_text("mc.seed = 1\nfamily.sds = 1, 2\n")
+
+
 def test_malformed_lines_report_line_numbers():
     with pytest.raises(ValueError, match="line 2"):
         parse_config_text("mc.seed = 1\nthis is not a key value pair\n")
@@ -120,8 +146,8 @@ def test_config_builds_model_objects():
     assert noise.sigma[0] == 1.5
     assert noise.sigma[-1] == pytest.approx(1.5 + 0.1 * 12.0, abs=1e-12)
     fam = config_family(cfg, grid)
-    assert fam.family_kind == "gaussian_variance"
-    assert fam.I == 2
+    expected = make_payoff_family("gaussian_variance", {"mu": 0.0, "sds": (1.0, 2.0)}, grid)
+    assert np.array_equal(fam.eta, expected.eta)
 
 
 def test_hash_is_stable_and_sensitive():

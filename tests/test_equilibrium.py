@@ -10,6 +10,7 @@ import pytest
 
 from adkyle import (
     build_canonical_kernel,
+    centering_matrix,
     equilibrium_demand,
     foc_terms,
     kyle_single_asset,
@@ -28,8 +29,8 @@ from adkyle.equilibrium import BRACKET_CAP, WIDTH_TOL
 from adkyle.kernel import RANK_TOL
 from adkyle.posterior import QUAD_TOL
 from adkyle._rng import standard_normal_matrix
-from conftest import (ALPHA_STAR_BINARY, binary_moments_quadrature, moments_from_noise,
-                      sample_posterior, true_belief)
+from conftest import (ALPHA_STAR_BINARY, MC_BLOCK_ROWS, binary_moments_quadrature,
+                      moments_from_noise, sample_posterior, true_belief)
 
 # two quotients each round once, so the product can sit one ulp off 1/2
 PRODUCT_ULPS = 2.0 * np.spacing(0.5)
@@ -119,7 +120,7 @@ def test_scalar_residual_matches_the_full_softmax_moments(I, true_index):
     # rows of q sum to one, so (Q cbar Q)_tt = E[q_t (1 - q_t)]: the full softmax
     # moments give Phi per draw, and the quadrature lies within 3 SE of their mean;
     # the rivals are exchangeable, so each holds E[1 - q_t] / (I - 1) of the mass
-    xi = standard_normal_matrix(5, 200_000, I)
+    xi = standard_normal_matrix(5, 200_000, I, MC_BLOCK_ROWS)
     for alpha_bar in (0.5, 1.0, 1.4, 2.0, 3.0):
         m1, qcq_diag, std_err_m1 = moments_from_noise(alpha_bar, true_index, xi)
         full = 1.0 - float(m1[true_index]) - alpha_bar**2 * qcq_diag
@@ -138,7 +139,7 @@ def test_scalar_residual_matches_the_full_softmax_moments(I, true_index):
 @pytest.mark.parametrize("I", [4, 6, 8])
 def test_monte_carlo_root_agrees_with_the_quadrature_root(I):
     # bisect the Monte Carlo Phi on one frozen noise matrix (common random numbers)
-    noise = standard_normal_matrix(I, 200_000, I)
+    noise = standard_normal_matrix(I, 200_000, I, MC_BLOCK_ROWS)
     lo, hi = 1.0, 2.5
     assert mc_phi(lo, noise)[0] > 0.0 > mc_phi(hi, noise)[0]
     for _ in range(40):
@@ -228,7 +229,7 @@ def test_demand_gram_recovers_scaled_centering(
             for i in range(I)
         ]
     )
-    target = eq.alpha_star**2 * mean_shift_kernel.Q
+    target = eq.alpha_star**2 * centering_matrix(I)
     assert np.abs(gram - target).max() < GRAM_TOLERANCE
 
 
@@ -318,6 +319,33 @@ def test_width_alone_stops_the_solve(I):
     assert lo <= eq.alpha_star <= hi == eq.mc_meta["bracket_hi"]
     assert 0.0 < hi - lo < WIDTH_TOL
     assert abs(eq.phi_residual) < 1e-4
+
+
+@pytest.mark.parametrize("width_tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("rule", ["library", "reference"])
+def test_the_solve_evaluates_no_point_twice(rule, width_tol, monkeypatch):
+    # at I = 8 and these widths the library rule's Phi is exactly 0.0 at a step, and the
+    # reference rule's regula-falsi steps round onto a bracket end; each used to evaluate
+    # one alpha_bar again and again, up to 29 of 43 evaluations
+    if rule == "reference":
+        use_reference_rule(monkeypatch)
+    monkeypatch.setattr(adkyle.equilibrium, "WIDTH_TOL", width_tol)
+    meta = solve_alpha_star(8).mc_meta
+    alphas = [a for a, _, _ in meta["trace"]]
+    assert len(set(alphas)) == len(alphas) == 1 + meta["n_doublings"] + meta["n_bisections"]
+
+
+def test_an_exact_zero_of_phi_ends_the_solve(monkeypatch):
+    # the root is then that point, and its bound drops the bracket width (8.8e-9 here) but
+    # still covers the root of the finer reference rule
+    monkeypatch.setattr(adkyle.equilibrium, "WIDTH_TOL", 1e-12)
+    eq = solve_alpha_star(8)
+    assert eq.mc_meta["trace"][-1][:2] == (eq.alpha_star, 0.0) and eq.phi_residual == 0.0
+    assert eq.alpha_std_err < 1e-11
+    use_reference_rule(monkeypatch)
+    ref = solve_alpha_star(8)
+    assert abs(eq.alpha_star - ref.alpha_star) <= eq.alpha_std_err
+    assert abs(eq.ie - ref.ie) <= eq.ie_std_err
 
 
 @pytest.mark.parametrize("I", [2, 4, 6, 8, 64])

@@ -112,5 +112,4 @@ def test_exchangeability_flags_asymmetric_kernels(grid, unit_noise):
 def test_build_canonical_kernel_assembles_consistent_pieces(mean_shift_kernel):
     kern = mean_shift_kernel
     assert kern.exchangeable
-    assert np.array_equal(kern.Q, centering_matrix(kern.I))
     assert (kern.c, kern.exchangeable) == exchangeability_scale(kern.K)

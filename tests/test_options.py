@@ -147,17 +147,17 @@ def test_signatures_of_the_three_families(
     from conftest import exact_binary_equilibrium
     from adkyle import build_canonical_kernel, equilibrium_demand
 
-    expected = {
-        "gaussian_mean_shift": ("bearish", "bullish"),
-        "gaussian_variance": ("short_vol", "long_vol"),
-        "skew_normal": ("right_skew", "left_skew"),
-    }
-    for fam in (mean_shift_family, variance_family, skew_family):
+    expected = (
+        (mean_shift_family, ("bearish", "bullish")),
+        (variance_family, ("short_vol", "long_vol")),
+        (skew_family, ("right_skew", "left_skew")),
+    )
+    for fam, signatures in expected:
         kern = build_canonical_kernel(fam, unit_noise, grid)
         eq = exact_binary_equilibrium(kern)
         w_star = equilibrium_demand(eq, kern, fam, unit_noise)
         got = tuple(demand_signature(row, fam, grid) for row in w_star)
-        assert got == expected[fam.family_kind]
+        assert got == signatures
 
 
 def test_flat_demand_has_flat_signature(mean_shift_family, grid):

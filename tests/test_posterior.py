@@ -7,9 +7,9 @@ from adkyle import posterior_covariance, true_belief_moments
 from adkyle.posterior import QUAD_TOL, softmax_mean
 from adkyle import _rng
 import adkyle.posterior
-from adkyle._rng import BLOCK_SIZE, block_generator, derive_seed, standard_normal_matrix
+from adkyle._rng import block_generator, derive_seed, standard_normal_matrix
 from adkyle.config import MIN_MOMENT_SAMPLES, parse_config_text
-from conftest import (FLOW_STATISTIC, MIN_QUAD_NODES, binary_moments_quadrature,
+from conftest import (FLOW_STATISTIC, MC_BLOCK_ROWS, MIN_QUAD_NODES, binary_moments_quadrature,
                       moments_from_noise, sample_posterior, softmax, true_belief)
 
 SOFTMAX_TOLERANCE = 1e-15
@@ -46,7 +46,7 @@ def test_softmax_shift_invariance():
 
 
 def test_sample_posterior_shapes_and_support():
-    xi = standard_normal_matrix(0, 16, 3)
+    xi = standard_normal_matrix(0, 16, 3, MC_BLOCK_ROWS)
     logits, q = sample_posterior(1.2, 3, 1, xi)
     assert q.shape == (16, 3)
     assert logits.shape == (16, 3)
@@ -55,7 +55,7 @@ def test_sample_posterior_shapes_and_support():
 
 
 def test_sample_posterior_is_uniform_at_zero_coupling():
-    xi = standard_normal_matrix(0, 32, 4)
+    xi = standard_normal_matrix(0, 32, 4, MC_BLOCK_ROWS)
     _, q = sample_posterior(0.0, 4, 2, xi)
     assert np.all(q == 0.25)
 
@@ -104,14 +104,14 @@ def test_quadrature_argument_validation():
 
 def test_sample_posterior_argument_validation():
     # 1e200 is finite but its square is not: the moments would be NaN
-    xi = standard_normal_matrix(0, 16, 2)
+    xi = standard_normal_matrix(0, 16, 2, MC_BLOCK_ROWS)
     for alpha_bar in (-0.5, float("nan"), float("inf"), 1e200):
         with pytest.raises(ValueError, match="adkyle.posterior"):
             sample_posterior(alpha_bar, 2, 0, xi)
 
 
 def test_monte_carlo_moments_agree_with_quadrature():
-    xi = standard_normal_matrix(3, MOMENT_SAMPLES, 2)
+    xi = standard_normal_matrix(3, MOMENT_SAMPLES, 2, MC_BLOCK_ROWS)
     m1, qcq_diag, std_err_m1 = moments_from_noise(1.0, 0, xi)
     ref1, ref2 = QUAD_ORACLE[1.0]
     assert abs(m1[0] - ref1) <= 3.0 * std_err_m1[0]
@@ -126,7 +126,7 @@ def test_posterior_covariance_matches_canonical_draws(I, true_index):
     # unconditioned kappa Q
     alpha_bar = 1.6
     cov = posterior_covariance(alpha_bar, I, true_index)
-    xi = standard_normal_matrix(4, MOMENT_SAMPLES, I)
+    xi = standard_normal_matrix(4, MOMENT_SAMPLES, I, MC_BLOCK_ROWS)
     _, q = sample_posterior(alpha_bar, I, true_index, xi)
     per_draw = q[:, :, None] * (np.eye(I) - q[:, None, :])
     se = per_draw.std(axis=0, ddof=1) / np.sqrt(MOMENT_SAMPLES)
@@ -172,7 +172,7 @@ def test_softmax_mean_is_within_its_tolerance_of_a_finer_rule(alpha_bar, mu, mon
 def test_softmax_mean_matches_draws_at_any_logits(alpha_bar, mu):
     # every entry within 3 SE of softmax(mu + alpha xi) over draws, and the entries sum to 1
     mu = np.asarray(mu)
-    xi = standard_normal_matrix(6, MOMENT_SAMPLES, len(mu))
+    xi = standard_normal_matrix(6, MOMENT_SAMPLES, len(mu), MC_BLOCK_ROWS)
     q = softmax(mu + alpha_bar * xi)
     se = q.std(axis=0, ddof=1) / np.sqrt(MOMENT_SAMPLES)
     mean = softmax_mean(alpha_bar, mu[None])[0]
@@ -213,13 +213,14 @@ def test_posterior_covariance_argument_validation():
 
 
 def test_moments_mass_conservation():
-    m1, _, std_err_m1 = moments_from_noise(0.8, 2, standard_normal_matrix(9, 20_000, 5))
+    xi = standard_normal_matrix(9, 20_000, 5, MC_BLOCK_ROWS)
+    m1, _, std_err_m1 = moments_from_noise(0.8, 2, xi)
     assert m1.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(std_err_m1 > 0.0)
 
 
 def test_moments_from_noise_matches_direct_computation():
-    xi = standard_normal_matrix(4, 10_000, 2)
+    xi = standard_normal_matrix(4, 10_000, 2, MC_BLOCK_ROWS)
     m1, _, _ = moments_from_noise(1.0, 0, xi)
     _, q = sample_posterior(1.0, 2, 0, xi)
     assert np.array_equal(m1, q.mean(axis=0))
@@ -233,26 +234,26 @@ def test_moment_sample_floor_is_enforced():
 
 @pytest.mark.parametrize("I,true_index", [(2, 0), (3, 2), (8, 5)])
 def test_true_belief_is_the_softmax_entry_of_the_truth(I, true_index):
-    xi = standard_normal_matrix(6, 10_000, I)
+    xi = standard_normal_matrix(6, 10_000, I, MC_BLOCK_ROWS)
     for alpha_bar in (0.0, 0.7, 2.5):
         q = sample_posterior(alpha_bar, I, true_index, xi)[1][:, true_index]
         assert np.abs(true_belief(alpha_bar, np.roll(xi, -true_index, axis=1)) - q).max() <= 1e-15
 
 
 def test_true_belief_argument_validation():
-    xi = standard_normal_matrix(6, 100, 3)
+    xi = standard_normal_matrix(6, 100, 3, MC_BLOCK_ROWS)
     with pytest.raises(ValueError, match="true_belief: need an"):
         true_belief(1.0, xi[0])
 
 
 def test_normal_matrix_fills_its_blocks_in_place():
     # one preallocated matrix, bit for bit the concatenation of the counter blocks
-    n, dim, seed = 2 * BLOCK_SIZE + 3, 3, 11
+    n, dim, seed = 2 * MC_BLOCK_ROWS + 3, 3, 11
     reference = np.concatenate([
         block_generator(seed, block_id).standard_normal((m, dim))
-        for block_id, m in enumerate((BLOCK_SIZE, BLOCK_SIZE, 3))
+        for block_id, m in enumerate((MC_BLOCK_ROWS, MC_BLOCK_ROWS, 3))
     ])
-    xi = standard_normal_matrix(seed, n, dim)
+    xi = standard_normal_matrix(seed, n, dim, MC_BLOCK_ROWS)
     assert xi.shape == (n, dim)
     assert np.array_equal(xi.view(np.uint64), reference.view(np.uint64))
 

@@ -22,10 +22,9 @@ from .kernel import (
     CanonicalKernel,
     build_canonical_kernel,
     centering_matrix,
-    exchangeability_scale,
     gram_matrix,
 )
-from .posterior import posterior_covariance, true_belief_moments
+from .posterior import posterior_moments, true_belief_moments
 from .equilibrium import (
     Equilibrium,
     KyleBenchmark,
@@ -61,9 +60,8 @@ __all__ = [
     "CanonicalKernel",
     "build_canonical_kernel",
     "centering_matrix",
-    "exchangeability_scale",
     "gram_matrix",
-    "posterior_covariance",
+    "posterior_moments",
     "true_belief_moments",
     "Equilibrium",
     "KyleBenchmark",

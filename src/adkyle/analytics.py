@@ -16,9 +16,9 @@ import math
 
 import numpy as np
 
-from .kernel import EXCHANGEABILITY_TOL, scale_and_gap
+from .kernel import fit_scale
 from .model import NoiseProfile, PayoffFamily, StateGrid, trapezoid
-from .posterior import QUAD_TOL, posterior_covariance
+from .posterior import QUAD_TOL, posterior_moments
 from .equilibrium import Equilibrium, solve_alpha_star
 
 _ERR = "adkyle.analytics"
@@ -36,12 +36,12 @@ def canonical_gram(w_star: np.ndarray, noise: NoiseProfile,
     the posterior has the canonical law at alpha_bar = alpha.
 
     Raises:
-        ValueError: gap above EXCHANGEABILITY_TOL alpha^2, not an equilibrium demand.
+        ValueError: a gap that fit_scale rejects, not an equilibrium demand.
     """
     w_star = np.asarray(w_star, dtype=float)
     gram = (w_star * (grid.quad_weights / np.square(noise.sigma))) @ w_star.T
-    alpha_sq, gap = scale_and_gap(gram)
-    if not gap <= EXCHANGEABILITY_TOL * alpha_sq:  # NaN compares False
+    alpha_sq, gap, canonical = fit_scale(gram)
+    if not canonical:
         raise ValueError(f"{_ERR}: demand Gram deviates from alpha^2 Q by {gap:.3e}; "
                          "only an equilibrium demand has the canonical posterior law")
     return gram, alpha_sq, gap
@@ -78,7 +78,7 @@ def impact_surface(x_values: np.ndarray, y_values: np.ndarray, w_star: np.ndarra
     a, b = family.eta[:, ix], np.asarray(w_star, dtype=float)[:, iy] / np.square(noise.sigma[iy])
     a, b = a - a.mean(axis=0), b - b.mean(axis=0)
     bound = 3.0 * QUAD_TOL * np.outer(np.abs(a).sum(axis=0), np.abs(b).sum(axis=0))
-    return a.T @ posterior_covariance(math.sqrt(alpha_sq), I, conditioned_on) @ b, bound
+    return a.T @ posterior_moments(math.sqrt(alpha_sq), I, conditioned_on)[1] @ b, bound
 
 
 def derivative_cross_impact(

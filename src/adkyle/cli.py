@@ -29,22 +29,14 @@ import numpy as np
 
 from . import __version__
 from .analytics import efficiency_sweep, impact_surface, spread_indices
-from .config import (
-    RunConfig,
-    config_family,
-    config_grid,
-    config_hash,
-    config_noise,
-    load_config,
-    with_seed,
-)
+from .config import RunConfig, config_hash, config_model, load_config, with_seed
 from .equilibrium import equilibrium_demand, solve_alpha_star
 from .kernel import RANK_TOL, build_canonical_kernel, centering_matrix
 from .model import prior_moments
 from .objective import FocReport, foc_terms, zero_impact_direction
 from .options import bl_decompose, bl_reconstruct, demand_signature
 from .orderflow import log_likelihoods, posterior_weights, price_schedule, simulate_increments
-from .posterior import QUAD_TOL, true_belief_moments
+from .posterior import QUAD_TOL, posterior_moments
 
 OUTPUT_DIR_ENV = "ADKYLE_OUTPUT_DIR"
 CSV_BLOCK_ROWS = 1 << 14  # rows formatted per write and per worker task: bounds the text in memory
@@ -145,13 +137,8 @@ def _manifest(cfg: RunConfig, command: str, t0: float, times: list[tuple]) -> li
     ]
 
 
-def _model(cfg: RunConfig):
-    grid = config_grid(cfg)
-    return grid, config_noise(cfg, grid), config_family(cfg, grid)
-
-
 def _pipeline(cfg: RunConfig):
-    grid, noise, family = _model(cfg)
+    grid, noise, family = config_model(cfg)
     return grid, noise, family, build_canonical_kernel(family, noise, grid)
 
 
@@ -205,7 +192,7 @@ def cmd_simulate(args, cfg: RunConfig):
 
     # path p is row p of the seed's path-shock stream, so a path's rows do not depend on --paths
     n_paths, n, I = args.paths, grid.n, family.I
-    increments, _ = simulate_increments(w_star[s], noise, grid, cfg.seed, n_paths)
+    increments = simulate_increments(w_star[s], noise, grid, cfg.seed, n_paths)
     y = np.zeros((n_paths, n))
     np.cumsum(increments, axis=1, out=y[:, 1:])
     log_lik = log_likelihoods(w_star, increments, noise, grid)
@@ -302,13 +289,11 @@ def cmd_kernel_dump(args, cfg: RunConfig):
 
 def cmd_posterior_probe(args, cfg: RunConfig):
     # only I is read; grid and noise are built so that a bad config fails as elsewhere
-    I = _model(cfg)[2].I
-    # the truth (index 0) holds 1 - E[1 - q_t] and the I - 1 exchangeable rivals
-    # share the rest; C 1 = 0 makes (Q C Q)_tt = q_t (1 - q_t)
-    not_true, spread = true_belief_moments(args.alpha_bar, I)
-    m1 = [1.0 - not_true] + [not_true / (I - 1)] * (I - 1)
+    I = config_model(cfg)[2].I
+    # the truth is index 0; C 1 = 0 makes (Q C Q)_tt = C_tt = E[q_t (1 - q_t)]
+    m1, cov = posterior_moments(args.alpha_bar, I, 0)
     rows = [("m1", i, v) for i, v in enumerate(m1)]
-    rows += [("qcq_diag", 0, spread), ("quad_tol", 0, QUAD_TOL)]
+    rows += [("qcq_diag", 0, cov[0, 0]), ("quad_tol", 0, QUAD_TOL)]
     tables = {"posterior_probe.csv": (["quantity", "index", "value"], zip(*rows))}
     return tables, f"posterior probe: alpha_bar={args.alpha_bar} I={I} m1_true={m1[0]:.6f}", 0
 

@@ -152,22 +152,16 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
-def config_grid(cfg: RunConfig) -> StateGrid:
-    return build_state_grid(cfg.x_min, cfg.x_max, cfg.n)
-
-
-def config_noise(cfg: RunConfig, grid: StateGrid) -> NoiseProfile:
-    with np.errstate(over="ignore"):  # an overflowing sigma is infinite: NoiseProfile rejects it
-        sigma = cfg.noise_level + cfg.noise_slope * (grid.nodes - grid.x_min)
-    return NoiseProfile(sigma=sigma)
-
-
-def config_family(cfg: RunConfig, grid: StateGrid) -> PayoffFamily:
+def config_model(cfg: RunConfig) -> tuple[StateGrid, NoiseProfile, PayoffFamily]:
+    """The grid, noise profile and payoff family of a config, built in that order."""
+    grid = build_state_grid(cfg.x_min, cfg.x_max, cfg.n)
     params = {name: getattr(cfg, name) for name in _FAMILY_PARAMS[cfg.family_kind]}
-    # a tiny sd overflows (x - m) / sd (density 0 there) or the density itself (the
-    # row's mass is then infinite, which make_payoff_family rejects)
+    # an overflowing sigma is infinite: NoiseProfile rejects it.  A tiny sd overflows
+    # (x - m) / sd (density 0 there) or the density itself (the row's mass is then
+    # infinite, which make_payoff_family rejects)
     with np.errstate(over="ignore"):
-        return make_payoff_family(cfg.family_kind, params, grid)
+        sigma = cfg.noise_level + cfg.noise_slope * (grid.nodes - grid.x_min)
+        return grid, NoiseProfile(sigma=sigma), make_payoff_family(cfg.family_kind, params, grid)
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -31,6 +31,7 @@ _ERR = "adkyle.equilibrium"
 
 WIDTH_TOL = 1e-6    # bracket width at the reported root
 BRACKET_CAP = 2.0 ** 20
+SECANT_MIN_DROP = 1e-11  # Phi rounds by ~1e-16: a smaller Phi drop gives no slope
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,9 @@ class Equilibrium:
         I: Number of signals.
         phi_residual: Phi at alpha_star, the smaller |Phi| of the final bracket's ends.
         alpha_std_err: Error bound on alpha_star: the final bracket width (none
-            on an exact zero of Phi) plus QUAD_TOL / |Phi'|, Phi' the final
-            bracket secant.
-        ie, ie_std_err: E[q_true] at alpha_star and its error bound, the
+            on an exact zero of Phi) plus QUAD_TOL / |Phi'|, Phi' the secant of
+            the narrowest bracket whose Phi drop is at least SECANT_MIN_DROP.
+        ie, ie_std_err: E[q_true] at alpha_star and its error bound, that
             bracket's ie secant times alpha_std_err plus QUAD_TOL.
         mc_meta: Solver provenance (bracket, (alpha_bar, phi, stage) trace).
     """
@@ -103,6 +104,7 @@ def solve_alpha_star(I: int, windows: dict | None = None) -> Equilibrium:
     # held to bisection's worst case plus one step.  An exact zero (it becomes lo)
     # ends the solve: the next steps would evaluate that point again.
     n_max = math.ceil(math.log2(hi - lo) - math.log2(WIDTH_TOL)) + 1
+    secant = (lo, f_lo, hi, f_hi)  # the narrowest bracket with a Phi drop of SECANT_MIN_DROP
     while hi - lo >= WIDTH_TOL and f_lo != 0.0:
         n_refine = len(trace) - 1 - n_doublings
         if n_refine == 200:
@@ -117,18 +119,22 @@ def solve_alpha_star(I: int, windows: dict | None = None) -> Equilibrium:
             x = mid
         f_x = evaluate(x, "refine")
         lo, f_lo, hi, f_hi = (x, f_x, hi, f_hi) if f_x >= 0.0 else (lo, f_lo, x, f_x)
+        if f_lo - f_hi >= SECANT_MIN_DROP:
+            secant = (lo, f_lo, hi, f_hi)
 
     alpha, f_alpha = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
     # the root lies in the final bracket, or at lo on an exact zero; QUAD_TOL / |Phi'|
-    # (the bracket's secant slope) bounds how far the rule's error moves it
-    alpha_err = (hi - lo) * ((1.0 if f_lo != 0.0 else 0.0) + QUAD_TOL / (f_lo - f_hi))
+    # bounds how far the rule's error moves it (drop: Phi' times the final width)
+    a, f_a, b, f_b = secant
+    drop = (f_a - f_b) * ((hi - lo) / (b - a))
+    alpha_err = (hi - lo) * ((1.0 if f_lo != 0.0 else 0.0) + QUAD_TOL / drop)
     return Equilibrium(
         alpha_star=float(alpha),
         I=I,
         phi_residual=float(f_alpha),
         alpha_std_err=alpha_err,
         ie=ie_at[alpha],
-        ie_std_err=abs(ie_at[hi] - ie_at[lo]) / (hi - lo) * alpha_err + QUAD_TOL,
+        ie_std_err=abs(ie_at[b] - ie_at[a]) / (b - a) * alpha_err + QUAD_TOL,
         mc_meta={"bracket_hi": hi, "n_doublings": n_doublings,
                  "n_bisections": len(trace) - 1 - n_doublings, "trace": trace},
     )

@@ -63,28 +63,24 @@ def centering_matrix(I: int) -> np.ndarray:
     return np.eye(I) - 1.0 / I
 
 
-def scale_and_gap(M: np.ndarray) -> tuple[float, float]:
-    """Fit cQ to a centred I x I Gram M: c = trace(M) / (I - 1) and gap = max|M - cQ|."""
+def fit_scale(M: np.ndarray) -> tuple[float, float, bool]:
+    """Fit cQ to a centred I x I Gram M: c = trace(M) / (I - 1), gap = max|M - cQ| and
+    whether gap <= EXCHANGEABILITY_TOL * c (a NaN fails).  The test is relative, so
+    rescaling the noise does not change the verdict."""
     c = float(np.trace(M)) / (len(M) - 1)
-    return c, float(np.abs(M - c * centering_matrix(len(M))).max())
-
-
-def exchangeability_scale(K: np.ndarray) -> tuple[float, bool]:
-    """Best scalar c with QKQ ~ cQ, and whether the fit is within EXCHANGEABILITY_TOL * c.
-
-    c = trace(QKQ) / trace(Q); for I = 2 this is (K11 - 2 K12 + K22) / 2 and
-    the fit is always exact (the centered space is one-dimensional).  The test
-    is relative, so rescaling the noise does not change the verdict.
-    """
-    Q = centering_matrix(len(K))
-    c, gap = scale_and_gap(Q @ np.asarray(K, dtype=float) @ Q)
-    return c, bool(gap <= EXCHANGEABILITY_TOL * c)
+    gap = float(np.abs(M - c * centering_matrix(len(M))).max())
+    return c, gap, bool(gap <= EXCHANGEABILITY_TOL * c)
 
 
 def build_canonical_kernel(
     family: PayoffFamily, noise: NoiseProfile, grid: StateGrid
 ) -> CanonicalKernel:
-    """Assemble the canonical kernel (Gram, scale)."""
+    """Assemble the canonical kernel: K and the best scalar c with QKQ ~ cQ.
+
+    c = trace(QKQ) / trace(Q); for I = 2 this is (K11 - 2 K12 + K22) / 2 and the
+    fit is always exact (the centered space is one-dimensional).
+    """
     K = gram_matrix(family, noise, grid)
-    c, exchangeable = exchangeability_scale(K)
+    Q = centering_matrix(len(K))
+    c, _, exchangeable = fit_scale(Q @ K @ Q)
     return CanonicalKernel(K=K, c=c, exchangeable=exchangeable)

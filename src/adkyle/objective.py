@@ -23,7 +23,7 @@ import numpy as np
 
 from .analytics import canonical_gram
 from .model import NoiseProfile, PayoffFamily, StateGrid, weighted_inner_product
-from .posterior import QUAD_TOL, posterior_covariance, softmax_mean, true_belief_moments
+from .posterior import QUAD_TOL, posterior_moments, softmax_mean
 
 _ERR = "adkyle.objective"
 
@@ -72,7 +72,7 @@ def foc_terms(
 
     The insider with signal t trades W = w_star[t], and the market maker prices with
     w_star (I x n), whose sigma-Gram alpha^2 Q gives the posterior the canonical law at
-    alpha: E[q | t] comes from true_belief_moments and E[C | t] from posterior_covariance.
+    alpha: posterior_moments gives its E[q | t] and E[C | t].
     directions is a stack (k, n), giving one report per row.  phi_residual is Phi at the
     root w_star was built from (0 for an exact root).
 
@@ -97,10 +97,7 @@ def foc_terms(
         raise ValueError(f"{_ERR}: demand row or direction v is identically zero")
 
     alpha = math.sqrt(alpha_sq)
-    not_true, _ = true_belief_moments(alpha, I)
-    belief = np.full(I, not_true / (I - 1))
-    belief[true_index] = 1.0 - not_true
-    cov = posterior_covariance(alpha, I, true_index)
+    belief, cov = posterior_moments(alpha, I, true_index)
     eta, gw, eta_t = family.eta, grid.quad_weights, family.eta[true_index]
     eta_w = eta @ (gw * w_row)
     mu = gram[true_index] - 0.5 * np.diag(gram)

@@ -34,11 +34,10 @@ def simulate_increments(
     grid: StateGrid,
     seed: int,
     n_paths: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Euler increments for n_paths independent paths.
+) -> np.ndarray:
+    """Vectorized Euler increments for n_paths independent paths, (n_paths, n-1).
 
-    Returns (increments, shocks), both (n_paths, n-1); path p is row p of the
-    seed's PATH_SHOCKS stream, whatever n_paths.
+    Path p is row p of the seed's PATH_SHOCKS stream, whatever n_paths.
     """
     w_row = np.asarray(w_row, dtype=float)
     if w_row.shape != (grid.n,):
@@ -47,8 +46,7 @@ def simulate_increments(
         raise ValueError(f"{_ERR}: n_paths must be positive")
     shocks = standard_normal_matrix(derive_seed(seed, *PATH_SHOCKS), int(n_paths), grid.n - 1,
                                     PATH_BLOCK_SIZE)
-    increments = w_row[:-1] * grid.h + noise.sigma[:-1] * math.sqrt(grid.h) * shocks
-    return increments, shocks
+    return w_row[:-1] * grid.h + noise.sigma[:-1] * math.sqrt(grid.h) * shocks
 
 
 def log_likelihoods(

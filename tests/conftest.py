@@ -4,9 +4,9 @@ The shared pieces (the solve, demand assembly) are session-scoped so the
 suite pays for them once.  Also the test-only oracles: the binary Gauss-Hermite
 moments, Monte Carlo draws and moments of the canonical posterior, the
 order-flow path estimators of the impact kernel, the insider's expected utility
-and its first-order terms, the option strip's legs from pairwise payoffs, and a
-counter of random-block generators.  SUBCOMMANDS lists the eight CLI
-subcommands, each with the flags it needs.
+and its first-order terms, the option strip's legs from pairwise payoffs, the path
+shocks simulate_increments draws, and a counter of random-block generators.
+SUBCOMMANDS lists the eight CLI subcommands, each with the flags it needs.
 """
 
 import math
@@ -27,7 +27,7 @@ from adkyle import (
     solve_alpha_star,
 )
 import adkyle._rng
-from adkyle._rng import derive_seed, standard_normal_matrix
+from adkyle._rng import PATH_SHOCKS, derive_seed, standard_normal_matrix
 from adkyle.kernel import centering_matrix
 from adkyle.model import weighted_inner_product
 from adkyle.orderflow import LOG_LIK_SPREAD_MAX, PATH_BLOCK_SIZE, posterior_weights
@@ -108,6 +108,13 @@ def mean_and_std_err(draws: np.ndarray) -> tuple[float, float]:
     """Sample mean of per-draw values and its standard error std / sqrt(m) (0 for m = 1)."""
     std_err = float(draws.std(ddof=1) / math.sqrt(draws.size)) if draws.size > 1 else 0.0
     return float(draws.mean()), std_err
+
+
+def path_shocks(seed, n_paths, grid):
+    """The (n_paths, n-1) normals behind simulate_increments' paths for seed: its PATH_SHOCKS
+    stream, drawn again."""
+    return standard_normal_matrix(derive_seed(seed, *PATH_SHOCKS), n_paths, grid.n - 1,
+                                  PATH_BLOCK_SIZE)
 
 
 def flow_posterior(w_tilde, noise, grid, seed, n_paths, w_row):

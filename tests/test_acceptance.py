@@ -34,7 +34,7 @@ from adkyle import (
 from adkyle._rng import standard_normal_matrix
 from adkyle.cli import main as cli_main
 from conftest import (ALPHA_STAR_BINARY, MC_BLOCK_ROWS, SUBCOMMANDS, binary_moments_quadrature,
-                      exact_binary_equilibrium, foc_from_paths, sample_posterior)
+                      exact_binary_equilibrium, foc_from_paths, path_shocks, sample_posterior)
 
 SIGMAS = 3.0
 ROOT_AGREEMENT = 2e-3
@@ -164,7 +164,7 @@ def test_a05_market_profit_sufficient_statistic():
     f = w_star / np.square(noise.sigma)
     worst_z = 0.0
     for w_row in profiles:
-        inc, _ = simulate_increments(w_row, noise, grid, seed=555, n_paths=10_000)
+        inc = simulate_increments(w_row, noise, grid, seed=555, n_paths=10_000)
         for i in range(2):
             vals = inc @ f[i, :-1]
             target = weighted_inner_product(w_row, w_star[i], noise, grid)
@@ -181,9 +181,9 @@ def test_a06_canonical_pathwise_equivalence():
     w_star = _exact_demand()
     g = w_star / noise.sigma
     sqh = math.sqrt(grid.h)
-    inc, shocks = simulate_increments(w_star[0], noise, grid, seed=9000, n_paths=100)
+    inc = simulate_increments(w_star[0], noise, grid, seed=9000, n_paths=100)
     pi = posterior_weights(log_likelihoods(w_star, inc, noise, grid))
-    nu = shocks @ g[:, :-1].T * sqh / ALPHA_STAR_BINARY
+    nu = path_shocks(9000, 100, grid) @ g[:, :-1].T * sqh / ALPHA_STAR_BINARY
     _, canonical = sample_posterior(ALPHA_STAR_BINARY, 2, 0, nu)
     worst = float(np.max(np.abs(canonical - pi)))
     assert worst < POSTERIOR_AGREEMENT

@@ -253,6 +253,30 @@ def test_derivative_cross_impact_is_grid_converged(grid):
     assert coarse == pytest.approx(fine, abs=1e-6)
 
 
+@pytest.mark.parametrize("means, sd, slope, conditioned_on", [
+    ([-1.0, 1.0], 1.0, 0.05, None),
+    ([-4.2, -1.4, 1.4, 4.2], 0.35, 0.0, 1),
+    ([-4.2, -1.4, 1.4, 4.2], 0.35, 0.0, None),
+])
+def test_cross_impact_between_two_books_is_reciprocal(means, sd, slope, conditioned_on, grid):
+    # W / sigma^2 is proportional to eta - eta_bar (Caballe & Krishnan 1994), so Lambda(x, y)
+    # is symmetric, under sloped noise too: book 1 moves book 2 as book 2 moves book 1
+    noise = NoiseProfile(1.0 + slope * (grid.nodes - grid.x_min))
+    family = make_payoff_family("gaussian_mean_shift", {"means": means, "sd": sd}, grid)
+    kern = build_canonical_kernel(family, noise, grid)
+    w_star = equilibrium_demand(solve_alpha_star(kern.I), kern, family, noise)
+
+    def impact_fn(xs, ys):
+        return impact_surface(xs, ys, w_star, family, noise, grid, conditioned_on)[0]
+
+    x = grid.nodes
+    book1 = np.maximum(0.0, 1.0 - np.square((x - 1.0) / 1.5))
+    book2 = np.maximum(0.0, 1.0 - np.square((x + 1.2) / 1.8))
+    d12 = derivative_cross_impact(book1, book2, impact_fn, grid)
+    d21 = derivative_cross_impact(book2, book1, impact_fn, grid)
+    assert abs(d12) > 1e-3 and abs(d12 - d21) <= 1e-12 * abs(d12)
+
+
 def test_derivative_cross_impact_argument_validation(grid):
     x = grid.nodes
     phi = np.exp(-0.5 * np.square(x))

@@ -1,5 +1,6 @@
 """The benchmark's workloads run clean: each command exits 0 and passes its output check,
-and every layer the tracer wraps still exists, but for the known missing ones.
+and every layer the tracer wraps still exists, but for the known missing ones, with the
+arguments and fields the tracer reads.
 
 perfbench/ is imported read only, so a change that would fail the benchmark run (a
 config key its workloads write, a flag its commands pass, a CSV column its checks read)
@@ -8,11 +9,14 @@ fails here first.
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
+from adkyle import solve_alpha_star
+from adkyle._rng import standard_normal_matrix
 from adkyle.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -38,6 +42,13 @@ def test_tracer_targets_resolve_to_functions():
     missing = {name for name, module, attr in tracer.TARGETS
                if not callable(getattr(importlib.import_module(module), attr, None))}
     assert missing <= KNOWN_MISSING
+
+
+def test_traced_functions_keep_the_arguments_and_fields_the_tracer_reads():
+    # the tracer keys each normal draw on its (seed, n, dim) arguments and counts a solve's
+    # evaluations from its mc_meta; a rename would blank those metrics without an error
+    assert {"seed", "n", "dim"} <= inspect.signature(standard_normal_matrix).parameters.keys()
+    assert {"n_doublings", "n_bisections"} <= solve_alpha_star(2).mc_meta.keys()
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))

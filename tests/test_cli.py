@@ -23,7 +23,7 @@ import adkyle
 import adkyle.cli
 from adkyle import centering_matrix, true_belief_moments
 from adkyle.cli import OUTPUT_DIR_ENV, _solved, main, write_csv
-from adkyle.config import config_grid, load_config, parse_config_text, with_seed
+from adkyle.config import config_model, load_config, parse_config_text, with_seed
 from adkyle._rng import PATH_SHOCKS, derive_seed, standard_normal_matrix
 from adkyle.orderflow import (
     PATH_BLOCK_SIZE,
@@ -215,7 +215,7 @@ def test_verify_foc_fails_on_a_wrong_demand(wrong, cfg_file, tmp_path, capsys, m
     # both demands give the posterior the canonical law (sigma-Gram alpha^2 Q), so only the
     # first-order condition itself tells them from the equilibrium
     text = FAST_CONFIG + ("noise.slope = 1\n" if wrong == "sqrt_kernel_sloped" else "")
-    grid = config_grid(parse_config_text(text))
+    grid = config_model(parse_config_text(text))[0]
     real = adkyle.cli.equilibrium_demand
 
     def demand(eq, kern, family, noise):
@@ -562,7 +562,7 @@ def test_simulate_csvs_match_per_cell_rendering(cfg_file, tmp_path):
                  "--paths", str(n_paths), "--signal", str(s)]) == 0
     cfg = load_config(cfg_file)
     grid, noise, family, _, _, w_star = _solved(cfg)
-    increments, _ = simulate_increments(w_star[s], noise, grid, cfg.seed, n_paths)
+    increments = simulate_increments(w_star[s], noise, grid, cfg.seed, n_paths)
     y = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(increments, axis=1)], axis=1)
     log_lik = log_likelihoods(w_star, increments, noise, grid)
     pi = posterior_weights(log_lik)
@@ -828,7 +828,7 @@ def test_impact_sub_grid_past_the_window_takes_every_node(tmp_path):
         assert (proc.returncode, proc.stderr) == (0, "")
         return (out / "impact_kernel.csv").read_bytes()
 
-    grid = config_grid(parse_config_text(FAST_CONFIG))
+    grid = config_model(parse_config_text(FAST_CONFIG))[0]
     reference = run(grid.n)  # the window lies inside the grid, so this takes every node
     rows = read_rows(tmp_path / f"out{grid.n}" / "impact_kernel.csv")[1:]
     points = np.unique([float(r[0]) for r in rows])
@@ -845,7 +845,7 @@ def test_impact_window_clipped_by_both_edges_stops_one_node_inside(tmp_path):
     cfg = tmp_path / "edge.cfg"
     cfg.write_text(FAST_CONFIG + "family.means = -7.9, 7.9\nfamily.sd = 0.2\n")
     assert main(["impact", "-c", str(cfg), "-o", str(tmp_path / "out")]) == 0
-    grid = config_grid(load_config(cfg))
+    grid = config_model(load_config(cfg))[0]
     xs = np.unique([float(r[0]) for r in read_rows(tmp_path / "out" / "impact_kernel.csv")[1:]])
     assert (xs[0], xs[-1], len(xs)) == (grid.nodes[1], grid.nodes[-2], 9)
 

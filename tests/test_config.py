@@ -7,14 +7,7 @@ import pytest
 
 from adkyle import make_payoff_family
 from adkyle.cli import main
-from adkyle.config import (
-    config_family,
-    config_grid,
-    config_hash,
-    config_noise,
-    parse_config_text,
-    with_seed,
-)
+from adkyle.config import config_hash, config_model, parse_config_text, with_seed
 
 MINIMAL = "mc.seed = 7\n"
 
@@ -140,12 +133,10 @@ def test_validation_rejects_bad_values():
 
 def test_config_builds_model_objects():
     cfg = parse_config_text(FULL)
-    grid = config_grid(cfg)
+    grid, noise, fam = config_model(cfg)
     assert grid.n == 201
-    noise = config_noise(cfg, grid)
     assert noise.sigma[0] == 1.5
     assert noise.sigma[-1] == pytest.approx(1.5 + 0.1 * 12.0, abs=1e-12)
-    fam = config_family(cfg, grid)
     expected = make_payoff_family("gaussian_variance", {"mu": 0.0, "sds": (1.0, 2.0)}, grid)
     assert np.array_equal(fam.eta, expected.eta)
 

@@ -15,7 +15,7 @@ from adkyle import (
     foc_terms,
     kyle_single_asset,
     make_payoff_family,
-    posterior_covariance,
+    posterior_moments,
     solve_alpha_star,
     true_belief_moments,
     weighted_inner_product,
@@ -24,7 +24,7 @@ from adkyle import (
 import adkyle.equilibrium
 import adkyle.posterior
 from adkyle.cli import _solved, main
-from adkyle.config import config_family, config_grid, config_noise, parse_config_text
+from adkyle.config import config_model, parse_config_text
 from adkyle.equilibrium import BRACKET_CAP, WIDTH_TOL
 from adkyle.kernel import RANK_TOL
 from adkyle.posterior import QUAD_TOL
@@ -48,8 +48,8 @@ def quadrature_phi(alpha_bar, I):
 
 def rival_square(alpha_bar, I):
     """E[q_j^2] for a rival j, read off E[C | t = 0] by C_jj = E[q_j] - E[q_j^2]."""
-    not_true, _ = true_belief_moments(alpha_bar, I)
-    return not_true / (I - 1) - posterior_covariance(alpha_bar, I, 0)[1, 1]
+    mean, cov = posterior_moments(alpha_bar, I, 0)
+    return mean[1] - cov[1, 1]
 
 
 def mc_phi(alpha_bar, noise):
@@ -196,6 +196,18 @@ def test_error_bounds_cover_a_tighter_reference_solve(I, monkeypatch):
     assert abs(eq.ie - ref.ie) <= eq.ie_std_err
 
 
+@pytest.mark.parametrize("I", [2, 3, 4, 6, 8, 64])
+def test_alpha_std_err_takes_phi_slope_from_a_bracket_above_rounding(I, monkeypatch):
+    # at width 1e-12 the final bracket is a few ulps wide (at I = 6 a one-ulp exact zero),
+    # and its secant is rounding: the bound read 35-50% under QUAD_TOL / |Phi'| at I = 3, 6, 8
+    use_reference_rule(monkeypatch)
+    monkeypatch.setattr(adkyle.equilibrium, "WIDTH_TOL", 1e-12)
+    eq = solve_alpha_star(I)
+    a, h = eq.alpha_star, 1e-5
+    slope = (quadrature_phi(a + h, I) - quadrature_phi(a - h, I)) / (2.0 * h)
+    assert eq.alpha_std_err >= QUAD_TOL / abs(slope)
+
+
 def test_alpha_raw_rescales_by_kernel_scale(tmp_path):
     # solve writes the root in original units, alpha_star / sqrt(c), with the
     # c of the kernel its config builds; noise 3 makes c differ from 1
@@ -206,8 +218,8 @@ def test_alpha_raw_rescales_by_kernel_scale(tmp_path):
     with open(tmp_path / "out" / "equilibrium.csv", newline="") as fh:
         rows = dict(list(csv.reader(fh))[1:])
     cfg = parse_config_text(cfg_text)
-    grid = config_grid(cfg)
-    kern = build_canonical_kernel(config_family(cfg, grid), config_noise(cfg, grid), grid)
+    grid, noise, family = config_model(cfg)
+    kern = build_canonical_kernel(family, noise, grid)
     assert kern.c != 1.0
     assert float(rows["c"]) == kern.c
     assert float(rows["alpha_raw"]) == float(rows["alpha_star"]) / math.sqrt(kern.c)
@@ -255,14 +267,14 @@ BEST_RESPONSE_CONFIGS = {
 @pytest.mark.parametrize("name", BEST_RESPONSE_CONFIGS)
 def test_demand_is_the_insiders_best_response(name):
     # E[payoff - adverse selection - impact | t = 0] in closed form: the canonical law at
-    # alpha_star gives E[q | t] (true_belief_moments) and E[C | t] (posterior_covariance).
+    # alpha_star gives E[q | t] (true_belief_moments) and E[C | t] (posterior_moments).
     # The first-order condition must hold in every direction, not only along the demand;
     # unequal Gram row sums and sloped noise are where W must scale with sigma^2
     cfg = parse_config_text("mc.seed = 7\ngrid.n = 401\n" + BEST_RESPONSE_CONFIGS[name])
     grid, noise, family, _, eq, w_star = _solved(cfg)
     not_true, _ = true_belief_moments(eq.alpha_star, family.I)
     belief = np.array([1.0 - not_true] + [not_true / (family.I - 1)] * (family.I - 1))
-    cov = posterior_covariance(eq.alpha_star, family.I, 0)
+    _, cov = posterior_moments(eq.alpha_star, family.I, 0)
     eta_w = family.eta @ (grid.quad_weights * w_star[0])
     for v in (family.eta[0], zero_impact_direction(noise, grid)):
         trade_v = grid.quad_weights * v

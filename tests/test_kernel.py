@@ -11,11 +11,11 @@ from adkyle import (
     build_canonical_kernel,
     build_state_grid,
     centering_matrix,
-    exchangeability_scale,
     gram_matrix,
     make_payoff_family,
     weighted_inner_product,
 )
+from adkyle.kernel import EXCHANGEABILITY_TOL, fit_scale
 
 ABS_TOLERANCE = 1e-10
 PROJECTOR_TOLERANCE = 1e-12
@@ -88,10 +88,9 @@ def test_centering_matrix_is_projector():
 
 def test_exchangeability_scale_binary_closed_form(mean_shift_kernel):
     # at I = 2 the scale is exactly (K11 - 2 K12 + K22) / 2
-    K = mean_shift_kernel.K
+    K, c = mean_shift_kernel.K, mean_shift_kernel.c
     expected = (K[0, 0] - 2.0 * K[0, 1] + K[1, 1]) / 2.0
-    c, ok = exchangeability_scale(K)
-    assert ok
+    assert mean_shift_kernel.exchangeable
     assert c == pytest.approx(expected, rel=1e-14)
     assert c == pytest.approx(C_MEAN_SHIFT, rel=1e-12)
 
@@ -112,4 +111,20 @@ def test_exchangeability_flags_asymmetric_kernels(grid, unit_noise):
 def test_build_canonical_kernel_assembles_consistent_pieces(mean_shift_kernel):
     kern = mean_shift_kernel
     assert kern.exchangeable
-    assert (kern.c, kern.exchangeable) == exchangeability_scale(kern.K)
+    Q = centering_matrix(kern.I)
+    c, _, exchangeable = fit_scale(Q @ kern.K @ Q)
+    assert (kern.c, kern.exchangeable) == (c, exchangeable)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_fit_scale_tests_the_gap_relative_to_c(scale):
+    # the verdict does not move with the noise scale, and a NaN Gram fails it
+    M = 2.0 * centering_matrix(3)
+    for bump, verdict in ((0.5, True), (2.0, False)):
+        bumped = M.copy()
+        bumped[0, 1] += bump * EXCHANGEABILITY_TOL * 2.0
+        c, gap, ok = fit_scale(scale * bumped)
+        assert c == pytest.approx(2.0 * scale, rel=1e-15)
+        assert gap == pytest.approx(bump * EXCHANGEABILITY_TOL * c, rel=1e-6)
+        assert ok is verdict
+    assert fit_scale(np.full((3, 3), np.nan))[2] is False

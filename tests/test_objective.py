@@ -160,15 +160,15 @@ def test_foc_terms_takes_all_direction_inner_products_in_one_call(
 
 
 @pytest.mark.parametrize("k", [1, 3])
-def test_each_call_builds_three_windows(k, mean_shift_demand, mean_shift_family, unit_noise,
-                                        grid, monkeypatch):
-    # one r-line window each for E[q | t], E[C | t] and all 4k finite-difference rows
+def test_each_call_builds_two_windows(k, mean_shift_demand, mean_shift_family, unit_noise,
+                                      grid, monkeypatch):
+    # one r-line window for E[q | t] with E[C | t], one for all 4k finite-difference rows
     _, w_star = mean_shift_demand
     builds, real = [], adkyle.posterior._lines
     monkeypatch.setattr(adkyle.posterior, "_lines", lambda a: builds.append(a) or real(a))
     stack = np.stack([w_star[0], mean_shift_family.eta[0], np.ones(grid.n)])[:k]
     assert len(foc_terms(stack, w_star, mean_shift_family, 0, unit_noise, grid)) == k
-    assert len(builds) == 3
+    assert len(builds) == 2
 
 
 def test_shift_past_the_spread_bound_is_rejected(

@@ -14,9 +14,8 @@ from adkyle import (
     simulate_increments,
     weighted_inner_product,
 )
-from adkyle._rng import PATH_SHOCKS, derive_seed, standard_normal_matrix
 from adkyle.orderflow import LOG_LIK_SPREAD_MAX, PATH_BLOCK_SIZE
-from conftest import ALPHA_STAR_BINARY, sample_posterior, softmax
+from conftest import ALPHA_STAR_BINARY, path_shocks, sample_posterior, softmax
 
 POSTERIOR_MATCH_TOLERANCE = 1e-12
 MEAN_CHECK_SIGMAS = 4.0
@@ -24,21 +23,20 @@ MEAN_CHECK_SIGMAS = 4.0
 
 def test_simulation_is_deterministic(mean_shift_demand, unit_noise, grid):
     _, w_star = mean_shift_demand
-    inc1, shocks1 = simulate_increments(w_star[0], unit_noise, grid, seed=13, n_paths=3)
-    inc2, shocks2 = simulate_increments(w_star[0], unit_noise, grid, seed=13, n_paths=3)
+    inc1 = simulate_increments(w_star[0], unit_noise, grid, seed=13, n_paths=3)
+    inc2 = simulate_increments(w_star[0], unit_noise, grid, seed=13, n_paths=3)
     assert np.array_equal(inc1, inc2)
-    assert np.array_equal(shocks1, shocks2)
-    assert inc1.shape == shocks1.shape == (3, grid.n - 1)
+    assert inc1.shape == (3, grid.n - 1)
     # path p is row p of the seed's path-shock stream
-    stream = standard_normal_matrix(derive_seed(13, *PATH_SHOCKS), 3, grid.n - 1, PATH_BLOCK_SIZE)
-    assert np.array_equal(shocks1, stream)
+    drift, scale = w_star[0][:-1] * grid.h, unit_noise.sigma[:-1] * math.sqrt(grid.h)
+    assert np.array_equal(inc1, drift + scale * path_shocks(13, 3, grid))
 
 
 def test_simulated_batches_have_prefix_property(mean_shift_demand, unit_noise, grid):
     # growing the batch must not disturb earlier paths
     _, w_star = mean_shift_demand
-    inc_small, _ = simulate_increments(w_star[0], unit_noise, grid, seed=21, n_paths=5000)
-    inc_large, _ = simulate_increments(w_star[0], unit_noise, grid, seed=21, n_paths=6000)
+    inc_small = simulate_increments(w_star[0], unit_noise, grid, seed=21, n_paths=5000)
+    inc_large = simulate_increments(w_star[0], unit_noise, grid, seed=21, n_paths=6000)
     assert np.array_equal(inc_small, inc_large[:5000])
 
 
@@ -52,9 +50,9 @@ def test_non_positive_path_count_is_rejected(n_paths, mean_shift_demand, unit_no
 
 def test_increments_decompose_into_drift_and_shock(mean_shift_demand, unit_noise, grid):
     _, w_star = mean_shift_demand
-    inc, shocks = simulate_increments(w_star[1], unit_noise, grid, seed=3, n_paths=4)
+    inc = simulate_increments(w_star[1], unit_noise, grid, seed=3, n_paths=4)
     drift = w_star[1][:-1] * grid.h
-    diffusion = unit_noise.sigma[:-1] * math.sqrt(grid.h) * shocks
+    diffusion = unit_noise.sigma[:-1] * math.sqrt(grid.h) * path_shocks(3, 4, grid)
     assert np.allclose(inc, drift + diffusion, atol=1e-15)
 
 
@@ -65,9 +63,9 @@ def test_pathwise_posterior_matches_canonical_construction(
     _, w_star = mean_shift_demand
     g = w_star / unit_noise.sigma
     sqh = math.sqrt(grid.h)
-    inc, shocks = simulate_increments(w_star[0], unit_noise, grid, seed=500, n_paths=10)
+    inc = simulate_increments(w_star[0], unit_noise, grid, seed=500, n_paths=10)
     pi = posterior_weights(log_likelihoods(w_star, inc, unit_noise, grid))
-    nu = shocks @ g[:, :-1].T * sqh / ALPHA_STAR_BINARY
+    nu = path_shocks(500, 10, grid) @ g[:, :-1].T * sqh / ALPHA_STAR_BINARY
     _, canonical = sample_posterior(ALPHA_STAR_BINARY, 2, 0, nu)
     assert np.abs(canonical - pi).max() < POSTERIOR_MATCH_TOLERANCE
 
@@ -207,7 +205,7 @@ def test_shifted_posterior_is_the_reweighted_base_posterior(I):
 
 def test_log_likelihoods_match_manual_formula(mean_shift_demand, unit_noise, grid):
     _, w_star = mean_shift_demand
-    inc, _ = simulate_increments(w_star[0], unit_noise, grid, seed=8, n_paths=1)
+    inc = simulate_increments(w_star[0], unit_noise, grid, seed=8, n_paths=1)
     ll = log_likelihoods(w_star, inc, unit_noise, grid)
     for i in range(2):
         f = w_star[i] / np.square(unit_noise.sigma)
@@ -223,7 +221,7 @@ def test_market_profit_is_unbiased_for_insider_profit(
     # E[market-maker profit functional] equals the insider cross profit
     _, w_star = mean_shift_demand
     target = weighted_inner_product(w_star[0], w_star[0], unit_noise, grid)
-    inc, _ = simulate_increments(w_star[0], unit_noise, grid, seed=40_000, n_paths=2000)
+    inc = simulate_increments(w_star[0], unit_noise, grid, seed=40_000, n_paths=2000)
     vals = inc @ (w_star[0] / np.square(unit_noise.sigma))[:-1]
     assert vals.shape == (2000,)
     std_err = vals.std(ddof=1) / math.sqrt(len(vals))

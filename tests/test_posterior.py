@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from adkyle import posterior_covariance, true_belief_moments
+from adkyle import posterior_moments, true_belief_moments
 from adkyle.posterior import QUAD_TOL, softmax_mean
 from adkyle import _rng
 import adkyle.posterior
@@ -121,20 +121,24 @@ def test_monte_carlo_moments_agree_with_quadrature():
 
 @pytest.mark.parametrize("I,true_index", [(2, 1), (3, 0), (4, 2), (8, 5)])
 def test_posterior_covariance_matches_canonical_draws(I, true_index):
-    # every entry of E[C | t] within 3 SE of the mean of diag(q) - q q^T over draws;
-    # C_tt is true_belief_moments' B bit for bit, and the mean over t is the
-    # unconditioned kappa Q
+    # every entry of E[q | t] and E[C | t] within 3 SE of the means of q and diag(q) - q q^T
+    # over draws; E[q_t] and C_tt are 1 - E[1 - q_t] and B of true_belief_moments bit for
+    # bit, and the means over t are the unconditioned 1/I and kappa Q
     alpha_bar = 1.6
-    cov = posterior_covariance(alpha_bar, I, true_index)
+    belief, cov = posterior_moments(alpha_bar, I, true_index)
     xi = standard_normal_matrix(4, MOMENT_SAMPLES, I, MC_BLOCK_ROWS)
     _, q = sample_posterior(alpha_bar, I, true_index, xi)
     per_draw = q[:, :, None] * (np.eye(I) - q[:, None, :])
-    se = per_draw.std(axis=0, ddof=1) / np.sqrt(MOMENT_SAMPLES)
-    assert np.all(np.abs(cov - per_draw.mean(axis=0)) <= 3.0 * se)
-    assert cov[true_index, true_index] == true_belief_moments(alpha_bar, I)[1]
+    for moment, draws in ((belief, q), (cov, per_draw)):
+        se = draws.std(axis=0, ddof=1) / np.sqrt(MOMENT_SAMPLES)
+        assert np.all(np.abs(moment - draws.mean(axis=0)) <= 3.0 * se)
+    not_true, spread = true_belief_moments(alpha_bar, I)
+    assert (belief[true_index], cov[true_index, true_index]) == (1.0 - not_true, spread)
     assert np.abs(cov.sum(axis=1)).max() <= 1e-15 and np.array_equal(cov, cov.T)
-    mean = np.mean([posterior_covariance(alpha_bar, I, t) for t in range(I)], axis=0)
-    np.testing.assert_allclose(posterior_covariance(alpha_bar, I), mean, rtol=0, atol=1e-15)
+    means = [np.mean(m, axis=0) for m in zip(*(posterior_moments(alpha_bar, I, t)
+                                                for t in range(I)))]
+    for unconditioned, mean in zip(posterior_moments(alpha_bar, I), means):
+        np.testing.assert_allclose(unconditioned, mean, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("alpha_bar", [0.0, 0.3, 1.6, 3.5])
@@ -207,9 +211,9 @@ def test_each_row_of_a_stack_is_its_own_call(alpha_bar, mu):
 def test_posterior_covariance_argument_validation():
     for true_index in (-1, 3):
         with pytest.raises(ValueError, match="adkyle.posterior: true_index"):
-            posterior_covariance(1.0, 3, true_index)
+            posterior_moments(1.0, 3, true_index)
     with pytest.raises(ValueError, match="adkyle.posterior"):
-        posterior_covariance(-1.0, 3)
+        posterior_moments(-1.0, 3)
 
 
 def test_moments_mass_conservation():

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import locale
 import math
 import os
 import sys
@@ -39,8 +40,8 @@ from .orderflow import log_likelihoods, posterior_weights, price_schedule, simul
 from .posterior import QUAD_TOL, posterior_moments
 
 OUTPUT_DIR_ENV = "ADKYLE_OUTPUT_DIR"
-CSV_BLOCK_ROWS = 1 << 14  # rows formatted per write and per worker task: bounds the text in memory
-PARALLEL_MIN_ROWS = 5 * CSV_BLOCK_ROWS  # rows from which forked workers pay off (README)
+CSV_BLOCK_CELLS = 1 << 14  # cells formatted per write and per forked writer: bounds the text
+PARALLEL_MIN_CELLS = 1 << 17  # cells from which forked writers pay off (README)
 
 
 def _numeric(column) -> bool:
@@ -49,29 +50,48 @@ def _numeric(column) -> bool:
 
 
 def _cells(column) -> list[str]:
-    """Text of one column: repr for floats (round-trips exactly), str otherwise.
-
-    A numeric array is formatted once per distinct bit pattern, not per cell
-    (on bits, not values: 0.0 and -0.0 print differently).
-    """
+    """Text of a column that is not a numeric array: repr for floats, str otherwise."""
     if isinstance(column, np.ndarray):
-        text = repr if column.dtype.kind == "f" else str
-        if not _numeric(column):
-            return list(map(text, column.tolist()))
-        bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
-        distinct = bits.view(column.dtype).tolist()
-        return np.array(list(map(text, distinct)), dtype=object)[inverse].tolist()
+        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
     return [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in column]
 
 
 def _blocks(columns: list):
-    return ([column[start:start + CSV_BLOCK_ROWS] for column in columns]
-            for start in range(0, max(map(len, columns), default=0), CSV_BLOCK_ROWS))
+    """Row slices of at most CSV_BLOCK_CELLS cells, or of one row if it alone is wider."""
+    rows = max(1, CSV_BLOCK_CELLS // max(len(columns), 1))
+    return ([column[start:start + rows] for column in columns]
+            for start in range(0, max(map(len, columns), default=0), rows))
+
+
+def _block_cells(block) -> list:
+    """Text of each column of a block: repr for floats (round-trips exactly), str otherwise.
+
+    The numeric arrays of one dtype are stacked and formatted once per distinct bit
+    pattern (bits, not values: 0.0 and -0.0 print differently), so a value in several
+    columns prints once.
+    """
+    cells = [None if _numeric(column) else _cells(column) for column in block]
+    by_dtype = {}
+    for j, column in enumerate(block):
+        if cells[j] is None:
+            by_dtype.setdefault(column.dtype, []).append(j)
+    for js in by_dtype.values():
+        # raises ValueError on unequal lengths; the stack may swap the byte order
+        stacked = np.stack([block[j] for j in js])
+        dtype, shape = stacked.dtype, stacked.shape
+        bits, inverse = np.unique(stacked.view(f"u{dtype.itemsize}"), return_inverse=True)
+        del stacked  # only the cell texts outlive the pass (peak memory)
+        text = repr if dtype.kind == "f" else str
+        distinct = np.array(list(map(text, bits.view(dtype).tolist())), dtype=object)
+        del bits
+        for j, column in zip(js, inverse.reshape(shape)):
+            cells[j] = distinct[column].tolist()
+    return cells
 
 
 def _block_text(block) -> str:
     """CSV text of one block of equal-length columns; rows of numeric arrays need no quoting."""
-    cells = [_cells(column) for column in block]
+    cells = _block_cells(block)
     if all(map(_numeric, block)):
         n, k = len(cells[0]), len(cells)
         text = [","] * (2 * k * n)
@@ -83,14 +103,38 @@ def _block_text(block) -> str:
     return buf.getvalue()
 
 
-def _write_csvs(tables: dict, map_blocks=map) -> None:
-    """Write {path: (header, columns)} tables, block texts from map_blocks(_block_text, blocks) in
-    order; all tables are queued before the first write, so pool workers never wait between them."""
-    queued = [map_blocks(_block_text, _blocks(columns)) for _, columns in tables.values()]
-    for (path, (header, _)), texts in zip(tables.items(), queued):
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerow(header)
-            fh.writelines(texts)
+def _write_csvs(tables: dict, processes: int = 1) -> int:
+    """Write {path: (header, columns)} tables block by block; return the number of forked
+    writers.
+
+    Block i of all the tables, in order, is formatted by process i % processes: this one
+    for 0 and a forked child (`_forked`, README) for the others.  Every block is written
+    here in order, so a child is at most one block ahead.
+    """
+    encoding = locale.getpreferredencoding(False)  # open()'s default, told to the children
+
+    def encoded(block) -> bytes:
+        return _block_text(block).encode(encoding)
+
+    children = []  # (pid, read end of its pipe) of each forked writer
+    try:
+        if processes > 1:
+            from ._forked import fork_writers, receive
+            fork_writers((block for _, columns in tables.values() for block in _blocks(columns)),
+                         processes, encoded, children)
+        i = 0
+        for path, (header, columns) in tables.items():
+            with open(path, "w", newline="", encoding=encoding) as fh:
+                csv.writer(fh).writerow(header)
+                fh.flush()  # the blocks go to fh.buffer
+                for block in _blocks(columns):
+                    rank, i = i % processes, i + 1
+                    fh.buffer.write(receive(children[rank - 1][1]) if rank else encoded(block))
+    finally:
+        for pid, pipe in children:
+            pipe.close()  # a child still writing gets EPIPE and leaves
+            os.waitpid(pid, 0)
+    return len(children)
 
 
 def write_csv(path: Path, header: list[str], columns) -> None:
@@ -99,23 +143,15 @@ def write_csv(path: Path, header: list[str], columns) -> None:
 
 
 def _write_tables(outdir: Path, tables: dict) -> int:
-    """Write each table to outdir/name; return the number of forked workers (0: serial, README)."""
+    """Write each table to outdir/name; return the number of forked writers (0: serial, README)."""
     tables = {outdir / name: (header, list(columns)) for name, (header, columns) in tables.items()}
-    rows = [max(map(len, columns), default=0) for _, columns in tables.values()]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, sum(-(-n // CSV_BLOCK_ROWS) for n in rows))
-    # fork, as spawned workers would import numpy again; it is safe with no other Python thread
-    if sum(rows) < PARALLEL_MIN_ROWS or workers < 2 or threading.active_count() > 1:
-        _write_csvs(tables)
-        return 0
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            _write_csvs(tables, pool.map)
-    except BrokenProcessPool as exc:
-        raise ChildProcessError(f"adkyle.cli: a CSV worker process died: {exc}") from None
-    return workers
+    cells = sum(len(columns) * max(map(len, columns), default=0) for _, columns in tables.values())
+    # fork, as spawned writers would import numpy again; it is safe with no other Python thread
+    if (cells < PARALLEL_MIN_CELLS or threading.active_count() > 1
+            or not hasattr(os, "sched_getaffinity")):
+        return _write_csvs(tables)
+    blocks = sum(1 for _, columns in tables.values() for _ in _blocks(columns))
+    return _write_csvs(tables, min(len(os.sched_getaffinity(0)), blocks))
 
 
 def _manifest(cfg: RunConfig, command: str, t0: float, times: list[tuple]) -> list[tuple]:

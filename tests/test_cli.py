@@ -1,17 +1,16 @@
 """Command-line pipeline: outputs, overrides, and failure modes."""
 
 import argparse
-import concurrent.futures.process
 import csv
 import dataclasses
 import math
-import multiprocessing
 import os
 import resource
 import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -367,10 +366,19 @@ def test_csv_writer_matches_per_cell_reference(tmp_path):
     assert b"nan,nan,-3,0,s1,1.5\r\n" in out.read_bytes()
 
 
+def _no_child_left() -> bool:
+    """True when this process has no child to reap, running or exited."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def test_csv_writer_writes_block_by_block(tmp_path, monkeypatch):
-    # three-row blocks: ten rows make three full blocks and a partial one, formatted
-    # here one at a time and by two forked workers
-    monkeypatch.setattr(adkyle.cli, "CSV_BLOCK_ROWS", 3)
+    # nine-cell blocks: ten rows of three columns make three full blocks and a partial
+    # one, formatted here in one process, then dealt to this one and one or two children
+    monkeypatch.setattr(adkyle.cli, "CSV_BLOCK_CELLS", 9)
     x = np.tile(np.array([0.0, -0.0, 0.1]), 4)[:10]
     tables = {
         "numeric": (["i", "x", "y"], [np.arange(10), x, np.linspace(-1.0, 1.0, 10)]),
@@ -378,44 +386,44 @@ def test_csv_writer_writes_block_by_block(tmp_path, monkeypatch):
     }
     for name, (header, columns) in tables.items():
         _per_cell_csv(tmp_path / f"{name}_ref.csv", header, columns)
-    fork = multiprocessing.get_context("fork")
-    with concurrent.futures.process.ProcessPoolExecutor(2, mp_context=fork) as pool:
-        for i, map_blocks in enumerate((map, pool.map)):
-            out = tmp_path / str(i)
-            out.mkdir()
-            # both tables in one call: a pool has every block queued before the first write
-            adkyle.cli._write_csvs({out / f"{name}.csv": table for name, table in tables.items()},
-                                   map_blocks)
-            for name in tables:
-                assert (out / f"{name}.csv").read_bytes() == (
-                    tmp_path / f"{name}_ref.csv").read_bytes()
-            for bad in ([np.arange(10), np.arange(7)], [np.arange(10), list(range(7))]):
-                with pytest.raises(ValueError):  # unequal columns still fail, in whichever block
-                    adkyle.cli._write_csvs({out / "bad.csv": (["a", "b"], bad)}, map_blocks)
-    assert multiprocessing.active_children() == []
+    for processes in (1, 2, 3):
+        out = tmp_path / str(processes)
+        out.mkdir()
+        # both tables in one call: the blocks are dealt across the tables
+        children = adkyle.cli._write_csvs(
+            {out / f"{name}.csv": table for name, table in tables.items()}, processes)
+        assert children == processes - 1
+        for name in tables:
+            assert (out / f"{name}.csv").read_bytes() == (
+                tmp_path / f"{name}_ref.csv").read_bytes()
+        for bad in ([np.arange(10), np.arange(7)], [np.arange(10), list(range(7))]):
+            with pytest.raises(ValueError):  # unequal columns still fail, in whichever process
+                adkyle.cli._write_csvs({out / "bad.csv": (["a", "b"], bad)}, processes)
+        assert _no_child_left()
 
 
-def _pool_constructions(monkeypatch) -> list:
-    """Record the arguments of each process pool built."""
-    built = []
+def _forks(monkeypatch) -> list:
+    """Record the pid of each child the writer forks."""
+    forked, fork = [], os.fork
 
-    class Counted(concurrent.futures.process.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(args)
-            super().__init__(*args, **kwargs)
+    def counted():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Counted)
-    return built
+    monkeypatch.setattr(os, "fork", counted)
+    return forked
 
 
-def _small_pool_threshold(monkeypatch, cpus: int) -> None:
-    """Let `simulate --paths 40` reach the pool on `cpus` CPUs.
+def _small_fork_threshold(monkeypatch, cpus: int) -> None:
+    """Let `simulate --paths 40` fork its writers on `cpus` CPUs.
 
-    32-row blocks put pathwise_posterior.csv's 80 rows in three blocks, and the
-    8,160 rows of the three tables pass a 1,000-row threshold.
+    96-cell blocks put pathwise_posterior.csv's 80 rows of 4 cells in four blocks, and
+    the 24,400 cells of the three tables pass a 1,000-cell threshold.
     """
-    monkeypatch.setattr(adkyle.cli, "CSV_BLOCK_ROWS", 32)
-    monkeypatch.setattr(adkyle.cli, "PARALLEL_MIN_ROWS", 1000)
+    monkeypatch.setattr(adkyle.cli, "CSV_BLOCK_CELLS", 96)
+    monkeypatch.setattr(adkyle.cli, "PARALLEL_MIN_CELLS", 1000)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
@@ -423,31 +431,68 @@ SIMULATE_40 = ["simulate", "--paths", "40", "--signal", "1"]
 
 
 def test_forked_csv_workers_write_the_serial_bytes(cfg_file, tmp_path, monkeypatch):
-    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    serial = tmp_path / "serial"
     assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(serial)]) == 0
-    built = _pool_constructions(monkeypatch)
-    _small_pool_threshold(monkeypatch, cpus=2)
-    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(pooled)]) == 0
-    assert multiprocessing.active_children() == []
-    assert len(built) == 1
-    assert dict(read_rows(pooled / "manifest.csv")[1:])["write_workers"] == "2"
     names = sorted(path.name for path in serial.glob("*.csv") if path.name != "manifest.csv")
     assert names == ["paths.csv", "pathwise_posterior.csv", "pathwise_prices.csv"]
-    for name in names:
-        assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
+    for cpus in (2, 3):
+        forked_out = tmp_path / str(cpus)
+        forked = _forks(monkeypatch)
+        _small_fork_threshold(monkeypatch, cpus=cpus)
+        assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(forked_out)]) == 0
+        assert _no_child_left()
+        # this process formats a share of the blocks: `cpus` writers are cpus - 1 children
+        assert len(forked) == cpus - 1
+        assert dict(read_rows(forked_out / "manifest.csv")[1:])["write_workers"] == str(cpus - 1)
+        for name in names:
+            assert (forked_out / name).read_bytes() == (serial / name).read_bytes(), name
 
 
 def test_small_tables_and_one_cpu_build_no_pool(cfg_file, tmp_path, monkeypatch):
-    commands = [["solve"], ["impact"], ["verify-foc"], ["simulate", "--paths", "3"]]
-    built, outs = _pool_constructions(monkeypatch), tmp_path / "out"
-    for i, argv in enumerate(commands):
-        assert main([*argv, "-c", str(cfg_file), "-o", str(outs / str(i))]) == 0
-    _small_pool_threshold(monkeypatch, cpus=1)
+    # the benchmark's seed-7 `equilibrium` commands at its grid.n = 401 stay serial too
+    wide = tmp_path / "wide.cfg"
+    wide.write_text(FAST_CONFIG.replace("grid.n = 101", "grid.n = 401").replace(
+        "mc.seed = 3", "mc.seed = 7"))
+    commands = [(cfg_file, argv) for argv in (
+        ["solve"], ["impact"], ["verify-foc"], ["simulate", "--paths", "3"])] + [
+        (wide, argv) for argv in (["efficiency"], ["solve"], ["posterior", "probe", "--alpha-bar",
+                                  "1.0"], ["options"], ["kernel", "dump"])]
+    forked, outs = _forks(monkeypatch), tmp_path / "out"
+    for i, (cfg, argv) in enumerate(commands):
+        assert main([*argv, "-c", str(cfg), "-o", str(outs / str(i))]) == 0
+    _small_fork_threshold(monkeypatch, cpus=1)
     assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(outs / "one_cpu")]) == 0
-    assert built == []
+    assert forked == []
     for out in outs.iterdir():
         assert dict(read_rows(out / "manifest.csv")[1:])["write_workers"] == "0"
-    assert multiprocessing.active_children() == []
+
+
+def test_the_fork_warning_of_a_threaded_process_is_ignored(cfg_file, tmp_path, monkeypatch):
+    # Python >= 3.12 warns in os.fork when other OS threads run, as a BLAS pool's do;
+    # pytest makes the warning an error, and the writer must still fork and write the same
+    # bytes; any other warning from the fork still reaches the caller
+    serial, forked_out = tmp_path / "serial", tmp_path / "forked"
+    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(serial)]) == 0
+    fork = os.fork
+
+    def warning_fork(message):
+        def warned():
+            warnings.warn(message.format(pid=os.getpid()), DeprecationWarning, stacklevel=2)
+            return fork()
+        return warned
+
+    _small_fork_threshold(monkeypatch, cpus=2)
+    monkeypatch.setattr(os, "fork", warning_fork(
+        "This process (pid={pid}) is multi-threaded, use of fork() may lead to deadlocks in "
+        "the child."))
+    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(forked_out)]) == 0
+    assert dict(read_rows(forked_out / "manifest.csv")[1:])["write_workers"] == "1"
+    for name in ("paths.csv", "pathwise_posterior.csv", "pathwise_prices.csv"):
+        assert (forked_out / name).read_bytes() == (serial / name).read_bytes(), name
+    monkeypatch.setattr(os, "fork", warning_fork("fork() is deprecated in process {pid}"))
+    with pytest.raises(DeprecationWarning):
+        main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(tmp_path / "other")])
+    assert _no_child_left()
 
 
 _BLOCK_TEXT = adkyle.cli._block_text
@@ -461,18 +506,46 @@ def _worker_dies(block):
     os._exit(1)
 
 
-@pytest.mark.parametrize("fault", [_unequal_columns, _worker_dies])
+def _parent_fails(block):
+    raise ValueError("adkyle.cli: the parent's share failed")
+
+
+def _out_of_memory(block):
+    raise MemoryError
+
+
+# fault -> (patched _block_text, whether it fires in the children or in this process,
+# which formats a share of the blocks too, and the one error line it must end with; a
+# child's ValueError, here numpy's on paths.csv's x and y, reaches main as its own message,
+# and its MemoryError as main's out-of-memory hint)
+FAULTS = {
+    "_unequal_columns": (_unequal_columns, "child",
+                         "error: all input arrays must have the same shape"),
+    "_worker_dies": (_worker_dies, "child", "error: adkyle.cli: a CSV writer process died"),
+    "_parent_fails": (_parent_fails, "parent", "error: adkyle.cli: the parent's share failed"),
+    "_out_of_memory": (_out_of_memory, "child",
+                       "error: adkyle.cli: out of memory; lower grid.n or --paths"),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
 def test_a_failing_csv_worker_ends_with_one_error_line(fault, cfg_file, tmp_path, monkeypatch,
                                                        capsys):
-    # fork carries the patched _block_text into the workers
-    built = _pool_constructions(monkeypatch)
-    _small_pool_threshold(monkeypatch, cpus=2)
-    monkeypatch.setattr(adkyle.cli, "_block_text", fault)
+    # fork carries the patched _block_text into the children
+    patched, where, line = FAULTS[fault]
+    parent = os.getpid()
+
+    def block_text(block):
+        return patched(block) if (os.getpid() == parent) == (where == "parent") else (
+            _BLOCK_TEXT(block))
+
+    forked = _forks(monkeypatch)
+    _small_fork_threshold(monkeypatch, cpus=2)
+    monkeypatch.setattr(adkyle.cli, "_block_text", block_text)
     assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(tmp_path / "sim")]) == 2
-    assert len(built) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 1
+    assert capsys.readouterr().err == line + "\n"
+    assert _no_child_left()
 
 
 def _per_cell_csv(path, header, columns):
@@ -514,8 +587,8 @@ TEXT = st.text(alphabet=',"\n\r a', max_size=4)  # quote-worthy characters and "
 
 
 @st.composite
-def _column(draw, n):
-    kind = draw(st.sampled_from([*NUMERIC_KINDS, "U", "O", "list"]))
+def _column(draw, n, kinds=(*NUMERIC_KINDS, "U", "O", "list")):
+    kind = draw(st.sampled_from(kinds))
     if kind in ("U", "O"):
         return np.array(draw(st.lists(TEXT, min_size=n, max_size=n)),
                         dtype=str if kind == "U" else object)
@@ -552,6 +625,43 @@ def test_csv_writer_matches_reference_on_generated_tables(columns):
         _per_cell_csv(ref, header, columns)
         write_csv(out, header, columns)
         assert out.read_bytes() == ref.read_bytes()
+
+
+@st.composite
+def _numeric_tables(draw):
+    n = draw(st.integers(0, 30))
+    return [draw(_column(n, tuple(NUMERIC_KINDS))) for _ in range(draw(st.integers(1, 40)))]
+
+
+@seed(35)
+@given(columns=_numeric_tables(), budget=st.integers(1, 64))
+@settings(deadline=None, max_examples=100)
+def test_per_dtype_formatting_matches_reference_on_generated_blocks(columns, budget):
+    # many numeric columns whose dtypes repeat, in blocks of a few cells: blocks split
+    # mid-table, and a row wider than the budget is a block of its own
+    header = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adkyle.cli, "CSV_BLOCK_CELLS", budget)
+        ref, out = Path(tmp) / "ref.csv", Path(tmp) / "out.csv"
+        _per_cell_csv(ref, header, columns)
+        write_csv(out, header, columns)
+        assert out.read_bytes() == ref.read_bytes()
+
+
+# (columns, CSV_BLOCK_CELLS or None for the default, rows per block)
+BLOCK_SHAPES = [(3, None, 5461), (513, None, 31), (1, 12, 12), (4, 12, 3), (7, 12, 1), (40, 12, 1)]
+
+
+@pytest.mark.parametrize(("k", "budget", "rows"), BLOCK_SHAPES)
+def test_blocks_hold_at_most_the_cell_budget_or_one_row(k, budget, rows, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(adkyle.cli, "CSV_BLOCK_CELLS", budget)
+    cap = max(k, adkyle.cli.CSV_BLOCK_CELLS)
+    table = np.arange((2 * rows + 1) * k).reshape(-1, k)
+    blocks = list(adkyle.cli._blocks(list(table.T)))
+    assert [len(block[0]) for block in blocks] == [rows, rows, 1]
+    assert all(len(block) * len(block[0]) <= cap for block in blocks)
+    assert np.array_equal(np.concatenate([np.stack(block, axis=1) for block in blocks]), table)
 
 
 def test_simulate_csvs_match_per_cell_rendering(cfg_file, tmp_path):
@@ -775,17 +885,24 @@ def test_cli_import_leaves_scipy_unloaded(cfg_file, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_import_and_config_load_leave_the_pool_modules_unloaded(cfg_file):
-    # every run pays this set-up; the pool's modules (10-14 ms of import) load only with a pool
-    script = "\n".join([
-        "import sys, adkyle.cli",
-        "from adkyle.config import load_config",
-        f"load_config({str(cfg_file)!r})",
-        "loaded = [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]",
-        "sys.exit(' '.join(loaded) or None)",
-    ])
-    proc = _run_python(["-c", script])
-    assert proc.returncode == 0, proc.stderr
+def test_cli_import_and_config_load_leave_the_pool_modules_unloaded(cfg_file, tmp_path):
+    # every run pays this set-up, and the forked writers use only os pipes: multiprocessing
+    # and concurrent.futures (10-14 ms of import) load neither at import nor with writers
+    wide = tmp_path / "wide.cfg"
+    wide.write_text(FAST_CONFIG.replace("grid.n = 101", "grid.n = 401"))
+    out = tmp_path / "sim"
+    loaded = "loaded = [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]"
+    for lines in (
+        [f"load_config({str(cfg_file)!r})"],
+        ["os.sched_getaffinity = lambda pid: {0, 1}",
+         f"assert adkyle.cli.main(['simulate', '--paths', '200', '-c', {str(wide)!r}, "
+         f"'-o', {str(out)!r}]) == 0"],
+    ):
+        script = "\n".join(["import os, sys, adkyle.cli", "from adkyle.config import load_config",
+                            *lines, loaded, "sys.exit(' '.join(loaded) or None)"])
+        proc = _run_python(["-c", script])
+        assert proc.returncode == 0, proc.stderr
+    assert dict(read_rows(out / "manifest.csv")[1:])["write_workers"] == "1"
 
 
 def test_every_exported_name_resolves():

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .config import SUBGRID_DEFAULT, SUBGRID_MIN
 from .kernel import fit_scale
 from .model import NoiseProfile, PayoffFamily, StateGrid, trapezoid
 from .posterior import QUAD_TOL, posterior_moments
@@ -23,8 +24,6 @@ from .equilibrium import Equilibrium, solve_alpha_star
 
 _ERR = "adkyle.analytics"
 
-SUBGRID_DEFAULT = 21
-SUBGRID_MIN = 9
 SWEEP_SIZES = (2, 4, 6, 8)
 
 
@@ -49,8 +48,13 @@ def canonical_gram(w_star: np.ndarray, noise: NoiseProfile,
 
 def spread_indices(lo: int, hi: int, n_sub: int) -> np.ndarray:
     """Up to n_sub node indices spread evenly over [lo, hi], ends included, rounded and
-    deduplicated; from the range's node count on, every index in it is taken."""
-    return np.unique(np.round(np.linspace(lo, hi, min(n_sub, hi - lo + 1))).astype(int))
+    deduplicated; from the range's node count on, every index in it is taken.
+
+    The rounded points never decrease, so dropping adjacent repeats deduplicates them
+    (np.unique would load numpy.ma).
+    """
+    idx = np.round(np.linspace(lo, hi, min(n_sub, hi - lo + 1))).astype(int)
+    return idx[np.diff(idx, prepend=lo - 1) != 0]
 
 
 def impact_surface(x_values: np.ndarray, y_values: np.ndarray, w_star: np.ndarray,

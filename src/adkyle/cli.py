@@ -9,6 +9,10 @@ tables as plain CSV (never plots, never binary blobs), prints the summary,
 and writes a manifest.csv of tool, Python, numpy and BLAS versions, config
 hash, seed, and wall, compute and write times for provenance; all other
 files are bitwise reproducible from (config, seed).
+
+The module level imports only what every subcommand runs (config, model,
+kernel); each handler imports the rest of its own stage, so a call loads, and
+without bytecode caching compiles, only the code of its subcommand.
 """
 
 from __future__ import annotations
@@ -29,15 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytics import efficiency_sweep, impact_surface, spread_indices
 from .config import RunConfig, config_hash, config_model, load_config, with_seed
-from .equilibrium import equilibrium_demand, solve_alpha_star
 from .kernel import RANK_TOL, build_canonical_kernel, centering_matrix
 from .model import prior_moments
-from .objective import FocReport, foc_terms, zero_impact_direction
-from .options import bl_decompose, bl_reconstruct, demand_signature
-from .orderflow import log_likelihoods, posterior_weights, price_schedule, simulate_increments
-from .posterior import QUAD_TOL, posterior_moments
 
 OUTPUT_DIR_ENV = "ADKYLE_OUTPUT_DIR"
 CSV_BLOCK_CELLS = 1 << 14  # cells formatted per write and per forked writer: bounds the text
@@ -179,6 +177,8 @@ def _pipeline(cfg: RunConfig):
 
 
 def _solved(cfg: RunConfig):
+    from .equilibrium import equilibrium_demand, solve_alpha_star
+
     grid, noise, family, kern = _pipeline(cfg)
     eq = solve_alpha_star(kern.I)
     w_star = equilibrium_demand(eq, kern, family, noise)
@@ -223,6 +223,8 @@ def cmd_solve(args, cfg: RunConfig):
 def cmd_simulate(args, cfg: RunConfig):
     if args.paths < 1:
         raise ValueError(f"adkyle.cli: --paths must be >= 1, got {args.paths}")
+    from .orderflow import log_likelihoods, posterior_weights, price_schedule, simulate_increments
+
     grid, noise, family, _, _, w_star = _solved(cfg)
     s = _signal(args, family)
 
@@ -246,6 +248,8 @@ def cmd_simulate(args, cfg: RunConfig):
 
 
 def cmd_impact(args, cfg: RunConfig):
+    from .analytics import impact_surface, spread_indices
+
     grid, noise, family, _, _, w_star = _solved(cfg)
     mu, sbar = prior_moments(family, grid)
     idx = spread_indices(grid.nearest(mu - 3.0 * sbar, margin=1),
@@ -261,6 +265,8 @@ def cmd_impact(args, cfg: RunConfig):
 
 
 def cmd_efficiency(args, cfg: RunConfig):
+    from .analytics import efficiency_sweep
+
     sweep = efficiency_sweep()
     rows = [(eq.I, eq.alpha_star, eq.ie, eq.ie_std_err, cfg.n_samples, cfg.seed) for eq in sweep]
     tables = {"efficiency.csv": (["I", "alpha_star", "ie", "std_err", "n_samples", "seed"],
@@ -269,6 +275,8 @@ def cmd_efficiency(args, cfg: RunConfig):
 
 
 def cmd_options(args, cfg: RunConfig):
+    from .options import bl_decompose, bl_reconstruct, demand_signature
+
     grid, noise, family, _, _, w_star = _solved(cfg)
     s = _signal(args, family)
     mu, _ = prior_moments(family, grid)
@@ -292,6 +300,8 @@ def cmd_options(args, cfg: RunConfig):
 
 
 def cmd_verify_foc(args, cfg: RunConfig):
+    from .objective import FocReport, foc_terms, zero_impact_direction
+
     grid, noise, family, _, eq, w_star = _solved(cfg)
     names = ("own_demand", "payoff_row", "zero_impact")
     stack = np.stack([w_star[0], family.eta[0], zero_impact_direction(noise, grid)])
@@ -324,6 +334,8 @@ def cmd_kernel_dump(args, cfg: RunConfig):
 
 
 def cmd_posterior_probe(args, cfg: RunConfig):
+    from .posterior import QUAD_TOL, posterior_moments
+
     # only I is read; grid and noise are built so that a bad config fails as elsewhere
     I = config_model(cfg)[2].I
     # the truth is index 0; C 1 = 0 makes (Q C Q)_tt = C_tt = E[q_t (1 - q_t)]

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import SUBGRID_DEFAULT, SUBGRID_MIN
 from .model import NoiseProfile, PayoffFamily, StateGrid, build_state_grid, make_payoff_family
 
 _ERR = "adkyle.config"
@@ -26,6 +25,8 @@ DEFAULT_MOMENT_SAMPLES = 200_000
 DEFAULT_PATHS = 20_000  # mc.n_paths sizes no draw either: it is range-checked and recorded
 SEED_LIMIT = 2**64  # Philox keys take the seed as one 64-bit word
 COUNT_LIMIT = 2**40  # a float64 array this long is 8 TiB; no larger count can run
+SUBGRID_DEFAULT = 21  # impact.n_sub: sub-grid points per axis of impact's square
+SUBGRID_MIN = 9
 
 
 @dataclass(frozen=True)

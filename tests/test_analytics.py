@@ -17,6 +17,7 @@ from adkyle import (
     true_belief_moments,
 )
 from adkyle.analytics import spread_indices
+from adkyle.config import SUBGRID_MIN
 from adkyle.orderflow import PATH_BLOCK_SIZE
 from conftest import (candidate_demand, count_block_generators, exact_binary_equilibrium,
                       impact_from_paths, sample_posterior, statistic_shocks)
@@ -236,6 +237,17 @@ def test_spread_indices_keep_the_ends_and_stop_at_every_index():
     assert spread_indices(0, 4, 4).tolist() == [0, 1, 3, 4]  # 1.33 and 2.67 round apart
     for n_sub in (11, 12, 2**40):  # no more points than the range holds, however many asked
         assert spread_indices(3, 13, n_sub).tolist() == list(range(3, 14))
+
+
+def test_spread_indices_equal_their_unique_form():
+    # the rounded points never decrease, so dropping adjacent repeats is np.unique
+    for n_sub in range(SUBGRID_MIN, 65):
+        for lo in (0, 7):
+            for nodes in (*range(1, 3 * n_sub + 2), 1000, 100_001):  # hi - lo + 1
+                hi = lo + nodes - 1
+                expected = np.unique(np.round(np.linspace(lo, hi, min(n_sub, nodes))).astype(int))
+                got = spread_indices(lo, hi, n_sub)
+                assert got.dtype == expected.dtype and np.array_equal(got, expected), (lo, hi)
 
 
 def test_derivative_cross_impact_is_grid_converged(grid):

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 
 import adkyle
 import adkyle.cli
+import adkyle.equilibrium
+import adkyle.objective
 from adkyle import centering_matrix, true_belief_moments
 from adkyle.cli import OUTPUT_DIR_ENV, _solved, main, write_csv
 from adkyle.config import config_model, load_config, parse_config_text, with_seed
@@ -215,7 +217,7 @@ def test_verify_foc_fails_on_a_wrong_demand(wrong, cfg_file, tmp_path, capsys, m
     # first-order condition itself tells them from the equilibrium
     text = FAST_CONFIG + ("noise.slope = 1\n" if wrong == "sqrt_kernel_sloped" else "")
     grid = config_model(parse_config_text(text))[0]
-    real = adkyle.cli.equilibrium_demand
+    real = adkyle.equilibrium.equilibrium_demand
 
     def demand(eq, kern, family, noise):
         if wrong == "scaled_1.01":
@@ -227,7 +229,7 @@ def test_verify_foc_fails_on_a_wrong_demand(wrong, cfg_file, tmp_path, capsys, m
         inv_root = np.where(lam > 1e-12 * lam.max(), 1.0 / np.sqrt(np.abs(lam)), 0.0)
         return eq.alpha_star * ((u * inv_root) @ u.T @ centering_matrix(kern.I)).T @ family.eta
 
-    monkeypatch.setattr(adkyle.cli, "equilibrium_demand", demand)
+    monkeypatch.setattr(adkyle.equilibrium, "equilibrium_demand", demand)
     status, rows = _foc_rows(cfg_file, text, tmp_path / "foc")
     assert status == 1
     assert "fail" in [row["status"] for row in rows.values()]
@@ -870,19 +872,33 @@ def _limit_address_space():
 
 def test_cli_import_leaves_scipy_unloaded(cfg_file, tmp_path):
     # scipy serves only the skew-normal family, and no start-up path needs
-    # numpy.polynomial; neither the solve nor the probe of a mean-shift run loads scipy,
-    # nor OpenSSL's _hashlib (the manifest's config hash is zlib's)
-    runs = [["solve"], ["posterior", "probe", "--alpha-bar", "1.0"]]
-    script = "\n".join([
-        "import sys, adkyle.cli",
-        "loaded = [m for m in ('scipy', 'numpy.polynomial') if m in sys.modules]",
-        *(f"assert adkyle.cli.main({argv + ['-c', str(cfg_file), '-o', str(tmp_path)]!r}) == 0"
-          for argv in runs),
-        "loaded += [m for m in ('scipy', '_hashlib') if m in sys.modules]",
-        "sys.exit(' '.join(loaded) or None)",
-    ])
-    proc = _run_python(["-c", script])
-    assert proc.returncode == 0, proc.stderr
+    # numpy.polynomial; no subcommand below loads scipy on a mean-shift run, nor OpenSSL's
+    # _hashlib (the manifest's config hash is zlib's).  A call loads only what its
+    # subcommand runs: the package import loads no submodule, the set-up (cli and the
+    # config) only the modules of every subcommand, and each subcommand none of these
+    setup = {"adkyle", "adkyle.cli", "adkyle.config", "adkyle.kernel", "adkyle.model"}
+    unloaded = {
+        ("solve",): ("adkyle.objective", "adkyle.options", "adkyle.orderflow", "adkyle._rng",
+                     "numpy.random", "numpy.ma"),
+        ("impact",): ("numpy.ma", "numpy.random", "adkyle.orderflow", "adkyle.options"),
+        ("kernel", "dump"): ("adkyle.equilibrium", "adkyle.analytics"),
+        ("posterior", "probe", "--alpha-bar", "1.0"): ("adkyle.equilibrium", "adkyle.analytics"),
+    }
+    for argv, absent in unloaded.items():
+        script = "\n".join([
+            "import sys, adkyle",
+            "loaded = [m for m in sys.modules if m.startswith('adkyle.')]",
+            "import adkyle.cli",
+            "from adkyle.config import load_config",
+            f"load_config({str(cfg_file)!r})",
+            f"loaded += sorted({{m for m in sys.modules if m.startswith('adkyle')}} ^ {setup!r})",
+            "loaded += [m for m in ('scipy', 'numpy.polynomial') if m in sys.modules]",
+            f"assert adkyle.cli.main({[*argv, '-c', str(cfg_file), '-o', str(tmp_path)]!r}) == 0",
+            f"loaded += [m for m in ('scipy', '_hashlib', *{absent!r}) if m in sys.modules]",
+            "sys.exit(' '.join(loaded) or None)",
+        ])
+        proc = _run_python(["-c", script])
+        assert proc.returncode == 0, (argv, proc.stderr)
 
 
 def test_cli_import_and_config_load_leave_the_pool_modules_unloaded(cfg_file, tmp_path):
@@ -907,6 +923,24 @@ def test_cli_import_and_config_load_leave_the_pool_modules_unloaded(cfg_file, tm
 
 def test_every_exported_name_resolves():
     assert [name for name in adkyle.__all__ if not hasattr(adkyle, name)] == []
+
+
+def test_public_names_load_on_first_access():
+    # in a fresh interpreter, where the package has loaded none of its modules yet
+    script = "\n".join([
+        "import adkyle",
+        "missing = sorted(set(adkyle.__all__) - set(dir(adkyle)))",
+        "for name in adkyle.__all__:",
+        "    exec(f'from adkyle import {name}')",
+        "try:",
+        "    adkyle.no_such_name",
+        "    missing.append('no AttributeError')",
+        "except AttributeError:",
+        "    pass",
+        "raise SystemExit(' '.join(missing) or None)",
+    ])
+    proc = _run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unaffordable_path_count_fails_up_front(cfg_file, tmp_path):
@@ -1014,13 +1048,13 @@ def test_options_subcommand_writes_strip_and_signatures(cfg_file, tmp_path):
 
 def test_failing_verify_foc_still_writes_its_report_and_manifest(cfg_file, tmp_path, capsys,
                                                                  monkeypatch):
-    real = adkyle.cli.foc_terms
+    real = adkyle.objective.foc_terms
 
     def payoff_row_off(*args, **kwargs):
         reports = real(*args, **kwargs)
         return [dataclasses.replace(r, diff=r.diff + (i == 1)) for i, r in enumerate(reports)]
 
-    monkeypatch.setattr(adkyle.cli, "foc_terms", payoff_row_off)
+    monkeypatch.setattr(adkyle.objective, "foc_terms", payoff_row_off)
     out = tmp_path / "foc"
     assert main(["verify-foc", "-c", str(cfg_file), "-o", str(out)]) == 1
     assert [r[-1] for r in read_rows(out / "foc_report.csv")[1:]] == ["pass", "fail", "pass"]

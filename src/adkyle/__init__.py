@@ -18,7 +18,8 @@ __version__ = "0.1.0"
 # defining module -> the public names it exports
 _EXPORTS = {
     "model": ("NoiseProfile", "PayoffFamily", "StateGrid", "build_state_grid",
-              "make_payoff_family", "prior_mixture", "weighted_inner_product"),
+              "make_payoff_family", "normalized_family", "prior_mixture",
+              "weighted_inner_product"),
     "kernel": ("CanonicalKernel", "build_canonical_kernel", "centering_matrix", "gram_matrix"),
     "posterior": ("posterior_moments", "true_belief_moments"),
     "equilibrium": ("Equilibrium", "KyleBenchmark", "equilibrium_demand", "kyle_single_asset",

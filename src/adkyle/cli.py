@@ -49,8 +49,6 @@ def _numeric(column) -> bool:
 
 def _cells(column) -> list[str]:
     """Text of a column that is not a numeric array: repr for floats, str otherwise."""
-    if isinstance(column, np.ndarray):
-        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
     return [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in column]
 
 
@@ -133,11 +131,6 @@ def _write_csvs(tables: dict, processes: int = 1) -> int:
             pipe.close()  # a child still writing gets EPIPE and leaves
             os.waitpid(pid, 0)
     return len(children)
-
-
-def write_csv(path: Path, header: list[str], columns) -> None:
-    """Write equal-length columns (arrays or sequences) under a header row."""
-    _write_csvs({path: (header, list(columns))})
 
 
 def _write_tables(outdir: Path, tables: dict) -> int:
@@ -406,8 +399,8 @@ def main(argv=None) -> int:
                  ("write_workers", workers)]
         if summary is not None:
             print(f"{summary} -> {outdir}")
-        write_csv(outdir / "manifest.csv", ["key", "value"],
-                  zip(*_manifest(cfg, args.label, t0, times)))
+        _write_tables(outdir, {"manifest.csv": (["key", "value"],
+                                                zip(*_manifest(cfg, args.label, t0, times)))})
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

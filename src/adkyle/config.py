@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import NoiseProfile, PayoffFamily, StateGrid, build_state_grid, make_payoff_family
+from .model import (FAMILY_PARAMS, NoiseProfile, PayoffFamily, StateGrid, build_state_grid,
+                    make_payoff_family)
 
 _ERR = "adkyle.config"
 
@@ -81,14 +82,6 @@ KEYS = {
     "output.dir": ("output_dir", str),
 }
 
-# family.kind -> its RunConfig attributes, the one that lists a parameter per signal first
-_FAMILY_PARAMS = {
-    "gaussian_mean_shift": ("means", "sd"),
-    "gaussian_variance": ("sds", "mu"),
-    "skew_normal": ("shapes",),
-}
-
-
 def parse_config_text(text: str) -> RunConfig:
     """Parse flat key=value text; unknown or repeated keys, a family.* key that the
     family.kind does not read, and a missing seed are errors."""
@@ -115,7 +108,7 @@ def parse_config_text(text: str) -> RunConfig:
     if "seed" not in values:
         raise ValueError(f"{_ERR}: mc.seed is required (reproducibility is not optional)")
     cfg = validate_config(RunConfig(**values))
-    read = ("family_kind", *_FAMILY_PARAMS[cfg.family_kind])
+    read = ("family_kind", *FAMILY_PARAMS[cfg.family_kind])
     for key, lineno in first_line.items():
         if key.startswith("family.") and KEYS[key][0] not in read:
             raise ValueError(f"{_ERR}: family.kind = {cfg.family_kind} does not read {key!r} "
@@ -137,14 +130,14 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ValueError(f"{_ERR}: mc.n_samples must be in [{MIN_MOMENT_SAMPLES}, 2**40]")
     if not 1 <= cfg.n_paths <= COUNT_LIMIT:
         raise ValueError(f"{_ERR}: mc.n_paths must be in [1, 2**40]")
-    if not all(map(math.isfinite, (cfg.noise_level, cfg.noise_slope, cfg.sd, cfg.mu,
-                                   *cfg.means, *cfg.sds, *cfg.shapes))):
+    if cfg.family_kind not in FAMILY_PARAMS:
+        raise ValueError(f"{_ERR}: unsupported family.kind {cfg.family_kind!r}")
+    per_signal, *common = (getattr(cfg, name) for name in FAMILY_PARAMS[cfg.family_kind])
+    if not all(map(math.isfinite, (cfg.noise_level, cfg.noise_slope, *per_signal, *common))):
         raise ValueError(f"{_ERR}: noise.* and family.* values must be finite")
     if not SUBGRID_MIN <= cfg.n_sub <= COUNT_LIMIT:
         raise ValueError(f"{_ERR}: impact.n_sub must be in [{SUBGRID_MIN}, 2**40]")
-    if cfg.family_kind not in _FAMILY_PARAMS:
-        raise ValueError(f"{_ERR}: unsupported family.kind {cfg.family_kind!r}")
-    I = len(getattr(cfg, _FAMILY_PARAMS[cfg.family_kind][0]))
+    I = len(per_signal)
     if cfg.conditioned_on is not None and not 0 <= cfg.conditioned_on < I:
         raise ValueError(
             f"{_ERR}: impact.conditioned_on must be in [0, {I}) or none, "
@@ -156,7 +149,7 @@ def validate_config(cfg: RunConfig) -> RunConfig:
 def config_model(cfg: RunConfig) -> tuple[StateGrid, NoiseProfile, PayoffFamily]:
     """The grid, noise profile and payoff family of a config, built in that order."""
     grid = build_state_grid(cfg.x_min, cfg.x_max, cfg.n)
-    params = {name: getattr(cfg, name) for name in _FAMILY_PARAMS[cfg.family_kind]}
+    params = {name: getattr(cfg, name) for name in FAMILY_PARAMS[cfg.family_kind]}
     # an overflowing sigma is infinite: NoiseProfile rejects it.  A tiny sd overflows
     # (x - m) / sd (density 0 there) or the density itself (the row's mass is then
     # infinite, which make_payoff_family rejects)

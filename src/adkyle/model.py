@@ -190,92 +190,77 @@ def _normal_pdf(z: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * np.square(z)) / math.sqrt(2.0 * math.pi)
 
 
-def _renormalized_rows(rows: np.ndarray, grid: StateGrid) -> PayoffFamily:
+def normalized_family(rows: np.ndarray, grid: StateGrid) -> PayoffFamily:
+    """The family of I >= 2 nonnegative rows of the grid's n node values, each scaled to
+    mass 1 under quad_weights; a row with no finite, positive mass is an error."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[0] < 2 or rows.shape[1] != grid.n:
+        raise ValueError(f"{_ERR}: need an I x n array of rows, I >= 2 and n = {grid.n}")
     masses = rows @ grid.quad_weights
     if not np.all((masses > 0.0) & (masses < math.inf)):
         raise ValueError(f"{_ERR}: a payoff row has no finite, positive mass on the grid interval")
     return PayoffFamily(rows / masses[:, None])
 
 
-def make_payoff_family(kind: str, params: dict, grid: StateGrid) -> PayoffFamily:
-    """Construct a payoff-density family on the grid.
+# family kind -> the parameters it reads, the one that lists a value per signal first
+FAMILY_PARAMS = {
+    "gaussian_mean_shift": ("means", "sd"),
+    "gaussian_variance": ("sds", "mu"),
+    "skew_normal": ("shapes",),
+}
 
-    Supported kinds and parameters:
+
+def make_payoff_family(kind: str, params: dict, grid: StateGrid) -> PayoffFamily:
+    """Construct a payoff-density family of a FAMILY_PARAMS kind on the grid.
+
+    Kinds and parameters:
         gaussian_mean_shift: means (list of I floats), sd (common std dev >= h).
-        gaussian_variance:   mu (common mean), sds (list of I std devs >= h).
+        gaussian_variance:   sds (list of I std devs >= h), mu (common mean).
         skew_normal:         shapes (list of I shape parameters a). Location and
             scale are moment-matched per row so each component has zero mean and
             unit variance before truncation (so it needs h <= 1):
             delta = a/sqrt(1+a^2), omega = 1/sqrt(1 - 2 delta^2/pi),
             xi = -omega delta sqrt(2/pi).
-        tabulated:           x (nodes), eta (I x n nonnegative rows).
 
-    Rows are truncated to [x_min, x_max] and renormalized by their grid
-    integral, so every row integrates to 1 under quad_weights.  A component
-    narrower than the grid step h is rejected: the kernel would then measure
-    the grid, not the family.
+    Rows are truncated to [x_min, x_max] and go through normalized_family, as rows
+    of the caller's own do, so each integrates to 1 under quad_weights.  A
+    component narrower than the grid step h is rejected: the kernel would then
+    measure the grid, not the family.
 
     Raises:
-        ValueError: nonpositive variance, a component sd below h, mean far
-            outside the grid (|mu - midpoint| > span), negative tabulated
-            entries, I < 2.
+        ValueError, in this order: an unknown kind, I < 2, nonpositive variance, a
+            component sd below h, a mean far outside the grid (|mu - midpoint| > span).
     """
-    x = grid.nodes
-    midpoint = 0.5 * (grid.x_min + grid.x_max)
-    span = grid.x_max - grid.x_min
-
-    def _check_mean(mu: float):
-        if abs(mu - midpoint) > span:
-            raise ValueError(f"{_ERR}: component mean {mu} lies far outside the grid")
-
-    def _check_sd(sd: float):
-        if sd < grid.h:
-            raise ValueError(f"{_ERR}: component sd {sd} is below the grid step {grid.h}")
-
-    if kind in ("gaussian_mean_shift", "gaussian_variance"):  # per-row location and scale
-        if kind == "gaussian_mean_shift":
-            locs = [float(m) for m in params["means"]]
-            scales = [float(params["sd"])] * len(locs)
-        else:
-            loc = float(params["mu"])
-            scales = [float(s) for s in params["sds"]]
-            locs = [loc] * len(scales)
-        if len(locs) < 2:
-            raise ValueError(f"{_ERR}: need at least two signals")
-        if any(s <= 0.0 for s in scales):
-            raise ValueError(f"{_ERR}: nonpositive variance")
-        for s in scales:
-            _check_sd(s)
-        for m in locs:
-            _check_mean(m)
-        rows = np.stack([_normal_pdf((x - m) / s) / s for m, s in zip(locs, scales)])
-    elif kind == "skew_normal":
+    if kind not in FAMILY_PARAMS:
+        raise ValueError(f"{_ERR}: unknown family kind {kind!r}")
+    if len(params[FAMILY_PARAMS[kind][0]]) < 2:
+        raise ValueError(f"{_ERR}: need at least two signals")
+    if kind == "skew_normal":
         from scipy.special import ndtr  # only this family needs scipy; start-up skips it
         shapes = [float(a) for a in params["shapes"]]
-        if len(shapes) < 2:
-            raise ValueError(f"{_ERR}: need at least two signals")
-        _check_sd(1.0)  # each component has unit sd
-        rows = []
-        for a in shapes:
-            delta = a / math.hypot(1.0, a)  # a * a would overflow past |a| ~ 1.3e154
-            omega = 1.0 / math.sqrt(1.0 - 2.0 * delta * delta / math.pi)
-            xi = -omega * delta * math.sqrt(2.0 / math.pi)
-            _check_mean(xi)
-            z = (x - xi) / omega
-            rows.append(2.0 / omega * _normal_pdf(z) * ndtr(a * z))
-        rows = np.stack(rows)
-    elif kind == "tabulated":
-        xs = np.asarray(params["x"], dtype=float)
-        rows = np.asarray(params["eta"], dtype=float)
-        if rows.ndim != 2 or rows.shape[0] < 2:
-            raise ValueError(f"{_ERR}: tabulated eta must have at least two rows")
-        if xs.shape != (grid.n,) or rows.shape[1] != grid.n:
-            raise ValueError(f"{_ERR}: tabulated nodes do not match the grid (n={grid.n})")
-        if not np.allclose(xs, x, rtol=0.0, atol=1e-9 * max(1.0, span)):
-            raise ValueError(f"{_ERR}: tabulated x column differs from the grid nodes")
-        if np.any(rows < 0.0):
-            raise ValueError(f"{_ERR}: tabulated density has a negative entry")
+        deltas = [a / math.hypot(1.0, a) for a in shapes]  # a * a overflows past |a| ~ 1.3e154
+        scales = [1.0 / math.sqrt(1.0 - 2.0 * d * d / math.pi) for d in deltas]
+        locs = [-w * d * math.sqrt(2.0 / math.pi) for w, d in zip(scales, deltas)]
+        sds = [1.0]  # each component has unit sd
+    elif kind == "gaussian_mean_shift":
+        locs = [float(m) for m in params["means"]]
+        sds = scales = [float(params["sd"])] * len(locs)
     else:
-        raise ValueError(f"{_ERR}: unknown family kind {kind!r}")
+        sds = scales = [float(s) for s in params["sds"]]
+        locs = [float(params["mu"])] * len(sds)
+    if any(s <= 0.0 for s in sds):
+        raise ValueError(f"{_ERR}: nonpositive variance")
+    for s in sds:
+        if s < grid.h:
+            raise ValueError(f"{_ERR}: component sd {s} is below the grid step {grid.h}")
+    midpoint = 0.5 * (grid.x_min + grid.x_max)
+    for m in locs:
+        if abs(m - midpoint) > grid.x_max - grid.x_min:
+            raise ValueError(f"{_ERR}: component mean {m} lies far outside the grid")
 
-    return _renormalized_rows(np.asarray(rows, dtype=float), grid)
+    x, rows = grid.nodes, []
+    for i, (m, s) in enumerate(zip(locs, scales)):  # row by row: no I x n arithmetic temporary
+        z = (x - m) / s
+        rows.append(2.0 / s * _normal_pdf(z) * ndtr(shapes[i] * z) if kind == "skew_normal"
+                    else _normal_pdf(z) / s)
+    return normalized_family(np.stack(rows), grid)

@@ -136,7 +136,7 @@ def zero_impact_direction(noise: NoiseProfile, grid: StateGrid) -> np.ndarray:
     """The sigma-unit bond 1 / sqrt(<1, 1>_sigma), which moves no posterior.
 
     An equilibrium demand row is W_i = sigma^2 a (eta_i - eta_bar) for a scalar a, and
-    make_payoff_family gives every eta_i quadrature mass 1, so <1, W_i>_sigma = a (1 - 1)
+    normalized_family gives every eta_i quadrature mass 1, so <1, W_i>_sigma = a (1 - 1)
     = 0, up to rounding, for every family and noise profile.
     """
     bond = np.ones(grid.n)

@@ -23,7 +23,7 @@ import adkyle.cli
 import adkyle.equilibrium
 import adkyle.objective
 from adkyle import centering_matrix, true_belief_moments
-from adkyle.cli import OUTPUT_DIR_ENV, _solved, main, write_csv
+from adkyle.cli import OUTPUT_DIR_ENV, _solved, _write_tables, main
 from adkyle.config import config_model, load_config, parse_config_text, with_seed
 from adkyle._rng import PATH_SHOCKS, derive_seed, standard_normal_matrix
 from adkyle.orderflow import (
@@ -350,8 +350,13 @@ def test_csv_writer_matches_per_cell_reference(tmp_path):
         [0, 1, -2, 2**70, 4, 5, 6, 7],
         ["s1", "a,b", 'q"x', "", " sp", "line\nbreak", "s7", "s8"],
         [1.5, 2, "lbl", np.float64(0.1), np.float32(0.1), np.int64(3), -0.0, float("nan")],
+        # arrays that are not numeric go through the per-item rule too: a longdouble
+        # prints as its float, an object array's float32 as the float it widens to
+        np.array([1.1, 0.1, -0.0, np.inf, 2.5, 1e300, 3.0, np.nan], dtype=np.longdouble),
+        np.array([np.float32(0.1), "x,y", 7, 1.5, None, np.int8(-1), np.longdouble(1.1), ""],
+                 dtype=object),
     ]
-    header = ["f64", "f32", "i64", "int", "label", "mixed"]
+    header = ["f64", "f32", "i64", "int", "label", "mixed", "f128", "object"]
 
     def cell(v):
         return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
@@ -363,9 +368,9 @@ def test_csv_writer_matches_per_cell_reference(tmp_path):
         for row in zip(*columns):
             writer.writerow([cell(v) for v in row])
     out = tmp_path / "out.csv"
-    write_csv(out, header, columns)
+    _write_tables(tmp_path, {"out.csv": (header, columns)})
     assert out.read_bytes() == ref.read_bytes()
-    assert b"nan,nan,-3,0,s1,1.5\r\n" in out.read_bytes()
+    assert b"nan,nan,-3,0,s1,1.5,1.1,0.10000000149011612\r\n" in out.read_bytes()
 
 
 def _no_child_left() -> bool:
@@ -625,7 +630,7 @@ def test_csv_writer_matches_reference_on_generated_tables(columns):
     with tempfile.TemporaryDirectory() as tmp:
         ref, out = Path(tmp) / "ref.csv", Path(tmp) / "out.csv"
         _per_cell_csv(ref, header, columns)
-        write_csv(out, header, columns)
+        _write_tables(Path(tmp), {"out.csv": (header, columns)})
         assert out.read_bytes() == ref.read_bytes()
 
 
@@ -646,7 +651,7 @@ def test_per_dtype_formatting_matches_reference_on_generated_blocks(columns, bud
         patch.setattr(adkyle.cli, "CSV_BLOCK_CELLS", budget)
         ref, out = Path(tmp) / "ref.csv", Path(tmp) / "out.csv"
         _per_cell_csv(ref, header, columns)
-        write_csv(out, header, columns)
+        _write_tables(Path(tmp), {"out.csv": (header, columns)})
         assert out.read_bytes() == ref.read_bytes()
 
 

@@ -1,13 +1,16 @@
 """Flat key=value run configuration: parsing, validation, hashing."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from adkyle import make_payoff_family
 from adkyle.cli import main
-from adkyle.config import config_hash, config_model, parse_config_text, with_seed
+from adkyle.config import KEYS, RunConfig, config_hash, config_model, parse_config_text, with_seed
+from adkyle.model import FAMILY_PARAMS
 
 MINIMAL = "mc.seed = 7\n"
 
@@ -95,6 +98,26 @@ def test_family_keys_the_kind_does_not_read_are_hard_errors(kind, line, tmp_path
     # the default kind, gaussian_mean_shift, reads no family.sds either
     with pytest.raises(ValueError, match="does not read 'family.sds' .line 2."):
         parse_config_text("mc.seed = 1\nfamily.sds = 1, 2\n")
+
+
+def test_family_keys_are_the_family_table():
+    # every parameter a kind reads is a RunConfig field with its family.<name> key, and
+    # every family.* key but the kind is read by some kind
+    read = {name for names in FAMILY_PARAMS.values() for name in names}
+    fields = {field.name: field.default for field in dataclasses.fields(RunConfig)}
+    assert all(KEYS[f"family.{name}"][0] == name and name in fields for name in read)
+    assert {key for key in KEYS if key.startswith("family.")} - {"family.kind"} == {
+        f"family.{name}" for name in read}
+    # README's family table lists exactly the table's kinds, keys and defaults
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("| `family.kind`"):].split("\n\n")[0]
+    rows = re.findall(r"^\| `(\w+)`(?: \(default\))? +\| (.+?) +\|$", table, re.M)
+    documented = {kind: re.findall(r"`family\.(\w+)` \(`([^`]*)`\)", keys) for kind, keys in rows}
+    assert {kind: tuple(name for name, _ in keys) for kind, keys in documented.items()} == (
+        FAMILY_PARAMS)
+    for keys in documented.values():
+        for name, default in keys:
+            assert KEYS[f"family.{name}"][1](default) == fields[name]
 
 
 def test_malformed_lines_report_line_numbers():

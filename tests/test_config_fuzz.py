@@ -16,7 +16,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from adkyle.cli import main
-from adkyle.config import _FAMILY_PARAMS, KEYS, RunConfig
+from adkyle.config import KEYS, RunConfig
+from adkyle.model import FAMILY_PARAMS
 
 FUZZ_EXAMPLES = 300  # about 3 s on a 2-core machine
 
@@ -61,7 +62,7 @@ SMALL = {"mc.n_samples": "10000", "grid.n": "41", "mc.n_paths": "200"}  # unless
 def _read_by_kind(good: dict) -> dict:
     """The in-range keys less the family.* ones that the drawn family.kind does not read,
     which would end every run at load."""
-    read = ("family_kind", *_FAMILY_PARAMS[good.get("family.kind", RunConfig.family_kind)])
+    read = ("family_kind", *FAMILY_PARAMS[good.get("family.kind", RunConfig.family_kind)])
     return {k: v for k, v in good.items() if not k.startswith("family.") or KEYS[k][0] in read}
 
 

@@ -14,7 +14,7 @@ from adkyle import (
     equilibrium_demand,
     foc_terms,
     kyle_single_asset,
-    make_payoff_family,
+    normalized_family,
     posterior_moments,
     solve_alpha_star,
     true_belief_moments,
@@ -314,7 +314,7 @@ def test_solver_rejects_non_exchangeable_kernels(grid, unit_noise):
             np.exp(-0.5 * np.square((grid.nodes - 2.0) / 0.4)),
         ]
     )
-    fam = make_payoff_family("tabulated", {"x": grid.nodes, "eta": rows}, grid)
+    fam = normalized_family(rows, grid)
     kern = build_canonical_kernel(fam, unit_noise, grid)
     with pytest.raises(ValueError, match="adkyle.equilibrium: kernel is not exchangeable"):
         equilibrium_demand(solve_alpha_star(kern.I), kern, fam, unit_noise)

@@ -13,6 +13,7 @@ from adkyle import (
     centering_matrix,
     gram_matrix,
     make_payoff_family,
+    normalized_family,
     weighted_inner_product,
 )
 from adkyle.kernel import EXCHANGEABILITY_TOL, fit_scale
@@ -103,7 +104,7 @@ def test_exchangeability_flags_asymmetric_kernels(grid, unit_noise):
             np.exp(-0.5 * np.square((grid.nodes - 2.0) / 0.4)),
         ]
     )
-    fam = make_payoff_family("tabulated", {"x": grid.nodes, "eta": rows}, grid)
+    fam = normalized_family(rows, grid)
     kern = build_canonical_kernel(fam, unit_noise, grid)
     assert not kern.exchangeable
 

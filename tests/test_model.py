@@ -13,9 +13,11 @@ from adkyle import (
     bl_decompose,
     build_state_grid,
     make_payoff_family,
+    normalized_family,
     prior_mixture,
     weighted_inner_product,
 )
+from adkyle.model import FAMILY_PARAMS
 
 VECTOR_LENGTH = 41
 ABS_TOLERANCE = 1e-12
@@ -214,9 +216,7 @@ def test_skew_shapes_past_the_square_overflow_keep_the_moment_match(grid):
 
 def test_tabulated_family_round_trip(grid):
     base = make_payoff_family("gaussian_mean_shift", {"means": [-1.0, 1.0], "sd": 1.0}, grid)
-    fam = make_payoff_family(
-        "tabulated", {"x": grid.nodes, "eta": base.eta}, grid
-    )
+    fam = normalized_family(base.eta, grid)
     # rows are re-normalized on ingest, which can shift values by an ulp
     assert np.allclose(fam.eta, base.eta, rtol=1e-14, atol=0.0)
 
@@ -272,14 +272,120 @@ def test_family_argument_errors(grid):
     with pytest.raises(ValueError, match="adkyle.model"):
         make_payoff_family("gaussian_mean_shift", {"means": [0.0], "sd": 1.0}, grid)
     with pytest.raises(ValueError, match="adkyle.model"):
-        make_payoff_family(
-            "tabulated",
-            {"x": grid.nodes, "eta": -np.ones((2, grid.n))},
-            grid,
-        )
-    with pytest.raises(ValueError, match="adkyle.model"):
-        make_payoff_family(
-            "tabulated",
-            {"x": grid.nodes + 0.5, "eta": np.ones((2, grid.n))},
-            grid,
-        )
+        normalized_family(-np.ones((2, grid.n)), grid)
+
+
+def _reference_family(kind, params, grid):
+    """Each kind's own branch of the family builder, one row per component: eta, or the
+    text of the first error."""
+    from scipy.special import ndtr
+
+    x, midpoint, span = grid.nodes, 0.5 * (grid.x_min + grid.x_max), grid.x_max - grid.x_min
+
+    def pdf(z):
+        with np.errstate(over="ignore"):
+            return np.exp(-0.5 * np.square(z)) / math.sqrt(2.0 * math.pi)
+
+    def check_mean(mu):
+        if abs(mu - midpoint) > span:
+            raise ValueError(f"adkyle.model: component mean {mu} lies far outside the grid")
+
+    def check_sd(sd):
+        if sd < grid.h:
+            raise ValueError(f"adkyle.model: component sd {sd} is below the grid step {grid.h}")
+
+    try:
+        if kind in ("gaussian_mean_shift", "gaussian_variance"):
+            if kind == "gaussian_mean_shift":
+                locs = [float(m) for m in params["means"]]
+                scales = [float(params["sd"])] * len(locs)
+            else:
+                scales = [float(s) for s in params["sds"]]
+                locs = [float(params["mu"])] * len(scales)
+            if len(locs) < 2:
+                raise ValueError("adkyle.model: need at least two signals")
+            if any(s <= 0.0 for s in scales):
+                raise ValueError("adkyle.model: nonpositive variance")
+            for s in scales:
+                check_sd(s)
+            for m in locs:
+                check_mean(m)
+            rows = np.stack([pdf((x - m) / s) / s for m, s in zip(locs, scales)])
+        else:
+            shapes = [float(a) for a in params["shapes"]]
+            if len(shapes) < 2:
+                raise ValueError("adkyle.model: need at least two signals")
+            check_sd(1.0)
+            rows = []
+            for a in shapes:
+                delta = a / math.hypot(1.0, a)
+                omega = 1.0 / math.sqrt(1.0 - 2.0 * delta * delta / math.pi)
+                xi = -omega * delta * math.sqrt(2.0 / math.pi)
+                check_mean(xi)
+                z = (x - xi) / omega
+                rows.append(2.0 / omega * pdf(z) * ndtr(a * z))
+            rows = np.stack(rows)
+        masses = rows @ grid.quad_weights
+        if not np.all((masses > 0.0) & (masses < math.inf)):
+            raise ValueError("adkyle.model: a payoff row has no finite, positive mass on the "
+                             "grid interval")
+    except ValueError as exc:
+        return str(exc)
+    return rows / masses[:, None]
+
+
+@st.composite
+def _family_cases(draw):
+    x_min, span = draw(st.floats(-40.0, 10.0)), draw(st.floats(0.5, 60.0))
+    grid = build_state_grid(x_min, x_min + span, draw(st.integers(3, 300)))
+    # sds at the grid step, just below it, far below and past every sane width; means
+    # inside the grid, past its edges (rows that underflow to mass 0) and far outside
+    wide = st.floats(grid.h, grid.h + 3.0)
+    sds = st.one_of(wide, wide, wide, st.sampled_from(
+        [grid.h, math.nextafter(grid.h, 0.0), 0.5 * grid.h, 0.0, -1.0, 5e-324, 1e300]))
+    inside = st.floats(x_min, grid.x_max)
+    locs = st.one_of(inside, inside, inside, st.floats(x_min - 1.2 * span, grid.x_max + 1.2 * span))
+    shapes = st.one_of(st.floats(-30.0, 30.0), st.floats(1e150, 1e308), st.floats(-1e308, -1e150))
+    size = draw(st.sampled_from([1, 2, 2, 3, 4, 8]))  # one signal is too few
+    per_signal = lambda values: draw(st.lists(values, min_size=size, max_size=size))
+    kind = draw(st.sampled_from(sorted(FAMILY_PARAMS)))
+    params = {
+        "gaussian_mean_shift": lambda: {"means": per_signal(locs), "sd": draw(sds)},
+        "gaussian_variance": lambda: {"sds": per_signal(sds), "mu": draw(locs)},
+        "skew_normal": lambda: {"shapes": per_signal(shapes)},
+    }[kind]()
+    return kind, params, grid
+
+
+@seed(37)
+@given(case=_family_cases())
+@settings(deadline=None, max_examples=400)
+def test_family_builder_is_bitwise_each_kinds_own_loop(case):
+    # the shared count, sd and mean checks fire in each kind's own order and with its
+    # text, and every row is the same floating operations as before
+    kind, params, grid = case
+    with np.errstate(over="ignore"):  # as config_model builds it: a * z may overflow to inf
+        expected = _reference_family(kind, params, grid)
+        try:
+            eta = make_payoff_family(kind, params, grid).eta
+        except ValueError as exc:
+            assert str(exc) == expected
+            return
+    assert not isinstance(expected, str), expected
+    assert np.array_equal(eta, expected)
+
+
+def test_normalized_family_gives_each_row_mass_one(grid):
+    x = grid.nodes
+    rows = np.stack([np.exp(-np.abs(x - 1.0)), 3.0 + np.cos(x), 1e-200 * (x > 0.0)])
+    fam = normalized_family(rows, grid)
+    assert fam.I == 3
+    np.testing.assert_allclose(fam.eta @ grid.quad_weights, 1.0, rtol=0.0, atol=MASS_TOLERANCE)
+    masses = rows @ grid.quad_weights
+    np.testing.assert_allclose(fam.eta * masses[:, None], rows, rtol=1e-15, atol=0.0)
+    for bad in (np.zeros(grid.n), -np.ones(grid.n), np.where(x < 0.0, -1.0, 2.0)):
+        with pytest.raises(ValueError, match="adkyle.model: "):
+            normalized_family(np.stack([rows[0], bad]), grid)
+    for shape in (rows[0], rows[:1], rows[:, :-1], rows[None]):  # not I >= 2 rows of n values
+        with pytest.raises(ValueError, match="adkyle.model: need an I x n array of rows"):
+            normalized_family(shape, grid)

@@ -20,6 +20,7 @@ from adkyle import (
     foc_terms,
     log_likelihoods,
     make_payoff_family,
+    normalized_family,
     posterior_weights,
     solve_alpha_star,
     weighted_inner_product,
@@ -86,12 +87,12 @@ def test_gradient_vanishes_at_the_fixed_point(
 
 MEAN_SHIFT = {"means": [-1.0, 1.0], "sd": 1.0}
 DEFAULT_GRID = (-8.0, 8.0, 401)
-ZERO_IMPACT_CASES = {  # family kind, parameters, noise slope, grid
+ZERO_IMPACT_CASES = {  # family kind (None: own rows), parameters, noise slope, grid
     "mean_shift": ("gaussian_mean_shift", MEAN_SHIFT, 0.0, DEFAULT_GRID),
     "mean_shift_sloped": ("gaussian_mean_shift", MEAN_SHIFT, 0.3, DEFAULT_GRID),
     "variance_sloped": ("gaussian_variance", {"mu": 0.0, "sds": [1.0, 1.5]}, 0.3, DEFAULT_GRID),
     "skew_sloped": ("skew_normal", {"shapes": [4.0, -4.0]}, 0.05, DEFAULT_GRID),
-    "tabulated_sloped": ("tabulated", None, 0.3, DEFAULT_GRID),
+    "tabulated_sloped": (None, None, 0.3, DEFAULT_GRID),
     "I16_mean_shift": ("gaussian_mean_shift",
                        {"means": [2.8 * (k - 7.5) for k in range(16)], "sd": 0.35}, 0.0,
                        (-25.4, 25.4, 339)),
@@ -104,10 +105,12 @@ def test_zero_impact_direction_is_unit_and_orthogonal(name):
     # sigma-unit bond is orthogonal to each demand row up to rounding, whatever the noise
     kind, params, slope, bounds = ZERO_IMPACT_CASES[name]
     grid = build_state_grid(*bounds)
-    if kind == "tabulated":  # rows of unequal mass: make_payoff_family gives each mass 1
+    if kind is None:  # rows of unequal mass: normalized_family gives each mass 1
         x = grid.nodes
-        params = {"x": x, "eta": np.stack([np.exp(-np.abs(x - 1.0)), 1.0 + 0.5 * np.cos(x)])}
-    family = make_payoff_family(kind, params, grid)
+        family = normalized_family(np.stack([np.exp(-np.abs(x - 1.0)), 1.0 + 0.5 * np.cos(x)]),
+                                   grid)
+    else:
+        family = make_payoff_family(kind, params, grid)
     noise = NoiseProfile(sigma=1.0 + slope * (grid.nodes - grid.x_min))
     kern = build_canonical_kernel(family, noise, grid)
     w_star = equilibrium_demand(solve_alpha_star(family.I), kern, family, noise)

@@ -24,7 +24,7 @@ _EXPORTS = {
     "posterior": ("posterior_moments", "true_belief_moments"),
     "equilibrium": ("Equilibrium", "KyleBenchmark", "equilibrium_demand", "kyle_single_asset",
                     "solve_alpha_star"),
-    "orderflow": ("log_likelihoods", "posterior_weights", "price_schedule",
+    "orderflow": ("cumulative_flow", "log_likelihoods", "posterior_weights", "price_schedule",
                   "simulate_increments"),
     "objective": ("FocReport", "foc_terms", "zero_impact_direction"),
     "analytics": ("derivative_cross_impact", "efficiency_sweep", "impact_surface"),

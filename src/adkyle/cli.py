@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, config_hash, config_model, load_config, with_seed
+from .config import COUNT_LIMIT, RunConfig, config_hash, config_model, load_config, with_seed
 from .kernel import RANK_TOL, build_canonical_kernel, centering_matrix
 from .model import prior_moments
 
@@ -136,12 +136,13 @@ def _write_csvs(tables: dict, processes: int = 1) -> int:
 def _write_tables(outdir: Path, tables: dict) -> int:
     """Write each table to outdir/name; return the number of forked writers (0: serial, README)."""
     tables = {outdir / name: (header, list(columns)) for name, (header, columns) in tables.items()}
-    cells = sum(len(columns) * max(map(len, columns), default=0) for _, columns in tables.values())
+    shapes = [(len(columns), max(map(len, columns), default=0)) for _, columns in tables.values()]
     # fork, as spawned writers would import numpy again; it is safe with no other Python thread
-    if (cells < PARALLEL_MIN_CELLS or threading.active_count() > 1
-            or not hasattr(os, "sched_getaffinity")):
+    if (sum(k * rows for k, rows in shapes) < PARALLEL_MIN_CELLS
+            or threading.active_count() > 1 or not hasattr(os, "sched_getaffinity")):
         return _write_csvs(tables)
-    blocks = sum(1 for _, columns in tables.values() for _ in _blocks(columns))
+    # the blocks _blocks cuts, counted without building one (a lazy column builds per slice)
+    blocks = sum(-(-rows // max(1, CSV_BLOCK_CELLS // max(k, 1))) for k, rows in shapes)
     return _write_csvs(tables, min(len(os.sched_getaffinity(0)), blocks))
 
 
@@ -214,24 +215,23 @@ def cmd_solve(args, cfg: RunConfig):
 
 
 def cmd_simulate(args, cfg: RunConfig):
-    if args.paths < 1:
-        raise ValueError(f"adkyle.cli: --paths must be >= 1, got {args.paths}")
-    from .orderflow import log_likelihoods, posterior_weights, price_schedule, simulate_increments
+    if not 1 <= args.paths <= COUNT_LIMIT:
+        raise ValueError(f"adkyle.cli: --paths must be in [1, 2**40], got {args.paths}")
+    from .orderflow import (log_likelihoods, path_columns, posterior_weights, price_schedule,
+                            simulate_increments)
 
     grid, noise, family, _, _, w_star = _solved(cfg)
     s = _signal(args, family)
 
     # path p is row p of the seed's path-shock stream, so a path's rows do not depend on --paths
-    n_paths, n, I = args.paths, grid.n, family.I
+    n_paths, I = args.paths, family.I
     increments = simulate_increments(w_star[s], noise, grid, cfg.seed, n_paths)
-    y = np.zeros((n_paths, n))
-    np.cumsum(increments, axis=1, out=y[:, 1:])
     log_lik = log_likelihoods(w_star, increments, noise, grid)
     pi = posterior_weights(log_lik)
     price = price_schedule(pi, family)
-    path_id, x = np.repeat(np.arange(n_paths), n), np.tile(grid.nodes, n_paths)
+    path_id, x, y = path_columns(increments, grid.nodes)  # built per CSV block
     tables = {
-        "paths.csv": (["path_id", "x", "y"], [path_id, x, y.ravel()]),
+        "paths.csv": (["path_id", "x", "y"], [path_id, x, y]),
         "pathwise_prices.csv": (["path_id", "x", "price"], [path_id, x, price.ravel()]),
         "pathwise_posterior.csv": (["path_id", "signal", "log_lik", "pi"],
                                    [np.repeat(np.arange(n_paths), I), family.labels * n_paths,

@@ -46,7 +46,43 @@ def simulate_increments(
         raise ValueError(f"{_ERR}: n_paths must be positive")
     shocks = standard_normal_matrix(derive_seed(seed, *PATH_SHOCKS), int(n_paths), grid.n - 1,
                                     PATH_BLOCK_SIZE)
-    return w_row[:-1] * grid.h + noise.sigma[:-1] * math.sqrt(grid.h) * shocks
+    # in place, one (n_paths, n-1) array at a peak: * and + commute, so w h + sigma sqrt(h) shocks
+    shocks *= noise.sigma[:-1] * math.sqrt(grid.h)
+    shocks += w_row[:-1] * grid.h
+    return shocks
+
+
+def cumulative_flow(increments: np.ndarray) -> np.ndarray:
+    """Order-flow levels Y, (k, n) from (k, n-1) increments: 0 at the first node, then sums."""
+    y = np.zeros((increments.shape[0], increments.shape[1] + 1))
+    np.cumsum(increments, axis=1, out=y[:, 1:])
+    return y
+
+
+class PathColumn:
+    """n cells per path for n_paths paths; a step-1 slice builds only its paths, by rows(a, b)."""
+
+    def __init__(self, n_paths: int, n: int, rows):
+        self.n_paths, self.n, self.rows = n_paths, n, rows
+
+    def __len__(self) -> int:
+        return self.n_paths * self.n
+
+    def __getitem__(self, cut: slice) -> np.ndarray:
+        start, stop, step = cut.indices(len(self))
+        if step != 1:
+            raise ValueError(f"{_ERR}: a path column takes step-1 slices only")
+        first, skip = divmod(start, self.n)
+        cells = self.rows(first, max(first, -(-stop // self.n))).reshape(-1)
+        return cells[skip:skip + stop - start]
+
+
+def path_columns(increments: np.ndarray, nodes: np.ndarray) -> tuple[PathColumn, ...]:
+    """Lazy path_id, x and y of increments at n nodes: a slice holds the whole column's bits."""
+    n_paths, n = len(increments), len(nodes)
+    return (PathColumn(n_paths, n, lambda a, b: np.repeat(np.arange(a, b), n)),
+            PathColumn(n_paths, n, lambda a, b: np.tile(nodes, b - a)),
+            PathColumn(n_paths, n, lambda a, b: cumulative_flow(increments[a:b])))
 
 
 def log_likelihoods(

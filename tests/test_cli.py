@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -22,12 +23,14 @@ import adkyle
 import adkyle.cli
 import adkyle.equilibrium
 import adkyle.objective
+import adkyle.orderflow
 from adkyle import centering_matrix, true_belief_moments
 from adkyle.cli import OUTPUT_DIR_ENV, _solved, _write_tables, main
 from adkyle.config import config_model, load_config, parse_config_text, with_seed
 from adkyle._rng import PATH_SHOCKS, derive_seed, standard_normal_matrix
 from adkyle.orderflow import (
     PATH_BLOCK_SIZE,
+    cumulative_flow,
     log_likelihoods,
     posterior_weights,
     price_schedule,
@@ -671,41 +674,84 @@ def test_blocks_hold_at_most_the_cell_budget_or_one_row(k, budget, rows, monkeyp
     assert np.array_equal(np.concatenate([np.stack(block, axis=1) for block in blocks]), table)
 
 
-def test_simulate_csvs_match_per_cell_rendering(cfg_file, tmp_path):
-    # the arrays simulate writes, rebuilt here and rendered cell by cell
-    out = tmp_path / "sim"
-    n_paths, s = 3, 1
-    assert main(["simulate", "-c", str(cfg_file), "-o", str(out),
-                 "--paths", str(n_paths), "--signal", str(s)]) == 0
+def test_simulate_csvs_match_per_cell_rendering(cfg_file, tmp_path, monkeypatch):
+    # the arrays simulate writes, materialized here and rendered cell by cell: 3 paths fit
+    # in one block, while 40 paths in 96-cell blocks are cut inside paths and written by
+    # 1, 2 and 3 processes
     cfg = load_config(cfg_file)
     grid, noise, family, _, _, w_star = _solved(cfg)
-    increments = simulate_increments(w_star[s], noise, grid, cfg.seed, n_paths)
-    y = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(increments, axis=1)], axis=1)
-    log_lik = log_likelihoods(w_star, increments, noise, grid)
-    pi = posterior_weights(log_lik)
-    price = price_schedule(pi, family)
-    path_id, x = np.repeat(np.arange(n_paths), grid.n), np.tile(grid.nodes, n_paths)
-    expected = {
-        "paths.csv": (["path_id", "x", "y"], [path_id, x, y.ravel()]),
-        "pathwise_prices.csv": (["path_id", "x", "price"], [path_id, x, price.ravel()]),
-        "pathwise_posterior.csv": (
-            ["path_id", "signal", "log_lik", "pi"],
-            [np.repeat(np.arange(n_paths), family.I), family.labels * n_paths,
-             log_lik.ravel(), pi.ravel()]),
-    }
-    for name, (header, columns) in expected.items():
-        _per_cell_csv(tmp_path / name, header, columns)
-        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
-    assert (out / "paths.csv").read_bytes().count(b"\r\n") == 1 + n_paths * grid.n
+    s = 1
+    for n_paths, cpus in ((3, None), (40, 1), (40, 2), (40, 3)):
+        out, ref = tmp_path / f"sim_{n_paths}_{cpus}", tmp_path / f"ref_{n_paths}_{cpus}"
+        if cpus is not None:
+            _small_fork_threshold(monkeypatch, cpus=cpus)
+        assert main(["simulate", "-c", str(cfg_file), "-o", str(out),
+                     "--paths", str(n_paths), "--signal", str(s)]) == 0
+        assert _no_child_left()
+        workers = dict(read_rows(out / "manifest.csv")[1:])["write_workers"]
+        assert workers == str(max(0, (cpus or 1) - 1))
+        increments = simulate_increments(w_star[s], noise, grid, cfg.seed, n_paths)
+        y = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(increments, axis=1)], axis=1)
+        log_lik = log_likelihoods(w_star, increments, noise, grid)
+        pi = posterior_weights(log_lik)
+        price = price_schedule(pi, family)
+        path_id, x = np.repeat(np.arange(n_paths), grid.n), np.tile(grid.nodes, n_paths)
+        expected = {
+            "paths.csv": (["path_id", "x", "y"], [path_id, x, y.ravel()]),
+            "pathwise_prices.csv": (["path_id", "x", "price"], [path_id, x, price.ravel()]),
+            "pathwise_posterior.csv": (
+                ["path_id", "signal", "log_lik", "pi"],
+                [np.repeat(np.arange(n_paths), family.I), family.labels * n_paths,
+                 log_lik.ravel(), pi.ravel()]),
+        }
+        ref.mkdir()
+        for name, (header, columns) in expected.items():
+            _per_cell_csv(ref / name, header, columns)
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), (name, n_paths, cpus)
+        assert (out / "paths.csv").read_bytes().count(b"\r\n") == 1 + n_paths * grid.n
 
 
 def test_simulate_rejects_zero_paths(cfg_file, tmp_path, capsys):
-    code = main(["simulate", "-c", str(cfg_file), "-o", str(tmp_path / "sim"), "--paths", "0"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert len([line for line in err.splitlines() if "error:" in line]) == 1
-    assert "--paths" in err
-    assert "Traceback" not in err
+    # --paths is a count like the config's: [1, 2**40], checked before any array is sized
+    for paths in (0, 2**40 + 1, 10**20):
+        code = main(["simulate", "-c", str(cfg_file), "-o", str(tmp_path / "sim"),
+                     "--paths", str(paths)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: adkyle.cli: --paths must be in [1, 2**40], got {paths}\n"
+
+
+def test_simulate_holds_two_path_arrays(tmp_path):
+    # increments and price hold every path; path_id, x and y are built per CSV block
+    wide = tmp_path / "wide.cfg"
+    wide.write_text(FAST_CONFIG.replace("grid.n = 101", "grid.n = 401"))
+    argv = ["simulate", "-c", str(wide), "--signal", "1"]
+    assert main([*argv, "--paths", "1", "-o", str(tmp_path / "warm")]) == 0  # imports, caches
+    n_paths = 2000
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--paths", str(n_paths), "-o", str(tmp_path / "sim")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n_paths * 401 * 8
+
+
+def test_serial_simulate_builds_each_blocks_rows_once(cfg_file, tmp_path, monkeypatch):
+    # one CPU: the writer counts the blocks without building them, then writes them serially
+    built = []
+
+    def counted(increments):
+        built.append(len(increments))
+        return cumulative_flow(increments)
+
+    monkeypatch.setattr(adkyle.orderflow, "cumulative_flow", counted)
+    _small_fork_threshold(monkeypatch, cpus=1)
+    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(tmp_path / "sim")]) == 0
+    # paths.csv's 40 * 101 rows of 3 cells in 32-row blocks, each of at most two paths
+    assert len(built) == -(-40 * 101 // 32)
+    assert sum(built) == sum(len(range(start // 101, -(-min(start + 32, 4040) // 101)))
+                             for start in range(0, 4040, 32))
 
 
 def test_family_narrower_than_the_grid_step_exits_with_code_two(cfg_file, tmp_path, capsys):

@@ -8,7 +8,7 @@ and the exit status.  main alone touches the output directory: it writes the
 tables as plain CSV (never plots, never binary blobs), prints the summary,
 and writes a manifest.csv of tool, Python, numpy and BLAS versions, config
 hash, seed, and wall, compute and write times for provenance; all other
-files are bitwise reproducible from (config, seed).
+files are bitwise reproducible from (config, seed) at a fixed BLAS thread count.
 
 The module level imports only what every subcommand runs (config, model,
 kernel); each handler imports the rest of its own stage, so a call loads, and
@@ -52,11 +52,11 @@ def _cells(column) -> list[str]:
     return [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in column]
 
 
-def _blocks(columns: list):
-    """Row slices of at most CSV_BLOCK_CELLS cells, or of one row if it alone is wider."""
-    rows = max(1, CSV_BLOCK_CELLS // max(len(columns), 1))
-    return ([column[start:start + rows] for column in columns]
-            for start in range(0, max(map(len, columns), default=0), rows))
+def _cuts(columns: list) -> range:
+    """Start rows of a table's blocks, whose row count is the step: at most CSV_BLOCK_CELLS
+    cells, or one row if it alone is wider."""
+    return range(0, max(map(len, columns), default=0),
+                 max(1, CSV_BLOCK_CELLS // max(len(columns), 1)))
 
 
 def _block_cells(block) -> list:
@@ -99,51 +99,49 @@ def _block_text(block) -> str:
     return buf.getvalue()
 
 
-def _write_csvs(tables: dict, processes: int = 1) -> int:
-    """Write {path: (header, columns)} tables block by block; return the number of forked
-    writers.
+def _write_tables(outdir: Path, tables: dict) -> int:
+    """Write each table to outdir/name block by block; return the number of forked writers.
 
-    Block i of all the tables, in order, is formatted by process i % processes: this one
-    for 0 and a forked child (`_forked`, README) for the others.  Every block is written
-    here in order, so a child is at most one block ahead.
+    Block j of all the tables, in order, is formatted by process j % processes (README):
+    this one for 0 and forked child r (`_forked`) for r.  Blocks are written here in order,
+    so a child is at most one block ahead; a block a child did not send is formatted here.
     """
+    tables = {outdir / name: (header, list(columns)) for name, (header, columns) in tables.items()}
+    blocks, cells = [], 0  # (columns, rows) of each block, and the cells of all the tables
+    for _, columns in tables.values():
+        cuts = _cuts(columns)
+        blocks += [(columns, slice(start, start + cuts.step)) for start in cuts]
+        cells += len(columns) * cuts.stop
     encoding = locale.getpreferredencoding(False)  # open()'s default, told to the children
 
-    def encoded(block) -> bytes:
-        return _block_text(block).encode(encoding)
+    def encoded(j: int) -> bytes:
+        columns, rows = blocks[j]
+        return _block_text([column[rows] for column in columns]).encode(encoding)
 
+    processes = 1
+    # fork, as spawned writers would import numpy again; it is safe with no other Python thread
+    if (cells >= PARALLEL_MIN_CELLS and threading.active_count() == 1
+            and hasattr(os, "sched_getaffinity")):
+        processes = min(len(os.sched_getaffinity(0)), len(blocks))
     children = []  # (pid, read end of its pipe) of each forked writer
     try:
         if processes > 1:
             from ._forked import fork_writers, receive
-            fork_writers((block for _, columns in tables.values() for block in _blocks(columns)),
-                         processes, encoded, children)
-        i = 0
+            fork_writers(len(blocks), processes, encoded, children)
+        j = 0
         for path, (header, columns) in tables.items():
             with open(path, "w", newline="", encoding=encoding) as fh:
                 csv.writer(fh).writerow(header)
                 fh.flush()  # the blocks go to fh.buffer
-                for block in _blocks(columns):
-                    rank, i = i % processes, i + 1
-                    fh.buffer.write(receive(children[rank - 1][1]) if rank else encoded(block))
+                for _ in _cuts(columns):
+                    data = receive(children[j % processes - 1][1]) if j % processes else None
+                    fh.buffer.write(encoded(j) if data is None else data)
+                    j += 1
     finally:
         for pid, pipe in children:
             pipe.close()  # a child still writing gets EPIPE and leaves
             os.waitpid(pid, 0)
     return len(children)
-
-
-def _write_tables(outdir: Path, tables: dict) -> int:
-    """Write each table to outdir/name; return the number of forked writers (0: serial, README)."""
-    tables = {outdir / name: (header, list(columns)) for name, (header, columns) in tables.items()}
-    shapes = [(len(columns), max(map(len, columns), default=0)) for _, columns in tables.values()]
-    # fork, as spawned writers would import numpy again; it is safe with no other Python thread
-    if (sum(k * rows for k, rows in shapes) < PARALLEL_MIN_CELLS
-            or threading.active_count() > 1 or not hasattr(os, "sched_getaffinity")):
-        return _write_csvs(tables)
-    # the blocks _blocks cuts, counted without building one (a lazy column builds per slice)
-    blocks = sum(-(-rows // max(1, CSV_BLOCK_CELLS // max(k, 1))) for k, rows in shapes)
-    return _write_csvs(tables, min(len(os.sched_getaffinity(0)), blocks))
 
 
 def _manifest(cfg: RunConfig, command: str, t0: float, times: list[tuple]) -> list[tuple]:

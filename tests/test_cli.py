@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 import warnings
@@ -389,26 +390,25 @@ def test_csv_writer_writes_block_by_block(tmp_path, monkeypatch):
     # nine-cell blocks: ten rows of three columns make three full blocks and a partial
     # one, formatted here in one process, then dealt to this one and one or two children
     monkeypatch.setattr(adkyle.cli, "CSV_BLOCK_CELLS", 9)
+    monkeypatch.setattr(adkyle.cli, "PARALLEL_MIN_CELLS", 0)
     x = np.tile(np.array([0.0, -0.0, 0.1]), 4)[:10]
     tables = {
-        "numeric": (["i", "x", "y"], [np.arange(10), x, np.linspace(-1.0, 1.0, 10)]),
-        "mixed": (["label", "x", "n"], [[f"s,{i}" for i in range(10)], x, list(range(10))]),
+        "numeric.csv": (["i", "x", "y"], [np.arange(10), x, np.linspace(-1.0, 1.0, 10)]),
+        "mixed.csv": (["label", "x", "n"], [[f"s,{i}" for i in range(10)], x, list(range(10))]),
     }
     for name, (header, columns) in tables.items():
-        _per_cell_csv(tmp_path / f"{name}_ref.csv", header, columns)
+        _per_cell_csv(tmp_path / f"ref_{name}", header, columns)
     for processes in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=processes: set(range(n)))
         out = tmp_path / str(processes)
         out.mkdir()
         # both tables in one call: the blocks are dealt across the tables
-        children = adkyle.cli._write_csvs(
-            {out / f"{name}.csv": table for name, table in tables.items()}, processes)
-        assert children == processes - 1
+        assert _write_tables(out, tables) == processes - 1
         for name in tables:
-            assert (out / f"{name}.csv").read_bytes() == (
-                tmp_path / f"{name}_ref.csv").read_bytes()
+            assert (out / name).read_bytes() == (tmp_path / f"ref_{name}").read_bytes()
         for bad in ([np.arange(10), np.arange(7)], [np.arange(10), list(range(7))]):
             with pytest.raises(ValueError):  # unequal columns still fail, in whichever process
-                adkyle.cli._write_csvs({out / "bad.csv": (["a", "b"], bad)}, processes)
+                _write_tables(out, {"bad.csv": (["a", "b"], bad)})
         assert _no_child_left()
 
 
@@ -525,22 +525,25 @@ def _out_of_memory(block):
 
 
 # fault -> (patched _block_text, whether it fires in the children or in this process,
-# which formats a share of the blocks too, and the one error line it must end with; a
-# child's ValueError, here numpy's on paths.csv's x and y, reaches main as its own message,
-# and its MemoryError as main's out-of-memory hint)
+# which formats a share of the blocks too, and the one error line it must end with, or
+# None: a child that fails stops sending, and this process formats the blocks it did not
+# send, so a child's fault costs time, not the run; a fault in the data recurs here)
 FAULTS = {
-    "_unequal_columns": (_unequal_columns, "child",
-                         "error: all input arrays must have the same shape"),
-    "_worker_dies": (_worker_dies, "child", "error: adkyle.cli: a CSV writer process died"),
+    "_unequal_columns": (_unequal_columns, "child", None),
+    "_worker_dies": (_worker_dies, "child", None),
+    "_out_of_memory": (_out_of_memory, "child", None),
     "_parent_fails": (_parent_fails, "parent", "error: adkyle.cli: the parent's share failed"),
-    "_out_of_memory": (_out_of_memory, "child",
-                       "error: adkyle.cli: out of memory; lower grid.n or --paths"),
+    "_parent_out_of_memory": (_out_of_memory, "parent",
+                              "error: adkyle.cli: out of memory; lower grid.n or --paths"),
 }
 
 
 @pytest.mark.parametrize("fault", FAULTS)
-def test_a_failing_csv_worker_ends_with_one_error_line(fault, cfg_file, tmp_path, monkeypatch,
-                                                       capsys):
+def test_only_a_fault_in_this_process_fails_a_forked_write(fault, cfg_file, tmp_path,
+                                                            monkeypatch, capsys):
+    serial = tmp_path / "serial"
+    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(serial)]) == 0
+    capsys.readouterr()
     # fork carries the patched _block_text into the children
     patched, where, line = FAULTS[fault]
     parent = os.getpid()
@@ -552,10 +555,14 @@ def test_a_failing_csv_worker_ends_with_one_error_line(fault, cfg_file, tmp_path
     forked = _forks(monkeypatch)
     _small_fork_threshold(monkeypatch, cpus=2)
     monkeypatch.setattr(adkyle.cli, "_block_text", block_text)
-    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(tmp_path / "sim")]) == 2
+    out = tmp_path / "sim"
+    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(out)]) == (2 if line else 0)
     assert len(forked) == 1
-    assert capsys.readouterr().err == line + "\n"
+    assert capsys.readouterr().err == (line + "\n" if line else "")
     assert _no_child_left()
+    if line is None:
+        for name in ("paths.csv", "pathwise_posterior.csv", "pathwise_prices.csv"):
+            assert (out / name).read_bytes() == (serial / name).read_bytes(), name
 
 
 def _per_cell_csv(path, header, columns):
@@ -668,7 +675,8 @@ def test_blocks_hold_at_most_the_cell_budget_or_one_row(k, budget, rows, monkeyp
         monkeypatch.setattr(adkyle.cli, "CSV_BLOCK_CELLS", budget)
     cap = max(k, adkyle.cli.CSV_BLOCK_CELLS)
     table = np.arange((2 * rows + 1) * k).reshape(-1, k)
-    blocks = list(adkyle.cli._blocks(list(table.T)))
+    cuts = adkyle.cli._cuts(columns := list(table.T))
+    blocks = [[column[start:start + cuts.step] for column in columns] for start in cuts]
     assert [len(block[0]) for block in blocks] == [rows, rows, 1]
     assert all(len(block) * len(block[0]) <= cap for block in blocks)
     assert np.array_equal(np.concatenate([np.stack(block, axis=1) for block in blocks]), table)
@@ -738,8 +746,8 @@ def test_simulate_holds_two_path_arrays(tmp_path):
 
 
 def test_serial_simulate_builds_each_blocks_rows_once(cfg_file, tmp_path, monkeypatch):
-    # one CPU: the writer counts the blocks without building them, then writes them serially
-    built = []
+    # one CPU: the writer cuts the blocks without building them, then writes them serially
+    built = []  # a forked child appends to its own copy: this list holds this process's calls
 
     def counted(increments):
         built.append(len(increments))
@@ -752,6 +760,30 @@ def test_serial_simulate_builds_each_blocks_rows_once(cfg_file, tmp_path, monkey
     assert len(built) == -(-40 * 101 // 32)
     assert sum(built) == sum(len(range(start // 101, -(-min(start + 32, 4040) // 101)))
                              for start in range(0, 4040, 32))
+    # two CPUs: this process builds only its own share, the even blocks of paths.csv
+    built.clear()
+    _small_fork_threshold(monkeypatch, cpus=2)
+    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(tmp_path / "forked")]) == 0
+    assert dict(read_rows(tmp_path / "forked" / "manifest.csv")[1:])["write_workers"] == "1"
+    assert len(built) == len(range(0, -(-40 * 101 // 32), 2))
+    assert _no_child_left()
+
+
+def test_another_python_thread_keeps_the_writer_serial(cfg_file, tmp_path, monkeypatch):
+    # forking while another Python thread runs could copy a lock it holds into the child
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        forked = _forks(monkeypatch)
+        _small_fork_threshold(monkeypatch, cpus=2)
+        assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(tmp_path / "sim")]) == 0
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forked == []
+    assert dict(read_rows(tmp_path / "sim" / "manifest.csv")[1:])["write_workers"] == "0"
 
 
 def test_family_narrower_than_the_grid_step_exits_with_code_two(cfg_file, tmp_path, capsys):
@@ -926,14 +958,17 @@ def test_cli_import_leaves_scipy_unloaded(cfg_file, tmp_path):
     # numpy.polynomial; no subcommand below loads scipy on a mean-shift run, nor OpenSSL's
     # _hashlib (the manifest's config hash is zlib's).  A call loads only what its
     # subcommand runs: the package import loads no submodule, the set-up (cli and the
-    # config) only the modules of every subcommand, and each subcommand none of these
+    # config) only the modules of every subcommand, and each subcommand none of these; a
+    # serial write never loads the forked writers
     setup = {"adkyle", "adkyle.cli", "adkyle.config", "adkyle.kernel", "adkyle.model"}
     unloaded = {
         ("solve",): ("adkyle.objective", "adkyle.options", "adkyle.orderflow", "adkyle._rng",
-                     "numpy.random", "numpy.ma"),
-        ("impact",): ("numpy.ma", "numpy.random", "adkyle.orderflow", "adkyle.options"),
-        ("kernel", "dump"): ("adkyle.equilibrium", "adkyle.analytics"),
-        ("posterior", "probe", "--alpha-bar", "1.0"): ("adkyle.equilibrium", "adkyle.analytics"),
+                     "numpy.random", "numpy.ma", "adkyle._forked"),
+        ("impact",): ("numpy.ma", "numpy.random", "adkyle.orderflow", "adkyle.options",
+                      "adkyle._forked"),
+        ("kernel", "dump"): ("adkyle.equilibrium", "adkyle.analytics", "adkyle._forked"),
+        ("posterior", "probe", "--alpha-bar", "1.0"): ("adkyle.equilibrium", "adkyle.analytics",
+                                                       "adkyle._forked"),
     }
     for argv, absent in unloaded.items():
         script = "\n".join([

@@ -66,9 +66,9 @@ def impact_surface(x_values: np.ndarray, y_values: np.ndarray, w_star: np.ndarra
     the sigma-Gram of the demand rows is alpha^2 Q, so given the truth t the posterior
     q has the canonical law at alpha_bar = alpha and E[Lambda] = a~^T E[C | t] b~, with
     C = diag(q) - q q^T and the columns a~ = eta(x, .), b~ = W(y, .) / sigma(y)^2
-    centred over the atoms (C annihilates constants: centring only spares cancellation).
-    t is uniform unless conditioned_on pins it.  std_errs is the quadrature bound
-    3 QUAD_TOL |a~|_1 |b~|_1.
+    centred over the atoms (C annihilates constants: centring only spares cancellation):
+    posterior_moments' form of E[C | t], O(I) per pair.  t is uniform unless conditioned_on
+    pins it.  std_errs is the quadrature bound 3 QUAD_TOL |a~|_1 |b~|_1.
 
     Raises:
         ValueError: conditioned_on out of range, or a demand whose Gram is not alpha^2 Q.
@@ -82,7 +82,7 @@ def impact_surface(x_values: np.ndarray, y_values: np.ndarray, w_star: np.ndarra
     a, b = family.eta[:, ix], np.asarray(w_star, dtype=float)[:, iy] / np.square(noise.sigma[iy])
     a, b = a - a.mean(axis=0), b - b.mean(axis=0)
     bound = 3.0 * QUAD_TOL * np.outer(np.abs(a).sum(axis=0), np.abs(b).sum(axis=0))
-    return a.T @ posterior_moments(math.sqrt(alpha_sq), I, conditioned_on)[1] @ b, bound
+    return posterior_moments(math.sqrt(alpha_sq), I, conditioned_on)[1](a, b), bound
 
 
 def derivative_cross_impact(

@@ -325,16 +325,16 @@ def cmd_kernel_dump(args, cfg: RunConfig):
 
 
 def cmd_posterior_probe(args, cfg: RunConfig):
-    from .posterior import QUAD_TOL, posterior_moments
+    from .posterior import QUAD_TOL, true_belief_moments
 
     # only I is read; grid and noise are built so that a bad config fails as elsewhere
     I = config_model(cfg)[2].I
     # the truth is index 0; C 1 = 0 makes (Q C Q)_tt = C_tt = E[q_t (1 - q_t)]
-    m1, cov = posterior_moments(args.alpha_bar, I, 0)
-    rows = [("m1", i, v) for i, v in enumerate(m1)]
-    rows += [("qcq_diag", 0, cov[0, 0]), ("quad_tol", 0, QUAD_TOL)]
+    not_true, spread = true_belief_moments(args.alpha_bar, I)
+    rows = [("m1", i, not_true / (I - 1) if i else 1.0 - not_true) for i in range(I)]
+    rows += [("qcq_diag", 0, spread), ("quad_tol", 0, QUAD_TOL)]
     tables = {"posterior_probe.csv": (["quantity", "index", "value"], zip(*rows))}
-    return tables, f"posterior probe: alpha_bar={args.alpha_bar} I={I} m1_true={m1[0]:.6f}", 0
+    return tables, f"posterior probe: alpha_bar={args.alpha_bar} I={I} m1_true={rows[0][2]:.6f}", 0
 
 
 def build_parser() -> argparse.ArgumentParser:

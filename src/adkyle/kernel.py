@@ -67,8 +67,11 @@ def fit_scale(M: np.ndarray) -> tuple[float, float, bool]:
     """Fit cQ to a centred I x I Gram M: c = trace(M) / (I - 1), gap = max|M - cQ| and
     whether gap <= EXCHANGEABILITY_TOL * c (a NaN fails).  The test is relative, so
     rescaling the noise does not change the verdict."""
-    c = float(np.trace(M)) / (len(M) - 1)
-    gap = float(np.abs(M - c * centering_matrix(len(M))).max())
+    I = len(M)
+    c = float(np.trace(M)) / (I - 1)
+    dev = M + c * (1.0 / I)  # M - cQ, without forming cQ
+    np.fill_diagonal(dev, np.diag(M) - c * (1.0 - 1.0 / I))
+    gap = float(np.abs(dev).max())
     return c, gap, bool(gap <= EXCHANGEABILITY_TOL * c)
 
 

@@ -72,7 +72,7 @@ def foc_terms(
 
     The insider with signal t trades W = w_star[t], and the market maker prices with
     w_star (I x n), whose sigma-Gram alpha^2 Q gives the posterior the canonical law at
-    alpha: posterior_moments gives its E[q | t] and E[C | t].
+    alpha: posterior_moments gives its E[q | t] and the form of E[C | t], one O(I k) call.
     directions is a stack (k, n), giving one report per row.  phi_residual is Phi at the
     root w_star was built from (0 for an exact root).
 
@@ -112,10 +112,10 @@ def foc_terms(
     coarse, fine = ((J[:, 0::2] - J[:, 1::2]) / (2.0 * steps[:, 0::2])).T
 
     reports = []
-    for v_k, d_k, e, c, f in zip(v, d, eps, coarse, fine):
+    for v_k, d_k, impact, e, c, f in zip(v, d, cov(eta_w, d.T).tolist(), eps, coarse, fine):
         trade_v = gw * v_k
         eta_v = eta @ trade_v
-        payoff, ad, impact = float(trade_v @ eta_t), float(belief @ eta_v), float(eta_w @ cov @ d_k)
+        payoff, ad = float(trade_v @ eta_t), float(belief @ eta_v)
         analytic = payoff - ad - impact
         # each E[q] entry is within QUAD_TOL and each E[C] entry within 3 QUAD_TOL; a Gram
         # gap moves the mean logits by at most 1.5 gap and their covariance by gap; and the

@@ -9,9 +9,9 @@ effective signal-to-noise number alpha_bar:
 
 where Q is the centering projector.  The fixed-point residual and the
 information efficiency depend on the true-signal entry q_t alone, and
-true_belief_moments integrates them (no draw, no seed) on lines that calls at
-several I can share, and the solver roots them.  posterior_moments integrates
-E[q | t] and E[C | t] on the same rule for `posterior probe`, the FOC and the impact.
+true_belief_moments integrates them (no draw, no seed) on lines that calls at several I
+can share, for the solver and `posterior probe`.  posterior_moments integrates E[q | t]
+and the bilinear form of E[C | t], never the I x I matrix, for the FOC and the impact.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .kernel import centering_matrix
 
 _ERR = "adkyle.posterior"
 
@@ -126,32 +124,36 @@ def true_belief_moments(alpha_bar: float, I: int,
     return float(f @ m0), float(f @ m1)
 
 
-def posterior_moments(alpha_bar: float, I: int,
-                      true_index: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(E[q | t], E[C | t]), C = diag(q) - q q^T, of the canonical posterior given the truth t.
+def posterior_moments(alpha_bar: float, I: int, true_index: int | None = None) -> tuple:
+    """(E[q | t], cov), cov(a, b) = a^T E[C | t] b for C = diag(q) - q q^T of the canonical
+    posterior given the truth t, and columns a, b: (I,) or stacks (I, m), in O(I m).
 
     Three quadrature numbers fix both: true_belief_moments' E[1 - q_t] and B = E[q_t (1 - q_t)],
     and E[q_j^2] = int M_0 G L^(I-2) dr for a rival j, with E[q_j] = E[1 - q_t] / (I-1).
     C_tt = B, C_tj = -B / (I-1), C_jj = E[q_j] - E[q_j^2] and, as rows sum to 0,
-    C_jk = -(C_jj - B / (I-1)) / (I-2).  With true_index None, the means over a uniform t:
-    1/I and kappa Q, kappa = B / (I-1) + C_jj.  Each E[q] entry is within QUAD_TOL and each
-    E[C] entry within 3 QUAD_TOL.
+    C_jk = -(C_jj + C_tj) / (I-2), or 0 at I = 2.  So E[C | t] = d Q + s u u^T, u = Q e_t, with
+    d = C_jj - C_jk and s = B - C_jj - 2 (C_tj - C_jk): cov(a, b) = d a~^T b~ + s a~_t b~_t for
+    the centred a~, b~.  With true_index None, the means over a uniform t: 1/I and kappa Q,
+    kappa = B / (I-1) + C_jj.  Each E[q] entry is within QUAD_TOL and each E[C] within 3 QUAD_TOL.
     """
     if true_index is not None and not 0 <= true_index < I:
         raise ValueError(f"{_ERR}: true_index {true_index} out of range for I={I}")
     m0, m1, (f, f_sq) = _weigh(_truth_lines(alpha_bar, rival_square=True), I)
-    not_true, b = float(f @ m0), float(f @ m1)
-    c_tj = -b / (I - 1)
+    not_true, spread = float(f @ m0), float(f @ m1)
+    c_tj = -spread / (I - 1)
     c_jj = not_true / (I - 1) - float(f_sq @ m0)
-    if true_index is None:
-        return np.full(I, 1.0 / I), (b / (I - 1) + c_jj) * centering_matrix(I)
-    mean = np.full(I, not_true / (I - 1))
-    mean[true_index] = 1.0 - not_true
-    c = np.full((I, I), -(c_jj + c_tj) / (I - 2) if I > 2 else 0.0)
-    np.fill_diagonal(c, c_jj)
-    c[true_index, :] = c[:, true_index] = c_tj
-    c[true_index, true_index] = b
-    return mean, c
+    c_jk = -(c_jj + c_tj) / (I - 2) if I > 2 else 0.0
+    if true_index is None:  # kappa Q: d = kappa, s = 0
+        mean, t, d, s = np.full(I, 1.0 / I), 0, spread / (I - 1) + c_jj, 0.0
+    else:
+        t, d, s = true_index, c_jj - c_jk, spread - c_jj - 2.0 * (c_tj - c_jk)
+        mean = np.where(np.arange(I) == t, 1.0 - not_true, not_true / (I - 1))
+
+    def cov(a: np.ndarray, b: np.ndarray):
+        a, b = a - a.mean(axis=0), b - b.mean(axis=0)
+        return d * (a.T @ b) + s * np.multiply.outer(a[t], b[t])
+
+    return mean, cov
 
 
 def softmax_mean(alpha_bar: float, mu: np.ndarray) -> np.ndarray:

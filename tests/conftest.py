@@ -2,8 +2,8 @@
 
 The shared pieces (the solve, demand assembly) are session-scoped so the
 suite pays for them once.  Also the test-only oracles: the binary Gauss-Hermite
-moments, Monte Carlo draws and moments of the canonical posterior, the
-order-flow path estimators of the impact kernel, the insider's expected utility
+moments, Monte Carlo draws and moments of the canonical posterior, its dense E[C | t],
+the order-flow path estimators of the impact kernel, the insider's expected utility
 and its first-order terms, the option strip's legs from pairwise payoffs, the path
 shocks simulate_increments draws, and a counter of random-block generators.
 SUBCOMMANDS lists the eight CLI subcommands, each with the flags it needs.
@@ -31,7 +31,7 @@ from adkyle._rng import PATH_SHOCKS, derive_seed, standard_normal_matrix
 from adkyle.kernel import centering_matrix
 from adkyle.model import weighted_inner_product
 from adkyle.orderflow import LOG_LIK_SPREAD_MAX, PATH_BLOCK_SIZE, posterior_weights
-from adkyle.posterior import _check_alpha_bar
+from adkyle.posterior import _check_alpha_bar, _truth_lines, _weigh
 
 # Exact fixed point of the binary moment equation: the scaled-posterior map
 # for two signals is stationary at sqrt(2).
@@ -351,6 +351,25 @@ def moments_from_noise(alpha_bar, true_index, noise):
     Q = centering_matrix(len(m1))
     qcq = Q @ (np.diag(m1) - q.T @ q / len(q)) @ Q
     return m1, float(qcq[true_index, true_index]), q.std(axis=0, ddof=1) / math.sqrt(len(q))
+
+
+def dense_posterior_covariance(alpha_bar, I, true_index=None):
+    """E[C | t] of the canonical posterior as an I x I matrix, entry by entry from the three
+    quadrature numbers of posterior_moments; kappa Q with true_index None.  The reference
+    for its bilinear form: rows sum to 0 and the rivals are exchangeable, so C_tt = B,
+    C_tj = -B / (I-1), C_jj = E[q_j] - E[q_j^2] and C_jk = -(C_jj + C_tj) / (I-2).
+    """
+    m0, m1, (f, f_sq) = _weigh(_truth_lines(alpha_bar, rival_square=True), I)
+    not_true, b = float(f @ m0), float(f @ m1)
+    c_tj = -b / (I - 1)
+    c_jj = not_true / (I - 1) - float(f_sq @ m0)
+    if true_index is None:
+        return (b / (I - 1) + c_jj) * centering_matrix(I)
+    c = np.full((I, I), -(c_jj + c_tj) / (I - 2) if I > 2 else 0.0)
+    np.fill_diagonal(c, c_jj)
+    c[true_index, :] = c[:, true_index] = c_tj
+    c[true_index, true_index] = b
+    return c
 
 
 def strip_legs_oracle(strip, grid):

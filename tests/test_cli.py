@@ -985,6 +985,11 @@ def test_cli_import_leaves_scipy_unloaded(cfg_file, tmp_path):
         ])
         proc = _run_python(["-c", script])
         assert proc.returncode == 0, (argv, proc.stderr)
+    # the posterior is a leaf: it imports no other adkyle module
+    script = ("import sys, adkyle.posterior; sys.exit(' '.join(m for m in "
+              "('adkyle.kernel', 'adkyle.model') if m in sys.modules) or None)")
+    proc = _run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_import_and_config_load_leave_the_pool_modules_unloaded(cfg_file, tmp_path):

@@ -49,7 +49,8 @@ def quadrature_phi(alpha_bar, I):
 def rival_square(alpha_bar, I):
     """E[q_j^2] for a rival j, read off E[C | t = 0] by C_jj = E[q_j] - E[q_j^2]."""
     mean, cov = posterior_moments(alpha_bar, I, 0)
-    return mean[1] - cov[1, 1]
+    e_j = np.eye(I)[1]
+    return mean[1] - cov(e_j, e_j)
 
 
 def mc_phi(alpha_bar, noise):
@@ -279,7 +280,7 @@ def test_demand_is_the_insiders_best_response(name):
     for v in (family.eta[0], zero_impact_direction(noise, grid)):
         trade_v = grid.quad_weights * v
         d = np.array([weighted_inner_product(v, row, noise, grid) for row in w_star])
-        residual = trade_v @ family.eta[0] - belief @ (family.eta @ trade_v) - eta_w @ cov @ d
+        residual = trade_v @ family.eta[0] - belief @ (family.eta @ trade_v) - cov(eta_w, d)
         assert abs(residual) <= BEST_RESPONSE_TOL
 
 

@@ -1,5 +1,7 @@
 """The posterior quadrature, its Monte Carlo and Gauss-Hermite oracles, and the seed streams."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ import adkyle.posterior
 from adkyle._rng import block_generator, derive_seed, standard_normal_matrix
 from adkyle.config import MIN_MOMENT_SAMPLES, parse_config_text
 from conftest import (FLOW_STATISTIC, MC_BLOCK_ROWS, MIN_QUAD_NODES, binary_moments_quadrature,
-                      moments_from_noise, sample_posterior, softmax, true_belief)
+                      dense_posterior_covariance, moments_from_noise, sample_posterior, softmax,
+                      true_belief)
 
 SOFTMAX_TOLERANCE = 1e-15
 QUAD_TOLERANCE = 1e-12
@@ -122,10 +125,13 @@ def test_monte_carlo_moments_agree_with_quadrature():
 @pytest.mark.parametrize("I,true_index", [(2, 1), (3, 0), (4, 2), (8, 5)])
 def test_posterior_covariance_matches_canonical_draws(I, true_index):
     # every entry of E[q | t] and E[C | t] within 3 SE of the means of q and diag(q) - q q^T
-    # over draws; E[q_t] and C_tt are 1 - E[1 - q_t] and B of true_belief_moments bit for
-    # bit, and the means over t are the unconditioned 1/I and kappa Q
+    # over draws; E[q_t] is 1 - E[1 - q_t] of true_belief_moments bit for bit, and C_tt is
+    # its B to 4 ulp (the form recomputes it from d and s), and the means over t are the
+    # unconditioned 1/I and kappa Q
     alpha_bar = 1.6
-    belief, cov = posterior_moments(alpha_bar, I, true_index)
+    eye = np.eye(I)
+    belief, form = posterior_moments(alpha_bar, I, true_index)
+    cov = form(eye, eye)
     xi = standard_normal_matrix(4, MOMENT_SAMPLES, I, MC_BLOCK_ROWS)
     _, q = sample_posterior(alpha_bar, I, true_index, xi)
     per_draw = q[:, :, None] * (np.eye(I) - q[:, None, :])
@@ -133,12 +139,49 @@ def test_posterior_covariance_matches_canonical_draws(I, true_index):
         se = draws.std(axis=0, ddof=1) / np.sqrt(MOMENT_SAMPLES)
         assert np.all(np.abs(moment - draws.mean(axis=0)) <= 3.0 * se)
     not_true, spread = true_belief_moments(alpha_bar, I)
-    assert (belief[true_index], cov[true_index, true_index]) == (1.0 - not_true, spread)
+    assert belief[true_index] == 1.0 - not_true
+    assert abs(cov[true_index, true_index] - spread) <= 4.0 * np.spacing(spread)
     assert np.abs(cov.sum(axis=1)).max() <= 1e-15 and np.array_equal(cov, cov.T)
-    means = [np.mean(m, axis=0) for m in zip(*(posterior_moments(alpha_bar, I, t)
-                                                for t in range(I)))]
-    for unconditioned, mean in zip(posterior_moments(alpha_bar, I), means):
-        np.testing.assert_allclose(unconditioned, mean, rtol=0, atol=1e-15)
+    dense = [(m, c(eye, eye)) for m, c in (posterior_moments(alpha_bar, I, t) for t in range(I))]
+    means = [np.mean(m, axis=0) for m in zip(*dense)]
+    unconditioned, form = posterior_moments(alpha_bar, I)
+    for moment, mean in zip((unconditioned, form(eye, eye)), means):
+        np.testing.assert_allclose(moment, mean, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("I", [2, 3, 16, 512])
+def test_covariance_form_matches_the_dense_matrix(I):
+    # a^T E[C | t] b from the form against the dense matrix on random (I, m) stacks, for
+    # every truth up to I = 16, three at I = 512, and none; a column and a stack agree too
+    rng = np.random.default_rng(I)
+    a, b = rng.standard_normal((I, 5)), rng.standard_normal((I, 3))
+    a_c, b_c = a - a.mean(axis=0), b - b.mean(axis=0)
+    norms = np.outer(np.abs(a).sum(axis=0), np.abs(b).sum(axis=0))
+    for alpha_bar in (0.3, 1.3, 3.0):
+        for t in (None, *(range(I) if I <= 16 else (0, 1, I - 1))):
+            dense = dense_posterior_covariance(alpha_bar, I, t)
+            _, cov = posterior_moments(alpha_bar, I, t)
+            form = cov(a, b)
+            bound = 8.0 * np.finfo(float).eps * np.abs(dense).max() * norms
+            assert form.shape == (5, 3) and np.all(np.abs(form - a_c.T @ dense @ b_c) <= bound)
+            for got, want in ((cov(a[:, 0], b), form[0]), (cov(a[:, 1], b[:, 2]), form[1, 2])):
+                assert np.shape(got) == np.shape(want)
+                np.testing.assert_allclose(got, want, rtol=0, atol=bound.max())
+
+
+def test_covariance_form_memory_is_linear_in_I():
+    # E[C | t] at I = 16,384 would take 2 GiB; the moments and the form on (I, 41) stacks
+    # stay within a few of those stacks (5.4 MB each)
+    I = 16_384
+    a, b = np.random.default_rng(0).standard_normal((2, I, 41))
+    tracemalloc.start()
+    try:
+        _, cov = posterior_moments(1.3, I, 0)
+        assert cov(a, b).shape == (41, 41)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 @pytest.mark.parametrize("alpha_bar", [0.0, 0.3, 1.6, 3.5])

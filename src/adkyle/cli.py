@@ -8,7 +8,7 @@ and the exit status.  main alone touches the output directory: it writes the
 tables as plain CSV (never plots, never binary blobs), prints the summary,
 and writes a manifest.csv of tool, Python, numpy and BLAS versions, config
 hash, seed, and wall, compute and write times for provenance; all other
-files are bitwise reproducible from (config, seed) at a fixed BLAS thread count.
+files are bitwise reproducible from (config, seed).
 
 The module level imports only what every subcommand runs (config, model,
 kernel); each handler imports the rest of its own stage, so a call loads, and
@@ -29,6 +29,10 @@ import time
 from dataclasses import astuple, fields
 from datetime import datetime, timezone
 from pathlib import Path
+
+# one BLAS thread, set before numpy loads: a thread count splits a product's sums
+# differently, and the CSV bytes must not depend on it (nor on the caller's setting)
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 import numpy as np
 

@@ -190,6 +190,12 @@ def _normal_pdf(z: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * np.square(z)) / math.sqrt(2.0 * math.pi)
 
 
+def _normal_cdf(v: np.ndarray) -> np.ndarray:
+    # Phi(v) = erfc(-v / sqrt(2)) / 2 from the standard library, since numpy has no erf; an
+    # infinite v (an overflowing shape * z) gives exactly 0 or 1
+    return 0.5 * np.frompyfunc(math.erfc, 1, 1)(-v / math.sqrt(2.0)).astype(float)
+
+
 def normalized_family(rows: np.ndarray, grid: StateGrid) -> PayoffFamily:
     """The family of I >= 2 nonnegative rows of the grid's n node values, each scaled to
     mass 1 under quad_weights; a row with no finite, positive mass is an error."""
@@ -220,7 +226,8 @@ def make_payoff_family(kind: str, params: dict, grid: StateGrid) -> PayoffFamily
             scale are moment-matched per row so each component has zero mean and
             unit variance before truncation (so it needs h <= 1):
             delta = a/sqrt(1+a^2), omega = 1/sqrt(1 - 2 delta^2/pi),
-            xi = -omega delta sqrt(2/pi).
+            xi = -omega delta sqrt(2/pi).  The row is 2/omega phi(z) Phi(a z) with
+            z = (x - xi)/omega, and Phi(v) = erfc(-v/sqrt(2))/2 from math.erfc.
 
     Rows are truncated to [x_min, x_max] and go through normalized_family, as rows
     of the caller's own do, so each integrates to 1 under quad_weights.  A
@@ -236,7 +243,6 @@ def make_payoff_family(kind: str, params: dict, grid: StateGrid) -> PayoffFamily
     if len(params[FAMILY_PARAMS[kind][0]]) < 2:
         raise ValueError(f"{_ERR}: need at least two signals")
     if kind == "skew_normal":
-        from scipy.special import ndtr  # only this family needs scipy; start-up skips it
         shapes = [float(a) for a in params["shapes"]]
         deltas = [a / math.hypot(1.0, a) for a in shapes]  # a * a overflows past |a| ~ 1.3e154
         scales = [1.0 / math.sqrt(1.0 - 2.0 * d * d / math.pi) for d in deltas]
@@ -261,6 +267,6 @@ def make_payoff_family(kind: str, params: dict, grid: StateGrid) -> PayoffFamily
     x, rows = grid.nodes, []
     for i, (m, s) in enumerate(zip(locs, scales)):  # row by row: no I x n arithmetic temporary
         z = (x - m) / s
-        rows.append(2.0 / s * _normal_pdf(z) * ndtr(shapes[i] * z) if kind == "skew_normal"
+        rows.append(2.0 / s * _normal_pdf(z) * _normal_cdf(shapes[i] * z) if kind == "skew_normal"
                     else _normal_pdf(z) / s)
     return normalized_family(np.stack(rows), grid)

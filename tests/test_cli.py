@@ -940,10 +940,11 @@ def test_out_of_memory_exits_with_code_two(cfg_file, tmp_path, capsys, monkeypat
     assert "n_samples" not in err and "n_paths" not in err  # the keys size no allocation
 
 
-def _run_python(argv, **kwargs):
-    """A fresh interpreter with this checkout's adkyle on the path and one BLAS thread."""
+def _run_python(argv, env=None, **kwargs):
+    """A fresh interpreter with this checkout's adkyle on the path and one BLAS thread; the
+    variables in env, if any, override these."""
     env = dict(os.environ, PYTHONPATH=str(Path(adkyle.__file__).resolve().parents[1]),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1") | (env or {})
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
                           **kwargs)
 
@@ -954,12 +955,12 @@ def _limit_address_space():
 
 
 def test_cli_import_leaves_scipy_unloaded(cfg_file, tmp_path):
-    # scipy serves only the skew-normal family, and no start-up path needs
-    # numpy.polynomial; no subcommand below loads scipy on a mean-shift run, nor OpenSSL's
-    # _hashlib (the manifest's config hash is zlib's).  A call loads only what its
-    # subcommand runs: the package import loads no submodule, the set-up (cli and the
-    # config) only the modules of every subcommand, and each subcommand none of these; a
-    # serial write never loads the forked writers
+    # the package needs no scipy (the skew-normal Phi is math.erfc's), and no start-up path
+    # needs numpy.polynomial; no subcommand below loads scipy, on a mean-shift run or a
+    # skew-normal one, nor OpenSSL's _hashlib (the manifest's config hash is zlib's).  A
+    # call loads only what its subcommand runs: the package import loads no submodule, the
+    # set-up (cli and the config) only the modules of every subcommand, and each subcommand
+    # none of these; a serial write never loads the forked writers
     setup = {"adkyle", "adkyle.cli", "adkyle.config", "adkyle.kernel", "adkyle.model"}
     unloaded = {
         ("solve",): ("adkyle.objective", "adkyle.options", "adkyle.orderflow", "adkyle._rng",
@@ -970,26 +971,53 @@ def test_cli_import_leaves_scipy_unloaded(cfg_file, tmp_path):
         ("posterior", "probe", "--alpha-bar", "1.0"): ("adkyle.equilibrium", "adkyle.analytics",
                                                        "adkyle._forked"),
     }
-    for argv, absent in unloaded.items():
+    skew = tmp_path / "skew.cfg"
+    skew.write_text(FAST_CONFIG + "family.kind = skew_normal\nfamily.shapes = 4, -4\n")
+    cases = [(cfg_file, argv, absent) for argv, absent in unloaded.items()]
+    cases += [(skew, argv, unloaded[argv]) for argv in [("solve",), ("kernel", "dump")]]
+    for cfg, argv, absent in cases:
         script = "\n".join([
             "import sys, adkyle",
             "loaded = [m for m in sys.modules if m.startswith('adkyle.')]",
             "import adkyle.cli",
             "from adkyle.config import load_config",
-            f"load_config({str(cfg_file)!r})",
+            f"load_config({str(cfg)!r})",
             f"loaded += sorted({{m for m in sys.modules if m.startswith('adkyle')}} ^ {setup!r})",
             "loaded += [m for m in ('scipy', 'numpy.polynomial') if m in sys.modules]",
-            f"assert adkyle.cli.main({[*argv, '-c', str(cfg_file), '-o', str(tmp_path)]!r}) == 0",
+            f"assert adkyle.cli.main({[*argv, '-c', str(cfg), '-o', str(tmp_path)]!r}) == 0",
             f"loaded += [m for m in ('scipy', '_hashlib', *{absent!r}) if m in sys.modules]",
             "sys.exit(' '.join(loaded) or None)",
         ])
         proc = _run_python(["-c", script])
-        assert proc.returncode == 0, (argv, proc.stderr)
+        assert proc.returncode == 0, (cfg.name, argv, proc.stderr)
     # the posterior is a leaf: it imports no other adkyle module
     script = ("import sys, adkyle.posterior; sys.exit(' '.join(m for m in "
               "('adkyle.kernel', 'adkyle.model') if m in sys.modules) or None)")
     proc = _run_python(["-c", script])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a product across threads above a size threshold, and the split changes
+    # the order of its sums.  Without cli's one-thread pin, a seed-7 run of 700 paths wrote
+    # other pathwise_prices.csv and pathwise_posterior.csv bytes under 2 threads than
+    # under 1 (seen on a 2-CPU host; on one CPU the two runs cannot differ).  The pin
+    # overrides the caller's own setting
+    cfg = tmp_path / "seed7.cfg"
+    cfg.write_text(FAST_CONFIG.replace("grid.n = 101", "grid.n = 401")
+                   .replace("mc.seed = 3", "mc.seed = 7"))
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = _run_python(["-m", "adkyle.cli", "simulate", "--paths", "700", "-c", str(cfg),
+                            "-o", str(out)],
+                           env=dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                              "MKL_NUM_THREADS"), threads))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        files.append({p.name: p.read_bytes() for p in out.glob("*.csv")
+                      if p.name != "manifest.csv"})
+    assert sorted(files[0]) == ["paths.csv", "pathwise_posterior.csv", "pathwise_prices.csv"]
+    assert [name for name in files[0] if files[0][name] != files[1].get(name)] == []
 
 
 def test_cli_import_and_config_load_leave_the_pool_modules_unloaded(cfg_file, tmp_path):

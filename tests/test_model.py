@@ -17,7 +17,7 @@ from adkyle import (
     prior_mixture,
     weighted_inner_product,
 )
-from adkyle.model import FAMILY_PARAMS
+from adkyle.model import FAMILY_PARAMS, _normal_cdf
 
 VECTOR_LENGTH = 41
 ABS_TOLERANCE = 1e-12
@@ -214,6 +214,25 @@ def test_skew_shapes_past_the_square_overflow_keep_the_moment_match(grid):
     np.testing.assert_array_equal(far.eta, near.eta)
 
 
+def test_normal_cdf_agrees_with_scipy_ndtr():
+    # the skew rows' Phi is erfc(-v / sqrt(2)) / 2 from math.erfc; scipy's ndtr is an
+    # independent implementation of the same function.  Both round differently (in the far
+    # tail each is off by up to about 2,000 ulps), so the gap is bounded, not zero: 8e-15
+    # relative (36 ulps) in the body, 1e-12 relative down to 1e-300, and below that both are
+    # within 1e-300 of 0.  The ends are exact
+    from scipy.special import ndtr
+
+    v = np.linspace(-40.0, 10.0, 500_001)
+    phi, ref = _normal_cdf(v), ndtr(v)
+    assert phi.dtype == np.float64 and np.all((phi >= 0.0) & (phi <= 1.0))
+    body, tail = ref > 1e-5, ref > 1e-300
+    assert np.max(np.abs(phi[body] - ref[body]) / ref[body]) <= 8e-15
+    assert np.max(np.abs(phi[tail] - ref[tail]) / ref[tail]) <= 1e-12
+    assert np.max(phi[~tail]) <= 1e-300
+    np.testing.assert_array_equal(_normal_cdf(np.array([-np.inf, 0.0, np.inf, np.nan])),
+                                  [0.0, 0.5, 1.0, np.nan])
+
+
 def test_tabulated_family_round_trip(grid):
     base = make_payoff_family("gaussian_mean_shift", {"means": [-1.0, 1.0], "sd": 1.0}, grid)
     fam = normalized_family(base.eta, grid)
@@ -277,9 +296,8 @@ def test_family_argument_errors(grid):
 
 def _reference_family(kind, params, grid):
     """Each kind's own branch of the family builder, one row per component: eta, or the
-    text of the first error."""
-    from scipy.special import ndtr
-
+    text of the first error.  The skew rows take the library's Phi, which
+    test_normal_cdf_agrees_with_scipy_ndtr checks, so the comparison stays bitwise."""
     x, midpoint, span = grid.nodes, 0.5 * (grid.x_min + grid.x_max), grid.x_max - grid.x_min
 
     def pdf(z):
@@ -323,7 +341,7 @@ def _reference_family(kind, params, grid):
                 xi = -omega * delta * math.sqrt(2.0 / math.pi)
                 check_mean(xi)
                 z = (x - xi) / omega
-                rows.append(2.0 / omega * pdf(z) * ndtr(a * z))
+                rows.append(2.0 / omega * pdf(z) * _normal_cdf(a * z))
             rows = np.stack(rows)
         masses = rows @ grid.quad_weights
         if not np.all((masses > 0.0) & (masses < math.inf)):

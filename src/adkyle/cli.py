@@ -18,8 +18,6 @@ without bytecode caching compiles, only the code of its subcommand.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import locale
 import math
 import os
@@ -44,6 +42,7 @@ from .model import prior_moments
 OUTPUT_DIR_ENV = "ADKYLE_OUTPUT_DIR"
 CSV_BLOCK_CELLS = 1 << 14  # cells formatted per write and per forked writer: bounds the text
 PARALLEL_MIN_CELLS = 1 << 17  # cells from which forked writers pay off (README)
+SHORTEST_MIN_VALUES = 2048  # distinct values from which numpy prints a dtype group (README)
 
 
 def _numeric(column) -> bool:
@@ -52,8 +51,11 @@ def _numeric(column) -> bool:
 
 
 def _cells(column) -> list[str]:
-    """Text of a column that is not a numeric array: repr for floats, str otherwise."""
-    return [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in column]
+    """Text of a column that is not a numeric array: repr for floats, str otherwise; a
+    field with a comma, a quote or a line break is quoted, its quotes doubled (csv's rule)."""
+    text = [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in column]
+    return ['"' + t.replace('"', '""') + '"' if '"' in t or "," in t or "\n" in t or "\r" in t
+            else t for t in text]
 
 
 def _cuts(columns: list) -> range:
@@ -63,44 +65,38 @@ def _cuts(columns: list) -> range:
                  max(1, CSV_BLOCK_CELLS // max(len(columns), 1)))
 
 
-def _block_cells(block) -> list:
-    """Text of each column of a block: repr for floats (round-trips exactly), str otherwise.
-
-    The numeric arrays of one dtype are stacked and formatted once per distinct bit
-    pattern (bits, not values: 0.0 and -0.0 print differently), so a value in several
-    columns prints once.
-    """
-    cells = [None if _numeric(column) else _cells(column) for column in block]
-    by_dtype = {}
+def _block_text(block) -> str | bytes:
+    """CSV text of one block of equal-length columns (README's text contract): repr for
+    floats, str otherwise, each distinct bit pattern of a dtype once (0.0 and -0.0 differ),
+    so a value in several columns prints once.  A block of numeric arrays only, one of whose
+    groups has SHORTEST_MIN_VALUES or more, is printed by `_shortest`, as ASCII bytes."""
+    by_dtype, groups = {}, []  # groups: (columns, distinct values, each column's indices)
     for j, column in enumerate(block):
-        if cells[j] is None:
+        if _numeric(column):
             by_dtype.setdefault(column.dtype, []).append(j)
     for js in by_dtype.values():
         # raises ValueError on unequal lengths; the stack may swap the byte order
         stacked = np.stack([block[j] for j in js])
-        dtype, shape = stacked.dtype, stacked.shape
-        bits, inverse = np.unique(stacked.view(f"u{dtype.itemsize}"), return_inverse=True)
+        bits, inverse = np.unique(stacked.view(f"u{stacked.itemsize}"), return_inverse=True)
+        groups.append((js, bits.view(stacked.dtype), inverse.reshape(stacked.shape)))
         del stacked  # only the cell texts outlive the pass (peak memory)
-        text = repr if dtype.kind == "f" else str
-        distinct = np.array(list(map(text, bits.view(dtype).tolist())), dtype=object)
-        del bits
-        for j, column in zip(js, inverse.reshape(shape)):
+    if all(map(_numeric, block)) and max(len(group[1]) for group in groups) >= SHORTEST_MIN_VALUES:
+        from ._shortest import rows
+        return rows(len(block), groups)
+    cells = [None if _numeric(column) else _cells(column) for column in block]
+    for js, values, inverse in groups:
+        text = repr if values.dtype.kind == "f" else str
+        distinct = np.array(list(map(text, values.tolist())), dtype=object)
+        for j, column in zip(js, inverse):
             cells[j] = distinct[column].tolist()
-    return cells
-
-
-def _block_text(block) -> str:
-    """CSV text of one block of equal-length columns; rows of numeric arrays need no quoting."""
-    cells = _block_cells(block)
-    if all(map(_numeric, block)):
-        n, k = len(cells[0]), len(cells)
-        text = [","] * (2 * k * n)
-        for j, column in enumerate(cells):
-            text[2 * j::2 * k] = column  # raises ValueError on a column of another length
-        text[2 * k - 1::2 * k] = ["\r\n"] * n
-        return "".join(text)
-    csv.writer(buf := io.StringIO()).writerows(zip(*cells, strict=True))
-    return buf.getvalue()
+    n, k = len(cells[0]), len(cells)
+    if k == 1:  # csv writes a row's only field as "" when it is empty
+        cells = [[t or '""' for t in cells[0]]]
+    text = [","] * (2 * k * n)
+    for j, column in enumerate(cells):
+        text[2 * j::2 * k] = column  # raises ValueError on a column of another length
+    text[2 * k - 1::2 * k] = ["\r\n"] * n
+    return "".join(text)
 
 
 def _write_tables(outdir: Path, tables: dict) -> int:
@@ -116,11 +112,12 @@ def _write_tables(outdir: Path, tables: dict) -> int:
         cuts = _cuts(columns)
         blocks += [(columns, slice(start, start + cuts.step)) for start in cuts]
         cells += len(columns) * cuts.stop
-    encoding = locale.getpreferredencoding(False)  # open()'s default, told to the children
+    encoding = locale.getpreferredencoding(False)  # open()'s default for text, in every process
 
     def encoded(j: int) -> bytes:
         columns, rows = blocks[j]
-        return _block_text([column[rows] for column in columns]).encode(encoding)
+        text = _block_text([column[rows] for column in columns])
+        return text.encode(encoding) if isinstance(text, str) else text
 
     processes = 1
     # fork, as spawned writers would import numpy again; it is safe with no other Python thread
@@ -130,16 +127,16 @@ def _write_tables(outdir: Path, tables: dict) -> int:
     children = []  # (pid, read end of its pipe) of each forked writer
     try:
         if processes > 1:
+            from . import _shortest  # noqa: F401 -- inherited, its tables built once
             from ._forked import fork_writers, receive
             fork_writers(len(blocks), processes, encoded, children)
         j = 0
         for path, (header, columns) in tables.items():
-            with open(path, "w", newline="", encoding=encoding) as fh:
-                csv.writer(fh).writerow(header)
-                fh.flush()  # the blocks go to fh.buffer
+            with open(path, "wb") as fh:
+                fh.write(_block_text([[name] for name in header]).encode(encoding))
                 for _ in _cuts(columns):
                     data = receive(children[j % processes - 1][1]) if j % processes else None
-                    fh.buffer.write(encoded(j) if data is None else data)
+                    fh.write(encoded(j) if data is None else data)
                     j += 1
     finally:
         for pid, pipe in children:
@@ -219,6 +216,8 @@ def cmd_solve(args, cfg: RunConfig):
 def cmd_simulate(args, cfg: RunConfig):
     if not 1 <= args.paths <= COUNT_LIMIT:
         raise ValueError(f"adkyle.cli: --paths must be in [1, 2**40], got {args.paths}")
+    if args.paths * cfg.n >= SHORTEST_MIN_VALUES:  # paths.csv is printed by `_shortest`:
+        from . import _shortest  # noqa: F401 -- compiled first, off the peak memory
     from .orderflow import (log_likelihoods, path_columns, posterior_weights, price_schedule,
                             simulate_increments)
 

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import itertools
 import math
 import os
 import resource
@@ -345,7 +346,7 @@ def test_output_dir_environment_variable(cfg_file, tmp_path, monkeypatch):
     assert (flag_dir / "equilibrium.csv").exists()
 
 
-def test_csv_writer_matches_per_cell_reference(tmp_path):
+def test_csv_writer_matches_per_cell_reference(tmp_path, monkeypatch):
     floats = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1, -2.5])
     columns = [
         floats,
@@ -361,6 +362,20 @@ def test_csv_writer_matches_per_cell_reference(tmp_path):
                  dtype=object),
     ]
     header = ["f64", "f32", "i64", "int", "label", "mixed", "f128", "object"]
+    # every numeric kind in a table of numeric arrays only, which `_shortest` prints when
+    # the threshold is 0: NaN payloads, a signalling float16 NaN, the integer extremes
+    numeric = [
+        floats,
+        floats.astype(np.float32),
+        np.array([0x7E01, 0x7C01, 0xFC00, 0x8000, 1, 0x7BFF, 0x2E66, 0xC100],
+                 dtype=np.uint16).view(np.float16),
+        floats.astype(">f8"),
+        np.array([True, False] * 4),
+        np.array([-128, 127, 0, -1, 5, 6, 7, 8], dtype=np.int8),
+        np.array([2**64 - 1, 0, 1, 10**19, 4, 5, 6, 7], dtype=np.uint64),
+        np.array([-2**63, 2**63 - 1, 0, -1, -10, 5, 6, 7], dtype=np.int64),
+    ]
+    numeric_header = ["f8", "f4", "f2", ">f8", "b1", "i1", "u8", "i8"]
 
     def cell(v):
         return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
@@ -371,10 +386,15 @@ def test_csv_writer_matches_per_cell_reference(tmp_path):
         writer.writerow(header)
         for row in zip(*columns):
             writer.writerow([cell(v) for v in row])
-    out = tmp_path / "out.csv"
-    _write_tables(tmp_path, {"out.csv": (header, columns)})
-    assert out.read_bytes() == ref.read_bytes()
-    assert b"nan,nan,-3,0,s1,1.5,1.1,0.10000000149011612\r\n" in out.read_bytes()
+    _per_cell_csv(tmp_path / "ref_numeric.csv", numeric_header, numeric)
+    for threshold in (adkyle.cli.SHORTEST_MIN_VALUES, 0):  # 0: every numeric block is printed
+        monkeypatch.setattr(adkyle.cli, "SHORTEST_MIN_VALUES", threshold)  # by `_shortest`
+        out = tmp_path / f"threshold{threshold}"
+        out.mkdir()
+        _write_tables(out, {"out.csv": (header, columns), "numeric.csv": (numeric_header, numeric)})
+        assert (out / "out.csv").read_bytes() == ref.read_bytes()
+        assert b"nan,nan,-3,0,s1,1.5,1.1,0.10000000149011612\r\n" in (out / "out.csv").read_bytes()
+        assert (out / "numeric.csv").read_bytes() == (tmp_path / "ref_numeric.csv").read_bytes()
 
 
 def _no_child_left() -> bool:
@@ -388,7 +408,8 @@ def _no_child_left() -> bool:
 
 def test_csv_writer_writes_block_by_block(tmp_path, monkeypatch):
     # nine-cell blocks: ten rows of three columns make three full blocks and a partial
-    # one, formatted here in one process, then dealt to this one and one or two children
+    # one, formatted here in one process, then dealt to this one and one or two children,
+    # by the repr path and, at threshold 0, by `_shortest`
     monkeypatch.setattr(adkyle.cli, "CSV_BLOCK_CELLS", 9)
     monkeypatch.setattr(adkyle.cli, "PARALLEL_MIN_CELLS", 0)
     x = np.tile(np.array([0.0, -0.0, 0.1]), 4)[:10]
@@ -398,15 +419,17 @@ def test_csv_writer_writes_block_by_block(tmp_path, monkeypatch):
     }
     for name, (header, columns) in tables.items():
         _per_cell_csv(tmp_path / f"ref_{name}", header, columns)
-    for processes in (1, 2, 3):
+    for threshold, processes in itertools.product((adkyle.cli.SHORTEST_MIN_VALUES, 0), (1, 2, 3)):
+        monkeypatch.setattr(adkyle.cli, "SHORTEST_MIN_VALUES", threshold)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=processes: set(range(n)))
-        out = tmp_path / str(processes)
+        out = tmp_path / f"{threshold}_{processes}"
         out.mkdir()
         # both tables in one call: the blocks are dealt across the tables
         assert _write_tables(out, tables) == processes - 1
         for name in tables:
             assert (out / name).read_bytes() == (tmp_path / f"ref_{name}").read_bytes()
-        for bad in ([np.arange(10), np.arange(7)], [np.arange(10), list(range(7))]):
+        for bad in ([np.arange(10), np.arange(7)], [np.arange(10), list(range(7))],
+                    [np.arange(10), np.arange(7.0)]):
             with pytest.raises(ValueError):  # unequal columns still fail, in whichever process
                 _write_tables(out, {"bad.csv": (["a", "b"], bad)})
         assert _no_child_left()
@@ -598,7 +621,7 @@ NUMERIC_KINDS = {
     "b1": (st.booleans(), np.bool_),
     "i1": (st.integers(-128, 127), np.int8),
     "u8": (st.one_of(st.just(2**64 - 1), st.integers(0, 2**64 - 1)), np.uint64),
-    "i8": (st.integers(-2**63, 2**63 - 1), np.int64),
+    "i8": (st.one_of(st.just(-2**63), st.integers(-2**63, 2**63 - 1)), np.int64),
 }
 TEXT = st.text(alphabet=',"\n\r a', max_size=4)  # quote-worthy characters and ""
 
@@ -635,13 +658,16 @@ def _tables(draw):
 @given(columns=_tables())
 @settings(deadline=None, max_examples=300)
 def test_csv_writer_matches_reference_on_generated_tables(columns):
-    # repeated cells, every float class, strided and empty columns, cells csv must quote
+    # repeated cells, every float class, strided and empty columns, cells csv must quote;
+    # at threshold 0 `_shortest` prints every table of numeric arrays only
     header = [f"c{i}" for i in range(len(columns))]
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         ref, out = Path(tmp) / "ref.csv", Path(tmp) / "out.csv"
         _per_cell_csv(ref, header, columns)
-        _write_tables(Path(tmp), {"out.csv": (header, columns)})
-        assert out.read_bytes() == ref.read_bytes()
+        for threshold in (adkyle.cli.SHORTEST_MIN_VALUES, 0):
+            patch.setattr(adkyle.cli, "SHORTEST_MIN_VALUES", threshold)
+            _write_tables(Path(tmp), {"out.csv": (header, columns)})
+            assert out.read_bytes() == ref.read_bytes()
 
 
 @st.composite
@@ -661,8 +687,10 @@ def test_per_dtype_formatting_matches_reference_on_generated_blocks(columns, bud
         patch.setattr(adkyle.cli, "CSV_BLOCK_CELLS", budget)
         ref, out = Path(tmp) / "ref.csv", Path(tmp) / "out.csv"
         _per_cell_csv(ref, header, columns)
-        _write_tables(Path(tmp), {"out.csv": (header, columns)})
-        assert out.read_bytes() == ref.read_bytes()
+        for threshold in (adkyle.cli.SHORTEST_MIN_VALUES, 0):  # 0: `_shortest` prints all
+            patch.setattr(adkyle.cli, "SHORTEST_MIN_VALUES", threshold)
+            _write_tables(Path(tmp), {"out.csv": (header, columns)})
+            assert out.read_bytes() == ref.read_bytes()
 
 
 # (columns, CSV_BLOCK_CELLS or None for the default, rows per block)
@@ -685,12 +713,16 @@ def test_blocks_hold_at_most_the_cell_budget_or_one_row(k, budget, rows, monkeyp
 def test_simulate_csvs_match_per_cell_rendering(cfg_file, tmp_path, monkeypatch):
     # the arrays simulate writes, materialized here and rendered cell by cell: 3 paths fit
     # in one block, while 40 paths in 96-cell blocks are cut inside paths and written by
-    # 1, 2 and 3 processes
+    # 1, 2 and 3 processes; by the repr path, and at threshold 0 by `_shortest`
     cfg = load_config(cfg_file)
     grid, noise, family, _, _, w_star = _solved(cfg)
     s = 1
-    for n_paths, cpus in ((3, None), (40, 1), (40, 2), (40, 3)):
-        out, ref = tmp_path / f"sim_{n_paths}_{cpus}", tmp_path / f"ref_{n_paths}_{cpus}"
+    for threshold, (n_paths, cpus) in itertools.product(
+            (adkyle.cli.SHORTEST_MIN_VALUES, 0), ((3, None), (40, 1), (40, 2), (40, 3))):
+        out = tmp_path / f"sim_{n_paths}_{cpus}_{threshold}"
+        ref = tmp_path / f"ref_{n_paths}_{cpus}_{threshold}"
+        monkeypatch.undo()  # the default block size and fork threshold for 3 paths
+        monkeypatch.setattr(adkyle.cli, "SHORTEST_MIN_VALUES", threshold)
         if cpus is not None:
             _small_fork_threshold(monkeypatch, cpus=cpus)
         assert main(["simulate", "-c", str(cfg_file), "-o", str(out),
@@ -964,12 +996,13 @@ def test_cli_import_leaves_scipy_unloaded(cfg_file, tmp_path):
     setup = {"adkyle", "adkyle.cli", "adkyle.config", "adkyle.kernel", "adkyle.model"}
     unloaded = {
         ("solve",): ("adkyle.objective", "adkyle.options", "adkyle.orderflow", "adkyle._rng",
-                     "numpy.random", "numpy.ma", "adkyle._forked"),
+                     "numpy.random", "numpy.ma", "adkyle._forked", "adkyle._shortest"),
         ("impact",): ("numpy.ma", "numpy.random", "adkyle.orderflow", "adkyle.options",
-                      "adkyle._forked"),
-        ("kernel", "dump"): ("adkyle.equilibrium", "adkyle.analytics", "adkyle._forked"),
+                      "adkyle._forked", "adkyle._shortest"),
+        ("kernel", "dump"): ("adkyle.equilibrium", "adkyle.analytics", "adkyle._forked",
+                             "adkyle._shortest"),
         ("posterior", "probe", "--alpha-bar", "1.0"): ("adkyle.equilibrium", "adkyle.analytics",
-                                                       "adkyle._forked"),
+                                                       "adkyle._forked", "adkyle._shortest"),
     }
     skew = tmp_path / "skew.cfg"
     skew.write_text(FAST_CONFIG + "family.kind = skew_normal\nfamily.shapes = 4, -4\n")

@@ -126,8 +126,9 @@ def _write_tables(outdir: Path, tables: dict) -> int:
         processes = min(len(os.sched_getaffinity(0)), len(blocks))
     children = []  # (pid, read end of its pipe) of each forked writer
     try:
-        if processes > 1:
-            from . import _shortest  # noqa: F401 -- inherited, its tables built once
+        if processes > 1:  # children inherit `_shortest` if a table of numeric arrays may use it
+            if any(all(map(_numeric, columns)) for _, columns in tables.values()):
+                from . import _shortest  # noqa: F401 -- (simulate's has loaded it)
             from ._forked import fork_writers, receive
             fork_writers(len(blocks), processes, encoded, children)
         j = 0

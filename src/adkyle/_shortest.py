@@ -2,8 +2,7 @@
 
 `cli._block_text` sends a block of numeric arrays here when one of its dtype groups is
 large (README).  It imports this module on first use; `cli.cmd_simulate` does before it
-builds many paths, and `cli._write_tables` before it forks writers.  So a small run never
-loads or, without bytecode caching, compiles it.
+builds many paths.  So a small run never loads or, without bytecode caching, compiles it.
 
 A float's digits are Ryū's (Adams, "Ryū: fast float-to-string conversion", PLDI 2018): of
 the decimals that read back to the double, the shortest, and of those the nearest, which

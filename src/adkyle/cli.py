@@ -22,7 +22,6 @@ import locale
 import math
 import os
 import sys
-import threading
 import time
 from dataclasses import astuple, fields
 from datetime import datetime, timezone
@@ -40,8 +39,7 @@ from .kernel import RANK_TOL, build_canonical_kernel, centering_matrix
 from .model import prior_moments
 
 OUTPUT_DIR_ENV = "ADKYLE_OUTPUT_DIR"
-CSV_BLOCK_CELLS = 1 << 14  # cells formatted per write and per forked writer: bounds the text
-PARALLEL_MIN_CELLS = 1 << 17  # cells from which forked writers pay off (README)
+CSV_BLOCK_CELLS = 1 << 14  # cells formatted per write: bounds the text held at once
 SHORTEST_MIN_VALUES = 2048  # distinct values from which numpy prints a dtype group (README)
 
 
@@ -99,51 +97,20 @@ def _block_text(block) -> str | bytes:
     return "".join(text)
 
 
-def _write_tables(outdir: Path, tables: dict) -> int:
-    """Write each table to outdir/name block by block; return the number of forked writers.
+def _write_tables(outdir: Path, tables: dict) -> None:
+    """Write each table to outdir/name: its header, then the text of each block in order."""
+    encoding = locale.getpreferredencoding(False)  # open()'s default for text
 
-    Block j of all the tables, in order, is formatted by process j % processes (README):
-    this one for 0 and forked child r (`_forked`) for r.  Blocks are written here in order,
-    so a child is at most one block ahead; a block a child did not send is formatted here.
-    """
-    tables = {outdir / name: (header, list(columns)) for name, (header, columns) in tables.items()}
-    blocks, cells = [], 0  # (columns, rows) of each block, and the cells of all the tables
-    for _, columns in tables.values():
-        cuts = _cuts(columns)
-        blocks += [(columns, slice(start, start + cuts.step)) for start in cuts]
-        cells += len(columns) * cuts.stop
-    encoding = locale.getpreferredencoding(False)  # open()'s default for text, in every process
-
-    def encoded(j: int) -> bytes:
-        columns, rows = blocks[j]
-        text = _block_text([column[rows] for column in columns])
+    def encoded(block) -> bytes:  # the text is freed once written, not held through the next
+        text = _block_text(block)
         return text.encode(encoding) if isinstance(text, str) else text
 
-    processes = 1
-    # fork, as spawned writers would import numpy again; it is safe with no other Python thread
-    if (cells >= PARALLEL_MIN_CELLS and threading.active_count() == 1
-            and hasattr(os, "sched_getaffinity")):
-        processes = min(len(os.sched_getaffinity(0)), len(blocks))
-    children = []  # (pid, read end of its pipe) of each forked writer
-    try:
-        if processes > 1:  # children inherit `_shortest` if a table of numeric arrays may use it
-            if any(all(map(_numeric, columns)) for _, columns in tables.values()):
-                from . import _shortest  # noqa: F401 -- (simulate's has loaded it)
-            from ._forked import fork_writers, receive
-            fork_writers(len(blocks), processes, encoded, children)
-        j = 0
-        for path, (header, columns) in tables.items():
-            with open(path, "wb") as fh:
-                fh.write(_block_text([[name] for name in header]).encode(encoding))
-                for _ in _cuts(columns):
-                    data = receive(children[j % processes - 1][1]) if j % processes else None
-                    fh.write(encoded(j) if data is None else data)
-                    j += 1
-    finally:
-        for pid, pipe in children:
-            pipe.close()  # a child still writing gets EPIPE and leaves
-            os.waitpid(pid, 0)
-    return len(children)
+    for name, (header, columns) in tables.items():
+        columns = list(columns)
+        with open(outdir / name, "wb") as fh:
+            fh.write(encoded([[field] for field in header]))
+            for start in (cuts := _cuts(columns)):
+                fh.write(encoded([column[start:start + cuts.step] for column in columns]))
 
 
 def _manifest(cfg: RunConfig, command: str, t0: float, times: list[tuple]) -> list[tuple]:
@@ -396,9 +363,8 @@ def main(argv=None) -> int:
         t1 = time.perf_counter()
         tables, summary, status = args.func(args, cfg)
         t2 = time.perf_counter()
-        workers = _write_tables(outdir, tables)
-        times = [("compute_s", f"{t2 - t1:.6f}"), ("write_s", f"{time.perf_counter() - t2:.6f}"),
-                 ("write_workers", workers)]
+        _write_tables(outdir, tables)
+        times = [("compute_s", f"{t2 - t1:.6f}"), ("write_s", f"{time.perf_counter() - t2:.6f}")]
         if summary is not None:
             print(f"{summary} -> {outdir}")
         _write_tables(outdir, {"manifest.csv": (["key", "value"],

@@ -10,10 +10,8 @@ import resource
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -72,12 +70,11 @@ def test_solve_writes_equilibrium_and_demand(cfg_file, tmp_path, capsys):
     assert manifest["numpy_version"] == np.__version__
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert manifest["blas"] == f"{blas['name']} {blas['version']}"
-    # the handler's and the writer's times follow the wall time; small tables are written serially
+    # the handler's and the writer's times follow the wall time
     keys = [row[0] for row in read_rows(out / "manifest.csv")[1:]]
     assert keys[keys.index("wall_time_s"):][:4] == ["wall_time_s", "compute_s", "write_s",
-                                                    "write_workers"]
+                                                    "created_utc"]
     assert min(float(manifest["compute_s"]), float(manifest["write_s"])) >= 0.0
-    assert manifest["write_workers"] == "0"
     rows = dict(
         (r[0], r[1]) for r in read_rows(out / "equilibrium.csv")[1:]
     )
@@ -397,21 +394,10 @@ def test_csv_writer_matches_per_cell_reference(tmp_path, monkeypatch):
         assert (out / "numeric.csv").read_bytes() == (tmp_path / "ref_numeric.csv").read_bytes()
 
 
-def _no_child_left() -> bool:
-    """True when this process has no child to reap, running or exited."""
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
 def test_csv_writer_writes_block_by_block(tmp_path, monkeypatch):
     # nine-cell blocks: ten rows of three columns make three full blocks and a partial
-    # one, formatted here in one process, then dealt to this one and one or two children,
-    # by the repr path and, at threshold 0, by `_shortest`
+    # one, by the repr path and, at threshold 0, by `_shortest`
     monkeypatch.setattr(adkyle.cli, "CSV_BLOCK_CELLS", 9)
-    monkeypatch.setattr(adkyle.cli, "PARALLEL_MIN_CELLS", 0)
     x = np.tile(np.array([0.0, -0.0, 0.1]), 4)[:10]
     tables = {
         "numeric.csv": (["i", "x", "y"], [np.arange(10), x, np.linspace(-1.0, 1.0, 10)]),
@@ -419,70 +405,53 @@ def test_csv_writer_writes_block_by_block(tmp_path, monkeypatch):
     }
     for name, (header, columns) in tables.items():
         _per_cell_csv(tmp_path / f"ref_{name}", header, columns)
-    for threshold, processes in itertools.product((adkyle.cli.SHORTEST_MIN_VALUES, 0), (1, 2, 3)):
+    for threshold in (adkyle.cli.SHORTEST_MIN_VALUES, 0):
         monkeypatch.setattr(adkyle.cli, "SHORTEST_MIN_VALUES", threshold)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=processes: set(range(n)))
-        out = tmp_path / f"{threshold}_{processes}"
+        out = tmp_path / str(threshold)
         out.mkdir()
-        # both tables in one call: the blocks are dealt across the tables
-        assert _write_tables(out, tables) == processes - 1
+        _write_tables(out, tables)
         for name in tables:
             assert (out / name).read_bytes() == (tmp_path / f"ref_{name}").read_bytes()
         for bad in ([np.arange(10), np.arange(7)], [np.arange(10), list(range(7))],
                     [np.arange(10), np.arange(7.0)]):
-            with pytest.raises(ValueError):  # unequal columns still fail, in whichever process
+            with pytest.raises(ValueError):  # unequal columns fail
                 _write_tables(out, {"bad.csv": (["a", "b"], bad)})
-        assert _no_child_left()
 
 
-def _forks(monkeypatch) -> list:
-    """Record the pid of each child the writer forks."""
-    forked, fork = [], os.fork
+@pytest.mark.parametrize("threshold", [math.inf, 0], ids=["repr", "shortest"])
+def test_write_memory_does_not_grow_with_the_block_count(threshold, tmp_path, monkeypatch):
+    # each block's text is freed once written, before the next block is formatted: one
+    # block and 30 blocks of the same shape peak alike, by the repr path and by `_shortest`
+    rows = 2000
+    monkeypatch.setattr(adkyle.cli, "CSV_BLOCK_CELLS", 3 * rows)
+    monkeypatch.setattr(adkyle.cli, "SHORTEST_MIN_VALUES", threshold)
+    table = np.random.default_rng(5).standard_normal((3, 30 * rows))
+    peaks = []
+    for n_blocks in (1, 30):
+        tables = {"t.csv": (["a", "b", "c"], [column[:n_blocks * rows] for column in table])}
+        _write_tables(tmp_path, tables)  # imports and caches first
+        tracemalloc.start()
+        try:
+            _write_tables(tmp_path, tables)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    block_text = (tmp_path / "t.csv").stat().st_size / 30
+    assert abs(peaks[1] - peaks[0]) < block_text / 2, (peaks, block_text)
 
-    def counted():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
 
-    monkeypatch.setattr(os, "fork", counted)
-    return forked
-
-
-def _small_fork_threshold(monkeypatch, cpus: int) -> None:
-    """Let `simulate --paths 40` fork its writers on `cpus` CPUs.
-
-    96-cell blocks put pathwise_posterior.csv's 80 rows of 4 cells in four blocks, and
-    the 24,400 cells of the three tables pass a 1,000-cell threshold.
-    """
+def _small_blocks(monkeypatch) -> None:
+    """Cut `simulate --paths 40`'s tables in 96-cell blocks: pathwise_posterior.csv's 80 rows
+    of 4 cells in four blocks, paths.csv's 4,040 rows of 3 cells in 127."""
     monkeypatch.setattr(adkyle.cli, "CSV_BLOCK_CELLS", 96)
-    monkeypatch.setattr(adkyle.cli, "PARALLEL_MIN_CELLS", 1000)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
 SIMULATE_40 = ["simulate", "--paths", "40", "--signal", "1"]
 
 
-def test_forked_csv_workers_write_the_serial_bytes(cfg_file, tmp_path, monkeypatch):
-    serial = tmp_path / "serial"
-    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(serial)]) == 0
-    names = sorted(path.name for path in serial.glob("*.csv") if path.name != "manifest.csv")
-    assert names == ["paths.csv", "pathwise_posterior.csv", "pathwise_prices.csv"]
-    for cpus in (2, 3):
-        forked_out = tmp_path / str(cpus)
-        forked = _forks(monkeypatch)
-        _small_fork_threshold(monkeypatch, cpus=cpus)
-        assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(forked_out)]) == 0
-        assert _no_child_left()
-        # this process formats a share of the blocks: `cpus` writers are cpus - 1 children
-        assert len(forked) == cpus - 1
-        assert dict(read_rows(forked_out / "manifest.csv")[1:])["write_workers"] == str(cpus - 1)
-        for name in names:
-            assert (forked_out / name).read_bytes() == (serial / name).read_bytes(), name
-
-
-def test_small_tables_and_one_cpu_build_no_pool(cfg_file, tmp_path, monkeypatch):
-    # the benchmark's seed-7 `equilibrium` commands at its grid.n = 401 stay serial too
+def test_manifests_carry_no_write_workers_row(cfg_file, tmp_path, monkeypatch):
+    # one process writes every table, at the benchmark's seed-7 grid.n = 401 too, so the
+    # manifest counts no writers
     wide = tmp_path / "wide.cfg"
     wide.write_text(FAST_CONFIG.replace("grid.n = 101", "grid.n = 401").replace(
         "mc.seed = 3", "mc.seed = 7"))
@@ -490,102 +459,53 @@ def test_small_tables_and_one_cpu_build_no_pool(cfg_file, tmp_path, monkeypatch)
         ["solve"], ["impact"], ["verify-foc"], ["simulate", "--paths", "3"])] + [
         (wide, argv) for argv in (["efficiency"], ["solve"], ["posterior", "probe", "--alpha-bar",
                                   "1.0"], ["options"], ["kernel", "dump"])]
-    forked, outs = _forks(monkeypatch), tmp_path / "out"
+    outs = tmp_path / "out"
     for i, (cfg, argv) in enumerate(commands):
         assert main([*argv, "-c", str(cfg), "-o", str(outs / str(i))]) == 0
-    _small_fork_threshold(monkeypatch, cpus=1)
-    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(outs / "one_cpu")]) == 0
-    assert forked == []
+    _small_blocks(monkeypatch)
+    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(outs / "small_blocks")]) == 0
     for out in outs.iterdir():
-        assert dict(read_rows(out / "manifest.csv")[1:])["write_workers"] == "0"
-
-
-def test_the_fork_warning_of_a_threaded_process_is_ignored(cfg_file, tmp_path, monkeypatch):
-    # Python >= 3.12 warns in os.fork when other OS threads run, as a BLAS pool's do;
-    # pytest makes the warning an error, and the writer must still fork and write the same
-    # bytes; any other warning from the fork still reaches the caller
-    serial, forked_out = tmp_path / "serial", tmp_path / "forked"
-    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(serial)]) == 0
-    fork = os.fork
-
-    def warning_fork(message):
-        def warned():
-            warnings.warn(message.format(pid=os.getpid()), DeprecationWarning, stacklevel=2)
-            return fork()
-        return warned
-
-    _small_fork_threshold(monkeypatch, cpus=2)
-    monkeypatch.setattr(os, "fork", warning_fork(
-        "This process (pid={pid}) is multi-threaded, use of fork() may lead to deadlocks in "
-        "the child."))
-    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(forked_out)]) == 0
-    assert dict(read_rows(forked_out / "manifest.csv")[1:])["write_workers"] == "1"
-    for name in ("paths.csv", "pathwise_posterior.csv", "pathwise_prices.csv"):
-        assert (forked_out / name).read_bytes() == (serial / name).read_bytes(), name
-    monkeypatch.setattr(os, "fork", warning_fork("fork() is deprecated in process {pid}"))
-    with pytest.raises(DeprecationWarning):
-        main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(tmp_path / "other")])
-    assert _no_child_left()
+        keys = [row[0] for row in read_rows(out / "manifest.csv")[1:]]
+        assert "write_s" in keys and "write_workers" not in keys
 
 
 _BLOCK_TEXT = adkyle.cli._block_text
 
 
-def _unequal_columns(block):
-    return _BLOCK_TEXT([*block[:-1], block[-1][1:]])
-
-
-def _worker_dies(block):
-    os._exit(1)
-
-
-def _parent_fails(block):
-    raise ValueError("adkyle.cli: the parent's share failed")
+def _fails(block):
+    raise ValueError("adkyle.cli: the block failed")
 
 
 def _out_of_memory(block):
     raise MemoryError
 
 
-# fault -> (patched _block_text, whether it fires in the children or in this process,
-# which formats a share of the blocks too, and the one error line it must end with, or
-# None: a child that fails stops sending, and this process formats the blocks it did not
-# send, so a child's fault costs time, not the run; a fault in the data recurs here)
+# fault -> (patched _block_text, the one error line the run must end with)
 FAULTS = {
-    "_unequal_columns": (_unequal_columns, "child", None),
-    "_worker_dies": (_worker_dies, "child", None),
-    "_out_of_memory": (_out_of_memory, "child", None),
-    "_parent_fails": (_parent_fails, "parent", "error: adkyle.cli: the parent's share failed"),
-    "_parent_out_of_memory": (_out_of_memory, "parent",
-                              "error: adkyle.cli: out of memory; lower grid.n or --paths"),
+    "_fails": (_fails, "error: adkyle.cli: the block failed"),
+    "_out_of_memory": (_out_of_memory,
+                       "error: adkyle.cli: out of memory; lower grid.n or --paths"),
 }
 
 
 @pytest.mark.parametrize("fault", FAULTS)
-def test_only_a_fault_in_this_process_fails_a_forked_write(fault, cfg_file, tmp_path,
-                                                            monkeypatch, capsys):
-    serial = tmp_path / "serial"
-    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(serial)]) == 0
-    capsys.readouterr()
-    # fork carries the patched _block_text into the children
-    patched, where, line = FAULTS[fault]
-    parent = os.getpid()
+def test_a_fault_in_the_writer_ends_the_run_with_one_error_line(fault, cfg_file, tmp_path,
+                                                                monkeypatch, capsys):
+    # the header and two blocks of paths.csv are formatted, then the third block fails
+    patched, line = FAULTS[fault]
+    calls = []
 
     def block_text(block):
-        return patched(block) if (os.getpid() == parent) == (where == "parent") else (
-            _BLOCK_TEXT(block))
+        calls.append(len(block))
+        return patched(block) if len(calls) > 3 else _BLOCK_TEXT(block)
 
-    forked = _forks(monkeypatch)
-    _small_fork_threshold(monkeypatch, cpus=2)
+    _small_blocks(monkeypatch)
     monkeypatch.setattr(adkyle.cli, "_block_text", block_text)
     out = tmp_path / "sim"
-    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(out)]) == (2 if line else 0)
-    assert len(forked) == 1
-    assert capsys.readouterr().err == (line + "\n" if line else "")
-    assert _no_child_left()
-    if line is None:
-        for name in ("paths.csv", "pathwise_posterior.csv", "pathwise_prices.csv"):
-            assert (out / name).read_bytes() == (serial / name).read_bytes(), name
+    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", line + "\n")
+    assert len(calls) == 4
+    assert not (out / "manifest.csv").exists()
 
 
 def _per_cell_csv(path, header, columns):
@@ -712,24 +632,20 @@ def test_blocks_hold_at_most_the_cell_budget_or_one_row(k, budget, rows, monkeyp
 
 def test_simulate_csvs_match_per_cell_rendering(cfg_file, tmp_path, monkeypatch):
     # the arrays simulate writes, materialized here and rendered cell by cell: 3 paths fit
-    # in one block, while 40 paths in 96-cell blocks are cut inside paths and written by
-    # 1, 2 and 3 processes; by the repr path, and at threshold 0 by `_shortest`
+    # in one block, while 40 paths in 96-cell blocks are cut inside paths; by the repr
+    # path, and at threshold 0 by `_shortest`
     cfg = load_config(cfg_file)
     grid, noise, family, _, _, w_star = _solved(cfg)
     s = 1
-    for threshold, (n_paths, cpus) in itertools.product(
-            (adkyle.cli.SHORTEST_MIN_VALUES, 0), ((3, None), (40, 1), (40, 2), (40, 3))):
-        out = tmp_path / f"sim_{n_paths}_{cpus}_{threshold}"
-        ref = tmp_path / f"ref_{n_paths}_{cpus}_{threshold}"
-        monkeypatch.undo()  # the default block size and fork threshold for 3 paths
+    for threshold, n_paths in itertools.product((adkyle.cli.SHORTEST_MIN_VALUES, 0), (3, 40)):
+        out = tmp_path / f"sim_{n_paths}_{threshold}"
+        ref = tmp_path / f"ref_{n_paths}_{threshold}"
+        monkeypatch.undo()  # the default block size for 3 paths
         monkeypatch.setattr(adkyle.cli, "SHORTEST_MIN_VALUES", threshold)
-        if cpus is not None:
-            _small_fork_threshold(monkeypatch, cpus=cpus)
+        if n_paths == 40:
+            _small_blocks(monkeypatch)
         assert main(["simulate", "-c", str(cfg_file), "-o", str(out),
                      "--paths", str(n_paths), "--signal", str(s)]) == 0
-        assert _no_child_left()
-        workers = dict(read_rows(out / "manifest.csv")[1:])["write_workers"]
-        assert workers == str(max(0, (cpus or 1) - 1))
         increments = simulate_increments(w_star[s], noise, grid, cfg.seed, n_paths)
         y = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(increments, axis=1)], axis=1)
         log_lik = log_likelihoods(w_star, increments, noise, grid)
@@ -747,7 +663,7 @@ def test_simulate_csvs_match_per_cell_rendering(cfg_file, tmp_path, monkeypatch)
         ref.mkdir()
         for name, (header, columns) in expected.items():
             _per_cell_csv(ref / name, header, columns)
-            assert (out / name).read_bytes() == (ref / name).read_bytes(), (name, n_paths, cpus)
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), (name, n_paths)
         assert (out / "paths.csv").read_bytes().count(b"\r\n") == 1 + n_paths * grid.n
 
 
@@ -778,44 +694,20 @@ def test_simulate_holds_two_path_arrays(tmp_path):
 
 
 def test_serial_simulate_builds_each_blocks_rows_once(cfg_file, tmp_path, monkeypatch):
-    # one CPU: the writer cuts the blocks without building them, then writes them serially
-    built = []  # a forked child appends to its own copy: this list holds this process's calls
+    # the writer cuts the blocks without building them, then builds each block's rows once
+    built = []
 
     def counted(increments):
         built.append(len(increments))
         return cumulative_flow(increments)
 
     monkeypatch.setattr(adkyle.orderflow, "cumulative_flow", counted)
-    _small_fork_threshold(monkeypatch, cpus=1)
+    _small_blocks(monkeypatch)
     assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(tmp_path / "sim")]) == 0
     # paths.csv's 40 * 101 rows of 3 cells in 32-row blocks, each of at most two paths
     assert len(built) == -(-40 * 101 // 32)
     assert sum(built) == sum(len(range(start // 101, -(-min(start + 32, 4040) // 101)))
                              for start in range(0, 4040, 32))
-    # two CPUs: this process builds only its own share, the even blocks of paths.csv
-    built.clear()
-    _small_fork_threshold(monkeypatch, cpus=2)
-    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(tmp_path / "forked")]) == 0
-    assert dict(read_rows(tmp_path / "forked" / "manifest.csv")[1:])["write_workers"] == "1"
-    assert len(built) == len(range(0, -(-40 * 101 // 32), 2))
-    assert _no_child_left()
-
-
-def test_another_python_thread_keeps_the_writer_serial(cfg_file, tmp_path, monkeypatch):
-    # forking while another Python thread runs could copy a lock it holds into the child
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        forked = _forks(monkeypatch)
-        _small_fork_threshold(monkeypatch, cpus=2)
-        assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(tmp_path / "sim")]) == 0
-    finally:
-        release.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert forked == []
-    assert dict(read_rows(tmp_path / "sim" / "manifest.csv")[1:])["write_workers"] == "0"
 
 
 def test_family_narrower_than_the_grid_step_exits_with_code_two(cfg_file, tmp_path, capsys):
@@ -992,17 +884,16 @@ def test_cli_import_leaves_scipy_unloaded(cfg_file, tmp_path):
     # skew-normal one, nor OpenSSL's _hashlib (the manifest's config hash is zlib's).  A
     # call loads only what its subcommand runs: the package import loads no submodule, the
     # set-up (cli and the config) only the modules of every subcommand, and each subcommand
-    # none of these; a serial write never loads the forked writers
+    # none of these
     setup = {"adkyle", "adkyle.cli", "adkyle.config", "adkyle.kernel", "adkyle.model"}
     unloaded = {
         ("solve",): ("adkyle.objective", "adkyle.options", "adkyle.orderflow", "adkyle._rng",
-                     "numpy.random", "numpy.ma", "adkyle._forked", "adkyle._shortest"),
+                     "numpy.random", "numpy.ma", "adkyle._shortest"),
         ("impact",): ("numpy.ma", "numpy.random", "adkyle.orderflow", "adkyle.options",
-                      "adkyle._forked", "adkyle._shortest"),
-        ("kernel", "dump"): ("adkyle.equilibrium", "adkyle.analytics", "adkyle._forked",
-                             "adkyle._shortest"),
+                      "adkyle._shortest"),
+        ("kernel", "dump"): ("adkyle.equilibrium", "adkyle.analytics", "adkyle._shortest"),
         ("posterior", "probe", "--alpha-bar", "1.0"): ("adkyle.equilibrium", "adkyle.analytics",
-                                                       "adkyle._forked", "adkyle._shortest"),
+                                                       "adkyle._shortest"),
     }
     skew = tmp_path / "skew.cfg"
     skew.write_text(FAST_CONFIG + "family.kind = skew_normal\nfamily.shapes = 4, -4\n")
@@ -1054,23 +945,22 @@ def test_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 def test_cli_import_and_config_load_leave_the_pool_modules_unloaded(cfg_file, tmp_path):
-    # every run pays this set-up, and the forked writers use only os pipes: multiprocessing
-    # and concurrent.futures (10-14 ms of import) load neither at import nor with writers
+    # every run pays this set-up, and one process writes every CSV: multiprocessing and
+    # concurrent.futures (10-14 ms of import) load neither at import nor in a large write
     wide = tmp_path / "wide.cfg"
     wide.write_text(FAST_CONFIG.replace("grid.n = 101", "grid.n = 401"))
     out = tmp_path / "sim"
     loaded = "loaded = [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]"
     for lines in (
         [f"load_config({str(cfg_file)!r})"],
-        ["os.sched_getaffinity = lambda pid: {0, 1}",
-         f"assert adkyle.cli.main(['simulate', '--paths', '200', '-c', {str(wide)!r}, "
+        [f"assert adkyle.cli.main(['simulate', '--paths', '200', '-c', {str(wide)!r}, "
          f"'-o', {str(out)!r}]) == 0"],
     ):
         script = "\n".join(["import os, sys, adkyle.cli", "from adkyle.config import load_config",
                             *lines, loaded, "sys.exit(' '.join(loaded) or None)"])
         proc = _run_python(["-c", script])
         assert proc.returncode == 0, proc.stderr
-    assert dict(read_rows(out / "manifest.csv")[1:])["write_workers"] == "1"
+    assert (out / "paths.csv").exists()
 
 
 def test_every_exported_name_resolves():

@@ -58,9 +58,19 @@ def _cells(column) -> list[str]:
 
 def _cuts(columns: list) -> range:
     """Start rows of a table's blocks, whose row count is the step: at most CSV_BLOCK_CELLS
-    cells, or one row if it alone is wider."""
-    return range(0, max(map(len, columns), default=0),
-                 max(1, CSV_BLOCK_CELLS // max(len(columns), 1)))
+    cells, or one row if it alone is wider.  An array column has `size` rows."""
+    return range(0, max((c.size if isinstance(c, np.ndarray) else len(c) for c in columns),
+                        default=0), max(1, CSV_BLOCK_CELLS // max(len(columns), 1)))
+
+
+def _rows(column, start: int, stop: int):
+    """Rows start:stop of a column; an N-d array's entries in C order, of which only the
+    leading rows the cut spans are copied."""
+    if not isinstance(column, np.ndarray) or column.ndim < 2:
+        return column[start:stop]
+    width = max(1, math.prod(column.shape[1:]))  # an empty row: the cut is empty
+    first = start // width
+    return column[first:-(-stop // width)].reshape(-1)[start - first * width:stop - first * width]
 
 
 def _block_text(block) -> str | bytes:
@@ -110,7 +120,7 @@ def _write_tables(outdir: Path, tables: dict) -> None:
         with open(outdir / name, "wb") as fh:
             fh.write(encoded([[field] for field in header]))
             for start in (cuts := _cuts(columns)):
-                fh.write(encoded([column[start:start + cuts.step] for column in columns]))
+                fh.write(encoded([_rows(column, start, start + cuts.step) for column in columns]))
 
 
 def _manifest(cfg: RunConfig, command: str, t0: float, times: list[tuple]) -> list[tuple]:
@@ -186,25 +196,28 @@ def cmd_simulate(args, cfg: RunConfig):
         raise ValueError(f"adkyle.cli: --paths must be in [1, 2**40], got {args.paths}")
     if args.paths * cfg.n >= SHORTEST_MIN_VALUES:  # paths.csv is printed by `_shortest`:
         from . import _shortest  # noqa: F401 -- compiled first, off the peak memory
-    from .orderflow import (log_likelihoods, path_columns, posterior_weights, price_schedule,
+    from .orderflow import (cumulative_flow, log_likelihoods, posterior_weights, price_schedule,
                             simulate_increments)
 
     grid, noise, family, _, _, w_star = _solved(cfg)
     s = _signal(args, family)
 
     # path p is row p of the seed's path-shock stream, so a path's rows do not depend on --paths
-    n_paths, I = args.paths, family.I
+    n_paths = args.paths
     increments = simulate_increments(w_star[s], noise, grid, cfg.seed, n_paths)
     log_lik = log_likelihoods(w_star, increments, noise, grid)
+    y = cumulative_flow(increments)
+    del increments  # two (n_paths, n) arrays at a time: y and, next, the prices
     pi = posterior_weights(log_lik)
     price = price_schedule(pi, family)
-    path_id, x, y = path_columns(increments, grid.nodes)  # built per CSV block
+    # the labels as str objects, so a block's cells are the labels, not copies of them
+    path_id, labels = np.arange(n_paths)[:, None], np.array(family.labels, dtype=object)
     tables = {
-        "paths.csv": (["path_id", "x", "y"], [path_id, x, y]),
-        "pathwise_prices.csv": (["path_id", "x", "price"], [path_id, x, price.ravel()]),
+        "paths.csv": (["path_id", "x", "y"], np.broadcast_arrays(path_id, grid.nodes, y)),
+        "pathwise_prices.csv": (["path_id", "x", "price"],
+                                np.broadcast_arrays(path_id, grid.nodes, price)),
         "pathwise_posterior.csv": (["path_id", "signal", "log_lik", "pi"],
-                                   [np.repeat(np.arange(n_paths), I), family.labels * n_paths,
-                                    log_lik.ravel(), pi.ravel()]),
+                                   np.broadcast_arrays(path_id, labels, log_lik, pi)),
     }
     return tables, f"simulate: {n_paths} path(s) under signal {family.labels[s]}", 0
 
@@ -219,11 +232,9 @@ def cmd_impact(args, cfg: RunConfig):
     points = grid.nodes[idx]
     values, errs = impact_surface(points, points, w_star, family, noise, grid,
                                   conditioned_on=cfg.conditioned_on)
-    n = len(points)
     tables = {"impact_kernel.csv": (["x", "y", "lambda", "std_err"],
-                                    [np.repeat(points, n), np.tile(points, n),
-                                     values.ravel(), errs.ravel()])}
-    return tables, f"impact: {n}x{n} kernel estimates", 0
+                                    np.broadcast_arrays(points[:, None], points, values, errs))}
+    return tables, f"impact: {len(points)}x{len(points)} kernel estimates", 0
 
 
 def cmd_efficiency(args, cfg: RunConfig):

@@ -3,10 +3,10 @@
 For an exchangeable kernel the equilibrium reduces to a scalar root problem:
 find alpha_bar >= 0 with
 
-    Phi(alpha_bar) = 1 - E[q_t] - alpha_bar^2 * (Q cbar Q)_tt = 0,
+    Phi(alpha_bar) = E[1 - q_t] - alpha_bar^2 E[q_t (1 - q_t)] = 0,
 
-where q_t is the belief on the true signal.  Rows of q sum to one, so
-Phi = E[(1 - q_t)(1 - alpha_bar^2 q_t)]: 1 - 1/I > 0 at zero and negative for
+where q_t is the posterior's belief on the true signal.  Phi =
+E[(1 - q_t)(1 - alpha_bar^2 q_t)]: 1 - 1/I > 0 at zero and negative for
 large alpha_bar.  The law of q_t depends on alpha_bar and I alone, so Phi is a
 deterministic function, integrated by posterior.true_belief_moments; a doubling
 bracket plus ITP steps (Oliveira & Takahashi 2020) pin its root, which depends

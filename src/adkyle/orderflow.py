@@ -59,32 +59,6 @@ def cumulative_flow(increments: np.ndarray) -> np.ndarray:
     return y
 
 
-class PathColumn:
-    """n cells per path for n_paths paths; a step-1 slice builds only its paths, by rows(a, b)."""
-
-    def __init__(self, n_paths: int, n: int, rows):
-        self.n_paths, self.n, self.rows = n_paths, n, rows
-
-    def __len__(self) -> int:
-        return self.n_paths * self.n
-
-    def __getitem__(self, cut: slice) -> np.ndarray:
-        start, stop, step = cut.indices(len(self))
-        if step != 1:
-            raise ValueError(f"{_ERR}: a path column takes step-1 slices only")
-        first, skip = divmod(start, self.n)
-        cells = self.rows(first, max(first, -(-stop // self.n))).reshape(-1)
-        return cells[skip:skip + stop - start]
-
-
-def path_columns(increments: np.ndarray, nodes: np.ndarray) -> tuple[PathColumn, ...]:
-    """Lazy path_id, x and y of increments at n nodes: a slice holds the whole column's bits."""
-    n_paths, n = len(increments), len(nodes)
-    return (PathColumn(n_paths, n, lambda a, b: np.repeat(np.arange(a, b), n)),
-            PathColumn(n_paths, n, lambda a, b: np.tile(nodes, b - a)),
-            PathColumn(n_paths, n, lambda a, b: cumulative_flow(increments[a:b])))
-
-
 def log_likelihoods(
     w_tilde: np.ndarray,
     increments: np.ndarray,

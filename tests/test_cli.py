@@ -23,14 +23,12 @@ import adkyle
 import adkyle.cli
 import adkyle.equilibrium
 import adkyle.objective
-import adkyle.orderflow
 from adkyle import centering_matrix, true_belief_moments
 from adkyle.cli import OUTPUT_DIR_ENV, _solved, _write_tables, main
 from adkyle.config import config_model, load_config, parse_config_text, with_seed
 from adkyle._rng import PATH_SHOCKS, derive_seed, standard_normal_matrix
 from adkyle.orderflow import (
     PATH_BLOCK_SIZE,
-    cumulative_flow,
     log_likelihoods,
     posterior_weights,
     price_schedule,
@@ -418,17 +416,28 @@ def test_csv_writer_writes_block_by_block(tmp_path, monkeypatch):
                 _write_tables(out, {"bad.csv": (["a", "b"], bad)})
 
 
-@pytest.mark.parametrize("threshold", [math.inf, 0], ids=["repr", "shortest"])
-def test_write_memory_does_not_grow_with_the_block_count(threshold, tmp_path, monkeypatch):
-    # each block's text is freed once written, before the next block is formatted: one
-    # block and 30 blocks of the same shape peak alike, by the repr path and by `_shortest`
-    rows = 2000
+@pytest.mark.parametrize(("threshold", "layout"), [
+    pytest.param(math.inf, "columns", id="repr"),
+    pytest.param(0, "columns", id="shortest"),
+    pytest.param(math.inf, "broadcast", id="repr-broadcast"),
+    pytest.param(0, "broadcast", id="shortest-broadcast"),
+])
+def test_write_memory_does_not_grow_with_the_block_count(threshold, layout, tmp_path,
+                                                         monkeypatch):
+    # each block's text is freed once written, before the next block is formatted, and a
+    # block of a broadcast (rows, 401) table copies only the rows it spans: one block and
+    # 30 blocks of the same shape peak alike, by the repr path and by `_shortest`
+    rows = 5 * 401
     monkeypatch.setattr(adkyle.cli, "CSV_BLOCK_CELLS", 3 * rows)
     monkeypatch.setattr(adkyle.cli, "SHORTEST_MIN_VALUES", threshold)
     table = np.random.default_rng(5).standard_normal((3, 30 * rows))
+    if layout == "broadcast":  # path_id, x and y as simulate passes them
+        y = table[0].reshape(-1, 401)
+        table = np.broadcast_arrays(np.arange(len(y))[:, None], np.linspace(-8.0, 8.0, 401), y)
     peaks = []
     for n_blocks in (1, 30):
-        tables = {"t.csv": (["a", "b", "c"], [column[:n_blocks * rows] for column in table])}
+        tables = {"t.csv": (["a", "b", "c"], [column[:n_blocks * len(column) // 30]
+                                              for column in table])}
         _write_tables(tmp_path, tables)  # imports and caches first
         tracemalloc.start()
         try:
@@ -613,6 +622,55 @@ def test_per_dtype_formatting_matches_reference_on_generated_blocks(columns, bud
             assert out.read_bytes() == ref.read_bytes()
 
 
+@st.composite
+def _array(draw, shape):
+    """A numeric, str or object array of the given shape: plain, a broadcast view of a base
+    with some axes of length 1, every other entry of a wider array, or a transpose."""
+    kinds = (*NUMERIC_KINDS, "U", "O")
+    layout = draw(st.sampled_from(["plain", "broadcast", "strided", "transposed"]))
+    if layout == "broadcast":
+        base = [draw(st.sampled_from([1, n])) for n in shape]
+        return np.broadcast_to(draw(_column(math.prod(base), kinds)).reshape(base), shape)
+    if layout == "strided":
+        wide = (*shape[:-1], 2 * shape[-1])
+        return draw(_column(math.prod(wide), kinds)).reshape(wide)[..., ::2]
+    values = draw(_column(math.prod(shape), kinds))
+    return values.reshape(shape[::-1]).T if layout == "transposed" else values.reshape(shape)
+
+
+@st.composite
+def _shaped_tables(draw):
+    """1-D columns and 2-D or 3-D arrays of one size, and at times a zero-width array."""
+    shape = (draw(st.integers(0, 5)), *draw(st.lists(st.integers(1, 5), min_size=1, max_size=2)))
+    columns = [draw(st.one_of(_column(math.prod(shape)), _array(shape)))
+               for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        columns.insert(draw(st.integers(0, len(columns))), np.zeros((shape[0], 0)))
+    return columns
+
+
+@seed(45)
+@given(columns=_shaped_tables(), budget=st.integers(1, 64))
+@settings(deadline=None, max_examples=200)
+def test_arrays_of_any_shape_write_their_entries_in_c_order(columns, budget):
+    # an N-d array column is its reshape(-1), in blocks cut inside its rows; a zero-width
+    # array next to a non-empty column fails as unequal columns do
+    header = [f"c{i}" for i in range(len(columns))]
+    flat = [c.reshape(-1) if isinstance(c, np.ndarray) else c for c in columns]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adkyle.cli, "CSV_BLOCK_CELLS", budget)
+        ref, out = Path(tmp) / "ref.csv", Path(tmp) / "out.csv"
+        _per_cell_csv(ref, header, flat)
+        for threshold in (adkyle.cli.SHORTEST_MIN_VALUES, 0):
+            patch.setattr(adkyle.cli, "SHORTEST_MIN_VALUES", threshold)
+            if len(set(map(len, flat))) > 1:
+                with pytest.raises(ValueError):
+                    _write_tables(Path(tmp), {"out.csv": (header, columns)})
+            else:
+                _write_tables(Path(tmp), {"out.csv": (header, columns)})
+                assert out.read_bytes() == ref.read_bytes()
+
+
 # (columns, CSV_BLOCK_CELLS or None for the default, rows per block)
 BLOCK_SHAPES = [(3, None, 5461), (513, None, 31), (1, 12, 12), (4, 12, 3), (7, 12, 1), (40, 12, 1)]
 
@@ -678,7 +736,8 @@ def test_simulate_rejects_zero_paths(cfg_file, tmp_path, capsys):
 
 
 def test_simulate_holds_two_path_arrays(tmp_path):
-    # increments and price hold every path; path_id, x and y are built per CSV block
+    # y and price hold every path; path_id and x are broadcast, and each CSV block copies
+    # only the rows it spans
     wide = tmp_path / "wide.cfg"
     wide.write_text(FAST_CONFIG.replace("grid.n = 101", "grid.n = 401"))
     argv = ["simulate", "-c", str(wide), "--signal", "1"]
@@ -691,23 +750,6 @@ def test_simulate_holds_two_path_arrays(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 3 * n_paths * 401 * 8
-
-
-def test_serial_simulate_builds_each_blocks_rows_once(cfg_file, tmp_path, monkeypatch):
-    # the writer cuts the blocks without building them, then builds each block's rows once
-    built = []
-
-    def counted(increments):
-        built.append(len(increments))
-        return cumulative_flow(increments)
-
-    monkeypatch.setattr(adkyle.orderflow, "cumulative_flow", counted)
-    _small_blocks(monkeypatch)
-    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(tmp_path / "sim")]) == 0
-    # paths.csv's 40 * 101 rows of 3 cells in 32-row blocks, each of at most two paths
-    assert len(built) == -(-40 * 101 // 32)
-    assert sum(built) == sum(len(range(start // 101, -(-min(start + 32, 4040) // 101)))
-                             for start in range(0, 4040, 32))
 
 
 def test_family_narrower_than_the_grid_step_exits_with_code_two(cfg_file, tmp_path, capsys):

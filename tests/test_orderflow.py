@@ -15,7 +15,7 @@ from adkyle import (
     simulate_increments,
     weighted_inner_product,
 )
-from adkyle.orderflow import LOG_LIK_SPREAD_MAX, PATH_BLOCK_SIZE, path_columns
+from adkyle.orderflow import LOG_LIK_SPREAD_MAX, PATH_BLOCK_SIZE
 from conftest import ALPHA_STAR_BINARY, path_shocks, sample_posterior, softmax
 
 POSTERIOR_MATCH_TOLERANCE = 1e-12
@@ -31,6 +31,9 @@ def test_simulation_is_deterministic(mean_shift_demand, unit_noise, grid):
     # path p is row p of the seed's path-shock stream
     drift, scale = w_star[0][:-1] * grid.h, unit_noise.sigma[:-1] * math.sqrt(grid.h)
     assert np.array_equal(inc1, drift + scale * path_shocks(13, 3, grid))
+    # the order-flow levels start at 0 and sum the increments
+    y = np.concatenate([np.zeros((3, 1)), np.cumsum(inc1, axis=1)], axis=1)
+    assert np.array_equal(cumulative_flow(inc1), y)
 
 
 def test_simulated_batches_have_prefix_property(mean_shift_demand, unit_noise, grid):
@@ -39,30 +42,6 @@ def test_simulated_batches_have_prefix_property(mean_shift_demand, unit_noise, g
     inc_small = simulate_increments(w_star[0], unit_noise, grid, seed=21, n_paths=5000)
     inc_large = simulate_increments(w_star[0], unit_noise, grid, seed=21, n_paths=6000)
     assert np.array_equal(inc_small, inc_large[:5000])
-
-
-@seed(38)
-@settings(max_examples=300, deadline=None)
-@given(n_paths=st.integers(1, 7), n=st.integers(3, 9), data=st.data())
-def test_path_columns_slice_as_the_whole_columns(n_paths, n, data):
-    # each slice builds only its paths and is bit for bit the materialized column's slice
-    size = n_paths * n
-    rng = np.random.default_rng([n_paths, n])
-    increments, nodes = rng.standard_normal((n_paths, n - 1)), np.sort(rng.standard_normal(n))
-    y = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(increments, axis=1)], axis=1)
-    whole = (np.repeat(np.arange(n_paths), n), np.tile(nodes, n_paths), y.ravel())
-    bound = st.one_of(st.integers(-size - 2, size + 2), st.sampled_from(range(0, size + 1, n)))
-    start, stop = data.draw(bound), data.draw(bound)
-    cuts = (slice(start, stop), slice(stop, start), slice(start, start), slice(None),
-            slice(start, None), slice(None, stop))
-    for column, expected in zip(path_columns(increments, nodes), whole, strict=True):
-        assert len(column) == size
-        for cut in cuts:
-            got = column[cut]
-            assert got.dtype == expected.dtype and np.array_equal(got, expected[cut]), cut
-        with pytest.raises(ValueError, match="adkyle.orderflow: a path column takes step-1"):
-            column[::2]
-    assert np.array_equal(cumulative_flow(increments), y)
 
 
 @pytest.mark.parametrize("n_paths", [0, -3])

@@ -1,7 +1,7 @@
 """The text of whole numeric arrays at once: repr(float(v)) of a float, str(v) of an integer.
 
-`cli._block_text` sends a block of numeric arrays here when one of its dtype groups is
-large (README).  It imports this module on first use; `cli.cmd_simulate` does before it
+`cli._write_tables` sends a table of numeric arrays here when its blocks print many
+values (README).  It imports this module on first use; `cli.cmd_simulate` does before it
 builds many paths.  So a small run never loads or, without bytecode caching, compiles it.
 
 A float's digits are Ryū's (Adams, "Ryū: fast float-to-string conversion", PLDI 2018): of
@@ -69,7 +69,8 @@ def _digits(out, v, shown) -> None:
     byte of out[:, 0])."""
     least = int(np.min(shown, initial=0))
     for k in range(out.shape[1] - 1, -1, -1):
-        v, quad = np.divmod(v, np.uint64(10_000))
+        q = v // np.uint64(10_000)  # numpy divides by a scalar faster than np.divmod does
+        v, quad = q, v - q * np.uint64(10_000)
         out[:, k] = _QUADS[quad.view(np.int64)]  # a signed index is not converted
         if 4 * (out.shape[1] - k) > least:  # some rows have bytes before their digits here
             out[:, k] &= _BLANKS[np.clip(4 * (out.shape[1] - k) - shown, 0, 4)]
@@ -140,15 +141,14 @@ def _shortest(x):
     w = w[more]
     del s
     for k in (16, 8, 4, 2, 1):  # count the zeros: w > 0 has at most 19 digits
-        q, rest = np.divmod(w, _P10[k])
-        zero = rest == 0
+        q = w // _P10[k]
+        zero = w - q * _P10[k] == 0
         w = np.where(zero, q, w)
         r[more] += k * zero
     head = vr // _P10[np.maximum(r - 1, 0)]
     del vr
-    n, last = np.divmod(head, np.uint64(10))
-    up = (r > 0) & (last >= 5)
-    del last
+    n = head // np.uint64(10)
+    up = (r > 0) & (head - n * np.uint64(10) >= 5)  # the last digit rounds up
     n = np.where(r > 0, n, head)
     del head
     n += up | (n * _P10[r] <= vm)  # round up, or stay above vm
@@ -223,29 +223,46 @@ def cells(values):
     return out
 
 
-def rows(k: int, groups: list) -> bytes:
-    """ASCII CSV text of a block of k numeric columns from their dtype groups, each
-    (columns, distinct values, each column's indices into them): each row's cells, commas
-    and line end, less every NUL.  Empties groups."""
-    columns = [None] * k  # each column's (its group's cells as void items, indices into them)
-    for js, values, inverse in groups:
-        text = cells(values)
-        text = text.view(f"V{text.shape[1]}")[:, 0]
-        for j, index in zip(js, inverse):
-            columns[j] = (text, index)
-    groups.clear()  # (peak memory)
-    n = len(columns[0][1])
-    if any(len(index) != n for _, index in columns):
+def _joined(columns) -> bytes:
+    """ASCII CSV text of a block of columns, each None and its entries, or its source's cells
+    as void items and its index into them: the rows' cells, commas and line ends, less NULs."""
+    if len({len(rows) for _, rows in columns}) > 1:
         raise ValueError("adkyle._shortest: a block's columns differ in length")
-    width, pieces = sum(text.itemsize + 1 for text, _ in columns) + 1, []
+    by_dtype = {}  # the entries to print, one `cells` call a dtype (a fixed ~0.3 ms each)
+    for j, (text, rows) in enumerate(columns):
+        if text is None:
+            by_dtype.setdefault(rows.dtype, []).append(j)
+    columns = [rows if text is None else text[rows] for text, rows in columns]
+    for js in by_dtype.values():
+        text = cells(np.concatenate([columns[j] for j in js]))
+        for j, part in zip(js, text.view(f"V{text.shape[1]}").reshape(len(js), -1)):
+            columns[j] = part
+    n, width, pieces = len(columns[0]), sum(text.itemsize + 1 for text in columns) + 1, []
     for start in range(0, n, _ROWS):  # a bounded buffer (peak memory)
         data = bytearray(min(_ROWS, n - start) * width)
         out, at = np.frombuffer(data, dtype=np.uint8).reshape(-1, width), 0
-        for text, index in columns:
-            out[:, at:at + text.itemsize].view(text.dtype)[:, 0] = text[index[start:start + _ROWS]]
+        for text in columns:
+            out[:, at:at + text.itemsize].view(text.dtype)[:, 0] = text[start:start + _ROWS]
             out[:, at + text.itemsize] = ord(",")
             at += text.itemsize + 1
         out[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
         del out
         pieces.append(data.translate(None, b"\0"))
     return b"".join(pieces)
+
+
+def table(columns, cuts, budget: int, rows_of):
+    """Yield the ASCII CSV text of each block of a table of numeric arrays cut at `cuts`, whose
+    entries of an array are `rows_of(array, start, stop)`.  A column that broadcasts a source
+    (the array less its stride-0 axes) of at most `budget` values prints it once, and each
+    block takes its cells through a broadcast index view; other columns print their entries."""
+    texts, columns = {}, list(columns)  # column number -> the cells of its source
+    for j, column in enumerate(columns):
+        source = column[tuple(slice(None if stride else 1) for stride in column.strides)]
+        if source.size < column.size and source.size <= budget:
+            text = cells(source.reshape(-1))
+            texts[j] = text.view(f"V{text.shape[1]}")[:, 0]
+            columns[j] = np.broadcast_to(np.arange(source.size).reshape(source.shape), column.shape)
+    for start in cuts:  # a block's text is freed once written, before the next is printed
+        yield _joined([(texts.get(j), rows_of(column, start, start + cuts.step))
+                       for j, column in enumerate(columns)])

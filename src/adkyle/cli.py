@@ -40,7 +40,7 @@ from .model import prior_moments
 
 OUTPUT_DIR_ENV = "ADKYLE_OUTPUT_DIR"
 CSV_BLOCK_CELLS = 1 << 14  # cells formatted per write: bounds the text held at once
-SHORTEST_MIN_VALUES = 2048  # distinct values from which numpy prints a dtype group (README)
+SHORTEST_MIN_VALUES = 2048  # values a block prints from which numpy prints a table (README)
 
 
 def _numeric(column) -> bool:
@@ -73,26 +73,26 @@ def _rows(column, start: int, stop: int):
     return column[first:-(-stop // width)].reshape(-1)[start - first * width:stop - first * width]
 
 
-def _block_text(block) -> str | bytes:
+def _by_numpy(rows: int, sources) -> bool:
+    """Whether `_shortest` prints a table of numeric arrays whose sources (each array less
+    its stride-0 axes) have these sizes: if a `rows`-row block prints SHORTEST_MIN_VALUES."""
+    return sum(min(rows, size) for size in sources) >= SHORTEST_MIN_VALUES
+
+
+def _block_text(block) -> str:
     """CSV text of one block of equal-length columns (README's text contract): repr for
     floats, str otherwise, each distinct bit pattern of a dtype once (0.0 and -0.0 differ),
-    so a value in several columns prints once.  A block of numeric arrays only, one of whose
-    groups has SHORTEST_MIN_VALUES or more, is printed by `_shortest`, as ASCII bytes."""
-    by_dtype, groups = {}, []  # groups: (columns, distinct values, each column's indices)
+    so a value in several columns prints once."""
+    by_dtype, cells = {}, [None if _numeric(column) else _cells(column) for column in block]
     for j, column in enumerate(block):
-        if _numeric(column):
+        if cells[j] is None:
             by_dtype.setdefault(column.dtype, []).append(j)
     for js in by_dtype.values():
         # raises ValueError on unequal lengths; the stack may swap the byte order
         stacked = np.stack([block[j] for j in js])
         bits, inverse = np.unique(stacked.view(f"u{stacked.itemsize}"), return_inverse=True)
-        groups.append((js, bits.view(stacked.dtype), inverse.reshape(stacked.shape)))
+        values, inverse = bits.view(stacked.dtype), inverse.reshape(stacked.shape)
         del stacked  # only the cell texts outlive the pass (peak memory)
-    if all(map(_numeric, block)) and max(len(group[1]) for group in groups) >= SHORTEST_MIN_VALUES:
-        from ._shortest import rows
-        return rows(len(block), groups)
-    cells = [None if _numeric(column) else _cells(column) for column in block]
-    for js, values, inverse in groups:
         text = repr if values.dtype.kind == "f" else str
         distinct = np.array(list(map(text, values.tolist())), dtype=object)
         for j, column in zip(js, inverse):
@@ -108,19 +108,19 @@ def _block_text(block) -> str | bytes:
 
 
 def _write_tables(outdir: Path, tables: dict) -> None:
-    """Write each table to outdir/name: its header, then the text of each block in order."""
+    """Write each table to outdir/name: its header, then each block's text, freed once written."""
     encoding = locale.getpreferredencoding(False)  # open()'s default for text
-
-    def encoded(block) -> bytes:  # the text is freed once written, not held through the next
-        text = _block_text(block)
-        return text.encode(encoding) if isinstance(text, str) else text
-
     for name, (header, columns) in tables.items():
-        columns = list(columns)
+        cuts = _cuts(columns := list(columns))
+        blocks = (_block_text([_rows(c, start, start + cuts.step) for c in columns]).encode(
+            encoding) for start in cuts)
+        if all(map(_numeric, columns)) and _by_numpy(cuts.step, (math.prod(
+                n for n, s in zip(c.shape, c.strides) if s) for c in columns)):
+            from ._shortest import table
+            blocks = table(columns, cuts, CSV_BLOCK_CELLS, _rows)
         with open(outdir / name, "wb") as fh:
-            fh.write(encoded([[field] for field in header]))
-            for start in (cuts := _cuts(columns)):
-                fh.write(encoded([_rows(column, start, start + cuts.step) for column in columns]))
+            fh.write(_block_text([[field] for field in header]).encode(encoding))
+            fh.writelines(blocks)
 
 
 def _manifest(cfg: RunConfig, command: str, t0: float, times: list[tuple]) -> list[tuple]:
@@ -194,7 +194,7 @@ def cmd_solve(args, cfg: RunConfig):
 def cmd_simulate(args, cfg: RunConfig):
     if not 1 <= args.paths <= COUNT_LIMIT:
         raise ValueError(f"adkyle.cli: --paths must be in [1, 2**40], got {args.paths}")
-    if args.paths * cfg.n >= SHORTEST_MIN_VALUES:  # paths.csv is printed by `_shortest`:
+    if _by_numpy(CSV_BLOCK_CELLS // 3, (args.paths, cfg.n, args.paths * cfg.n)):  # paths.csv
         from . import _shortest  # noqa: F401 -- compiled first, off the peak memory
     from .orderflow import (cumulative_flow, log_likelihoods, posterior_weights, price_schedule,
                             simulate_increments)

@@ -624,13 +624,25 @@ def test_per_dtype_formatting_matches_reference_on_generated_blocks(columns, bud
 
 @st.composite
 def _array(draw, shape):
-    """A numeric, str or object array of the given shape: plain, a broadcast view of a base
-    with some axes of length 1, every other entry of a wider array, or a transpose."""
+    """A numeric, str or object array of the given shape: plain, every other entry of a wider
+    array, or a transpose; or a broadcast view of a base with some axes of length 1, the base
+    as drawn, reversed (negative strides) or transposed, of one value (0-d: every stride 0),
+    or of every axis but the first (the largest source, larger than small block budgets)."""
     kinds = (*NUMERIC_KINDS, "U", "O")
-    layout = draw(st.sampled_from(["plain", "broadcast", "strided", "transposed"]))
-    if layout == "broadcast":
+    layout = draw(st.sampled_from(["plain", "strided", "transposed", "broadcast", "reversed",
+                                   "transposed base", "0-d", "leading"]))
+    if layout in ("broadcast", "reversed", "transposed base"):
         base = [draw(st.sampled_from([1, n])) for n in shape]
-        return np.broadcast_to(draw(_column(math.prod(base), kinds)).reshape(base), shape)
+        values = draw(_column(math.prod(base), kinds))
+        if layout == "transposed base":
+            return np.broadcast_to(values.reshape(base[::-1]).T, shape)
+        return np.broadcast_to((values[::-1] if layout == "reversed" else values).reshape(base),
+                               shape)
+    if layout == "0-d":
+        return np.broadcast_to(draw(_column(1, kinds)).reshape(()), shape)
+    if layout == "leading":
+        return np.broadcast_to(draw(_column(math.prod(shape[1:]), kinds)).reshape(shape[1:]),
+                               shape)
     if layout == "strided":
         wide = (*shape[:-1], 2 * shape[-1])
         return draw(_column(math.prod(wide), kinds)).reshape(wide)[..., ::2]
@@ -651,10 +663,12 @@ def _shaped_tables(draw):
 
 @seed(45)
 @given(columns=_shaped_tables(), budget=st.integers(1, 64))
-@settings(deadline=None, max_examples=200)
+@settings(deadline=None, max_examples=300)
 def test_arrays_of_any_shape_write_their_entries_in_c_order(columns, budget):
-    # an N-d array column is its reshape(-1), in blocks cut inside its rows; a zero-width
-    # array next to a non-empty column fails as unequal columns do
+    # an N-d array column is its reshape(-1), in blocks cut inside its rows; `_shortest`
+    # prints a broadcast column's source once when it holds at most `budget` values, and
+    # each block's entries when it holds more; a zero-width array next to a non-empty
+    # column fails as unequal columns do
     header = [f"c{i}" for i in range(len(columns))]
     flat = [c.reshape(-1) if isinstance(c, np.ndarray) else c for c in columns]
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
@@ -723,6 +737,49 @@ def test_simulate_csvs_match_per_cell_rendering(cfg_file, tmp_path, monkeypatch)
             _per_cell_csv(ref / name, header, columns)
             assert (out / name).read_bytes() == (ref / name).read_bytes(), (name, n_paths)
         assert (out / "paths.csv").read_bytes().count(b"\r\n") == 1 + n_paths * grid.n
+
+
+@pytest.mark.parametrize("n", [81, 101])
+def test_simulate_prints_path_ids_and_grid_nodes_once_per_table(n, cfg_file, tmp_path,
+                                                               monkeypatch):
+    # `_shortest` prints paths.csv and pathwise_prices.csv, each in 32-row blocks (96 cells):
+    # every block prints its y (or price) entries, while the 40 path ids, and the grid nodes
+    # when they fit in a block's 96 cells, print once per table; 101 nodes print the entries
+    # each block spans, with its y; and np.unique never runs while `_shortest` prints
+    import adkyle._shortest as shortest
+
+    cfg_file.write_text(FAST_CONFIG.replace("grid.n = 101", f"grid.n = {n}"))
+    _small_blocks(monkeypatch)
+    monkeypatch.setattr(adkyle.cli, "SHORTEST_MIN_VALUES", 0)
+    printed, uniques, printing = [], [], [False]
+    cells, table, unique = shortest.cells, shortest.table, np.unique
+
+    def counted_cells(values):
+        printed.append(values.copy())
+        return cells(values)
+
+    def traced_table(*args):
+        printing[0] = True
+        yield from table(*args)
+        printing[0] = False
+
+    def counted_unique(*args, **kwargs):
+        uniques.append(printing[0])
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(shortest, "cells", counted_cells)
+    monkeypatch.setattr(shortest, "table", traced_table)
+    monkeypatch.setattr(np, "unique", counted_unique)
+    assert main([*SIMULATE_40, "-c", str(cfg_file), "-o", str(tmp_path)]) == 0
+    nodes = config_model(load_config(cfg_file))[0].nodes
+    once = n <= 96
+    blocks = -(-40 * n // 32)
+    assert [len(v) for v in printed if v.dtype.kind == "i"] == [40, 40]
+    assert all(np.array_equal(v, np.arange(40)) for v in printed if v.dtype.kind == "i")
+    assert sum(np.array_equal(v, nodes) for v in printed) == 2 * once
+    assert len(printed) == 2 * (1 + once + blocks)  # one call a block: x joins y's when due
+    assert sum(map(len, printed)) == 2 * (40 + (n if once else 40 * n) + 40 * n)
+    assert uniques and not any(uniques)  # pathwise_posterior.csv's blocks take the repr path
 
 
 def test_simulate_rejects_zero_paths(cfg_file, tmp_path, capsys):

@@ -32,158 +32,240 @@ _QUADS = _DIGITS.view(np.uint32).ravel()  # a row's 4 ASCII digits as one word
 _MINUS, _POINT = np.frombuffer(b"-\0\0\0" b".\0\0\0", dtype=np.uint32)
 _BLANKS = np.frombuffer(bytes.fromhex("ffffffff 00ffffff 0000ffff 000000ff 00000000"),
                         dtype=np.uint32)  # [k]: NUL the first k bytes of a word
-_EXPONENTS = np.array([b"e%+03d" % e for e in range(-324, 309)], dtype="S8").view(
-    np.uint32).reshape(-1, 2)  # "e-324", ..., "e-05", ..., "e+308" in two words
+_EXPONENTS = np.array([b"e%+03d" % e for e in range(-324, 309)] + [b""], dtype="S8").view(
+    np.uint64)  # "e-324", ..., "e-05", ..., "e+308", then none, as two words
 
 
 def _multipliers() -> np.ndarray:
-    """Ryū's tables indexed by a double's biased exponent: "t", its 128-bit power of 5 moved
-    to bit 128 (so that a product's top 64 bits are the scaled value) as five 32-bit limbs;
-    "q", the power of 10 (or 5) it divides (multiplies) by; "e10", the scaled value's unit."""
+    """Tables by a double's biased exponent, rows of 2,048 uint64 words.  Ryū's, with T the
+    exponent's 128-bit power of 5 moved to bit 128 (so that the top 64 bits of 4m T are 4m's
+    scaled value), T < 2**136: [0], [1], 32-bit limbs 1 and 2 of 4T; [2], 4T >> 96; [3], the
+    mask of the bits of m that are 0 where 2**q divides 4m, all ones where the scaled value
+    is never exact, 0 where 5**q may divide it and for NaN and ±inf; [4], the scaled value's
+    unit e10 (int64).  [5]: the decimal digits g of the least integer whose double has this
+    exponent, at most 19: a uint64 of this exponent has g + 1 if at least 10**g, else g."""
     pow5 = [1]
     while len(pow5) < 330:
         pow5.append(5 * pow5[-1])
-    table = bytearray()
+    rows = []
     for biased in range(2048):
         e2 = max(biased, 1) - 1077  # 2**e2 is the unit of 4m
         if e2 >= 0:  # x / 10**q with q = floor(e2 log10 2), less one from e2 = 4
             q = (e2 * 78913 >> 18) - (e2 > 3)
             k = pow5[q].bit_length() + 124
             mult, shift, e10 = (1 << k) // pow5[q] + 1, q + k - e2, q
+            exact = 0 if q < len(_P5) or biased == 2047 else (1 << 64) - 1
         else:  # x * 10**-e10 with e10 = q + e2, q = floor(-e2 log10 5), less one from e2 = -2
             q = (-e2 * 732923 >> 20) - (-e2 > 1)
             p = pow5[-e2 - q]
             mult, shift, e10 = (p << 125) >> p.bit_length(), q - p.bit_length() + 125, q + e2
-        table += (mult << (128 - shift)).to_bytes(20, "little")  # shift is 118 ... 125
-        table += q.to_bytes(2, "little") + e10.to_bytes(2, "little", signed=True)
-    return np.frombuffer(table, dtype=[("t", "<u4", 5), ("q", "<i2"), ("e10", "<i2")])
+            exact = (1 << min(max(q - 2, 0), 63)) - 1
+        t = mult << (130 - shift)  # 4T: shift is 118 ... 125
+        k = biased - 1023  # the least integer whose double is at least 2**k (ties to even)
+        least = 0 if k < 0 else (1 << k) - (k > 53 and 1 << (k - 54))
+        rows.append((t >> 32 & 0xFFFFFFFF, t >> 64 & 0xFFFFFFFF, t >> 96, exact,
+                     e10 % (1 << 64), min(len(str(least)), 19) if least else 0))
+    return np.array(rows, dtype=np.uint64).T.copy()
 
 
 _TABLE = _multipliers()
-_LIMBS = _TABLE["t"].T  # limb k of every exponent: a strided view
+
+
+def _lengths(v):
+    """The decimal digits of each uint64 v, 0 for 0: one of two, by the exponent of v's
+    double."""
+    g = v.astype(np.float64).view(np.int64)
+    g >>= 52
+    _TABLE[5].view(np.int64).take(g, mode="clip", out=g)
+    g += v >= _P10.take(g, mode="clip")
+    return g
 
 
 def _digits(out, v, shown) -> None:
     """Write the last `shown` decimal digits of each v into the uint32 columns of out, 4
     ASCII digits a word, the last digit last, with NUL before them (at least in the first
-    byte of out[:, 0])."""
-    least = int(np.min(shown, initial=0))
-    for k in range(out.shape[1] - 1, -1, -1):
-        q = v // np.uint64(10_000)  # numpy divides by a scalar faster than np.divmod does
-        v, quad = q, v - q * np.uint64(10_000)
-        out[:, k] = _QUADS[quad.view(np.int64)]  # a signed index is not converted
-        if 4 * (out.shape[1] - k) > least:  # some rows have bytes before their digits here
-            out[:, k] &= _BLANKS[np.clip(4 * (out.shape[1] - k) - shown, 0, 4)]
-
-
-def _carried(y, carry):
-    """The carry out of a sum's 32-bit column that holds y, given the carry into it (int8)."""
-    return ((y.view(np.int64) + carry) >> 32).astype(np.int8)  # a floor, as the shift is signed
+    byte of out[:, 0]).  v, which out's words hold, is overwritten."""
+    words = out.shape[1]
+    least = int(np.minimum.reduce(shown, initial=4 * words))  # digits every row shows
+    q, scratch = np.empty_like(v) if words > 1 else None, np.empty_like(v)
+    for k in range(words - 1, -1, -1):
+        if k:  # numpy divides by a scalar faster than np.divmod does
+            np.floor_divide(v, np.uint64(10_000), out=q)
+            v -= np.multiply(q, np.uint64(10_000), out=scratch)
+        quad = _QUADS.take(v.view(np.int64))  # a signed index is not converted
+        if 4 * (words - k) <= least:  # no row has a byte before its digits here
+            out[:, k] = quad
+        else:
+            blank = np.subtract(4 * (words - k), shown, out=scratch.view(np.int64))
+            np.bitwise_and(quad, _BLANKS.take(blank, mode="clip"), out=out[:, k])
+        v, q = q, v
 
 
 def _shortest(x):
     """Ryū's digits of finite nonzero doubles: (n, e, general), n * 10**e the shortest nearest
-    decimal of x; where general, the scaled value is exact and n is not to be used."""
+    decimal of x; where general, n is not to be used: the scaled value is exact, or so near
+    a carry that the bits summed here leave it in doubt."""
     bits = x.view(np.uint64)
-    biased = (bits >> 52 & 0x7FF).astype(np.intp)
-    mv = bits & (1 << 52) - 1  # the fraction, then 4m: the double's interval is (4m - 2, 4m + 2)
-    wide = (mv != 0) | (biased <= 1)  # else 4m - 1 bounds it below, at a power of 2
-    even = (mv & 1) == 0  # round-half-even reading accepts an even mantissa's bounds
-    mv |= (biased > 0).astype(np.uint64) << 52
-    mv <<= 2
-    q = _TABLE["q"][biased]
-    # 2**q divides 4m (< 2**55): 4m 2**e2 10**-e10 = 4m 5**(-e2-q) / 2**q
-    exact = (biased < 1077) & (mv & (1 << np.minimum(q, 63).astype(np.uint64)) - 1 == 0)
-    (big,) = np.nonzero((biased >= 1077) & (q < len(_P5)))  # 5**q may divide 4m, 4m + 2, ...
+    biased = bits << np.uint64(1)
+    biased >>= np.uint64(53)
+    biased = biased.view(np.intp)
+    m = bits & np.uint64((1 << 52) - 1)  # the fraction, then the mantissa
+    (narrow,) = np.nonzero(m == 0)  # a power of 2: 4m - 1, not 4m - 2, bounds it below
+    narrow = narrow[biased[narrow] > 1]  # (so does 2**-1022)
+    m |= np.uint64(1 << 52)
+    (sub,) = np.nonzero(biased == 0)
+    m[sub] ^= np.uint64(1 << 52)
+    # where 2**q divides 4m (< 2**55): 4m 2**e2 10**-e10 = 4m 5**(-e2-q) / 2**q
+    general = (m & _TABLE[3].take(biased, mode="clip")) == 0
+    (big,) = np.nonzero(general)
+    big = big[(biased[big] >= 1077) & (biased[big] < 2047)]  # 5**q may divide 4m, 4m + 2, ...
     if len(big):
-        p5, m = _P5[q[big]], mv[big]
-        exact[big] = (m % p5 == 0) | even[big] & ((m - 1 - wide[big]) % p5 == 0)
-        excluded = ~even[big] & ((m + 2) % p5 == 0)  # an exact upper bound, not accepted
+        e2 = biased[big] - 1077
+        p5, m4 = _P5[(e2 * 78913 >> 18) - (e2 > 3)], m[big] << np.uint64(2)
+        even = (m4 & np.uint64(4)) == 0  # round-half-even reading accepts an even m's bounds
+        general[big] = (m4 % p5 == 0) | even & ((m4 - 1 - (m4 != 1 << 54)) % p5 == 0)
+        excluded = ~even & ((m4 + 2) % p5 == 0)  # an exact upper bound, not accepted
 
-    # vr, vp, vm: the top 64 bits of X + c T = (4m + c) T for c = 0, 2 and -1 - wide, carried
-    # up the 32-bit columns of X = 4m T; column k is complete once limb k of T is multiplied in
-    lo, hi = (mv & _LOW).astype(np.uint32), (mv >> 32).astype(np.uint32)
-    del mv, q, even
-    vr = vp = vm = 0  # the carries out of the columns so far
-    ahead = [0, 0]  # the halves of columns k + 1 and k + 2 met so far
-    for k, limb in enumerate(_LIMBS):
-        tk = limb[biased]
-        p = np.multiply(lo, tk, dtype=np.uint64)
-        column = p & _LOW
-        column += ahead[0]
-        p >>= 32
-        ahead[0] = p + ahead[1]
-        p = np.multiply(hi, tk, dtype=np.uint64)
-        ahead[0] += p & _LOW
-        ahead[1] = p >> 32  # 0 at k = 4, as X < 2**192
-        if k < 4:
-            vr = _carried(column, vr)
-            vp = _carried(column + tk + tk, vp)
-            vm = _carried(column - tk - tk * wide, vm)  # two's complement where negative
-    column += ahead[0] << 32  # the top 64 bits of X, less the carry into them
-    del lo, hi, p, ahead
-    top = column.view(np.int64)
-    vr, vp, vm = (top + vr).view(np.uint64), top + vp + tk + tk, top + vm - tk - tk * wide
-    vp, vm = vp.view(np.uint64), vm.view(np.uint64)
-    del column, top, tk, wide
+    # X = 4m T = m 4T < 2**191 from 32-bit limbs t1 ... t4 of 4T (t0 is not needed): bits
+    # 128+ of X sum to top and bits 96+ to top 2**32 + col, col < 2**34.  The partial
+    # products left out sum to less than 3.01 2**96, so they carry at most 3 into col.
+    hi = m >> np.uint64(32)
+    lo = m
+    lo &= _LOW
+    del m
+    t = _TABLE[1].take(biased, mode="clip")  # t2
+    col = lo * t
+    col >>= np.uint64(32)  # lo t2 >> 32
+    t *= hi
+    top = t >> np.uint64(32)  # hi t2 >> 32
+    t &= _LOW
+    col += t  # hi t2 & LOW
+    _TABLE[0].take(biased, out=t, mode="clip")  # t1
+    t *= hi
+    t >>= np.uint64(32)
+    col += t  # hi t1 >> 32
+    a = _TABLE[2].take(biased, mode="clip")  # t3 + t4 2**32
+    hi *= a
+    top += hi  # hi (t3 + t4 2**32) < 2**63
+    np.bitwise_and(a, _LOW, out=t)
+    t *= lo
+    col += np.bitwise_and(t, _LOW, out=hi)  # lo t3 & LOW
+    t >>= np.uint64(32)
+    top += t  # lo t3 >> 32
+    np.right_shift(a, np.uint64(32), out=t)
+    t *= lo
+    top += t  # lo t4
+    c4 = np.right_shift(a, np.uint64(33), out=lo)  # 2T = c4 2**128 + c3 2**96 + ...
+    a >>= np.uint64(1)
+    c3 = a
+    c3 &= _LOW
+    del lo, hi, a
+
+    # vr, vp, vm: the top 64 bits of X, X + 2T and X - 2T (X - T if narrow), each col's
+    # carry (or borrow) added to top, in doubt if col's low 32 bits are within 4 of a carry
+    np.add(col, np.uint64(3), out=t)
+    t &= _LOW
+    doubt = t < 3
+    vr = col >> np.uint64(32)
+    vr += top
+    np.add(col, c3, out=t)
+    vp = t >> np.uint64(32)
+    vp += top
+    vp += c4
+    t += np.uint64(4)
+    t &= _LOW
+    doubt |= t < 4
+    if len(narrow):  # T = (2T) / 2
+        c3[narrow] = c3[narrow] >> np.uint64(1) | (c4[narrow] & np.uint64(1)) << np.uint64(31)
+        c4[narrow] >>= np.uint64(1)
+    vm = t.view(np.int64)
+    np.subtract(col.view(np.int64), c3.view(np.int64), out=vm)
+    np.add(vm, 3, out=col.view(np.int64))
+    col &= _LOW
+    doubt |= col < 4
+    vm >>= 32  # a floor: the borrow is -1
+    vm += top.view(np.int64)
+    vm = vm.view(np.uint64)
+    vm -= c4
+    general |= doubt
+    del t, col, top, c4, doubt
     if len(big):
         vp[big] -= excluded
 
     # drop r digits, the most that leave a multiple of 10**r in (vm, vp]: with 10**(s-1) <=
     # vp - vm < 10**s that is s - 1, or s plus the zero digits of vp above its last s when
-    # those s are below vp - vm
-    d = vp - vm
-    s = np.searchsorted(_P10, d, side="right")
-    w = vp // _P10[s]
-    r = s - 1 + (vp - w * _P10[s] < d)
-    del vp, d
-    (more,) = np.nonzero(r == s)
-    w = w[more]
-    del s
-    for k in (16, 8, 4, 2, 1):  # count the zeros: w > 0 has at most 19 digits
-        q = w // _P10[k]
-        zero = w - q * _P10[k] == 0
-        w = np.where(zero, q, w)
-        r[more] += k * zero
-    head = vr // _P10[np.maximum(r - 1, 0)]
+    # those s are below vp - vm (vp - vm is 14 to 402 unless general, so s is 2 or 3)
+    d = np.subtract(vp, vm, out=c3)
+    s3 = d >= 100  # else s = 2
+    w = vp // np.uint64(100)  # numpy divides by a scalar faster than by an array
+    np.copyto(w, w // np.uint64(10), where=s3)
+    p = np.where(s3, np.uint64(1000), np.uint64(100))
+    p *= w
+    vp -= p
+    below = vp < d
+    del vp, d, p
+    r = s3.astype(np.intp)
+    r += below
+    r += 1
+    (more,) = np.nonzero(np.greater(below, general, out=below))
+    del s3, below
+    w = w.take(more)
+    for _ in range(2):  # count the zeros, a digit a pass over the values still ending in 0
+        q = w // np.uint64(10)
+        (zero,) = np.nonzero(q * np.uint64(10) == w)
+        more, w = more.take(zero), q.take(zero)
+        r[more] += 1
+    if len(more):  # then, at once, the rest of the few (short decimals): w < 10**14
+        r[more] += np.count_nonzero(w[:, None] % _P10[1:14] == 0, axis=1)
+    p = _P10.take(r, mode="clip")
+    n = p >> np.uint64(1)  # round half up
+    n += vr
     del vr
-    n = head // np.uint64(10)
-    up = (r > 0) & (head - n * np.uint64(10) >= 5)  # the last digit rounds up
-    n = np.where(r > 0, n, head)
-    del head
-    n += up | (n * _P10[r] <= vm)  # round up, or stay above vm
-    return n, _TABLE["e10"][biased] + r, exact
+    n //= p
+    p *= n
+    n += p <= vm  # or stay above vm
+    return n, _TABLE[4].view(np.int64).take(biased, mode="clip") + r, general
 
 
 def _float_cells(x):
-    """Cells of repr of finite nonzero doubles x, from Ryū's digits n * 10**e: digits, a
-    point, and e+XX or e-XX outside 10**-4 <= |x| < 10**16; and the mask of the values
-    whose digits are general, whose cells are to be overwritten."""
+    """Cells of repr of doubles x, from Ryū's digits n * 10**e: digits, a point, and e+XX or
+    e-XX outside 10**-4 <= |x| < 10**16; and the mask of the general values, whose cells
+    are to be overwritten."""
     n, e, general = _shortest(x)
-    length = np.searchsorted(_P10, n, side="right")
-    point = e + length  # |x| = 0.digits * 10**point
-    del e
-    fixed = (point > -4) & (point <= 16) | general  # (a general value sizes no column)
-    before = np.where(fixed, point, 1)  # digits before the point; "0" stands for <= 0
-    after = np.where(general, 0, length - before)  # > 0 if fixed: an integer is general
-    before[general] = 1
-    del length
-    scale = _P10[np.minimum(after, 19)]  # n < 10**17
-    head = n // scale
-    n -= head * scale
-    del scale
+    np.copyto(n, 1, where=general)  # a general value sizes no column
+    np.copyto(e, 0, where=general)
+    length = _lengths(n)
+    point = e
+    point += length  # |x| = 0.digits * 10**point
+    low, high = int(np.minimum.reduce(point, initial=1)), int(np.maximum.reduce(point, initial=1))
+    exp = 0 if -4 < low and high <= 16 else 1 + (low <= -99 or high >= 101)
+    if exp:
+        fixed = (point + 3).view(np.uint64) < 20  # -4 < point <= 16
+        before = np.where(fixed, point, 1)  # digits before the point; "0" stands for <= 0
+        point += 323  # the exponent's row
+        np.copyto(point, len(_EXPONENTS) - 1, where=fixed)
+        del fixed
+    else:
+        before = point
+    after = length
+    after -= before  # > 0 if fixed: an integer is general
     # words of the integer digits, with a NUL for the sign; of the fraction, with one for
     # the point; and of the exponent
-    i, f = int(np.max(before, initial=1)) // 4 + 1, int(np.max(after, initial=0)) // 4 + 1
-    exp = 0 if fixed.all() else 1 + bool(np.any(np.abs(point - 1) >= 100))
+    i = int(np.maximum.reduce(before, initial=1)) // 4 + 1
+    f = int(np.maximum.reduce(after, initial=0)) // 4 + 1
     out = np.empty((len(x), i + f + exp), dtype=np.uint32)
-    _digits(out[:, i:i + f], n, after)
-    out[:, i] |= (after > 0) * _POINT
-    del n, after
-    _digits(out[:, :i], head, np.maximum(before, 1))
-    out[:, 0] |= (x < 0) * _MINUS
     if exp:
-        out[:, i + f:] = _EXPONENTS[np.clip(point + 323, 0, 632), :exp] * ~fixed[:, None]
+        out[:, i + f:] = _EXPONENTS.take(point, mode="clip").view(np.uint32).reshape(-1, 2)[:, :exp]
+    del point, length
+    scale = _P10.take(after, mode="clip")  # n < 10**17
+    head = n // scale
+    n -= np.multiply(scale, head, out=scale)
+    del scale
+    _digits(out[:, :i], head, np.maximum(before, 1, out=before))
+    del head, before
+    _digits(out[:, i:i + f], n, after)
+    np.bitwise_or(out[:, i], _POINT, out=out[:, i], where=after > 0)
+    np.bitwise_or(out[:, 0], _MINUS, out=out[:, 0], where=x < 0)
     return out.view(np.uint8), general
 
 
@@ -192,10 +274,10 @@ def _int_cells(v):
     negative = v < 0
     mag = v.astype(np.uint64)  # two's complement of a negative value
     mag = np.where(negative, 0 - mag, mag)
-    length = np.searchsorted(_P10, mag, side="right")
-    out = np.empty((len(v), int(np.max(length, initial=0)) // 4 + 1), dtype=np.uint32)
-    _digits(out, mag, np.maximum(length, 1))
-    out[:, 0] |= negative * _MINUS  # a NUL before the first digit takes the sign
+    length = _lengths(mag)
+    out = np.empty((len(v), int(np.maximum.reduce(length, initial=0)) // 4 + 1), dtype=np.uint32)
+    _digits(out, mag, np.maximum(length, 1, out=length))
+    np.bitwise_or(out[:, 0], _MINUS, out=out[:, 0], where=negative)  # in the NUL before the digits
     return out.view(np.uint8)
 
 
@@ -211,9 +293,8 @@ def cells(values):
         return _int_cells(values)
     with np.errstate(invalid="ignore"):  # a signalling NaN raises the flag as it widens
         x = values.astype(np.float64, copy=False)
-    special = ~np.isfinite(x) | (x == 0)
-    out, general = _float_cells(np.where(special, 1.0, x))
-    (rest,) = np.nonzero(general | special)
+    out, general = _float_cells(x)
+    (rest,) = np.nonzero(general)
     if len(rest):  # one batched repr
         text = np.array(list(map(repr, x[rest].tolist())), dtype=bytes)
         if text.itemsize > out.shape[1]:

@@ -1,5 +1,7 @@
 """The vectorized printer: the bytes of repr(float(v)) and str(v), value by value."""
 
+import tracemalloc
+
 import numpy as np
 
 from adkyle._shortest import cells
@@ -53,6 +55,49 @@ def test_exact_scaled_values_print_as_repr():
         np.round(rng.standard_normal(20_000), 3) * 10.0**rng.integers(-6, 18, 20_000),
     ])
     _assert_reprs(values)
+
+
+def test_short_decimals_print_as_repr_at_every_count_of_zeros():
+    # doubles read from m e k, m of 1-17 significant digits and then 0-16 zeros, so that
+    # the digits Ryu drops end in every count of zeros, at exponents across the range
+    rng = np.random.default_rng(47)
+    text = []
+    for digits in range(1, 18):
+        for zeros in range(17):
+            for _ in range(24):
+                m = int(rng.integers(10 ** (digits - 1), 10**digits))
+                m = m * 10 + int(rng.integers(1, 10)) if m % 10 == 0 else m
+                k = int(rng.integers(-323 - digits, 309 - digits - zeros))
+                text.append(f"{'-' if rng.integers(2) else ''}{m}{'0' * zeros}e{k}")
+    values = np.array([float(t) for t in text])
+    _assert_reprs(values[values != 0])
+
+
+def test_doubles_whose_carry_the_printer_cannot_settle_print_as_repr():
+    # integers of 2**61 to 2**77 not divisible by the power of 5 Ryu divides by: the bits of
+    # the scaled value that the printer sums leave the carry into it in doubt for many
+    # (about 1 in 2,400 of them would print a wrong digit if it were guessed)
+    rng = np.random.default_rng(61)
+    values = np.ldexp(rng.integers(2**52, 2**53, 200_000).astype(np.float64),
+                      rng.integers(9, 25, 200_000))
+    _assert_reprs(np.concatenate([values, -values]))
+
+
+def test_a_float_cells_call_holds_at_most_120_bytes_a_value():
+    # the tracemalloc peak of a call grows by at most 120 bytes a value: the 5,461 random
+    # doubles of a CSV block, then the same doubles twice (so that both have the same width)
+    x = np.random.default_rng(5461).standard_normal(5_461)
+
+    def peak(values) -> int:
+        cells(values)  # first-call allocations
+        tracemalloc.start()
+        try:
+            cells(values)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(np.concatenate([x, x])) - peak(x)) / len(x) <= 120
 
 
 def test_narrow_floats_print_as_the_double_they_widen_to():

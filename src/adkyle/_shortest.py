@@ -7,10 +7,12 @@ builds many paths.  So a small run never loads or, without bytecode caching, com
 A float's digits are Ryū's (Adams, "Ryū: fast float-to-string conversion", PLDI 2018): of
 the decimals that read back to the double, the shortest, and of those the nearest, which
 is what repr prints.  Ryū scales 4m ± 2 (the double's mantissa and its rounding interval)
-by a 128-bit power of 5; here each product is built from 32-bit halves of uint64 arrays,
-so a few dozen numpy passes serve the whole array.  Where the scaled value is exact (an
-integer-valued or short dyadic double), Ryū tracks trailing zeros digit by digit: those
-values, like ±0, ±inf and NaN, go through one batched repr.
+by a 128-bit power of 5 and keeps the top 64 bits of each 192-bit product.  Here the three
+products share the top 96 bits of 4m's, summed in uint64 arrays from 32-bit limbs: the
+bits left out can carry at most 3 into them, so a value whose carry that leaves in doubt
+(0.06% of random bit patterns, most of them integers above 2**61; no random normal double)
+is printed like the values Ryū tracks digit by digit, those whose scaled value is exact
+(integer-valued and short dyadic doubles), and like ±0, ±inf and NaN: by one batched repr.
 
 A value's text is laid out in fixed columns of a (values, width) uint8 array, with NUL
 bytes wherever a column is unused, so that deleting every NUL of a row of cells leaves
@@ -111,7 +113,7 @@ def _shortest(x):
     biased = biased.view(np.intp)
     m = bits & np.uint64((1 << 52) - 1)  # the fraction, then the mantissa
     (narrow,) = np.nonzero(m == 0)  # a power of 2: 4m - 1, not 4m - 2, bounds it below
-    narrow = narrow[biased[narrow] > 1]  # (so does 2**-1022)
+    narrow = narrow[biased[narrow] > 1]  # (not 2**-1022: subnormals are as close below)
     m |= np.uint64(1 << 52)
     (sub,) = np.nonzero(biased == 0)
     m[sub] ^= np.uint64(1 << 52)
@@ -119,9 +121,8 @@ def _shortest(x):
     general = (m & _TABLE[3].take(biased, mode="clip")) == 0
     (big,) = np.nonzero(general)
     big = big[(biased[big] >= 1077) & (biased[big] < 2047)]  # 5**q may divide 4m, 4m + 2, ...
-    if len(big):
-        e2 = biased[big] - 1077
-        p5, m4 = _P5[(e2 * 78913 >> 18) - (e2 > 3)], m[big] << np.uint64(2)
+    if len(big):  # (q is e10 where e2 >= 0)
+        p5, m4 = _P5[_TABLE[4].view(np.int64)[biased[big]]], m[big] << np.uint64(2)
         even = (m4 & np.uint64(4)) == 0  # round-half-even reading accepts an even m's bounds
         general[big] = (m4 % p5 == 0) | even & ((m4 - 1 - (m4 != 1 << 54)) % p5 == 0)
         excluded = ~even & ((m4 + 2) % p5 == 0)  # an exact upper bound, not accepted

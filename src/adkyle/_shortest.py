@@ -49,7 +49,7 @@ def _multipliers() -> np.ndarray:
     pow5 = [1]
     while len(pow5) < 330:
         pow5.append(5 * pow5[-1])
-    rows = []
+    table = bytearray()
     for biased in range(2048):
         e2 = max(biased, 1) - 1077  # 2**e2 is the unit of 4m
         if e2 >= 0:  # x / 10**q with q = floor(e2 log10 2), less one from e2 = 4
@@ -63,11 +63,12 @@ def _multipliers() -> np.ndarray:
             mult, shift, e10 = (p << 125) >> p.bit_length(), q - p.bit_length() + 125, q + e2
             exact = (1 << min(max(q - 2, 0), 63)) - 1
         t = mult << (130 - shift)  # 4T: shift is 118 ... 125
-        k = biased - 1023  # the least integer whose double is at least 2**k (ties to even)
-        least = 0 if k < 0 else (1 << k) - (k > 53 and 1 << (k - 54))
-        rows.append((t >> 32 & 0xFFFFFFFF, t >> 64 & 0xFFFFFFFF, t >> 96, exact,
-                     e10 % (1 << 64), min(len(str(least)), 19) if least else 0))
-    return np.array(rows, dtype=np.uint64).T.copy()
+        k = biased - 1023  # the least integer whose double is 2**k (ties to even), a uint64's
+        least = (1 << k) - (k > 53 and 1 << (k - 54)) if 0 <= k <= 64 else 0
+        for word in (t >> 32 & 0xFFFFFFFF, t >> 64 & 0xFFFFFFFF, t >> 96, exact, e10 % (1 << 64),
+                     min(len(str(least)), 19) if least else 0):
+            table += word.to_bytes(8, "little")
+    return np.frombuffer(table, dtype="<u8").reshape(2048, -1).T.astype(np.uint64, order="C")
 
 
 _TABLE = _multipliers()
@@ -162,8 +163,9 @@ def _shortest(x):
     c3 &= _LOW
     del lo, hi, a
 
-    # vr, vp, vm: the top 64 bits of X, X + 2T and X - 2T (X - T if narrow), each col's
-    # carry (or borrow) added to top, in doubt if col's low 32 bits are within 4 of a carry
+    # vr, vp, vm: the top 64 bits of X, X + 2T and X - 2T (X - T if narrow), top plus the
+    # carry out of col, col + c3 and col - c3.  With the bits left out those sums gain a to
+    # b (0 to 3, 0 to 4 and -1 to 3), so the carry is in doubt if ((sum + b) & LOW) < b - a.
     np.add(col, np.uint64(3), out=t)
     t &= _LOW
     doubt = t < 3

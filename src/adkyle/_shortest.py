@@ -105,9 +105,9 @@ def _digits(out, v, shown) -> None:
 
 
 def _shortest(x):
-    """Ryū's digits of finite nonzero doubles: (n, e, general), n * 10**e the shortest nearest
-    decimal of x; where general, n is not to be used: the scaled value is exact, or so near
-    a carry that the bits summed here leave it in doubt."""
+    """Ryū's digits of doubles: (n, e, general), n * 10**e the shortest nearest decimal of x;
+    where general, n is not to be used: x is ±0, ±inf or NaN, its scaled value is exact, or
+    it is so near a carry that the bits summed here leave it in doubt."""
     bits = x.view(np.uint64)
     biased = bits << np.uint64(1)
     biased >>= np.uint64(53)

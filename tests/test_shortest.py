@@ -66,7 +66,7 @@ def test_short_decimals_print_as_repr_at_every_count_of_zeros():
         for zeros in range(17):
             for _ in range(24):
                 m = int(rng.integers(10 ** (digits - 1), 10**digits))
-                m = m * 10 + int(rng.integers(1, 10)) if m % 10 == 0 else m
+                m += int(rng.integers(1, 10)) - m % 10  # the last digit is not 0
                 k = int(rng.integers(-323 - digits, 309 - digits - zeros))
                 text.append(f"{'-' if rng.integers(2) else ''}{m}{'0' * zeros}e{k}")
     values = np.array([float(t) for t in text])
@@ -74,9 +74,10 @@ def test_short_decimals_print_as_repr_at_every_count_of_zeros():
 
 
 def test_doubles_whose_carry_the_printer_cannot_settle_print_as_repr():
-    # integers of 2**61 to 2**77 not divisible by the power of 5 Ryu divides by: the bits of
-    # the scaled value that the printer sums leave the carry into it in doubt for many
-    # (about 1 in 2,400 of them would print a wrong digit if it were guessed)
+    # integer-valued doubles of 2**61 to 2**78, most not divisible by the power of 5 Ryu
+    # divides by: the bits of the scaled value that the printer sums leave its carry in doubt
+    # for many
+    # (about 1 in 1,100 of them would print a wrong digit if it were guessed)
     rng = np.random.default_rng(61)
     values = np.ldexp(rng.integers(2**52, 2**53, 200_000).astype(np.float64),
                       rng.integers(9, 25, 200_000))
